@@ -19,7 +19,10 @@ default scale (documented in EXPERIMENTS.md).  Scale knobs:
   import/parity smoke test (skips throughput-floor assertions).
 
 Rendered tables are printed in the pytest terminal summary and written
-to ``benchmarks/results/``.
+to ``benchmarks/results/latest/``, which git ignores, so running the
+benches leaves the working tree clean.  The tables checked in under
+``benchmarks/results/`` are a recorded run: copy the ``latest`` files
+over them to record a new one.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from repro.flow import DEFAULT_BACKEND, CampaignJob, CampaignRunner
 from repro.timing import fig3_corner_subset, paper_corner_grid
 from repro.workloads import OperandStream, stream_for_unit
 
-RESULTS_DIR = Path(__file__).parent / "results"
+RESULTS_DIR = Path(__file__).parent / "results" / "latest"
 _REPORTS: List[str] = []
 
 
@@ -46,7 +49,7 @@ def record_report(title: str, lines) -> None:
     """Queue a rendered table for the terminal summary + results file."""
     text = f"\n=== {title} ===\n" + "\n".join(lines)
     _REPORTS.append(text)
-    RESULTS_DIR.mkdir(exist_ok=True)
+    RESULTS_DIR.mkdir(parents=True, exist_ok=True)
     safe = title.lower().replace(" ", "_").replace("/", "-")
     (RESULTS_DIR / f"{safe}.txt").write_text(text + "\n")
 

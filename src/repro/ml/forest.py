@@ -12,11 +12,11 @@ from typing import Optional
 
 import numpy as np
 
-from .base import BaseEstimator, check_X, check_X_y
-from .tree import DecisionTreeClassifier, DecisionTreeRegressor
+from .base import check_X, check_X_y
+from .tree import DecisionTreeClassifier, DecisionTreeRegressor, _Stacked
 
 
-class _BaseForest(BaseEstimator):
+class _BaseForest(_Stacked):
     tree_class = None
 
     def __init__(self, n_estimators: int = 10,
@@ -25,7 +25,6 @@ class _BaseForest(BaseEstimator):
                  min_samples_leaf: int = 1,
                  max_features=None,
                  bootstrap: bool = True,
-                 max_threshold_candidates: int = 0,
                  random_state: Optional[int] = None) -> None:
         if n_estimators < 1:
             raise ValueError("n_estimators must be >= 1")
@@ -35,7 +34,6 @@ class _BaseForest(BaseEstimator):
         self.min_samples_leaf = min_samples_leaf
         self.max_features = max_features
         self.bootstrap = bootstrap
-        self.max_threshold_candidates = max_threshold_candidates
         self.random_state = random_state
 
     def _make_tree(self, seed: int):
@@ -44,25 +42,22 @@ class _BaseForest(BaseEstimator):
             min_samples_split=self.min_samples_split,
             min_samples_leaf=self.min_samples_leaf,
             max_features=self.max_features,
-            max_threshold_candidates=self.max_threshold_candidates,
             random_state=seed,
         )
 
     def fit(self, X, y):
         X, y = check_X_y(X, y)
         self.n_features_ = X.shape[1]
+        self.__dict__.pop("_node_table", None)
         rng = np.random.default_rng(self.random_state)
         self.estimators_ = []
         n = X.shape[0]
         for _ in range(self.n_estimators):
             seed = int(rng.integers(0, 2**31 - 1))
             tree = self._make_tree(seed)
-            if self.bootstrap:
-                idx = rng.integers(0, n, n)
-                tree.fit(X[idx], y[idx])
-            else:
-                tree.fit(X, y)
-            self.estimators_.append(tree)
+            # trees index the bootstrap draw instead of copying its rows
+            idx = rng.integers(0, n, n) if self.bootstrap else np.arange(n)
+            self.estimators_.append(tree._fit_rows(X, y[idx], idx))
         self._fitted = True
         return self
 
@@ -77,25 +72,35 @@ class _BaseForest(BaseEstimator):
         total = importances.sum()
         return importances / total if total else importances
 
+    def _mean_over_trees(self, X) -> np.ndarray:
+        """Mean of the trees' leaf values, accumulated tree by tree.
+
+        Not ``np.mean(axis=1)``: numpy picks pairwise vs sequential
+        summation by memory layout, so the mean of a 1-row batch could
+        differ in the last ulp from the same row inside a larger batch.
+        Sequential accumulation makes predictions independent of batch
+        composition — the serving layer relies on that for bit-exact
+        parity.
+        """
+        table = self._table()
+        per_tree = table.value[table.leaves(check_X(X, self.n_features_))]
+        total = per_tree[:, 0].copy()
+        for t in range(1, per_tree.shape[1]):
+            total += per_tree[:, t]
+        return total / per_tree.shape[1]
+
 
 class RandomForestRegressor(_BaseForest):
     """Mean-aggregated forest of CART regressors — TEVoT's delay model."""
 
     tree_class = DecisionTreeRegressor
 
+    def _stack(self):
+        return self.estimators_, np.concatenate(
+            [tree.value_[:, 0] for tree in self.estimators_])
+
     def predict(self, X) -> np.ndarray:
-        self._require_fitted()
-        X = check_X(X, self.n_features_)
-        # accumulate tree by tree instead of np.mean(axis=0): numpy
-        # picks pairwise vs sequential summation by memory layout, so
-        # the mean of a 1-row batch could differ in the last ulp from
-        # the same row inside a larger batch.  Sequential accumulation
-        # makes predictions independent of batch composition — the
-        # serving layer relies on that for bit-exact parity.
-        total = self.estimators_[0].predict(X).astype(np.float64, copy=True)
-        for tree in self.estimators_[1:]:
-            total += tree.predict(X)
-        return total / len(self.estimators_)
+        return self._mean_over_trees(X)
 
 
 class RandomForestClassifier(_BaseForest):
@@ -113,15 +118,18 @@ class RandomForestClassifier(_BaseForest):
         self.classes_ = all_classes
         return self
 
-    def predict_proba(self, X) -> np.ndarray:
-        self._require_fitted()
-        X = check_X(X, self.n_features_)
-        total = np.zeros((X.shape[0], len(self.classes_)))
+    def _stack(self):
+        # each tree's class columns placed among the forest's classes
+        value = []
         for tree in self.estimators_:
-            proba = tree.predict_proba(X)
-            cols = np.searchsorted(self.classes_, tree.classes_)
-            total[:, cols] += proba
-        return total / self.n_estimators
+            proba = np.zeros((tree.n_nodes, len(self.classes_)))
+            proba[:, np.searchsorted(self.classes_, tree.classes_)] = \
+                tree.value_
+            value.append(proba)
+        return self.estimators_, np.concatenate(value)
+
+    def predict_proba(self, X) -> np.ndarray:
+        return self._mean_over_trees(X)
 
     def predict(self, X) -> np.ndarray:
         proba = self.predict_proba(X)

@@ -1,18 +1,20 @@
-"""CART decision trees (numpy-vectorized).
+"""CART decision trees (numpy-vectorized), fitted breadth-first.
 
 Supports the feature structure TEVoT produces — mostly binary bit
 features plus a few low-cardinality numeric features (V, T) — by
-scanning all split positions of each sorted feature column with
-prefix sums (exact CART); ``max_threshold_candidates`` optionally caps
-the scanned positions for very-high-cardinality features (0 = exact).
-Split gain is variance reduction (regression) or Gini impurity decrease
-(classification).
+scanning all split positions of each sorted feature column with prefix
+sums (exact CART).  Split gain is variance reduction (regression) or
+Gini impurity decrease (classification).  All open nodes of one depth
+are scored together from one level-sorted matrix of their bit rows;
+only the float reductions whose rounding breaks near-ties run per node,
+on that node's contiguous slice, so the trees are bit-identical to ones
+built a node at a time.  Prediction descends a stacked node table.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional
+import types
+from typing import Optional
 
 import numpy as np
 
@@ -21,195 +23,258 @@ from .base import BaseEstimator, check_X, check_X_y, resolve_max_features
 _LEAF = -1
 
 
-@dataclass
-class _TreeArrays:
-    """Flat array representation of a fitted tree."""
-
-    feature: List[int] = field(default_factory=list)
-    threshold: List[float] = field(default_factory=list)
-    left: List[int] = field(default_factory=list)
-    right: List[int] = field(default_factory=list)
-    value: List[np.ndarray] = field(default_factory=list)
-
-    def add_node(self) -> int:
-        self.feature.append(_LEAF)
-        self.threshold.append(0.0)
-        self.left.append(_LEAF)
-        self.right.append(_LEAF)
-        self.value.append(np.zeros(0))
-        return len(self.feature) - 1
-
-    @property
-    def n_nodes(self) -> int:
-        return len(self.feature)
+def __getattr__(name):
+    # artifacts pickled by the node-at-a-time fitter keep its fit-time state,
+    # including this class; ``_Stacked.__setstate__`` drops that state
+    if name == "_TreeArrays":
+        return types.SimpleNamespace
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-class _BaseDecisionTree(BaseEstimator):
+class _NodeTable:
+    """Trees stacked into one node table and descended together.
+
+    Tree ``t`` owns rows ``offsets[t]:offsets[t + 1]``; a leaf's two
+    children point back to the leaf, so a row that reached its leaf in a
+    shallow tree stays there while deeper trees finish.  ``value`` holds
+    one row per stacked node.
+    """
+
+    def __init__(self, trees, value: np.ndarray) -> None:
+        sizes = [len(t.feature_) for t in trees]
+        self.offsets = np.concatenate(([0], np.cumsum(sizes)))
+        feature = np.concatenate([t.feature_ for t in trees])
+        leaf = feature == _LEAF
+        own = np.arange(len(feature))
+        shift = np.repeat(self.offsets[:-1], sizes)
+        # children[2 * node + go_left]
+        self.children = np.stack([
+            np.where(leaf, own, np.concatenate([t.right_ for t in trees])
+                     + shift),
+            np.where(leaf, own, np.concatenate([t.left_ for t in trees])
+                     + shift)], axis=1).ravel()
+        self.feature = np.where(leaf, 0, feature)
+        self.threshold = np.concatenate([t.threshold_ for t in trees])
+        self.value = value
+        self.rounds = max(t.depth() for t in trees)
+
+    def leaves(self, X: np.ndarray) -> np.ndarray:
+        """Stacked leaf id of every (row, tree)."""
+        node = np.tile(self.offsets[:-1], (X.shape[0], 1))
+        rows = np.arange(X.shape[0])[:, None]
+        for _ in range(self.rounds):
+            go_left = X[rows, self.feature[node]] <= self.threshold[node]
+            node = self.children[2 * node + go_left]
+        return node
+
+
+class _Stacked(BaseEstimator):
+    """Predicts through a node table built on first use and never
+    pickled."""
+
+    def _stack(self):
+        """``(trees, per-node values)`` the table stacks."""
+        raise NotImplementedError
+
+    def _table(self) -> _NodeTable:
+        self._require_fitted()
+        table = self.__dict__.get("_node_table")
+        if table is None:
+            table = self._node_table = _NodeTable(*self._stack())
+        return table
+
+    def __getstate__(self):
+        state = dict(self.__dict__)
+        state.pop("_node_table", None)
+        return state
+
+    def __setstate__(self, state) -> None:
+        for name in ("_tree", "_rng", "_binary_cols",
+                     "max_threshold_candidates"):
+            state.pop(name, None)
+        self.__dict__.update(state)
+
+
+class _BaseDecisionTree(_Stacked):
     """Shared CART machinery; subclasses define leaf values and impurity."""
 
     def __init__(self, max_depth: Optional[int] = None,
                  min_samples_split: int = 2,
                  min_samples_leaf: int = 1,
                  max_features=None,
-                 max_threshold_candidates: int = 0,
                  random_state: Optional[int] = None) -> None:
         self.max_depth = max_depth
         self.min_samples_split = min_samples_split
         self.min_samples_leaf = min_samples_leaf
         self.max_features = max_features
-        self.max_threshold_candidates = max_threshold_candidates
         self.random_state = random_state
 
     # subclass hooks ------------------------------------------------------
 
-    def _leaf_value(self, y: np.ndarray) -> np.ndarray:
+    def _level_values(self, ys, starts, counts):
+        """``(leaf values, pure)`` of every open node of a level."""
         raise NotImplementedError
 
-    def _best_split(self, col: np.ndarray, y: np.ndarray):
-        """Best ``(gain, threshold)`` for one feature column."""
+    def _binary_gains(self, xs, ys, starts, counts):
+        """``(gains, n_right)`` of every 0/1 column (threshold 0.5) for
+        the nodes whose rows are ``xs[s:s + n]`` for ``s, n`` in
+        ``starts, counts``; ``n_right`` counts each node's ones."""
         raise NotImplementedError
 
-    def _binary_split_gains(self, Xb: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Gains for many 0/1 columns at once (threshold fixed at 0.5).
-
-        ``Xb`` is the node's sample-by-binary-feature submatrix.  A
-        single matrix product yields the left/right statistics for every
-        column simultaneously — the workhorse that makes forests on
-        TEVoT's 128 bit-features fast.
-        """
+    def _prefix_gains(self, y_s: np.ndarray, positions: np.ndarray):
+        """Gains of splitting sorted targets ``y_s`` after each of
+        ``positions``, from prefix sums."""
         raise NotImplementedError
 
     # fitting ---------------------------------------------------------------
 
     def fit(self, X, y):
         X, y = check_X_y(X, y)
-        y = self._prepare_targets(y)
-        self.n_features_ = X.shape[1]
-        self._rng = np.random.default_rng(self.random_state)
-        self._binary_cols = np.all((X == 0.0) | (X == 1.0), axis=0)
-        self.feature_importances_ = np.zeros(self.n_features_)
-        self._tree = _TreeArrays()
-        root = self._tree.add_node()
-        # iterative depth-first build
-        stack = [(root, np.arange(X.shape[0]), 0)]
-        while stack:
-            node, idx, depth = stack.pop()
-            self._build_node(X, y, node, idx, depth, stack)
-        self._finalize()
-        self._fitted = True
-        return self
+        return self._fit_rows(X, y, np.arange(len(y)))
 
     def _prepare_targets(self, y: np.ndarray) -> np.ndarray:
         return y.astype(np.float64)
 
-    def _finalize(self) -> None:
+    def _fit_rows(self, X: np.ndarray, y: np.ndarray, rows: np.ndarray):
+        """Fit on ``X[rows], y`` without copying those rows of ``X``.
+
+        With ``max_features`` below the feature count, each splittable
+        node draws its candidate features from the tree's generator in
+        breadth-first order (level by level, left to right), and ties
+        between candidates go to the lowest feature index.
+        """
+        y = self._prepare_targets(y)
+        n_feat = self.n_features_ = X.shape[1]
+        self.__dict__.pop("_node_table", None)
+        rng = np.random.default_rng(self.random_state)
+        n_draw = resolve_max_features(self.max_features, n_feat)
+        binary = ~((X != 0.0) & (X != 1.0))[rows].any(axis=0)
+        bits, others = np.flatnonzero(binary), np.flatnonzero(~binary)
+        msl = self.min_samples_leaf
+        # level state: X rows, targets and bit rows grouped by open node
+        idx, ys = rows, y
+        xs = X[np.ix_(rows, bits)]
+        spare = np.empty_like(xs)
+        starts, counts = np.zeros(1, np.int64), np.array([len(y)])
+        levels, n_seen, depth = [], 0, 0
+        while True:
+            n_open, m = len(counts), len(ys)
+            value, pure = self._level_values(ys, starts, counts)
+            live = ~pure & (counts >= self.min_samples_split)
+            if self.max_depth is not None and depth >= self.max_depth:
+                live[:] = False
+            allowed = np.ones((n_open, n_feat), bool)
+            if n_draw < n_feat:
+                allowed[live] = False
+                for k in np.flatnonzero(live):
+                    allowed[k, rng.choice(n_feat, n_draw, replace=False)] = 1
+            gain, thr = np.full(n_open, 1e-12), np.zeros(n_open)
+            feat = np.full(n_open, _LEAF)
+            cand = np.flatnonzero(live)
+            if len(bits) and len(cand):
+                g, n_right = self._binary_gains(xs, ys, starts[cand],
+                                                counts[cand])
+                g[(n_right < msl) | (counts[cand, None] - n_right < msl)
+                  | ~allowed[cand][:, bits] | np.isnan(g)] = -np.inf
+                best = g.argmax(axis=1)
+                g = g[np.arange(len(cand)), best]
+                win = g > gain[cand]
+                gain[cand[win]] = g[win]
+                feat[cand[win]] = bits[best[win]]
+                thr[cand[win]] = 0.5
+            row_node = np.repeat(np.arange(n_open), counts)
+            for f in others:
+                col = X[idx, f]
+                varies = live & allowed[:, f] & ~(
+                    np.minimum.reduceat(col, starts)
+                    == np.maximum.reduceat(col, starts))
+                if not varies.any():
+                    continue
+                order = np.lexsort((col, row_node))
+                col_s, y_s = col[order], ys[order]
+                for k in np.flatnonzero(varies):
+                    s = slice(starts[k], starts[k] + counts[k])
+                    g, t = self._best_split(col_s[s], y_s[s])
+                    if g > gain[k]:
+                        gain[k], feat[k], thr[k] = g, f, t
+            split = feat >= 0
+            n_split = int(split.sum())
+            left = np.full(n_open, _LEAF)
+            left[split] = n_seen + n_open + 2 * np.arange(n_split)
+            levels.append((feat, thr, left, value, counts * gain))
+            n_seen += n_open
+            depth += 1
+            if not n_split:
+                break
+            # child partition: one stable sort of the kept rows on child id
+            keep = np.flatnonzero(split[row_node])
+            node = row_node[keep]
+            child = 2 * (np.cumsum(split) - 1)[node] + ~(
+                X[idx[keep], feat[node]] <= thr[node])
+            perm = keep[np.argsort(child, kind="stable")]
+            np.take(xs[:m], perm, axis=0, out=spare[:len(perm)], mode="clip")
+            xs, spare = spare, xs
+            idx, ys = idx[perm], ys[perm]
+            counts = np.bincount(child, minlength=2 * n_split)
+            starts = np.cumsum(counts) - counts
+        self._renumber(*map(np.concatenate, zip(*levels)))
+        self._fitted = True
+        return self
+
+    def _renumber(self, feat, thr, left, value, contrib) -> None:
+        """Store the breadth-first tree under depth-first ids: popping
+        the right child first and allocating children in pairs.  The
+        importances accumulate in that visit order."""
+        new_id = np.zeros(len(feat), np.int64)
+        visit, stack, next_id = [], [0], 1
+        left_l = left.tolist()
+        while stack:
+            node = stack.pop()
+            child = left_l[node]
+            if child != _LEAF:
+                visit.append(node)
+                new_id[child], new_id[child + 1] = next_id, next_id + 1
+                next_id += 2
+                stack += (child, child + 1)
+        order = np.argsort(new_id)
+        left = left[order]
+        self.feature_, self.threshold_ = feat[order], thr[order]
+        self.left_ = np.where(left != _LEAF, new_id[left], _LEAF)
+        self.right_ = np.where(left != _LEAF, new_id[left + 1], _LEAF)
+        self.value_ = value[order]
+        self.feature_importances_ = np.zeros(self.n_features_)
+        np.add.at(self.feature_importances_, feat[visit], contrib[visit])
         total = self.feature_importances_.sum()
         if total > 0:
             self.feature_importances_ /= total
-        t = self._tree
-        self.feature_ = np.asarray(t.feature, dtype=np.int64)
-        self.threshold_ = np.asarray(t.threshold, dtype=np.float64)
-        self.left_ = np.asarray(t.left, dtype=np.int64)
-        self.right_ = np.asarray(t.right, dtype=np.int64)
-        self.value_ = np.stack(t.value)
 
-    def _build_node(self, X, y, node, idx, depth, stack) -> None:
-        t = self._tree
-        sub_y = y[idx]
-        t.value[node] = self._leaf_value(sub_y)
-        if (len(idx) < self.min_samples_split
-                or (self.max_depth is not None and depth >= self.max_depth)
-                or self._is_pure(sub_y)):
-            return
-
-        n_candidates = resolve_max_features(self.max_features,
-                                            self.n_features_)
-        if n_candidates < self.n_features_:
-            features = self._rng.choice(self.n_features_, n_candidates,
-                                        replace=False)
-        else:
-            features = np.arange(self.n_features_)
-
-        best_gain = 1e-12
-        best_feature = -1
-        best_threshold = 0.0
-
-        is_binary = self._binary_cols[features]
-        binary_feats = features[is_binary]
-        if len(binary_feats):
-            Xb = X[np.ix_(idx, binary_feats)]
-            gains = self._binary_split_gains(Xb, sub_y)
-            best = int(np.argmax(gains))
-            if gains[best] > best_gain:
-                best_gain = float(gains[best])
-                best_feature = int(binary_feats[best])
-                best_threshold = 0.5
-
-        for f in features[~is_binary]:
-            col = X[idx, f]
-            gain, threshold = self._best_split(col, sub_y)
-            if gain > best_gain:
-                best_gain = gain
-                best_feature = int(f)
-                best_threshold = threshold
-
-        if best_feature < 0:
-            return  # no useful split: stay a leaf
-        best_mask = X[idx, best_feature] <= best_threshold
-        # mean-decrease-in-impurity contribution: gain weighted by the
-        # fraction of samples reaching this node
-        self.feature_importances_[best_feature] += len(idx) * best_gain
-
-        left = t.add_node()
-        right = t.add_node()
-        t.feature[node] = best_feature
-        t.threshold[node] = best_threshold
-        t.left[node] = left
-        t.right[node] = right
-        stack.append((left, idx[best_mask], depth + 1))
-        stack.append((right, idx[~best_mask], depth + 1))
-
-    def _split_positions(self, col_sorted: np.ndarray) -> np.ndarray:
-        """Valid split positions in a sorted column.
+    def _best_split(self, col_s: np.ndarray, y_s: np.ndarray):
+        """Best ``(gain, threshold)`` for one node's stably sorted column
+        ``col_s`` and the targets in that order.
 
         Position ``i`` means the left child takes sorted elements
         ``0..i``; a position is valid when the column value actually
         changes there and both children meet ``min_samples_leaf``.
         """
-        n = len(col_sorted)
-        boundaries = np.nonzero(col_sorted[:-1] != col_sorted[1:])[0]
         msl = self.min_samples_leaf
-        if msl > 1:
-            boundaries = boundaries[(boundaries + 1 >= msl)
-                                    & (n - boundaries - 1 >= msl)]
-        if (self.max_threshold_candidates
-                and len(boundaries) > self.max_threshold_candidates):
-            pick = np.linspace(0, len(boundaries) - 1,
-                               self.max_threshold_candidates).astype(int)
-            boundaries = boundaries[np.unique(pick)]
-        return boundaries
-
-    def _is_pure(self, y: np.ndarray) -> bool:
-        return bool(np.all(y == y[0]))
+        positions = np.nonzero(col_s[:-1] != col_s[1:])[0]
+        positions = positions[(positions + 1 >= msl)
+                              & (len(col_s) - positions - 1 >= msl)]
+        if len(positions) == 0:
+            return 0.0, 0.0
+        gains = self._prefix_gains(y_s, positions)
+        best = int(np.argmax(gains))
+        pos = positions[best]
+        return float(gains[best]), float((col_s[pos] + col_s[pos + 1]) / 2.0)
 
     # prediction ---------------------------------------------------------------
 
+    def _stack(self):
+        return [self], self.value_
+
     def _decision_leaves(self, X: np.ndarray) -> np.ndarray:
-        """Leaf node index for each sample (vectorized level descent)."""
-        self._require_fitted()
-        node = np.zeros(X.shape[0], dtype=np.int64)
-        while True:
-            internal = self.feature_[node] != _LEAF
-            if not internal.any():
-                return node
-            active = np.nonzero(internal)[0]
-            feats = self.feature_[node[active]]
-            thrs = self.threshold_[node[active]]
-            go_left = X[active, feats] <= thrs
-            nxt = np.where(go_left,
-                           self.left_[node[active]],
-                           self.right_[node[active]])
-            node[active] = nxt
+        """Leaf node index for each sample."""
+        return self._table().leaves(X)[:, 0]
 
     @property
     def n_nodes(self) -> int:
@@ -219,12 +284,34 @@ class _BaseDecisionTree(BaseEstimator):
     def depth(self) -> int:
         """Maximum depth of the fitted tree."""
         self._require_fitted()
-        depths = np.zeros(self.n_nodes, dtype=np.int64)
-        for node in range(self.n_nodes):
-            for child in (self.left_[node], self.right_[node]):
-                if child != _LEAF:
-                    depths[child] = depths[node] + 1
-        return int(depths.max()) if self.n_nodes else 0
+        level, depth = np.zeros(1, np.int64), 0
+        while True:
+            level = level[self.feature_[level] != _LEAF]
+            if not len(level):
+                return depth
+            level = np.concatenate((self.left_[level], self.right_[level]))
+            depth += 1
+
+
+def _sse_gains(n, total1, total2, left, right) -> np.ndarray:
+    """Variance reduction of splitting ``n`` targets (sum ``total1``,
+    sum of squares ``total2``) into ``left`` and ``right``, each given
+    as (count, sum, sum of squares)."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sse = [s2 - s1 * s1 / m for m, s1, s2 in (left, right)]
+    return (total2 - total1 * total1 / n - sse[0] - sse[1]) / n
+
+
+def _gini_gains(left, right, n) -> np.ndarray:
+    """Gini decrease of splitting ``n`` samples into children with the
+    class counts (last axis) ``left`` and ``right``."""
+    def gini(counts, total):
+        return 1.0 - np.sum((counts / total[..., None]) ** 2, axis=-1)
+
+    n_left, n_right = left.sum(axis=-1), right.sum(axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return gini(left + right, n) - (n_left * gini(left, n_left)
+                                        + n_right * gini(right, n_right)) / n
 
 
 class DecisionTreeRegressor(_BaseDecisionTree):
@@ -232,55 +319,35 @@ class DecisionTreeRegressor(_BaseDecisionTree):
     variance reduction.  TEVoT's delay model ``fd`` builds forests of
     these."""
 
-    def _leaf_value(self, y: np.ndarray) -> np.ndarray:
-        return np.array([y.mean()])
+    def _level_values(self, ys, starts, counts):
+        sums = np.array([ys[s:s + n].sum()
+                         for s, n in zip(starts.tolist(), counts.tolist())])
+        pure = (np.minimum.reduceat(ys, starts)
+                == np.maximum.reduceat(ys, starts))
+        return (sums / counts)[:, None], pure
 
-    def _binary_split_gains(self, Xb: np.ndarray, y: np.ndarray) -> np.ndarray:
-        n = len(y)
-        total1 = y.sum()
-        total2 = float(y @ y)
-        n_right = Xb.sum(axis=0)
-        n_left = n - n_right
-        s1_right = Xb.T @ y
-        s2_right = Xb.T @ (y * y)
-        s1_left = total1 - s1_right
-        s2_left = total2 - s2_right
-        with np.errstate(divide="ignore", invalid="ignore"):
-            sse_left = s2_left - s1_left * s1_left / n_left
-            sse_right = s2_right - s1_right * s1_right / n_right
-        parent_sse = total2 - total1 * total1 / n
-        gains = (parent_sse - sse_left - sse_right) / n
-        msl = self.min_samples_leaf
-        invalid = (n_left < msl) | (n_right < msl)
-        gains[invalid] = -np.inf
-        return np.nan_to_num(gains, nan=-np.inf, posinf=-np.inf,
-                             neginf=-np.inf)
+    def _binary_gains(self, xs, ys, starts, counts):
+        yy = ys * ys
+        s1_right, s2_right, n_right = np.empty((3, len(starts), xs.shape[1]))
+        total1, total2 = np.empty((2, len(starts), 1))
+        for k, (s, n) in enumerate(zip(starts.tolist(), counts.tolist())):
+            xk, yk = xs[s:s + n], ys[s:s + n]
+            np.matmul(xk.T, yk, out=s1_right[k])
+            np.matmul(xk.T, yy[s:s + n], out=s2_right[k])
+            xk.sum(axis=0, out=n_right[k])
+            total1[k], total2[k] = yk.sum(), yk @ yk
+        n = counts[:, None]
+        left = (n - n_right, total1 - s1_right, total2 - s2_right)
+        return _sse_gains(n, total1, total2, left,
+                          (n_right, s1_right, s2_right)), n_right
 
-    def _best_split(self, col: np.ndarray, y: np.ndarray):
-        """Exact variance-reduction scan via sorted prefix sums."""
-        order = np.argsort(col, kind="stable")
-        col_s = col[order]
-        positions = self._split_positions(col_s)
-        if len(positions) == 0:
-            return 0.0, 0.0
-        y_s = y[order]
-        n = len(y_s)
-        cum1 = np.cumsum(y_s)
-        cum2 = np.cumsum(y_s * y_s)
+    def _prefix_gains(self, y_s, positions):
+        cum1, cum2 = np.cumsum(y_s), np.cumsum(y_s * y_s)
         total1, total2 = cum1[-1], cum2[-1]
         n_left = positions + 1.0
-        n_right = n - n_left
-        s1l = cum1[positions]
-        s2l = cum2[positions]
-        sse_left = s2l - s1l * s1l / n_left
-        s1r = total1 - s1l
-        sse_right = (total2 - s2l) - s1r * s1r / n_right
-        parent_sse = total2 - total1 * total1 / n
-        gains = (parent_sse - sse_left - sse_right) / n
-        best = int(np.argmax(gains))
-        pos = positions[best]
-        threshold = (col_s[pos] + col_s[pos + 1]) / 2.0
-        return float(gains[best]), float(threshold)
+        s1l, s2l = cum1[positions], cum2[positions]
+        return _sse_gains(len(y_s), total1, total2, (n_left, s1l, s2l),
+                          (len(y_s) - n_left, total1 - s1l, total2 - s2l))
 
     def predict(self, X) -> np.ndarray:
         X = check_X(X, getattr(self, "n_features_", None))
@@ -295,60 +362,33 @@ class DecisionTreeClassifier(_BaseDecisionTree):
         self.classes_, encoded = np.unique(y, return_inverse=True)
         return encoded.astype(np.int64)
 
-    def _leaf_value(self, y: np.ndarray) -> np.ndarray:
-        counts = np.bincount(y, minlength=len(self.classes_))
-        return counts / counts.sum()
+    def _onehot(self, y: np.ndarray) -> np.ndarray:
+        onehot = np.zeros((len(y), len(self.classes_)))
+        onehot[np.arange(len(y)), y] = 1.0
+        return onehot
 
-    def _binary_split_gains(self, Xb: np.ndarray, y: np.ndarray) -> np.ndarray:
-        n = len(y)
+    def _level_values(self, ys, starts, counts):
         k = len(self.classes_)
-        onehot = np.zeros((n, k))
-        onehot[np.arange(n), y] = 1.0
-        totals = onehot.sum(axis=0)
-        right_counts = Xb.T @ onehot          # (F, k)
-        left_counts = totals[None, :] - right_counts
-        n_right = Xb.sum(axis=0)
-        n_left = n - n_right
-        with np.errstate(divide="ignore", invalid="ignore"):
-            gini_left = 1.0 - np.sum((left_counts / n_left[:, None]) ** 2,
-                                     axis=1)
-            gini_right = 1.0 - np.sum((right_counts / n_right[:, None]) ** 2,
-                                      axis=1)
-        parent = 1.0 - np.sum((totals / n) ** 2)
-        gains = parent - (n_left * gini_left + n_right * gini_right) / n
-        msl = self.min_samples_leaf
-        invalid = (n_left < msl) | (n_right < msl)
-        gains[invalid] = -np.inf
-        return np.nan_to_num(gains, nan=-np.inf, posinf=-np.inf,
-                             neginf=-np.inf)
+        node = np.repeat(np.arange(len(counts)), counts)
+        per_class = np.bincount(node * k + ys, minlength=len(counts) * k
+                                ).reshape(len(counts), k)
+        pure = np.count_nonzero(per_class, axis=1) == 1
+        return per_class / per_class.sum(axis=1, keepdims=True), pure
 
-    def _best_split(self, col: np.ndarray, y: np.ndarray):
-        """Exact Gini-decrease scan via per-class prefix counts."""
-        order = np.argsort(col, kind="stable")
-        col_s = col[order]
-        positions = self._split_positions(col_s)
-        if len(positions) == 0:
-            return 0.0, 0.0
-        y_s = y[order]
-        n = len(y_s)
-        k = len(self.classes_)
-        onehot = np.zeros((n, k))
-        onehot[np.arange(n), y_s] = 1.0
-        cum = np.cumsum(onehot, axis=0)
-        totals = cum[-1]
-        left_counts = cum[positions]          # (P, k)
-        right_counts = totals - left_counts
-        n_left = (positions + 1.0)[:, None]
-        n_right = n - n_left
-        gini_left = 1.0 - np.sum((left_counts / n_left) ** 2, axis=1)
-        gini_right = 1.0 - np.sum((right_counts / n_right) ** 2, axis=1)
-        parent = 1.0 - np.sum((totals / n) ** 2)
-        gains = parent - (n_left[:, 0] * gini_left
-                          + n_right[:, 0] * gini_right) / n
-        best = int(np.argmax(gains))
-        pos = positions[best]
-        threshold = (col_s[pos] + col_s[pos + 1]) / 2.0
-        return float(gains[best]), float(threshold)
+    def _binary_gains(self, xs, ys, starts, counts):
+        # class counts are integers, exact in any summation order
+        onehot = self._onehot(ys)
+        slices = [slice(s, s + n)
+                  for s, n in zip(starts.tolist(), counts.tolist())]
+        right = np.stack([xs[s].T @ onehot[s] for s in slices])
+        totals = np.stack([onehot[s].sum(axis=0) for s in slices])[:, None]
+        return (_gini_gains(totals - right, right, counts[:, None]),
+                right.sum(axis=2))
+
+    def _prefix_gains(self, y_s, positions):
+        cum = np.cumsum(self._onehot(y_s), axis=0)
+        left = cum[positions]
+        return _gini_gains(left, cum[-1] - left, np.float64(len(y_s)))
 
     def predict_proba(self, X) -> np.ndarray:
         X = check_X(X, getattr(self, "n_features_", None))
