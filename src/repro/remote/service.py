@@ -29,15 +29,15 @@ import pickle
 import threading
 import time
 from collections import deque
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, Union
 from urllib.parse import parse_qs, unquote, urlparse
 
 import numpy as np
 
 from ..flow.durable import StoreLockTimeout
 from ..flow.tracestore import STORE_VERSION, TraceStore
+from ..serve.http import JsonHandler, JsonServer
 from ..serve.registry import REGISTRY_VERSION, ModelRegistry
 from ..sim.dta import DelayTrace
 from ..testing import faults
@@ -117,25 +117,8 @@ class EventFeed:
                 self._cond.wait(remaining)
 
 
-class _Handler(BaseHTTPRequestHandler):
+class _Handler(JsonHandler):
     server: "StoreService"
-
-    #: bound the time a silent connection can pin a handler thread
-    #: (long-polls wake via EventFeed.close, this covers dead peers)
-    timeout = 60.0
-
-    # -- plumbing -------------------------------------------------------------
-
-    def _send_json(self, payload: Dict, status: int = 200,
-                   headers: Optional[Dict[str, str]] = None) -> None:
-        body = json.dumps(payload).encode()
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        for name, value in (headers or {}).items():
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
 
     def _send_bytes(self, body: bytes) -> None:
         digest = hashlib.sha256(body).hexdigest()
@@ -148,10 +131,6 @@ class _Handler(BaseHTTPRequestHandler):
         self.end_headers()
         self.wfile.write(body)
 
-    def _read_body(self) -> bytes:
-        length = int(self.headers.get("Content-Length") or 0)
-        return self.rfile.read(length) if length else b""
-
     def _json_header(self, name: str) -> Dict:
         raw = self.headers.get(name)
         if raw is None:
@@ -160,10 +139,6 @@ class _Handler(BaseHTTPRequestHandler):
         if not isinstance(data, dict):
             raise ValueError(f"{name} header must be a JSON object")
         return data
-
-    def log_message(self, fmt: str, *args) -> None:  # pragma: no cover
-        if self.server.verbose:
-            super().log_message(fmt, *args)
 
     def _dispatch(self, method: str) -> None:
         parsed = urlparse(self.path)
@@ -196,7 +171,7 @@ class _Handler(BaseHTTPRequestHandler):
         self._dispatch("POST")
 
 
-class StoreService(ThreadingHTTPServer):
+class StoreService(JsonServer):
     """HTTP server owning one TraceStore + one ModelRegistry.
 
     ``root`` uses the workspace layout: traces under ``root/traces``,
@@ -204,11 +179,8 @@ class StoreService(ThreadingHTTPServer):
     local ``Workspace(root)`` serves as-is (and vice versa).  ``port=0``
     binds an ephemeral port (see :attr:`address`); call
     :meth:`serve_forever` (blocking) or :meth:`start_background`, stop
-    with :meth:`close`.
+    with :meth:`close` (long-polls wake via :meth:`EventFeed.close`).
     """
-
-    daemon_threads = False
-    block_on_close = True
 
     def __init__(self, root: Union[str, Path], host: str = "127.0.0.1",
                  port: int = 8730, *, lock_timeout: float = 10.0,
@@ -219,36 +191,18 @@ class StoreService(ThreadingHTTPServer):
         self.registry = ModelRegistry(self.root / "registry",
                                       lock_timeout=lock_timeout)
         self.events = EventFeed()
-        self.verbose = verbose
         self._started = time.monotonic()
-        self._closed = False
         # the advisory store lock is reentrant within one process: two
         # handler threads of this service must serialize here instead
         self._mutate = threading.Lock()
-        super().__init__((host, port), _Handler)
-
-    @property
-    def address(self) -> Tuple[str, int]:
-        return self.server_address[0], self.server_address[1]
+        super().__init__((host, port), _Handler, verbose=verbose)
 
     @property
     def url(self) -> str:
         return f"http://{self.address[0]}:{self.address[1]}"
 
-    def start_background(self) -> threading.Thread:
-        thread = threading.Thread(target=self.serve_forever, daemon=True,
-                                  name="repro-store-http")
-        thread.start()
-        return thread
-
-    def close(self) -> None:
-        """Stop accepting, wake long-pollers, join handler threads."""
-        if self._closed:
-            return
-        self._closed = True
+    def drain(self) -> None:
         self.events.close()
-        self.shutdown()
-        self.server_close()
 
     # -- routes ---------------------------------------------------------------
 

@@ -1,6 +1,6 @@
 """Stdlib client for a running ``repro serve`` instance.
 
-Thin ``urllib``-based wrapper so scripts (and the CI smoke job) can
+Thin ``http.client``-based wrapper so scripts (and the CI smoke job) can
 query the server without any third-party HTTP dependency:
 
 >>> client = ServeClient("127.0.0.1", 8000)
@@ -8,6 +8,9 @@ query the server without any third-party HTTP dependency:
 'healthy'
 >>> client.predict(fu="int_add", a=3, b=4, voltage=0.9, temperature=25.0)
 {'ok': True, 'delay_ps': ..., ...}
+
+A client keeps one persistent (HTTP/1.1 keep-alive) connection per
+calling thread; :meth:`ServeClient.close` or a ``with`` block closes it.
 
 Resilience behavior: every predict request carries a ``deadline_ms``
 budget derived from the client timeout (so the server can drop work
@@ -31,7 +34,6 @@ from .http import (  # noqa: F401  (re-exported: public retry policy surface)
     HttpTransport,
     TransportError,
     _parse_retry_after,
-    _retryable_reason,
 )
 
 
@@ -102,6 +104,16 @@ class ServeClient:
         return self._transport.jitter
 
     # -- transport ------------------------------------------------------------
+
+    def close(self) -> None:
+        """Close the calling thread's pooled connection."""
+        self._transport.close()
+
+    def __enter__(self) -> "ServeClient":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
     def _retry_delay_s(self, attempt: int,
                        last: Optional[Exception]) -> float:

@@ -6,8 +6,8 @@ JSONL file in the workspace — one record per *executed batch*, so the
 log preserves the batch boundaries the live traffic actually produced
 (micro-batch composition affects nothing bit-wise, but replaying the
 true boundaries keeps the replay an honest re-run of the recorded
-load, and the graph-supported dynamic-configuration framing of
-PAPERS.md needs the real arrival/batch structure to tune against).
+load, and tuning the batching knobs needs the real arrival/batch
+structure).
 
 Each record is sealed with a content fingerprint
 (:func:`repro.flow.manifest.seal_record`), so truncated or hand-edited

@@ -1,13 +1,14 @@
 """Stdlib HTTP/JSON front end over the prediction engine.
 
-``repro serve`` starts a :class:`PredictionServer`: a threading HTTP
+``repro serve`` starts a :class:`PredictionServer`: a keep-alive HTTP
 server whose handler threads do **not** call the engine directly —
 they enqueue onto a :class:`MicroBatcher`, a single consumer thread
-that waits ``batch_window_ms`` after the first request lands (or until
-``max_batch`` accumulate) and pushes the whole slab through one
-vectorized :meth:`~repro.serve.engine.PredictionEngine.predict_batch`.
-Concurrent connections therefore share forest passes instead of
-serializing on per-request model calls.
+that pushes each batch through one vectorized
+:meth:`~repro.serve.engine.PredictionEngine.predict_batch`.  While
+another ``/predict`` is on its way in, the batch waits for it, up to
+``batch_window_ms`` (or ``max_batch``); otherwise it runs at once.
+Concurrent connections therefore share forest passes, and a lone
+request never waits.
 
 The request path is *bounded end to end*: the micro-batch queue holds
 at most ``max_queue`` requests — an arrival that would overflow it is
@@ -31,8 +32,7 @@ Endpoints (all JSON):
 * ``GET  /stats``   — engine + batching counters (shed / expired /
   watchdog / quarantine) and current config.
 * ``POST /config``  — adjust ``batch_window_ms`` / ``max_batch`` /
-  ``max_queue`` / ``default_deadline_ms`` at runtime (the
-  dynamic-serving-parameter idea from PAPERS.md).
+  ``max_queue`` / ``default_deadline_ms`` at runtime.
 * ``POST /models/refresh`` — re-resolve published models; on a
   cluster engine this is the control message that makes every worker
   replica re-replicate the registry manifest and re-warm (it also
@@ -47,7 +47,8 @@ every executed batch for deterministic replay.
 
 Shutdown is graceful: ``close()`` (or SIGTERM via ``repro serve``)
 stops accepting, drains the micro-batcher queue, answers every
-in-flight request, and only then closes the socket.
+in-flight request (later arrivals get ``503``), and only then closes
+the socket.
 """
 
 from __future__ import annotations
@@ -57,8 +58,7 @@ import json
 import math
 import threading
 import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from ..flow.watchdog import Deadline
 from .engine import (
@@ -67,6 +67,7 @@ from .engine import (
     PredictRequest,
     expired_prediction,
 )
+from .http import JsonHandler, JsonServer
 
 
 class ConfigError(ValueError):
@@ -90,47 +91,22 @@ class QueueFullError(RuntimeError):
         self.retry_after_s = retry_after_s
 
 
-def _check_window(value) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError("batch_window_ms",
-                          f"batch_window_ms must be a number, "
-                          f"got {value!r}")
-    if float(value) < 0:
-        raise ConfigError("batch_window_ms",
-                          f"batch_window_ms must be >= 0, got {value!r}")
-    return float(value)
+#: runtime knob -> (integer?, minimum, note on the minimum)
+_KNOBS = {"batch_window_ms": (False, 0, ""), "max_batch": (True, 1, ""),
+          "max_queue": (True, 1, ""),
+          "default_deadline_ms": (False, 0, " (0 disables)")}
 
 
-def _check_max_batch(value) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError("max_batch",
-                          f"max_batch must be an integer, got {value!r}")
-    if value < 1:
-        raise ConfigError("max_batch",
-                          f"max_batch must be >= 1, got {value!r}")
-    return value
-
-
-def _check_max_queue(value) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError("max_queue",
-                          f"max_queue must be an integer, got {value!r}")
-    if value < 1:
-        raise ConfigError("max_queue",
-                          f"max_queue must be >= 1, got {value!r}")
-    return value
-
-
-def _check_default_deadline(value) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError("default_deadline_ms",
-                          f"default_deadline_ms must be a number, "
-                          f"got {value!r}")
-    if float(value) < 0:
-        raise ConfigError("default_deadline_ms",
-                          f"default_deadline_ms must be >= 0 "
-                          f"(0 disables), got {value!r}")
-    return float(value)
+def _check_knob(field: str, value):
+    integer, minimum, note = _KNOBS[field]
+    kinds = int if integer else (int, float)
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        kind = "an integer" if integer else "a number"
+        raise ConfigError(field, f"{field} must be {kind}, got {value!r}")
+    if value < minimum:
+        raise ConfigError(field, f"{field} must be >= {minimum}{note}, "
+                                 f"got {value!r}")
+    return value if integer else float(value)
 
 
 class _Pending:
@@ -162,6 +138,10 @@ class MicroBatcher:
     ``deadline exceeded`` at dequeue instead of executed, and the
     tightest deadline of each batch is forwarded to deadline-aware
     engines (``predict_batch(requests, deadline=...)``).
+
+    ``batch_window_ms`` is an upper bound: the window stays open only
+    while a caller is between :meth:`arrive` and the enqueueing
+    ``submit_many(..., arrived=True)`` (or :meth:`depart`).
     """
 
     def __init__(self, engine: PredictionEngine,
@@ -181,6 +161,7 @@ class MicroBatcher:
         self._cond = threading.Condition()
         self._log_lock = threading.Lock()
         self._queue: List[_Pending] = []
+        self._arriving = 0
         self._stopped = False
         self.n_batches = 0
         self.n_requests = 0
@@ -201,22 +182,13 @@ class MicroBatcher:
         :class:`ConfigError` naming the offending field), so a
         rejected call never half-applies.
         """
-        if batch_window_ms is not None:
-            batch_window_ms = _check_window(batch_window_ms)
-        if max_batch is not None:
-            max_batch = _check_max_batch(max_batch)
-        if max_queue is not None:
-            max_queue = _check_max_queue(max_queue)
-        if default_deadline_ms is not None:
-            default_deadline_ms = _check_default_deadline(default_deadline_ms)
-        if batch_window_ms is not None:
-            self.batch_window_ms = batch_window_ms
-        if max_batch is not None:
-            self.max_batch = max_batch
-        if max_queue is not None:
-            self.max_queue = max_queue
-        if default_deadline_ms is not None:
-            self.default_deadline_ms = default_deadline_ms
+        given = {"batch_window_ms": batch_window_ms, "max_batch": max_batch,
+                 "max_queue": max_queue,
+                 "default_deadline_ms": default_deadline_ms}
+        checked = {field: _check_knob(field, value)
+                   for field, value in given.items() if value is not None}
+        for field, value in checked.items():
+            setattr(self, field, value)
 
     def _deadline_for(self, request: PredictRequest) -> Optional[Deadline]:
         budget = (request.deadline_ms if request.deadline_ms is not None
@@ -240,17 +212,32 @@ class MicroBatcher:
             except OSError:  # a full disk must not take serving down
                 pass
 
-    def submit_many(self, requests: Sequence[PredictRequest]
-                    ) -> List[Prediction]:
+    def arrive(self) -> None:
+        """Count the caller as on its way in (see the class docstring)."""
+        with self._cond:
+            self._arriving += 1
+
+    def depart(self) -> None:
+        """Drop an :meth:`arrive` that will not reach ``submit_many``."""
+        with self._cond:
+            self._arriving -= 1
+            self._cond.notify()
+
+    def submit_many(self, requests: Sequence[PredictRequest],
+                    arrived: bool = False) -> List[Prediction]:
         """Enqueue and block until every request's batch has run.
 
         Raises :class:`QueueFullError` without blocking when the whole
         submission does not fit under ``max_queue`` (all-or-nothing:
         a multi-request body is shed as a unit, so its per-stream
-        history chain is never half-applied).
+        history chain is never half-applied).  ``arrived=True`` ends
+        the caller's :meth:`arrive`, whatever the outcome.
         """
-        pending = [_Pending(r, self._deadline_for(r)) for r in requests]
         with self._cond:
+            if arrived:
+                self._arriving -= 1
+            self._cond.notify()
+            pending = [_Pending(r, self._deadline_for(r)) for r in requests]
             if self._stopped:
                 raise RuntimeError("batcher is stopped")
             if len(self._queue) + len(pending) > self.max_queue:
@@ -260,7 +247,6 @@ class MicroBatcher:
             else:
                 shed = None
                 self._queue.extend(pending)
-                self._cond.notify()
         if shed is not None:
             self._log_dropped(shed, "shed")
             raise QueueFullError(len(shed), retry_after)
@@ -311,9 +297,9 @@ class MicroBatcher:
                     self._cond.wait()
                 if self._stopped and not self._queue:
                     return
-                # first arrival: hold the window open for stragglers
+                # hold the window open only for requests on their way in
                 deadline = time.monotonic() + self.batch_window_ms / 1e3
-                while (len(self._queue) < self.max_batch
+                while (self._arriving and len(self._queue) < self.max_batch
                        and not self._stopped):
                     remaining = deadline - time.monotonic()
                     if remaining <= 0:
@@ -379,29 +365,11 @@ class MicroBatcher:
                 "default_deadline_ms": self.default_deadline_ms}
 
 
-class _Handler(BaseHTTPRequestHandler):
+class _Handler(JsonHandler):
     server: "PredictionServer"
 
-    #: bound the time a silent connection can pin a handler thread, so
-    #: graceful close (which joins handler threads) cannot hang forever
-    timeout = 60.0
-
-    # -- plumbing -------------------------------------------------------------
-
-    def _send_json(self, payload: Dict, status: int = 200,
-                   headers: Optional[Dict[str, str]] = None) -> None:
-        body = json.dumps(payload).encode()
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        for name, value in (headers or {}).items():
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
-
     def _read_json(self) -> Dict:
-        length = int(self.headers.get("Content-Length") or 0)
-        raw = self.rfile.read(length) if length else b"{}"
+        raw = self._read_body() or b"{}"
         try:
             data = json.loads(raw)
         except json.JSONDecodeError as exc:
@@ -409,10 +377,6 @@ class _Handler(BaseHTTPRequestHandler):
         if not isinstance(data, dict):
             raise ValueError("JSON body must be an object")
         return data
-
-    def log_message(self, fmt: str, *args) -> None:  # pragma: no cover
-        if self.server.verbose:
-            super().log_message(fmt, *args)
 
     # -- routes ---------------------------------------------------------------
 
@@ -432,14 +396,15 @@ class _Handler(BaseHTTPRequestHandler):
 
     def do_POST(self) -> None:
         path = self.path.split("?", 1)[0]
+        if path == "/predict":
+            self._predict()
+            return
         try:
             data = self._read_json()
         except ValueError as exc:
             self._send_json({"error": str(exc)}, 400)
             return
-        if path == "/predict":
-            self._predict(data)
-        elif path == "/config":
+        if path == "/config":
             self._config(data)
         elif path == "/models/refresh":
             self.server.refresh_calls += 1
@@ -448,17 +413,23 @@ class _Handler(BaseHTTPRequestHandler):
         else:
             self._send_json({"error": f"unknown path {path!r}"}, 404)
 
-    def _predict(self, data: Dict) -> None:
+    def _predict(self) -> None:
+        batcher = self.server.batcher
+        batcher.arrive()  # the batch window waits for us until we enqueue
         try:
+            data = self._read_json()
             raw = data["requests"] if "requests" in data else [data]
             if not isinstance(raw, list) or not raw:
                 raise ValueError("'requests' must be a non-empty list")
             requests = [PredictRequest.from_dict(item) for item in raw]
-        except (TypeError, ValueError) as exc:
+        except BaseException as exc:
+            batcher.depart()
+            if not isinstance(exc, (TypeError, ValueError)):
+                raise
             self._send_json({"error": str(exc)}, 400)
             return
         try:
-            results = self.server.batcher.submit_many(requests)
+            results = batcher.submit_many(requests, arrived=True)
         except QueueFullError as exc:  # overload: shed with a backoff hint
             self._send_json(
                 {"error": "queue full, request shed",
@@ -493,7 +464,7 @@ class _Handler(BaseHTTPRequestHandler):
                          "config": self.server.batcher.stats_dict()})
 
 
-class PredictionServer(ThreadingHTTPServer):
+class PredictionServer(JsonServer):
     """HTTP server owning one engine + one micro-batcher.
 
     ``engine`` may be a single-process
@@ -506,11 +477,6 @@ class PredictionServer(ThreadingHTTPServer):
     closes the socket and any cluster workers).
     """
 
-    # handler threads are joined on server_close so every accepted
-    # request gets its response written before the socket goes away
-    daemon_threads = False
-    block_on_close = True
-
     def __init__(self, engine: PredictionEngine, host: str = "127.0.0.1",
                  port: int = 8000, batch_window_ms: float = 2.0,
                  max_batch: int = 64, verbose: bool = False,
@@ -522,51 +488,27 @@ class PredictionServer(ThreadingHTTPServer):
                                     request_log=request_log,
                                     max_queue=max_queue,
                                     default_deadline_ms=default_deadline_ms)
-        self.verbose = verbose
         #: manual POST /models/refresh count — with push rollout active
         #: this should stay 0 (the CI smoke asserts exactly that)
         self.refresh_calls = 0
         self._started = time.monotonic()
-        self._closed = False
-        self._draining = False
-        super().__init__((host, port), _Handler)
-
-    @property
-    def address(self) -> Tuple[str, int]:
-        return self.server_address[0], self.server_address[1]
+        super().__init__((host, port), _Handler, verbose=verbose)
 
     @property
     def request_log(self):
         return self.batcher.request_log
 
-    def start_background(self) -> threading.Thread:
-        thread = threading.Thread(target=self.serve_forever, daemon=True,
-                                  name="repro-serve-http")
-        thread.start()
-        return thread
-
-    def shutdown(self) -> None:
-        """Stop accepting and drain in-flight + queued requests."""
-        self._draining = True
-        super().shutdown()
+    def drain(self) -> None:
+        """Answer in-flight + queued requests."""
         self.batcher.stop()
 
     def close(self) -> None:
-        """Graceful full stop (idempotent): drain, reap, close socket.
-
-        Order matters: stop accepting, answer everything queued
-        (:meth:`MicroBatcher.stop` drains), close cluster workers if
-        the engine owns any, then close the socket — joining handler
-        threads so already-computed responses are flushed to clients.
-        """
-        if self._closed:
-            return
-        self._closed = True
-        self.shutdown()
+        """Graceful full stop (idempotent): drain, close the socket, then
+        close cluster workers if the engine owns any."""
+        super().close()
         engine_close = getattr(self.engine, "close", None)
         if callable(engine_close):
             engine_close()
-        self.server_close()
 
     # -- endpoint payloads ----------------------------------------------------
 
