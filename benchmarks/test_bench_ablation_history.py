@@ -17,14 +17,14 @@ import pytest
 from conftest import characterize_one, format_table, record_report
 from repro.core.features import build_feature_matrix
 from repro.ml import mean_absolute_error
-from repro.sim.levelized import LevelizedSimulator
+from repro.sim import compile_netlist
 from repro.timing import DEFAULT_LIBRARY, OperatingCondition
 
 
 def _determinism_experiment(trained_models):
     """Part 1 on the real netlist (100 repeated pairs vs 100 varied)."""
     fu = trained_models("int_add")["fu"]
-    sim = LevelizedSimulator(fu.netlist)
+    sim = compile_netlist(fu.netlist)
     delays = DEFAULT_LIBRARY.gate_delays(fu.netlist,
                                          OperatingCondition(0.81, 0))
     rng = np.random.default_rng(5)

@@ -390,46 +390,34 @@ class StreamSpec(Spec):
 
 @dataclass(frozen=True)
 class SimSpec(Spec):
-    """Simulation-engine selection: backend, compiled kernels, chunking.
+    """Simulation-engine selection: backend and chunking.
 
-    ``compiled=False`` resolves the ``levelized``/``bitpacked``
-    backends to their retained per-gate reference twins
-    (``*_ref`` in the engine registry) — delay-bit-identical but
+    ``backend`` is a registry name: ``compiled`` (the default),
+    ``levelized_ref`` (the per-gate reference — delay-bit-identical but
     orders of magnitude slower, for end-to-end audits of the compiled
-    kernels.  ``chunk_cycles`` pins the cycle-axis working-set chunk
-    on backends that support it (never affects results).
+    kernels) or ``event`` (glitch-aware).  ``chunk_cycles`` pins the
+    cycle-axis working-set chunk on backends that support it (never
+    affects results).
     """
 
     _SECTION = "sim"
 
     backend: str = DEFAULT_BACKEND
-    compiled: bool = True
     chunk_cycles: Optional[int] = None
 
     def __post_init__(self) -> None:
         _require_str("backend", self.backend)
-        _require_bool("compiled", self.compiled)
         _optional_positive_int("chunk_cycles", self.chunk_cycles)
         if self.backend not in available_backends():
             raise SpecError(
                 f"unknown sim backend {self.backend!r}; available: "
                 f"{', '.join(available_backends())}")
-        if not self.compiled and self.backend not in ("levelized",
-                                                      "bitpacked"):
-            raise SpecError(
-                f"compiled=False requires a backend with a per-gate "
-                f"reference twin (levelized or bitpacked), got "
-                f"{self.backend!r}")
         if self.chunk_cycles is not None:
             from ..sim.engine import get_backend
-            if not get_backend(self.backend_name()).supports_chunking:
+            if not get_backend(self.backend).supports_chunking:
                 raise SpecError(
-                    f"backend {self.backend_name()!r} does not honor "
+                    f"backend {self.backend!r} does not honor "
                     f"chunk_cycles (supports_chunking=False)")
-
-    def backend_name(self) -> str:
-        """Registry name honoring the ``compiled`` flag."""
-        return self.backend if self.compiled else f"{self.backend}_ref"
 
 
 @dataclass(frozen=True)

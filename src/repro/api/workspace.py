@@ -251,14 +251,14 @@ class Workspace:
         runner_store = store if store is not None else self._store
         pool = (self.pool(shards.workers)
                 if shards.persistent and shards.workers > 1 else None)
-        # compiled=False is an audit of the fast kernels: reading a
+        # levelized_ref is an audit of the compiled kernels: reading a
         # (bit-identical, compiled-produced) cache entry would skip the
         # reference simulation entirely, so audits always run fresh
         return CampaignRunner(
-            backend=sim.backend_name(),
+            backend=sim.backend,
             store=runner_store,
             n_workers=shards.workers,
-            use_cache=cache and sim.compiled,
+            use_cache=cache and sim.backend != "levelized_ref",
             shard_cycles=shards.shard_cycles,
             shard_corners=shards.shard_corners,
             chunk_cycles=sim.chunk_cycles,
@@ -400,11 +400,11 @@ class Workspace:
             return ClusterEngine(registry=registry, workers=spec.workers,
                                  kind=spec.kind,
                                  sim_fallback=spec.fallback,
-                                 backend=spec.sim.backend_name(),
+                                 backend=spec.sim.backend,
                                  push_rollout=spec.push_rollout)
         return PredictionEngine(registry=registry, kind=spec.kind,
                                 sim_fallback=spec.fallback,
-                                backend=spec.sim.backend_name(),
+                                backend=spec.sim.backend,
                                 push_rollout=spec.push_rollout)
 
     def serve(self, spec: ServeSpec):

@@ -354,7 +354,7 @@ def cmd_campaign(args) -> int:
     summary += "]"
     print(f"campaign: {len(result.jobs)} job(s), "
           f"{spec.corners.n_corners} corner(s), "
-          f"backend={spec.sim.backend_name()}, "
+          f"backend={spec.sim.backend}, "
           f"workers={spec.shards.workers} {summary}")
     for i, (job, trace) in enumerate(zip(result.jobs, result.traces)):
         d = trace.delays
@@ -423,7 +423,7 @@ def cmd_serve(args) -> int:
     print(f"repro serve on http://{host}:{port}  "
           f"[registry={spec.registry or '-'}, {published} model(s), "
           f"workers={spec.workers}, "
-          f"fallback={spec.sim.backend_name() if spec.fallback else 'off'}, "
+          f"fallback={spec.sim.backend if spec.fallback else 'off'}, "
           f"window={spec.batch_window_ms}ms, max_batch={spec.max_batch}"
           f"{', log=' + spec.request_log if spec.request_log else ''}]",
           flush=True)

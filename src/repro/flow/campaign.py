@@ -30,8 +30,9 @@ and a :class:`CampaignRunner` executes a batch of jobs:
   shard budget onto the longest jobs;
 * the simulation backend is pluggable
   (:func:`repro.sim.engine.get_backend`); the default is the compiled
-  level-parallel engine, which is delay-identical to ``levelized`` and
-  ``bitpacked``.
+  level-parallel engine, ``levelized_ref`` re-runs the same DTA on the
+  per-gate reference loop (bit-identical delays, for audits), and
+  ``event`` adds glitches.
 
 :func:`characterize` and :meth:`CampaignRunner.characterize` remain as
 thin single-job compatibility shims emitting

@@ -1,12 +1,7 @@
-"""Simulation substrate: pluggable engine layer over the compiled,
-levelized, event-driven, and bit-packed timing simulators, plus VCD
-and DTA."""
+"""Simulation substrate: the engine registry over one compiled DTA
+engine, its per-gate reference, and the glitch-aware event-driven
+simulator, plus VCD and DTA."""
 
-from .bitpacked import (
-    BitPackedBackend,
-    BitPackedSimulator,
-    ReferenceBitPackedBackend,
-)
 from .compile import (
     CompiledBackend,
     CompiledNetlist,
@@ -28,16 +23,10 @@ from .engine import (
     register_backend,
 )
 from .eventsim import EventBackend, EventDrivenSimulator, EventTraceResult
-from .levelized import (
-    LevelizedBackend,
-    LevelizedSimulator,
-    ReferenceLevelizedBackend,
-)
+from .levelized import LevelizedSimulator, ReferenceLevelizedBackend
 from .vcd import VCDData, VCDWriter, delays_from_vcd, read_vcd
 
 __all__ = [
-    "BitPackedBackend",
-    "BitPackedSimulator",
     "CompiledBackend",
     "CompiledNetlist",
     "DEFAULT_BACKEND",
@@ -46,9 +35,7 @@ __all__ = [
     "EventBackend",
     "EventDrivenSimulator",
     "EventTraceResult",
-    "LevelizedBackend",
     "LevelizedSimulator",
-    "ReferenceBitPackedBackend",
     "ReferenceLevelizedBackend",
     "SimBackend",
     "VCDData",

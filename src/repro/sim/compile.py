@@ -1,8 +1,9 @@
 """Compiled netlist programs: level-parallel simulation kernels.
 
-The levelized and bit-packed engines walk the netlist one gate at a
-time in Python — a 32-bit array multiplier is ~5.6k numpy dispatches
-per chunk, so characterization throughput is bounded by interpreter
+The per-gate reference engine
+(:class:`~repro.sim.levelized.LevelizedSimulator`) walks the netlist
+one gate at a time in Python — a 32-bit array multiplier is ~5.6k numpy
+dispatches per chunk, so its throughput is bounded by interpreter
 overhead, not by array work.  This module removes that bound with a
 one-time *lowering pass*: :func:`compile_netlist` turns a
 :class:`~repro.circuits.netlist.Netlist` into a
@@ -14,14 +15,13 @@ fancy-indexed numpy ops, so the settled-value pass, the toggle pass,
 and the float arrival pass each become a short loop over *levels*
 instead of a Python loop over *gates*.
 
-Two value substrates share the same lowered program and the same
-arrival kernel:
-
-``packed=False``
-    per-cycle ``uint8`` values (the levelized engine's substrate);
-``packed=True``
-    cycle axis packed into ``uint64`` words, one bitwise op per 64
-    cycles (the bit-packed engine's substrate).
+Settled values are bit-packed: the cycle axis is packed into
+``uint64`` words — cycle ``t`` at bit ``t % 64`` of word ``t // 64`` —
+so one bitwise op evaluates 64 cycles of a whole gate group.  Tail
+bits past the last row are unspecified (inverting gates flip them);
+toggle words are masked to the first ``n_cycles`` bits before any
+``any()`` test or unpack.  Arrival times are floats and cannot be
+packed; they run on the float32 arrival kernel below.
 
 The multi-corner regime — every paper table simulates the full
 operating-condition grid — is where the arrival pass spends its time,
@@ -55,14 +55,14 @@ so the kernels are organized around it:
   delay tiles are corner×gate constants, built once per ``run`` and
   only sliced per chunk.
 
-Delays are **bit-identical** to the original per-gate engines: every
+Delays are **bit-identical** to the per-gate reference engine: every
 float32 operation on a *toggling* cycle is reproduced elementwise in
 the same order (``max`` over fanins in pin order, add the gate delay,
 add the ``+0.0`` toggle mask), and quiet-cycle values — which the
-per-gate engines pin to ``-inf`` and these kernels hold at huge
+per-gate engine pins to ``-inf`` and these kernels hold at huge
 negative sentinels — never reach a toggling cycle's delay (see
-:meth:`CompiledNetlist.arrival_delays`).  The backend parity tests
-assert this against the retained per-gate reference paths.
+:meth:`CompiledNetlist._arrival_chunk`).  The backend parity tests
+assert this against the ``levelized_ref`` reference path.
 
 Programs are cached per netlist identity (a ``weakref``-evicted map),
 so repeated ``run_delays`` calls — e.g. one per campaign shard — pay
@@ -86,7 +86,6 @@ NEG_INF = np.float32(-np.inf)
 _ZERO = np.float32(0.0)
 _ONE = np.uint64(1)
 _SIXTY_THREE = np.uint64(63)
-_U8_ONE = np.uint8(1)
 _U64_ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
 #: Magnitude of the quiet-cycle arrival sentinel (an exact power of
 #: two, ~1.27e30).  Quiet arrivals only need to (a) lose every ``max``
@@ -113,7 +112,7 @@ _CHUNK_BUDGET_ELEMS = 14 * 1024 * 1024
 _SUB_BLOCK_ELEMS = 96 * 1024
 
 
-# -- bit packing primitives (canonical home; re-exported by bitpacked) --------
+# -- bit packing primitives ---------------------------------------------------
 
 
 def pack_columns(matrix: np.ndarray) -> np.ndarray:
@@ -128,12 +127,6 @@ def pack_columns(matrix: np.ndarray) -> np.ndarray:
     if pad:
         packed = np.pad(packed, ((0, 0), (0, pad)))
     return packed.view(np.uint64)
-
-
-def unpack_words(words: np.ndarray, n: int) -> np.ndarray:
-    """First ``n`` bits of a packed word vector as a uint8 0/1 array."""
-    return np.unpackbits(np.ascontiguousarray(words).view(np.uint8),
-                         count=n, bitorder="little")
 
 
 def toggle_word_rows(value_words: np.ndarray, n_cycles: int) -> np.ndarray:
@@ -154,11 +147,6 @@ def toggle_word_rows(value_words: np.ndarray, n_cycles: int) -> np.ndarray:
     else:
         tog[..., n_full:] = 0
     return tog
-
-
-def toggle_words(value_words: np.ndarray, n_cycles: int) -> np.ndarray:
-    """Packed toggle mask of a single net's word vector."""
-    return toggle_word_rows(value_words[None, :], n_cycles)[0]
 
 
 # -- lowering -----------------------------------------------------------------
@@ -241,18 +229,16 @@ class ArrivalStep:
     width: int
 
 
-def _eval_group(gtype: GateType, ins: np.ndarray, shape, dtype,
-                ones) -> np.ndarray:
-    """Evaluate one gate type on stacked per-gate value rows.
+def _eval_group(gtype: GateType, ins: np.ndarray, shape) -> np.ndarray:
+    """Evaluate one gate type on stacked per-gate value words.
 
-    ``ins`` is ``(arity, n_gates, width)``; works identically for the
-    uint8 substrate (``ones = 1``) and the packed uint64 substrate
-    (``ones = 0xFF..F``).
+    ``ins`` is ``(arity, n_gates, n_words)`` packed ``uint64``.
     """
+    ones = _U64_ONES
     if gtype is GateType.CONST0:
-        return np.zeros(shape, dtype)
+        return np.zeros(shape, np.uint64)
     if gtype is GateType.CONST1:
-        return np.full(shape, ones, dtype)
+        return np.full(shape, ones, np.uint64)
     if gtype is GateType.BUF:
         return ins[0]
     if gtype is GateType.NOT:
@@ -418,92 +404,53 @@ class CompiledNetlist:
 
     # -- kernels -----------------------------------------------------------
 
-    def _settle(self, inputs: np.ndarray, packed: bool,
-                out: Optional[np.ndarray], pi_values: Optional[np.ndarray],
-                n_rows_needed: int, n_groups: int) -> np.ndarray:
-        """Shared settled-value loop over the first ``n_groups`` groups."""
-        n_rows = inputs.shape[0]
-        if packed:
-            dtype, ones = np.uint64, _U64_ONES
-            width = (n_rows + 63) // 64
-            pi_vals = pack_columns(inputs) if pi_values is None else pi_values
-        else:
-            dtype, ones = np.uint8, _U8_ONE
-            width = n_rows
-            pi_vals = (np.ascontiguousarray(inputs.T)
-                       if pi_values is None else pi_values)
-        if out is not None and out.shape == (n_rows_needed, width) \
-                and out.dtype == dtype:
-            values = out
-        else:
-            values = np.empty((n_rows_needed, width), dtype=dtype)
-        values[:self.n_inputs] = pi_vals
-        for g in self.groups[:n_groups]:
-            values[g.start:g.stop] = _eval_group(
-                g.gtype, values[g.fanin], (g.stop - g.start, width),
-                dtype, ones)
-        return values
-
-    def settled_net_values(self, inputs: np.ndarray, packed: bool,
+    def settled_net_values(self, inputs: np.ndarray,
                            out: Optional[np.ndarray] = None,
                            pi_values: Optional[np.ndarray] = None,
                            live_only: bool = False) -> np.ndarray:
         """Settle nets for a stream of input rows.
 
-        Returns per-net rows in program row order (see class docs):
-        ``(n_rows_out, n_rows)`` uint8 or, with ``packed``,
-        ``(n_rows_out, ceil(n_rows / 64))`` uint64 words (tail bits
-        past the last row are unspecified, as in the per-gate engine).
-        ``n_rows_out`` is ``n_nets``, or ``n_live_rows`` with
-        ``live_only`` (the run path: dead-cone values cannot influence
-        any output or delay).  ``out`` reuses a previous result
-        buffer; ``pi_values`` supplies pre-substrated primary-input
-        rows (chunked runs pack the stream once).
+        Returns per-net packed rows in program row order (see class
+        docs): ``(n_rows_out, ceil(n_rows / 64))`` uint64 words, tail
+        bits past the last row unspecified.  ``n_rows_out`` is
+        ``n_nets``, or ``n_live_rows`` with ``live_only`` (the run
+        path: dead-cone values cannot influence any output or delay).
+        ``out`` reuses a previous result buffer; ``pi_values`` supplies
+        pre-packed primary-input rows (chunked runs pack the stream
+        once).
         """
-        if live_only:
-            return self._settle(inputs, packed, out, pi_values,
-                                self.n_live_rows, self.n_live_groups)
-        return self._settle(inputs, packed, out, pi_values,
-                            self.n_nets, len(self.groups))
+        n_rows_out, n_groups = ((self.n_live_rows, self.n_live_groups)
+                                if live_only
+                                else (self.n_nets, len(self.groups)))
+        width = (inputs.shape[0] + 63) // 64
+        if out is not None and out.shape == (n_rows_out, width):
+            values = out
+        else:
+            values = np.empty((n_rows_out, width), dtype=np.uint64)
+        values[:self.n_inputs] = (pack_columns(inputs) if pi_values is None
+                                  else pi_values)
+        for g in self.groups[:n_groups]:
+            values[g.start:g.stop] = _eval_group(
+                g.gtype, values[g.fanin], (g.stop - g.start, width))
+        return values
 
-    def toggle_masks(self, values: np.ndarray, n_cycles: int,
-                     packed: bool) -> np.ndarray:
-        """Per-net toggle masks as a ``(n_rows, n_cycles)`` bool array."""
-        if packed:
-            tog = toggle_word_rows(values, n_cycles)
-            return np.unpackbits(tog.view(np.uint8), axis=1,
-                                 count=n_cycles,
-                                 bitorder="little").astype(bool)
-        return values[:, 1:] != values[:, :-1]
-
-    def quiet_masks(self, values: np.ndarray, n_cycles: int,
-                    packed: bool) -> np.ndarray:
-        """Per-net float arrival masks: ``0.0`` where toggling, a huge
-        negative sentinel where quiet, as a ``(n_rows, n_cycles)``
-        float32 array.
-        """
-        return self._quiet_and_active(values, n_cycles, packed)[0]
-
-    def _quiet_and_active(self, values: np.ndarray, n_cycles: int,
-                          packed: bool
+    def _quiet_and_active(self, values: np.ndarray, n_cycles: int
                           ) -> Tuple[np.ndarray, np.ndarray]:
         """Quiet float mask plus per-row chunk activity.
 
-        The mask is both the primary-input arrival initialization and
-        the output mask of the arrival pass, built with two vectorized
-        arithmetic ops — ``np.where``/table gathers over the same data
-        are several times slower.  ``active[i]`` is True iff row ``i``
-        toggles at least once in the chunk; rows that never toggle let
-        the arrival pass skip whole sub-blocks.
+        The mask is ``0.0`` where a row toggles and a huge negative
+        sentinel where it is quiet, ``(n_rows, n_cycles)`` float32.  It
+        is both the primary-input arrival initialization and the output
+        mask of the arrival pass, built with two vectorized arithmetic
+        ops — ``np.where``/table gathers over the same data are several
+        times slower.  ``active[i]`` is True iff row ``i`` toggles at
+        least once in the chunk; rows that never toggle let the arrival
+        pass skip whole sub-blocks.
         """
-        if packed:
-            tog = toggle_word_rows(values, n_cycles)
-            active = tog.any(axis=1)
-            bits = np.unpackbits(tog.view(np.uint8), axis=1,
-                                 count=n_cycles, bitorder="little")
-        else:
-            bits = (values[:, 1:] != values[:, :-1]).view(np.uint8)
-            active = bits.any(axis=1)
+        tog = toggle_word_rows(values, n_cycles)
+        active = tog.any(axis=1)
+        bits = np.unpackbits(tog.view(np.uint8), axis=1,
+                             count=n_cycles, bitorder="little")
         # cast-and-subtract in one ufunc pass: toggling -> 0.0, quiet -> -1.0
         mask = np.subtract(bits, np.uint8(1), dtype=np.float32)
         mask *= _QUIET_SENTINEL
@@ -557,16 +504,18 @@ class CompiledNetlist:
         self._plan_cache = (cache_key, steps)
         return steps
 
-    def arrival_delays(self, quiet_mask: np.ndarray, delays: np.ndarray,
-                       scratch: Optional[np.ndarray] = None,
-                       plan: Optional[List[ArrivalStep]] = None,
-                       active: Optional[np.ndarray] = None) -> np.ndarray:
-        """Float arrival pass: worst toggling PO arrival per cycle.
+    def _arrival_chunk(self, quiet: np.ndarray, plan: List[ArrivalStep],
+                       arr: np.ndarray, n_cycles: int,
+                       active: Optional[np.ndarray],
+                       executor: Optional[ThreadPoolExecutor] = None
+                       ) -> None:
+        """Float arrival pass for one chunk into ``arr``.
 
-        ``quiet_mask`` is the :meth:`quiet_masks` float mask in program
-        row order (live rows suffice); ``delays`` is ``(n_corners,
-        n_gates)`` float32.  Returns ``(n_corners, n_cycles)`` float32,
-        clamped at 0 where nothing toggled — elementwise identical to
+        ``arr`` is ``(n_live_rows, n_corners, chunk)`` with ``chunk >=
+        n_cycles`` (the ragged final chunk slices); ``quiet`` is the
+        :meth:`_quiet_and_active` mask with ``n_cycles`` columns and
+        ``active`` its per-row chunk activity.  The worst toggling PO
+        arrival per cycle, clamped at 0, is elementwise identical to
         the per-gate arrival pass, which masks quiet arrivals to
         ``-inf`` at every fanin read.  Here quiet arrivals are huge
         negative sentinels maintained at gate outputs instead, which is
@@ -593,45 +542,11 @@ class CompiledNetlist:
         sentinel instead of computed (every skipped value is quiet by
         construction).
 
-        ``scratch`` optionally supplies the ``(n_live_rows, n_corners,
-        n_cycles)`` float32 working array, ``plan`` the
-        :meth:`arrival_plan`, and ``active`` the per-row chunk
-        activity from :meth:`_quiet_and_active` — chunked runs reuse
-        all three.
-        """
-        delays = np.asarray(delays, dtype=np.float32)
-        if delays.ndim == 1:
-            delays = delays[None, :]
-        n_corners = delays.shape[0]
-        n_cycles = quiet_mask.shape[1]
-        shape = (self.n_live_rows, n_corners, n_cycles)
-        if scratch is not None and scratch.shape == shape \
-                and scratch.dtype == np.float32:
-            arr = scratch
-        else:
-            arr = np.empty(shape, dtype=np.float32)
-        if plan is None:
-            plan = self.arrival_plan(delays, n_cycles)
-        self._arrival_chunk(quiet_mask, plan, arr, n_cycles, active)
-        if self.n_outputs == 0:
-            return np.zeros((n_corners, n_cycles), dtype=np.float32)
-        worst = arr[self.po_rows].max(axis=0)
-        return np.maximum(worst, _ZERO)
-
-    def _arrival_chunk(self, quiet: np.ndarray, plan: List[ArrivalStep],
-                       arr: np.ndarray, n_cycles: int,
-                       active: Optional[np.ndarray],
-                       executor: Optional[ThreadPoolExecutor] = None
-                       ) -> None:
-        """Run the planned level loop for one chunk into ``arr``.
-
-        ``arr`` is ``(n_live_rows, n_corners, chunk)`` with ``chunk >=
-        n_cycles`` (the ragged final chunk slices); ``quiet`` has
-        ``n_cycles`` columns.  With an ``executor``, the independent
-        steps of each level run concurrently (numpy releases the GIL
-        for the array ops); levels stay strictly ordered, which keeps
-        results bit-identical — each step writes its own disjoint row
-        range and reads only strictly-lower-level rows.
+        With an ``executor``, the independent steps of each level run
+        concurrently (numpy releases the GIL for the array ops); levels
+        stay strictly ordered, which keeps results bit-identical — each
+        step writes its own disjoint row range and reads only
+        strictly-lower-level rows.
         """
         full = arr.shape[2] == n_cycles
         arr = arr if full else arr[:, :, :n_cycles]
@@ -654,7 +569,7 @@ class CompiledNetlist:
             if step_active is not None and not step_active[si]:
                 # nothing in this row range toggles anywhere in the
                 # chunk: every output is quiet, any huge negative value
-                # is as good as the computed one (see arrival_delays)
+                # is as good as the computed one (see docstring)
                 arr[st.start:st.stop] = -_QUIET_SENTINEL
                 return
             n = st.stop - st.start
@@ -697,14 +612,12 @@ class CompiledNetlist:
                     pass  # drain so worker exceptions propagate
             i = j
 
-    def _settled_outputs(self, values: np.ndarray, n_rows: int,
-                         packed: bool) -> np.ndarray:
+    def _settled_outputs(self, values: np.ndarray,
+                         n_rows: int) -> np.ndarray:
         """Primary-output values, ``(n_rows, n_outputs)`` uint8."""
-        po_vals = values[self.po_rows]
-        if packed:
-            po_vals = np.unpackbits(
-                np.ascontiguousarray(po_vals).view(np.uint8), axis=1,
-                count=n_rows, bitorder="little")
+        po_vals = np.unpackbits(
+            np.ascontiguousarray(values[self.po_rows]).view(np.uint8),
+            axis=1, count=n_rows, bitorder="little")
         return np.ascontiguousarray(po_vals.T)
 
     # -- public API --------------------------------------------------------
@@ -726,7 +639,6 @@ class CompiledNetlist:
     def run(self, input_matrix: np.ndarray, gate_delays: np.ndarray,
             collect_outputs: bool = False,
             chunk_cycles: Optional[int] = None,
-            packed: bool = True,
             threads: Optional[int] = None) -> DelayTraceResult:
         """Simulate a stream of input vectors across corners.
 
@@ -737,6 +649,8 @@ class CompiledNetlist:
         independent arrival steps within each level concurrently —
         also never affecting results (see :meth:`_arrival_chunk`).
         """
+        if chunk_cycles is not None and chunk_cycles < 1:
+            raise ValueError("chunk_cycles must be >= 1")
         if threads is not None and threads < 1:
             raise ValueError("threads must be >= 1")
         executor = _thread_pool(threads) if threads and threads > 1 else None
@@ -766,14 +680,11 @@ class CompiledNetlist:
                       if collect_outputs else None)
 
         # per-run hoists: the arrival plan (delay tiles + fanin slices)
-        # is chunk-invariant, and the primary inputs are substrated
-        # once (chunks start at 64-cycle boundaries, so packed chunks
-        # are word slices of the stream)
+        # is chunk-invariant, and the primary inputs are packed once
+        # (chunks start at 64-cycle boundaries, so packed chunks are
+        # word slices of the stream)
         plan = self.arrival_plan(delays, chunk_cycles)
-        if packed:
-            all_pi = pack_columns(inputs)
-        else:
-            all_pi = np.ascontiguousarray(inputs.T)
+        all_pi = pack_columns(inputs)
 
         # scratch reused across chunks (the ragged final chunk slices)
         # and across runs at the same corner count / chunk (single-slot
@@ -792,20 +703,17 @@ class CompiledNetlist:
             stop = min(start + chunk_cycles, n_cycles)
             chunk = inputs[start:stop + 1]
             chunk_rows = chunk.shape[0]
-            if packed:
-                if start % 64 == 0:
-                    w0 = start // 64
-                    pi_vals = all_pi[:, w0:w0 + (chunk_rows + 63) // 64]
-                else:  # explicit chunk_cycles not word-aligned
-                    pi_vals = pack_columns(chunk)
-            else:
-                pi_vals = all_pi[:, start:stop + 1]
-            values = self.settled_net_values(chunk, packed, out=val_buf,
+            if start % 64 == 0:
+                w0 = start // 64
+                pi_vals = all_pi[:, w0:w0 + (chunk_rows + 63) // 64]
+            else:  # explicit chunk_cycles not word-aligned
+                pi_vals = pack_columns(chunk)
+            values = self.settled_net_values(chunk, out=val_buf,
                                              pi_values=pi_vals,
                                              live_only=True)
             val_buf = values
             quiet, row_active = self._quiet_and_active(
-                values, chunk_rows - 1, packed)
+                values, chunk_rows - 1)
             self._arrival_chunk(quiet, plan, arr_buf, chunk_rows - 1,
                                 row_active, executor=executor)
             if self.n_outputs:
@@ -814,18 +722,17 @@ class CompiledNetlist:
                 out_delays[:, start:stop] = np.maximum(worst, _ZERO)
             if collect_outputs:
                 out_values[start:stop] = self._settled_outputs(
-                    values, chunk_rows, packed)[1:]
+                    values, chunk_rows)[1:]
             start = stop
         return DelayTraceResult(out_delays, out_values)
 
-    def run_values(self, input_matrix: np.ndarray,
-                   packed: bool = True) -> np.ndarray:
+    def run_values(self, input_matrix: np.ndarray) -> np.ndarray:
         """Settled output values only: ``(n_rows, n_outputs)`` uint8."""
         inputs = np.asarray(input_matrix, dtype=np.uint8)
         if inputs.ndim != 2 or inputs.shape[1] != self.n_inputs:
             raise ValueError("bad input matrix shape")
-        values = self.settled_net_values(inputs, packed, live_only=True)
-        return self._settled_outputs(values, inputs.shape[0], packed)
+        values = self.settled_net_values(inputs, live_only=True)
+        return self._settled_outputs(values, inputs.shape[0])
 
 
 #: id(netlist) -> (weakref to netlist, program); evicted when the
@@ -860,8 +767,7 @@ def compile_netlist(netlist: Netlist) -> CompiledNetlist:
     unhashable) and guarded by a weak reference: a hit is only served
     while the original object is alive, and entries disappear with it.
     A netlist must not be mutated after its first simulation — the
-    lowered program would go stale (the same held for the per-gate
-    simulators' cached last-use tables).
+    lowered program would go stale.
     """
     key = id(netlist)
     entry = _PROGRAM_CACHE.get(key)
@@ -880,10 +786,10 @@ def compile_netlist(netlist: Netlist) -> CompiledNetlist:
 class CompiledBackend(SimBackend):
     """Level-parallel compiled engine behind the engine protocol.
 
-    The canonical fast DTA engine: packed uint64 value substrate plus
-    the level-parallel arrival kernel, with the compiled program cached
-    per netlist.  Delays are bit-identical to ``levelized`` and
-    ``bitpacked`` (which run on the same kernels).
+    The one fast DTA engine: packed uint64 value substrate plus the
+    level-parallel arrival kernel, with the compiled program cached per
+    netlist.  Delays are bit-identical to the per-gate
+    ``levelized_ref`` reference.
     """
 
     name = "compiled"

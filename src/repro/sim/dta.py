@@ -6,6 +6,11 @@ operating conditions; :func:`timing_error_labels` turns delays into the
 paper's two classes (``D[t] > tclk`` = timing erroneous), and
 :func:`dynamic_delay_trace` is the one-call front end used by the
 campaigns and benches.
+
+The delays come from the graph-based DTA the paper cites as [3], run
+on the ``compiled`` engine by default; ``levelized_ref`` (the per-gate
+reference, bit-identical) and ``event`` (glitch-aware, VCD dumps)
+serve audits and the file-based pipeline.
 """
 
 from __future__ import annotations
@@ -94,12 +99,12 @@ def dynamic_delay_trace(netlist: Netlist,
     input_matrix:
         ``(n_cycles + 1, n_inputs)`` uint8; row 0 = initial state.
     conditions:
-        One condition or a sequence (levelized engine vectorizes over
+        One condition or a sequence (the DTA engines vectorize over
         them; the event engine loops).
     engine:
         Any name registered with the simulation-engine layer
-        (``"compiled"``, ``"levelized"``, ``"bitpacked"``, ``"event"``,
-        ...); defaults to the campaign layer's
+        (``"compiled"``, ``"levelized_ref"``, ``"event"``, ...);
+        defaults to the campaign layer's
         :data:`~repro.sim.engine.DEFAULT_BACKEND` so one-off traces and
         campaign traces come from the same engine.  Only the event
         engine supports ``vcd_path``.

@@ -10,27 +10,24 @@ quantities the pipeline needs from a netlist and an input stream:
 * ``run_values`` — settled primary-output values per cycle (used for
   functional verification and toggle statistics).
 
-Backends are looked up by name through :func:`get_backend`; the four
+Backends are looked up by name through :func:`get_backend`; the three
 built-ins are
 
-``levelized``
-    The vectorized graph-based DTA engine (:mod:`repro.sim.levelized`).
+``compiled``
+    The graph-based DTA engine every campaign runs
+    (:mod:`repro.sim.compile`): the netlist is lowered once to
+    level-parallel structure-of-arrays form, settled values are packed
+    64 cycles to a ``uint64`` word, and every pass is a loop over logic
+    levels doing whole-level numpy ops.
+``levelized_ref``
+    The per-gate reference loop (:mod:`repro.sim.levelized`) — slow,
+    but delay-bit-identical to ``compiled``, which the parity tests
+    assert; campaigns run it to audit the compiled kernels end to end.
 ``event``
-    The glitch-accurate event-driven reference
+    The glitch-accurate event-driven simulator
     (:mod:`repro.sim.eventsim`) — orders of magnitude slower, models
     glitch pulses, so its delays are *not* interchangeable with the DTA
     engines (see :attr:`SimBackend.models_glitches`).
-``bitpacked``
-    Bit-parallel logic evaluation (:mod:`repro.sim.bitpacked`): the
-    cycle axis is packed into ``uint64`` words so one bitwise op
-    evaluates 64 cycles; the arrival pass is shared with ``levelized``
-    and delays are bit-identical to it.
-``compiled``
-    The canonical fast engine (:mod:`repro.sim.compile`): the netlist
-    is lowered once to level-parallel structure-of-arrays form and
-    every pass is a loop over logic levels doing whole-level numpy
-    ops.  Packed value substrate; delays bit-identical to both DTA
-    engines above (which run on the same kernels).
 
 Built-in registrations map names to ``"module:Class"`` strings
 resolved on first :func:`get_backend`: backend modules import this one
@@ -55,9 +52,8 @@ from ..circuits.netlist import Netlist
 #: Backend used when callers do not ask for a specific one.  Shared by
 #: the campaign layer (``repro.flow.campaign``) and the DTA front end
 #: (``repro.sim.dta``) so their defaults can never drift apart.  The
-#: compiled engine produces delays bit-identical to ``levelized`` and
-#: ``bitpacked`` (asserted by tests/sim/test_engine.py) at a fraction
-#: of the cost.
+#: compiled engine produces delays bit-identical to ``levelized_ref``
+#: (asserted by tests/sim/test_engine.py) at a fraction of the cost.
 DEFAULT_BACKEND = "compiled"
 
 
@@ -197,18 +193,10 @@ class SimBackend(abc.ABC):
 
 
 #: name -> "module:Class" (lazy) or SimBackend subclass (eager).
-#: The ``*_ref`` entries are the retained per-gate reference paths
-#: (``compiled=False`` simulators) behind the same protocol — slow,
-#: but delay-bit-identical to the compiled kernels, so campaigns can
-#: audit the fast engines end to end
-#: (``SimSpec(backend="levelized", compiled=False)`` resolves here).
 _REGISTRY: Dict[str, Union[str, Type[SimBackend]]] = {
-    "levelized": "repro.sim.levelized:LevelizedBackend",
+    "compiled": "repro.sim.compile:CompiledBackend",
     "levelized_ref": "repro.sim.levelized:ReferenceLevelizedBackend",
     "event": "repro.sim.eventsim:EventBackend",
-    "bitpacked": "repro.sim.bitpacked:BitPackedBackend",
-    "bitpacked_ref": "repro.sim.bitpacked:ReferenceBitPackedBackend",
-    "compiled": "repro.sim.compile:CompiledBackend",
 }
 _INSTANCES: Dict[str, SimBackend] = {}
 

@@ -3,7 +3,7 @@
 The reference engine standing in for ModelSim's SDF-annotated
 simulation: a transport-delay event queue that models glitch trains and
 produces VCD dumps.  It is orders of magnitude slower than the
-levelized engine (that gap *is* the paper's "TEVoT is 100X faster than
+compiled DTA engine (that gap *is* the paper's "TEVoT is 100X faster than
 gate-level simulation" claim, reproduced in
 ``benchmarks/test_bench_speedup.py``), so campaigns use it only for
 cross-validation and VCD generation.

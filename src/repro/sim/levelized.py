@@ -1,10 +1,9 @@
-"""Vectorized levelized dynamic-timing simulator.
+"""Per-gate levelized dynamic-timing simulator: the DTA reference.
 
-This is the workhorse behind the DTA campaigns: for a stream of input
-vectors it computes, for every cycle and every operating corner, the
-*dynamic delay* — the arrival time of the last toggling transition at
-the primary outputs (the register D-pins), exactly the quantity the
-paper extracts from ModelSim VCD dumps.
+For a stream of input vectors it computes, for every cycle and every
+operating corner, the *dynamic delay* — the arrival time of the last
+toggling transition at the primary outputs (the register D-pins),
+exactly the quantity the paper extracts from ModelSim VCD dumps.
 
 Model
 -----
@@ -26,12 +25,13 @@ vectorized over *both* cycles and corners: gate delays enter as a
 ``(n_corners, n_gates)`` matrix and delays come out ``(n_corners,
 n_cycles)``.  Memory is bounded by chunking the cycle axis.
 
-Execution runs on the level-parallel compiled kernels of
-:mod:`repro.sim.compile` (uint8 value substrate): the netlist is
-lowered once to structure-of-arrays form and each pass is a loop over
-logic levels instead of gates.  The original per-gate loop is retained
-behind ``compiled=False`` as the reference semantics — the parity tests
-assert the compiled path is bit-identical to it.
+This module is the reference semantics: one python-level pass per
+gate on per-cycle ``uint8`` values, with no lowering and no program
+cache.  Campaigns run the level-parallel kernels of
+:mod:`repro.sim.compile` (the ``compiled`` backend) instead; the parity
+tests assert they are bit-identical to this loop, and the
+``levelized_ref`` backend exposes it to campaigns for end-to-end
+audits.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ from typing import List, Optional
 import numpy as np
 
 from ..circuits.netlist import Netlist
-from .compile import compile_netlist
 from .engine import DelayTraceResult, SimBackend
 from .logic import eval_gate_array
 
@@ -49,23 +48,17 @@ NEG_INF = np.float32(-np.inf)
 
 
 class LevelizedSimulator:
-    """Reusable levelized simulator for one netlist.
+    """Per-gate reference simulator for one netlist.
 
-    ``compiled=True`` (the default) runs on the cached level-parallel
-    program; ``compiled=False`` keeps the original per-gate loop, which
-    precomputes the last structural use of every net so intermediate
+    Precomputes the last structural use of every net so intermediate
     arrays can be freed eagerly during the forward pass.
     """
 
-    def __init__(self, netlist: Netlist, compiled: bool = True) -> None:
+    def __init__(self, netlist: Netlist) -> None:
+        netlist.validate()
         self.netlist = netlist
-        self.compiled = compiled
-        if compiled:
-            self._program = compile_netlist(netlist)  # validates, cached
-        else:  # pre-compilation reference path: no lowering, no cache pin
-            netlist.validate()
-            self._last_use = self._compute_last_use(netlist)
-            self._po_set = frozenset(netlist.primary_outputs)
+        self._last_use = self._compute_last_use(netlist)
+        self._po_set = frozenset(netlist.primary_outputs)
 
     @staticmethod
     def _compute_last_use(netlist: Netlist) -> np.ndarray:
@@ -101,15 +94,11 @@ class LevelizedSimulator:
         collect_outputs:
             Also return settled output values per cycle.
         chunk_cycles:
-            Cycle-axis chunk size.  Defaults to a cache-resident
-            chunk on the compiled path and a ~100 MB memory budget on
-            the per-gate reference path; never affects results.
+            Cycle-axis chunk size (>= 1).  Defaults to a ~100 MB memory
+            budget; never affects results.
         """
-        if self.compiled:
-            return self._program.run(input_matrix, gate_delays,
-                                     collect_outputs=collect_outputs,
-                                     chunk_cycles=chunk_cycles,
-                                     packed=False)
+        if chunk_cycles is not None and chunk_cycles < 1:
+            raise ValueError("chunk_cycles must be >= 1")
         inputs = np.asarray(input_matrix, dtype=np.uint8)
         if inputs.ndim != 2 or inputs.shape[1] != len(self.netlist.primary_inputs):
             raise ValueError(
@@ -153,8 +142,6 @@ class LevelizedSimulator:
 
     def run_values(self, input_matrix: np.ndarray) -> np.ndarray:
         """Settled output values only: ``(n_rows, n_outputs)`` uint8."""
-        if self.compiled:
-            return self._program.run_values(input_matrix, packed=False)
         inputs = np.asarray(input_matrix, dtype=np.uint8)
         if inputs.ndim != 2 or inputs.shape[1] != len(self.netlist.primary_inputs):
             raise ValueError("bad input matrix shape")
@@ -168,15 +155,12 @@ class LevelizedSimulator:
         return np.stack(
             [values[o] for o in self.netlist.primary_outputs], axis=1)
 
-    # -- per-gate reference internals ------------------------------------------
+    # -- internals -------------------------------------------------------------
 
     def _live_width_estimate(self) -> int:
         """Upper-ish estimate of simultaneously-live nets (for chunking)."""
         alive = len(self.netlist.primary_inputs)
         peak = alive
-        births = {}
-        for idx, gate in enumerate(self.netlist.gates):
-            births[gate.output] = idx
         deaths_at = {}
         for net, idx in enumerate(self._last_use):
             deaths_at.setdefault(int(idx), []).append(net)
@@ -253,46 +237,14 @@ class LevelizedSimulator:
         return worst, out_vals
 
 
-class LevelizedBackend(SimBackend):
+class ReferenceLevelizedBackend(SimBackend):
     """:class:`LevelizedSimulator` behind the engine protocol.
 
-    Runs the compiled level-parallel kernels on the uint8 value
-    substrate; the per-netlist program cache makes repeated calls
-    cheap (no re-validation or re-lowering).
-    """
-
-    name = "levelized"
-    supports_multi_corner = True
-    supports_cycle_sharding = True
-    supports_corner_sharding = True
-    models_glitches = False
-    supports_chunking = True
-    supports_threads = True
-
-    def run_delays(self, netlist: Netlist, input_matrix: np.ndarray,
-                   gate_delays: np.ndarray,
-                   collect_outputs: bool = False,
-                   chunk_cycles: Optional[int] = None,
-                   threads: Optional[int] = None) -> DelayTraceResult:
-        return compile_netlist(netlist).run(
-            input_matrix, gate_delays, collect_outputs=collect_outputs,
-            chunk_cycles=chunk_cycles, packed=False, threads=threads)
-
-    def run_values(self, netlist: Netlist,
-                   input_matrix: np.ndarray) -> np.ndarray:
-        return compile_netlist(netlist).run_values(input_matrix,
-                                                   packed=False)
-
-
-class ReferenceLevelizedBackend(SimBackend):
-    """The pre-compilation per-gate path behind the engine protocol.
-
-    Runs :class:`LevelizedSimulator` with ``compiled=False`` — no
-    lowering, no program cache, one python-level pass per gate.  Orders
-    of magnitude slower than ``levelized`` but delay-bit-identical to
-    it, so campaigns can audit the compiled kernels through the same
-    caching/sharding machinery (``SimSpec(backend="levelized",
-    compiled=False)`` resolves here).
+    No lowering, no program cache, one python-level pass per gate.
+    Orders of magnitude slower than ``compiled`` but delay-bit-identical
+    to it, so campaigns can audit the compiled kernels through the same
+    sharding machinery (``SimSpec(backend="levelized_ref")``; audits
+    never read the trace-store cache).
     """
 
     name = "levelized_ref"
@@ -312,11 +264,10 @@ class ReferenceLevelizedBackend(SimBackend):
             raise ValueError(
                 "the per-gate reference path has no threadable kernel "
                 "and does not honor threads (supports_threads=False)")
-        return LevelizedSimulator(netlist, compiled=False).run(
+        return LevelizedSimulator(netlist).run(
             input_matrix, gate_delays, collect_outputs=collect_outputs,
             chunk_cycles=chunk_cycles)
 
     def run_values(self, netlist: Netlist,
                    input_matrix: np.ndarray) -> np.ndarray:
-        return LevelizedSimulator(netlist,
-                                  compiled=False).run_values(input_matrix)
+        return LevelizedSimulator(netlist).run_values(input_matrix)

@@ -1,15 +1,14 @@
 """Vectorized gate evaluation over numpy arrays.
 
-Shared by the simulators: :func:`eval_gate_array` evaluates one gate's
-truth table on uint8 (0/1) arrays of per-cycle values (levelized
-engine); :func:`eval_gate_words` does the same on bit-packed ``uint64``
-words where every bitwise op evaluates 64 cycles at once (bit-packed
-engine).
+:func:`eval_gate_array` evaluates one gate's truth table on uint8 (0/1)
+arrays of per-cycle values — the per-gate reference simulator's gate
+kernel.  The compiled engine evaluates whole gate groups on packed
+words instead (:func:`repro.sim.compile._eval_group`).
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -52,42 +51,4 @@ def eval_gate_array(gtype: GateType, inputs: Sequence[np.ndarray],
     if gtype is GateType.MUX2:
         sel, d0, d1 = inputs
         return (d0 & (sel ^ 1)) | (d1 & sel)
-    raise ValueError(f"unknown gate type {gtype!r}")
-
-
-_U64_ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
-
-
-def eval_gate_words(gtype: GateType, inputs: Sequence[np.ndarray],
-                    n_words: int) -> np.ndarray:
-    """Evaluate a gate on bit-packed value words.
-
-    Each array holds ``uint64`` words with cycle ``t``'s value at bit
-    ``t % 64`` of word ``t // 64``.  Inverting gates may leave garbage
-    in the tail bits past the last cycle; consumers must mask or
-    ``count``-limit when unpacking.
-    """
-    if gtype is GateType.CONST0:
-        return np.zeros(n_words, dtype=np.uint64)
-    if gtype is GateType.CONST1:
-        return np.full(n_words, _U64_ONES, dtype=np.uint64)
-    if gtype is GateType.BUF:
-        return inputs[0]
-    if gtype is GateType.NOT:
-        return inputs[0] ^ _U64_ONES
-    if gtype is GateType.AND2:
-        return inputs[0] & inputs[1]
-    if gtype is GateType.OR2:
-        return inputs[0] | inputs[1]
-    if gtype is GateType.NAND2:
-        return (inputs[0] & inputs[1]) ^ _U64_ONES
-    if gtype is GateType.NOR2:
-        return (inputs[0] | inputs[1]) ^ _U64_ONES
-    if gtype is GateType.XOR2:
-        return inputs[0] ^ inputs[1]
-    if gtype is GateType.XNOR2:
-        return (inputs[0] ^ inputs[1]) ^ _U64_ONES
-    if gtype is GateType.MUX2:
-        sel, d0, d1 = inputs
-        return (d0 & (sel ^ _U64_ONES)) | (d1 & sel)
     raise ValueError(f"unknown gate type {gtype!r}")

@@ -25,14 +25,14 @@ ALL_SPECS = [CornerSpec, StreamSpec, SimSpec, ShardSpec, CampaignSpec,
 NON_DEFAULT = {
     CornerSpec: dict(voltages=(0.85, 0.95), temperatures=(25.0,)),
     StreamSpec: dict(cycles=77, seed=3, source="random", name="x"),
-    SimSpec: dict(backend="bitpacked", compiled=False, chunk_cycles=128),
+    SimSpec: dict(backend="levelized_ref", chunk_cycles=128),
     ShardSpec: dict(workers=3, shard_cycles=64, shard_corners=2,
                     adaptive_history=False),
     CampaignSpec: dict(fus=("int_add", "fp_mul"),
                        stream=StreamSpec(cycles=50),
                        corners=CornerSpec(voltages=(0.9,),
                                           temperatures=(25.0,)),
-                       sim=SimSpec(backend="levelized"),
+                       sim=SimSpec(backend="levelized_ref"),
                        shards=ShardSpec(workers=2),
                        cache=False, store="/tmp/s"),
     TrainSpec: dict(fu="fp_add", stream=StreamSpec(cycles=60, seed=4),
@@ -98,18 +98,22 @@ class TestValidation:
         with pytest.raises(SpecError, match="available"):
             SimSpec(backend="quantum")
 
-    def test_compiled_false_needs_reference_twin(self):
-        with pytest.raises(SpecError, match="reference twin"):
-            SimSpec(backend="compiled", compiled=False)
-        with pytest.raises(SpecError, match="reference twin"):
-            SimSpec(backend="event", compiled=False)
+    @pytest.mark.parametrize("name", ["levelized", "bitpacked",
+                                      "bitpacked_ref"])
+    def test_removed_backends_rejected(self, name):
+        with pytest.raises(SpecError, match="available: compiled, "
+                                            "event, levelized_ref"):
+            SimSpec(backend=name)
 
-    def test_compiled_flag_resolves_reference_backend(self):
-        assert SimSpec(backend="levelized").backend_name() == "levelized"
-        assert SimSpec(backend="levelized",
-                       compiled=False).backend_name() == "levelized_ref"
-        assert SimSpec(backend="bitpacked",
-                       compiled=False).backend_name() == "bitpacked_ref"
+    def test_compiled_key_rejected_as_unknown(self, tmp_path):
+        # the reference path is a backend name now, not a flag
+        with pytest.raises(SpecError, match="compiled"):
+            SimSpec.from_dict({"backend": "compiled", "compiled": False})
+        path = tmp_path / "run.toml"
+        path.write_text('[sim]\ncompiled = false\n'
+                        '[campaign]\nfus = ["int_add"]\n')
+        with pytest.raises(SpecError, match="unknown SimSpec"):
+            CampaignSpec.from_file(path)
 
     @pytest.mark.parametrize("kwargs", [
         dict(cycles=0), dict(cycles=-5), dict(source="weird"),
@@ -196,7 +200,7 @@ voltages = [0.9]
 temperatures = [25.0]
 
 [sim]
-backend = "bitpacked"
+backend = "levelized_ref"
 
 [shards]
 workers = 2
@@ -220,7 +224,7 @@ seed = 1
 
 JSON_DOC = json.dumps({
     "corners": {"voltages": [0.9], "temperatures": [25.0]},
-    "sim": {"backend": "bitpacked"},
+    "sim": {"backend": "levelized_ref"},
     "shards": {"workers": 2},
     "campaign": {"fus": ["int_add"], "cache": False,
                  "stream": {"cycles": 40, "seed": 5}},
@@ -232,7 +236,7 @@ EXPECTED_CAMPAIGN = CampaignSpec(
     fus=("int_add",), cache=False,
     stream=StreamSpec(cycles=40, seed=5),
     corners=CornerSpec(voltages=(0.9,), temperatures=(25.0,)),
-    sim=SimSpec(backend="bitpacked"),
+    sim=SimSpec(backend="levelized_ref"),
     shards=ShardSpec(workers=2))
 
 
@@ -264,7 +268,7 @@ class TestFileLoading:
         # shared [corners]/[sim]/[shards] applied...
         assert train.corners == CornerSpec(voltages=(0.9,),
                                            temperatures=(25.0,))
-        assert train.sim.backend == "bitpacked"
+        assert train.sim.backend == "levelized_ref"
         assert train.shards.workers == 2
         # ...but the section-local [train.stream] wins over [stream]
         assert train.stream == StreamSpec(cycles=60, seed=1)

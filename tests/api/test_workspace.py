@@ -98,18 +98,18 @@ class TestCharacterize:
             stream=StreamSpec(cycles=20, seed=2)))
         ref = ws.simulate(small_campaign(
             stream=StreamSpec(cycles=20, seed=2),
-            sim=SimSpec(backend="levelized", compiled=False)))
+            sim=SimSpec(backend="levelized_ref")))
         assert fast.traces[0].delays.tobytes() == \
             ref.traces[0].delays.tobytes()
 
     def test_compiled_false_audit_never_reads_the_cache(self, tmp_path):
-        """A ref-backend run satisfied from a compiled-produced cache
+        """A levelized_ref run satisfied from a compiled-produced cache
         entry would 'audit' nothing — it must simulate fresh."""
         ws = Workspace(tmp_path)
         spec = small_campaign(stream=StreamSpec(cycles=20, seed=3))
         ws.characterize(spec)  # populate the cache (compiled)
         audit = ws.characterize(spec.replace(
-            sim=SimSpec(backend="levelized", compiled=False)))
+            sim=SimSpec(backend="levelized_ref")))
         assert (audit.stats.hits, audit.stats.misses) == (0, 1)
 
     def test_chunk_cycles_never_affects_results(self, tmp_path):

@@ -83,7 +83,7 @@ class TestTraceStore:
         trace = CampaignRunner(use_cache=False).run(
             [CampaignJob(fu, stream, CONDS)])[0]
         store.put(key, trace, fu_name=fu.name, stream_name=stream.name,
-                  library=DEFAULT_LIBRARY, backend="bitpacked")
+                  library=DEFAULT_LIBRARY, backend="compiled")
         assert key in store
         loaded = store.get(key, CONDS)
         np.testing.assert_array_equal(loaded.delays, trace.delays)
@@ -179,10 +179,10 @@ class TestCampaignRunner:
         stream = random_stream(20, operand_width=8, seed=8)
         job = [CampaignJob(fu, stream, CONDS[:1])]
         store = TraceStore(tmp_path)
-        CampaignRunner(backend="levelized", store=store).run(job)
-        bp = CampaignRunner(backend="bitpacked", store=store)
-        bp.run(job)
-        assert bp.stats.hits == 1  # dta engines interchangeable
+        CampaignRunner(backend="levelized_ref", store=store).run(job)
+        compiled = CampaignRunner(backend="compiled", store=store)
+        compiled.run(job)
+        assert compiled.stats.hits == 1  # dta engines interchangeable
         ev = CampaignRunner(backend="event", store=store)
         ev.run(job)
         assert ev.stats.misses == 1  # glitch model never shares

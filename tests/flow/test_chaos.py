@@ -98,7 +98,7 @@ conds = [OperatingCondition(0.81, 0.0), OperatingCondition(1.00, 100.0)]
 delays = np.arange(80, dtype=np.float32).reshape(2, 40)
 TraceStore({str(root)!r}).put("chaoskey0", DelayTrace(delays, conds),
                               fu_name="int_add", stream_name="chaos",
-                              library=DEFAULT_LIBRARY, backend="bitpacked")
+                              library=DEFAULT_LIBRARY, backend="compiled")
 """
 
 
@@ -110,7 +110,7 @@ store = TraceStore({str(root)!r})
 plan = [(0, 2, 0, 20), (0, 2, 20, 40)]
 store.record_journal_shard("jkey", plan=plan, shard=(0, 2, 0, 20),
                            delays=np.ones((2, 20), dtype=np.float32),
-                           backend="bitpacked", n_corners=2, n_cycles=40)
+                           backend="compiled", n_corners=2, n_cycles=40)
 """
 
 
@@ -162,7 +162,7 @@ def _store_converged(root):
 def _journal_recovered(root):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        TraceStore(root).load_journal("jkey", backend="bitpacked",
+        TraceStore(root).load_journal("jkey", backend="compiled",
                                       n_corners=2, n_cycles=40)
 
 
@@ -170,7 +170,7 @@ def _journal_converged(root):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         state = TraceStore(root).load_journal(
-            "jkey", backend="bitpacked", n_corners=2, n_cycles=40)
+            "jkey", backend="compiled", n_corners=2, n_cycles=40)
     assert state is not None
     plan, done = state
     assert plan == [(0, 2, 0, 20), (0, 2, 20, 40)]

@@ -34,7 +34,7 @@ for i in range(n):
     delays = np.full((1, 8), float(i), dtype=np.float32)
     store.put(f"{tag}{i:03d}", DelayTrace(delays, conds),
               fu_name="int_add", stream_name=f"s_{tag}{i}",
-              library=DEFAULT_LIBRARY, backend="bitpacked")
+              library=DEFAULT_LIBRARY, backend="compiled")
 """
 
 REGISTRY_WRITER = """

@@ -47,7 +47,7 @@ def no_leaks():
     assert _shm_segments() == []
 
 
-def _prog(fu, stream, backend="bitpacked", conds=CONDS, threads=None):
+def _prog(fu, stream, backend="compiled", conds=CONDS, threads=None):
     inputs = stream.bit_matrix(fu)
     delay_matrix = DEFAULT_LIBRARY.delay_matrix(fu.netlist, list(conds))
     blob = pickle.dumps(fu.netlist)

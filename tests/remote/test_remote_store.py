@@ -64,7 +64,7 @@ class TestTraceRoundTrip:
         assert store.get("k0", CONDS) is None
         assert "k0" not in store
         store.put("k0", _trace(3.5), fu_name="int_add", stream_name="s0",
-                  library=DEFAULT_LIBRARY, backend="bitpacked")
+                  library=DEFAULT_LIBRARY, backend="compiled")
         assert "k0" in store
         back = store.get("k0", CONDS)
         np.testing.assert_array_equal(back.delays, _trace(3.5).delays)
@@ -83,19 +83,19 @@ class TestTraceRoundTrip:
             assert entry[field] == remote_entry[field], field
 
     def test_throughput_history(self, store):
-        assert store.get_throughput("int_add", "bitpacked", 2) is None
-        store.record_throughput("int_add", "bitpacked", 2, 1000.0)
-        assert store.get_throughput("int_add", "bitpacked", 2) \
+        assert store.get_throughput("int_add", "compiled", 2) is None
+        store.record_throughput("int_add", "compiled", 2, 1000.0)
+        assert store.get_throughput("int_add", "compiled", 2) \
             == pytest.approx(1000.0)
         assert store.get_throughput_many(
-            [("int_add", "bitpacked", 2), ("fp_mul", "bitpacked", 2)]) \
+            [("int_add", "compiled", 2), ("fp_mul", "compiled", 2)]) \
             == [pytest.approx(1000.0), None]
         assert len(store.throughput_history()) == 1
         assert store.clear_throughput() == 1
         assert store.throughput_history() == {}
 
     def test_journal_roundtrip(self, store):
-        kw = dict(backend="bitpacked", n_corners=2, n_cycles=8)
+        kw = dict(backend="compiled", n_corners=2, n_cycles=8)
         assert store.load_journal("j0", **kw) is None
         plan = [(0, 2, 0, 4), (0, 2, 4, 8)]
         part = np.arange(8, dtype=np.float32).reshape(2, 4)

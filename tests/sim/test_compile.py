@@ -1,9 +1,8 @@
 """Tests for the compiled netlist programs (repro.sim.compile).
 
-The lowering pass and the level-parallel kernels carry the PR's
-load-bearing guarantee: whatever the substrate (uint8 arrays or packed
-uint64 words), whatever the chunking, delays and collected outputs are
-bit-identical to the per-gate reference engines.
+The lowering pass and the level-parallel kernels carry the
+load-bearing guarantee: whatever the chunking, delays and collected
+outputs are bit-identical to the per-gate reference engine.
 """
 
 import gc
@@ -14,14 +13,13 @@ import pytest
 from repro.circuits import PAPER_UNITS, build_functional_unit
 from repro.circuits.netlist import GATE_ARITY, GateType, Netlist
 from repro.sim import compile_netlist, get_backend
-from repro.sim.bitpacked import BitPackedSimulator
 from repro.sim.compile import CompiledNetlist, _PROGRAM_CACHE
 from repro.sim.levelized import LevelizedSimulator
 from repro.timing import DEFAULT_LIBRARY, OperatingCondition
 from repro.workloads import stream_for_unit
 
 CONDS = [OperatingCondition(0.81, 0.0), OperatingCondition(1.00, 100.0)]
-DTA_BACKENDS = ("levelized", "bitpacked", "compiled")
+DTA_BACKENDS = ("compiled", "levelized_ref")
 
 
 def _fu_inputs(fu_name, n_cycles, seed=0, **fu_kwargs):
@@ -132,10 +130,10 @@ class TestProgramCache:
         # re-lower the netlist on every invocation
         fu, inputs = _fu_inputs("int_add", 10, seed=1, width=8)
         delays = DEFAULT_LIBRARY.delay_matrix(fu.netlist, CONDS)
-        get_backend("bitpacked").run_delays(fu.netlist, inputs, delays)
+        get_backend("compiled").run_delays(fu.netlist, inputs, delays)
         prog = compile_netlist(fu.netlist)
         get_backend("compiled").run_delays(fu.netlist, inputs, delays)
-        get_backend("levelized").run_values(fu.netlist, inputs)
+        get_backend("compiled").run_values(fu.netlist, inputs)
         assert compile_netlist(fu.netlist) is prog
 
 
@@ -145,11 +143,8 @@ class TestKernelParity:
         # 130 cycles: three packed words with a ragged tail
         fu, inputs = _fu_inputs(fu_name, 130, seed=6)
         delays = DEFAULT_LIBRARY.delay_matrix(fu.netlist, CONDS)
-        ref = LevelizedSimulator(fu.netlist, compiled=False).run(
+        ref = LevelizedSimulator(fu.netlist).run(
             inputs, delays, collect_outputs=True)
-        ref_bp = BitPackedSimulator(fu.netlist, compiled=False).run(
-            inputs, delays, collect_outputs=True)
-        assert ref.delays.tobytes() == ref_bp.delays.tobytes()
         for name in DTA_BACKENDS:
             got = get_backend(name).run_delays(
                 fu.netlist, inputs, delays, collect_outputs=True)
@@ -157,27 +152,30 @@ class TestKernelParity:
             np.testing.assert_array_equal(got.outputs, ref.outputs,
                                           err_msg=name)
 
-    @pytest.mark.parametrize("packed", [False, True])
-    def test_chunking_invariance(self, packed):
+    @pytest.mark.parametrize("collect_outputs", [False, True])
+    def test_chunking_invariance(self, collect_outputs):
         fu, inputs = _fu_inputs("int_add", 200, seed=8, width=8)
         delays = DEFAULT_LIBRARY.delay_matrix(fu.netlist, CONDS)
         prog = compile_netlist(fu.netlist)
-        whole = prog.run(inputs, delays, collect_outputs=True,
-                         packed=packed)
+        whole = prog.run(inputs, delays, collect_outputs=collect_outputs)
+        ref = LevelizedSimulator(fu.netlist).run(
+            inputs, delays, collect_outputs=collect_outputs)
+        assert whole.delays.tobytes() == ref.delays.tobytes()
         for chunk in (1, 37, 64, 100, 1000):
-            part = prog.run(inputs, delays, collect_outputs=True,
-                            chunk_cycles=chunk, packed=packed)
+            part = prog.run(inputs, delays,
+                            collect_outputs=collect_outputs,
+                            chunk_cycles=chunk)
             assert part.delays.tobytes() == whole.delays.tobytes(), chunk
-            np.testing.assert_array_equal(part.outputs, whole.outputs)
+            if collect_outputs:
+                np.testing.assert_array_equal(part.outputs, ref.outputs)
+            else:
+                assert part.outputs is None
 
     def test_run_values_matches_reference_model(self):
         fu, inputs = _fu_inputs("int_mul", 40, seed=9, width=4)
         prog = compile_netlist(fu.netlist)
-        ref = LevelizedSimulator(fu.netlist,
-                                 compiled=False).run_values(inputs)
-        for packed in (False, True):
-            np.testing.assert_array_equal(
-                prog.run_values(inputs, packed=packed), ref)
+        ref = LevelizedSimulator(fu.netlist).run_values(inputs)
+        np.testing.assert_array_equal(prog.run_values(inputs), ref)
 
     def test_single_corner_one_dim_delays(self):
         fu, inputs = _fu_inputs("int_add", 20, seed=10, width=8)
@@ -218,7 +216,7 @@ class TestArrivalFastPaths:
 
     def _parity(self, netlist, inputs, conds):
         delays = DEFAULT_LIBRARY.delay_matrix(netlist, conds)
-        ref = LevelizedSimulator(netlist, compiled=False).run(
+        ref = LevelizedSimulator(netlist).run(
             inputs, delays, collect_outputs=True)
         got = compile_netlist(netlist).run(inputs, delays,
                                            collect_outputs=True)
@@ -269,7 +267,7 @@ class TestArrivalFastPaths:
         prog = compile_netlist(fu.netlist)
         dm_a = DEFAULT_LIBRARY.delay_matrix(fu.netlist, self.CONDS9)
         dm_b = np.asarray(dm_a, np.float32) * np.float32(2.0)
-        ref_b = LevelizedSimulator(fu.netlist, compiled=False).run(
+        ref_b = LevelizedSimulator(fu.netlist).run(
             inputs, dm_b)
         prog.run(inputs, dm_a)  # warm the cache with matrix A
         got_b = prog.run(inputs, dm_b)
@@ -289,21 +287,15 @@ class TestArrivalFastPaths:
 
 
 class TestSimulatorFrontEnds:
-    def test_compiled_flag_default_on(self):
-        fu = build_functional_unit("int_add", width=8)
-        assert LevelizedSimulator(fu.netlist).compiled
-        assert BitPackedSimulator(fu.netlist).compiled
-
     def test_compiled_and_reference_agree_through_simulator_api(self):
         fu, inputs = _fu_inputs("int_add", 75, seed=12, width=8)
         delays = DEFAULT_LIBRARY.delay_matrix(fu.netlist, CONDS)
-        for cls in (LevelizedSimulator, BitPackedSimulator):
-            fast = cls(fu.netlist).run(inputs, delays)
-            slow = cls(fu.netlist, compiled=False).run(inputs, delays)
-            assert fast.delays.tobytes() == slow.delays.tobytes(), cls
-            np.testing.assert_array_equal(
-                cls(fu.netlist).run_values(inputs),
-                cls(fu.netlist, compiled=False).run_values(inputs))
+        fast = compile_netlist(fu.netlist).run(inputs, delays)
+        slow = LevelizedSimulator(fu.netlist).run(inputs, delays)
+        assert fast.delays.tobytes() == slow.delays.tobytes()
+        np.testing.assert_array_equal(
+            compile_netlist(fu.netlist).run_values(inputs),
+            LevelizedSimulator(fu.netlist).run_values(inputs))
 
 
 class TestCompiledNetlistStandalone:

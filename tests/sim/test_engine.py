@@ -2,8 +2,9 @@
 
 Covers the registry/capability surface, the bit-packing primitives,
 and — the load-bearing guarantee — backend parity: all engines agree
-on settled output values, and the DTA engines (levelized, bitpacked)
-produce bit-identical delays for every paper FU.
+on settled output values, and the two DTA engines (``compiled`` and
+the per-gate ``levelized_ref``) produce bit-identical delays for every
+paper FU.
 """
 
 import numpy as np
@@ -11,20 +12,16 @@ import pytest
 
 from repro.circuits import PAPER_UNITS, build_functional_unit
 from repro.sim import (
-    BitPackedBackend,
+    CompiledBackend,
     DelayTraceResult,
     LevelizedSimulator,
     SimBackend,
     available_backends,
+    compile_netlist,
     get_backend,
     register_backend,
 )
-from repro.sim.bitpacked import (
-    BitPackedSimulator,
-    pack_columns,
-    toggle_words,
-    unpack_words,
-)
+from repro.sim.compile import pack_columns, toggle_word_rows
 from repro.timing import DEFAULT_LIBRARY, OperatingCondition
 from repro.workloads import stream_for_unit
 
@@ -39,49 +36,54 @@ def _fu_inputs(fu_name, n_cycles, seed=0, **fu_kwargs):
 
 class TestRegistry:
     def test_builtins_registered(self):
-        assert {"levelized", "event", "bitpacked", "compiled"} <= set(
-            available_backends())
+        # one compiled DTA engine, its per-gate reference, and the
+        # glitch-aware event simulator — nothing else
+        assert available_backends() == ("compiled", "event",
+                                        "levelized_ref")
+
+    @pytest.mark.parametrize("name", ["levelized", "bitpacked",
+                                      "bitpacked_ref"])
+    def test_removed_backends_rejected(self, name):
+        with pytest.raises(ValueError, match="available: compiled, "
+                                             "event, levelized_ref"):
+            get_backend(name)
 
     def test_get_backend_returns_singleton(self):
-        assert get_backend("bitpacked") is get_backend("bitpacked")
+        assert get_backend("compiled") is get_backend("compiled")
 
     def test_unknown_backend_raises_with_listing(self):
-        with pytest.raises(ValueError, match="bitpacked"):
+        with pytest.raises(ValueError, match="levelized_ref"):
             get_backend("modelsim")
 
     def test_capability_flags(self):
-        lev = get_backend("levelized")
-        bp = get_backend("bitpacked")
+        ref = get_backend("levelized_ref")
         comp = get_backend("compiled")
         ev = get_backend("event")
-        assert (lev.supports_multi_corner and bp.supports_multi_corner
-                and comp.supports_multi_corner)
+        assert ref.supports_multi_corner and comp.supports_multi_corner
         assert not ev.supports_multi_corner
         assert ev.models_glitches
-        assert not (lev.models_glitches or bp.models_glitches
-                    or comp.models_glitches)
-        assert lev.delay_model == bp.delay_model == comp.delay_model == "dta"
+        assert not (ref.models_glitches or comp.models_glitches)
+        assert ref.delay_model == comp.delay_model == "dta"
         assert ev.delay_model == "glitch"
 
     def test_cycle_sharding_capability(self):
         # the DTA engines compute cycle t from input rows t and t+1
         # only, so campaigns may shard their cycle axis; the event
         # engine never advertises it
-        for name in ("levelized", "bitpacked", "compiled"):
+        for name in ("compiled", "levelized_ref"):
             assert get_backend(name).supports_cycle_sharding, name
         assert not get_backend("event").supports_cycle_sharding
 
     def test_corner_sharding_capability(self):
         # every built-in computes corner rows independently — including
         # the event engine, which loops corner by corner
-        for name in ("levelized", "bitpacked", "compiled", "event"):
+        for name in available_backends():
             assert get_backend(name).supports_corner_sharding, name
 
     def test_chunking_capability(self):
         # the kernel-based engines honor an explicit chunk_cycles; the
         # cycle-by-cycle event engine must refuse it loudly
-        for name in ("levelized", "bitpacked", "compiled",
-                     "levelized_ref", "bitpacked_ref"):
+        for name in ("compiled", "levelized_ref"):
             assert get_backend(name).supports_chunking, name
         assert not get_backend("event").supports_chunking
         fu, inputs = _fu_inputs("int_add", 4, width=8)
@@ -90,13 +92,21 @@ class TestRegistry:
             get_backend("event").run_delays(fu.netlist, inputs, delays[0],
                                             chunk_cycles=2)
 
+    @pytest.mark.parametrize("name", ["compiled", "levelized_ref"])
+    @pytest.mark.parametrize("chunk_cycles", [0, -5])
+    def test_nonpositive_chunk_cycles_rejected(self, name, chunk_cycles):
+        fu, inputs = _fu_inputs("int_add", 4, width=8)
+        delays = DEFAULT_LIBRARY.delay_matrix(fu.netlist, CONDS[:1])
+        with pytest.raises(ValueError, match="chunk_cycles must be >= 1"):
+            get_backend(name).run_delays(fu.netlist, inputs, delays,
+                                         chunk_cycles=chunk_cycles)
+
     def test_threads_capability(self):
         # the level-parallel kernels can fan independent L2 sub-blocks
         # of a level across threads; the serial event queue and the
-        # per-gate reference loops must refuse threads > 1 loudly
-        for name in ("levelized", "bitpacked", "compiled"):
-            assert get_backend(name).supports_threads, name
-        for name in ("event", "levelized_ref", "bitpacked_ref"):
+        # per-gate reference loop must refuse threads > 1 loudly
+        assert get_backend("compiled").supports_threads
+        for name in ("event", "levelized_ref"):
             assert not get_backend(name).supports_threads, name
             fu, inputs = _fu_inputs("int_add", 4, width=8)
             delays = DEFAULT_LIBRARY.delay_matrix(fu.netlist, CONDS[:1])
@@ -107,25 +117,23 @@ class TestRegistry:
     def test_threads_bit_identical(self):
         fu, inputs = _fu_inputs("int_add", 40, width=8)
         delays = DEFAULT_LIBRARY.delay_matrix(fu.netlist, CONDS)
-        for name in ("levelized", "bitpacked", "compiled"):
-            ref = get_backend(name).run_delays(fu.netlist, inputs,
-                                               delays).delays
-            for threads in (2, 4):
-                got = get_backend(name).run_delays(
-                    fu.netlist, inputs, delays, threads=threads).delays
-                assert got.tobytes() == ref.tobytes(), (name, threads)
+        ref = get_backend("compiled").run_delays(fu.netlist, inputs,
+                                                 delays).delays
+        for threads in (2, 4):
+            got = get_backend("compiled").run_delays(
+                fu.netlist, inputs, delays, threads=threads).delays
+            assert got.tobytes() == ref.tobytes(), threads
 
     def test_reference_backends_bit_identical(self):
-        # the *_ref registrations run the retained per-gate paths and
-        # must agree with the compiled kernels delay for delay
+        # levelized_ref runs the per-gate loop and must agree with the
+        # compiled kernels delay for delay
         fu, inputs = _fu_inputs("int_add", 30, width=8)
         delays = DEFAULT_LIBRARY.delay_matrix(fu.netlist, CONDS)
         ref = get_backend("compiled").run_delays(fu.netlist, inputs,
                                                  delays).delays
-        for name in ("levelized_ref", "bitpacked_ref"):
-            got = get_backend(name).run_delays(fu.netlist, inputs,
-                                               delays).delays
-            assert got.tobytes() == ref.tobytes(), name
+        got = get_backend("levelized_ref").run_delays(fu.netlist, inputs,
+                                                      delays).delays
+        assert got.tobytes() == ref.tobytes()
 
     def test_event_backend_declares_all_flags_explicitly(self):
         # satellite regression: absent attrs used to be probed with
@@ -208,35 +216,44 @@ class TestRegistry:
             engine._REGISTRY.pop("wrong", None)
 
 
+def _unpack_rows(words, n):
+    """First ``n`` bits of each packed word row as uint8 0/1 columns."""
+    return np.unpackbits(np.ascontiguousarray(words).view(np.uint8),
+                         axis=-1, count=n, bitorder="little")
+
+
 class TestBitPackingPrimitives:
     def test_pack_unpack_roundtrip(self):
         rng = np.random.default_rng(0)
         m = rng.integers(0, 2, (130, 5), dtype=np.uint8)
         packed = pack_columns(m)
         assert packed.shape == (5, 3)  # ceil(130/64) words per column
-        for c in range(5):
-            np.testing.assert_array_equal(
-                unpack_words(packed[c], 130), m[:, c])
+        np.testing.assert_array_equal(_unpack_rows(packed, 130), m.T)
 
     def test_toggle_words_match_elementwise(self):
         rng = np.random.default_rng(1)
-        col = rng.integers(0, 2, 200, dtype=np.uint8)
-        words = pack_columns(col[:, None])[0]
-        tog = unpack_words(toggle_words(words, 199), 199)
-        np.testing.assert_array_equal(tog, (col[1:] != col[:-1]))
+        m = rng.integers(0, 2, (200, 3), dtype=np.uint8)
+        tog = _unpack_rows(toggle_word_rows(pack_columns(m), 199), 199)
+        np.testing.assert_array_equal(tog, (m[1:] != m[:-1]).T)
 
     def test_toggle_words_mask_tail(self):
-        # all-ones column: no toggles anywhere, including the tail word
-        words = pack_columns(np.ones((70, 1), np.uint8))[0]
-        assert not toggle_words(words, 69).any()
+        # all-ones columns: no toggles anywhere, including the tail
+        # word; bits past n_cycles are zeroed even where rows differ
+        words = pack_columns(np.ones((70, 2), np.uint8))
+        assert not toggle_word_rows(words, 69).any()
+        ragged = pack_columns(np.arange(70)[:, None] % 2)
+        tog = toggle_word_rows(ragged, 69)
+        assert _unpack_rows(tog, 128)[0, 69:].sum() == 0
+        assert _unpack_rows(tog, 69).all()
 
 
 class TestBackendParity:
     @pytest.mark.parametrize("fu_name", PAPER_UNITS)
     def test_settled_values_agree_across_all_backends(self, fu_name):
         fu, inputs = _fu_inputs(fu_name, 10, seed=5)
-        reference = get_backend("levelized").run_values(fu.netlist, inputs)
-        for name in ("bitpacked", "compiled", "event"):
+        reference = get_backend("levelized_ref").run_values(fu.netlist,
+                                                            inputs)
+        for name in ("compiled", "event"):
             got = get_backend(name).run_values(fu.netlist, inputs)
             np.testing.assert_array_equal(got, reference, err_msg=name)
 
@@ -245,42 +262,44 @@ class TestBackendParity:
         # 130 cycles: spans three 64-cycle words with a ragged tail
         fu, inputs = _fu_inputs(fu_name, 130, seed=6)
         dm = DEFAULT_LIBRARY.delay_matrix(fu.netlist, CONDS)
-        lev = get_backend("levelized").run_delays(
+        ref = get_backend("levelized_ref").run_delays(
             fu.netlist, inputs, dm, collect_outputs=True)
-        for name in ("bitpacked", "compiled"):
-            got = get_backend(name).run_delays(
-                fu.netlist, inputs, dm, collect_outputs=True)
-            assert got.delays.tobytes() == lev.delays.tobytes(), name
-            np.testing.assert_array_equal(got.outputs, lev.outputs,
-                                          err_msg=name)
+        got = get_backend("compiled").run_delays(
+            fu.netlist, inputs, dm, collect_outputs=True)
+        assert got.delays.tobytes() == ref.delays.tobytes()
+        np.testing.assert_array_equal(got.outputs, ref.outputs)
 
     @pytest.mark.parametrize("fu_name", PAPER_UNITS)
     def test_compiled_backends_match_per_gate_reference(self, fu_name):
-        # the tentpole guarantee: the level-parallel kernels reproduce
-        # the original per-gate engines bit for bit
+        # the load-bearing guarantee: the level-parallel kernels
+        # reproduce the per-gate engine bit for bit, chunked or not
         fu, inputs = _fu_inputs(fu_name, 130, seed=6)
         dm = DEFAULT_LIBRARY.delay_matrix(fu.netlist, CONDS)
-        reference = LevelizedSimulator(fu.netlist, compiled=False).run(
+        reference = LevelizedSimulator(fu.netlist).run(
             inputs, dm, collect_outputs=True)
-        for name in ("levelized", "bitpacked", "compiled"):
-            got = get_backend(name).run_delays(
-                fu.netlist, inputs, dm, collect_outputs=True)
-            assert got.delays.tobytes() == reference.delays.tobytes(), name
+        for chunk in (None, 64, 45):
+            got = get_backend("compiled").run_delays(
+                fu.netlist, inputs, dm, collect_outputs=True,
+                chunk_cycles=chunk)
+            assert got.delays.tobytes() == reference.delays.tobytes(), chunk
             np.testing.assert_array_equal(got.outputs, reference.outputs,
-                                          err_msg=name)
+                                          err_msg=str(chunk))
 
     def test_event_values_on_wide_unit(self):
         fu, inputs = _fu_inputs("int_add", 15, seed=7, width=8)
-        ref = get_backend("levelized").run_values(fu.netlist, inputs)
+        ref = get_backend("levelized_ref").run_values(fu.netlist, inputs)
         got = get_backend("event").run_values(fu.netlist, inputs)
         np.testing.assert_array_equal(got, ref)
 
 
 class TestBitPackedSimulator:
+    """The compiled program is the bit-packed simulator: settled values
+    live 64 cycles to a ``uint64`` word."""
+
     def test_chunking_does_not_change_results(self):
         fu, inputs = _fu_inputs("int_add", 200, seed=8, width=8)
         dm = DEFAULT_LIBRARY.delay_matrix(fu.netlist, CONDS)
-        sim = BitPackedSimulator(fu.netlist)
+        sim = compile_netlist(fu.netlist)
         whole = sim.run(inputs, dm)
         chunked = sim.run(inputs, dm, chunk_cycles=64)
         np.testing.assert_array_equal(whole.delays, chunked.delays)
@@ -288,18 +307,18 @@ class TestBitPackedSimulator:
     def test_one_dim_delays_yield_single_corner(self):
         fu, inputs = _fu_inputs("int_add", 20, seed=9, width=8)
         delays = DEFAULT_LIBRARY.gate_delays(fu.netlist, CONDS[0])
-        res = BitPackedBackend().run_delays(fu.netlist, inputs, delays)
+        res = CompiledBackend().run_delays(fu.netlist, inputs, delays)
         assert res.delays.shape == (1, 20)
 
     def test_run_values_matches_reference_model(self):
         fu, inputs = _fu_inputs("int_add", 40, seed=10, width=8)
-        vals = BitPackedSimulator(fu.netlist).run_values(inputs)
+        vals = compile_netlist(fu.netlist).run_values(inputs)
         ref = LevelizedSimulator(fu.netlist).run_values(inputs)
         np.testing.assert_array_equal(vals, ref)
 
     def test_input_validation(self):
         fu = build_functional_unit("int_add", width=8)
-        sim = BitPackedSimulator(fu.netlist)
+        sim = compile_netlist(fu.netlist)
         with pytest.raises(ValueError):
             sim.run(np.zeros((5, 3), np.uint8), np.zeros(161))
         with pytest.raises(ValueError):

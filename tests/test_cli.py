@@ -102,7 +102,7 @@ class TestValidation:
             build_parser().parse_args(["characterize", "--fu", "int_add",
                                        "--backend", "quantum"])
         err = capsys.readouterr().err
-        for name in ("bitpacked", "levelized", "event"):
+        for name in ("compiled", "levelized_ref", "event"):
             assert name in err
 
 
