@@ -65,11 +65,8 @@ def bench_cycles(default: int = 1500) -> int:
 
 def characterize_one(runner: CampaignRunner, fu, stream,
                      conditions):
-    """Single-job characterization via the batch API.
-
-    (``CampaignRunner.characterize`` is a deprecated shim now; the
-    benches go through ``run()`` like the rest of the pipeline.)
-    """
+    """Single-job characterization via :meth:`CampaignRunner.run`, the
+    batch API the rest of the pipeline uses."""
     return runner.run([CampaignJob(fu, stream, list(conditions))])[0]
 
 

@@ -21,19 +21,13 @@ the perf trajectory of the simulation substrate:
   verification pass), where the compiled engine's bit-packed
   level-parallel evaluation wins by an order of magnitude.
 * **sharding table** — cold and warm wall time of one huge
-  single-stream campaign job across worker/shard-grid/pool
-  configurations (persistent warm pool vs the legacy fork-per-batch
-  executor; cycle shards, corner shards, and mixed), reporting the
-  planner's chosen grid and per-shard cold/warm timings, and
-  asserting byte-identical stitched delay matrices whatever the
-  configuration.  Scaling is reported, not asserted: CI boxes may
-  have a single core, where the interesting number is how close the
-  warm pool gets to the inline baseline (the legacy executor
-  historically lost 2-4x here).
-* **packing table** — a 3-job campaign planned per-job vs as one
-  packed batch (:func:`repro.flow.plan_campaign`): with throughput
-  history the packed planner spends the batch shard budget on the
-  long jobs only, cutting per-shard overhead on the short ones.
+  single-stream campaign job, inline and across worker/shard-grid
+  configurations of the warm pool (cycle shards, corner shards, and
+  mixed), reporting the planner's chosen grid and per-shard cold/warm
+  timings, and asserting byte-identical stitched delay matrices
+  whatever the configuration.  Scaling is reported, not asserted: CI
+  boxes may have a single core, where the interesting number is how
+  close the warm pool gets to the inline baseline.
 
 ``REPRO_BENCH_SMOKE=1`` shrinks every stream and skips the throughput
 floors (keeps the kernels imported, exercised, and parity-checked on
@@ -263,7 +257,7 @@ def _shard_report(cold_stats, warm_stats):
     grid_cell = f"{grid[0]}c x {grid[1]}t" if grid else "-"
     cold = [s.seconds for s in cold_stats.shard_log if s.warm is False]
     warm = [s.seconds for s in warm_stats.shard_log if s.warm]
-    if not cold:  # legacy/inline paths cannot observe worker state
+    if not cold:  # inline runs cannot observe worker state
         cold = [s.seconds for s in cold_stats.shard_log]
     if not warm:
         warm = [s.seconds for s in warm_stats.shard_log]
@@ -281,12 +275,11 @@ def _measure_sharding():
     reference = None
     base_warm = None
     # (pool label, runner kwargs): the persistent warm pool against the
-    # inline baseline and the legacy fork-per-batch executor
+    # inline baseline
     configs = [
         ("inline", dict(n_workers=1)),
         ("warm", dict(n_workers=2)),
         ("warm", dict(n_workers=4)),
-        ("fork/batch", dict(n_workers=2, persistent=False)),
         ("warm", dict(n_workers=2, shard_corners=1)),   # corner-parallel
         ("warm", dict(n_workers=2, shard_corners=2,
                       shard_cycles=SHARD_JOB_CYCLES // 4)),  # 2-D grid
@@ -339,67 +332,4 @@ def _measure_sharding():
     rows.append(["2", "warm+hist", grid_cell,
                  f"{warm_stats.total_shards}", f"{cold:.2f}",
                  f"{warm:.2f}", f"{base_warm / warm:.2f}x", shard_cell])
-    return rows
-
-
-#: Per-job cycle count of the packing bench.  Sized so that with this
-#: box's throughput history each job's estimate lands between
-#: TARGET_SHARD_SECONDS and twice that: per-job planning then splits
-#: every job into ``n_workers`` shards, while the packed planner sees
-#: the whole batch and covers the pool with (mostly) unsplit jobs.
-PACK_CYCLES = 300 if SMOKE else 100_000
-
-
-@pytest.mark.benchmark(group="simspeed")
-def test_campaign_packing(benchmark):
-    rows = benchmark.pedantic(_measure_packing, rounds=1, iterations=1)
-    rows.insert(0, ["3 jobs", f"int_mul 3 x {PACK_CYCLES} cycles",
-                    f"{os.cpu_count()} cpu(s)", "", ""])
-    _record(
-        "Simspeed - cross-job shard packing of a 3-job campaign",
-        format_table(["workers", "planning", "shards", "wall (s)",
-                      "speedup"], rows))
-
-
-def _measure_packing():
-    import tempfile
-
-    fu = build_functional_unit("int_mul")
-    streams = []
-    for k in range(3):
-        s = stream_for_unit("int_mul", PACK_CYCLES, seed=50 + k)
-        s.name = f"bench_pack_{k}"
-        streams.append(s)
-    conditions = SCALING_CORNER_SETS[3]
-
-    def jobs():
-        return [CampaignJob(fu, s, conditions) for s in streams]
-
-    rows = []
-    reference = None
-    base_wall = None
-    configs = [("per-job", dict(n_workers=1)),
-               ("per-job", dict(n_workers=2, pack_jobs=False)),
-               ("packed", dict(n_workers=2))]
-    for label, kwargs in configs:
-        with tempfile.TemporaryDirectory() as tmp:
-            with CampaignRunner(store=tmp, **kwargs) as runner:
-                # prime: records throughput history (what the packed
-                # planner feeds on) and warms the pool, then evict the
-                # traces so the timed run re-simulates
-                runner.run(jobs())
-                runner.store.gc(max_bytes=0)
-                start = time.perf_counter()
-                traces = runner.run(jobs())
-                wall = time.perf_counter() - start
-                stats = runner.stats
-        blobs = [t.delays.tobytes() for t in traces]
-        if reference is None:
-            reference, base_wall = blobs, wall
-        assert blobs == reference  # packing never affects results
-        if label == "packed":
-            assert stats.packed, "history present, batch must pack"
-        rows.append([f"{kwargs['n_workers']}", label,
-                     f"{stats.total_shards}", f"{wall:.2f}",
-                     f"{base_wall / wall:.2f}x"])
     return rows

@@ -424,9 +424,8 @@ class SimSpec(Spec):
 class ShardSpec(Spec):
     """Worker-pool and shard-grid configuration for campaigns.
 
-    ``persistent`` (default True) runs multi-worker campaigns on the
-    Workspace's long-lived warm :class:`~repro.flow.pool.WorkerPool`
-    instead of a per-batch process pool; ``threads`` adds in-worker
+    ``workers > 1`` runs campaigns on the Workspace's long-lived warm
+    :class:`~repro.flow.pool.WorkerPool`; ``threads`` adds in-worker
     thread parallelism over independent logic levels on backends with
     ``supports_threads``.  Neither ever affects results.
     """
@@ -437,7 +436,6 @@ class ShardSpec(Spec):
     shard_cycles: Optional[int] = None
     shard_corners: Optional[int] = None
     adaptive_history: bool = True
-    persistent: bool = True
     threads: int = 1
 
     def __post_init__(self) -> None:
@@ -445,7 +443,6 @@ class ShardSpec(Spec):
         _optional_positive_int("shard_cycles", self.shard_cycles)
         _optional_positive_int("shard_corners", self.shard_corners)
         _require_bool("adaptive_history", self.adaptive_history)
-        _require_bool("persistent", self.persistent)
         _require_positive_int("threads", self.threads)
 
 
@@ -632,8 +629,7 @@ class ExperimentSpec(Spec):
 
     The default streams follow the paper's unseen-test-data protocol
     (test seed 1 vs train seed 0), and ``corners`` defaults to the
-    full Table I grid like the deprecated
-    :func:`repro.core.run_experiment`.
+    full Table I grid.
     """
 
     _SECTION = "experiment"

@@ -106,7 +106,7 @@ class Workspace:
     """Owns stores + runners; executes specs.
 
     Also owns the persistent warm :class:`~repro.flow.pool.WorkerPool`
-    used by multi-worker campaigns (``ShardSpec(persistent=True)``),
+    used by multi-worker campaigns (``ShardSpec(workers > 1)``),
     shared across every spec run so worker program caches stay warm
     between calls.  Use the workspace as a context manager (or call
     :meth:`close`) to reap the workers deterministically.
@@ -249,8 +249,7 @@ class Workspace:
         sim = sim or SimSpec()
         shards = shards or ShardSpec()
         runner_store = store if store is not None else self._store
-        pool = (self.pool(shards.workers)
-                if shards.persistent and shards.workers > 1 else None)
+        pool = self.pool(shards.workers) if shards.workers > 1 else None
         # levelized_ref is an audit of the compiled kernels: reading a
         # (bit-identical, compiled-produced) cache entry would skip the
         # reference simulation entirely, so audits always run fresh
@@ -263,7 +262,6 @@ class Workspace:
             shard_corners=shards.shard_corners,
             chunk_cycles=sim.chunk_cycles,
             adaptive_history=shards.adaptive_history,
-            persistent=shards.persistent,
             threads=shards.threads,
             pool=pool)
 

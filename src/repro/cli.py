@@ -119,11 +119,6 @@ def _add_shard_args(parser: argparse.ArgumentParser) -> None:
                         help="in-worker thread count for the arrival "
                              "kernel on backends that support it "
                              "(never affects results)")
-    parser.add_argument("--no-persistent-pool", action="store_const",
-                        const=True, default=None,
-                        help="run multi-worker campaigns on a per-batch "
-                             "process pool instead of the persistent "
-                             "warm worker pool")
 
 
 # -- flag -> spec override application ----------------------------------------
@@ -183,8 +178,6 @@ def _apply_shards(spec, args):
         changes["adaptive_history"] = False
     if args.threads is not None:
         changes["threads"] = args.threads
-    if args.no_persistent_pool:
-        changes["persistent"] = False
     return spec.replace(shards=spec.shards.replace(**changes)) \
         if changes else spec
 
@@ -347,8 +340,6 @@ def cmd_campaign(args) -> int:
         summary += (f" in {stats.wall_seconds:.2f}s wall / "
                     f"{stats.sim_seconds:.2f}s sim across "
                     f"{stats.total_shards} shard(s)")
-        if stats.packed:
-            summary += ", cross-job packed"
     if stats.resumed_shards:
         summary += f", {stats.resumed_shards} shard(s) resumed"
     summary += "]"

@@ -21,7 +21,6 @@ from .pipeline import (
     ExperimentResult,
     experiment_impl,
     publish_models,
-    run_experiment,
     train_models,
 )
 
@@ -45,7 +44,6 @@ __all__ = [
     "operand_bits",
     "prediction_accuracy",
     "publish_models",
-    "run_experiment",
     "save_model",
     "stream_bits",
     "train_models",

@@ -1,6 +1,6 @@
 """End-to-end TEVoT pipeline (Fig. 2): DTA -> training -> evaluation.
 
-:func:`run_experiment` performs the whole Table III protocol for one
+:func:`experiment_impl` performs the whole Table III protocol for one
 (FU, dataset) pair: characterize the training workload, derive the
 per-corner error-free clocks, train TEVoT / TEVoT-NH and fit the
 Delay-based / TER-based baselines on the *training* trace, then score
@@ -9,28 +9,19 @@ every model on the *test* workload's ground-truth delays.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-import numpy as np
-
-from ..circuits.functional_units import FunctionalUnit, build_functional_unit
-from ..flow.campaign import (
-    DEFAULT_BACKEND,
-    CampaignJob,
-    CampaignRunner,
-    error_free_clocks,
-)
+from ..circuits.functional_units import FunctionalUnit
+from ..flow.campaign import CampaignJob, CampaignRunner, error_free_clocks
 from ..sim.dta import DelayTrace
 from ..timing.cells import CellLibrary, DEFAULT_LIBRARY
 from ..timing.corners import (
     CLOCK_SPEEDUPS,
     OperatingCondition,
-    paper_corner_grid,
     sped_up_clock,
 )
-from ..workloads.streams import OperandStream, stream_for_unit
+from ..workloads.streams import OperandStream
 from .baselines import DelayBasedModel, TERBasedModel, make_tevot_nh
 from .evaluation import SweepResult, evaluate_models
 from .features import build_training_set
@@ -151,8 +142,8 @@ def experiment_impl(fu: FunctionalUnit,
     """Full Fig.-2 protocol over already-built objects.
 
     The working core behind :meth:`repro.api.Workspace.experiment`
-    (which expands a declarative :class:`~repro.api.ExperimentSpec`)
-    and the deprecated :func:`run_experiment` shim.  The train and
+    (which expands a declarative :class:`~repro.api.ExperimentSpec`).
+    The train and
     test characterizations run as one campaign batch, so a runner with
     ``n_workers > 1`` overlaps them; a ``registry`` (path or
     :class:`~repro.serve.registry.ModelRegistry`) publishes the
@@ -187,50 +178,3 @@ def experiment_impl(fu: FunctionalUnit,
     if registry is not None:
         result.publish(registry)
     return result
-
-
-def run_experiment(fu_name: str,
-                   test_stream: Optional[OperandStream] = None,
-                   train_stream: Optional[OperandStream] = None,
-                   conditions: Optional[Sequence[OperatingCondition]] = None,
-                   library: CellLibrary = DEFAULT_LIBRARY,
-                   n_train_cycles: int = 2000,
-                   n_test_cycles: int = 2000,
-                   max_train_rows: int = 200_000,
-                   speedups: Sequence[float] = CLOCK_SPEEDUPS,
-                   seed: int = 0,
-                   use_cache: bool = True,
-                   backend: str = DEFAULT_BACKEND,
-                   n_workers: int = 1,
-                   runner: Optional[CampaignRunner] = None,
-                   registry=None,
-                   **fu_kwargs) -> ExperimentResult:
-    """One full Fig.-2 pipeline run for an FU.
-
-    Deprecated compatibility shim: new code should describe the run as
-    a :class:`repro.api.ExperimentSpec` and call
-    :meth:`repro.api.Workspace.experiment` (declarative, versionable),
-    or use :func:`experiment_impl` for pre-built objects.  Defaults:
-    random train/test streams (unseen test data, like the paper's
-    200 K/200 K split) over the full Table I corner grid.
-    """
-    warnings.warn(
-        "repro.core.run_experiment() is deprecated; use "
-        "repro.api.Workspace.experiment(spec) (or experiment_impl() "
-        "for pre-built streams/conditions)",
-        DeprecationWarning, stacklevel=2)
-    fu = build_functional_unit(fu_name, **fu_kwargs)
-    conditions = list(conditions) if conditions else paper_corner_grid()
-    if train_stream is None:
-        train_stream = stream_for_unit(fu_name, n_train_cycles, seed=seed)
-        train_stream.name = "random_train"
-    if test_stream is None:
-        test_stream = stream_for_unit(fu_name, n_test_cycles, seed=seed + 1)
-        test_stream.name = "random_test"
-    if runner is None:
-        runner = CampaignRunner(backend=backend, n_workers=n_workers,
-                                use_cache=use_cache)
-    return experiment_impl(fu, train_stream, test_stream, conditions,
-                           library, max_train_rows=max_train_rows,
-                           speedups=speedups, seed=seed, runner=runner,
-                           registry=registry)

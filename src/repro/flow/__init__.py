@@ -9,10 +9,7 @@ from .campaign import (
     CampaignRunner,
     CampaignStats,
     ShardExec,
-    characterize,
     error_free_clocks,
-    plan_campaign,
-    plan_cycle_shards,
     plan_shards,
 )
 from .durable import (
@@ -25,7 +22,8 @@ from .durable import (
     write_envelope,
 )
 from .manifest import read_manifest, stable_fingerprint, write_manifest
-from .pool import JobProgram, PoolRunResult, TaskResult, WorkerPool
+from .pool import (JobProgram, PoolRunResult, TaskResult, WorkerPool,
+                   simulate_shard)
 from .tracestore import (
     GCReport,
     TraceStore,
@@ -57,16 +55,14 @@ __all__ = [
     "TaskResult",
     "TraceStore",
     "WorkerPool",
-    "characterize",
     "default_cache_dir",
     "error_free_clocks",
     "implement",
     "is_remote_url",
     "library_fingerprint",
     "open_trace_store",
-    "plan_campaign",
-    "plan_cycle_shards",
     "plan_shards",
+    "simulate_shard",
     "TARGET_SHARD_SECONDS",
     "read_manifest",
     "stable_fingerprint",

@@ -9,47 +9,40 @@ and a :class:`CampaignRunner` executes a batch of jobs:
 * results persist in a versioned
   :class:`~repro.flow.tracestore.TraceStore` keyed by netlist, stream,
   corners, **and library**, so reruns are cache hits;
-* cache misses fan out over a persistent warm
-  :class:`~repro.flow.pool.WorkerPool` when ``n_workers > 1`` (a
-  per-batch ``concurrent.futures`` pool behind ``persistent=False``) —
-  across jobs *and*, within a job, across a 2-D **corner × cycle shard
-  grid** (:func:`plan_shards`): cycle ``t`` of the DTA arrival pass
-  depends only on input rows ``t`` and ``t+1``, and corner rows of the
-  delay matrix are computed independently, so a job splits along
-  either axis (corners keep wide grids parallel even when streams are
-  short) and the per-shard delay matrices are stitched back into place
-  — results are bit-identical for every ``n_workers``/shard-shape/
-  pool configuration;
+* each cache miss is cut into a 2-D **corner × cycle shard grid**
+  (:func:`plan_shards`): cycle ``t`` of the DTA arrival pass depends
+  only on input rows ``t`` and ``t+1``, and corner rows of the delay
+  matrix are computed independently, so a job splits along either
+  axis (corners keep wide grids parallel even when streams are short);
+* one worker runs the shards inline, more run them on a persistent
+  warm :class:`~repro.flow.pool.WorkerPool` that returns each job's
+  stitched matrix — both through
+  :func:`~repro.flow.pool.simulate_shard`, so results are
+  bit-identical for every ``n_workers`` and shard shape;
 * the auto-sizer is **adaptive**: per-(FU, backend, corner-count)
   throughput observed on earlier runs is persisted in the trace-store
   manifest (:meth:`TraceStore.record_throughput`) and used to pick a
   shard count that equalizes worker runtimes; with no usable history
   (cold store, corrupted section, cache disabled) it falls back to the
-  static heuristic; multi-job batches with history for every job are
-  planned as one unit (:func:`plan_campaign`), packing the batch-wide
-  shard budget onto the longest jobs;
+  static heuristic;
+* completed shards of multi-shard jobs are journaled through the
+  store, so a killed campaign's rerun resumes where it stopped;
 * the simulation backend is pluggable
   (:func:`repro.sim.engine.get_backend`); the default is the compiled
   level-parallel engine, ``levelized_ref`` re-runs the same DTA on the
   per-gate reference loop (bit-identical delays, for audits), and
   ``event`` adds glitches.
 
-:func:`characterize` and :meth:`CampaignRunner.characterize` remain as
-thin single-job compatibility shims emitting
-:class:`DeprecationWarning` — new code should describe runs with
-:mod:`repro.api` specs and go through
-:meth:`repro.api.Workspace.characterize` (or build
-:class:`CampaignJob` batches for :meth:`CampaignRunner.run`).
+Describe runs with :mod:`repro.api` specs and go through
+:meth:`repro.api.Workspace.characterize`, or build
+:class:`CampaignJob` batches for :meth:`CampaignRunner.run`.
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
 import pickle
 import time
-import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -57,14 +50,13 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from ..circuits.functional_units import FunctionalUnit
-from ..circuits.netlist import Netlist
 from ..sim.dta import DelayTrace
 from ..sim.engine import DEFAULT_BACKEND, get_backend
 from ..timing.cells import CellLibrary, DEFAULT_LIBRARY
 from ..timing.corners import OperatingCondition
 from ..workloads.streams import OperandStream
 from .durable import StoreLockTimeout
-from .pool import JobProgram, WorkerPool
+from .pool import JobProgram, WorkerPool, simulate_shard
 from .tracestore import TraceStore, open_trace_store, trace_key
 
 __all__ = [
@@ -75,10 +67,7 @@ __all__ = [
     "MIN_SHARD_CYCLES",
     "ShardExec",
     "TARGET_SHARD_SECONDS",
-    "characterize",
     "error_free_clocks",
-    "plan_campaign",
-    "plan_cycle_shards",
     "plan_shards",
 ]
 
@@ -114,31 +103,6 @@ def _even_bounds(length: int, parts: int) -> List[Tuple[int, int]]:
         bounds.append((start, stop))
         start = stop
     return bounds
-
-
-def _grid_for_target(n_cycles: int, n_corners: int, target: int, *,
-                     cycle_shardable: bool = True,
-                     corner_shardable: bool = True) -> List[Shard]:
-    """A corner × cycle grid of (at most) ``target`` shards.
-
-    Shared gridding policy of the per-job and cross-job planners:
-    cycle splits are preferred (corner shards repeat the corner-
-    independent settled-value pass) and never go below
-    :data:`MIN_SHARD_CYCLES`; floor division keeps the grid at or
-    under ``target``.
-    """
-    max_cycle_splits = (max(1, n_cycles // MIN_SHARD_CYCLES)
-                        if cycle_shardable else 1)
-    max_corner_splits = n_corners if corner_shardable else 1
-    target = min(target, max_cycle_splits * max_corner_splits)
-    if target <= 1:
-        return [(0, n_corners, 0, n_cycles)]
-    cycle_splits = min(target, max_cycle_splits)
-    corner_splits = min(max_corner_splits, max(1, target // cycle_splits))
-    cycle_bounds = _even_bounds(n_cycles, cycle_splits)
-    corner_bounds = _even_bounds(n_corners, corner_splits)
-    return [(c0, c1, t0, t1) for c0, c1 in corner_bounds
-            for t0, t1 in cycle_bounds]
 
 
 def plan_shards(n_cycles: int, n_corners: int = 1, *,
@@ -217,114 +181,29 @@ def plan_shards(n_cycles: int, n_corners: int = 1, *,
                          max(1, round(est_seconds / TARGET_SHARD_SECONDS)))
         if target > 1:  # aim at a multiple of n_workers so runtimes equalize
             target = -(-target // n_workers) * n_workers
-        # floor division inside the gridder keeps the grid at or under
-        # target (the hard shards-per-worker cap); a 2-D grid cannot
-        # always hit an exact worker multiple, undershooting only costs
-        # a little slack
-        return _grid_for_target(n_cycles, n_corners, target,
-                                cycle_shardable=cycle_shardable,
-                                corner_shardable=corner_shardable)
-
-    # static heuristic (cold): legacy fixed-pitch cycle shards, corner
-    # splits only when the cycle axis alone cannot feed the pool
-    if cycle_shardable and n_cycles >= 2 * MIN_SHARD_CYCLES:
-        pitch = max(MIN_SHARD_CYCLES, -(-n_cycles // (2 * n_workers)))
-        cycle_bounds = [(t0, min(t0 + pitch, n_cycles))
-                        for t0 in range(0, n_cycles, pitch)]
+        # floor division keeps the grid at or under target (the hard
+        # shards-per-worker cap); a 2-D grid cannot always hit an exact
+        # worker multiple, undershooting only costs a little slack
+        target = min(target, max_cycle_splits * max_corner_splits)
+        cycle_splits = min(target, max_cycle_splits)
+        cycle_bounds = _even_bounds(n_cycles, cycle_splits)
+        corner_splits = min(max_corner_splits,
+                            max(1, target // cycle_splits))
     else:
-        cycle_bounds = [(0, n_cycles)]
-    need = -(-2 * n_workers // len(cycle_bounds))
-    corner_splits = (min(max_corner_splits, need)
-                     if len(cycle_bounds) < 2 * n_workers else 1)
-    corner_bounds = _even_bounds(n_corners, corner_splits)
-    return [(c0, c1, t0, t1) for c0, c1 in corner_bounds
+        # static heuristic (cold): fixed-pitch cycle shards, corner
+        # splits only when the cycle axis alone cannot feed the pool
+        if cycle_shardable and n_cycles >= 2 * MIN_SHARD_CYCLES:
+            pitch = max(MIN_SHARD_CYCLES, -(-n_cycles // (2 * n_workers)))
+            cycle_bounds = [(t0, min(t0 + pitch, n_cycles))
+                            for t0 in range(0, n_cycles, pitch)]
+        else:
+            cycle_bounds = [(0, n_cycles)]
+        need = -(-2 * n_workers // len(cycle_bounds))
+        corner_splits = (min(max_corner_splits, need)
+                         if len(cycle_bounds) < 2 * n_workers else 1)
+    return [(c0, c1, t0, t1)
+            for c0, c1 in _even_bounds(n_corners, corner_splits)
             for t0, t1 in cycle_bounds]
-
-
-def plan_cycle_shards(n_cycles: int, shard_cycles: Optional[int],
-                      n_workers: int = 1) -> List[Tuple[int, int]]:
-    """Cycle-only shard plan — thin wrapper over :func:`plan_shards`.
-
-    Retained for callers that shard a single-corner stream; returns
-    the ``(cycle_start, cycle_stop)`` pairs of the 2-D plan with one
-    corner.
-    """
-    return [(t0, t1) for _, _, t0, t1 in
-            plan_shards(n_cycles, 1, shard_cycles=shard_cycles,
-                        n_workers=n_workers)]
-
-
-def plan_campaign(jobs: Sequence[Tuple[int, int]], n_workers: int, *,
-                  corner_cycles_per_s: Sequence[Optional[float]],
-                  cycle_shardable: bool = True,
-                  corner_shardable: bool = True) -> List[List[Shard]]:
-    """Cross-job packed shard plans for a whole campaign batch.
-
-    ``jobs`` lists each pending job's ``(n_cycles, n_corners)`` grid;
-    ``corner_cycles_per_s`` its persisted throughput history (the
-    adaptive planner's EWMA).  With usable history for *every* job the
-    batch is planned as one unit: the estimated total runtime sets a
-    batch-wide shard budget targeting :data:`TARGET_SHARD_SECONDS` per
-    shard (capped at ``4 * n_workers``, floored so an estimated-busy
-    pool has at least one shard per worker), which is then apportioned
-    greedily — always splitting the job with the largest remaining
-    per-shard estimate — so short jobs stay whole and long jobs absorb
-    the splits.  A batch estimated under ``2 *
-    TARGET_SHARD_SECONDS`` never splits at all: the jobs themselves
-    are the parallelism.
-
-    Any job without usable history falls back to per-job
-    :func:`plan_shards` planning (which handles its own cold
-    heuristic), keeping the two planners' behavior continuous.
-    Returns one shard list per job, aligned with ``jobs``.
-    """
-    grids = [(int(t), int(c)) for t, c in jobs]
-    for t, c in grids:
-        if t < 1:
-            raise ValueError("n_cycles must be >= 1")
-        if c < 1:
-            raise ValueError("n_corners must be >= 1")
-    cps = list(corner_cycles_per_s)
-    if len(cps) != len(grids):
-        raise ValueError("corner_cycles_per_s must align with jobs")
-    if n_workers < 1:
-        raise ValueError("n_workers must be >= 1")
-    if n_workers == 1:
-        return [[(0, c, 0, t)] for t, c in grids]
-    if not all(v is not None and v > 0 and np.isfinite(v) for v in cps):
-        return [plan_shards(t, c, n_workers=n_workers,
-                            corner_cycles_per_s=v,
-                            cycle_shardable=cycle_shardable,
-                            corner_shardable=corner_shardable and c > 1)
-                for (t, c), v in zip(grids, cps)]
-
-    est = [t * c / v for (t, c), v in zip(grids, cps)]
-    total = float(sum(est))
-    caps = []
-    for t, c in grids:
-        max_cy = max(1, t // MIN_SHARD_CYCLES) if cycle_shardable else 1
-        max_co = c if corner_shardable else 1
-        caps.append(max_cy * max_co)
-    counts = [1] * len(grids)
-    if total >= 2 * TARGET_SHARD_SECONDS:
-        target_total = min(_MAX_SHARDS_PER_WORKER * n_workers,
-                           max(1, round(total / TARGET_SHARD_SECONDS)))
-        target_total = max(target_total, min(n_workers, sum(caps)))
-        while sum(counts) < target_total:
-            best, best_load = -1, 0.0
-            for j in range(len(grids)):
-                if counts[j] >= caps[j]:
-                    continue
-                load = est[j] / counts[j]
-                if load > best_load:
-                    best, best_load = j, load
-            if best < 0:
-                break  # every job at its axis cap
-            counts[best] += 1
-    return [_grid_for_target(t, c, counts[j],
-                             cycle_shardable=cycle_shardable,
-                             corner_shardable=corner_shardable)
-            for j, (t, c) in enumerate(grids)]
 
 
 @dataclass
@@ -353,10 +232,9 @@ class ShardExec:
     #: worker-side simulation seconds for this shard.
     seconds: float
     #: whether the executing worker already held the netlist's compiled
-    #: program (persistent-pool runs only; None on the legacy/inline
-    #: paths, which cannot observe worker state).
+    #: program (pool runs only; None inline).
     warm: Optional[bool] = None
-    #: pool slot that ran the shard (persistent-pool runs only).
+    #: pool slot that ran the shard (pool runs only).
     worker: Optional[int] = None
 
 
@@ -387,11 +265,8 @@ class CampaignStats:
     job_corners: Dict[int, int] = field(default_factory=dict)
     #: job index -> (corner_splits, cycle_splits) of the planned grid.
     job_grids: Dict[int, Tuple[int, int]] = field(default_factory=dict)
-    #: per-shard execution records, in dispatch order.
+    #: per-shard execution records, in completion order.
     shard_log: List[ShardExec] = field(default_factory=list)
-    #: True when the batch was planned by the cross-job packer
-    #: (:func:`plan_campaign`) instead of per-job :func:`plan_shards`.
-    packed: bool = False
     #: shards skipped because a journaled checkpoint from an earlier
     #: (killed) run already held their results.
     resumed_shards: int = 0
@@ -414,24 +289,6 @@ class CampaignStats:
         return cycles / seconds
 
 
-def _run_payload(payload: Tuple[Netlist, np.ndarray, np.ndarray, str,
-                                Optional[int], Optional[int]]
-                 ) -> Tuple[np.ndarray, float]:
-    """Worker body: simulate one shard and return (delays, seconds).
-
-    Module-level (and free of FU reference models, which close over
-    lambdas) so it pickles across process boundaries.
-    """
-    netlist, inputs, delay_matrix, backend_name, chunk_cycles, \
-        threads = payload
-    start = time.perf_counter()
-    backend = get_backend(backend_name)
-    delays = backend.run_delays(netlist, inputs, delay_matrix,
-                                chunk_cycles=chunk_cycles,
-                                threads=threads).delays
-    return delays, time.perf_counter() - start
-
-
 class CampaignRunner:
     """Executes batches of characterization jobs with caching.
 
@@ -441,17 +298,22 @@ class CampaignRunner:
         Simulation-backend name (see
         :func:`repro.sim.engine.available_backends`).
     store:
-        A :class:`TraceStore`, a directory path for one, or None for
-        the default cache directory.  Ignored when ``use_cache`` is
-        False.  Besides trace caching, the store's manifest carries
-        the throughput history that feeds the adaptive shard planner.
+        A :class:`TraceStore`, a directory path or store-service URL
+        for one, or None for the default cache directory.  Ignored
+        when ``use_cache`` is False.  Besides trace caching, the
+        store's manifest carries the throughput history that feeds the
+        adaptive shard planner.
     n_workers:
-        Process-pool width for cache misses; 1 runs inline.
+        Worker count for cache misses: 1 runs inline, more run on a
+        persistent warm :class:`~repro.flow.pool.WorkerPool`.  The
+        pool outlives ``run()`` calls — use ``close()`` (or the runner
+        as a context manager, or a pool-owning
+        :class:`~repro.api.Workspace`) to reap workers.
     use_cache:
         Disable all persistence (and the adaptive history) when False.
     shard_cycles / shard_corners:
-        Explicit shard-grid pitch along the cycle / corner axis for
-        single jobs, on backends whose capability flags allow it (see
+        Explicit shard-grid pitch along the cycle / corner axis, on
+        backends whose capability flags allow it (see
         :class:`~repro.sim.engine.SimBackend`).  None (default) sizes
         the grid automatically — from throughput history when the
         store has seen this (FU, backend, corner-count) before, else
@@ -467,24 +329,11 @@ class CampaignRunner:
         throughput history (and records none), always planning with
         the static heuristic — for reproducible shard grids across
         machines.
-    persistent:
-        Execute multi-worker batches on a persistent
-        :class:`~repro.flow.pool.WorkerPool` (warm program caches,
-        shared-memory result return) instead of a per-batch
-        ``ProcessPoolExecutor``.  The pool outlives ``run()`` calls —
-        use ``close()`` (or the runner as a context manager, or a
-        pool-owning :class:`~repro.api.Workspace`) to reap workers.
-        False restores the legacy executor path.  Never affects
-        results.
     threads:
         In-worker thread count for the arrival kernel, forwarded to
         the backend's ``run_delays`` (backends with
         ``supports_threads``); 1 (default) runs single-threaded.
         Never affects results.
-    pack_jobs:
-        Plan multi-job batches as one unit with :func:`plan_campaign`
-        (cross-job shard packing) whenever every pending job has
-        usable throughput history; False always plans per job.
     pool:
         An externally owned :class:`~repro.flow.pool.WorkerPool` to
         run on (e.g. shared across runners by a Workspace).  The
@@ -495,8 +344,7 @@ class CampaignRunner:
         store (see :meth:`TraceStore.record_journal_shard`) so a
         killed campaign's rerun resumes instead of re-simulating
         (``CampaignStats.resumed_shards``).  Requires a store; never
-        affects results.  ``REPRO_CAMPAIGN_CHECKPOINT=0`` force-
-        disables it for benchmarking the journal overhead away.
+        affects results.
     """
 
     def __init__(self, backend: str = DEFAULT_BACKEND,
@@ -506,9 +354,7 @@ class CampaignRunner:
                  shard_corners: Optional[int] = None,
                  chunk_cycles: Optional[int] = None,
                  adaptive_history: bool = True,
-                 persistent: bool = True,
                  threads: int = 1,
-                 pack_jobs: bool = True,
                  pool: Optional[WorkerPool] = None,
                  checkpoint: bool = True) -> None:
         if n_workers < 1:
@@ -538,17 +384,16 @@ class CampaignRunner:
             # resolve to a RemoteTraceStore against a store service
             self.store = open_trace_store(store)
         else:
-            self.store = store  # any duck-typed store object as-is
+            # a TraceStore or RemoteTraceStore; the methods this class
+            # calls are pinned by tests/remote/test_store_parity.py
+            self.store = store
         self.n_workers = n_workers
         self.shard_cycles = shard_cycles
         self.shard_corners = shard_corners
         self.chunk_cycles = chunk_cycles
         self.adaptive_history = adaptive_history
-        self.persistent = persistent
         self.threads = threads
-        self.pack_jobs = pack_jobs
-        self.checkpoint = (checkpoint and os.environ.get(
-            "REPRO_CAMPAIGN_CHECKPOINT", "1") != "0")
+        self.checkpoint = checkpoint
         self._pool = pool
         self._owns_pool = False
         self.stats = CampaignStats()
@@ -600,30 +445,6 @@ class CampaignRunner:
             cycle_shardable=cycle_ok,
             corner_shardable=corner_ok)
 
-    def _plan_batch(self, grids: List[Tuple[int, int]],
-                    fu_names: List[str]
-                    ) -> Tuple[List[List[Shard]], bool]:
-        """Shard plans for every pending job: cross-job packed
-        (:func:`plan_campaign`) when enabled and every job has usable
-        throughput history, per-job :func:`plan_shards` otherwise.
-        Returns ``(plans, packed)``."""
-        if (self.pack_jobs and len(grids) > 1 and self.n_workers > 1
-                and self.shard_cycles is None
-                and self.shard_corners is None
-                and self.adaptive_history and self.store is not None):
-            history = self.store.get_throughput_many(
-                [(name, self.backend_name, c)
-                 for name, (_, c) in zip(fu_names, grids)])
-            if all(h is not None for h in history):
-                plans = plan_campaign(
-                    grids, self.n_workers,
-                    corner_cycles_per_s=history,
-                    cycle_shardable=self.backend.supports_cycle_sharding,
-                    corner_shardable=self.backend.supports_corner_sharding)
-                return plans, True
-        return ([self._plan_job(t, c, name)
-                 for (t, c), name in zip(grids, fu_names)], False)
-
     def run(self, jobs: Sequence[CampaignJob]) -> List[DelayTrace]:
         """Execute a batch of jobs, in order, returning their traces.
 
@@ -654,163 +475,137 @@ class CampaignRunner:
                     self.store.clear_journal(key)
                     continue
             pending.append((i, job, key, inputs))
+        if not pending:
+            return results  # type: ignore[return-value]
 
-        if pending:
-            batch_start = time.perf_counter()
-            delay_matrices: List[np.ndarray] = []
-            grids: List[Tuple[int, int]] = []  # (n_cycles, n_corners)
-            for i, job, key, inputs in pending:
-                delay_matrix = job.library.delay_matrix(
-                    job.fu.netlist, list(job.conditions))
-                delay_matrices.append(delay_matrix)
-                grids.append((inputs.shape[0] - 1, delay_matrix.shape[0]))
-            job_plans, self.stats.packed = self._plan_batch(
-                grids, [job.fu.name for _, job, _, _ in pending])
+        batch_start = time.perf_counter()
+        delay_matrices: List[np.ndarray] = []
+        grids: List[Tuple[int, int]] = []  # (n_cycles, n_corners)
+        plans: List[List[Shard]] = []
+        for i, job, key, inputs in pending:
+            delay_matrix = job.library.delay_matrix(
+                job.fu.netlist, list(job.conditions))
+            delay_matrices.append(delay_matrix)
+            grids.append((inputs.shape[0] - 1, delay_matrix.shape[0]))
+            plans.append(self._plan_job(*grids[-1], job.fu.name))
 
-            # checkpoint/resume: a killed campaign's rerun reuses the
-            # journaled shard plan (a fresh plan need not tile the same
-            # way) and skips the shards whose parts survived
-            checkpointing = self.store is not None and self.checkpoint
-            done_parts: List[List[Tuple[Shard, np.ndarray]]] = [
-                [] for _ in pending]
-            if checkpointing:
-                for pos, (i, job, key, inputs) in enumerate(pending):
-                    n_cycles, n_corners = grids[pos]
-                    state = self.store.load_journal(
-                        key, backend=self.backend_name,
-                        n_corners=n_corners, n_cycles=n_cycles)
-                    if state is not None:
-                        job_plans[pos], done_parts[pos] = state
-            self.stats.resumed_shards = sum(len(d) for d in done_parts)
-            done_sets = [{s for s, _ in d} for d in done_parts]
-
-            # one task per (job, not-yet-done shard); stitched below
-            tasks: List[Tuple[int, int, Shard]] = []  # (pos, shard_idx, shard)
-            for pos, shards in enumerate(job_plans):
-                for s_idx, shard in enumerate(shards):
-                    if shard not in done_sets[pos]:
-                        tasks.append((pos, s_idx, shard))
-
-            parts: List[List[Optional[np.ndarray]]] = [
-                [None] * len(shards) for shards in job_plans]
-            for pos, done in enumerate(done_parts):
-                for shard, part in done:
-                    parts[pos][job_plans[pos].index(shard)] = part
-            whole: List[Optional[np.ndarray]] = [None] * len(pending)
-            seconds = [0.0] * len(pending)
-            multi = self.n_workers > 1 and len(tasks) > 1
-
-            # journal only multi-shard jobs: a single-shard job's
-            # checkpoint could never save work over plain re-simulation
-            journal_pos = {pos for pos in range(len(pending))
-                           if checkpointing and len(job_plans[pos]) > 1}
-
-            def journal_shard(pos: int, shard: Shard,
-                              delays: Optional[np.ndarray]) -> None:
-                if pos not in journal_pos or delays is None:
-                    return
-                _, _, key_, _ = pending[pos]
-                n_cycles_, n_corners_ = grids[pos]
-                try:
-                    self.store.record_journal_shard(
-                        key_, plan=job_plans[pos], shard=shard,
-                        delays=delays, backend=self.backend_name,
-                        n_corners=n_corners_, n_cycles=n_cycles_)
-                except StoreLockTimeout:
-                    pass  # progress not saved; the run itself continues
-
-            if multi and self.persistent:
-                self._run_on_pool(pending, delay_matrices, tasks,
-                                  parts, whole, seconds,
-                                  journal_shard if journal_pos else None)
-            else:
-                payloads = []
-                for pos, _, (c0, c1, t0, t1) in tasks:
-                    _, job, _, inputs = pending[pos]
-                    payloads.append((job.fu.netlist, inputs[t0:t1 + 1],
-                                     delay_matrices[pos][c0:c1],
-                                     self.backend_name, self.chunk_cycles,
-                                     self.threads))
-
-                def record(task: Tuple[int, int, Shard],
-                           outcome: Tuple[np.ndarray, float]) -> None:
-                    pos, s_idx, shard = task
-                    delays, secs = outcome
-                    parts[pos][s_idx] = delays
-                    seconds[pos] += secs
-                    self.stats.shard_log.append(ShardExec(
-                        job=pending[pos][0], shard=shard, seconds=secs))
-                    journal_shard(pos, shard, delays)
-
-                if multi:
-                    workers = min(self.n_workers, len(payloads))
-                    with ProcessPoolExecutor(max_workers=workers) as pool:
-                        # consume lazily so each shard journals as it
-                        # lands, not after the whole batch
-                        for task, outcome in zip(
-                                tasks, pool.map(_run_payload, payloads)):
-                            record(task, outcome)
-                else:
-                    for task, payload in zip(tasks, payloads):
-                        record(task, _run_payload(payload))
-
+        # checkpoint/resume: a killed campaign's rerun reuses the
+        # journaled shard plan (a fresh plan need not tile the same
+        # way) and skips the shards whose parts survived
+        checkpointing = self.store is not None and self.checkpoint
+        done_parts: List[List[Tuple[Shard, np.ndarray]]] = [
+            [] for _ in pending]
+        if checkpointing:
             for pos, (i, job, key, inputs) in enumerate(pending):
-                shards = job_plans[pos]
                 n_cycles, n_corners = grids[pos]
-                if whole[pos] is not None:
-                    delays = whole[pos]
-                    # the pool's stitched shm buffer only saw dispatched
-                    # shards; resumed regions come from the journal
-                    for (c0, c1, t0, t1), part in done_parts[pos]:
-                        delays[c0:c1, t0:t1] = part
-                elif len(shards) == 1:
-                    delays = parts[pos][0]
-                else:
-                    delays = np.empty((n_corners, n_cycles),
-                                      dtype=parts[pos][0].dtype)
-                    for (c0, c1, t0, t1), part in zip(shards, parts[pos]):
-                        delays[c0:c1, t0:t1] = part
-                trace = DelayTrace(delays, list(job.conditions),
-                                   inputs=inputs)
-                if self.store is not None:
-                    self.store.put(key, trace, fu_name=job.fu.name,
-                                   stream_name=job.stream.name,
-                                   library=job.library,
-                                   delay_model=delay_model,
-                                   backend=self.backend_name)
-                    if checkpointing and (pos in journal_pos
-                                          or done_parts[pos]):
-                        self.store.clear_journal(key)
-                    if seconds[pos] > 0 and self.adaptive_history:
-                        self.store.record_throughput(
-                            job.fu.name, self.backend_name, n_corners,
-                            n_cycles * n_corners / seconds[pos])
-                results[i] = trace
-                self.stats.misses += 1
-                self.stats.job_seconds[i] = seconds[pos]
-                self.stats.job_shards[i] = len(shards)
-                self.stats.job_cycles[i] = n_cycles
-                self.stats.job_corners[i] = n_corners
-                self.stats.job_grids[i] = (
-                    len({(c0, c1) for c0, c1, _, _ in shards}),
-                    len({(t0, t1) for _, _, t0, t1 in shards}))
-            self.stats.sim_seconds = sum(seconds)
-            self.stats.wall_seconds = time.perf_counter() - batch_start
+                state = self.store.load_journal(
+                    key, backend=self.backend_name,
+                    n_corners=n_corners, n_cycles=n_cycles)
+                if state is not None:
+                    plans[pos], done_parts[pos] = state
+        self.stats.resumed_shards = sum(len(d) for d in done_parts)
+
+        # one task per (job, not-yet-done shard)
+        tasks: List[Tuple[int, Shard]] = []
+        for pos, shards in enumerate(plans):
+            done = {s for s, _ in done_parts[pos]}
+            tasks.extend((pos, s) for s in shards if s not in done)
+
+        # journal only multi-shard jobs: a single-shard job's
+        # checkpoint could never save work over plain re-simulation
+        journal_pos = {pos for pos in range(len(pending))
+                       if checkpointing and len(plans[pos]) > 1}
+        seconds = [0.0] * len(pending)
+
+        def shard_done(pos: int, shard: Shard, delays: np.ndarray,
+                       secs: float, warm: Optional[bool],
+                       worker: Optional[int]) -> None:
+            seconds[pos] += secs
+            self.stats.shard_log.append(ShardExec(
+                job=pending[pos][0], shard=shard, seconds=secs,
+                warm=warm, worker=worker))
+            if pos not in journal_pos:
+                return
+            n_cycles_, n_corners_ = grids[pos]
+            try:
+                self.store.record_journal_shard(
+                    pending[pos][2], plan=plans[pos], shard=shard,
+                    delays=delays, backend=self.backend_name,
+                    n_corners=n_corners_, n_cycles=n_cycles_)
+            except StoreLockTimeout:
+                pass  # progress not saved; the run itself continues
+
+        if self.n_workers > 1 and len(tasks) > 1:
+            matrices = self._run_on_pool(pending, delay_matrices, tasks,
+                                         shard_done)
+        else:
+            matrices = self._run_inline(pending, delay_matrices, grids,
+                                        tasks, shard_done)
+
+        for pos, (i, job, key, inputs) in enumerate(pending):
+            shards = plans[pos]
+            n_cycles, n_corners = grids[pos]
+            delays = matrices[pos]
+            # the executors only saw the shards still to run; resumed
+            # regions come from the journal
+            for (c0, c1, t0, t1), part in done_parts[pos]:
+                delays[c0:c1, t0:t1] = part
+            trace = DelayTrace(delays, list(job.conditions),
+                               inputs=inputs)
+            if self.store is not None:
+                self.store.put(key, trace, fu_name=job.fu.name,
+                               stream_name=job.stream.name,
+                               library=job.library,
+                               delay_model=delay_model,
+                               backend=self.backend_name)
+                if checkpointing and (pos in journal_pos
+                                      or done_parts[pos]):
+                    self.store.clear_journal(key)
+                if seconds[pos] > 0 and self.adaptive_history:
+                    self.store.record_throughput(
+                        job.fu.name, self.backend_name, n_corners,
+                        n_cycles * n_corners / seconds[pos])
+            results[i] = trace
+            self.stats.misses += 1
+            self.stats.job_seconds[i] = seconds[pos]
+            self.stats.job_shards[i] = len(shards)
+            self.stats.job_cycles[i] = n_cycles
+            self.stats.job_corners[i] = n_corners
+            self.stats.job_grids[i] = (
+                len({(c0, c1) for c0, c1, _, _ in shards}),
+                len({(t0, t1) for _, _, t0, t1 in shards}))
+        self.stats.sim_seconds = sum(seconds)
+        self.stats.wall_seconds = time.perf_counter() - batch_start
         return results  # type: ignore[return-value]
 
-    def _run_on_pool(self, pending, delay_matrices, tasks, parts, whole,
-                     seconds, journal=None) -> None:
-        """Execute the task list on the persistent warm pool.
+    def _run_inline(self, pending, delay_matrices, grids, tasks,
+                    shard_done) -> List[np.ndarray]:
+        """Run every task in this process, in order; returns one delay
+        matrix per pending job.  ``shard_done(pos, shard, delays,
+        seconds, warm, worker)`` fires after each shard."""
+        matrices = [np.empty((n_corners, n_cycles), dtype=np.float32)
+                    for n_cycles, n_corners in grids]
+        for pos, shard in tasks:
+            _, job, _, inputs = pending[pos]
+            delays, secs = simulate_shard(
+                job.fu.netlist, inputs, delay_matrices[pos],
+                self.backend_name, shard, self.chunk_cycles, self.threads)
+            c0, c1, t0, t1 = shard
+            matrices[pos][c0:c1, t0:t1] = delays
+            shard_done(pos, shard, delays, secs, None, None)
+        return matrices
+
+    def _run_on_pool(self, pending, delay_matrices, tasks,
+                     shard_done) -> List[np.ndarray]:
+        """Run the tasks on the persistent warm pool; returns one
+        stitched delay matrix per pending job.
 
         Registers each pending job once (content-fingerprinted so
-        reruns hit the workers' warm caches), dispatches shard
-        descriptors longest-first (LPT keeps stragglers off the tail),
-        and collects results into ``parts``/``whole``/``seconds`` —
-        exactly the structures the legacy path fills, so stitching is
-        shared.  ``journal(pos, shard, delays)`` fires as each shard
-        completes (checkpoint/resume journaling) — on the
-        shared-memory return path it receives a live view into the
-        job's stitched segment.
+        reruns hit the workers' warm caches) and dispatches shard
+        descriptors longest-first (LPT keeps stragglers off the tail).
+        ``shard_done`` fires as each shard completes; on the
+        shared-memory return path its ``delays`` is a live view into
+        the job's segment.
         """
         pool = self._ensure_pool()
         progs: Dict[str, JobProgram] = {}
@@ -838,71 +633,17 @@ class CampaignRunner:
                     netlist_bytes=nl_bytes)
 
         # longest-processing-time-first dispatch order
-        order = sorted(
-            range(len(tasks)),
-            key=lambda k: -((tasks[k][2][1] - tasks[k][2][0])
-                            * (tasks[k][2][3] - tasks[k][2][2])))
-        on_result = None
-        if journal is not None:
-            def on_result(j, tres, delays):
-                pos, _, shard = tasks[order[j]]
-                journal(pos, shard, delays)
+        order = sorted(tasks, key=lambda t: -((t[1][1] - t[1][0])
+                                              * (t[1][3] - t[1][2])))
+
+        def on_result(j, tres, delays):
+            shard_done(order[j][0], tres.shard, delays, tres.seconds,
+                       tres.warm, tres.worker)
+
         res = pool.run_tasks(progs,
-                             [(pos_key[tasks[k][0]], tasks[k][2])
-                              for k in order],
+                             [(pos_key[pos], shard) for pos, shard in order],
                              on_result=on_result)
-        for j, k in enumerate(order):
-            pos, s_idx, shard = tasks[k]
-            tr = res.tasks[j]
-            parts[pos][s_idx] = tr.delays
-            seconds[pos] += tr.seconds
-            self.stats.shard_log.append(ShardExec(
-                job=pending[pos][0], shard=shard, seconds=tr.seconds,
-                warm=tr.warm, worker=tr.worker))
-        for pos, job_key in enumerate(pos_key):
-            stitched = res.job_delays.get(job_key)
-            if stitched is not None:
-                whole[pos] = stitched
-
-    def characterize(self, fu: FunctionalUnit, stream: OperandStream,
-                     conditions: Sequence[OperatingCondition],
-                     library: CellLibrary = DEFAULT_LIBRARY) -> DelayTrace:
-        """Deprecated single-job wrapper over :meth:`run`.
-
-        Use :meth:`repro.api.Workspace.characterize` for spec-driven
-        runs, or ``run([CampaignJob(...)])[0]`` directly.
-        """
-        warnings.warn(
-            "CampaignRunner.characterize() is deprecated; use "
-            "repro.api.Workspace.characterize(spec) or "
-            "CampaignRunner.run([CampaignJob(...)])[0]",
-            DeprecationWarning, stacklevel=2)
-        return self.run([CampaignJob(fu, stream, list(conditions),
-                                     library)])[0]
-
-
-def characterize(fu: FunctionalUnit, stream: OperandStream,
-                 conditions: Sequence[OperatingCondition],
-                 library: CellLibrary = DEFAULT_LIBRARY,
-                 cache_dir: Optional[Path] = None,
-                 use_cache: bool = True,
-                 backend: str = DEFAULT_BACKEND) -> DelayTrace:
-    """Dynamic-delay characterization of one FU under one workload.
-
-    Deprecated compatibility shim over :class:`CampaignRunner` —
-    returns a :class:`DelayTrace` with shape ``(n_conditions,
-    n_cycles)``, transparently cached in the trace store under
-    ``cache_dir``.
-    """
-    warnings.warn(
-        "repro.flow.characterize() is deprecated; use "
-        "repro.api.Workspace.characterize(spec) (or, for ad-hoc jobs, "
-        "CampaignRunner.run([CampaignJob(...)])[0])",
-        DeprecationWarning, stacklevel=2)
-    runner = CampaignRunner(backend=backend, store=cache_dir,
-                            use_cache=use_cache)
-    return runner.run([CampaignJob(fu, stream, list(conditions),
-                                   library)])[0]
+        return [res.job_delays[job_key] for job_key in pos_key]
 
 
 def error_free_clocks(trace: DelayTrace) -> Dict[OperatingCondition, float]:

@@ -1,11 +1,11 @@
-"""Persistent warm worker pool for campaign shard execution.
+"""Persistent warm worker pool: the multi-worker campaign executor.
 
-The legacy ``ProcessPoolExecutor`` path re-pickles the netlist, the
-whole input stream, and the delay matrix for *every* shard, and each
-worker re-lowers the program from scratch — which is why the simspeed
-sharding bench historically showed every multi-worker config *losing*
-to a single worker.  This module replaces it with long-lived workers
-that amortize all of that:
+:class:`~repro.flow.campaign.CampaignRunner` runs a single worker
+inline and anything wider on this pool.  Both simulate a shard through
+:func:`simulate_shard`, so a shard's delays do not depend on where it
+ran.  The pool keeps workers alive across batches so that a task costs
+a small descriptor, not a pickled netlist and stream plus a fresh
+lowering of the program:
 
 * **Warm program state.**  Workers are forked once per pool and cache
   the unpickled netlist (and therefore the lowered
@@ -15,17 +15,18 @@ that amortize all of that:
   delay matrix) per *job fingerprint*.  Registrations are delivered
   lazily, once per (worker, fingerprint); after that a task is a tiny
   ``(job_key, corner_range, cycle_range)`` descriptor.
-* **Shared-memory results.**  The parent preallocates one
-  ``multiprocessing.shared_memory`` segment per job holding the full
-  stitched ``(n_corners, n_cycles)`` float32 delay matrix; each worker
-  writes its shard directly at its corner × cycle offset, so stitching
-  is a single parent-side copy instead of per-shard pickle + assemble.
-  Registration payloads ride the same transport (one write, N reads).
+* **One stitched matrix per job.**  :meth:`WorkerPool.run_tasks`
+  returns the full ``(n_corners, n_cycles)`` float32 delay matrix of
+  every job.  A job whose matrix crosses :data:`SHM_MIN_RESULT_BYTES`
+  gets a ``multiprocessing.shared_memory`` segment that workers write
+  their shards into at their corner × cycle offset.  Smaller jobs
+  return shards pickled through the worker pipe, and the parent writes
+  each into the job's matrix as it lands.  Registration payloads ride
+  the same transport (one write, N reads).
 * **Pickle fallback.**  When shared memory is unavailable (no
   ``fork`` start method, ``/dev/shm`` unusable, ``REPRO_POOL_NO_SHM``)
-  or a payload is below the crossover threshold, blobs travel through
-  the worker pipes and shard results return pickled — bit-identical
-  either way.
+  every payload and result travels through the worker pipes —
+  bit-identical either way.
 * **Crash robustness.**  A worker that dies mid-task (OOM-killed,
   segfault) is respawned in place and its task reissued; a fresh
   worker starts with an empty registration set, so re-registration is
@@ -52,6 +53,7 @@ shard of a parent-warm netlist warm too.
 
 from __future__ import annotations
 
+import math
 import os
 import pickle
 import secrets
@@ -59,7 +61,7 @@ import time
 import traceback
 import weakref
 from collections import OrderedDict, deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from multiprocessing import connection, get_context
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -70,6 +72,7 @@ try:  # pragma: no cover - stdlib since 3.8, but keep a soft gate
 except ImportError:  # pragma: no cover
     shared_memory = None  # type: ignore[assignment]
 
+from ..sim.engine import get_backend
 from ..testing import faults
 from .watchdog import kill_worker
 
@@ -79,6 +82,7 @@ __all__ = [
     "TASK_TIMEOUT_ENV",
     "TaskResult",
     "WorkerPool",
+    "simulate_shard",
 ]
 
 #: Env default for :class:`WorkerPool`'s per-task watchdog (seconds;
@@ -166,19 +170,15 @@ class TaskResult:
     warm: bool
     #: pool slot that ran the shard.
     worker: int
-    #: shard delay matrix — only on the pickle return path (None when
-    #: the worker wrote straight into the job's shared-memory buffer).
-    delays: Optional[np.ndarray] = None
 
 
 @dataclass
 class PoolRunResult:
     """One :meth:`WorkerPool.run_tasks` batch.
 
-    ``job_delays`` holds the fully stitched ``(n_corners, n_cycles)``
-    matrix for every job that used the shared-memory return path;
-    pickle-path jobs are stitched by the caller from
-    ``tasks[i].delays``.
+    ``job_delays`` maps every job key of the batch to its stitched
+    ``(n_corners, n_cycles)`` float32 delay matrix, whichever transport
+    its shards returned on.  Cells no task covered are uninitialised.
     """
 
     job_delays: Dict[str, np.ndarray]
@@ -249,38 +249,49 @@ def _pool_worker_main(conn) -> None:
             pass
 
 
+def simulate_shard(netlist, inputs: np.ndarray, delay_matrix: np.ndarray,
+                   backend: str, shard: Shard,
+                   chunk_cycles: Optional[int] = None,
+                   threads: Optional[int] = None
+                   ) -> Tuple[np.ndarray, float]:
+    """Simulate shard ``(c0, c1, t0, t1)`` of one job; returns
+    ``(delays, seconds)``.
+
+    The shard runs input rows ``[t0, t1 + 1)`` (one leading state row)
+    against delay rows ``c0:c1``.  Cycle ``t`` depends only on input
+    rows ``t`` and ``t + 1``, and corner rows are independent, so
+    writing ``delays`` at ``[c0:c1, t0:t1]`` of the job's matrix is
+    bit-identical to the unsharded run.
+    """
+    c0, c1, t0, t1 = shard
+    start = time.perf_counter()
+    delays = get_backend(backend).run_delays(
+        netlist, inputs[t0:t1 + 1], delay_matrix[c0:c1],
+        chunk_cycles=chunk_cycles, threads=threads).delays
+    return delays, time.perf_counter() - start
+
+
 def _run_shard(netlists: Dict[str, object], warm_keys: set,
                jobs: Dict[str, Dict], job_key: str, shard: Shard, out
                ) -> Tuple[float, bool, Optional[np.ndarray]]:
-    from ..sim.engine import get_backend
-
     job = jobs[job_key]
     nl_key = job["nl_key"]
     warm = nl_key in warm_keys
-    c0, c1, t0, t1 = shard
-    start = time.perf_counter()
-    backend = get_backend(job["backend"])
-    # shard (c0, c1, t0, t1) simulates input rows [t0, t1 + 1) (one
-    # leading state row) against delay rows c0:c1 — identical slicing
-    # to the parent-side legacy path, hence bit-identical stitches
-    delays = backend.run_delays(
-        netlists[nl_key], job["inputs"][t0:t1 + 1],
-        job["delay_matrix"][c0:c1],
-        chunk_cycles=job["chunk_cycles"],
-        threads=job["threads"]).delays
-    seconds = time.perf_counter() - start
+    delays, seconds = simulate_shard(
+        netlists[nl_key], job["inputs"], job["delay_matrix"],
+        job["backend"], shard, job["chunk_cycles"], job["threads"])
     warm_keys.add(nl_key)
-    if out is not None:
-        name, n_corners, n_cycles, dtype = out
-        seg = shared_memory.SharedMemory(name=name)
-        try:
-            full = np.ndarray((n_corners, n_cycles), dtype=dtype,
-                              buffer=seg.buf)
-            full[c0:c1, t0:t1] = delays
-        finally:
-            seg.close()  # parent owns the segment; never unlink here
-        return seconds, warm, None
-    return seconds, warm, delays
+    if out is None:
+        return seconds, warm, delays
+    name, n_corners, n_cycles = out
+    seg = shared_memory.SharedMemory(name=name)
+    try:
+        c0, c1, t0, t1 = shard
+        np.ndarray((n_corners, n_cycles), dtype=np.float32,
+                   buffer=seg.buf)[c0:c1, t0:t1] = delays
+    finally:
+        seg.close()  # parent owns the segment; never unlink here
+    return seconds, warm, None
 
 
 # -- parent side ---------------------------------------------------------------
@@ -354,6 +365,25 @@ def _shutdown_workers(workers: List[_Worker],
         blobs.clear()
 
 
+def _task_timeout(value: Optional[float]) -> float:
+    """The watchdog bound from the ctor argument, or from
+    :data:`TASK_TIMEOUT_ENV` when it is None.  Anything but a finite
+    number >= 0 is rejected: NaN would kill every busy worker at the
+    first wait, infinity overflows ``connection.wait``."""
+    source = "task_timeout_s"
+    if value is None:
+        source = TASK_TIMEOUT_ENV
+        value = os.environ.get(TASK_TIMEOUT_ENV, "") or 0.0
+    try:
+        seconds = float(value)
+    except (TypeError, ValueError):
+        seconds = math.nan
+    if not (math.isfinite(seconds) and seconds >= 0):
+        raise ValueError(f"{source} must be a finite number of seconds "
+                         f">= 0 (0 disables), got {value!r}")
+    return seconds
+
+
 class WorkerPool:
     """A fixed-width pool of persistent warm simulation workers.
 
@@ -373,7 +403,8 @@ class WorkerPool:
         Per-task watchdog bound in seconds: a worker holding one task
         longer is presumed hung, SIGKILLed, and the task reissued.
         None reads ``REPRO_POOL_TASK_TIMEOUT_S``; 0 disables (the
-        default).  Kills are counted in :attr:`watchdog_kills`.
+        default).  NaN, infinity or a non-numeric env value raise
+        ``ValueError``.  Kills are counted in :attr:`watchdog_kills`.
     """
 
     def __init__(self, n_workers: int,
@@ -382,15 +413,7 @@ class WorkerPool:
         if n_workers < 1:
             raise ValueError("n_workers must be >= 1")
         self.n_workers = n_workers
-        if task_timeout_s is None:
-            raw = os.environ.get(TASK_TIMEOUT_ENV, "")
-            try:
-                task_timeout_s = float(raw) if raw else 0.0
-            except ValueError:
-                task_timeout_s = 0.0
-        if task_timeout_s < 0:
-            raise ValueError("task_timeout_s must be >= 0 (0 disables)")
-        self.task_timeout_s = float(task_timeout_s)
+        self.task_timeout_s = _task_timeout(task_timeout_s)
         self.watchdog_kills = 0
         try:
             self._ctx = get_context("fork")
@@ -529,16 +552,15 @@ class WorkerPool:
 
         ``tasks`` is an ordered list of ``(job_key, shard)`` pairs
         (keys index ``progs``); the returned ``tasks`` list is aligned
-        with it.  Jobs whose stitched result crosses the shared-memory
-        threshold come back fully assembled in ``job_delays``; others
-        return per-task ``delays`` for the caller to stitch.
+        with it, and ``job_delays`` holds the stitched matrix of every
+        job in ``progs``.
 
         ``on_result(idx, task_result, delays)`` fires as each task
         completes (``idx`` indexes ``tasks``): the campaign layer
-        journals finished shards through it.  ``delays`` is the shard
-        matrix — on the shared-memory path a *view* into the live
-        segment, valid only during the callback.  Callback exceptions
-        propagate and abort the batch.
+        journals finished shards through it.  ``delays`` is a view of
+        the shard's region in the job's matrix — on the shared-memory
+        path a view into the live segment, valid only during the
+        callback.  Callback exceptions propagate and abort the batch.
         """
         if self.closed:
             raise RuntimeError("WorkerPool is closed")
@@ -549,23 +571,29 @@ class WorkerPool:
             if key not in progs:
                 raise KeyError(f"task references unknown job {key!r}")
 
+        # every job's matrix: a view of its result segment, or a
+        # parent-side array its pickled shards are written into
         out_segs: Dict[str, object] = {}
-        out_meta: Dict[str, Tuple[int, int]] = {}
+        job_delays: Dict[str, np.ndarray] = {}
         results: List[Optional[TaskResult]] = [None] * len(tasks)
         try:
-            if self.use_shm:
-                for key, prog in progs.items():
-                    nbytes = prog.n_corners * prog.n_cycles * 4
-                    if nbytes < SHM_MIN_RESULT_BYTES:
-                        continue
+            for key, prog in progs.items():
+                shape = (prog.n_corners, prog.n_cycles)
+                seg = None
+                nbytes = shape[0] * shape[1] * 4
+                if self.use_shm and nbytes >= SHM_MIN_RESULT_BYTES:
                     try:
                         seg = shared_memory.SharedMemory(
                             create=True, name=self._shm_name(),
                             size=nbytes)
                     except OSError:
-                        continue  # per-job fallback to pickle return
+                        pass  # per-job fallback to pickle return
+                if seg is None:
+                    job_delays[key] = np.empty(shape, dtype=np.float32)
+                else:
                     out_segs[key] = seg
-                    out_meta[key] = (prog.n_corners, prog.n_cycles)
+                    job_delays[key] = np.ndarray(
+                        shape, dtype=np.float32, buffer=seg.buf)
 
             pending = deque(range(len(tasks)))
             reissues: Dict[int, int] = {}
@@ -590,11 +618,10 @@ class WorkerPool:
                         key, shard = tasks[idx]
                         try:
                             self._ensure_registered(w, key, progs)
-                            seg = out_segs.get(key)
                             out = None
-                            if seg is not None:
-                                nc, nt = out_meta[key]
-                                out = (seg.name, nc, nt, "float32")
+                            if key in out_segs:
+                                out = ((out_segs[key].name,)
+                                       + job_delays[key].shape)
                             w.conn.send(("run", idx, key,
                                          tuple(shard), out))
                             w.current = idx
@@ -658,21 +685,16 @@ class WorkerPool:
                     if msg[0] == "done":
                         _, idx, seconds, warm, delays = msg
                         key, shard = tasks[idx]
+                        c0, c1, t0, t1 = shard
+                        region = job_delays[key][c0:c1, t0:t1]
+                        if delays is not None:  # pickle return path
+                            region[...] = delays
                         results[idx] = TaskResult(
                             job_key=key, shard=tuple(shard),
-                            seconds=seconds, warm=warm,
-                            worker=w.slot, delays=delays)
+                            seconds=seconds, warm=warm, worker=w.slot)
                         w.current = None
                         if on_result is not None:
-                            shard_view = delays
-                            if shard_view is None and key in out_segs:
-                                nc, nt = out_meta[key]
-                                full = np.ndarray(
-                                    (nc, nt), dtype=np.float32,
-                                    buffer=out_segs[key].buf)
-                                c0, c1, t0, t1 = shard
-                                shard_view = full[c0:c1, t0:t1]
-                            on_result(idx, results[idx], shard_view)
+                            on_result(idx, results[idx], region)
                     elif msg[0] == "err":
                         _, idx, tb = msg
                         w.current = None
@@ -681,11 +703,8 @@ class WorkerPool:
             if error is not None:
                 raise RuntimeError(f"worker pool task failed: {error}")
 
-            job_delays: Dict[str, np.ndarray] = {}
-            for key, seg in out_segs.items():
-                nc, nt = out_meta[key]
-                job_delays[key] = np.ndarray(
-                    (nc, nt), dtype=np.float32, buffer=seg.buf).copy()
+            for key in out_segs:  # detach from segments unlinked below
+                job_delays[key] = job_delays[key].copy()
             return PoolRunResult(job_delays, results)  # type: ignore[arg-type]
         finally:
             for seg in out_segs.values():

@@ -300,17 +300,6 @@ class TraceStore:
         return self._entry_cps(
             section.get(self._throughput_key(fu_name, backend, n_corners)))
 
-    def get_throughput_many(
-            self, keys: Sequence[Tuple[str, str, int]]
-            ) -> List[Optional[float]]:
-        """Bulk :meth:`get_throughput` — one manifest read for a whole
-        campaign batch.  ``keys`` holds ``(fu_name, backend,
-        n_corners)`` tuples; the result aligns with it."""
-        section = self._throughput_section(self._read_manifest())
-        return [self._entry_cps(section.get(
-                    self._throughput_key(fu_name, backend, n_corners)))
-                for fu_name, backend, n_corners in keys]
-
     def throughput_history(self) -> Dict[str, Dict]:
         """The raw persisted throughput section (copy)."""
         return dict(self._throughput_section(self._read_manifest()))

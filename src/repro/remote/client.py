@@ -242,14 +242,10 @@ class RemoteTraceStore(_RemoteBase):
 
     def get_throughput(self, fu_name: str, backend: str,
                        n_corners: int) -> Optional[float]:
-        return self.get_throughput_many([(fu_name, backend, n_corners)])[0]
-
-    def get_throughput_many(
-            self, keys: Sequence[Tuple[str, str, int]]
-            ) -> List[Optional[float]]:
         body = self._call("/store/throughput/get-many",
-                          {"keys": [[f, b, int(n)] for f, b, n in keys]})
-        return [None if v is None else float(v) for v in body["cps"]]
+                          {"keys": [[fu_name, backend, int(n_corners)]]})
+        (cps,) = body["cps"]
+        return None if cps is None else float(cps)
 
     def throughput_history(self) -> Dict[str, Dict]:
         return self._call("/store/throughput")["history"]

@@ -284,7 +284,8 @@ class StoreService(JsonServer):
             data = json.loads(h._read_body() or b"{}")
             keys = [(str(f), str(b), int(n))
                     for f, b, n in data.get("keys", [])]
-            h._send_json({"cps": self.store.get_throughput_many(keys)})
+            h._send_json({"cps": [self.store.get_throughput(*k)
+                                  for k in keys]})
         elif path == "/store/throughput/clear":
             with self._mutate:
                 removed = self.store.clear_throughput()

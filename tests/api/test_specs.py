@@ -115,6 +115,16 @@ class TestValidation:
         with pytest.raises(SpecError, match="unknown SimSpec"):
             CampaignSpec.from_file(path)
 
+    def test_persistent_key_rejected_as_unknown(self, tmp_path):
+        # the warm pool is the only multi-worker executor now
+        with pytest.raises(SpecError, match="persistent"):
+            ShardSpec.from_dict({"workers": 2, "persistent": False})
+        path = tmp_path / "run.toml"
+        path.write_text('[shards]\npersistent = false\n'
+                        '[campaign]\nfus = ["int_add"]\n')
+        with pytest.raises(SpecError, match="unknown ShardSpec"):
+            CampaignSpec.from_file(path)
+
     @pytest.mark.parametrize("kwargs", [
         dict(cycles=0), dict(cycles=-5), dict(source="weird"),
         dict(seed="abc"),

@@ -1,7 +1,4 @@
-"""Tests for the Workspace facade and the deprecated shims over it."""
-
-import re
-import warnings
+"""Tests for the Workspace facade."""
 
 import numpy as np
 import pytest
@@ -20,10 +17,10 @@ from repro.api import (
     Workspace,
 )
 from repro.circuits import build_functional_unit
-from repro.flow import CampaignJob, CampaignRunner, TraceStore, characterize
+from repro.flow import CampaignJob, CampaignRunner, TraceStore
 from repro.serve.registry import model_key
 from repro.timing import OperatingCondition
-from repro.workloads import random_stream, stream_for_unit
+from repro.workloads import stream_for_unit
 
 CORNERS = CornerSpec(voltages=(0.9,), temperatures=(25.0,))
 CONDS = CORNERS.conditions()
@@ -242,58 +239,3 @@ class TestServe:
         finally:
             server.shutdown()
             server.server_close()
-
-
-class TestDeprecatedShims:
-    def test_runner_characterize_warns_and_matches_run(self, tmp_path):
-        fu = build_functional_unit("int_add", width=8)
-        stream = random_stream(20, operand_width=8, seed=1)
-        runner = CampaignRunner(use_cache=False)
-        with pytest.warns(DeprecationWarning,
-                          match="Workspace.characterize"):
-            via_shim = runner.characterize(fu, stream, CONDS)
-        via_run = runner.run([CampaignJob(fu, stream, CONDS)])[0]
-        assert via_shim.delays.tobytes() == via_run.delays.tobytes()
-
-    @pytest.mark.parametrize("entry_point,kwargs", [
-        ("module_characterize", {}),
-        ("runner_characterize", {}),
-    ])
-    def test_warning_text_names_a_live_symbol(self, tmp_path, entry_point,
-                                              kwargs):
-        """The satellite guarantee: whatever replacement path the
-        deprecation message advertises must actually resolve."""
-        fu = build_functional_unit("int_add", width=8)
-        stream = random_stream(10, operand_width=8, seed=2)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            if entry_point == "module_characterize":
-                characterize(fu, stream, CONDS, cache_dir=tmp_path)
-            else:
-                CampaignRunner(use_cache=False).characterize(
-                    fu, stream, CONDS)
-        (message,) = [str(w.message) for w in caught
-                      if issubclass(w.category, DeprecationWarning)]
-        dotted = re.findall(r"repro(?:\.\w+)+", message)
-        assert dotted, f"warning names no dotted symbol: {message}"
-        for symbol in dotted:
-            parts = symbol.split(".")
-            obj = __import__(parts[0])
-            for part in parts[1:]:
-                obj = getattr(obj, part)  # raises if the path went stale
-            assert callable(obj) or obj is not None
-
-    def test_run_experiment_warning_names_live_symbol(self, tmp_path,
-                                                      monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        from repro.core import run_experiment
-
-        with pytest.warns(DeprecationWarning,
-                          match="Workspace.experiment") as caught:
-            run_experiment("int_add", conditions=CONDS,
-                           n_train_cycles=40, n_test_cycles=30, width=8)
-        message = str(caught[0].message)
-        for symbol in re.findall(r"repro(?:\.\w+)+", message):
-            obj = __import__(symbol.split(".")[0])
-            for part in symbol.split(".")[1:]:
-                obj = getattr(obj, part)

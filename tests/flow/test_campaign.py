@@ -13,8 +13,6 @@ from repro.flow import (
     CampaignRunner,
     TraceStore,
     library_fingerprint,
-    plan_campaign,
-    plan_cycle_shards,
     plan_shards,
     read_envelope,
     trace_key,
@@ -202,37 +200,47 @@ class TestCampaignRunner:
             CampaignRunner(shard_cycles=0)
 
 
+def _cycle_plan(n_cycles, shard_cycles=None, n_workers=1):
+    """One-corner plan as ``(cycle_start, cycle_stop)`` pairs."""
+    shards = plan_shards(n_cycles, 1, shard_cycles=shard_cycles,
+                         n_workers=n_workers)
+    assert all((c0, c1) == (0, 1) for c0, c1, _, _ in shards)
+    return [(t0, t1) for _, _, t0, t1 in shards]
+
+
 class TestShardPlanning:
+    """Cycle-axis planning on one-corner grids."""
+
     def test_explicit_sizes_cover_in_order(self):
         for n_cycles, size in ((330, 1), (330, 37), (330, 330),
                                (330, 1000), (128, 64)):
-            bounds = plan_cycle_shards(n_cycles, size)
+            bounds = _cycle_plan(n_cycles, size)
             assert bounds[0][0] == 0 and bounds[-1][1] == n_cycles
             for (a, b), (c, d) in zip(bounds, bounds[1:]):
                 assert b == c and a < b
             assert all(b - a == size for a, b in bounds[:-1])
 
     def test_auto_never_splits_single_worker(self):
-        assert plan_cycle_shards(10 ** 6, None, 1) == [(0, 10 ** 6)]
+        assert _cycle_plan(10 ** 6, None, 1) == [(0, 10 ** 6)]
 
     def test_auto_respects_minimum(self):
-        bounds = plan_cycle_shards(2 * MIN_SHARD_CYCLES, None, 64)
+        bounds = _cycle_plan(2 * MIN_SHARD_CYCLES, None, 64)
         assert all(b - a >= MIN_SHARD_CYCLES for a, b in bounds[:-1])
         assert len(bounds) >= 2
 
     def test_auto_small_job_untouched(self):
-        assert plan_cycle_shards(MIN_SHARD_CYCLES, None, 8) == [
+        assert _cycle_plan(MIN_SHARD_CYCLES, None, 8) == [
             (0, MIN_SHARD_CYCLES)]
 
     def test_auto_targets_two_shards_per_worker(self):
-        bounds = plan_cycle_shards(64_000, None, 4)
+        bounds = _cycle_plan(64_000, None, 4)
         assert len(bounds) == 8
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
-            plan_cycle_shards(0, None)
+            plan_shards(0, 1)
         with pytest.raises(ValueError):
-            plan_cycle_shards(100, 0)
+            plan_shards(100, 1, shard_cycles=0)
 
 
 class TestShardGridPlanning:
@@ -268,14 +276,6 @@ class TestShardGridPlanning:
     def test_shard_larger_than_job_is_one_shard(self):
         assert plan_shards(100, 2, shard_cycles=1000,
                            shard_corners=50) == [(0, 2, 0, 100)]
-
-    def test_cycle_wrapper_matches_2d_plan(self):
-        for n_cycles, size, workers in ((330, 37, 1), (64_000, None, 4),
-                                        (1, 1, 2)):
-            flat = plan_cycle_shards(n_cycles, size, workers)
-            grid = plan_shards(n_cycles, 1, shard_cycles=size,
-                               n_workers=workers)
-            assert flat == [(t0, t1) for _, _, t0, t1 in grid]
 
     def test_capability_gates_pin_axes(self):
         # a backend without cycle sharding must never see cycle cuts,
@@ -332,116 +332,6 @@ class TestShardGridPlanning:
             plan_shards(10, 1, shard_cycles=0)
         with pytest.raises(ValueError):
             plan_shards(10, 1, shard_corners=0)
-
-
-class TestCampaignPlanning:
-    """Cross-job packed planning (:func:`plan_campaign`)."""
-
-    @staticmethod
-    def _covers(shards, n_corners, n_cycles):
-        seen = np.zeros((n_corners, n_cycles), dtype=int)
-        for c0, c1, t0, t1 in shards:
-            seen[c0:c1, t0:t1] += 1
-        assert (seen == 1).all()
-
-    def test_single_worker_never_splits(self):
-        plans = plan_campaign([(4000, 3), (2000, 2)], 1,
-                              corner_cycles_per_s=[1e5, 1e5])
-        assert plans == [[(0, 3, 0, 4000)], [(0, 2, 0, 2000)]]
-
-    def test_small_batch_uses_job_level_parallelism(self):
-        # total estimate under 2 * TARGET_SHARD_SECONDS: the jobs
-        # themselves are the parallelism, nothing splits
-        plans = plan_campaign([(4000, 3), (4000, 3)], 4,
-                              corner_cycles_per_s=[1e7, 1e7])
-        assert all(len(p) == 1 for p in plans)
-
-    def test_budget_lands_on_long_jobs(self):
-        # an 8:1 estimate ratio: the long job absorbs the splits, the
-        # short one stays whole
-        plans = plan_campaign([(8000, 3), (1000, 3)], 2,
-                              corner_cycles_per_s=[1e3, 1e3])
-        assert len(plans[0]) > len(plans[1])
-        assert len(plans[1]) == 1
-        self._covers(plans[0], 3, 8000)
-        self._covers(plans[1], 3, 1000)
-
-    def test_total_budget_capped_per_worker(self):
-        plans = plan_campaign([(10 ** 6, 1), (10 ** 6, 1)], 2,
-                              corner_cycles_per_s=[10.0, 10.0])
-        assert sum(len(p) for p in plans) <= 4 * 2
-
-    def test_any_cold_job_falls_back_to_per_job_plans(self):
-        grids = [(60_000, 3), (60_000, 3)]
-        packed = plan_campaign(grids, 4,
-                               corner_cycles_per_s=[None, 100_000.0])
-        per_job = [plan_shards(t, c, n_workers=4, corner_cycles_per_s=v)
-                   for (t, c), v in zip(grids, [None, 100_000.0])]
-        assert packed == per_job
-
-    def test_capability_gates_pin_axes(self):
-        plans = plan_campaign([(20_000, 4)], 4,
-                              corner_cycles_per_s=[100.0],
-                              cycle_shardable=False)
-        assert all(t0 == 0 and t1 == 20_000 for _, _, t0, t1 in plans[0])
-        plans = plan_campaign([(20_000, 4)], 4,
-                              corner_cycles_per_s=[100.0],
-                              corner_shardable=False)
-        assert all(c0 == 0 and c1 == 4 for c0, c1, _, _ in plans[0])
-
-    def test_invalid_inputs(self):
-        with pytest.raises(ValueError):
-            plan_campaign([(0, 1)], 2, corner_cycles_per_s=[1.0])
-        with pytest.raises(ValueError):
-            plan_campaign([(10, 0)], 2, corner_cycles_per_s=[1.0])
-        with pytest.raises(ValueError):
-            plan_campaign([(10, 1)], 0, corner_cycles_per_s=[1.0])
-        with pytest.raises(ValueError):
-            plan_campaign([(10, 1)], 2, corner_cycles_per_s=[])
-
-
-class TestCrossJobPacking:
-    """End-to-end packed campaigns through the runner."""
-
-    def _jobs(self):
-        fu = build_functional_unit("int_add", width=8)
-        return [CampaignJob(fu, random_stream(n, operand_width=8, seed=s),
-                            CONDS)
-                for n, s in ((300, 20), (300, 21), (600, 22))]
-
-    def test_packed_rerun_is_byte_identical(self, tmp_path):
-        jobs = self._jobs()
-        ref = [t.delays.copy() for t in
-               CampaignRunner(store=tmp_path / "ref").run(jobs)]
-        with CampaignRunner(store=tmp_path / "s", n_workers=2) as runner:
-            runner.run(jobs)  # cold run primes the throughput history
-            assert not runner.stats.packed
-            store = runner.store
-            store.gc(max_bytes=0)  # drop traces, keep history
-            traces = runner.run(jobs)
-            assert runner.stats.packed
-            assert runner.stats.misses == 3
-            for a, t in zip(ref, traces):
-                np.testing.assert_array_equal(a, t.delays)
-
-    def test_pack_jobs_false_plans_per_job(self, tmp_path):
-        jobs = self._jobs()
-        with CampaignRunner(store=tmp_path, n_workers=2,
-                            pack_jobs=False) as runner:
-            runner.run(jobs)
-            runner.store.gc(max_bytes=0)
-            runner.run(jobs)
-            assert not runner.stats.packed
-
-    def test_explicit_pitch_disables_packing(self, tmp_path):
-        jobs = self._jobs()
-        with CampaignRunner(store=tmp_path, n_workers=2) as warm:
-            warm.run(jobs)
-        with CampaignRunner(store=tmp_path, n_workers=2,
-                            shard_cycles=100) as runner:
-            runner.store.gc(max_bytes=0)
-            runner.run(jobs)
-            assert not runner.stats.packed
 
 
 class TestRunnerChunking:
@@ -546,6 +436,25 @@ class TestAdaptiveThroughputHistory:
         assert store.get_throughput("int_add", "compiled",
                                     len(CONDS)) is not None
 
+    def test_history_planned_rerun_is_byte_identical(self, tmp_path):
+        # a multi-job batch on the pool, replanned from the history its
+        # cold run recorded, still matches the inline reference
+        fu = build_functional_unit("int_add", width=8)
+        jobs = [CampaignJob(fu, random_stream(n, operand_width=8, seed=s),
+                            CONDS)
+                for n, s in ((300, 20), (300, 21), (600, 22))]
+        ref = [t.delays.copy() for t in
+               CampaignRunner(store=tmp_path / "ref").run(jobs)]
+        with CampaignRunner(store=tmp_path / "s", n_workers=2) as runner:
+            runner.run(jobs)  # cold run primes the throughput history
+            runner.store.gc(max_bytes=0)  # drop traces, keep history
+            assert runner.store.get_throughput(
+                "int_add", "compiled", len(CONDS)) is not None
+            traces = runner.run(jobs)
+            assert runner.stats.misses == 3
+        for a, t in zip(ref, traces):
+            np.testing.assert_array_equal(a, t.delays)
+
     def test_no_cache_runner_keeps_no_history(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         fu = build_functional_unit("int_add", width=8)
@@ -621,8 +530,7 @@ class TestCycleSharding:
             parts = [backend.run_delays(fu.netlist,
                                         inputs[start:stop + 1], dm,
                                         collect_outputs=True)
-                     for start, stop in plan_cycle_shards(
-                         self.N_CYCLES, shard)]
+                     for start, stop in _cycle_plan(self.N_CYCLES, shard)]
             delays = np.concatenate([p.delays for p in parts], axis=1)
             outputs = np.concatenate([p.outputs for p in parts], axis=0)
             assert delays.tobytes() == whole.delays.tobytes(), shard

@@ -327,10 +327,17 @@ class TestCampaignResume:
         assert not list(tmp_path.glob("journal_*"))
         assert not list(tmp_path.glob("part_*"))
 
+    @pytest.mark.parametrize("no_shm", [None, "1"], ids=["shm", "pickle"])
     def test_pool_rerun_skips_journaled_shards(self, tmp_path,
-                                               monkeypatch):
-        # big enough to cross the pool's shared-memory threshold, so
-        # the journal callback sees live shm shard views
+                                               monkeypatch, no_shm):
+        # big enough to cross the pool's shared-memory threshold, so on
+        # the shm transport the journal callback sees live segment
+        # views; on the pickle transport the pool stitches the job's
+        # matrix itself and the rerun overlays the journaled part on it
+        if no_shm is None:
+            monkeypatch.delenv("REPRO_POOL_NO_SHM", raising=False)
+        else:
+            monkeypatch.setenv("REPRO_POOL_NO_SHM", no_shm)
         job = self._job(n_cycles=9000, seed=6)
         reference = CampaignRunner(use_cache=False).run([job])[0]
 
@@ -368,11 +375,7 @@ class TestCampaignResume:
             assert runner.stats.hits == 1
             assert runner.stats.resumed_shards == 0
 
-    def test_checkpoint_env_kill_switch(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CAMPAIGN_CHECKPOINT", "0")
-        runner = CampaignRunner(store=tmp_path)
-        assert runner.checkpoint is False
-        monkeypatch.delenv("REPRO_CAMPAIGN_CHECKPOINT")
+    def test_checkpoint_env_kill_switch(self, tmp_path):
         assert CampaignRunner(store=tmp_path).checkpoint is True
         assert CampaignRunner(store=tmp_path,
                               checkpoint=False).checkpoint is False

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from repro.circuits import build_functional_unit
-from repro.flow import characterize, error_free_clocks, implement
+from repro.core import experiment_impl
+from repro.flow import (CampaignJob, CampaignRunner, error_free_clocks,
+                        implement)
 from repro.timing import OperatingCondition, read_sdf
-from repro.workloads import random_stream
+from repro.workloads import random_stream, stream_for_unit
 
 CONDS = [OperatingCondition(0.81, 0.0), OperatingCondition(1.00, 100.0)]
 
@@ -42,29 +44,27 @@ class TestImplement:
         assert "cla" in design.netlist.name
 
 
-@pytest.mark.filterwarnings("ignore::DeprecationWarning")
-class TestCharacterize:
-    """The deprecated shim must keep behaving like CampaignRunner."""
+def characterize(fu, stream, conditions, store):
+    """One cached single-job campaign."""
+    runner = CampaignRunner(store=store)
+    return runner.run([CampaignJob(fu, stream, conditions)])[0]
 
-    def test_shim_emits_deprecation_warning(self, tmp_path):
-        fu = build_functional_unit("int_add", width=8)
-        stream = random_stream(10, operand_width=8, seed=9)
-        with pytest.warns(DeprecationWarning,
-                          match="Workspace.characterize"):
-            characterize(fu, stream, CONDS, cache_dir=tmp_path)
+
+class TestCharacterize:
+    """Single-job campaigns through the store."""
 
     def test_delay_trace_shape(self, tmp_path):
         fu = build_functional_unit("int_add", width=8)
         stream = random_stream(30, operand_width=8, seed=0)
-        trace = characterize(fu, stream, CONDS, cache_dir=tmp_path)
+        trace = characterize(fu, stream, CONDS, tmp_path)
         assert trace.delays.shape == (2, 30)
         assert np.all(trace.delays >= 0)
 
     def test_cache_roundtrip(self, tmp_path):
         fu = build_functional_unit("int_add", width=8)
         stream = random_stream(30, operand_width=8, seed=1)
-        first = characterize(fu, stream, CONDS, cache_dir=tmp_path)
-        cached = characterize(fu, stream, CONDS, cache_dir=tmp_path)
+        first = characterize(fu, stream, CONDS, tmp_path)
+        cached = characterize(fu, stream, CONDS, tmp_path)
         np.testing.assert_array_equal(first.delays, cached.delays)
         assert len(list(tmp_path.glob("dta_*.npz"))) == 1
 
@@ -72,14 +72,14 @@ class TestCharacterize:
         fu = build_functional_unit("int_add", width=8)
         s1 = random_stream(30, operand_width=8, seed=2)
         s2 = random_stream(30, operand_width=8, seed=3)
-        characterize(fu, s1, CONDS, cache_dir=tmp_path)
-        characterize(fu, s2, CONDS, cache_dir=tmp_path)
+        characterize(fu, s1, CONDS, tmp_path)
+        characterize(fu, s2, CONDS, tmp_path)
         assert len(list(tmp_path.glob("dta_*.npz"))) == 2
 
     def test_error_free_clocks_are_max_delays(self, tmp_path):
         fu = build_functional_unit("int_add", width=8)
         stream = random_stream(50, operand_width=8, seed=4)
-        trace = characterize(fu, stream, CONDS, cache_dir=tmp_path)
+        trace = characterize(fu, stream, CONDS, tmp_path)
         clocks = error_free_clocks(trace)
         for k, cond in enumerate(CONDS):
             assert clocks[cond] == trace.delays[k].max()
@@ -88,15 +88,12 @@ class TestCharacterize:
 
 
 class TestEndToEndSmall:
-    @pytest.mark.filterwarnings("ignore::DeprecationWarning")
-    def test_run_experiment_smoke(self, tmp_path, monkeypatch):
-        # the deprecated kwarg entry point, still fully functional
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        from repro.core import run_experiment
-
-        res = run_experiment("int_add", conditions=CONDS,
-                             n_train_cycles=150, n_test_cycles=100,
-                             width=8)
+    def test_run_experiment_smoke(self, tmp_path):
+        fu = build_functional_unit("int_add", width=8)
+        res = experiment_impl(
+            fu, stream_for_unit("int_add", 150, seed=0),
+            stream_for_unit("int_add", 100, seed=1), CONDS,
+            runner=CampaignRunner(store=tmp_path))
         summary = res.summary()
         assert set(summary) == {"TEVoT", "Delay-based", "TER-based",
                                 "TEVoT-NH"}

@@ -1,9 +1,9 @@
 """Tests for the persistent warm worker pool and its campaign wiring.
 
-Covers the ISSUE-6 acceptance surface: byte-identical results across
-the shared-memory and pickle return paths (including 1-cycle streams
-and 1-corner grids), pool-lifecycle robustness (mid-task worker death,
-respawn + reissue, orphan-free shutdown), capability gating through
+Covers byte-identical stitched results across the shared-memory and
+pickle return paths (including 1-cycle streams and 1-corner grids),
+pool-lifecycle robustness (mid-task worker death, respawn + reissue,
+orphan-free shutdown), watchdog validation, capability gating through
 the pool, and Workspace pool ownership.
 """
 
@@ -14,6 +14,7 @@ import os
 import pickle
 import signal
 import time
+from multiprocessing import shared_memory
 
 import numpy as np
 import pytest
@@ -21,7 +22,10 @@ import pytest
 from repro.api import ShardSpec, Workspace
 from repro.circuits import build_functional_unit
 from repro.flow import CampaignJob, CampaignRunner, JobProgram, WorkerPool
-from repro.flow.pool import CRASH_FILE_ENV, MAX_REISSUES, SHM_PREFIX
+import repro.flow.pool as pool_module
+from repro.flow.pool import (CRASH_FILE_ENV, MAX_REISSUES,
+                             SHM_MIN_RESULT_BYTES, SHM_PREFIX,
+                             TASK_TIMEOUT_ENV)
 from repro.sim import get_backend
 from repro.timing import DEFAULT_LIBRARY, OperatingCondition
 from repro.workloads import random_stream
@@ -73,39 +77,51 @@ def _halves(prog):
             (0, prog.n_corners, mid, prog.n_cycles)]
 
 
-def _stitch(prog, tasks):
-    out = np.empty((prog.n_corners, prog.n_cycles), dtype=np.float32)
-    for tr in tasks:
-        c0, c1, t0, t1 = tr.shard
-        out[c0:c1, t0:t1] = tr.delays
-    return out
+def _result_bytes(prog):
+    return prog.n_corners * prog.n_cycles * 4
+
+
+@pytest.fixture
+def created_segments(monkeypatch):
+    """Sizes of the shared-memory segments the pool creates (result
+    segments are exactly ``n_corners * n_cycles * 4`` bytes)."""
+    sizes = []
+
+    class Recording(shared_memory.SharedMemory):
+        def __init__(self, name=None, create=False, size=0):
+            super().__init__(name=name, create=create, size=size)
+            if create:
+                sizes.append(size)
+
+    monkeypatch.setattr(pool_module.shared_memory, "SharedMemory",
+                        Recording)
+    return sizes
 
 
 class TestWorkerPool:
-    def test_shm_and_pickle_paths_byte_identical(self):
+    def test_shm_and_pickle_paths_byte_identical(self, created_segments):
         # big job crosses SHM_MIN_RESULT_BYTES (2 corners x 9000 cycles
-        # x 4 B = 72 KB), small job stays on the pickle return path —
-        # both must match the inline reference exactly
+        # x 4 B = 72 KB) and returns through a result segment, small job
+        # stays on the pickle return path — both must match the inline
+        # reference exactly
         fu = build_functional_unit("int_add", width=8)
         big = _prog(fu, random_stream(9000, operand_width=8, seed=0))
         small = _prog(fu, random_stream(40, operand_width=8, seed=1))
+        assert _result_bytes(big) >= SHM_MIN_RESULT_BYTES
+        assert _result_bytes(small) < SHM_MIN_RESULT_BYTES
         with WorkerPool(2) as pool:
             tasks = ([("big", s) for s in _halves(big)]
                      + [("small", _whole(small))])
             res = pool.run_tasks({"big": big, "small": small}, tasks)
-        if pool.use_shm:
-            assert "big" in res.job_delays
-            assert all(t.delays is None for t in res.tasks[:2])
-            np.testing.assert_array_equal(res.job_delays["big"],
-                                          _reference(big))
-        else:  # host without usable shm still must be correct
-            np.testing.assert_array_equal(_stitch(big, res.tasks[:2]),
-                                          _reference(big))
-        assert "small" not in res.job_delays
-        np.testing.assert_array_equal(res.tasks[2].delays,
+        if pool.use_shm:  # a host without usable shm must still be correct
+            assert _result_bytes(big) in created_segments
+        assert _result_bytes(small) not in created_segments
+        np.testing.assert_array_equal(res.job_delays["big"],
+                                      _reference(big))
+        np.testing.assert_array_equal(res.job_delays["small"],
                                       _reference(small))
 
-    def test_no_shm_env_forces_pickle(self, monkeypatch):
+    def test_no_shm_env_forces_pickle(self, monkeypatch, created_segments):
         monkeypatch.setenv("REPRO_POOL_NO_SHM", "1")
         fu = build_functional_unit("int_add", width=8)
         prog = _prog(fu, random_stream(9000, operand_width=8, seed=2))
@@ -113,8 +129,8 @@ class TestWorkerPool:
             assert not pool.use_shm
             res = pool.run_tasks({"j": prog},
                                  [("j", s) for s in _halves(prog)])
-        assert res.job_delays == {}
-        np.testing.assert_array_equal(_stitch(prog, res.tasks),
+        assert created_segments == []
+        np.testing.assert_array_equal(res.job_delays["j"],
                                       _reference(prog))
 
     def test_single_cycle_stream_and_single_corner(self):
@@ -126,9 +142,9 @@ class TestWorkerPool:
             res = pool.run_tasks(
                 {"cyc": one_cycle, "cor": one_corner},
                 [("cyc", _whole(one_cycle)), ("cor", _whole(one_corner))])
-        np.testing.assert_array_equal(res.tasks[0].delays,
+        np.testing.assert_array_equal(res.job_delays["cyc"],
                                       _reference(one_cycle))
-        np.testing.assert_array_equal(res.tasks[1].delays,
+        np.testing.assert_array_equal(res.job_delays["cor"],
                                       _reference(one_corner))
 
     def test_warm_flags_track_program_reuse(self):
@@ -168,7 +184,7 @@ class TestWorkerPool:
                 time.sleep(0.01)
             res = pool.run_tasks({"j": prog},
                                  [("j", s) for s in _halves(prog)])
-            np.testing.assert_array_equal(_stitch(prog, res.tasks),
+            np.testing.assert_array_equal(res.job_delays["j"],
                                           _reference(prog))
             assert pool.n_alive() == 2  # slot was respawned
 
@@ -182,7 +198,7 @@ class TestWorkerPool:
         with WorkerPool(2) as pool:  # workers inherit the env at fork
             res = pool.run_tasks({"j": prog},
                                  [("j", s) for s in _halves(prog)])
-            np.testing.assert_array_equal(_stitch(prog, res.tasks),
+            np.testing.assert_array_equal(res.job_delays["j"],
                                           _reference(prog))
             assert pool.n_alive() == 2
         assert not crash.exists()  # exactly one worker consumed it
@@ -240,7 +256,7 @@ class TestWorkerPool:
         with WorkerPool(2, task_timeout_s=1.0) as pool:
             res = pool.run_tasks({"j": prog},
                                  [("j", s) for s in _halves(prog)])
-            np.testing.assert_array_equal(_stitch(prog, res.tasks),
+            np.testing.assert_array_equal(res.job_delays["j"],
                                           _reference(prog))
             assert pool.watchdog_kills >= 1
             assert pool.n_alive() == 2
@@ -253,9 +269,17 @@ class TestWorkerPool:
         finally:
             pool.close()
 
-    def test_negative_task_timeout_rejected(self):
-        with pytest.raises(ValueError, match="task_timeout_s"):
-            WorkerPool(1, task_timeout_s=-1.0)
+    def test_negative_task_timeout_rejected(self, monkeypatch):
+        # NaN slips past a plain `< 0` check and would SIGKILL every
+        # busy worker at the first wait; infinity overflows
+        # connection.wait
+        for bad in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="task_timeout_s"):
+                WorkerPool(1, task_timeout_s=bad)
+        # a non-numeric env value must not turn the watchdog off silently
+        monkeypatch.setenv(TASK_TIMEOUT_ENV, "soon")
+        with pytest.raises(ValueError, match=TASK_TIMEOUT_ENV):
+            WorkerPool(1)
 
     def test_repeatedly_killed_task_raises(self, monkeypatch, tmp_path):
         # enough crash tokens that every allowed dispatch of the task
@@ -280,13 +304,12 @@ class TestPersistentRunner:
         with runner:
             return runner.run([CampaignJob(fu, stream, CONDS)])[0]
 
-    def test_pool_matches_unsharded_and_legacy(self):
+    def test_pool_matches_unsharded_and_inline_shards(self):
         ref = self._trace(n_workers=1)
         pooled = self._trace(n_workers=2, shard_cycles=64)
-        legacy = self._trace(n_workers=2, shard_cycles=64,
-                             persistent=False)
+        inline = self._trace(n_workers=1, shard_cycles=64)
         np.testing.assert_array_equal(pooled.delays, ref.delays)
-        np.testing.assert_array_equal(legacy.delays, ref.delays)
+        np.testing.assert_array_equal(inline.delays, ref.delays)
 
     def test_pool_no_shm_matches(self, monkeypatch):
         ref = self._trace(n_workers=1)
@@ -365,7 +388,8 @@ class TestWorkspacePool:
         assert pool.closed
         assert _pool_children() == []
 
-    def test_non_persistent_spec_skips_pool(self, tmp_path):
+    def test_single_worker_spec_skips_pool(self, tmp_path):
         with Workspace(tmp_path) as ws:
-            ws.runner(shards=ShardSpec(workers=2, persistent=False))
+            runner = ws.runner(shards=ShardSpec(workers=1))
+            assert runner._pool is None
             assert ws._pools == {}

@@ -143,16 +143,17 @@ class TestGC:
 
 
 class TestPipelinePublish:
-    def test_run_experiment_publishes_all_kinds(self, tmp_path, monkeypatch):
-        from repro.core import run_experiment
+    def test_run_experiment_publishes_all_kinds(self, tmp_path):
+        from repro.core import experiment_impl
+        from repro.workloads import stream_for_unit
 
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
         registry = ModelRegistry(tmp_path / "registry")
-        # the deprecated shim must still run end to end (with a warning)
-        with pytest.warns(DeprecationWarning, match="Workspace.experiment"):
-            result = run_experiment("int_add", conditions=CONDS,
-                                    n_train_cycles=100, n_test_cycles=60,
-                                    width=8, registry=registry)
+        result = experiment_impl(
+            build_functional_unit("int_add", width=8),
+            stream_for_unit("int_add", 100, seed=0),
+            stream_for_unit("int_add", 60, seed=1), CONDS,
+            runner=CampaignRunner(store=tmp_path / "cache"),
+            registry=registry)
         records = registry.list_models(fu="int_add")
         assert {r.kind for r in records} == {"tevot", "tevot_nh",
                                              "delay_based", "ter_based"}
