@@ -29,7 +29,21 @@ def check_X_y(X, y) -> Tuple[np.ndarray, np.ndarray]:
             f"X has {X.shape[0]} rows but y has {y.shape[0]} entries")
     if X.shape[0] == 0:
         raise ValueError("cannot fit on an empty dataset")
+    # a NaN hangs the tree fitter, an inf breaks its column ranges, and
+    # a non-finite target turns every prediction into NaN
+    if not np.isfinite(X).all():
+        raise ValueError("X contains NaN or infinity")
+    if y.dtype.kind in "fc" and not np.isfinite(y).all():
+        raise ValueError("y contains NaN or infinity")
     return X, y
+
+
+def check_int(name: str, value, low: int) -> None:
+    """Raise ``ValueError`` unless ``value`` is an int (not a bool)
+    ``>= low``."""
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or value < low):
+        raise ValueError(f"{name} must be an int >= {low}, got {value!r}")
 
 
 def check_X(X, n_features: Optional[int] = None) -> np.ndarray:

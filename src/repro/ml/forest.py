@@ -4,16 +4,102 @@ The paper trains TEVoT with scikit-learn's random forest at default
 hyperparameters — 10 trees, all features considered at each split —
 which these classes mirror.  Feature importances (mean decrease in
 impurity across trees) support the paper's interpretability claim.
+
+``fit`` draws every tree's seed and bootstrap rows in the parent, in
+tree order, before any tree is fitted.  It then fits the trees in
+``k = min(n_estimators, usable CPUs)`` processes: ``k - 1`` children
+forked from the parent fit trees ``i, i + k, ...`` and send them back
+over a pipe, while the parent fits stride 0; ``X`` and ``y`` reach the
+children copy-on-write.  A tree depends only on its own draw and the
+data, and each process runs the same ``_fit_rows`` as the sequential
+loop, so the fitted forest is bit-identical to a sequential fit.  The
+fit stays in one process on one CPU, where ``fork`` or
+``os.sched_getaffinity`` is unavailable, in a daemonic process (which
+may not have children), and when ``n_samples * n_estimators`` is below
+:data:`FORK_MIN_WORK`, where the fork costs more than it saves.  A
+child that raises re-raises its exception in the parent; one that dies
+raises ``RuntimeError``; every child is reaped before ``fit`` returns
+or raises.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+import multiprocessing
+import os
+import traceback
+from typing import Callable, List, Optional
 
 import numpy as np
 
-from .base import check_X, check_X_y
-from .tree import DecisionTreeClassifier, DecisionTreeRegressor, _Stacked
+from .base import check_int, check_X, check_X_y
+from .tree import (
+    DecisionTreeClassifier,
+    DecisionTreeRegressor,
+    _Stacked,
+    check_tree_params,
+)
+
+#: rows x trees below which a forest fits in one process (the fork,
+#: pickling the trees and copy-on-write faults outweigh the parallel fit)
+FORK_MIN_WORK = 1000
+
+
+def _n_procs(n_trees: int, n_rows: int) -> int:
+    """How many processes fit a forest of ``n_trees`` on ``n_rows``."""
+    if (n_rows * n_trees < FORK_MIN_WORK
+            or not hasattr(os, "sched_getaffinity")
+            or "fork" not in multiprocessing.get_all_start_methods()
+            or multiprocessing.current_process().daemon):
+        return 1
+    return min(n_trees, len(os.sched_getaffinity(0)))
+
+
+def _send_result(task: Callable, i: int, conn) -> None:
+    """Forked child: send ``(True, task(i))``, or ``(False, exception)``."""
+    try:
+        result = (True, task(i))
+    except BaseException as exc:
+        exc.add_note("raised in a forked forest-fit process:\n"
+                     + traceback.format_exc())
+        result = (False, exc)
+    conn.send(result)
+
+
+def _fork_map(task: Callable, k: int) -> List:
+    """``[task(0), ..., task(k - 1)]``: ``task(0)`` in this process, the
+    rest in forked children that are all reaped before this returns."""
+    if k == 1:
+        return [task(0)]
+    ctx = multiprocessing.get_context("fork")
+    procs, conns = [], []
+    try:
+        for i in range(1, k):
+            recv, send = ctx.Pipe(duplex=False)
+            conns.append(recv)
+            proc = ctx.Process(target=_send_result, args=(task, i, send),
+                               name=f"repro-forest-{i}", daemon=True)
+            proc.start()
+            procs.append(proc)
+            send.close()   # EOF on ``recv`` once the child is gone
+        results = [task(0)]
+        for proc, recv in zip(procs, conns):
+            try:
+                ok, value = recv.recv()
+            except EOFError:
+                proc.join()
+                raise RuntimeError(
+                    f"forest-fit process {proc.name} died with exit code "
+                    f"{proc.exitcode}") from None
+            if not ok:
+                raise value
+            results.append(value)
+        return results
+    finally:
+        for proc in procs:
+            proc.kill()    # SIGKILL: no-op for a child that already exited
+            proc.join()
+        for recv in conns:
+            recv.close()
 
 
 class _BaseForest(_Stacked):
@@ -26,8 +112,7 @@ class _BaseForest(_Stacked):
                  max_features=None,
                  bootstrap: bool = True,
                  random_state: Optional[int] = None) -> None:
-        if n_estimators < 1:
-            raise ValueError("n_estimators must be >= 1")
+        check_int("n_estimators", n_estimators, 1)
         self.n_estimators = n_estimators
         self.max_depth = max_depth
         self.min_samples_split = min_samples_split
@@ -47,17 +132,27 @@ class _BaseForest(_Stacked):
 
     def fit(self, X, y):
         X, y = check_X_y(X, y)
+        check_int("n_estimators", self.n_estimators, 1)
+        check_tree_params(self)
         self.n_features_ = X.shape[1]
         self.__dict__.pop("_node_table", None)
         rng = np.random.default_rng(self.random_state)
-        self.estimators_ = []
         n = X.shape[0]
+        draws = []
         for _ in range(self.n_estimators):
             seed = int(rng.integers(0, 2**31 - 1))
-            tree = self._make_tree(seed)
             # trees index the bootstrap draw instead of copying its rows
             idx = rng.integers(0, n, n) if self.bootstrap else np.arange(n)
-            self.estimators_.append(tree._fit_rows(X, y[idx], idx))
+            draws.append((seed, idx))
+        k = _n_procs(self.n_estimators, n)
+
+        def fit_stride(i):
+            return [self._make_tree(seed)._fit_rows(X, y[idx], idx)
+                    for seed, idx in draws[i::k]]
+
+        self.estimators_ = [None] * self.n_estimators
+        for i, trees in enumerate(_fork_map(fit_stride, k)):
+            self.estimators_[i::k] = trees
         self._fitted = True
         return self
 

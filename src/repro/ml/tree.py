@@ -18,7 +18,13 @@ from typing import Optional
 
 import numpy as np
 
-from .base import BaseEstimator, check_X, check_X_y, resolve_max_features
+from .base import (
+    BaseEstimator,
+    check_int,
+    check_X,
+    check_X_y,
+    resolve_max_features,
+)
 
 _LEAF = -1
 
@@ -29,6 +35,15 @@ def __getattr__(name):
     if name == "_TreeArrays":
         return types.SimpleNamespace
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def check_tree_params(est) -> None:
+    """Reject the stopping rules the fitter would loop forever on
+    (``min_samples_leaf < 1``) or silently misread (``max_depth < 0``)."""
+    check_int("min_samples_leaf", est.min_samples_leaf, 1)
+    check_int("min_samples_split", est.min_samples_split, 2)
+    if est.max_depth is not None:
+        check_int("max_depth", est.max_depth, 0)
 
 
 class _NodeTable:
@@ -130,6 +145,7 @@ class _BaseDecisionTree(_Stacked):
 
     def fit(self, X, y):
         X, y = check_X_y(X, y)
+        check_tree_params(self)
         return self._fit_rows(X, y, np.arange(len(y)))
 
     def _prepare_targets(self, y: np.ndarray) -> np.ndarray:

@@ -34,6 +34,22 @@ class TestCheckXy:
         with pytest.raises(ValueError):
             check_X_y(np.zeros((0, 2)), np.zeros(0))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_X(self, value):
+        X = np.ones((3, 2))
+        X[1, 1] = value
+        with pytest.raises(ValueError, match="X contains NaN or infinity"):
+            check_X_y(X, np.zeros(3))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_rejects_non_finite_y(self, value):
+        with pytest.raises(ValueError, match="y contains NaN or infinity"):
+            check_X_y(np.ones((3, 2)), [0.0, value, 1.0])
+
+    def test_accepts_non_numeric_labels(self):
+        _, y = check_X_y(np.ones((2, 1)), ["a", "b"])
+        assert list(y) == ["a", "b"]
+
 
 class TestCheckX:
     def test_feature_count_enforced(self):

@@ -15,10 +15,14 @@ fits of the regressor and the classifier, single trees and forests, at
 The digests in ``GOLDEN`` were recorded with the depth-first fitter that
 built one node per call.  Any change to the fitter must reproduce them
 exactly.  ``GOLDEN_SQRT`` pins the ``max_features < n_features`` draw,
-which is made in breadth-first node order.
+which is made in breadth-first node order.  Forests reproduce every
+digest both when their trees are fitted in forked processes and when
+they are fitted in one process.
 """
 
 import hashlib
+import multiprocessing
+import os
 import pickle
 from pathlib import Path
 
@@ -32,6 +36,7 @@ from repro.ml import (
     RandomForestClassifier,
     RandomForestRegressor,
 )
+from repro.ml import forest
 
 DATA = Path(__file__).with_name("data")
 
@@ -181,6 +186,30 @@ def test_predictions_match_golden_digest(key):
     data, kind, msl = key.split("/")
     model, X = fit(data, kind, int(msl))
     assert output_digest(predictions(model, X)) == GOLDEN_PREDICT[key]
+
+
+#: ``os.sched_getaffinity`` results that force each forest fit path at
+#: any data size: the three-tree forests fit in two processes (strides of
+#: two trees and one), in three, or in one
+FIT_PATHS = {"forked2": {0, 1}, "forked3": {0, 1, 2}, "one_cpu": {0}}
+
+
+@pytest.mark.parametrize("path", sorted(FIT_PATHS))
+@pytest.mark.parametrize("key", sorted(GOLDEN))
+def test_fit_paths_match_golden_digests(monkeypatch, path, key):
+    monkeypatch.setattr(forest, "FORK_MIN_WORK", 0)
+    monkeypatch.setattr(os, "sched_getaffinity",
+                        lambda pid: FIT_PATHS[path])
+    assert forest._n_procs(3, 1) == len(FIT_PATHS[path])
+    data, kind, msl = key.split("/")
+    model, X = fit(data, kind, int(msl))
+    assert multiprocessing.active_children() == []
+    assert digest(model) == GOLDEN[key]
+    assert output_digest(predictions(model, X)) == GOLDEN_PREDICT[key]
+    if key in GOLDEN_SQRT:
+        model, _ = fit(data, kind, int(msl), max_features="sqrt")
+        assert multiprocessing.active_children() == []
+        assert digest(model) == GOLDEN_SQRT[key]
 
 
 @pytest.mark.parametrize("kind", ["forest_reg", "forest_clf"])
