@@ -94,56 +94,3 @@ def test_micro_batching_throughput(benchmark, tmp_path, campaign_runner):
         f"micro-batching speedup {speedup:.1f}x below the {MIN_SPEEDUP}x "
         f"acceptance floor")
 
-
-@pytest.mark.benchmark(group="serving")
-def test_cluster_worker_count_throughput(benchmark, tmp_path,
-                                         campaign_runner):
-    """Requests/s vs cluster worker count, plus bit-exact parity.
-
-    This box is single-core, so the cluster cannot beat the in-process
-    engine on raw throughput — the acceptance criterion is *parity*
-    (byte-identical answers at every worker count), and the recorded
-    table documents the fan-out overhead honestly.
-    """
-    from repro.serve import ClusterEngine
-
-    registry = _publish_model(tmp_path, campaign_runner)
-    requests = _request_slab()
-    chunk = 64  # micro-batch-sized dispatch units
-
-    def run_batches(engine):
-        engine.reset_stream()
-        t0 = time.perf_counter()
-        out = []
-        for lo in range(0, N_REQUESTS, chunk):
-            out.extend(engine.predict_batch(requests[lo:lo + chunk]))
-        return out, time.perf_counter() - t0
-
-    def measure():
-        single = PredictionEngine(registry=registry, sim_fallback=False)
-        run_batches(single)  # warm the hot-model cache
-        base, base_s = run_batches(single)
-        per_workers = {}
-        for workers in (1, 2, 4):
-            with ClusterEngine(registry=registry, workers=workers,
-                               sim_fallback=False) as cluster:
-                run_batches(cluster)  # warm dispatch path
-                per_workers[workers] = run_batches(cluster)
-        return base, base_s, per_workers
-
-    base, base_s, per_workers = benchmark.pedantic(
-        measure, rounds=1, iterations=1)
-
-    rows = [["single-process", f"{base_s:.3f}",
-             f"{N_REQUESTS / base_s:,.0f}"]]
-    for workers, (preds, wall_s) in sorted(per_workers.items()):
-        # parity is the floor: answers must be byte-identical
-        np.testing.assert_array_equal(
-            np.array([p.delay_ps for p in preds]),
-            np.array([p.delay_ps for p in base]))
-        assert all(p.ok for p in preds)
-        rows.append([f"cluster workers={workers}", f"{wall_s:.3f}",
-                     f"{N_REQUESTS / wall_s:,.0f}"])
-    record_report(
-        "Serving - requests-s vs cluster worker count",
-        format_table(["path", "wall (s)", "requests/s"], rows))

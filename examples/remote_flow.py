@@ -6,15 +6,15 @@ The two-terminal story from the README, automated:
 - terminal 1: ``repro store serve --root DIR`` — one process owns the
   TraceStore + ModelRegistry;
 - terminal 2: ``Workspace("http://host:port")`` runs the whole
-  characterize → train → publish flow over the wire, then a 2-worker
-  ``repro serve`` cluster dials the same URL for its registry.
+  characterize → train → publish flow over the wire, then a
+  ``repro serve`` process dials the same URL for its registry.
 
 The drill asserts the subsystem's promises:
 
 - trace cache keys and the published model key are byte-identical to
   the same flow against a local directory root;
-- publishing v2 through the remote workspace reaches both cluster
-  workers by *push* (event-feed subscription) — with zero
+- publishing v2 through the remote workspace reaches the running
+  server by *push* (event-feed subscription) — with zero
   ``POST /models/refresh`` calls — and predictions flip to v2,
   bit-exact with a fresh local engine over the service's own root;
 - SIGTERM drains both processes cleanly (exit code 0);
@@ -146,14 +146,14 @@ def main() -> int:
         print(f"[remote] local and remote flows agree: "
               f"trace {remote_keys[0][:12]}…, model {v1.record.key}")
 
-        # -- push rollout to a 2-worker cluster -----------------------
+        # -- push rollout to a running server -------------------------
         serve_port = free_port()
-        serve_proc = spawn(["serve", "--registry", url, "--workers", "2",
+        serve_proc = spawn(["serve", "--registry", url,
                             "--port", str(serve_port), "--no-fallback"],
                            tmp / "serve.log")
         client = ServeClient("127.0.0.1", serve_port)
         wait_for(lambda: client.health()["status"] == "healthy",
-                 "serving cluster")
+                 "prediction server")
         got = predictions("127.0.0.1", serve_port, "probe-v1")
         assert all(p["model_id"] == "int_add/tevot/v1" for p in got)
 
@@ -173,8 +173,8 @@ def main() -> int:
         got = [p["delay_ps"]
                for p in predictions("127.0.0.1", serve_port, "final")]
         want = local_reference(store_root / "registry", "final")
-        assert got == want, "cluster diverged from the local engine"
-        print(f"[remote] v2 reached both workers by push "
+        assert got == want, "server diverged from the local engine"
+        print(f"[remote] v2 reached the server by push "
               f"(refresh_calls=0, push refreshes={push['refreshes']}), "
               f"bit-exact with the local engine")
 

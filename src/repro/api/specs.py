@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import (
@@ -590,10 +591,8 @@ class ServeSpec(Spec):
     max_batch: int = 64
     max_queue: int = 256
     default_deadline_ms: float = 0.0
-    workers: int = 1
     request_log: Optional[str] = None
     fallback: bool = True
-    push_rollout: bool = True
     verbose: bool = False
     sim: SimSpec = field(default_factory=_default_sim)
 
@@ -607,19 +606,21 @@ class ServeSpec(Spec):
         _require_str("kind", self.kind)
         object.__setattr__(self, "batch_window_ms",
                            float(self.batch_window_ms))
-        if self.batch_window_ms < 0:
-            raise SpecError("batch_window_ms must be >= 0")
+        if not (math.isfinite(self.batch_window_ms)
+                and self.batch_window_ms >= 0):
+            raise SpecError(f"batch_window_ms must be finite and >= 0, "
+                            f"got {self.batch_window_ms!r}")
         _require_positive_int("max_batch", self.max_batch)
         _require_positive_int("max_queue", self.max_queue)
         object.__setattr__(self, "default_deadline_ms",
                            float(self.default_deadline_ms))
-        if self.default_deadline_ms < 0:
-            raise SpecError("default_deadline_ms must be >= 0 (0 disables)")
-        _require_positive_int("workers", self.workers)
+        if not (math.isfinite(self.default_deadline_ms)
+                and self.default_deadline_ms >= 0):
+            raise SpecError(f"default_deadline_ms must be finite and >= 0 "
+                            f"(0 disables), got {self.default_deadline_ms!r}")
         if self.request_log is not None:
             _require_str("request_log", self.request_log)
         _require_bool("fallback", self.fallback)
-        _require_bool("push_rollout", self.push_rollout)
         _require_bool("verbose", self.verbose)
 
 

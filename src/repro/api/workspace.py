@@ -380,30 +380,13 @@ class Workspace:
     # -- serving --------------------------------------------------------------
 
     def engine(self, spec: ServeSpec):
-        """An engine for a spec: single-process or a worker cluster.
-
-        ``spec.workers > 1`` builds a
-        :class:`~repro.serve.cluster.ClusterEngine` fanning batches
-        over that many worker processes (each replicating the registry
-        manifest); otherwise a plain in-process
-        :class:`~repro.serve.engine.PredictionEngine`.  Both are
-        bit-exact for the same registry.
-        """
+        """The spec's in-process :class:`~repro.serve.PredictionEngine`."""
         from ..serve.engine import PredictionEngine
 
-        registry = self._registry_for(spec.registry)
-        if spec.workers > 1:
-            from ..serve.cluster import ClusterEngine
-
-            return ClusterEngine(registry=registry, workers=spec.workers,
-                                 kind=spec.kind,
-                                 sim_fallback=spec.fallback,
-                                 backend=spec.sim.backend,
-                                 push_rollout=spec.push_rollout)
-        return PredictionEngine(registry=registry, kind=spec.kind,
+        return PredictionEngine(registry=self._registry_for(spec.registry),
+                                kind=spec.kind,
                                 sim_fallback=spec.fallback,
-                                backend=spec.sim.backend,
-                                push_rollout=spec.push_rollout)
+                                backend=spec.sim.backend)
 
     def serve(self, spec: ServeSpec):
         """A ready-to-run :class:`~repro.serve.server.PredictionServer`.
@@ -411,7 +394,7 @@ class Workspace:
         The server is constructed (socket bound) but not serving;
         call ``serve_forever()`` or ``start_background()`` on it and
         stop it with ``close()`` (drains queued requests, then closes
-        cluster workers and the socket).  ``spec.request_log`` opens a
+        the socket and the engine).  ``spec.request_log`` opens a
         :class:`~repro.serve.requestlog.RequestLog` recording every
         executed batch for :meth:`replay`.
         """
@@ -422,8 +405,7 @@ class Workspace:
         if spec.request_log is not None:
             request_log = RequestLog(
                 self.resolve_path(spec.request_log),
-                config={"kind": spec.kind, "workers": spec.workers,
-                        "fallback": spec.fallback,
+                config={"kind": spec.kind, "fallback": spec.fallback,
                         "registry": spec.registry})
         return PredictionServer(self.engine(spec), host=spec.host,
                                 port=spec.port,
@@ -438,9 +420,9 @@ class Workspace:
         """Re-drive a recorded request log; see
         :func:`repro.serve.requestlog.replay_log`.
 
-        Builds a fresh engine per the spec (cluster when
-        ``spec.workers > 1``), replays the log bit-exact against it,
-        and returns the :class:`~repro.serve.requestlog.ReplayReport`.
+        Builds a fresh engine per the spec, replays the log bit-exact
+        against it, and returns the
+        :class:`~repro.serve.requestlog.ReplayReport`.
         """
         from ..serve.requestlog import replay_log
 
@@ -448,6 +430,4 @@ class Workspace:
         try:
             return replay_log(self.resolve_path(path), engine.predict_batch)
         finally:
-            close = getattr(engine, "close", None)
-            if callable(close):
-                close()
+            engine.close()

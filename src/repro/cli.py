@@ -30,6 +30,7 @@ subcommand, so the subparsers can never drift apart.
 from __future__ import annotations
 
 import argparse
+import math
 import signal
 import sys
 from pathlib import Path
@@ -62,8 +63,8 @@ def _positive_int(text: str) -> int:
 
 def _nonnegative_float(text: str) -> float:
     value = float(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError("must be >= 0")
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError("must be finite and >= 0")
     return value
 
 
@@ -277,8 +278,6 @@ def serve_spec(args) -> ServeSpec:
         changes["max_queue"] = args.max_queue
     if args.default_deadline_ms is not None:
         changes["default_deadline_ms"] = args.default_deadline_ms
-    if args.workers is not None:
-        changes["workers"] = args.workers
     if args.request_log is not None:
         changes["request_log"] = args.request_log
     if args.no_fallback:
@@ -413,7 +412,6 @@ def cmd_serve(args) -> int:
     published = 0 if engine.registry is None else len(engine.registry)
     print(f"repro serve on http://{host}:{port}  "
           f"[registry={spec.registry or '-'}, {published} model(s), "
-          f"workers={spec.workers}, "
           f"fallback={spec.sim.backend if spec.fallback else 'off'}, "
           f"window={spec.batch_window_ms}ms, max_batch={spec.max_batch}"
           f"{', log=' + spec.request_log if spec.request_log else ''}]",
@@ -633,8 +631,6 @@ def build_parser() -> argparse.ArgumentParser:
                    default=None,
                    help="deadline budget for requests that carry none "
                         "(0 disables; expired requests answer 504)")
-    p.add_argument("--workers", type=_positive_int, default=None,
-                   help="worker processes (>1 runs a prediction cluster)")
     p.add_argument("--request-log", default=None, metavar="FILE",
                    help="append every executed batch to this JSONL log")
     p.add_argument("--replay", default=None, metavar="LOG",

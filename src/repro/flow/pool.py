@@ -39,9 +39,8 @@ lowering of the program:
   set (ctor arg or ``REPRO_POOL_TASK_TIMEOUT_S``; 0 = off, the
   default — campaign shards may legitimately run long), a worker
   holding one task past the bound is SIGKILLed and the task reissued
-  through the same path a crashed worker's would be — the identical
-  discipline the serving cluster applies, via the shared
-  :mod:`repro.flow.watchdog` mechanics.
+  through the same path a crashed worker's would be
+  (:func:`kill_worker`).
 
 The pool is deliberately backend-agnostic: a task runs
 ``get_backend(name).run_delays`` on the registered payload slice, so
@@ -74,7 +73,6 @@ except ImportError:  # pragma: no cover
 
 from ..sim.engine import get_backend
 from ..testing import faults
-from .watchdog import kill_worker
 
 __all__ = [
     "JobProgram",
@@ -336,6 +334,23 @@ class _Worker:
         self.jobs = OrderedDict()          # registered job keys (LRU)
         self.current: Optional[int] = None  # in-flight task index
         self.overdue_at: Optional[float] = None  # watchdog bound (monotonic)
+
+
+def kill_worker(process, join_timeout: float = 2.0) -> None:
+    """Forcibly stop a hung worker process (SIGKILL, then join).
+
+    SIGTERM is deliberately not tried first: a hung process may hold
+    the very lock its signal handler would need, and the caller has
+    already decided the worker's output is worthless.  Idempotent and
+    tolerant of the worker dying on its own between the liveness check
+    and the kill.
+    """
+    try:
+        if process.is_alive():
+            process.kill()
+    except (OSError, ValueError):  # pragma: no cover - already reaped
+        pass
+    process.join(timeout=join_timeout)
 
 
 def _shutdown_workers(workers: List[_Worker],

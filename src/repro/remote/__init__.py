@@ -20,8 +20,8 @@ The bliss/conductor pattern applied to this repo's persistence layer:
   (:class:`RemoteChecksumError`);
 * :mod:`repro.remote.events` — :class:`EventSubscriber`, the
   daemon-thread long-poller behind push-based model rollout:
-  ``PredictionEngine``/``ClusterEngine`` re-replicate on publish
-  events instead of waiting for a manual ``POST /models/refresh``.
+  ``PredictionEngine`` refreshes on publish events instead of waiting
+  for a manual ``POST /models/refresh``.
 
 ``Workspace("http://host:port")`` routes the whole
 characterize → train → publish → predict flow through these clients,

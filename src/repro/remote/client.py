@@ -93,8 +93,8 @@ class _RemoteBase:
         """The service URL — the duck-typed analogue of the local
         classes' root path.  ``str(root)`` round-trips through
         :func:`~repro.flow.tracestore.open_trace_store` /
-        :func:`~repro.serve.registry.open_model_registry`, which is how
-        forked cluster workers rebuild their replica clients."""
+        :func:`~repro.serve.registry.open_model_registry`, and is what
+        ``repro store list --url`` prints."""
         return self.url
 
     # -- wire -----------------------------------------------------------------

@@ -28,7 +28,7 @@ from ..testing import faults
 #: Override with REPRO_PUSH_POLL_TIMEOUT_S.
 DEFAULT_POLL_TIMEOUT_S = 10.0
 
-#: Event kinds that invalidate replicated model state.
+#: Event kinds that invalidate a subscriber's cached model state.
 MODEL_EVENTS = ("publish", "registry-gc")
 
 #: Armed inside the poll loop, so an injected ``raise`` exercises the

@@ -2,7 +2,7 @@
 
 ``repro store serve --root DIR`` runs a :class:`StoreService` on a
 workspace-layout root (``DIR/traces`` + ``DIR/registry``).  Every other
-process — campaign runners, trainers, serving clusters, CLIs — talks
+process — campaign runners, trainers, prediction servers, CLIs — talks
 to it through :mod:`repro.remote.client` instead of sharing the
 filesystem.
 

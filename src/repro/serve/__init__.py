@@ -10,26 +10,20 @@ The offline pipeline trains delay regressors; this package serves them:
   keeping models hot, chaining per-stream history, micro-batching
   mixed-corner requests into single forest passes, and falling back to
   gate-level simulation for unpublished FUs;
-* :mod:`repro.serve.cluster` — :class:`ClusterEngine` fanning batches
-  over N worker processes, each holding a replicated registry engine;
-  FU-affinity routing, dead-worker respawn with in-flight reissue,
-  bit-exact with the single-process engine;
 * :mod:`repro.serve.requestlog` — append-only sealed JSONL
   :class:`RequestLog` of every executed batch, and :func:`replay_log`
   (``repro serve --replay``) re-driving it bit-exact;
 * :mod:`repro.serve.server` / :mod:`repro.serve.client` — stdlib
-  HTTP/JSON server (``repro serve``) and retrying client.
+  HTTP/JSON server (``repro serve``, one process, one in-process
+  engine) and retrying client.
 
-The request path is resilient end to end: bounded queues shed overload
-with ``429`` + ``Retry-After``, per-request deadlines expire to
-``504`` instead of executing stale work, a watchdog kills + respawns
-hung cluster workers, and crash-looping worker slots are quarantined
-while the cluster serves degraded (``/health`` non-200).
+The request path is bounded end to end: the queue sheds overload with
+``429`` + ``Retry-After``, and per-request deadlines expire to ``504``
+instead of executing stale work.
 """
 
 from .client import ServeClient, ServeError
 from .http import HttpTransport, TransportError
-from .cluster import ClusterEngine, ClusterStats
 from .engine import (
     EngineStats,
     Prediction,
@@ -64,8 +58,6 @@ from .server import (
 )
 
 __all__ = [
-    "ClusterEngine",
-    "ClusterStats",
     "ConfigError",
     "EngineStats",
     "HttpTransport",

@@ -127,7 +127,7 @@ class ServeClient:
 
     def health(self) -> Dict:
         """Health payload even when the node is not healthy: a
-        degraded/draining server answers 503 with the same JSON body,
+        draining server answers 503 with the same JSON body,
         which callers still want (that *is* the health report)."""
         try:
             return self._call("/health")

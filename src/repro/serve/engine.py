@@ -25,6 +25,7 @@ replaces gate-level simulation for any workload, corner, and clock.
 
 from __future__ import annotations
 
+import math
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -54,10 +55,9 @@ class PredictRequest:
 
     ``deadline_ms`` is the request's total latency budget, relative to
     its arrival at the server (clients derive it from their own
-    timeout).  A request still queued — or still executing on a hung
-    worker — when the budget runs out is answered *expired* (HTTP 504)
-    instead of silently computed into the void; ``None`` defers to the
-    server's ``default_deadline_ms``.
+    timeout).  A request still queued when the budget runs out is
+    answered *expired* (HTTP 504) instead of silently computed into the
+    void; ``None`` defers to the server's ``default_deadline_ms``.
     """
 
     fu: str
@@ -104,7 +104,7 @@ class PredictRequest:
 
 
 #: ``Prediction.source`` value marking a request whose deadline ran out
-#: before (or while) it executed — the HTTP layer maps it to 504 and
+#: before it executed — the HTTP layer maps it to 504 and
 #: the request log records it as a non-executed ``dropped`` entry.
 EXPIRED_SOURCE = "expired"
 
@@ -161,18 +161,20 @@ class EngineStats:
 def validate_request(request: PredictRequest, fu_lookup) -> Optional[str]:
     """Validate one request; return the failure message or None.
 
-    Shared between :class:`PredictionEngine` and the cluster front end
-    (:mod:`repro.serve.cluster`), so both reject the same requests with
-    the same messages — and, crucially, neither advances per-stream
-    history for a request the other would have failed.
+    Runs before any history advances, so a rejected request never
+    touches per-stream state.
     """
     try:
         request.condition()  # validates the (V, T) ranges
         fu_lookup(request.fu)
-        if request.clock_period is not None and request.clock_period <= 0:
-            raise ValueError("clock_period must be positive")
-        if request.deadline_ms is not None and request.deadline_ms <= 0:
-            raise ValueError("deadline_ms must be positive")
+        clock, deadline = request.clock_period, request.deadline_ms
+        # chained comparisons are False for NaN, so NaN fails too
+        if clock is not None and not 0 < clock < math.inf:
+            raise ValueError(f"clock_period must be finite and positive, "
+                             f"got {clock!r}")
+        if deadline is not None and not 0 < deadline < math.inf:
+            raise ValueError(f"deadline_ms must be finite and positive, "
+                             f"got {deadline!r}")
     except (ValueError, KeyError) as exc:
         return str(exc)
     return None
@@ -198,21 +200,17 @@ class PredictionEngine:
     max_streams:
         LRU capacity of the per-stream history state — bounds server
         memory when clients mint fresh ``stream_id`` values forever.
-    push_rollout:
-        Subscribe to the store service's event feed and
-        :meth:`refresh` on publish/gc announcements.  ``None`` (the
-        default) subscribes automatically when the registry is remote
-        (exposes ``subscribe_events``); ``False`` disables — cluster
-        worker replicas set this, since their front end owns the one
-        subscription and fans refreshes out.
+
+    A remote registry (one exposing ``subscribe_events``) is subscribed
+    to on construction: every publish/gc the store service announces
+    triggers :meth:`refresh`, so new versions roll out by push.
     """
 
     def __init__(self, registry: Union[ModelRegistry, str, None] = None,
                  kind: str = "tevot", sim_fallback: bool = True,
                  backend: str = DEFAULT_BACKEND,
                  max_hot_models: int = 8,
-                 max_streams: int = 4096,
-                 push_rollout: Optional[bool] = None) -> None:
+                 max_streams: int = 4096) -> None:
         if max_hot_models < 1:
             raise ValueError("max_hot_models must be >= 1")
         if max_streams < 1:
@@ -237,9 +235,8 @@ class PredictionEngine:
         self._lock = threading.Lock()
         self.stats = EngineStats()
         self._push = None
-        want_push = True if push_rollout is None else bool(push_rollout)
         subscribe = getattr(self.registry, "subscribe_events", None)
-        if want_push and callable(subscribe):
+        if callable(subscribe):
             self._push = subscribe(self.refresh)
 
     def close(self) -> None:

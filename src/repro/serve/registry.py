@@ -258,9 +258,9 @@ class ModelRegistry:
     def manifest_fingerprint(self, length: int = 16) -> str:
         """Content hash of the manifest's model table.
 
-        Cluster workers report this after replicating the registry on
-        startup/refresh, so ``/stats`` can show whether every replica
-        serves the same published set.
+        The store service answers it on ``/registry/fingerprint``, so a
+        remote client can tell whether two registries hold the same
+        published set.
         """
         return stable_fingerprint(self._read()["models"],
                                   tag="registry-manifest", length=length)

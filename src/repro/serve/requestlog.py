@@ -16,10 +16,9 @@ line is a header record naming the server configuration that produced
 the log.
 
 ``repro serve --replay LOG`` drives :func:`replay_log`: rebuild the
-requests batch by batch, push them through a fresh engine (single
-process or cluster — both are bit-exact with the recording engine for
-the same registry), and compare every response against the recorded
-one.  Per-stream history starts empty on both sides (the log starts at
+requests batch by batch, push them through a fresh engine (bit-exact
+with the recording engine for the same registry), and compare every
+response against the recorded one.  Per-stream history starts empty on both sides (the log starts at
 server start), so a clean replay asserts byte-identical response
 streams.
 """
@@ -283,10 +282,9 @@ def replay_log(path: Union[str, Path],
                max_mismatches: int = 16) -> ReplayReport:
     """Re-drive a recorded log and compare every response bit-exact.
 
-    ``predict_batch`` is any engine-shaped executor — a fresh
-    :class:`~repro.serve.engine.PredictionEngine` or
-    :class:`~repro.serve.cluster.ClusterEngine` ``predict_batch``
-    bound method.  Batches are replayed in recorded order with
+    ``predict_batch`` is a fresh
+    :class:`~repro.serve.engine.PredictionEngine`'s bound
+    ``predict_batch`` (or anything with its signature).  Batches are replayed in recorded order with
     recorded boundaries, so per-stream history chains exactly as it
     did live.  Comparison is on the JSON payloads (floats round-trip
     ``repr``-exact through JSON, so equality is bit-equality).

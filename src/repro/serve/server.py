@@ -17,9 +17,7 @@ of growing the queue (the accept loop never blocks on overload) — and
 every request carries a **deadline** (its own ``deadline_ms``, else
 the server's ``default_deadline_ms``).  A request still queued when
 its deadline passes is answered ``504 deadline exceeded`` at dequeue,
-never silently computed; the tightest deadline of each batch rides
-into deadline-aware engines (the cluster propagates it to its
-hung-worker watchdog).
+never silently computed.
 
 Endpoints (all JSON):
 
@@ -27,23 +25,20 @@ Endpoints (all JSON):
   object; returns per-request predictions in order (``429`` when shed,
   ``504`` when every request's deadline expired).
 * ``GET  /models``  — published registry records.
-* ``GET  /health``  — ``healthy`` / ``degraded`` / ``draining``; only
-  ``healthy`` is a 200, so load balancers can eject a degraded node.
-* ``GET  /stats``   — engine + batching counters (shed / expired /
-  watchdog / quarantine) and current config.
+* ``GET  /health``  — ``healthy`` / ``draining``; only ``healthy`` is
+  a 200, so load balancers stop routing to a node that is leaving.
+* ``GET  /stats``   — engine + batching counters (shed / expired) and
+  current config.
 * ``POST /config``  — adjust ``batch_window_ms`` / ``max_batch`` /
   ``max_queue`` / ``default_deadline_ms`` at runtime.
-* ``POST /models/refresh`` — re-resolve published models; on a
-  cluster engine this is the control message that makes every worker
-  replica re-replicate the registry manifest and re-warm (it also
-  retries quarantined worker slots).
+* ``POST /models/refresh`` — re-resolve published models.
 
-The server also accepts any *engine-shaped* executor (anything with
-``predict_batch`` / ``refresh`` / ``stats_dict`` and the
-``registry`` / ``kind`` / ``sim_fallback`` attributes) — that is how
-:class:`~repro.serve.cluster.ClusterEngine` slots in unchanged — and
-an optional :class:`~repro.serve.requestlog.RequestLog` that records
-every executed batch for deterministic replay.
+The server runs one in-process engine: the forest answers tens of
+thousands of requests per second while the HTTP front end tops out
+near a thousand, so fanning batches out to worker processes would
+only add hops.  An optional
+:class:`~repro.serve.requestlog.RequestLog` records every executed
+batch for deterministic replay.
 
 Shutdown is graceful: ``close()`` (or SIGTERM via ``repro serve``)
 stops accepting, drains the micro-batcher queue, answers every
@@ -53,14 +48,12 @@ the socket.
 
 from __future__ import annotations
 
-import inspect
 import json
 import math
 import threading
 import time
 from typing import Dict, List, Optional, Sequence
 
-from ..flow.watchdog import Deadline
 from .engine import (
     Prediction,
     PredictionEngine,
@@ -68,6 +61,35 @@ from .engine import (
     expired_prediction,
 )
 from .http import JsonHandler, JsonServer
+
+
+class Deadline:
+    """An absolute expiry instant on the monotonic clock.
+
+    Constructed from a relative budget (:meth:`after_ms`) when a
+    request is accepted; the batcher asks :meth:`expired` against that
+    fixed instant, so time spent queued counts against the request's
+    budget.
+    """
+
+    __slots__ = ("at",)
+
+    def __init__(self, at: float) -> None:
+        self.at = at
+
+    @classmethod
+    def after_ms(cls, ms: float) -> "Deadline":
+        return cls(time.monotonic() + float(ms) / 1e3)
+
+    def remaining_s(self) -> float:
+        """Seconds left (negative once expired)."""
+        return self.at - time.monotonic()
+
+    def expired(self) -> bool:
+        return self.remaining_s() <= 0.0
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"Deadline(in {self.remaining_s():+.3f}s)"
 
 
 class ConfigError(ValueError):
@@ -103,6 +125,8 @@ def _check_knob(field: str, value):
     if isinstance(value, bool) or not isinstance(value, kinds):
         kind = "an integer" if integer else "a number"
         raise ConfigError(field, f"{field} must be {kind}, got {value!r}")
+    if not math.isfinite(value):
+        raise ConfigError(field, f"{field} must be finite, got {value!r}")
     if value < minimum:
         raise ConfigError(field, f"{field} must be >= {minimum}{note}, "
                                  f"got {value!r}")
@@ -135,9 +159,7 @@ class MicroBatcher:
     queue can never grow without bound.  Every queued request carries a
     deadline (its own ``deadline_ms`` or the batcher's
     ``default_deadline_ms``); expired requests are answered
-    ``deadline exceeded`` at dequeue instead of executed, and the
-    tightest deadline of each batch is forwarded to deadline-aware
-    engines (``predict_batch(requests, deadline=...)``).
+    ``deadline exceeded`` at dequeue instead of executed.
 
     ``batch_window_ms`` is an upper bound: the window stays open only
     while a caller is between :meth:`arrive` and the enqueueing
@@ -153,11 +175,6 @@ class MicroBatcher:
         self.configure(batch_window_ms=batch_window_ms, max_batch=max_batch,
                        max_queue=max_queue,
                        default_deadline_ms=default_deadline_ms)
-        try:
-            self._deadline_aware = "deadline" in inspect.signature(
-                engine.predict_batch).parameters
-        except (TypeError, ValueError):  # pragma: no cover - exotic stubs
-            self._deadline_aware = False
         self._cond = threading.Condition()
         self._log_lock = threading.Lock()
         self._queue: List[_Pending] = []
@@ -310,39 +327,20 @@ class MicroBatcher:
             self._answer_expired(expired)
             if not batch:
                 continue
-            batch_deadline = Deadline.earliest(p.deadline for p in batch)
+            requests = [p.request for p in batch]
             try:
-                if self._deadline_aware:
-                    results = self.engine.predict_batch(
-                        [p.request for p in batch], deadline=batch_deadline)
-                else:
-                    results = self.engine.predict_batch(
-                        [p.request for p in batch])
+                results = self.engine.predict_batch(requests)
             except Exception as exc:  # engine bug: fail the batch, live on
                 results = [Prediction(ok=False, message=f"engine error: {exc}")
                            for _ in batch]
-            # split executed from deadline-expired results so the log's
-            # executed stream stays bit-exact under replay
-            executed_req: List[PredictRequest] = []
-            executed_res: List[Prediction] = []
-            expired_req: List[PredictRequest] = []
-            for pending, result in zip(batch, results):
-                if result.expired:
-                    expired_req.append(pending.request)
-                else:
-                    executed_req.append(pending.request)
-                    executed_res.append(result)
-            if self.request_log is not None and executed_req:
+            if self.request_log is not None:
                 with self._log_lock:
                     try:
-                        self.request_log.append_batch(
-                            executed_req, executed_res)
+                        self.request_log.append_batch(requests, results)
                     except OSError:  # full disk must not take serving down
                         pass
-            self._log_dropped(expired_req, "expired")
-            self.n_expired += len(expired_req)
             self.n_batches += 1
-            self.n_requests += len(executed_req)
+            self.n_requests += len(batch)
             self.largest_batch = max(self.largest_batch, len(batch))
             for pending, result in zip(batch, results):
                 pending.finish(result)
@@ -467,14 +465,10 @@ class _Handler(JsonHandler):
 class PredictionServer(JsonServer):
     """HTTP server owning one engine + one micro-batcher.
 
-    ``engine`` may be a single-process
-    :class:`~repro.serve.engine.PredictionEngine` or a
-    :class:`~repro.serve.cluster.ClusterEngine` — anything exposing
-    the engine surface the batcher and endpoints consume.  ``port=0``
-    binds an ephemeral port (see :attr:`address`); call
+    ``port=0`` binds an ephemeral port (see :attr:`address`); call
     :meth:`serve_forever` (blocking) or :meth:`start_background`.
     Stop with :meth:`close` (graceful: drains queued requests, then
-    closes the socket and any cluster workers).
+    closes the socket and the engine).
     """
 
     def __init__(self, engine: PredictionEngine, host: str = "127.0.0.1",
@@ -504,35 +498,19 @@ class PredictionServer(JsonServer):
 
     def close(self) -> None:
         """Graceful full stop (idempotent): drain, close the socket, then
-        close cluster workers if the engine owns any."""
+        close the engine."""
         super().close()
-        engine_close = getattr(self.engine, "close", None)
-        if callable(engine_close):
-            engine_close()
+        self.engine.close()
 
     # -- endpoint payloads ----------------------------------------------------
 
-    def health_state(self) -> str:
-        """``healthy`` | ``degraded`` | ``draining``.
-
-        Draining wins (the node is leaving); otherwise a cluster engine
-        reporting quarantined worker slots makes the node degraded —
-        it still answers, but a load balancer should prefer others.
-        """
-        if self._draining or self._closed:
-            return "draining"
-        engine_state = getattr(self.engine, "health_state", None)
-        if callable(engine_state):
-            return engine_state()
-        return "healthy"
-
     def health(self) -> Dict:
         registry = self.engine.registry
-        return {"status": self.health_state(),
+        leaving = self._draining or self._closed
+        return {"status": "draining" if leaving else "healthy",
                 "uptime_s": round(time.monotonic() - self._started, 3),
                 "models_published": 0 if registry is None else len(registry),
                 "sim_fallback": self.engine.sim_fallback,
-                "workers": getattr(self.engine, "n_workers", 1),
                 "kind": self.engine.kind}
 
     def model_records(self) -> List[Dict]:

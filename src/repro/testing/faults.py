@@ -19,7 +19,7 @@ environment variable ``REPRO_FAULT_PLAN`` arms a plan of rules::
   legacy in-place writer was mid-write)
 * ``nth``    — trigger on the nth *hit* of that site (1-based)
 
-Because the plan rides in the environment, forked pool/cluster workers
+Because the plan rides in the environment, forked pool workers
 inherit and honor it, which makes multi-process crash tests replayable.
 
 Hit counters are per-process.  For plans that must fire **once
@@ -28,10 +28,9 @@ same command (crash run, then clean rerun), set ``REPRO_FAULT_STATE`` to
 a scratch directory: each rule then records its firing in a marker file
 created with ``O_CREAT | O_EXCL``, and never fires twice.
 
-The older ad-hoc crash hooks (``REPRO_POOL_CRASH_FILE`` /
-``REPRO_CLUSTER_CRASH_FILE``) are reimplemented here on top of
-:func:`consume_crash_token`; pool and cluster workers call
-:func:`crash_token_hook` instead of carrying private copies.
+The older ad-hoc crash hook (``REPRO_POOL_CRASH_FILE``) is
+reimplemented here on top of :func:`consume_crash_token`; pool workers
+call :func:`crash_token_hook` instead of carrying a private copy.
 """
 from __future__ import annotations
 

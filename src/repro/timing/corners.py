@@ -8,6 +8,7 @@ clock.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterator, List, Sequence, Tuple
 
@@ -20,8 +21,9 @@ class OperatingCondition:
     temperature: float
 
     def __post_init__(self) -> None:
-        if self.voltage <= 0:
-            raise ValueError(f"voltage must be positive, got {self.voltage}")
+        if not 0 < self.voltage < math.inf:  # False for NaN too
+            raise ValueError(
+                f"voltage must be finite and positive, got {self.voltage}")
         if not (-55.0 <= self.temperature <= 150.0):
             raise ValueError(
                 f"temperature {self.temperature} C outside sane silicon range"

@@ -42,7 +42,7 @@ NON_DEFAULT = {
     ServeSpec: dict(registry="r/", host="0.0.0.0", port=9000,
                     kind="tevot_nh", batch_window_ms=5.0, max_batch=16,
                     max_queue=32, default_deadline_ms=2000.0,
-                    workers=3, request_log="serve/requests.jsonl",
+                    request_log="serve/requests.jsonl",
                     fallback=False, verbose=True),
     ExperimentSpec: dict(fu="fp_mul", max_rows=1000,
                          speedups=(0.05, 0.2), seed=7, publish=True,
@@ -177,11 +177,21 @@ class TestValidation:
         with pytest.raises(SpecError, match="port"):
             ServeSpec(port=70000)
 
-    def test_serve_workers_positive(self):
+    def test_serve_workers_key_rejected(self, tmp_path):
+        # the server is one process: a worker count is an unknown key
         with pytest.raises(SpecError, match="workers"):
-            ServeSpec(workers=0)
-        with pytest.raises(SpecError, match="workers"):
-            ServeSpec(workers=True)
+            ServeSpec.from_dict({"workers": 2})
+        path = tmp_path / "run.toml"
+        path.write_text("[serve]\nworkers = 2\n")
+        with pytest.raises(SpecError, match="unknown ServeSpec.*workers"):
+            ServeSpec.from_file(path)
+
+    @pytest.mark.parametrize("field", ["batch_window_ms",
+                                       "default_deadline_ms"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_serve_nonfinite_knobs_rejected(self, field, value):
+        with pytest.raises(SpecError, match=field):
+            ServeSpec(**{field: value})
 
     def test_serve_max_queue_positive(self):
         with pytest.raises(SpecError, match="max_queue"):

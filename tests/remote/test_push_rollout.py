@@ -1,10 +1,10 @@
 """Push-based model rollout tests.
 
 A serving engine backed by a remote registry subscribes to the store
-service's event feed; a publish reaches every replica without anyone
+service's event feed; a publish reaches the engine without anyone
 calling ``POST /models/refresh``.  These tests cover the subscriber
-thread (reconnect, reset, fault injection) and the engine/cluster/
-server integration, including the zero-refresh-polls guarantee.
+thread (reconnect, reset, fault injection) and the engine/server
+integration, including the zero-refresh-polls guarantee.
 """
 
 import time
@@ -17,7 +17,6 @@ from repro.core import TEVoT, build_training_set
 from repro.flow import CampaignJob, CampaignRunner
 from repro.remote import RemoteModelRegistry, StoreService
 from repro.serve import (
-    ClusterEngine,
     ModelRegistry,
     PredictionEngine,
     PredictRequest,
@@ -165,14 +164,6 @@ class TestEnginePush:
         finally:
             engine.close()
 
-    def test_push_rollout_false_opts_out(self, service):
-        engine = PredictionEngine(registry=service.url, sim_fallback=True,
-                                  push_rollout=False)
-        try:
-            assert engine._push is None
-        finally:
-            engine.close()
-
     def test_local_registry_never_subscribes(self, tmp_path):
         engine = PredictionEngine(registry=tmp_path / "reg",
                                   sim_fallback=True)
@@ -201,44 +192,23 @@ class TestEnginePush:
         finally:
             engine.close()
 
-
-class TestClusterPush:
-    def test_v2_reaches_every_worker_by_push(self, registry):
+    def test_remote_engine_bit_exact_with_local_engine(self, registry,
+                                                       service):
+        """An engine dialing the service is bit-exact with one over the
+        service's own registry directory."""
         fu = build_functional_unit("int_add", width=8)
         stream = random_stream(60, operand_width=8, seed=0)
-        stream.name = "clp_v1"
+        stream.name = "rlx_v1"
         _train_and_publish(registry, fu, stream)
-        with ClusterEngine(registry=registry, workers=2,
-                           sim_fallback=False) as cluster:
-            assert cluster._push is not None
-            (pred,) = cluster.predict_batch(_requests(1))
-            assert pred.model_id == "int_add/tevot/v1"
-
-            stream2 = random_stream(60, operand_width=8, seed=5)
-            stream2.name = "clp_v2"
-            _train_and_publish(registry, fu, stream2)
-            assert _wait_for(
-                lambda: cluster.stats_dict()["push"]["refreshes"] >= 1)
-            manifests = {r["manifest"] for r in cluster.workers_dict()}
-            assert manifests == {registry.manifest_fingerprint()}
-            (pred,) = cluster.predict_batch(_requests(1))
-            assert pred.model_id == "int_add/tevot/v2"
-
-    def test_remote_cluster_bit_exact_with_local_engine(self, registry,
-                                                        service):
-        """Worker replicas dialing the service are bit-exact with a
-        single-process engine on the service's own directory."""
-        fu = build_functional_unit("int_add", width=8)
-        stream = random_stream(60, operand_width=8, seed=0)
-        stream.name = "clx_v1"
-        _train_and_publish(registry, fu, stream)
-        single = PredictionEngine(registry=service.root / "registry",
-                                  sim_fallback=False)
-        reqs = _requests(16)
-        want = [p.delay_ps for p in single.predict_batch(reqs)]
-        with ClusterEngine(registry=registry, workers=2,
-                           sim_fallback=False) as cluster:
-            got = [p.delay_ps for p in cluster.predict_batch(reqs)]
+        local = PredictionEngine(registry=service.root / "registry",
+                                 sim_fallback=False)
+        remote = PredictionEngine(registry=registry, sim_fallback=False)
+        try:
+            reqs = _requests(16)
+            want = [p.delay_ps for p in local.predict_batch(reqs)]
+            got = [p.delay_ps for p in remote.predict_batch(reqs)]
+        finally:
+            remote.close()
         np.testing.assert_array_equal(got, want)
 
 

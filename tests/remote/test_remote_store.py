@@ -289,8 +289,7 @@ class TestDispatchHelpers:
                           ModelRegistry)
 
     def test_remote_root_roundtrips(self, service):
-        """str(root) of a remote client re-opens a remote client —
-        the contract forked cluster workers rely on."""
+        """str(root) of a remote client re-opens a remote client."""
         store = open_trace_store(service.url)
         again = open_trace_store(str(store.root))
         assert isinstance(again, RemoteTraceStore)

@@ -60,6 +60,9 @@ class _StubEngine:
     def stats_dict(self):
         return {"batches": len(self.batches)}
 
+    def close(self):
+        pass
+
 
 def _request(a=1, b=2, **extra):
     return dict(fu="int_add", a=a, b=b, voltage=COND.voltage,

@@ -8,7 +8,6 @@ from repro.circuits import build_functional_unit
 from repro.core import TEVoT, build_training_set
 from repro.flow import CampaignJob, CampaignRunner
 from repro.serve import (
-    ClusterEngine,
     ModelRegistry,
     PredictionEngine,
     PredictRequest,
@@ -188,16 +187,25 @@ class TestReplay:
         assert (report.batches, report.requests) == (3, 24)
         assert "bit-exact" in report.summary()
 
-    def test_cluster_replay_is_bit_exact(self, registry, tmp_path):
-        """A 2-worker cluster replays a single-process recording
-        byte-identically (and vice versa would hold by parity)."""
+    def test_header_with_worker_count_replays(self, registry, tmp_path):
+        """Logs recorded when the server header still named a worker
+        count replay unchanged through ``Workspace.replay``."""
+        from repro.api import ServeSpec, Workspace
+
         path = tmp_path / "req.jsonl"
-        _record(registry, path)
-        with ClusterEngine(registry=registry, workers=2,
-                           sim_fallback=False) as cluster:
-            report = replay_log(path, cluster.predict_batch)
+        engine = PredictionEngine(registry=registry, sim_fallback=False)
+        reqs = _requests(16)
+        with RequestLog(path, config={"kind": "tevot", "workers": 2,
+                                      "fallback": False,
+                                      "registry": str(registry.root)}) as log:
+            for lo in range(0, 16, 4):
+                chunk = reqs[lo:lo + 4]
+                log.append_batch(chunk, engine.predict_batch(chunk))
+        assert next(read_request_log(path))["config"]["workers"] == 2
+        spec = ServeSpec(registry=str(registry.root), fallback=False)
+        report = Workspace().replay(spec, path)
         assert report.ok
-        assert report.requests == 24
+        assert (report.batches, report.requests) == (4, 16)
 
     def test_tampered_prediction_is_reported(self, registry, tmp_path):
         path = tmp_path / "req.jsonl"

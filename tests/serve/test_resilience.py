@@ -6,7 +6,7 @@ exactly one of {result, 429-shed, 504-expired} — none hang, none are
 lost, and the server-side counters reconcile with the client-side
 tally.  Plus unit coverage for the new knobs (``max_queue``,
 ``default_deadline_ms``), the client's Retry-After/jitter hardening,
-and the shared deadline vocabulary in :mod:`repro.flow.watchdog`.
+and the batcher's :class:`~repro.serve.server.Deadline`.
 """
 
 import json
@@ -16,7 +16,6 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
-from repro.flow.watchdog import Deadline
 from repro.serve import (
     MicroBatcher,
     Prediction,
@@ -26,6 +25,7 @@ from repro.serve import (
     ServeClient,
     ServeError,
 )
+from repro.serve.server import Deadline
 
 COND = dict(voltage=0.90, temperature=25.0)
 
@@ -58,6 +58,9 @@ class _GatedEngine:
 
     def stats_dict(self):
         return {"served": self.served}
+
+    def close(self):
+        pass
 
 
 def _flood(host, port, n, deadline_ms=0, timeout=20.0):
@@ -260,6 +263,8 @@ class TestConfigKnobs:
         ({"max_queue": True}, "max_queue"),
         ({"default_deadline_ms": -1}, "default_deadline_ms"),
         ({"default_deadline_ms": "soon"}, "default_deadline_ms"),
+        ({"default_deadline_ms": float("nan")}, "default_deadline_ms"),
+        ({"default_deadline_ms": float("inf")}, "default_deadline_ms"),
     ])
     def test_bad_knob_is_400_naming_field(self, payload, field):
         engine = _GatedEngine()
@@ -394,21 +399,6 @@ class TestHealthStates:
         server._draining = True
         assert server.health()["status"] == "draining"
 
-    def test_degraded_engine_surfaces_in_health(self):
-        engine = _GatedEngine()
-        engine.release.set()
-        engine.health_state = lambda: "degraded"
-        server = PredictionServer(engine, port=0)
-        server.start_background()
-        host, port = server.address
-        client = ServeClient(host, port)
-        payload = client.health()  # 503, but the body still reports
-        assert payload["status"] == "degraded"
-        with pytest.raises(ServeError) as err:
-            client._call("/health")
-        assert err.value.status == 503
-        server.close()
-
 
 class TestDeadlineVocabulary:
     def test_after_ms_and_expiry(self):
@@ -417,10 +407,3 @@ class TestDeadlineVocabulary:
         assert 9.0 < d.remaining_s() <= 10.0
         past = Deadline.after_ms(-1)
         assert past.expired()
-
-    def test_earliest_picks_tightest_and_ignores_none(self):
-        loose = Deadline.after_s(10)
-        tight = Deadline.after_s(1)
-        assert Deadline.earliest([None, loose, tight, None]) is tight
-        assert Deadline.earliest([None, None]) is None
-        assert Deadline.earliest([]) is None

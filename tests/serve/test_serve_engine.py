@@ -265,3 +265,20 @@ class TestResourceBounds:
         assert not engine.predict_batch([bad])[0].ok
         assert engine.stats.failed == 1
         assert ("int_add", "guard") not in engine._history
+
+    @pytest.mark.parametrize("field, value", [
+        ("voltage", float("nan")), ("voltage", float("inf")),
+        ("clock_period", float("nan")), ("clock_period", float("inf")),
+        ("deadline_ms", float("nan")), ("deadline_ms", float("inf")),
+    ])
+    def test_nonfinite_fields_rejected_without_history(self, published,
+                                                       field, value):
+        registry, _, _ = published
+        engine = PredictionEngine(registry=registry)
+        fields = dict(fu="int_add", a=200, b=100, voltage=0.81,
+                      temperature=0.0, stream_id="nonfinite")
+        fields[field] = value
+        (out,) = engine.predict_batch([PredictRequest(**fields)])
+        assert not out.ok
+        assert "finite" in out.message
+        assert ("int_add", "nonfinite") not in engine._history

@@ -159,6 +159,27 @@ class TestErrors:
             client.predict(fu="int_mul", a=1, b=2, voltage=COND.voltage,
                            temperature=COND.temperature)
 
+    @pytest.mark.parametrize("field", ["voltage", "clock_period",
+                                       "deadline_ms"])
+    def test_nonfinite_field_is_422_and_skips_history(self, serving, field):
+        client, _, engine = serving
+        stream_id = f"nonfinite-{field}"
+        body = {"fu": "int_add", "a": 3, "b": 4, "voltage": COND.voltage,
+                "temperature": COND.temperature, "stream_id": stream_id,
+                field: float("nan")}
+        import json
+        import urllib.error
+        import urllib.request
+        request = urllib.request.Request(
+            client.base_url + "/predict", data=json.dumps(body).encode(),
+            headers={"Content-Type": "application/json"})
+        with pytest.raises(urllib.error.HTTPError) as err:
+            urllib.request.urlopen(request, timeout=10)
+        assert err.value.code == 422
+        (pred,) = json.loads(err.value.read())["predictions"]
+        assert pred["ok"] is False and "finite" in pred["message"]
+        assert ("int_add", stream_id) not in engine._history
+
 
 class TestConfigAtomicity:
     def test_rejected_config_applies_nothing(self, serving):
@@ -183,6 +204,8 @@ class TestConfigValidation:
         ({"batch_window_ms": -1}, "batch_window_ms"),
         ({"batch_window_ms": "fast"}, "batch_window_ms"),
         ({"batch_window_ms": False}, "batch_window_ms"),
+        ({"batch_window_ms": float("nan")}, "batch_window_ms"),
+        ({"batch_window_ms": float("inf")}, "batch_window_ms"),
     ])
     def test_bad_value_is_400_naming_field(self, serving, payload, field):
         client, _, _ = serving
@@ -226,6 +249,9 @@ class _GatedEngine:
         self.served += len(requests)
         return [Prediction(ok=True, delay_ps=float(r.a + r.b),
                            source="stub") for r in requests]
+
+    def close(self):
+        pass
 
 
 class TestGracefulShutdown:
@@ -288,6 +314,8 @@ class TestGracefulShutdown:
         with pytest.raises(ServeError):
             ServeClient(host, port, retries=0, timeout=2.0).health()
 
-    def test_health_reports_worker_count(self, serving):
+    def test_health_payload_fields(self, serving):
         client, _, _ = serving
-        assert client.health()["workers"] == 1
+        assert set(client.health()) == {"status", "uptime_s",
+                                        "models_published", "sim_fallback",
+                                        "kind"}

@@ -92,6 +92,9 @@ class TestValidation:
         ["campaign", "--shard-corners", "0"],
         ["serve", "--max-batch", "0"],
         ["serve", "--batch-window-ms", "-1"],
+        ["serve", "--batch-window-ms", "nan"],
+        ["serve", "--default-deadline-ms", "inf"],
+        ["predict", "-m", "m.pkl", "--fu", "int_add", "--speedup", "nan"],
     ])
     def test_nonpositive_values_rejected(self, argv):
         with pytest.raises(SystemExit):

@@ -55,6 +55,12 @@ class TestOperatingCondition:
         with pytest.raises(ValueError):
             OperatingCondition(0.0, 25.0)
 
+    @pytest.mark.parametrize("voltage", [float("nan"), float("inf"),
+                                         float("-inf")])
+    def test_nonfinite_voltage_rejected(self, voltage):
+        with pytest.raises(ValueError, match="finite"):
+            OperatingCondition(voltage, 25.0)
+
     def test_insane_temperature_rejected(self):
         with pytest.raises(ValueError):
             OperatingCondition(1.0, 400.0)
