@@ -14,6 +14,11 @@ the PR-8 advisory store lock *and* an in-process mutex (the advisory
 lock is reentrant within one process, so two handler threads of this
 very service would not serialize against each other without it).
 
+The service runs on the threaded stdlib :class:`JsonServer`, one
+handler thread per connection, not on the prediction server's event
+loop: its long-polls and its store-lock waits of up to
+``lock_timeout`` would stall a loop.
+
 The event feed (``GET /events?since=seq``) long-polls a bounded
 in-memory ring of monotonically sequenced events announcing every
 publish/gc/trace-put; subscribers that fall behind the ring (``gap``)
@@ -26,18 +31,19 @@ import hashlib
 import io
 import json
 import pickle
+import socket
 import threading
 import time
 from collections import deque
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
-from typing import Dict, Union
+from typing import Dict, Optional, Tuple, Union
 from urllib.parse import parse_qs, unquote, urlparse
 
 import numpy as np
 
 from ..flow.durable import StoreLockTimeout
 from ..flow.tracestore import STORE_VERSION, TraceStore
-from ..serve.http import JsonHandler, JsonServer
 from ..serve.registry import REGISTRY_VERSION, ModelRegistry
 from ..sim.dta import DelayTrace
 from ..testing import faults
@@ -115,6 +121,136 @@ class EventFeed:
                 if remaining <= 0:
                     return {"seq": self._seq, "events": []}
                 self._cond.wait(remaining)
+
+
+class JsonHandler(BaseHTTPRequestHandler):
+    """Keep-alive request handler of the store service."""
+
+    server: "JsonServer"
+    protocol_version = "HTTP/1.1"
+    #: headers and body are two writes: Nagle + delayed ACK stall each
+    disable_nagle_algorithm = True
+
+    #: bound the time a silent connection can pin a handler thread, so
+    #: graceful close (which joins handler threads) cannot hang forever
+    timeout = 60.0
+
+    def parse_request(self) -> bool:
+        self._body_read = False
+        draining = self.server._mark_idle(self.connection, False)
+        if not super().parse_request():
+            return False
+        if draining:  # arrived after shutdown began: refuse, don't run
+            self._send_json({"error": "server is shutting down",
+                             "status": "draining"}, 503)
+            return False
+        return True
+
+    def handle_one_request(self) -> None:
+        super().handle_one_request()
+        if self.server._mark_idle(self.connection, True):
+            self.close_connection = True
+
+    def end_headers(self) -> None:
+        # unread body bytes would parse as the next request line
+        if not self.close_connection and (self.server._draining or (
+                not self._body_read and ("Transfer-Encoding" in self.headers
+                or self.headers.get("Content-Length", "0") != "0"))):
+            self.send_header("Connection", "close")  # sets close_connection
+        super().end_headers()
+
+    def _send_json(self, payload: Dict, status: int = 200,
+                   headers: Optional[Dict[str, str]] = None) -> None:
+        body = json.dumps(payload).encode()
+        self.send_response(status)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(body)))
+        for name, value in (headers or {}).items():
+            self.send_header(name, value)
+        self.end_headers()
+        self.wfile.write(body)
+
+    def _read_body(self) -> bytes:
+        length = self.headers.get("Content-Length") or "0"
+        if not (length.isascii() and length.isdigit()):
+            raise ValueError(f"invalid Content-Length {length!r}")
+        self._body_read = True
+        return self.rfile.read(int(length))
+
+    def log_message(self, fmt: str, *args) -> None:  # pragma: no cover
+        if self.server.verbose:
+            super().log_message(fmt, *args)
+
+
+class JsonServer(ThreadingHTTPServer):
+    """Threading server that tracks its keep-alive connections.
+
+    ``shutdown()`` answers new requests ``503`` + ``Connection: close``,
+    runs the subclass's :meth:`drain`, then wakes idle keep-alive
+    readers; ``server_close`` joins handler threads, so every accepted
+    request gets its response before the socket goes away.
+    """
+
+    daemon_threads = False
+    block_on_close = True
+
+    def __init__(self, address: Tuple[str, int], handler: type,
+                 verbose: bool = False) -> None:
+        self.verbose = verbose
+        self._draining = self._closed = False
+        #: live connection -> idle (waiting for its next request line)
+        self._idle: Dict[socket.socket, bool] = {}
+        self._idle_lock = threading.Lock()
+        super().__init__(address, handler)
+
+    @property
+    def address(self) -> Tuple[str, int]:
+        return self.server_address[0], self.server_address[1]
+
+    def start_background(self) -> threading.Thread:
+        thread = threading.Thread(target=self.serve_forever, daemon=True)
+        thread.start()
+        return thread
+
+    def process_request(self, request, client_address) -> None:
+        with self._idle_lock:
+            self._idle[request] = True
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request) -> None:
+        with self._idle_lock:
+            self._idle.pop(request, None)
+        super().shutdown_request(request)
+
+    def _mark_idle(self, request, idle: bool) -> bool:
+        """Record a connection's state; returns whether draining."""
+        with self._idle_lock:
+            if request in self._idle:
+                self._idle[request] = idle
+            return self._draining
+
+    def drain(self) -> None:
+        """Finish in-flight work (subclass hook)."""
+
+    def close(self) -> None:
+        """Graceful, idempotent stop: shutdown, then server_close."""
+        if not self._closed:
+            self._closed = True
+            self.shutdown()
+            self.server_close()
+
+    def shutdown(self) -> None:
+        """Stop accepting, drain, then wake idle keep-alive readers."""
+        with self._idle_lock:
+            self._draining = True
+        super().shutdown()
+        self.drain()
+        with self._idle_lock:
+            for conn in [c for c, idle in self._idle.items() if idle]:
+                try:
+                    conn.shutdown(socket.SHUT_RD)  # readline returns EOF
+                except OSError:
+                    pass
 
 
 class _Handler(JsonHandler):

@@ -1,7 +1,8 @@
 """Stdlib client for a running ``repro serve`` instance.
 
-Thin ``http.client``-based wrapper so scripts (and the CI smoke job) can
-query the server without any third-party HTTP dependency:
+:class:`ServeClient` speaks JSON over the raw-socket keep-alive
+transport in :mod:`repro.serve.http`, so scripts (and the CI smoke
+job) can query the server without any third-party HTTP dependency:
 
 >>> client = ServeClient("127.0.0.1", 8000)
 >>> client.health()["status"]
@@ -9,8 +10,11 @@ query the server without any third-party HTTP dependency:
 >>> client.predict(fu="int_add", a=3, b=4, voltage=0.9, temperature=25.0)
 {'ok': True, 'delay_ps': ..., ...}
 
-A client keeps one persistent (HTTP/1.1 keep-alive) connection per
-calling thread; :meth:`ServeClient.close` or a ``with`` block closes it.
+A client keeps one persistent (HTTP/1.1 keep-alive) socket per calling
+thread and process; each request is one ``sendall`` and its reply is
+read with the same small codec the server parses requests with.
+:meth:`ServeClient.close` or a ``with`` block closes the calling
+thread's socket.
 
 Resilience behavior: every predict request carries a ``deadline_ms``
 budget derived from the client timeout (so the server can drop work

@@ -26,6 +26,7 @@ replaces gate-level simulation for any workload, corner, and clock.
 from __future__ import annotations
 
 import math
+import numbers
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -85,22 +86,34 @@ class PredictRequest:
 
     @classmethod
     def from_dict(cls, data: Dict) -> "PredictRequest":
+        """Rebuild a request from its JSON form.  Operands must be JSON
+        integers: a float, bool or string raises ValueError instead of
+        being truncated or coerced."""
         try:
             return cls(
-                fu=str(data["fu"]), a=int(data["a"]), b=int(data["b"]),
+                fu=str(data["fu"]), a=_operand(data, "a"),
+                b=_operand(data, "b"),
                 voltage=float(data["voltage"]),
                 temperature=float(data["temperature"]),
                 clock_period=(None if data.get("clock_period") is None
                               else float(data["clock_period"])),
                 stream_id=str(data.get("stream_id", "default")),
-                prev_a=(None if data.get("prev_a") is None
-                        else int(data["prev_a"])),
-                prev_b=(None if data.get("prev_b") is None
-                        else int(data["prev_b"])),
+                prev_a=_operand(data, "prev_a", optional=True),
+                prev_b=_operand(data, "prev_b", optional=True),
                 deadline_ms=(None if data.get("deadline_ms") is None
                              else float(data["deadline_ms"])))
         except KeyError as exc:
             raise ValueError(f"predict request missing field {exc}") from None
+
+
+def _operand(data: Dict, name: str, optional: bool = False
+             ) -> Optional[int]:
+    value = data.get(name) if optional else data[name]
+    if value is None and optional:
+        return None
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 #: ``Prediction.source`` value marking a request whose deadline ran out
@@ -158,15 +171,25 @@ class EngineStats:
                 "per_fu": dict(self.per_fu)}
 
 
-def validate_request(request: PredictRequest, fu_lookup) -> Optional[str]:
+def validate_request(request: PredictRequest, fu_lookup,
+                     operand_width: Optional[int] = None) -> Optional[str]:
     """Validate one request; return the failure message or None.
 
-    Runs before any history advances, so a rejected request never
-    touches per-stream state.
+    Operands (``a``, ``b`` and any ``prev_*``) must lie in
+    ``[0, 2**operand_width)``, by default the FU's width; the engine
+    passes the width of the model that serves the FU.  Runs before any
+    history advances, so a rejected request never touches per-stream
+    state.
     """
     try:
         request.condition()  # validates the (V, T) ranges
-        fu_lookup(request.fu)
+        fu = fu_lookup(request.fu)
+        width = operand_width or fu.operand_width
+        for name in ("a", "b", "prev_a", "prev_b"):
+            value = getattr(request, name)
+            if value is not None and not 0 <= value < 1 << width:
+                raise ValueError(f"{name} must be in [0, 2**{width}), "
+                                 f"got {value!r}")
         clock, deadline = request.clock_period, request.deadline_ms
         # chained comparisons are False for NaN, so NaN fails too
         if clock is not None and not 0 < clock < math.inf:
@@ -233,7 +256,11 @@ class PredictionEngine:
             = OrderedDict()
         self._fus: Dict[str, FunctionalUnit] = {}
         self._lock = threading.Lock()
+        #: set by refresh(); the next batch drops the model caches
+        self._stale = False
         self.stats = EngineStats()
+        #: counters as of the last finished batch, for stats_dict()
+        self._stats_view = self.stats.as_dict()
         self._push = None
         subscribe = getattr(self.registry, "subscribe_events", None)
         if callable(subscribe):
@@ -284,10 +311,12 @@ class PredictionEngine:
 
     def refresh(self) -> None:
         """Drop hot models and negative-resolution entries so newly
-        published versions get picked up."""
-        with self._lock:
-            self._hot.clear()
-            self._unpublished.clear()
+        published versions get picked up.
+
+        Never waits on a running batch: the caches are dropped when the
+        next batch starts.
+        """
+        self._stale = True
 
     def reset_stream(self, fu: Optional[str] = None,
                      stream_id: Optional[str] = None) -> None:
@@ -301,6 +330,7 @@ class PredictionEngine:
     def reset_stats(self) -> None:
         with self._lock:
             self.stats = EngineStats()
+            self._stats_view = self.stats.as_dict()
 
     # -- inference ------------------------------------------------------------
 
@@ -321,18 +351,27 @@ class PredictionEngine:
         columns, so a single forest pass covers a corner mix.
         """
         with self._lock:
-            return self._predict_batch_locked(list(requests))
+            try:
+                return self._predict_batch_locked(list(requests))
+            finally:
+                self._stats_view = self.stats.as_dict()
 
     def _predict_batch_locked(self, requests: List[PredictRequest]
                               ) -> List[Prediction]:
+        if self._stale:  # cleared first: a refresh from now on counts
+            self._stale = False
+            self._hot.clear()
+            self._unpublished.clear()
         results: List[Optional[Prediction]] = [None] * len(requests)
         self.stats.batches += 1
         self.stats.requests += len(requests)
 
         # validate + group by FU, preserving request order per group
+        models: Dict[str, object] = {}
         groups: Dict[str, List[int]] = {}
         for i, req in enumerate(requests):
-            failure = validate_request(req, self._functional_unit)
+            failure = validate_request(req, self._functional_unit,
+                                       self._serving_width(req.fu, models))
             if failure is not None:
                 results[i] = Prediction(ok=False, message=failure)
                 self.stats.failed += 1
@@ -341,7 +380,7 @@ class PredictionEngine:
             self.stats.per_fu[req.fu] = self.stats.per_fu.get(req.fu, 0) + 1
 
         for fu_name, idxs in groups.items():
-            resolved = self._resolve_model(fu_name)
+            resolved = models[fu_name]
             try:
                 if resolved is not None:
                     model, record = resolved
@@ -366,27 +405,42 @@ class PredictionEngine:
                 results[i] = pred
         return results  # type: ignore[return-value]
 
-    def _chain_history(self, fu_name: str, requests: List[PredictRequest],
-                       width: int):
+    def _serving_width(self, fu_name: str, models: Dict[str, object]
+                       ) -> Optional[int]:
+        """Operand width ``fu_name`` is served at: its model's, else the
+        FU's; None for an unknown FU (validation reports it).  Resolves
+        the model once per batch into ``models``."""
+        if fu_name not in models:
+            try:
+                self._functional_unit(fu_name)
+            except (KeyError, ValueError):
+                return None
+            models[fu_name] = self._resolve_model(fu_name)
+        resolved = models[fu_name]
+        if resolved is not None:
+            return resolved[0].spec.operand_width
+        return self._functional_unit(fu_name).operand_width
+
+    def _chain_history(self, fu_name: str, requests: List[PredictRequest]):
         """Current/previous operand arrays, advancing stored state.
 
         Request i's history is (in priority order) its explicit
         ``prev_*``, the previous request on the same stream within this
         batch, the stored cross-batch state, or — for a stream's very
         first request — its own operands (a steady input: no
-        transition, matching a two-row stream ``[x, x]``).
+        transition, matching a two-row stream ``[x, x]``).  Operands
+        were range-checked by :func:`validate_request`.
         """
-        mask = (1 << width) - 1
         cur_a = np.empty(len(requests), dtype=np.uint64)
         cur_b = np.empty(len(requests), dtype=np.uint64)
         prev_a = np.empty(len(requests), dtype=np.uint64)
         prev_b = np.empty(len(requests), dtype=np.uint64)
         for i, req in enumerate(requests):
-            a, b = req.a & mask, req.b & mask
+            a, b = req.a, req.b
             state_key = (fu_name, req.stream_id)
             if req.prev_a is not None or req.prev_b is not None:
-                pa = (req.prev_a if req.prev_a is not None else a) & mask
-                pb = (req.prev_b if req.prev_b is not None else b) & mask
+                pa = req.prev_a if req.prev_a is not None else a
+                pb = req.prev_b if req.prev_b is not None else b
             else:
                 pa, pb = self._history.get(state_key, (a, b))
             cur_a[i], cur_b[i] = a, b
@@ -404,7 +458,7 @@ class PredictionEngine:
         spec = model.spec
         width = spec.operand_width
         cur_a, cur_b, prev_a, prev_b = self._chain_history(
-            fu_name, requests, width)
+            fu_name, requests)
 
         parts = [operand_bits(cur_a, width), operand_bits(cur_b, width)]
         if spec.include_history:
@@ -431,9 +485,8 @@ class PredictionEngine:
         ``(corner row, cycle)`` cell of the resulting delay matrix.
         """
         fu = self._functional_unit(fu_name)
-        width = fu.operand_width
         cur_a, cur_b, prev_a, prev_b = self._chain_history(
-            fu_name, requests, width)
+            fu_name, requests)
 
         # split into chained segments: a segment breaks where a
         # request's history is not the previous request's operands
@@ -486,8 +539,9 @@ class PredictionEngine:
     # -- introspection --------------------------------------------------------
 
     def stats_dict(self) -> Dict:
-        with self._lock:
-            stats = self.stats.as_dict()
+        """Counters as of the last finished batch; never waits on a
+        running one."""
+        stats = dict(self._stats_view)
         if self._push is not None:
             stats["push"] = self._push.stats()
         return stats

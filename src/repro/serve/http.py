@@ -1,6 +1,15 @@
-"""Shared stdlib HTTP plumbing.  Both servers subclass the keep-alive
-:class:`JsonServer`; every wire client runs on :class:`HttpTransport`,
-so the retry policy lives in one place:
+"""A small HTTP/1.1 codec for both ends of the wire, and the retrying
+client transport built on it.
+
+The codec speaks the subset the serving stack needs: a request or
+status line, headers, ``Content-Length`` bodies, keep-alive,
+``Connection: close`` and ``Expect: 100-continue``.  A request that
+carries ``Transfer-Encoding`` is answered as if its body were empty and
+its connection is then closed; chunked bodies are never decoded.  The
+prediction server (:mod:`repro.serve.server`) parses requests with
+:func:`parse_request_head` and writes :func:`encode_response`; every
+wire client runs on :class:`HttpTransport`, so the retry policy lives
+in one place:
 
 * one pooled connection per thread and process (a forked child never
   writes to its parent's socket); a *reused* connection that fails
@@ -13,154 +22,246 @@ so the retry policy lives in one place:
   ``retry_after_s``) is retried after that delay, capped at
   :data:`MAX_HONORED_RETRY_AFTER_S`;
 * errors raise the caller's ``error_cls`` (a :class:`TransportError`).
+
+The transport writes each request with one ``sendall`` on a raw socket
+(wrapped in :mod:`ssl` for ``https`` URLs) and reads the reply with
+the same codec: a ``Content-Length`` body, or, without one, the bytes
+up to the server's close.
 """
 
 from __future__ import annotations
 
-import http.client
 import json
 import os
 import random
 import socket
 import threading
 import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Callable, Dict, Optional, Tuple
+from http import HTTPStatus
+from typing import Callable, Dict, Optional, Sequence, Tuple
 from urllib.parse import urlsplit
 
 #: Never honor an advertised Retry-After longer than this — a confused
 #: (or hostile) server must not park the client for minutes.
 MAX_HONORED_RETRY_AFTER_S = 5.0
 
+#: Longest message head (start line + headers) either end accepts.
+MAX_HEAD_BYTES = 64 * 1024
 
-class JsonHandler(BaseHTTPRequestHandler):
-    """Keep-alive request handler shared by both servers."""
-
-    server: "JsonServer"
-    protocol_version = "HTTP/1.1"
-    #: headers and body are two writes: Nagle + delayed ACK stall each
-    disable_nagle_algorithm = True
-
-    #: bound the time a silent connection can pin a handler thread, so
-    #: graceful close (which joins handler threads) cannot hang forever
-    timeout = 60.0
-
-    def parse_request(self) -> bool:
-        self._body_read = False
-        draining = self.server._mark_idle(self.connection, False)
-        if not super().parse_request():
-            return False
-        if draining:  # arrived after shutdown began: refuse, don't run
-            self._send_json({"error": "server is shutting down",
-                             "status": "draining"}, 503)
-            return False
-        return True
-
-    def handle_one_request(self) -> None:
-        super().handle_one_request()
-        if self.server._mark_idle(self.connection, True):
-            self.close_connection = True
-
-    def end_headers(self) -> None:
-        # unread body bytes would parse as the next request line
-        if not self.close_connection and (self.server._draining or (
-                not self._body_read and ("Transfer-Encoding" in self.headers
-                or self.headers.get("Content-Length", "0") != "0"))):
-            self.send_header("Connection", "close")  # sets close_connection
-        super().end_headers()
-
-    def _send_json(self, payload: Dict, status: int = 200,
-                   headers: Optional[Dict[str, str]] = None) -> None:
-        body = json.dumps(payload).encode()
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        for name, value in (headers or {}).items():
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _read_body(self) -> bytes:
-        length = self.headers.get("Content-Length") or "0"
-        if not (length.isascii() and length.isdigit()):
-            raise ValueError(f"invalid Content-Length {length!r}")
-        self._body_read = True
-        return self.rfile.read(int(length))
-
-    def log_message(self, fmt: str, *args) -> None:  # pragma: no cover
-        if self.server.verbose:
-            super().log_message(fmt, *args)
+_REASONS = {status.value: status.phrase for status in HTTPStatus}
 
 
-class JsonServer(ThreadingHTTPServer):
-    """Threading server that tracks its keep-alive connections.
+# -- codec --------------------------------------------------------------------
 
-    ``shutdown()`` answers new requests ``503`` + ``Connection: close``,
-    runs the subclass's :meth:`drain`, then wakes idle keep-alive
-    readers; ``server_close`` joins handler threads, so every accepted
-    request gets its response before the socket goes away.
+
+class ProtocolError(ValueError):
+    """The peer sent something that is not the HTTP/1.1 this codec
+    speaks (malformed head, bad ``Content-Length``, truncated body)."""
+
+
+class BadStatusLine(ProtocolError):
+    """A response did not start with an ``HTTP/1.x`` status line."""
+
+
+class RemoteDisconnected(ConnectionResetError):
+    """The server closed the connection before any response byte."""
+
+
+def _parse_head(head: bytes) -> Tuple[str, Dict[str, str]]:
+    """Start line and lower-cased headers of one message head (without
+    its blank line).  A repeated header's values are joined with
+    ``", "``, so a doubled ``Content-Length`` fails validation."""
+    lines = head.decode("latin-1").split("\r\n")
+    headers: Dict[str, str] = {}
+    for line in lines[1:]:
+        name, sep, value = line.partition(":")
+        if not sep or not name or name != name.strip():
+            raise ProtocolError(f"malformed header line {line!r}")
+        key, value = name.lower(), value.strip()
+        headers[key] = f"{headers[key]}, {value}" if key in headers else value
+    return lines[0], headers
+
+
+def _content_length(headers: Dict[str, str]) -> Optional[int]:
+    raw = headers.get("content-length")
+    if raw is None:
+        return None
+    if not (raw.isascii() and raw.isdigit()):
+        raise ProtocolError(f"invalid Content-Length {raw!r}")
+    return int(raw)
+
+
+def _keep_alive(version: str, headers: Dict[str, str]) -> bool:
+    tokens = {t.strip().lower()
+              for t in headers.get("connection", "").split(",")}
+    if version == "HTTP/1.1":
+        return "close" not in tokens
+    return "keep-alive" in tokens
+
+
+class RequestHead:
+    """A parsed request head.
+
+    ``length`` is the body length to read (0 when a
+    ``Transfer-Encoding`` request's body is to be skipped);
+    ``keep_alive`` is False when the connection must close after the
+    response, which a ``Transfer-Encoding`` request forces.
     """
 
-    daemon_threads = False
-    block_on_close = True
+    __slots__ = ("method", "target", "version", "headers", "length",
+                 "keep_alive", "expect_continue")
 
-    def __init__(self, address: Tuple[str, int], handler: type,
-                 verbose: bool = False) -> None:
-        self.verbose = verbose
-        self._draining = self._closed = False
-        #: live connection -> idle (waiting for its next request line)
-        self._idle: Dict[socket.socket, bool] = {}
-        self._idle_lock = threading.Lock()
-        super().__init__(address, handler)
+    def __init__(self, method: str, target: str, version: str,
+                 headers: Dict[str, str]) -> None:
+        self.method = method
+        self.target = target
+        self.version = version
+        self.headers = headers
+        length = _content_length(headers)
+        chunked = "transfer-encoding" in headers
+        self.length = 0 if chunked or length is None else length
+        self.keep_alive = not chunked and _keep_alive(version, headers)
+        self.expect_continue = (
+            self.length > 0
+            and headers.get("expect", "").lower() == "100-continue")
 
     @property
-    def address(self) -> Tuple[str, int]:
-        return self.server_address[0], self.server_address[1]
+    def path(self) -> str:
+        return self.target.split("?", 1)[0]
 
-    def start_background(self) -> threading.Thread:
-        thread = threading.Thread(target=self.serve_forever, daemon=True)
-        thread.start()
-        return thread
+    @property
+    def request_line(self) -> str:
+        return f"{self.method} {self.target} {self.version}"
 
-    def process_request(self, request, client_address) -> None:
-        with self._idle_lock:
-            self._idle[request] = True
-        super().process_request(request, client_address)
 
-    def shutdown_request(self, request) -> None:
-        with self._idle_lock:
-            self._idle.pop(request, None)
-        super().shutdown_request(request)
+def parse_request_head(head: bytes) -> RequestHead:
+    """Parse a request head (the bytes before its ``\\r\\n\\r\\n``);
+    raises :class:`ProtocolError` on anything malformed."""
+    start, headers = _parse_head(head)
+    parts = start.split(" ")
+    if len(parts) != 3 or not parts[2].startswith("HTTP/1."):
+        raise ProtocolError(f"bad request line {start!r}")
+    return RequestHead(parts[0], parts[1], parts[2], headers)
 
-    def _mark_idle(self, request, idle: bool) -> bool:
-        """Record a connection's state; returns whether draining."""
-        with self._idle_lock:
-            if request in self._idle:
-                self._idle[request] = idle
-            return self._draining
 
-    def drain(self) -> None:
-        """Finish in-flight work (subclass hook)."""
+#: Interim reply to ``Expect: 100-continue``.
+CONTINUE = b"HTTP/1.1 100 Continue\r\n\r\n"
+
+
+def encode_response(status: int, body: bytes,
+                    headers: Sequence[Tuple[str, str]] = (),
+                    close: bool = False) -> bytes:
+    """One complete response: status line, ``headers``, the body's
+    ``Content-Length`` and, when ``close``, ``Connection: close``."""
+    lines = [f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}"]
+    lines += [f"{name}: {value}" for name, value in headers]
+    lines.append(f"Content-Length: {len(body)}")
+    if close:
+        lines.append("Connection: close")
+    lines += ["", ""]
+    return "\r\n".join(lines).encode("latin-1") + body
+
+
+def encode_request(method: str, target: str, host: str,
+                   body: Optional[bytes], headers: Dict[str, str]) -> bytes:
+    """One complete request; a ``Content-Length`` is sent with every
+    body."""
+    lines = [f"{method} {target} HTTP/1.1", f"Host: {host}",
+             "Accept-Encoding: identity"]
+    lines += [f"{name}: {value}" for name, value in headers.items()]
+    if body is not None:
+        lines.append(f"Content-Length: {len(body)}")
+    lines += ["", ""]
+    return "\r\n".join(lines).encode("latin-1") + (body or b"")
+
+
+class ClientConnection:
+    """One client socket and its read buffer, opened on first use.
+
+    ``sock`` is None while closed.  A response with no
+    ``Content-Length`` is read to EOF; one that does not keep the
+    connection alive closes it after its body.
+    """
+
+    def __init__(self, host: str, port: int, timeout: Optional[float],
+                 ssl_context=None) -> None:
+        self.host, self.port, self.timeout = host, port, timeout
+        self.ssl_context = ssl_context
+        self.sock: Optional[socket.socket] = None
+        self._buf = bytearray()
 
     def close(self) -> None:
-        """Graceful, idempotent stop: shutdown, then server_close."""
-        if not self._closed:
-            self._closed = True
-            self.shutdown()
-            self.server_close()
+        if self.sock is not None:
+            self.sock.close()
+            self.sock = None
+        self._buf.clear()
 
-    def shutdown(self) -> None:
-        """Stop accepting, drain, then wake idle keep-alive readers."""
-        with self._idle_lock:
-            self._draining = True
-        super().shutdown()
-        self.drain()
-        with self._idle_lock:
-            for conn in [c for c, idle in self._idle.items() if idle]:
-                try:
-                    conn.shutdown(socket.SHUT_RD)  # readline returns EOF
-                except OSError:
-                    pass
+    def send(self, data: bytes) -> None:
+        if self.sock is None:
+            sock = socket.create_connection((self.host, self.port),
+                                            self.timeout)
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            if self.ssl_context is not None:
+                sock = self.ssl_context.wrap_socket(
+                    sock, server_hostname=self.host)
+            self.sock = sock
+        self.sock.sendall(data)
+
+    def _fill(self) -> bool:
+        chunk = self.sock.recv(65536)
+        self._buf += chunk
+        return bool(chunk)
+
+    def read_head(self) -> Tuple[int, str, str, Dict[str, str]]:
+        """Status, reason, version and lower-cased headers of the next
+        response.  A close before its first byte raises
+        :class:`RemoteDisconnected`; a close inside the head raises a
+        plain :class:`ProtocolError`, since the server may already have
+        run the request."""
+        end = self._buf.find(b"\r\n\r\n")
+        while end < 0:
+            if len(self._buf) > MAX_HEAD_BYTES:
+                raise ProtocolError("response head too long")
+            if not self._fill():
+                if self._buf:
+                    raise ProtocolError(
+                        f"truncated response head {bytes(self._buf)!r}")
+                raise RemoteDisconnected(
+                    "remote end closed connection without response")
+            end = self._buf.find(b"\r\n\r\n")
+        start, headers = _parse_head(bytes(self._buf[:end]))
+        del self._buf[:end + 4]
+        parts = start.split(" ", 2)
+        if (len(parts) < 2 or not parts[0].startswith("HTTP/1.")
+                or len(parts[1]) != 3 or not parts[1].isdigit()):
+            raise BadStatusLine(f"bad status line {start!r}")
+        reason = parts[2] if len(parts) > 2 else ""
+        return int(parts[1]), reason, parts[0], headers
+
+    def read_body(self, version: str, headers: Dict[str, str]) -> bytes:
+        if "transfer-encoding" in headers:
+            raise ProtocolError("Transfer-Encoding responses are not "
+                                "supported")
+        length = _content_length(headers)
+        if length is None:  # delimited by the server's close
+            while self._fill():
+                pass
+            body = bytes(self._buf)
+            self.close()
+            return body
+        while len(self._buf) < length:
+            if not self._fill():
+                raise ProtocolError(f"connection closed after "
+                                    f"{len(self._buf)} of {length} body "
+                                    f"bytes")
+        body = bytes(self._buf[:length])
+        del self._buf[:length]
+        if not _keep_alive(version, headers):
+            self.close()
+        return body
+
+
+# -- client transport ---------------------------------------------------------
 
 
 class TransportError(RuntimeError):
@@ -202,7 +303,7 @@ def _parse_retry_after(header: Optional[str],
 #: a slow or failing request must surface, not silently re-run.
 _RETRYABLE = (ConnectionResetError, ConnectionRefusedError,
               BrokenPipeError, ConnectionAbortedError,
-              http.client.RemoteDisconnected, http.client.BadStatusLine)
+              RemoteDisconnected, BadStatusLine)
 
 
 class HttpTransport:
@@ -237,9 +338,10 @@ class HttpTransport:
         self.error_cls = error_cls
         parts = urlsplit(self.base_url)
         self._netloc, self._prefix = parts.netloc, parts.path
-        self._conn_cls = (http.client.HTTPSConnection
-                          if parts.scheme == "https"
-                          else http.client.HTTPConnection)
+        self._host = parts.hostname or "localhost"
+        self._https = parts.scheme == "https"
+        self._port = parts.port or (443 if self._https else 80)
+        self._ssl_context = None
         self._local = threading.local()
 
     # -- retry policy ---------------------------------------------------------
@@ -254,11 +356,15 @@ class HttpTransport:
         delay = self.backoff_s * (2 ** (attempt - 1))
         return delay * (1.0 + self.jitter * random.random())
 
-    def _connection(self) -> http.client.HTTPConnection:
+    def _connection(self) -> ClientConnection:
         """The calling thread's connection in this process."""
         local = self._local
         if getattr(local, "pid", None) != os.getpid():
-            local.conn = self._conn_cls(self._netloc, timeout=self.timeout)
+            if self._https and self._ssl_context is None:
+                import ssl
+                self._ssl_context = ssl.create_default_context()
+            local.conn = ClientConnection(self._host, self._port,
+                                          self.timeout, self._ssl_context)
             local.pid = os.getpid()
         return local.conn
 
@@ -273,16 +379,15 @@ class HttpTransport:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-    def _exchange(self, method: str, path: str, data: Optional[bytes],
-                  headers: Dict[str, str]) -> http.client.HTTPResponse:
+    def _exchange(self, conn: ClientConnection, request: bytes
+                  ) -> Tuple[int, str, str, Dict[str, str]]:
         """Send one request and read the response head.  A reused
         connection the server has since closed is reopened once."""
-        conn = self._connection()
         reopen = conn.sock is not None
         while True:
             try:
-                conn.request(method, self._prefix + path, data, headers)
-                return conn.getresponse()
+                conn.send(request)
+                return conn.read_head()
             except BaseException as exc:
                 conn.close()
                 if not (reopen and isinstance(exc, ConnectionError)):
@@ -304,46 +409,47 @@ class HttpTransport:
     ) -> Tuple[bytes, Dict[str, str]]:
         """Run one request (GET, or POST when ``data`` is not None)
         with the full retry policy; returns ``(body, headers)`` on
-        success.  When ``on_http_error`` claims an error response, the
-        claimed dict comes back JSON-encoded as the body."""
+        success, headers lower-cased.  When ``on_http_error`` claims an
+        error response, the claimed dict comes back JSON-encoded as the
+        body."""
         url = self.base_url + path
-        method = "GET" if data is None else "POST"
-        send_headers = dict(headers or {})
+        request = encode_request("GET" if data is None else "POST",
+                                 self._prefix + path, self._netloc, data,
+                                 headers or {})
         last: Optional[Exception] = None
         for attempt in range(self.retries + 1):
             if attempt:
                 time.sleep(self.retry_delay_s(attempt, last))
+            conn = self._connection()
             try:
-                response = self._exchange(method, path, data, send_headers)
+                status, reason, version, reply_headers = self._exchange(
+                    conn, request)
             except _RETRYABLE as exc:
                 last = exc
                 continue
-            except (OSError, http.client.HTTPException) as exc:
+            except (OSError, ProtocolError) as exc:
                 raise self._error(url, exc, "cannot reach") from None
             try:
-                raw = response.read()
-            except (OSError, http.client.HTTPException) as exc:
-                self.close()  # the response began: never re-send a request
+                raw = conn.read_body(version, reply_headers)
+            except (OSError, ProtocolError) as exc:
+                conn.close()  # the response began: never re-send a request
                 raise self._error(url, exc, "lost the response from") from None
-            reply_headers = {k.lower(): v for k, v in response.getheaders()}
-            if response.status < 400:
+            if status < 400:
                 return raw, reply_headers
             try:
                 body = json.loads(raw)
             except (json.JSONDecodeError, ValueError):
                 body = {}
             if on_http_error is not None:
-                claimed = on_http_error(response.status, body)
+                claimed = on_http_error(status, body)
                 if claimed is not None:
                     return json.dumps(claimed).encode(), {}
             retry_after = _parse_retry_after(
                 reply_headers.get("retry-after"), body)
             err = self.error_cls(
-                body.get("error",
-                         f"HTTP Error {response.status}: {response.reason}"),
-                status=response.status, payload=body,
-                retry_after=retry_after)
-            if response.status in (429, 503) and retry_after is not None:
+                body.get("error", f"HTTP Error {status}: {reason}"),
+                status=status, payload=body, retry_after=retry_after)
+            if status in (429, 503) and retry_after is not None:
                 last = err  # honor the advertised backoff and retry
                 continue
             raise err
@@ -367,3 +473,4 @@ class HttpTransport:
         body, _ = self.request_bytes(path, data, headers=send_headers,
                                      on_http_error=on_http_error)
         return json.loads(body)
+

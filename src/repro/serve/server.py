@@ -1,23 +1,42 @@
 """Stdlib HTTP/JSON front end over the prediction engine.
 
-``repro serve`` starts a :class:`PredictionServer`: a keep-alive HTTP
-server whose handler threads do **not** call the engine directly —
-they enqueue onto a :class:`MicroBatcher`, a single consumer thread
-that pushes each batch through one vectorized
-:meth:`~repro.serve.engine.PredictionEngine.predict_batch`.  While
-another ``/predict`` is on its way in, the batch waits for it, up to
-``batch_window_ms`` (or ``max_batch``); otherwise it runs at once.
-Concurrent connections therefore share forest passes, and a lone
-request never waits.
+``repro serve`` starts a :class:`PredictionServer`: one process, one
+loop thread and one batcher thread.
+
+* The **loop thread** runs one :mod:`selectors` event loop.  It
+  accepts connections, reads and parses requests with the small
+  HTTP/1.1 codec in :mod:`repro.serve.http`, routes them, and writes
+  every response.  It never calls into the engine or the registry: a
+  ``/predict`` body is parsed there and its rows handed to the batcher
+  with a non-blocking :meth:`MicroBatcher.submit`, ``POST /config``
+  is answered there, and the routes that read the engine or the
+  registry (``/health``, ``/models``, ``/stats``, refreshes) run on a
+  few **admin threads**, which may wait on a running batch or on a
+  remote store while the loop goes on.
+* The **batcher thread** (:class:`MicroBatcher`) pushes each batch
+  through one vectorized
+  :meth:`~repro.serve.engine.PredictionEngine.predict_batch`.  A
+  finished batch (or admin answer) wakes the loop over a socketpair,
+  and the loop writes it.  While a ``/predict`` body is still
+  arriving, the batch waits for it, up to ``batch_window_ms`` (or
+  ``max_batch``); otherwise it runs at once.  Concurrent connections
+  therefore share forest passes, and a lone request never waits.
+
+Connections persist (HTTP/1.1 keep-alive, Nagle off).  Requests
+pipelined on one connection are answered in order: the loop reads no
+further from a connection whose ``/predict`` is with the batcher.  A
+connection silent for :attr:`PredictionServer.idle_timeout_s` is
+closed.
 
 The request path is *bounded end to end*: the micro-batch queue holds
 at most ``max_queue`` requests — an arrival that would overflow it is
 **shed** immediately with ``429`` + a ``Retry-After`` estimate instead
-of growing the queue (the accept loop never blocks on overload) — and
+of growing the queue (the loop never blocks on overload) — and
 every request carries a **deadline** (its own ``deadline_ms``, else
 the server's ``default_deadline_ms``).  A request still queued when
 its deadline passes is answered ``504 deadline exceeded`` at dequeue,
-never silently computed.
+never silently computed.  The loop keeps reading, shedding and
+answering while a batch runs.
 
 Endpoints (all JSON):
 
@@ -43,16 +62,26 @@ batch for deterministic replay.
 Shutdown is graceful: ``close()`` (or SIGTERM via ``repro serve``)
 stops accepting, drains the micro-batcher queue, answers every
 in-flight request (later arrivals get ``503``), and only then closes
-the socket.
+the connections and the socket.  A connection that was just answered
+lingers, its input discarded, until the client hangs up or
+:data:`LINGER_S` passes, so the close never resets it.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import selectors
+import socket
+import sys
 import threading
 import time
-from typing import Dict, List, Optional, Sequence
+import traceback
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
+from email.utils import formatdate
+from functools import partial
+from typing import Callable, Deque, Dict, List, Optional, Sequence, Set, Tuple
 
 from .engine import (
     Prediction,
@@ -60,7 +89,17 @@ from .engine import (
     PredictRequest,
     expired_prediction,
 )
-from .http import JsonHandler, JsonServer
+from .http import (
+    CONTINUE,
+    MAX_HEAD_BYTES,
+    ProtocolError,
+    RequestHead,
+    encode_response,
+    parse_request_head,
+)
+
+#: ``Server`` header of every response.
+SERVER_NAME = "repro-serve"
 
 
 class Deadline:
@@ -101,7 +140,7 @@ class ConfigError(ValueError):
 
 
 class QueueFullError(RuntimeError):
-    """Raised by :meth:`MicroBatcher.submit_many` when accepting the
+    """Raised by :meth:`MicroBatcher.submit` when accepting the
     requests would overflow ``max_queue`` — the HTTP layer turns it
     into ``429`` with a ``Retry-After`` header."""
 
@@ -133,29 +172,46 @@ def _check_knob(field: str, value):
     return value if integer else float(value)
 
 
+class _Ticket:
+    """One submission's results, filled in as its batches run; calls
+    ``on_done(results)`` once the last of them is in."""
+
+    __slots__ = ("results", "left", "on_done")
+
+    def __init__(self, n: int, on_done: Callable[[List[Prediction]], None]
+                 ) -> None:
+        self.results: List[Optional[Prediction]] = [None] * n
+        self.left = n
+        self.on_done = on_done
+
+
 class _Pending:
     """One queued request awaiting its batch result."""
 
-    __slots__ = ("request", "done", "result", "deadline")
+    __slots__ = ("request", "deadline", "ticket", "index")
 
-    def __init__(self, request: PredictRequest,
-                 deadline: Optional[Deadline] = None) -> None:
+    def __init__(self, request: PredictRequest, deadline: Optional[Deadline],
+                 ticket: _Ticket, index: int) -> None:
         self.request = request
-        self.done = threading.Event()
-        self.result: Optional[Prediction] = None
         self.deadline = deadline
+        self.ticket = ticket
+        self.index = index
 
     def finish(self, result: Prediction) -> None:
-        self.result = result
-        self.done.set()
+        """Record the result (batcher thread only)."""
+        ticket = self.ticket
+        ticket.results[self.index] = result
+        ticket.left -= 1
+        if not ticket.left:
+            ticket.on_done(ticket.results)
 
 
 class MicroBatcher:
-    """Collects requests across threads into engine-sized batches.
+    """Collects requests from every connection into engine-sized batches.
 
     The queue is bounded (``max_queue``): a submission that would
     overflow it raises :class:`QueueFullError` *immediately* — load is
-    shed at the door, handler threads never block on overload, and the
+    shed at the door, the caller never blocks on overload, and the
     queue can never grow without bound.  Every queued request carries a
     deadline (its own ``deadline_ms`` or the batcher's
     ``default_deadline_ms``); expired requests are answered
@@ -163,7 +219,7 @@ class MicroBatcher:
 
     ``batch_window_ms`` is an upper bound: the window stays open only
     while a caller is between :meth:`arrive` and the enqueueing
-    ``submit_many(..., arrived=True)`` (or :meth:`depart`).
+    ``submit(..., arrived=True)`` (or :meth:`depart`).
     """
 
     def __init__(self, engine: PredictionEngine,
@@ -235,26 +291,32 @@ class MicroBatcher:
             self._arriving += 1
 
     def depart(self) -> None:
-        """Drop an :meth:`arrive` that will not reach ``submit_many``."""
+        """Drop an :meth:`arrive` that will not reach :meth:`submit`."""
         with self._cond:
             self._arriving -= 1
             self._cond.notify()
 
-    def submit_many(self, requests: Sequence[PredictRequest],
-                    arrived: bool = False) -> List[Prediction]:
-        """Enqueue and block until every request's batch has run.
+    def submit(self, requests: Sequence[PredictRequest],
+               on_done: Callable[[List[Prediction]], None],
+               arrived: bool = False) -> None:
+        """Enqueue without blocking; ``on_done(results)`` runs on the
+        batcher thread once every request's batch has run, with the
+        results in request order.
 
-        Raises :class:`QueueFullError` without blocking when the whole
-        submission does not fit under ``max_queue`` (all-or-nothing:
-        a multi-request body is shed as a unit, so its per-stream
-        history chain is never half-applied).  ``arrived=True`` ends
-        the caller's :meth:`arrive`, whatever the outcome.
+        Raises :class:`QueueFullError` when the whole submission does
+        not fit under ``max_queue`` (all-or-nothing: a multi-request
+        body is shed as a unit, so its per-stream history chain is
+        never half-applied), and RuntimeError once stopped.
+        ``arrived=True`` ends the caller's :meth:`arrive`, whatever the
+        outcome.
         """
+        ticket = _Ticket(len(requests), on_done)
         with self._cond:
             if arrived:
                 self._arriving -= 1
             self._cond.notify()
-            pending = [_Pending(r, self._deadline_for(r)) for r in requests]
+            pending = [_Pending(r, self._deadline_for(r), ticket, i)
+                       for i, r in enumerate(requests)]
             if self._stopped:
                 raise RuntimeError("batcher is stopped")
             if len(self._queue) + len(pending) > self.max_queue:
@@ -267,13 +329,24 @@ class MicroBatcher:
         if shed is not None:
             self._log_dropped(shed, "shed")
             raise QueueFullError(len(shed), retry_after)
-        for p in pending:
-            p.done.wait()
-        return [p.result for p in pending]  # type: ignore[misc]
+
+    def submit_many(self, requests: Sequence[PredictRequest],
+                    arrived: bool = False) -> List[Prediction]:
+        """:meth:`submit`, then block until the results are in."""
+        done = threading.Event()
+        box: List[List[Prediction]] = []
+
+        def on_done(results: List[Prediction]) -> None:
+            box.append(results)
+            done.set()
+
+        self.submit(requests, on_done, arrived=arrived)
+        done.wait()
+        return box[0]
 
     def stop(self) -> None:
         """Stop accepting and drain: every already-queued request is
-        answered before the consumer thread exits (new ``submit_many``
+        answered before the consumer thread exits (new :meth:`submit`
         calls are rejected immediately)."""
         with self._cond:
             self._stopped = True
@@ -363,106 +436,57 @@ class MicroBatcher:
                 "default_deadline_ms": self.default_deadline_ms}
 
 
-class _Handler(JsonHandler):
-    server: "PredictionServer"
+#: Seconds a connection that is closing may keep sending before it is
+#: dropped.  Its unread bytes are discarded meanwhile, so closing the
+#: socket never resets it under a reply the client has not read yet.
+LINGER_S = 2.0
 
-    def _read_json(self) -> Dict:
-        raw = self._read_body() or b"{}"
-        try:
-            data = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"invalid JSON body: {exc}") from None
-        if not isinstance(data, dict):
-            raise ValueError("JSON body must be an object")
-        return data
+#: Threads answering the routes that call into the engine or the
+#: registry.  Those calls can wait on a running batch or on a remote
+#: store, and the loop must never wait.
+ADMIN_THREADS = 4
 
-    # -- routes ---------------------------------------------------------------
-
-    def do_GET(self) -> None:
-        path = self.path.split("?", 1)[0]
-        if path == "/health":
-            payload = self.server.health()
-            # only "healthy" is a 200 so load balancers eject the node
-            status = 200 if payload["status"] == "healthy" else 503
-            self._send_json(payload, status)
-        elif path == "/models":
-            self._send_json({"models": self.server.model_records()})
-        elif path == "/stats":
-            self._send_json(self.server.stats())
-        else:
-            self._send_json({"error": f"unknown path {path!r}"}, 404)
-
-    def do_POST(self) -> None:
-        path = self.path.split("?", 1)[0]
-        if path == "/predict":
-            self._predict()
-            return
-        try:
-            data = self._read_json()
-        except ValueError as exc:
-            self._send_json({"error": str(exc)}, 400)
-            return
-        if path == "/config":
-            self._config(data)
-        elif path == "/models/refresh":
-            self.server.refresh_calls += 1
-            self.server.engine.refresh()
-            self._send_json({"ok": True})
-        else:
-            self._send_json({"error": f"unknown path {path!r}"}, 404)
-
-    def _predict(self) -> None:
-        batcher = self.server.batcher
-        batcher.arrive()  # the batch window waits for us until we enqueue
-        try:
-            data = self._read_json()
-            raw = data["requests"] if "requests" in data else [data]
-            if not isinstance(raw, list) or not raw:
-                raise ValueError("'requests' must be a non-empty list")
-            requests = [PredictRequest.from_dict(item) for item in raw]
-        except BaseException as exc:
-            batcher.depart()
-            if not isinstance(exc, (TypeError, ValueError)):
-                raise
-            self._send_json({"error": str(exc)}, 400)
-            return
-        try:
-            results = batcher.submit_many(requests, arrived=True)
-        except QueueFullError as exc:  # overload: shed with a backoff hint
-            self._send_json(
-                {"error": "queue full, request shed",
-                 "retry_after_s": exc.retry_after_s},
-                429, headers={"Retry-After": f"{exc.retry_after_s:.3f}"})
-            return
-        except RuntimeError:  # shutting down: batcher drains, no new work
-            self._send_json({"error": "server is shutting down"}, 503)
-            return
-        if all(r.ok for r in results):
-            status = 200
-        elif all(r.expired for r in results):
-            status = 504  # every request outlived its deadline
-        else:
-            status = 422
-        self._send_json(
-            {"predictions": [r.as_dict() for r in results]}, status)
-
-    def _config(self, data: Dict) -> None:
-        try:
-            self.server.batcher.configure(
-                batch_window_ms=data.get("batch_window_ms"),
-                max_batch=data.get("max_batch"),
-                max_queue=data.get("max_queue"),
-                default_deadline_ms=data.get("default_deadline_ms"))
-        except ConfigError as exc:
-            self._send_json({"error": str(exc), "field": exc.field}, 400)
-            return
-        if data.get("refresh_models"):
-            self.server.engine.refresh()
-        self._send_json({"ok": True,
-                         "config": self.server.batcher.stats_dict()})
+_WAKE = object()  # selector key data of the loop's wake-up socket
 
 
-class PredictionServer(JsonServer):
+class _Conn:
+    """One client connection; only the loop thread touches it."""
+
+    __slots__ = ("sock", "peer", "rbuf", "wbuf", "head", "arrived", "busy",
+                 "paused", "closing", "events", "last_active")
+
+    def __init__(self, sock: socket.socket, peer, now: float) -> None:
+        self.sock: Optional[socket.socket] = sock
+        self.peer = peer
+        self.rbuf = bytearray()
+        self.wbuf = bytearray()
+        #: parsed head of a request whose body is still arriving
+        self.head: Optional[RequestHead] = None
+        #: counted in the batcher's arrivals until its body is in
+        self.arrived = False
+        #: a /predict is with the batcher: parse nothing more until its
+        #: answer is written, so pipelined replies keep their order
+        self.busy = False
+        #: bytes arrived while busy: stop watching for reads until the
+        #: answer is out (a client that just waits costs no syscall)
+        self.paused = False
+        #: the last response is queued; half-close once it is written
+        self.closing = False
+        self.events = 0
+        self.last_active = now
+
+
+def _json_object(body: bytes) -> Dict:
+    try:
+        data = json.loads(body or b"{}")
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"invalid JSON body: {exc}") from None
+    if not isinstance(data, dict):
+        raise ValueError("JSON body must be an object")
+    return data
+
+
+class PredictionServer:
     """HTTP server owning one engine + one micro-batcher.
 
     ``port=0`` binds an ephemeral port (see :attr:`address`); call
@@ -471,38 +495,542 @@ class PredictionServer(JsonServer):
     closes the socket and the engine).
     """
 
+    #: Seconds a connection may stay silent, between requests or in
+    #: the middle of one, before the loop closes it.
+    idle_timeout_s = 60.0
+
     def __init__(self, engine: PredictionEngine, host: str = "127.0.0.1",
                  port: int = 8000, batch_window_ms: float = 2.0,
                  max_batch: int = 64, verbose: bool = False,
                  request_log=None, max_queue: int = 256,
                  default_deadline_ms: float = 0.0) -> None:
         self.engine = engine
+        self.verbose = verbose
         self.batcher = MicroBatcher(engine, batch_window_ms=batch_window_ms,
                                     max_batch=max_batch,
                                     request_log=request_log,
                                     max_queue=max_queue,
                                     default_deadline_ms=default_deadline_ms)
+        try:
+            self._listener = socket.create_server((host, port))
+        except OSError:
+            self.batcher.stop()
+            raise
+        self._address = self._listener.getsockname()[:2]
         #: manual POST /models/refresh count — with push rollout active
         #: this should stay 0 (the CI smoke asserts exactly that)
         self.refresh_calls = 0
         self._started = time.monotonic()
-        super().__init__((host, port), _Handler, verbose=verbose)
+        self._draining = self._closed = self._stopping = False
+        self._lifecycle = threading.Lock()
+        self._loop_thread: Optional[threading.Thread] = None
+        self._loop_exited = threading.Event()
+        self._conns: Set[_Conn] = set()
+        #: (connection, head, status, payload, headers) of answers made
+        #: off the loop, by the batcher or an admin thread; the loop
+        #: writes them
+        self._finished: Deque[Tuple[_Conn, RequestHead, int, Dict,
+                                    Sequence[Tuple[str, str]]]] = deque()
+        self._admin = ThreadPoolExecutor(ADMIN_THREADS,
+                                         thread_name_prefix="repro-serve-admin")
+        self._wake_r, self._wake_w = socket.socketpair()
+        self._wake_pending = False
+        self._date = (0, "")
+        self._selector = selectors.DefaultSelector()
+        for sock, data in ((self._listener, None), (self._wake_r, _WAKE)):
+            sock.setblocking(False)
+            self._selector.register(sock, selectors.EVENT_READ, data)
+        self._wake_w.setblocking(False)
+        self._accepting = True
+
+    @property
+    def address(self) -> Tuple[str, int]:
+        return self._address
 
     @property
     def request_log(self):
         return self.batcher.request_log
 
-    def drain(self) -> None:
-        """Answer in-flight + queued requests."""
+    # -- lifecycle ------------------------------------------------------------
+
+    def serve_forever(self, poll_interval: float = 0.5) -> None:
+        """Run the event loop in the calling thread until
+        :meth:`shutdown`."""
+        with self._lifecycle:
+            if self._stopping or self._loop_thread is not None:
+                return
+            self._loop_thread = threading.current_thread()
+        try:
+            self._run(poll_interval)
+        finally:
+            try:
+                self._close_all()
+            finally:
+                self._loop_exited.set()
+
+    def start_background(self) -> threading.Thread:
+        thread = threading.Thread(target=self.serve_forever, daemon=True,
+                                  name="repro-serve-loop")
+        thread.start()
+        return thread
+
+    def shutdown(self) -> None:
+        """Stop accepting and drain: every request already accepted is
+        answered (later arrivals get ``503`` + ``Connection: close``),
+        then every connection is closed."""
+        with self._lifecycle:
+            if self._stopping:
+                return
+            self._draining = True
+        self._wake()
         self.batcher.stop()
+        self._admin.shutdown(wait=True)
+        with self._lifecycle:
+            self._stopping = True
+            loop = self._loop_thread
+        self._wake()
+        if loop is None:  # never served: no connection to close
+            self._close_all()
+        elif loop is not threading.current_thread():
+            self._loop_exited.wait()
+
+    def server_close(self) -> None:
+        """Close the listening socket and the loop's own sockets."""
+        self._listener.close()
+        self._selector.close()
+        self._wake_r.close()
+        self._wake_w.close()
 
     def close(self) -> None:
         """Graceful full stop (idempotent): drain, close the socket, then
         close the engine."""
-        super().close()
+        if not self._closed:
+            self._closed = True
+            self.shutdown()
+            self.server_close()
         self.engine.close()
 
+    # -- event loop -----------------------------------------------------------
+
+    def _wake(self) -> None:
+        """Wake the loop (any thread)."""
+        if not self._wake_pending:
+            self._wake_pending = True
+            try:
+                self._wake_w.send(b"\0")
+            except OSError:  # a byte is already pending, or closed
+                pass
+
+    def _batch_done(self, conn: _Conn, head: RequestHead,
+                    results: List[Prediction]) -> None:
+        """``on_done`` of a /predict submission (batcher thread)."""
+        if all(r.ok for r in results):
+            status = 200
+        elif all(r.expired for r in results):
+            status = 504  # every request outlived its deadline
+        else:
+            status = 422
+        self._finished.append(
+            (conn, head, status,
+             {"predictions": [r.as_dict() for r in results]}, ()))
+        self._wake()
+
+    def _offload(self, conn: _Conn, head: RequestHead,
+                 work: Callable[[], Tuple[int, Dict]]) -> None:
+        """Answer with ``work()`` -> ``(status, payload)``, run on an
+        admin thread; the connection parses nothing more until the
+        answer is written."""
+        def run() -> None:
+            try:
+                status, payload = work()
+            except Exception as exc:  # noqa: BLE001 — answer, don't hang
+                traceback.print_exc(file=sys.stderr)
+                status = 500
+                payload = {"error": f"{type(exc).__name__}: {exc}"}
+            self._finished.append((conn, head, status, payload, ()))
+            self._wake()
+
+        try:
+            self._admin.submit(run)
+        except RuntimeError:  # shut down: the drain has begun
+            self._reply(conn, head, 503, {"error": "server is shutting down",
+                                          "status": "draining"})
+        else:
+            conn.busy = True
+
+    def _take_wake(self) -> None:
+        try:
+            self._wake_r.recv(4096)
+        except BlockingIOError:
+            pass
+        # cleared after the read, before the deque is read: an answer
+        # finishing in between sends a fresh byte
+        self._wake_pending = False
+        self._deliver()
+
+    def _run(self, poll_interval: float) -> None:
+        select = self._selector.select
+        next_sweep = 0.0
+        while not self._stopping:
+            tick = min(poll_interval, self.idle_timeout_s / 4)
+            for key, mask in select(tick):
+                data = key.data
+                if data is None:
+                    self._accept()
+                elif data is _WAKE:
+                    self._take_wake()
+                else:
+                    if mask & selectors.EVENT_WRITE:
+                        self._flush(data)
+                    if mask & selectors.EVENT_READ:
+                        self._on_readable(data)
+            if self._draining and self._accepting:
+                self._selector.unregister(self._listener)
+                self._accepting = False
+            now = time.monotonic()
+            if now >= next_sweep:
+                self._sweep(now)
+                next_sweep = now + tick
+
+    def _close_all(self) -> None:
+        """Last step of a shutdown: write the drain's final answers,
+        then close every connection without resetting it.
+
+        An idle connection closes at once, after discarding any input
+        already queued for it.  One that was just answered half-closes
+        and lingers, discarding its input, until the client hangs up or
+        :data:`LINGER_S` passes: closing a socket with unread input
+        sends a reset, which can cost the client its last answer.
+        """
+        if self._accepting:
+            self._selector.unregister(self._listener)
+            self._accepting = False
+        self._deliver()
+        for conn in list(self._conns):
+            if not conn.closing:
+                self._discard_input(conn)
+                self._drop(conn)
+        deadline = time.monotonic() + LINGER_S
+        while self._conns:
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                break
+            for key, mask in self._selector.select(remaining):
+                conn = key.data
+                if conn is _WAKE:
+                    self._take_wake()
+                    continue
+                if mask & selectors.EVENT_WRITE:
+                    self._flush(conn)
+                if mask & selectors.EVENT_READ:
+                    self._on_readable(conn)
+        for conn in list(self._conns):
+            self._discard_input(conn)
+            self._drop(conn)
+
+    @staticmethod
+    def _discard_input(conn: _Conn) -> None:
+        """Read and drop whatever input is already queued."""
+        if conn.sock is None:
+            return
+        try:
+            while conn.sock.recv(65536):
+                pass
+        except OSError:  # nothing more queued (or the socket is gone)
+            pass
+
+    def _accept(self) -> None:
+        while True:
+            try:
+                sock, peer = self._listener.accept()
+            except (BlockingIOError, InterruptedError):
+                return
+            except OSError:  # out of descriptors: retry on the next event
+                return
+            sock.setblocking(False)
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            conn = _Conn(sock, peer, time.monotonic())
+            self._conns.add(conn)
+            self._watch(conn)
+
+    def _sweep(self, now: float) -> None:
+        """Close connections silent for too long (and lingering ones
+        past :data:`LINGER_S`)."""
+        for conn in list(self._conns):
+            if conn.busy:
+                continue
+            limit = (LINGER_S if conn.closing and not conn.wbuf
+                     else self.idle_timeout_s)
+            if now - conn.last_active > limit:
+                self._drop(conn)
+
+    def _watch(self, conn: _Conn) -> None:
+        """Register the events the connection's state calls for."""
+        if conn.sock is None:
+            return
+        want = ((0 if conn.paused else selectors.EVENT_READ)
+                | (selectors.EVENT_WRITE if conn.wbuf else 0))
+        if want == conn.events:
+            return
+        if not conn.events:
+            self._selector.register(conn.sock, want, conn)
+        elif not want:
+            self._selector.unregister(conn.sock)
+        else:
+            self._selector.modify(conn.sock, want, conn)
+        conn.events = want
+
+    def _drop(self, conn: _Conn) -> None:
+        if conn.sock is None:
+            return
+        if conn.arrived:  # its body never came: stop holding the window
+            conn.arrived = False
+            self.batcher.depart()
+        if conn.events:
+            self._selector.unregister(conn.sock)
+            conn.events = 0
+        conn.sock.close()
+        conn.sock = None
+        self._conns.discard(conn)
+
+    def _on_readable(self, conn: _Conn) -> None:
+        if conn.sock is None:
+            return
+        if conn.busy:
+            conn.paused = True
+            self._watch(conn)
+            return
+        try:
+            chunk = conn.sock.recv(65536)
+        except (BlockingIOError, InterruptedError):
+            return
+        except OSError:
+            chunk = b""
+        if not chunk:
+            self._drop(conn)
+        elif not conn.closing:  # a closing connection's bytes are dropped
+            conn.last_active = time.monotonic()
+            conn.rbuf += chunk
+            self._process(conn)
+            self._watch(conn)
+
+    def _send(self, conn: _Conn, data: bytes) -> None:
+        if not conn.wbuf:
+            try:
+                sent = conn.sock.send(data)
+            except (BlockingIOError, InterruptedError):
+                sent = 0
+            except OSError:
+                self._drop(conn)
+                return
+            data = data[sent:]
+        conn.wbuf += data
+        self._written(conn)
+
+    def _flush(self, conn: _Conn) -> None:
+        if conn.sock is None:
+            return
+        try:
+            sent = conn.sock.send(conn.wbuf)
+        except (BlockingIOError, InterruptedError):
+            return
+        except OSError:
+            self._drop(conn)
+            return
+        del conn.wbuf[:sent]
+        conn.last_active = time.monotonic()
+        self._written(conn)
+
+    def _written(self, conn: _Conn) -> None:
+        if not conn.wbuf and conn.closing:
+            conn.rbuf.clear()
+            try:
+                conn.sock.shutdown(socket.SHUT_WR)
+            except OSError:
+                self._drop(conn)
+                return
+            conn.last_active = time.monotonic()
+        self._watch(conn)
+
+    def _process(self, conn: _Conn) -> None:
+        """Parse and route every complete request in the read buffer,
+        one at a time: a /predict with the batcher pauses the rest."""
+        while not (conn.busy or conn.closing) and conn.sock is not None:
+            head = conn.head
+            if head is None:
+                end = conn.rbuf.find(b"\r\n\r\n")
+                if end < 0:
+                    if len(conn.rbuf) > MAX_HEAD_BYTES:
+                        self._reply(conn, None, 431,
+                                    {"error": "request head too large"})
+                    return
+                raw = bytes(conn.rbuf[:end]).lstrip(b"\r\n")
+                del conn.rbuf[:end + 4]
+                try:
+                    head = parse_request_head(raw)
+                except ProtocolError as exc:
+                    self._reply(conn, None, 400, {"error": str(exc)})
+                    return
+                if self._draining:  # arrived after shutdown began
+                    self._reply(conn, head, 503,
+                                {"error": "server is shutting down",
+                                 "status": "draining"})
+                    return
+                if len(conn.rbuf) < head.length:
+                    conn.head = head
+                    if head.method == "POST" and head.path == "/predict":
+                        # the batch window waits for this body
+                        self.batcher.arrive()
+                        conn.arrived = True
+                    if head.expect_continue:
+                        self._send(conn, CONTINUE)
+                    continue
+            elif len(conn.rbuf) < head.length:
+                return
+            body = bytes(conn.rbuf[:head.length])
+            del conn.rbuf[:head.length]
+            conn.head = None
+            try:
+                self._route(conn, head, body)
+            except Exception as exc:  # noqa: BLE001 — the loop lives on
+                traceback.print_exc(file=sys.stderr)
+                self._reply(conn, None, 500,
+                            {"error": f"{type(exc).__name__}: {exc}"})
+
+    def _reply(self, conn: _Conn, head: Optional[RequestHead], status: int,
+               payload: Dict, headers: Sequence[Tuple[str, str]] = ()
+               ) -> None:
+        """Queue one JSON response.  The connection closes after it when
+        the request asked to, could not be parsed (``head`` None), or
+        the server is draining."""
+        if conn.sock is None:
+            return
+        close = head is None or not head.keep_alive or self._draining
+        if close:
+            conn.closing = True
+        now = int(time.time())
+        if now != self._date[0]:
+            self._date = (now, formatdate(now, usegmt=True))
+        data = encode_response(
+            status, json.dumps(payload).encode(),
+            [("Server", SERVER_NAME), ("Date", self._date[1]),
+             ("Content-Type", "application/json"), *headers], close=close)
+        if self.verbose:
+            line = head.request_line if head is not None else "-"
+            sys.stderr.write(f"{conn.peer[0]} - - [{self._date[1]}] "
+                             f"\"{line}\" {status} -\n")
+        self._send(conn, data)
+
+    def _deliver(self) -> None:
+        """Write the answers made off the loop, then resume each
+        connection's pipelined requests."""
+        while self._finished:
+            conn, head, status, payload, headers = self._finished.popleft()
+            conn.busy = conn.paused = False
+            if conn.sock is None:  # the client went away meanwhile
+                continue
+            self._reply(conn, head, status, payload, headers)
+            self._process(conn)
+            self._watch(conn)
+
+    # -- routes ---------------------------------------------------------------
+
+    def _route(self, conn: _Conn, head: RequestHead, body: bytes) -> None:
+        """Answer one request.  Only ``/predict`` and ``/config`` run on
+        the loop; every route that calls into the engine or the
+        registry runs on an admin thread."""
+        path = head.path
+        if head.method == "GET":
+            if path == "/health":
+                self._offload(conn, head, self._health_reply)
+            elif path == "/models":
+                self._offload(conn, head, lambda: (
+                    200, {"models": self.model_records()}))
+            elif path == "/stats":
+                self._offload(conn, head, lambda: (200, self.stats()))
+            else:
+                self._reply(conn, head, 404,
+                            {"error": f"unknown path {path!r}"})
+            return
+        if head.method != "POST":
+            self._reply(conn, head, 501,
+                        {"error": f"unsupported method {head.method!r}"})
+            return
+        if path == "/predict":
+            self._predict(conn, head, body)
+            return
+        try:
+            data = _json_object(body)
+        except ValueError as exc:
+            self._reply(conn, head, 400, {"error": str(exc)})
+            return
+        if path == "/config":
+            self._config(conn, head, data)
+        elif path == "/models/refresh":
+            self.refresh_calls += 1
+            self._offload(conn, head, partial(self._refresh_reply,
+                                              {"ok": True}))
+        else:
+            self._reply(conn, head, 404, {"error": f"unknown path {path!r}"})
+
+    def _predict(self, conn: _Conn, head: RequestHead, body: bytes) -> None:
+        batcher = self.batcher
+        arrived, conn.arrived = conn.arrived, False
+        try:
+            data = _json_object(body)
+            raw = data["requests"] if "requests" in data else [data]
+            if not isinstance(raw, list) or not raw:
+                raise ValueError("'requests' must be a non-empty list")
+            requests = [PredictRequest.from_dict(item) for item in raw]
+        except BaseException as exc:
+            if arrived:
+                batcher.depart()
+            if not isinstance(exc, (TypeError, ValueError)):
+                raise
+            self._reply(conn, head, 400, {"error": str(exc)})
+            return
+        try:
+            batcher.submit(requests, partial(self._batch_done, conn, head),
+                           arrived=arrived)
+        except QueueFullError as exc:  # overload: shed with a backoff hint
+            self._reply(conn, head, 429,
+                        {"error": "queue full, request shed",
+                         "retry_after_s": exc.retry_after_s},
+                        [("Retry-After", f"{exc.retry_after_s:.3f}")])
+        except RuntimeError:  # shutting down: batcher drains, no new work
+            self._reply(conn, head, 503,
+                        {"error": "server is shutting down"})
+        else:
+            # its answer is written by _deliver, on this thread, later
+            conn.busy = True
+
+    def _config(self, conn: _Conn, head: RequestHead, data: Dict) -> None:
+        try:
+            self.batcher.configure(
+                batch_window_ms=data.get("batch_window_ms"),
+                max_batch=data.get("max_batch"),
+                max_queue=data.get("max_queue"),
+                default_deadline_ms=data.get("default_deadline_ms"))
+        except ConfigError as exc:
+            self._reply(conn, head, 400,
+                        {"error": str(exc), "field": exc.field})
+            return
+        payload = {"ok": True, "config": self.batcher.stats_dict()}
+        if data.get("refresh_models"):
+            self._offload(conn, head, partial(self._refresh_reply, payload))
+        else:
+            self._reply(conn, head, 200, payload)
+
     # -- endpoint payloads ----------------------------------------------------
+
+    def _health_reply(self) -> Tuple[int, Dict]:
+        payload = self.health()
+        # only "healthy" is a 200 so load balancers eject the node
+        return (200 if payload["status"] == "healthy" else 503), payload
+
+    def _refresh_reply(self, payload: Dict) -> Tuple[int, Dict]:
+        self.engine.refresh()
+        return 200, payload
 
     def health(self) -> Dict:
         registry = self.engine.registry

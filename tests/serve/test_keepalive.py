@@ -2,6 +2,7 @@
 connections, graceful close with idle clients, and the batch window as
 an upper bound."""
 
+import hashlib
 import http.client
 import json
 import os
@@ -17,6 +18,7 @@ from repro.core import TEVoT, build_training_set
 from repro.flow import CampaignJob, CampaignRunner
 from repro.remote.service import StoreService
 from repro.serve import (
+    HttpTransport,
     MicroBatcher,
     ModelRegistry,
     Prediction,
@@ -25,6 +27,7 @@ from repro.serve import (
     PredictRequest,
     ServeClient,
     ServeError,
+    TransportError,
 )
 from repro.timing import OperatingCondition
 from repro.workloads import random_stream
@@ -88,8 +91,8 @@ def store_service(tmp_path):
 
 @pytest.fixture(scope="module")
 def model_server(tmp_path_factory):
-    """A live server over one published 8-bit int_add model whose
-    handlers drop a connection after 0.2 s of silence."""
+    """A live server over one published 8-bit int_add model that drops
+    a connection after 0.2 s of silence."""
     fu = build_functional_unit("int_add", width=8)
     stream = random_stream(60, operand_width=8, seed=0)
     stream.name = "keepalive_train"
@@ -102,9 +105,7 @@ def model_server(tmp_path_factory):
     registry.publish(model, fu=fu, conditions=[COND], train_stream=stream)
     engine = PredictionEngine(registry=registry, sim_fallback=False)
     server = PredictionServer(engine, port=0)
-    server.RequestHandlerClass = type(
-        "ShortTimeoutHandler", (server.RequestHandlerClass,),
-        {"timeout": 0.2})
+    server.idle_timeout_s = 0.2
     server.start_background()
     yield server, model
     server.close()
@@ -154,8 +155,8 @@ class TestPooledTransport:
             if t in (3, 7):
                 sock = client._transport._local.conn.sock
                 assert sock is not None
-                # the short handler timeout closes the idle connection
-                assert _wait_until(lambda: not server._idle)
+                # the short idle timeout closes the idle connection
+                assert _wait_until(lambda: not server._conns)
             (pred,) = client.predict_many([
                 _request(int(stream.a[t]), int(stream.b[t]),
                          stream_id="idle")])
@@ -227,10 +228,101 @@ class TestPooledTransport:
             client.health()
             assert client._transport._local.conn.sock is not None
         assert client._transport._local.conn.sock is None
-        # the server sees the close and releases the handler thread
-        assert _wait_until(lambda: not stub_server._idle)
+        # the server sees the close and drops the connection
+        assert _wait_until(lambda: not stub_server._conns)
         client.health()  # a closed client reconnects on the next call
         client.close()
+
+
+def _one_shot_server(reply_parts, accepts=1):
+    """A raw socket server answering each of up to ``accepts``
+    connections' first request with ``reply_parts``, sent as separate
+    writes, then closing it; returns its address and the list of
+    request heads it received."""
+    listener = socket.create_server(("127.0.0.1", 0))
+    listener.settimeout(10.0)
+    received = []
+
+    def serve():
+        with listener:
+            for _ in range(accepts):
+                try:
+                    conn, _ = listener.accept()
+                except socket.timeout:
+                    return
+                with conn:
+                    data = b""
+                    while b"\r\n\r\n" not in data:
+                        data += conn.recv(4096)
+                    received.append(data)
+                    for part in reply_parts:
+                        conn.sendall(part)
+                        time.sleep(0.02)
+
+    threading.Thread(target=serve, daemon=True).start()
+    return listener.getsockname(), received
+
+
+class TestRawTransport:
+    def test_response_without_length_is_read_to_eof(self):
+        """No Content-Length and ``Connection: close``: the body is
+        everything up to the server's close, and the connection is not
+        kept."""
+        body = json.dumps({"status": "healthy", "pad": "x" * 5000}).encode()
+        (host, port), _ = _one_shot_server([
+            b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n"
+            b"Connection: close\r\n\r\n", body[:100], body[100:3000],
+            body[3000:]])
+        transport = HttpTransport(f"http://{host}:{port}", retries=0,
+                                  timeout=5.0)
+        raw, headers = transport.request_bytes("/health")
+        assert raw == body
+        assert headers["connection"] == "close"
+        assert transport._local.conn.sock is None
+
+    def test_close_inside_the_response_head_is_not_retried(self):
+        """The server closes after part of a response head: it may have
+        run the request, so the client reports the error and never sends
+        the request again, whatever its retry budget."""
+        (host, port), received = _one_shot_server(
+            [b"HTTP/1.1 200 OK\r\nContent-"], accepts=3)
+        transport = HttpTransport(f"http://{host}:{port}", retries=2,
+                                  backoff_s=0.0, timeout=5.0)
+        with pytest.raises(TransportError, match="truncated response head"):
+            transport.request_bytes("/predict", b"{}")
+        assert len(received) == 1
+
+    def test_store_blob_checksum_is_verified(self, store_service,
+                                             monkeypatch):
+        """A multi-megabyte blob from the threaded store service arrives
+        whole with its ``X-Repro-SHA256``, and a torn stream of it is
+        caught by that checksum."""
+        from repro.remote import RemoteChecksumError, RemoteTraceStore
+        from repro.sim.dta import DelayTrace
+        from repro.testing import faults
+        from repro.timing import DEFAULT_LIBRARY
+
+        conds = [COND, OperatingCondition(1.0, 100.0)]
+        delays = np.random.default_rng(0).random(
+            (2, 400_000)).astype(np.float32)
+        store = RemoteTraceStore(store_service.url, retries=0)
+        store.put("big", DelayTrace(delays, conds), fu_name="int_add",
+                  stream_name="s", library=DEFAULT_LIBRARY)
+        body, headers = store._request_bytes("/store/blob/big")
+        assert len(body) > 2_000_000
+        assert headers["x-repro-sha256"] == hashlib.sha256(body).hexdigest()
+        np.testing.assert_array_equal(store.get("big", conds).delays, delays)
+        monkeypatch.setenv(faults.PLAN_ENV,
+                           "remote.service.stream:torn-write:1,"
+                           "remote.service.stream:torn-write:2")
+        monkeypatch.delenv(faults.STATE_ENV, raising=False)
+        faults.reset()
+        try:
+            with pytest.raises(RemoteChecksumError, match="torn blob"):
+                store.get("big", conds)
+        finally:
+            monkeypatch.delenv(faults.PLAN_ENV)
+            faults.reset()
 
 
 class TestBodyHygiene:

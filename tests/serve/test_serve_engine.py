@@ -282,3 +282,59 @@ class TestResourceBounds:
         assert not out.ok
         assert "finite" in out.message
         assert ("int_add", "nonfinite") not in engine._history
+
+
+class TestOperandValidation:
+    """Operands are integers inside the served width, never coerced,
+    truncated or masked into one."""
+
+    @pytest.mark.parametrize("field", ["a", "b", "prev_a", "prev_b"])
+    @pytest.mark.parametrize("value", [5.9, 5.0, True, "12"])
+    def test_from_dict_rejects_non_integer_operands(self, field, value):
+        data = dict(fu="int_add", a=1, b=2, voltage=0.9, temperature=25.0)
+        data[field] = value
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            PredictRequest.from_dict(data)
+
+    def test_from_dict_keeps_integers_and_absent_history(self):
+        req = PredictRequest.from_dict(dict(
+            fu="int_add", a=2**32 - 1, b=0, voltage=0.9, temperature=25.0,
+            prev_a=None))
+        assert (req.a, req.b, req.prev_a, req.prev_b) == (2**32 - 1, 0,
+                                                          None, None)
+        assert type(req.a) is int
+
+    @pytest.mark.parametrize("field, value", [
+        ("a", 2**32 + 5), ("b", -1), ("prev_a", 2**32), ("prev_b", -1)])
+    def test_out_of_range_operand_rejected(self, field, value):
+        from repro.serve import validate_request
+
+        fields = dict(fu="int_add", a=1, b=2, voltage=0.9, temperature=25.0)
+        fields[field] = value
+        failure = validate_request(PredictRequest(**fields),
+                                   build_functional_unit)
+        assert failure == f"{field} must be in [0, 2**32), got {value}"
+        fields[field] = 2**32 - 1
+        assert validate_request(PredictRequest(**fields),
+                                build_functional_unit) is None
+
+    def test_model_width_bounds_operands_and_history_skips_rejects(
+            self, published):
+        """The 8-bit model serves int_add: 256 is out of range even
+        though the 32-bit FU would hold it.  The rejected request
+        leaves the stream's history alone, so the next accepted request
+        chains from the last accepted operands."""
+        registry, tevot, _ = published
+        engine = PredictionEngine(registry=registry)
+        stream = random_stream(2, operand_width=8, seed=9)
+        first, second = _requests(stream, CONDS[0], stream_id="guard")[:2]
+        bad = PredictRequest(fu="int_add", a=256, b=1,
+                             voltage=CONDS[0].voltage,
+                             temperature=CONDS[0].temperature,
+                             stream_id="guard")
+        out = engine.predict_batch([first, bad])
+        assert out[0].ok and not out[1].ok
+        assert out[1].message == "a must be in [0, 2**8), got 256"
+        (served,) = engine.predict_batch([second])
+        ref = tevot.predict_stream_delays(stream, CONDS[0])
+        assert served.delay_ps == ref[0]

@@ -181,6 +181,39 @@ class TestErrors:
         assert ("int_add", stream_id) not in engine._history
 
 
+    @pytest.mark.parametrize("value", [5.9, True, "12"])
+    def test_non_integer_operand_is_400(self, serving, value):
+        client, _, _ = serving
+        with pytest.raises(ServeError) as err:
+            client.predict_many([{"fu": "int_add", "a": value, "b": 2,
+                                  "voltage": COND.voltage,
+                                  "temperature": COND.temperature}])
+        assert err.value.status == 400
+        assert "a must be an integer" in str(err.value)
+
+    def test_out_of_range_operand_is_422_and_chain_resumes(self, serving):
+        """The 8-bit model rejects 256 and -1 per request; the stream's
+        next accepted request chains from the last accepted operands."""
+        client, model, engine = serving
+        stream = random_stream(2, operand_width=8, seed=6)
+        a, b = [int(x) for x in stream.a[:2]], [int(x) for x in stream.b[:2]]
+
+        def req(a_, b_):
+            return {"fu": "int_add", "a": a_, "b": b_,
+                    "voltage": COND.voltage,
+                    "temperature": COND.temperature, "stream_id": "range"}
+
+        assert client.predict_many([req(a[0], b[0])])[0]["ok"]
+        for bad in (req(256, b[0]), req(a[0], -1)):
+            (pred,) = client.predict_many([bad])
+            assert pred["ok"] is False
+            assert "must be in [0, 2**8)" in pred["message"]
+        (pred,) = client.predict_many([req(a[1], b[1])])
+        ref = model.predict_stream_delays(stream, COND)
+        assert pred["delay_ps"] == ref[0]
+        assert engine._history[("int_add", "range")] == (a[1], b[1])
+
+
 class TestConfigAtomicity:
     def test_rejected_config_applies_nothing(self, serving):
         client, _, _ = serving
