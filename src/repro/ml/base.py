@@ -54,6 +54,9 @@ def check_X(X, n_features: Optional[int] = None) -> np.ndarray:
     if n_features is not None and X.shape[1] != n_features:
         raise ValueError(
             f"X has {X.shape[1]} features, model was fit with {n_features}")
+    # a NaN or inf row would descend a tree as if it were a large value
+    if not np.isfinite(X).all():
+        raise ValueError("X contains NaN or infinity")
     return X
 
 
@@ -88,7 +91,10 @@ def resolve_max_features(max_features, n_features: int) -> int:
         return max(1, int(np.sqrt(n_features)))
     if max_features == "log2":
         return max(1, int(np.log2(n_features)))
-    if isinstance(max_features, float):
+    if isinstance(max_features, bool):
+        raise ValueError(
+            f"max_features must not be a bool, got {max_features!r}")
+    if isinstance(max_features, (float, np.floating)):
         if not 0.0 < max_features <= 1.0:
             raise ValueError("float max_features must be in (0, 1]")
         return max(1, int(max_features * n_features))

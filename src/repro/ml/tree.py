@@ -5,10 +5,19 @@ features plus a few low-cardinality numeric features (V, T) — by
 scanning all split positions of each sorted feature column with prefix
 sums (exact CART).  Split gain is variance reduction (regression) or
 Gini impurity decrease (classification).  All open nodes of one depth
-are scored together from one level-sorted matrix of their bit rows;
-only the float reductions whose rounding breaks near-ties run per node,
-on that node's contiguous slice, so the trees are bit-identical to ones
-built a node at a time.  Prediction descends a stacked node table.
+are scored together:
+
+* bit columns from one level-sorted matrix of the nodes' bit rows; the
+  per-node column sums (``matmul`` and ``sum``) stay one call per node,
+  because their rounding depends on how BLAS and numpy order them;
+* every other column (V, T) by one prefix scan per level: each node's
+  sorted slice fills one zero-padded row of a matrix (nodes grouped by
+  power-of-two row width, so padding at most doubles the cells) and
+  ``cumsum`` along the rows adds in exactly the order a per-node 1-D
+  ``cumsum`` does.
+
+So the trees are bit-identical to ones built a node at a time.
+Prediction descends a stacked node table.
 """
 
 from __future__ import annotations
@@ -127,18 +136,27 @@ class _BaseDecisionTree(_Stacked):
     # subclass hooks ------------------------------------------------------
 
     def _level_values(self, ys, starts, counts):
-        """``(leaf values, pure)`` of every open node of a level."""
+        """``(leaf values, pure, totals)`` of every open node of a level;
+        ``totals`` are the node target statistics ``_binary_gains``
+        takes."""
         raise NotImplementedError
 
-    def _binary_gains(self, xs, ys, starts, counts):
+    def _binary_gains(self, xs, ys, starts, counts, totals):
         """``(gains, n_right)`` of every 0/1 column (threshold 0.5) for
         the nodes whose rows are ``xs[s:s + n]`` for ``s, n`` in
-        ``starts, counts``; ``n_right`` counts each node's ones."""
+        ``starts, counts`` and whose ``_level_values`` totals are
+        ``totals``; ``n_right`` counts each node's ones."""
         raise NotImplementedError
 
-    def _prefix_gains(self, y_s: np.ndarray, positions: np.ndarray):
-        """Gains of splitting sorted targets ``y_s`` after each of
-        ``positions``, from prefix sums."""
+    def _scan_values(self, ys: np.ndarray) -> np.ndarray:
+        """``(rows, channels)`` values whose per-node prefix sums
+        ``_prefix_gains`` scores."""
+        raise NotImplementedError
+
+    def _prefix_gains(self, left, total, n_left, n):
+        """Gains of the split positions whose left child holds ``n_left``
+        of the node's ``n`` rows, with prefix sums ``left`` of the scan
+        values and node sums ``total`` (one row per position)."""
         raise NotImplementedError
 
     # fitting ---------------------------------------------------------------
@@ -175,7 +193,7 @@ class _BaseDecisionTree(_Stacked):
         levels, n_seen, depth = [], 0, 0
         while True:
             n_open, m = len(counts), len(ys)
-            value, pure = self._level_values(ys, starts, counts)
+            value, pure, totals = self._level_values(ys, starts, counts)
             live = ~pure & (counts >= self.min_samples_split)
             if self.max_depth is not None and depth >= self.max_depth:
                 live[:] = False
@@ -189,7 +207,7 @@ class _BaseDecisionTree(_Stacked):
             cand = np.flatnonzero(live)
             if len(bits) and len(cand):
                 g, n_right = self._binary_gains(xs, ys, starts[cand],
-                                                counts[cand])
+                                                counts[cand], totals[cand])
                 g[(n_right < msl) | (counts[cand, None] - n_right < msl)
                   | ~allowed[cand][:, bits] | np.isnan(g)] = -np.inf
                 best = g.argmax(axis=1)
@@ -199,6 +217,7 @@ class _BaseDecisionTree(_Stacked):
                 feat[cand[win]] = bits[best[win]]
                 thr[cand[win]] = 0.5
             row_node = np.repeat(np.arange(n_open), counts)
+            vals = None
             for f in others:
                 col = X[idx, f]
                 varies = live & allowed[:, f] & ~(
@@ -206,13 +225,13 @@ class _BaseDecisionTree(_Stacked):
                     == np.maximum.reduceat(col, starts))
                 if not varies.any():
                     continue
-                order = np.lexsort((col, row_node))
-                col_s, y_s = col[order], ys[order]
-                for k in np.flatnonzero(varies):
-                    s = slice(starts[k], starts[k] + counts[k])
-                    g, t = self._best_split(col_s[s], y_s[s])
-                    if g > gain[k]:
-                        gain[k], feat[k], thr[k] = g, f, t
+                if vals is None:
+                    vals = self._scan_values(ys)
+                k, g, t = self._split_column(col, vals, row_node, starts,
+                                             counts, varies)
+                win = g > gain[k]
+                k = k[win]
+                gain[k], feat[k], thr[k] = g[win], f, t[win]
             split = feat >= 0
             n_split = int(split.sum())
             left = np.full(n_open, _LEAF)
@@ -264,24 +283,62 @@ class _BaseDecisionTree(_Stacked):
         if total > 0:
             self.feature_importances_ /= total
 
-    def _best_split(self, col_s: np.ndarray, y_s: np.ndarray):
-        """Best ``(gain, threshold)`` for one node's stably sorted column
-        ``col_s`` and the targets in that order.
+    def _split_column(self, col, vals, row_node, starts, counts, varies):
+        """Best split of one non-binary column for every node in
+        ``varies``: ``(nodes, gains, thresholds)`` for the nodes that
+        have a valid split position.
 
-        Position ``i`` means the left child takes sorted elements
-        ``0..i``; a position is valid when the column value actually
-        changes there and both children meet ``min_samples_leaf``.
+        ``col`` and ``vals`` (``_scan_values`` of the level's targets)
+        hold the level's rows grouped by node, ``row_node`` names each
+        row's node.  Each node's rows are sorted stably by ``col``;
+        position ``i`` means the left child takes the sorted rows
+        ``0..i``, and it is valid when the column value changes there and
+        both children meet ``min_samples_leaf``.  A node's best position
+        is the first one of maximal gain; its threshold is the midpoint
+        of the two values it separates.
         """
         msl = self.min_samples_leaf
-        positions = np.nonzero(col_s[:-1] != col_s[1:])[0]
-        positions = positions[(positions + 1 >= msl)
-                              & (len(col_s) - positions - 1 >= msl)]
-        if len(positions) == 0:
-            return 0.0, 0.0
-        gains = self._prefix_gains(y_s, positions)
-        best = int(np.argmax(gains))
-        pos = positions[best]
-        return float(gains[best]), float((col_s[pos] + col_s[pos + 1]) / 2.0)
+        order = np.lexsort((col, row_node))
+        col_s = col[order]
+        within = np.arange(len(col)) - starts[row_node]
+        cut = (varies[row_node] & (within + 1 >= msl)
+               & (counts[row_node] - within > msl))
+        cut[:-1] &= col_s[:-1] != col_s[1:]
+        at = np.flatnonzero(cut)
+        node = row_node[at]
+        nodes, first = np.unique(node, return_index=True)
+        if not len(nodes):
+            return nodes, np.zeros(0), np.zeros(0)
+        # one zero-padded row per scanned node, rows of equal power-of-two
+        # width stacked into one block; trailing zeros leave a prefix sum
+        # unchanged, so every row's cumsum equals the node's own 1-D one
+        width = 2 ** np.ceil(np.log2(counts[nodes])).astype(np.int64)
+        by_width = np.argsort(width, kind="stable")
+        ends = np.cumsum(width[by_width])
+        row_start = np.zeros(len(counts), np.int64)
+        row_start[nodes[by_width]] = ends - width[by_width]
+        scanned = np.zeros(len(counts), bool)
+        scanned[nodes] = True
+        rows = np.flatnonzero(scanned[row_node])
+        pad = np.zeros((ends[-1], vals.shape[1]))
+        pad[row_start[row_node[rows]] + within[rows]] = vals[order[rows]]
+        for w, a, r in zip(*(g.tolist() for g in np.unique(
+                width[by_width], return_index=True, return_counts=True))):
+            block = pad[ends[a] - w:ends[a] - w + r * w].reshape(r, w, -1)
+            np.cumsum(block, axis=1, out=block)
+        n = counts[node].astype(np.float64)
+        gains = self._prefix_gains(pad[row_start[node] + within[at]],
+                                   pad[row_start[node] + counts[node] - 1],
+                                   within[at] + 1.0, n)
+        best = np.maximum.reduceat(gains, first)
+        # first position of the maximum; a NaN maximum has none and
+        # never wins, as with a per-node argmax
+        seg = np.repeat(np.arange(len(nodes)),
+                        np.diff(np.append(first, len(at))))
+        hit = np.where(gains == best[seg], np.arange(len(at)), len(at))
+        pick = np.minimum.reduceat(hit, first)
+        pos = at[np.minimum(pick, len(at) - 1)]
+        return nodes, best, (col_s[pos] + col_s[pos + 1]) / 2.0
 
     # prediction ---------------------------------------------------------------
 
@@ -340,30 +397,30 @@ class DecisionTreeRegressor(_BaseDecisionTree):
                          for s, n in zip(starts.tolist(), counts.tolist())])
         pure = (np.minimum.reduceat(ys, starts)
                 == np.maximum.reduceat(ys, starts))
-        return (sums / counts)[:, None], pure
+        return (sums / counts)[:, None], pure, sums
 
-    def _binary_gains(self, xs, ys, starts, counts):
+    def _binary_gains(self, xs, ys, starts, counts, totals):
         yy = ys * ys
         s1_right, s2_right, n_right = np.empty((3, len(starts), xs.shape[1]))
-        total1, total2 = np.empty((2, len(starts), 1))
+        total2 = np.empty((len(starts), 1))
         for k, (s, n) in enumerate(zip(starts.tolist(), counts.tolist())):
             xk, yk = xs[s:s + n], ys[s:s + n]
             np.matmul(xk.T, yk, out=s1_right[k])
             np.matmul(xk.T, yy[s:s + n], out=s2_right[k])
             xk.sum(axis=0, out=n_right[k])
-            total1[k], total2[k] = yk.sum(), yk @ yk
-        n = counts[:, None]
+            total2[k] = yk @ yk
+        n, total1 = counts[:, None], totals[:, None]
         left = (n - n_right, total1 - s1_right, total2 - s2_right)
         return _sse_gains(n, total1, total2, left,
                           (n_right, s1_right, s2_right)), n_right
 
-    def _prefix_gains(self, y_s, positions):
-        cum1, cum2 = np.cumsum(y_s), np.cumsum(y_s * y_s)
-        total1, total2 = cum1[-1], cum2[-1]
-        n_left = positions + 1.0
-        s1l, s2l = cum1[positions], cum2[positions]
-        return _sse_gains(len(y_s), total1, total2, (n_left, s1l, s2l),
-                          (len(y_s) - n_left, total1 - s1l, total2 - s2l))
+    def _scan_values(self, ys):
+        return np.column_stack((ys, ys * ys))
+
+    def _prefix_gains(self, left, total, n_left, n):
+        (s1l, s2l), (total1, total2) = left.T, total.T
+        return _sse_gains(n, total1, total2, (n_left, s1l, s2l),
+                          (n - n_left, total1 - s1l, total2 - s2l))
 
     def predict(self, X) -> np.ndarray:
         X = check_X(X, getattr(self, "n_features_", None))
@@ -389,22 +446,22 @@ class DecisionTreeClassifier(_BaseDecisionTree):
         per_class = np.bincount(node * k + ys, minlength=len(counts) * k
                                 ).reshape(len(counts), k)
         pure = np.count_nonzero(per_class, axis=1) == 1
-        return per_class / per_class.sum(axis=1, keepdims=True), pure
+        return (per_class / per_class.sum(axis=1, keepdims=True), pure,
+                per_class.astype(np.float64))
 
-    def _binary_gains(self, xs, ys, starts, counts):
+    def _binary_gains(self, xs, ys, starts, counts, totals):
         # class counts are integers, exact in any summation order
         onehot = self._onehot(ys)
-        slices = [slice(s, s + n)
-                  for s, n in zip(starts.tolist(), counts.tolist())]
-        right = np.stack([xs[s].T @ onehot[s] for s in slices])
-        totals = np.stack([onehot[s].sum(axis=0) for s in slices])[:, None]
-        return (_gini_gains(totals - right, right, counts[:, None]),
+        right = np.stack([xs[s:s + n].T @ onehot[s:s + n]
+                          for s, n in zip(starts.tolist(), counts.tolist())])
+        return (_gini_gains(totals[:, None] - right, right, counts[:, None]),
                 right.sum(axis=2))
 
-    def _prefix_gains(self, y_s, positions):
-        cum = np.cumsum(self._onehot(y_s), axis=0)
-        left = cum[positions]
-        return _gini_gains(left, cum[-1] - left, np.float64(len(y_s)))
+    def _scan_values(self, ys):
+        return self._onehot(ys)
+
+    def _prefix_gains(self, left, total, n_left, n):
+        return _gini_gains(left, total - left, n)
 
     def predict_proba(self, X) -> np.ndarray:
         X = check_X(X, getattr(self, "n_features_", None))

@@ -11,7 +11,7 @@ from repro.core import (
     prediction_accuracy,
 )
 from repro.core.features import build_feature_matrix
-from repro.ml import LinearRegression
+from repro.ml import LinearRegression, RandomForestRegressor
 from repro.timing import OperatingCondition
 from repro.workloads import random_stream
 
@@ -59,6 +59,16 @@ class TestTEVoT:
     def test_unfitted_predict_raises(self):
         with pytest.raises(RuntimeError):
             TEVoT().predict_delay(np.zeros((1, 130)))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_features_rejected(self, value):
+        X, y = synthetic_training()
+        model = TEVoT(regressor=RandomForestRegressor(
+            n_estimators=2, random_state=0)).fit(X, y)
+        X = X[:3].copy()
+        X[1, -2] = value        # the voltage column
+        with pytest.raises(ValueError, match="X contains NaN or infinity"):
+            model.predict_delay(X)
 
     def test_invalid_clock_rejected(self):
         X, y = synthetic_training()

@@ -60,6 +60,11 @@ class TestCheckX:
         X = check_X([[1, 2]], n_features=2)
         assert X.shape == (1, 2)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, value):
+        with pytest.raises(ValueError, match="X contains NaN or infinity"):
+            check_X([[1.0, value]], n_features=2)
+
 
 class TestResolveMaxFeatures:
     @pytest.mark.parametrize("spec,expected", [
@@ -80,6 +85,20 @@ class TestResolveMaxFeatures:
     def test_invalid_string(self):
         with pytest.raises(ValueError):
             resolve_max_features("banana", 10)
+
+    @pytest.mark.parametrize("spec", [True, False, np.True_])
+    def test_rejects_bools(self, spec):
+        with pytest.raises(ValueError):
+            resolve_max_features(spec, 10)
+
+    @pytest.mark.parametrize("spec,expected", [
+        (np.float32(0.5), 50), (np.float64(0.25), 25), (np.int64(7), 7)])
+    def test_numpy_scalars(self, spec, expected):
+        assert resolve_max_features(spec, 100) == expected
+
+    def test_invalid_numpy_float(self):
+        with pytest.raises(ValueError, match=r"\(0, 1\]"):
+            resolve_max_features(np.float32(1.5), 10)
 
 
 class TestBaseEstimator:

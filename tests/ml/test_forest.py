@@ -185,6 +185,21 @@ def test_non_finite_training_data_rejected(always_fork, cls, where, value):
     assert multiprocessing.active_children() == []
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("cls", ESTIMATORS)
+def test_non_finite_prediction_input_rejected(cls, value):
+    X, y = binary_set()
+    model = cls().fit(X, y.astype(int))
+    row = np.array([[value, 0.5, 0.5, 0.5]])
+    # a NaN compares false with every threshold and an inf descends as a
+    # huge value, so both used to reach some leaf
+    with pytest.raises(ValueError, match="X contains NaN or infinity"):
+        model.predict(row)
+    if "Classifier" in cls.__name__:
+        with pytest.raises(ValueError, match="X contains NaN"):
+            model.predict_proba(row)
+
+
 @pytest.mark.parametrize("failure", ["exit", "raise"])
 def test_failing_child_raises_in_parent(always_fork, monkeypatch, failure):
     parent = os.getpid()

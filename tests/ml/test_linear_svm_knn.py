@@ -135,3 +135,13 @@ class TestKNN:
     def test_invalid_k(self):
         with pytest.raises(ValueError):
             KNeighborsRegressor(0)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("model", [LinearRegression(),
+                                   KNeighborsRegressor(n_neighbors=2)])
+def test_predict_rejects_non_finite(model, value):
+    X = np.array([[0.0, 1.0], [1.0, 0.0], [2.0, 2.0]])
+    model.fit(X, np.array([0.0, 1.0, 2.0]))
+    with pytest.raises(ValueError, match="X contains NaN or infinity"):
+        model.predict([[value, 1.0]])
