@@ -24,6 +24,7 @@ from repro.workloads import stream_for_unit
 FU_NAME = "int_add"  # paper FU, full 32-bit operand width
 N_REQUESTS = 256
 MIN_SPEEDUP = 5.0
+ROUNDS = 3  # timed rounds per path; the best of each is kept
 
 
 def _publish_model(tmp_path, campaign_runner):
@@ -61,15 +62,20 @@ def test_micro_batching_throughput(benchmark, tmp_path, campaign_runner):
         engine.reset_stream()
         engine.predict_batch(requests[:2])
 
-        engine.reset_stream()
-        t0 = time.perf_counter()
-        batched = engine.predict_batch(requests)
-        batched_s = time.perf_counter() - t0
+        # best of alternating rounds: the batched pass takes a few ms,
+        # so one scheduler preemption inside a single timed pass would
+        # decide the ratio
+        batched_s = loop_s = float("inf")
+        for _ in range(ROUNDS):
+            engine.reset_stream()
+            t0 = time.perf_counter()
+            batched = engine.predict_batch(requests)
+            batched_s = min(batched_s, time.perf_counter() - t0)
 
-        engine.reset_stream()
-        t0 = time.perf_counter()
-        looped = [engine.predict_one(r) for r in requests]
-        loop_s = time.perf_counter() - t0
+            engine.reset_stream()
+            t0 = time.perf_counter()
+            looped = [engine.predict_one(r) for r in requests]
+            loop_s = min(loop_s, time.perf_counter() - t0)
         return batched, looped, batched_s, loop_s
 
     batched, looped, batched_s, loop_s = benchmark.pedantic(

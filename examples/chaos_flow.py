@@ -7,7 +7,7 @@ characterize -> publish -> record flow in a child process with
 died at the fault point (exit code 23), then reruns the same flow clean
 and verifies every store reopened without error and converged:
 
-- the trace store serves the campaign trace (cache hit or recovered),
+- the trace store returns the campaign trace (cache hit or recovered),
 - a checkpointed campaign killed mid-journal resumes its finished
   shards instead of re-simulating them,
 - the model registry resolves the published model,

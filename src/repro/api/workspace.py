@@ -40,7 +40,7 @@ from ..flow.campaign import (
     error_free_clocks,
 )
 from ..flow.pool import WorkerPool
-from ..flow.tracestore import is_remote_url, open_trace_store
+from ..flow.tracestore import TraceStore
 from ..sim.dta import DelayTrace
 from ..timing.cells import CellLibrary, DEFAULT_LIBRARY
 from ..timing.corners import sped_up_clock
@@ -118,13 +118,7 @@ class Workspace:
         ``root/traces``, published models under ``root/registry``.
         ``None`` (default) uses the global cache directory
         (``REPRO_CACHE_DIR``) for traces and has no registry unless
-        ``registry`` names one.  An ``http(s)://host:port`` URL routes
-        both through a running store service (``repro store serve``):
-        store and registry become
-        :class:`~repro.remote.client.RemoteTraceStore` /
-        :class:`~repro.remote.client.RemoteModelRegistry` with
-        byte-identical cache keys and model fingerprints to the
-        local-path workspace the service fronts.
+        ``registry`` names one.
     store / registry:
         Explicit overrides for either location (path or an already
         constructed :class:`TraceStore` /
@@ -144,15 +138,7 @@ class Workspace:
                  store=None, registry=None,
                  library: CellLibrary = DEFAULT_LIBRARY,
                  lock_timeout: float = 10.0) -> None:
-        self.url: Optional[str] = None
-        if root is not None and is_remote_url(root):
-            # remote workspace: both components dial the store service
-            self.url = str(root).rstrip("/")
-            self.root = None
-            store = self.url if store is None else store
-            registry = self.url if registry is None else registry
-        else:
-            self.root = Path(root) if root is not None else None
+        self.root = Path(root) if root is not None else None
         if store is None and self.root is not None:
             store = self.root / "traces"
         self._store = store
@@ -199,31 +185,28 @@ class Workspace:
 
     @property
     def store(self):
-        """The workspace trace store (built on first use): a
-        :class:`TraceStore`, or a remote client for a URL workspace."""
+        """The workspace :class:`TraceStore` (built on first use)."""
         if self._store is None or isinstance(self._store, (str, Path)):
-            self._store = open_trace_store(self._store,
-                                           lock_timeout=self.lock_timeout)
+            self._store = TraceStore(self._store,
+                                     lock_timeout=self.lock_timeout)
         return self._store
 
     @property
     def registry(self):
         """The workspace model registry, or None when unconfigured."""
-        from ..serve.registry import open_model_registry
+        from ..serve.registry import ModelRegistry
 
-        if self._registry is None:
-            return None
         if isinstance(self._registry, (str, Path)):
-            self._registry = open_model_registry(
-                self._registry, lock_timeout=self.lock_timeout)
+            self._registry = ModelRegistry(self._registry,
+                                           lock_timeout=self.lock_timeout)
         return self._registry
 
     def _registry_for(self, path: Optional[str]):
         """Registry override from a spec, else the workspace's own."""
-        from ..serve.registry import open_model_registry
+        from ..serve.registry import ModelRegistry
 
         if path is not None:
-            return open_model_registry(path, lock_timeout=self.lock_timeout)
+            return ModelRegistry(path, lock_timeout=self.lock_timeout)
         return self.registry
 
     def resolve_path(self, path: Union[str, Path]) -> Path:
@@ -426,8 +409,5 @@ class Workspace:
         """
         from ..serve.requestlog import replay_log
 
-        engine = self.engine(spec)
-        try:
-            return replay_log(self.resolve_path(path), engine.predict_batch)
-        finally:
-            engine.close()
+        return replay_log(self.resolve_path(path),
+                          self.engine(spec).predict_batch)

@@ -33,7 +33,6 @@ import argparse
 import math
 import signal
 import sys
-from pathlib import Path
 from typing import List, Optional
 
 from .api import (
@@ -47,7 +46,7 @@ from .api import (
 )
 from .circuits import PAPER_UNITS
 from .core import load_model
-from .flow import implement, open_trace_store
+from .flow import TraceStore, implement
 from .sim import available_backends
 
 _CONFIG_HELP = ("declarative spec file (.toml or .json); individual "
@@ -432,18 +431,16 @@ def cmd_serve(args) -> int:
 
 
 def cmd_models(args) -> int:
-    from .serve import MODEL_KINDS, open_model_registry
+    from .serve import MODEL_KINDS, ModelRegistry
 
-    where = args.url or args.registry
-    if where is None:
-        print("models requires --registry DIR or --url URL",
-              file=sys.stderr)
+    if args.registry is None:
+        print("models requires --registry DIR", file=sys.stderr)
         return 2
-    registry = open_model_registry(where)
+    registry = ModelRegistry(args.registry)
     if args.action == "list":
         records = registry.list_models()
         if not records:
-            print(f"no models published in {where}")
+            print(f"no models published in {args.registry}")
             return 0
         for r in records:
             print(f"  {r.model_id:24s} key={r.key} "
@@ -472,37 +469,8 @@ def cmd_models(args) -> int:
     return 0
 
 
-def cmd_store_serve(args) -> int:
-    """Run the remote store service (``repro store serve``)."""
-    from .remote import StoreService
-
-    if args.root is None:
-        print("store serve requires --root DIR", file=sys.stderr)
-        return 2
-    service = StoreService(args.root, host=args.host, port=args.port)
-    host, port = service.address
-    print(f"repro store serve on http://{host}:{port}  "
-          f"[root={service.root}, {len(service.store.entries())} trace(s), "
-          f"{len(service.registry)} model(s)]", flush=True)
-
-    def _sigterm(signum, frame):
-        raise KeyboardInterrupt  # route SIGTERM through the graceful path
-
-    previous = signal.signal(signal.SIGTERM, _sigterm)
-    try:
-        service.serve_forever()
-    except KeyboardInterrupt:
-        pass
-    finally:
-        signal.signal(signal.SIGTERM, previous)
-        service.close()
-    return 0
-
-
 def cmd_store(args) -> int:
-    if args.action == "serve":
-        return cmd_store_serve(args)
-    store = open_trace_store(args.url or args.dir)
+    store = TraceStore(args.dir)
     if args.action == "list":
         entries = store.entries()
         if not entries:
@@ -511,10 +479,7 @@ def cmd_store(args) -> int:
             total = store.size_bytes()
             print(f"trace store {store.root}: {len(entries)} entr(y/ies), "
                   f"{total / 1e6:.2f} MB")
-            if isinstance(store.root, Path):
-                quarantined = len(list(store.root.glob("*.corrupt-*")))
-            else:  # remote store: the service counts its own files
-                quarantined = int(store.stats().get("quarantined", 0))
+            quarantined = len(list(store.root.glob("*.corrupt-*")))
             if quarantined:
                 print(f"  ({quarantined} quarantined corrupt file(s) — "
                       f"inspect or delete *.corrupt-*)")
@@ -646,10 +611,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("models", help="serving model registry operations")
     p.add_argument("action", choices=("list", "publish", "gc"))
     p.add_argument("--registry", default=None,
-                   help="registry directory (or a store-service URL)")
-    p.add_argument("--url", default=None, metavar="URL",
-                   help="operate against a running store service "
-                        "(http://host:port) instead of a directory")
+                   help="registry directory")
     p.add_argument("-m", "--model", help="artifact to publish")
     p.add_argument("--fu", choices=PAPER_UNITS,
                    help="FU the published model belongs to")
@@ -659,28 +621,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dry-run", action="store_true")
     p.set_defaults(func=cmd_models)
 
-    p = sub.add_parser("store", help="characterization trace-store upkeep "
-                                     "and the remote store service")
-    p.add_argument("action", choices=("list", "gc", "serve"))
+    p = sub.add_parser("store", help="characterization trace-store upkeep")
+    p.add_argument("action", choices=("list", "gc"))
     p.add_argument("--dir", default=None,
-                   help="store directory (default: REPRO_CACHE_DIR); "
-                        "a http://host:port URL targets a store service")
-    p.add_argument("--url", default=None, metavar="URL",
-                   help="list/gc: operate against a running store "
-                        "service (http://host:port)")
+                   help="store directory (default: REPRO_CACHE_DIR)")
     p.add_argument("--max-mb", type=_nonnegative_float, default=None,
                    help="gc: evict oldest traces beyond this size budget")
     p.add_argument("--drop-history", action="store_true",
                    help="gc: also reset the adaptive shard planner's "
                         "throughput history")
     p.add_argument("--dry-run", action="store_true")
-    p.add_argument("--root", default=None, metavar="DIR",
-                   help="serve: service root (traces under DIR/traces, "
-                        "models under DIR/registry)")
-    p.add_argument("--host", default="127.0.0.1",
-                   help="serve: bind address")
-    p.add_argument("--port", type=int, default=8730,
-                   help="serve: TCP port (0 binds an ephemeral one)")
     p.set_defaults(func=cmd_store)
     return parser
 

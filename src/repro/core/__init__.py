@@ -15,8 +15,7 @@ from .features import (
     operand_bits,
     stream_bits,
 )
-from .model import (TEVoT, default_regressor, load_model,
-                    loads_model, save_model)
+from .model import TEVoT, default_regressor, load_model, save_model
 from .pipeline import (
     ExperimentResult,
     experiment_impl,
@@ -39,7 +38,6 @@ __all__ = [
     "evaluate_models",
     "experiment_impl",
     "load_model",
-    "loads_model",
     "make_tevot_nh",
     "operand_bits",
     "prediction_accuracy",

@@ -65,30 +65,20 @@ def save_model(model: Any, path: Union[str, Path],
         raise
 
 
-def loads_model(data: bytes, source: str = "<bytes>") -> Tuple[Any, Dict]:
-    """Deserialize ``(model, metadata)`` from artifact bytes.
-
-    The in-memory half of :func:`load_model`, so callers that receive
-    an artifact over the wire (the remote registry client) decode it
-    with the same format/version handling as the on-disk path.
-    """
-    obj = pickle.loads(data)
-    if isinstance(obj, dict) and obj.get("format") == ARTIFACT_FORMAT:
-        if obj.get("format_version") > ARTIFACT_VERSION:
-            raise ValueError(
-                f"{source}: artifact format v{obj.get('format_version')} is "
-                f"newer than this code understands (v{ARTIFACT_VERSION})")
-        return obj["model"], dict(obj.get("metadata") or {})
-    return obj, {}
-
-
 def load_model(path: Union[str, Path]) -> Tuple[Any, Dict]:
     """Load ``(model, metadata)`` from either artifact format.
 
     v2 payload dicts yield their stored metadata; bare v1 pickles (the
     pre-registry format) yield ``{}`` — old artifacts keep loading.
     """
-    return loads_model(Path(path).read_bytes(), source=str(path))
+    obj = pickle.loads(Path(path).read_bytes())
+    if isinstance(obj, dict) and obj.get("format") == ARTIFACT_FORMAT:
+        if obj.get("format_version") > ARTIFACT_VERSION:
+            raise ValueError(
+                f"{path}: artifact format v{obj.get('format_version')} is "
+                f"newer than this code understands (v{ARTIFACT_VERSION})")
+        return obj["model"], dict(obj.get("metadata") or {})
+    return obj, {}
 
 
 def default_regressor(random_state: Optional[int] = 0) -> RandomForestRegressor:

@@ -28,9 +28,7 @@ from .tracestore import (
     GCReport,
     TraceStore,
     default_cache_dir,
-    is_remote_url,
     library_fingerprint,
-    open_trace_store,
     trace_key,
 )
 
@@ -58,9 +56,7 @@ __all__ = [
     "default_cache_dir",
     "error_free_clocks",
     "implement",
-    "is_remote_url",
     "library_fingerprint",
-    "open_trace_store",
     "plan_shards",
     "simulate_shard",
     "TARGET_SHARD_SECONDS",

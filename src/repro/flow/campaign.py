@@ -57,7 +57,7 @@ from ..timing.corners import OperatingCondition
 from ..workloads.streams import OperandStream
 from .durable import StoreLockTimeout
 from .pool import JobProgram, WorkerPool, simulate_shard
-from .tracestore import TraceStore, open_trace_store, trace_key
+from .tracestore import TraceStore, trace_key
 
 __all__ = [
     "DEFAULT_BACKEND",
@@ -298,11 +298,10 @@ class CampaignRunner:
         Simulation-backend name (see
         :func:`repro.sim.engine.available_backends`).
     store:
-        A :class:`TraceStore`, a directory path or store-service URL
-        for one, or None for the default cache directory.  Ignored
-        when ``use_cache`` is False.  Besides trace caching, the
-        store's manifest carries the throughput history that feeds the
-        adaptive shard planner.
+        A :class:`TraceStore`, a directory path for one, or None for
+        the default cache directory.  Ignored when ``use_cache`` is
+        False.  Besides trace caching, the store's manifest carries the
+        throughput history that feeds the adaptive shard planner.
     n_workers:
         Worker count for cache misses: 1 runs inline, more run on a
         persistent warm :class:`~repro.flow.pool.WorkerPool`.  The
@@ -380,12 +379,8 @@ class CampaignRunner:
         if not use_cache:
             self.store = None
         elif store is None or isinstance(store, (str, Path)):
-            # path-like (or None: the default cache dir) — URL strings
-            # resolve to a RemoteTraceStore against a store service
-            self.store = open_trace_store(store)
+            self.store = TraceStore(store)
         else:
-            # a TraceStore or RemoteTraceStore; the methods this class
-            # calls are pinned by tests/remote/test_store_parity.py
             self.store = store
         self.n_workers = n_workers
         self.shard_cycles = shard_cycles

@@ -372,29 +372,15 @@ class TraceStore:
         except (StoreLockTimeout, OSError):
             pass
 
-    def blob_path(self, key: str) -> Optional[Path]:
-        """Resolve ``key`` to its on-disk blob (manifest entry first,
-        then the key-embedding filename fallback), or None on a miss.
-        Used by the store service to stream blob bytes as-is."""
-        entry = self._read_manifest()["entries"].get(key)
-        if entry is not None:
-            path = self.root / entry["file"]
-            if path.is_file():
-                return path
-        return next(iter(self.root.glob(f"dta_*_{key}.npz")), None)
-
     def put(self, key: str, trace: DelayTrace, *, fu_name: str,
-            stream_name: str, library: Union[CellLibrary, str],
+            stream_name: str, library: CellLibrary,
             delay_model: str = "dta", backend: str = "") -> Path:
         """Persist a trace and record it in the manifest.
 
         The blob is written atomically with its metadata embedded (for
         manifest rebuilds); blob + manifest update happen under the
         store lock so concurrent writers cannot drop each other's
-        entries.  ``library`` may be the :class:`CellLibrary` itself or
-        an already-computed :func:`library_fingerprint` string (a
-        remote client sends the fingerprint; the wire never carries
-        the library object).
+        entries.
         """
         self.root.mkdir(parents=True, exist_ok=True)
         fname = f"dta_{fu_name}_{stream_name}_{key}.npz"
@@ -404,8 +390,7 @@ class TraceStore:
             "stream": stream_name,
             "n_conditions": int(trace.delays.shape[0]),
             "n_cycles": int(trace.delays.shape[1]),
-            "library": (library if isinstance(library, str)
-                        else library_fingerprint(library)),
+            "library": library_fingerprint(library),
             "delay_model": delay_model,
             "backend": backend,
             "created": time.strftime("%Y-%m-%dT%H:%M:%S"),
@@ -654,24 +639,3 @@ class TraceStore:
                 path.unlink()
             except OSError:
                 pass
-
-
-def is_remote_url(root) -> bool:
-    """True when ``root`` names a store service, not a directory."""
-    return isinstance(root, str) and root.startswith(("http://", "https://"))
-
-
-def open_trace_store(root: Union[str, Path, None] = None, *,
-                     lock_timeout: float = 10.0, **remote_kwargs):
-    """Open a trace store by location: local directory or service URL.
-
-    An ``http(s)://`` string returns a
-    :class:`~repro.remote.client.RemoteTraceStore` (same duck-typed
-    surface, lazily imported so local flows never load the remote
-    package); anything else — including None, meaning the default
-    cache directory — builds a local :class:`TraceStore`.
-    """
-    if is_remote_url(root):
-        from ..remote.client import RemoteTraceStore
-        return RemoteTraceStore(root, **remote_kwargs)
-    return TraceStore(root, lock_timeout=lock_timeout)

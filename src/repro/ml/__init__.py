@@ -2,7 +2,7 @@
 
 Implements the four method families the paper evaluates in Table II —
 linear/logistic regression, k-nearest neighbours, linear SVM, and
-random forests — plus metrics, splitting, and scaling utilities.
+random forests — plus metrics and scaling utilities.
 """
 
 from .base import BaseEstimator, NotFittedError
@@ -17,7 +17,6 @@ from .metrics import (
     precision_recall_f1,
     r2_score,
 )
-from .model_selection import KFold, cross_val_score, train_test_split
 from .preprocessing import MinMaxScaler, StandardScaler
 from .svm import LinearSVC
 from .tree import DecisionTreeClassifier, DecisionTreeRegressor
@@ -26,7 +25,6 @@ __all__ = [
     "BaseEstimator",
     "DecisionTreeClassifier",
     "DecisionTreeRegressor",
-    "KFold",
     "KNeighborsClassifier",
     "KNeighborsRegressor",
     "LinearRegression",
@@ -39,10 +37,8 @@ __all__ = [
     "StandardScaler",
     "accuracy_score",
     "confusion_matrix",
-    "cross_val_score",
     "mean_absolute_error",
     "mean_squared_error",
     "precision_recall_f1",
     "r2_score",
-    "train_test_split",
 ]

@@ -22,8 +22,8 @@ The request path is bounded end to end: the queue sheds overload with
 instead of executing stale work.
 """
 
-from .client import ServeClient, ServeError
-from .http import HttpTransport, TransportError
+from .client import ServeClient
+from .http import HttpTransport, ServeError, TransportError
 from .engine import (
     EngineStats,
     Prediction,
@@ -40,7 +40,6 @@ from .registry import (
     corner_fingerprint,
     fu_fingerprint,
     model_key,
-    open_model_registry,
     stream_fingerprint,
 )
 from .requestlog import (
@@ -81,7 +80,6 @@ __all__ = [
     "expired_prediction",
     "fu_fingerprint",
     "model_key",
-    "open_model_registry",
     "read_request_log",
     "replay_log",
     "stream_fingerprint",

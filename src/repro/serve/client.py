@@ -24,30 +24,14 @@ of failing immediately; and transport-reset backoff is jittered so a
 fleet of shed clients does not re-converge on the same instant.
 
 The retry/backoff plumbing itself lives in
-:mod:`repro.serve.http` (:class:`~repro.serve.http.HttpTransport`),
-shared with the remote store clients in :mod:`repro.remote`.
+:class:`~repro.serve.http.HttpTransport`.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
-from .http import (  # noqa: F401  (re-exported: public retry policy surface)
-    MAX_HONORED_RETRY_AFTER_S,
-    _RETRYABLE,
-    HttpTransport,
-    TransportError,
-    _parse_retry_after,
-)
-
-
-class ServeError(TransportError):
-    """Server-side failure (HTTP error status or per-request failure).
-
-    ``retry_after`` carries the server's advertised backoff (seconds)
-    when the failure was a shed (``429``) or unavailable (``503``)
-    response that included one, else None.
-    """
+from .http import HttpTransport, ServeError
 
 
 def _claim_predictions(status: int, body: Dict) -> Optional[Dict]:
@@ -65,7 +49,8 @@ class ServeClient:
     at ``backoff_s`` (jittered by up to ``jitter`` of itself, so a
     thundering herd of retriers decorrelates).  ``429``/``503``
     responses that advertise ``Retry-After`` are retried after the
-    advertised delay (capped at :data:`MAX_HONORED_RETRY_AFTER_S`);
+    advertised delay (capped at
+    :data:`~repro.serve.http.MAX_HONORED_RETRY_AFTER_S`);
     other HTTP error statuses and timeouts are never retried.
 
     ``deadline_ms`` is attached to every predict request that does not
@@ -82,7 +67,7 @@ class ServeClient:
             raise ValueError("deadline_ms must be >= 0 (0 disables)")
         self._transport = HttpTransport(
             f"http://{host}:{port}", timeout=timeout, retries=retries,
-            backoff_s=backoff_s, jitter=jitter, error_cls=ServeError)
+            backoff_s=backoff_s, jitter=jitter)
         if deadline_ms is None:
             deadline_ms = timeout * 1e3 if timeout else 0.0
         self.deadline_ms = float(deadline_ms)

@@ -40,7 +40,7 @@ from ..core.features import operand_bits
 from ..flow.campaign import DEFAULT_BACKEND, CampaignJob, CampaignRunner
 from ..timing.corners import OperatingCondition
 from ..workloads.streams import OperandStream
-from .registry import ModelRegistry, open_model_registry
+from .registry import ModelRegistry
 
 
 @dataclass
@@ -223,10 +223,6 @@ class PredictionEngine:
     max_streams:
         LRU capacity of the per-stream history state — bounds server
         memory when clients mint fresh ``stream_id`` values forever.
-
-    A remote registry (one exposing ``subscribe_events``) is subscribed
-    to on construction: every publish/gc the store service announces
-    triggers :meth:`refresh`, so new versions roll out by push.
     """
 
     def __init__(self, registry: Union[ModelRegistry, str, None] = None,
@@ -238,10 +234,9 @@ class PredictionEngine:
             raise ValueError("max_hot_models must be >= 1")
         if max_streams < 1:
             raise ValueError("max_streams must be >= 1")
-        if registry is None or not isinstance(registry, (str, Path)):
-            self.registry = registry  # a registry object (local or remote)
-        else:
-            self.registry = open_model_registry(registry)
+        if isinstance(registry, (str, Path)):
+            registry = ModelRegistry(registry)
+        self.registry = registry
         self.kind = kind
         self.sim_fallback = sim_fallback
         # fallback runner: cache disabled — two-row serving streams
@@ -261,16 +256,6 @@ class PredictionEngine:
         self.stats = EngineStats()
         #: counters as of the last finished batch, for stats_dict()
         self._stats_view = self.stats.as_dict()
-        self._push = None
-        subscribe = getattr(self.registry, "subscribe_events", None)
-        if callable(subscribe):
-            self._push = subscribe(self.refresh)
-
-    def close(self) -> None:
-        """Stop the push subscriber (idempotent; no-op without one)."""
-        if self._push is not None:
-            self._push.close()
-            self._push = None
 
     # -- model / FU resolution ------------------------------------------------
 
@@ -541,7 +526,4 @@ class PredictionEngine:
     def stats_dict(self) -> Dict:
         """Counters as of the last finished batch; never waits on a
         running one."""
-        stats = dict(self._stats_view)
-        if self._push is not None:
-            stats["push"] = self._push.stats()
-        return stats
+        return dict(self._stats_view)

@@ -21,12 +21,12 @@ in one place:
 * a ``429``/``503`` advertising ``Retry-After`` (header or JSON
   ``retry_after_s``) is retried after that delay, capped at
   :data:`MAX_HONORED_RETRY_AFTER_S`;
-* errors raise the caller's ``error_cls`` (a :class:`TransportError`).
+* errors raise :class:`ServeError` (a :class:`TransportError`).
 
-The transport writes each request with one ``sendall`` on a raw socket
-(wrapped in :mod:`ssl` for ``https`` URLs) and reads the reply with
-the same codec: a ``Content-Length`` body, or, without one, the bytes
-up to the server's close.
+The transport writes each request with one ``sendall`` on a raw
+``http://`` socket and reads the reply with the same codec: a
+``Content-Length`` body, or, without one, the bytes up to the server's
+close.
 """
 
 from __future__ import annotations
@@ -183,10 +183,8 @@ class ClientConnection:
     connection alive closes it after its body.
     """
 
-    def __init__(self, host: str, port: int, timeout: Optional[float],
-                 ssl_context=None) -> None:
+    def __init__(self, host: str, port: int, timeout: Optional[float]) -> None:
         self.host, self.port, self.timeout = host, port, timeout
-        self.ssl_context = ssl_context
         self.sock: Optional[socket.socket] = None
         self._buf = bytearray()
 
@@ -201,9 +199,6 @@ class ClientConnection:
             sock = socket.create_connection((self.host, self.port),
                                             self.timeout)
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            if self.ssl_context is not None:
-                sock = self.ssl_context.wrap_socket(
-                    sock, server_hostname=self.host)
             self.sock = sock
         self.sock.sendall(data)
 
@@ -281,6 +276,10 @@ class TransportError(RuntimeError):
         self.retry_after = retry_after
 
 
+class ServeError(TransportError):
+    """Server-side failure (HTTP error status or per-request failure)."""
+
+
 def _parse_retry_after(header: Optional[str],
                        body: Dict) -> Optional[float]:
     """Advertised backoff from the ``Retry-After`` header (seconds
@@ -320,28 +319,22 @@ class HttpTransport:
 
     def __init__(self, base_url: str, *, timeout: float = 30.0,
                  retries: int = 2, backoff_s: float = 0.05,
-                 jitter: float = 0.25,
-                 error_cls: type = TransportError) -> None:
+                 jitter: float = 0.25) -> None:
         if retries < 0:
             raise ValueError("retries must be >= 0")
         if backoff_s < 0:
             raise ValueError("backoff_s must be >= 0")
         if not 0 <= jitter <= 1:
             raise ValueError("jitter must be in [0, 1]")
-        if not issubclass(error_cls, TransportError):
-            raise TypeError("error_cls must subclass TransportError")
         self.base_url = base_url.rstrip("/")
         self.timeout = timeout
         self.retries = retries
         self.backoff_s = backoff_s
         self.jitter = jitter
-        self.error_cls = error_cls
         parts = urlsplit(self.base_url)
         self._netloc, self._prefix = parts.netloc, parts.path
         self._host = parts.hostname or "localhost"
-        self._https = parts.scheme == "https"
-        self._port = parts.port or (443 if self._https else 80)
-        self._ssl_context = None
+        self._port = parts.port or 80
         self._local = threading.local()
 
     # -- retry policy ---------------------------------------------------------
@@ -360,11 +353,7 @@ class HttpTransport:
         """The calling thread's connection in this process."""
         local = self._local
         if getattr(local, "pid", None) != os.getpid():
-            if self._https and self._ssl_context is None:
-                import ssl
-                self._ssl_context = ssl.create_default_context()
-            local.conn = ClientConnection(self._host, self._port,
-                                          self.timeout, self._ssl_context)
+            local.conn = ClientConnection(self._host, self._port, self.timeout)
             local.pid = os.getpid()
         return local.conn
 
@@ -396,11 +385,11 @@ class HttpTransport:
 
     # -- transport ------------------------------------------------------------
 
-    def _error(self, url: str, exc: Exception, what: str) -> TransportError:
+    def _error(self, url: str, exc: Exception, what: str) -> ServeError:
         if isinstance(exc, socket.timeout):
-            return self.error_cls(
+            return ServeError(
                 f"request to {url} timed out after {self.timeout}s")
-        return self.error_cls(f"{what} {url}: {exc}")
+        return ServeError(f"{what} {url}: {exc}")
 
     def request_bytes(
         self, path: str, data: Optional[bytes] = None, *,
@@ -446,27 +435,26 @@ class HttpTransport:
                     return json.dumps(claimed).encode(), {}
             retry_after = _parse_retry_after(
                 reply_headers.get("retry-after"), body)
-            err = self.error_cls(
+            err = ServeError(
                 body.get("error", f"HTTP Error {status}: {reason}"),
                 status=status, payload=body, retry_after=retry_after)
             if status in (429, 503) and retry_after is not None:
                 last = err  # honor the advertised backoff and retry
                 continue
             raise err
-        if isinstance(last, self.error_cls):
+        if isinstance(last, ServeError):
             raise last  # shed on every attempt: surface the final 429/503
-        raise self.error_cls(
+        raise ServeError(
             f"cannot reach {url} after {self.retries + 1} attempt(s): "
             f"{last}") from None
 
     def call(
         self, path: str, payload: Optional[Dict] = None, *,
-        headers: Optional[Dict[str, str]] = None,
         on_http_error: Optional[Callable[[int, Dict], Optional[Dict]]] = None,
     ) -> Dict:
         """JSON request/response on top of :meth:`request_bytes`."""
         data = None
-        send_headers = {"Accept": "application/json", **(headers or {})}
+        send_headers = {"Accept": "application/json"}
         if payload is not None:
             data = json.dumps(payload).encode()
             send_headers["Content-Type"] = "application/json"

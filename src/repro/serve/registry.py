@@ -38,7 +38,7 @@ from ..flow.durable import (
     StoreLockTimeout,
     quarantine,
 )
-from ..flow.manifest import read_manifest, stable_fingerprint, write_manifest
+from ..flow.manifest import read_manifest, write_manifest
 from ..testing import faults
 from ..timing.corners import OperatingCondition
 from ..workloads.streams import OperandStream
@@ -255,16 +255,6 @@ class ModelRegistry:
     def __len__(self) -> int:
         return len(self._read()["models"])
 
-    def manifest_fingerprint(self, length: int = 16) -> str:
-        """Content hash of the manifest's model table.
-
-        The store service answers it on ``/registry/fingerprint``, so a
-        remote client can tell whether two registries hold the same
-        published set.
-        """
-        return stable_fingerprint(self._read()["models"],
-                                  tag="registry-manifest", length=length)
-
     # -- publish / resolve ----------------------------------------------------
 
     def publish(self, model: Any, fu: Union[FunctionalUnit, str],
@@ -285,36 +275,11 @@ class ModelRegistry:
         spec = getattr(model, "spec", None)
         spec_tag = spec.version_tag() if spec is not None else "-"
         key = model_key(fu, kind, conditions, train_stream, spec_tag)
-        return self.publish_fingerprinted(
-            model, fu_name=fu_name, kind=kind, key=key,
-            feature_spec=None if spec is None else {
-                "operand_width": spec.operand_width,
-                "include_history": spec.include_history,
-                "tag": spec_tag,
-            },
-            corners=corner_fingerprint(conditions),
-            train_stream=stream_fingerprint(train_stream),
-            metadata=metadata)
-
-    def publish_fingerprinted(self, model: Any, *, fu_name: str,
-                              kind: str, key: str,
-                              feature_spec: Optional[Dict],
-                              corners: str, train_stream: str,
-                              metadata: Optional[Dict] = None
-                              ) -> ModelRecord:
-        """The locked half of :meth:`publish`: version assignment,
-        artifact write, manifest update.
-
-        Takes already-computed fingerprints so a caller that never held
-        the original FU/stream objects — the store service publishing
-        on behalf of a remote client — assigns versions under *this*
-        registry's lock while the client keeps key computation (and
-        therefore byte-identical keys) on its side of the wire.
-        """
-        if kind not in MODEL_KINDS:
-            raise ValueError(
-                f"unknown model kind {kind!r}; expected one of "
-                f"{', '.join(MODEL_KINDS)}")
+        feature_spec = None if spec is None else {
+            "operand_width": spec.operand_width,
+            "include_history": spec.include_history,
+            "tag": spec_tag,
+        }
         self.root.mkdir(parents=True, exist_ok=True)
         # the whole read-modify-write runs under the store lock, so
         # concurrent publishes serialize: no dropped entries, no
@@ -341,8 +306,8 @@ class ModelRegistry:
                 model_id=model_id, fu=fu_name, kind=kind, version=version,
                 file=fname, key=key,
                 feature_spec=feature_spec,
-                corners=corners,
-                train_stream=train_stream,
+                corners=corner_fingerprint(conditions),
+                train_stream=stream_fingerprint(train_stream),
                 created=time.strftime("%Y-%m-%dT%H:%M:%S"),
                 size_bytes=path.stat().st_size,
                 metadata=dict(metadata or {}))
@@ -443,19 +408,3 @@ class ModelRegistry:
         if not dry_run and (removed or dropped):
             self._write(manifest)
         return RegistryGCReport(removed, dropped, freed)
-
-
-def open_model_registry(root: Union[str, Path, None], *,
-                        lock_timeout: float = 10.0,
-                        **remote_kwargs) -> Any:
-    """Open a registry by location: local directory or store-service URL.
-
-    An ``http(s)://`` string returns a
-    :class:`~repro.remote.client.RemoteModelRegistry` (same duck-typed
-    surface, lazily imported so local flows never load the remote
-    package); anything else builds a local :class:`ModelRegistry`.
-    """
-    if isinstance(root, str) and root.startswith(("http://", "https://")):
-        from ..remote.client import RemoteModelRegistry
-        return RemoteModelRegistry(root, **remote_kwargs)
-    return ModelRegistry(root, lock_timeout=lock_timeout)

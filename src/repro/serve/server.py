@@ -11,8 +11,8 @@ loop thread and one batcher thread.
   with a non-blocking :meth:`MicroBatcher.submit`, ``POST /config``
   is answered there, and the routes that read the engine or the
   registry (``/health``, ``/models``, ``/stats``, refreshes) run on a
-  few **admin threads**, which may wait on a running batch or on a
-  remote store while the loop goes on.
+  few **admin threads**, which may wait on a running batch or on the
+  registry's store lock while the loop goes on.
 * The **batcher thread** (:class:`MicroBatcher`) pushes each batch
   through one vectorized
   :meth:`~repro.serve.engine.PredictionEngine.predict_batch`.  A
@@ -442,8 +442,8 @@ class MicroBatcher:
 LINGER_S = 2.0
 
 #: Threads answering the routes that call into the engine or the
-#: registry.  Those calls can wait on a running batch or on a remote
-#: store, and the loop must never wait.
+#: registry.  Those calls can wait on a running batch or on the
+#: registry's store lock, and the loop must never wait.
 ADMIN_THREADS = 4
 
 _WAKE = object()  # selector key data of the loop's wake-up socket
@@ -517,8 +517,7 @@ class PredictionServer:
             self.batcher.stop()
             raise
         self._address = self._listener.getsockname()[:2]
-        #: manual POST /models/refresh count — with push rollout active
-        #: this should stay 0 (the CI smoke asserts exactly that)
+        #: POST /models/refresh calls served, reported in /stats
         self.refresh_calls = 0
         self._started = time.monotonic()
         self._draining = self._closed = self._stopping = False
@@ -602,13 +601,12 @@ class PredictionServer:
         self._wake_w.close()
 
     def close(self) -> None:
-        """Graceful full stop (idempotent): drain, close the socket, then
-        close the engine."""
+        """Graceful full stop (idempotent): drain, then close the
+        socket."""
         if not self._closed:
             self._closed = True
             self.shutdown()
             self.server_close()
-        self.engine.close()
 
     # -- event loop -----------------------------------------------------------
 

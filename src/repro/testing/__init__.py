@@ -1,7 +1,7 @@
 """Test-support machinery that ships with the package.
 
-`repro.testing.faults` is imported by production modules (tracestore,
-registry, request log, pool, remote client) to plant named fault points, so it
+`repro.testing.faults` is imported by production modules (durable writes,
+tracestore, registry, request log, pool) to plant named fault points, so it
 lives in the package proper rather than under tests/.
 """
 from . import faults

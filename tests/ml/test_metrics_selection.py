@@ -1,4 +1,4 @@
-"""Tests for metrics, model selection, and preprocessing."""
+"""Tests for metrics and preprocessing."""
 
 import numpy as np
 import pytest
@@ -6,18 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.ml import (
-    KFold,
-    LinearRegression,
     MinMaxScaler,
     StandardScaler,
     accuracy_score,
     confusion_matrix,
-    cross_val_score,
     mean_absolute_error,
     mean_squared_error,
     precision_recall_f1,
     r2_score,
-    train_test_split,
 )
 
 
@@ -57,64 +53,6 @@ class TestMetrics:
     def test_accuracy_bounds(self, labels):
         y = np.array(labels)
         assert 0.0 <= accuracy_score(y, 1 - y) <= 1.0
-
-
-class TestTrainTestSplit:
-    def test_sizes(self):
-        X = np.arange(40).reshape(20, 2)
-        y = np.arange(20)
-        Xtr, Xte, ytr, yte = train_test_split(X, y, test_size=0.25,
-                                              random_state=0)
-        assert len(Xte) == 5 and len(Xtr) == 15
-        assert len(ytr) == 15 and len(yte) == 5
-
-    def test_partition_is_exact(self):
-        X = np.arange(30).reshape(15, 2)
-        y = np.arange(15)
-        Xtr, Xte, ytr, yte = train_test_split(X, y, random_state=1)
-        together = sorted(list(ytr) + list(yte))
-        assert together == list(range(15))
-
-    def test_reproducible(self):
-        X = np.arange(20).reshape(10, 2)
-        y = np.arange(10)
-        a = train_test_split(X, y, random_state=7)
-        b = train_test_split(X, y, random_state=7)
-        np.testing.assert_array_equal(a[1], b[1])
-
-    def test_bad_test_size(self):
-        with pytest.raises(ValueError):
-            train_test_split(np.zeros((4, 1)), np.zeros(4), test_size=1.5)
-
-
-class TestKFold:
-    def test_folds_partition_data(self):
-        folds = list(KFold(4).split(np.zeros((10, 1))))
-        assert len(folds) == 4
-        all_test = np.concatenate([test for _, test in folds])
-        assert sorted(all_test) == list(range(10))
-
-    def test_train_test_disjoint(self):
-        for train, test in KFold(3).split(np.zeros((9, 1))):
-            assert not set(train) & set(test)
-
-    def test_too_few_samples_raises(self):
-        with pytest.raises(ValueError):
-            list(KFold(5).split(np.zeros((3, 1))))
-
-    def test_cross_val_score_r2(self):
-        rng = np.random.default_rng(0)
-        X = rng.normal(size=(60, 2))
-        y = X @ np.array([1.0, 2.0]) + 0.5
-        scores = cross_val_score(LinearRegression, X, y, cv=3, scoring="r2",
-                                 random_state=0)
-        assert len(scores) == 3
-        assert min(scores) > 0.99
-
-    def test_unknown_scoring_raises(self):
-        with pytest.raises(ValueError):
-            cross_val_score(LinearRegression, np.zeros((6, 1)),
-                            np.zeros(6), scoring="banana")
 
 
 class TestScalers:

@@ -2,7 +2,6 @@
 connections, graceful close with idle clients, and the batch window as
 an upper bound."""
 
-import hashlib
 import http.client
 import json
 import os
@@ -16,7 +15,6 @@ import pytest
 from repro.circuits import build_functional_unit
 from repro.core import TEVoT, build_training_set
 from repro.flow import CampaignJob, CampaignRunner
-from repro.remote.service import StoreService
 from repro.serve import (
     HttpTransport,
     MicroBatcher,
@@ -79,14 +77,6 @@ def stub_server():
     server.start_background()
     yield server
     server.close()
-
-
-@pytest.fixture
-def store_service(tmp_path):
-    service = StoreService(tmp_path / "svc", port=0)
-    service.start_background()
-    yield service
-    service.close()
 
 
 @pytest.fixture(scope="module")
@@ -292,46 +282,14 @@ class TestRawTransport:
             transport.request_bytes("/predict", b"{}")
         assert len(received) == 1
 
-    def test_store_blob_checksum_is_verified(self, store_service,
-                                             monkeypatch):
-        """A multi-megabyte blob from the threaded store service arrives
-        whole with its ``X-Repro-SHA256``, and a torn stream of it is
-        caught by that checksum."""
-        from repro.remote import RemoteChecksumError, RemoteTraceStore
-        from repro.sim.dta import DelayTrace
-        from repro.testing import faults
-        from repro.timing import DEFAULT_LIBRARY
-
-        conds = [COND, OperatingCondition(1.0, 100.0)]
-        delays = np.random.default_rng(0).random(
-            (2, 400_000)).astype(np.float32)
-        store = RemoteTraceStore(store_service.url, retries=0)
-        store.put("big", DelayTrace(delays, conds), fu_name="int_add",
-                  stream_name="s", library=DEFAULT_LIBRARY)
-        body, headers = store._request_bytes("/store/blob/big")
-        assert len(body) > 2_000_000
-        assert headers["x-repro-sha256"] == hashlib.sha256(body).hexdigest()
-        np.testing.assert_array_equal(store.get("big", conds).delays, delays)
-        monkeypatch.setenv(faults.PLAN_ENV,
-                           "remote.service.stream:torn-write:1,"
-                           "remote.service.stream:torn-write:2")
-        monkeypatch.delenv(faults.STATE_ENV, raising=False)
-        faults.reset()
-        try:
-            with pytest.raises(RemoteChecksumError, match="torn blob"):
-                store.get("big", conds)
-        finally:
-            monkeypatch.delenv(faults.PLAN_ENV)
-            faults.reset()
-
 
 class TestBodyHygiene:
     """A reply sent before the request body was read must close the
     connection: the next request on that socket gets a correct answer
     or a clean close, never a parse of the leftover body."""
 
-    def _check_next(self, sock, path=b"/health"):
-        got = _raw_exchange(sock, b"GET " + path + b" HTTP/1.1\r\n"
+    def _check_next(self, sock):
+        got = _raw_exchange(sock, b"GET /health HTTP/1.1\r\n"
                                   b"Host: x\r\n\r\n")
         if got is not None:
             status, _, body = got
@@ -360,40 +318,15 @@ class TestBodyHygiene:
                                       b"Host: x\r\n\r\n")
             assert got is not None and got[0] == 200
 
-    def test_store_route_rejecting_before_body(self, store_service):
-        """``/registry/publish`` without its info header is refused
-        before the body is read."""
-        body = b"x" * 64 + b"GET /nope HTTP/1.1\r\n\r\n"
-        with socket.create_connection(store_service.address) as sock:
-            status, headers, _ = _raw_exchange(
-                sock, b"POST /registry/publish HTTP/1.1\r\nHost: x\r\n"
-                      b"Content-Length: %d\r\n\r\n" % len(body) + body)
-            assert status == 400
-            assert headers.get("Connection") == "close"
-            self._check_next(sock, b"/meta")
-
-    def test_bad_content_length_on_store_service(self, store_service):
-        with socket.create_connection(store_service.address) as sock:
-            status, _, _ = _raw_exchange(
-                sock, b"POST /store/gc HTTP/1.1\r\nHost: x\r\n"
-                      b"Content-Length: -5\r\n\r\n{}")
-            assert status == 400
-            self._check_next(sock, b"/meta")
-
 
 class TestGracefulCloseUnderKeepAlive:
-    @pytest.mark.parametrize("kind", ["predict", "store"])
-    def test_close_with_idle_clients_is_prompt(self, kind, tmp_path):
-        if kind == "predict":
-            server = PredictionServer(_StubEngine(), port=0)
-        else:
-            server = StoreService(tmp_path / "svc", port=0)
+    def test_close_with_idle_clients_is_prompt(self):
+        server = PredictionServer(_StubEngine(), port=0)
         server.start_background()
         socks = []
         for _ in range(3):
             sock = socket.create_connection(server.address)
-            path = b"/health" if kind == "predict" else b"/meta"
-            assert _raw_exchange(sock, b"GET " + path + b" HTTP/1.1\r\n"
+            assert _raw_exchange(sock, b"GET /health HTTP/1.1\r\n"
                                        b"Host: x\r\n\r\n")[0] == 200
             socks.append(sock)
         start = time.monotonic()

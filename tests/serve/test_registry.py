@@ -8,7 +8,12 @@ import pytest
 from repro.circuits import build_functional_unit
 from repro.core import TEVoT, build_training_set
 from repro.flow import CampaignJob, CampaignRunner
-from repro.serve import ModelRegistry, model_key, stream_fingerprint
+from repro.serve import (
+    MODEL_KINDS,
+    ModelRegistry,
+    model_key,
+    stream_fingerprint,
+)
 from repro.timing import OperatingCondition
 from repro.workloads import random_stream
 
@@ -93,6 +98,65 @@ class TestPublishResolve:
         assert len(registry.list_models(fu="fp_add")) == 0
         assert len(registry) == 2
 
+
+
+class TestLocalRoot:
+    """What every caller of a registry directory relies on: stable
+    identities, durable records and per-(FU, kind) versioning."""
+
+    def test_same_model_gets_the_same_key_on_two_roots(self, tmp_path):
+        model = {"weights": [1, 2, 3]}
+        a = ModelRegistry(tmp_path / "a").publish(model, fu="int_add")
+        b = ModelRegistry(tmp_path / "b").publish(model, fu="int_add")
+        assert a.key == b.key
+        assert a.model_id == b.model_id == "int_add/tevot/v1"
+
+    def test_reopened_registry_resolves_every_model(self, tmp_path):
+        registry = ModelRegistry(tmp_path)
+        record = registry.publish({"w": 42}, fu="int_add")
+        registry.publish({"w": 7}, fu="fp_mul")
+        again = ModelRegistry(tmp_path)
+        assert len(again) == 2
+        model, found = again.resolve("int_add")
+        assert model == {"w": 42}
+        assert found.key == record.key
+
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_every_kind_publishes_and_resolves(self, tmp_path, kind):
+        registry = ModelRegistry(tmp_path)
+        record = registry.publish({"kind": kind}, fu="int_add", kind=kind)
+        assert record.model_id == f"int_add/{kind}/v1"
+        model, found = registry.resolve("int_add", kind=kind)
+        assert model == {"kind": kind}
+        assert found.model_id == record.model_id
+
+    def test_kinds_and_fus_version_independently(self, tmp_path):
+        registry = ModelRegistry(tmp_path)
+        registry.publish({"w": 1}, fu="int_add")
+        registry.publish({"w": 2}, fu="int_add")
+        assert registry.publish({"w": 3}, fu="int_add",
+                                kind="tevot_nh").version == 1
+        assert registry.publish({"w": 4}, fu="fp_mul").version == 1
+
+    def test_resolve_pinned_by_key(self, tmp_path, trained):
+        fu, stream, model = trained
+        registry = ModelRegistry(tmp_path)
+        first = registry.publish(model, fu=fu, conditions=CONDS,
+                                 train_stream=stream)
+        registry.publish(model, fu=fu, conditions=CONDS[:1],
+                         train_stream=stream)
+        _, found = registry.resolve("int_add", key=first.key)
+        assert found.version == 1
+        with pytest.raises(LookupError, match="key="):
+            registry.resolve("int_add", key="0" * 16)
+
+    def test_missing_model_error_names_fu_and_kind(self, tmp_path):
+        registry = ModelRegistry(tmp_path)
+        registry.publish({"w": 1}, fu="int_add")
+        with pytest.raises(LookupError, match="fu='fp_div' kind='tevot'"):
+            registry.resolve("fp_div")
+        with pytest.raises(LookupError, match="kind='ter_based'"):
+            registry.resolve("int_add", kind="ter_based")
 
 class TestGC:
     def test_gc_keeps_latest_versions(self, tmp_path, trained):

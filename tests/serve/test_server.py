@@ -261,6 +261,22 @@ class TestRefreshEndpoint:
         assert engine.stats.model_cache_misses == before + 1
 
 
+class TestServerCounters:
+    def test_refresh_calls_counts_manual_polls(self, tmp_path):
+        engine = PredictionEngine(registry=tmp_path / "reg",
+                                  sim_fallback=True)
+        server = PredictionServer(engine, port=0)
+        server.start_background()
+        try:
+            host, port = server.address
+            client = ServeClient(host, port)
+            assert server.stats()["refresh_calls"] == 0
+            client._call("/models/refresh", {})
+            assert server.stats()["refresh_calls"] == 1
+        finally:
+            server.close()
+
+
 class _GatedEngine:
     """Engine stub whose first batch blocks until the test releases it,
     so a known number of requests pile up in the micro-batch queue."""
