@@ -13,8 +13,7 @@ default scale (documented in EXPERIMENTS.md).  Scale knobs:
 * ``REPRO_BENCH_WORKERS`` — campaign process-pool width (default 1).
 * ``REPRO_BENCH_SHARD_CYCLES`` / ``REPRO_BENCH_SHARD_CORNERS`` —
   cycle- / corner-axis shard pitch for single jobs (default:
-  auto-sized from the worker count and any persisted throughput
-  history).
+  auto-sized from the worker count by the static shard planner).
 * ``REPRO_BENCH_SMOKE=1`` — shrink the simspeed bench to an
   import/parity smoke test (skips throughput-floor assertions).
 

@@ -322,27 +322,4 @@ def _measure_sharding():
                      f"{warm:.2f}", f"{base_warm / warm:.2f}x",
                      shard_cell])
 
-    # with throughput history the adaptive planner notices this job is
-    # under TARGET_SHARD_SECONDS and declines to shard it at all — the
-    # warm rerun runs inline even at n_workers=2 (this is what caps the
-    # pool's worst case at ~1x instead of the old 0.4x)
-    import tempfile
-    with tempfile.TemporaryDirectory() as tmp:
-        with CampaignRunner(store=tmp, n_workers=2) as runner:
-            start = time.perf_counter()
-            trace = runner.run([CampaignJob(fu, stream, conditions)])[0]
-            cold = time.perf_counter() - start
-            cold_stats = runner.stats
-            runner.store.gc(max_bytes=0)
-            start = time.perf_counter()
-            warm_trace = runner.run(
-                [CampaignJob(fu, stream, conditions)])[0]
-            warm = time.perf_counter() - start
-            warm_stats = runner.stats
-    assert trace.delays.tobytes() == reference.delays.tobytes()
-    assert warm_trace.delays.tobytes() == reference.delays.tobytes()
-    grid_cell, shard_cell = _shard_report(cold_stats, warm_stats)
-    rows.append(["2", "warm+hist", grid_cell,
-                 f"{warm_stats.total_shards}", f"{cold:.2f}",
-                 f"{warm:.2f}", f"{base_warm / warm:.2f}x", shard_cell])
     return rows

@@ -391,34 +391,25 @@ class StreamSpec(Spec):
 
 @dataclass(frozen=True)
 class SimSpec(Spec):
-    """Simulation-engine selection: backend and chunking.
+    """Simulation-engine selection.
 
     ``backend`` is a registry name: ``compiled`` (the default),
     ``levelized_ref`` (the per-gate reference — delay-bit-identical but
     orders of magnitude slower, for end-to-end audits of the compiled
-    kernels) or ``event`` (glitch-aware).  ``chunk_cycles`` pins the
-    cycle-axis working-set chunk on backends that support it (never
-    affects results).
+    kernels) or ``event`` (glitch-aware).  Every backend sizes its own
+    working set and runs single-threaded.
     """
 
     _SECTION = "sim"
 
     backend: str = DEFAULT_BACKEND
-    chunk_cycles: Optional[int] = None
 
     def __post_init__(self) -> None:
         _require_str("backend", self.backend)
-        _optional_positive_int("chunk_cycles", self.chunk_cycles)
         if self.backend not in available_backends():
             raise SpecError(
                 f"unknown sim backend {self.backend!r}; available: "
                 f"{', '.join(available_backends())}")
-        if self.chunk_cycles is not None:
-            from ..sim.engine import get_backend
-            if not get_backend(self.backend).supports_chunking:
-                raise SpecError(
-                    f"backend {self.backend!r} does not honor "
-                    f"chunk_cycles (supports_chunking=False)")
 
 
 @dataclass(frozen=True)
@@ -426,9 +417,10 @@ class ShardSpec(Spec):
     """Worker-pool and shard-grid configuration for campaigns.
 
     ``workers > 1`` runs campaigns on the Workspace's long-lived warm
-    :class:`~repro.flow.pool.WorkerPool`; ``threads`` adds in-worker
-    thread parallelism over independent logic levels on backends with
-    ``supports_threads``.  Neither ever affects results.
+    :class:`~repro.flow.pool.WorkerPool`.  ``shard_cycles`` /
+    ``shard_corners`` pin the grid pitch; left None, one static
+    planner sizes the grid from the job and the worker count.  None of
+    these ever affects results.
     """
 
     _SECTION = "shards"
@@ -436,15 +428,11 @@ class ShardSpec(Spec):
     workers: int = 1
     shard_cycles: Optional[int] = None
     shard_corners: Optional[int] = None
-    adaptive_history: bool = True
-    threads: int = 1
 
     def __post_init__(self) -> None:
         _require_positive_int("workers", self.workers)
         _optional_positive_int("shard_cycles", self.shard_cycles)
         _optional_positive_int("shard_corners", self.shard_corners)
-        _require_bool("adaptive_history", self.adaptive_history)
-        _require_positive_int("threads", self.threads)
 
 
 # -- command specs ------------------------------------------------------------

@@ -231,21 +231,22 @@ class Workspace:
         """A :class:`CampaignRunner` configured from spec fragments."""
         sim = sim or SimSpec()
         shards = shards or ShardSpec()
-        runner_store = store if store is not None else self._store
-        pool = self.pool(shards.workers) if shards.workers > 1 else None
         # levelized_ref is an audit of the compiled kernels: reading a
         # (bit-identical, compiled-produced) cache entry would skip the
         # reference simulation entirely, so audits always run fresh
+        use_cache = cache and sim.backend != "levelized_ref"
+        runner_store = None
+        if use_cache:
+            runner_store = (TraceStore(store, lock_timeout=self.lock_timeout)
+                            if store is not None else self.store)
+        pool = self.pool(shards.workers) if shards.workers > 1 else None
         return CampaignRunner(
             backend=sim.backend,
             store=runner_store,
             n_workers=shards.workers,
-            use_cache=cache and sim.backend != "levelized_ref",
+            use_cache=use_cache,
             shard_cycles=shards.shard_cycles,
             shard_corners=shards.shard_corners,
-            chunk_cycles=sim.chunk_cycles,
-            adaptive_history=shards.adaptive_history,
-            threads=shards.threads,
             pool=pool)
 
     # -- campaign -------------------------------------------------------------

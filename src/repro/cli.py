@@ -96,9 +96,6 @@ def _add_sim_args(parser: argparse.ArgumentParser) -> None:
                         choices=available_backends(),
                         help="simulation backend (choices list the "
                              "registered names)")
-    parser.add_argument("--chunk-cycles", type=_positive_int, default=None,
-                        help="cycle-axis working-set chunk for backends "
-                             "that support it (never affects results)")
 
 
 def _add_shard_args(parser: argparse.ArgumentParser) -> None:
@@ -106,19 +103,10 @@ def _add_shard_args(parser: argparse.ArgumentParser) -> None:
                         help="process-pool width for cache misses")
     parser.add_argument("--shard-cycles", type=_positive_int, default=None,
                         help="cycle-axis shard pitch for single jobs "
-                             "(default: auto-sized from --workers and any "
-                             "persisted throughput history)")
+                             "(default: auto-sized from --workers)")
     parser.add_argument("--shard-corners", type=_positive_int, default=None,
                         help="corner-axis shard pitch for single jobs "
                              "(default: auto)")
-    parser.add_argument("--no-adaptive-history", action="store_const",
-                        const=True, default=None,
-                        help="plan shard grids statically, ignoring the "
-                             "trace store's throughput history")
-    parser.add_argument("--threads", type=_positive_int, default=None,
-                        help="in-worker thread count for the arrival "
-                             "kernel on backends that support it "
-                             "(never affects results)")
 
 
 # -- flag -> spec override application ----------------------------------------
@@ -157,13 +145,9 @@ def _apply_stream(spec, args, field: str = "stream"):
 
 
 def _apply_sim(spec, args):
-    changes = {}
-    if args.backend is not None:
-        changes["backend"] = args.backend
-    if args.chunk_cycles is not None:
-        changes["chunk_cycles"] = args.chunk_cycles
-    return spec.replace(sim=spec.sim.replace(**changes)) \
-        if changes else spec
+    if args.backend is None:
+        return spec
+    return spec.replace(sim=spec.sim.replace(backend=args.backend))
 
 
 def _apply_shards(spec, args):
@@ -174,10 +158,6 @@ def _apply_shards(spec, args):
         changes["shard_cycles"] = args.shard_cycles
     if args.shard_corners is not None:
         changes["shard_corners"] = args.shard_corners
-    if args.no_adaptive_history:
-        changes["adaptive_history"] = False
-    if args.threads is not None:
-        changes["threads"] = args.threads
     return spec.replace(shards=spec.shards.replace(**changes)) \
         if changes else spec
 
@@ -353,7 +333,7 @@ def cmd_campaign(args) -> int:
             line += (f"  [{stats.job_shards[i]} shard(s), "
                      f"{stats.job_seconds[i]:.2f}s sim")
             cps = stats.job_cycles_per_s(i)
-            if cps is not None:  # throughput regressions visible here
+            if cps is not None:  # sim-speed regressions visible here
                 line += f", {cps:,.0f} cyc/s"
             line += "]"
         else:
@@ -488,29 +468,8 @@ def cmd_store(args) -> int:
                 print(f"  {key}  {entry['fu']:8s} {entry['stream']:28s} "
                       f"{entry['n_conditions']:3d}x{entry['n_cycles']:<7d} "
                       f"{entry.get('created', '')}")
-        history = store.throughput_history()
-        if history:
-            print(f"throughput history ({len(history)} entr(y/ies), feeds "
-                  f"the adaptive shard planner):")
-            for key, entry in sorted(history.items()):
-                cps = entry.get("corner_cycles_per_s") \
-                    if isinstance(entry, dict) else None
-                samples = entry.get("samples", "?") \
-                    if isinstance(entry, dict) else "?"
-                cps_text = (f"{cps:,.0f} corner-cyc/s"
-                            if isinstance(cps, (int, float)) else "corrupt")
-                print(f"  {key:32s} {cps_text}  ({samples} sample(s))")
         return 0
     # gc
-    if args.drop_history:
-        if args.dry_run:
-            n = len(store.throughput_history())
-            print(f"store gc: would have dropped {n} throughput-history "
-                  f"entr(y/ies)")
-        else:
-            dropped = store.clear_throughput()
-            print(f"store gc: dropped {dropped} throughput-history "
-                  f"entr(y/ies)")
     max_bytes = None if args.max_mb is None else int(args.max_mb * 1e6)
     report = store.gc(max_bytes=max_bytes, dry_run=args.dry_run)
     prefix = "would have " if args.dry_run else ""
@@ -627,9 +586,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="store directory (default: REPRO_CACHE_DIR)")
     p.add_argument("--max-mb", type=_nonnegative_float, default=None,
                    help="gc: evict oldest traces beyond this size budget")
-    p.add_argument("--drop-history", action="store_true",
-                   help="gc: also reset the adaptive shard planner's "
-                        "throughput history")
     p.add_argument("--dry-run", action="store_true")
     p.set_defaults(func=cmd_store)
     return parser

@@ -4,7 +4,6 @@ from .asicflow import ImplementedDesign, implement
 from .campaign import (
     DEFAULT_BACKEND,
     MIN_SHARD_CYCLES,
-    TARGET_SHARD_SECONDS,
     CampaignJob,
     CampaignRunner,
     CampaignStats,
@@ -59,7 +58,6 @@ __all__ = [
     "library_fingerprint",
     "plan_shards",
     "simulate_shard",
-    "TARGET_SHARD_SECONDS",
     "read_manifest",
     "stable_fingerprint",
     "trace_key",

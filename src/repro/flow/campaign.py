@@ -19,12 +19,9 @@ and a :class:`CampaignRunner` executes a batch of jobs:
   stitched matrix — both through
   :func:`~repro.flow.pool.simulate_shard`, so results are
   bit-identical for every ``n_workers`` and shard shape;
-* the auto-sizer is **adaptive**: per-(FU, backend, corner-count)
-  throughput observed on earlier runs is persisted in the trace-store
-  manifest (:meth:`TraceStore.record_throughput`) and used to pick a
-  shard count that equalizes worker runtimes; with no usable history
-  (cold store, corrupted section, cache disabled) it falls back to the
-  static heuristic;
+* the shard grid comes from one static heuristic over the job's
+  size and the worker count, so the same job always plans the same
+  grid;
 * completed shards of multi-shard jobs are journaled through the
   store, so a killed campaign's rerun resumes where it stopped;
 * the simulation backend is pluggable
@@ -66,7 +63,6 @@ __all__ = [
     "CampaignStats",
     "MIN_SHARD_CYCLES",
     "ShardExec",
-    "TARGET_SHARD_SECONDS",
     "error_free_clocks",
     "plan_shards",
 ]
@@ -76,17 +72,6 @@ __all__ = [
 #: of pickling the netlist and re-lowering it in the worker would
 #: outweigh the parallelism).
 MIN_SHARD_CYCLES = 512
-
-#: Wall-clock the adaptive auto-sizer aims at per shard.  Shards much
-#: shorter than this drown in per-task overhead (netlist pickling +
-#: per-process lowering); much longer ones straggle at the end of the
-#: pool.  Jobs estimated under twice this never split.
-TARGET_SHARD_SECONDS = 2.0
-
-#: A shard grid never exceeds this many shards per worker — beyond it
-#: the scheduling slack the extra shards buy is smaller than their
-#: fixed costs.
-_MAX_SHARDS_PER_WORKER = 4
 
 #: Shard bounds: (corner_start, corner_stop, cycle_start, cycle_stop).
 Shard = Tuple[int, int, int, int]
@@ -109,7 +94,6 @@ def plan_shards(n_cycles: int, n_corners: int = 1, *,
                 shard_cycles: Optional[int] = None,
                 shard_corners: Optional[int] = None,
                 n_workers: int = 1,
-                corner_cycles_per_s: Optional[float] = None,
                 cycle_shardable: bool = True,
                 corner_shardable: bool = True) -> List[Shard]:
     """Plan a 2-D corner × cycle shard grid for one job.
@@ -124,22 +108,11 @@ def plan_shards(n_cycles: int, n_corners: int = 1, *,
 
     Explicit ``shard_cycles``/``shard_corners`` (each ``>= 1``) fix
     the grid pitch along their axis (ragged tails allowed).  With both
-    ``None`` the size is picked automatically:
-
-    * a single worker never splits;
-    * with usable throughput history (``corner_cycles_per_s``, i.e.
-      corner-cycles simulated per worker-second for this FU/backend/
-      grid), the shard count targets :data:`TARGET_SHARD_SECONDS` per
-      shard, aimed at a multiple of ``n_workers`` so worker runtimes
-      equalize (exact whenever a single axis can satisfy it), and
-      never above ``4 * n_workers``;
-    * cold, the static heuristic aims at roughly two shards per
-      worker.
-
-    Cycle splits are preferred (corner shards repeat the corner-
-    independent settled-value pass), never go below
-    :data:`MIN_SHARD_CYCLES`, and short streams fall back to corner
-    splits so wide grids still saturate the pool.
+    ``None`` the size is picked automatically: a single worker never
+    splits, more workers get roughly two shards each.  Cycle splits are
+    preferred (corner shards repeat the corner-independent settled-value
+    pass), never go below :data:`MIN_SHARD_CYCLES`, and short streams
+    fall back to corner splits so wide grids still saturate the pool.
     ``cycle_shardable``/``corner_shardable`` pin the respective axis
     to a single span (backend capability gates).
     """
@@ -167,40 +140,18 @@ def plan_shards(n_cycles: int, n_corners: int = 1, *,
     if n_workers <= 1:
         return [(0, n_corners, 0, n_cycles)]
 
-    max_cycle_splits = (max(1, n_cycles // MIN_SHARD_CYCLES)
-                        if cycle_shardable else 1)
-    max_corner_splits = n_corners if corner_shardable else 1
-
-    if corner_cycles_per_s is not None and corner_cycles_per_s > 0 \
-            and np.isfinite(corner_cycles_per_s):
-        est_seconds = n_cycles * n_corners / corner_cycles_per_s
-        if est_seconds < 2 * TARGET_SHARD_SECONDS:
-            target = 1 if est_seconds < TARGET_SHARD_SECONDS else n_workers
-        else:
-            target = min(_MAX_SHARDS_PER_WORKER * n_workers,
-                         max(1, round(est_seconds / TARGET_SHARD_SECONDS)))
-        if target > 1:  # aim at a multiple of n_workers so runtimes equalize
-            target = -(-target // n_workers) * n_workers
-        # floor division keeps the grid at or under target (the hard
-        # shards-per-worker cap); a 2-D grid cannot always hit an exact
-        # worker multiple, undershooting only costs a little slack
-        target = min(target, max_cycle_splits * max_corner_splits)
-        cycle_splits = min(target, max_cycle_splits)
-        cycle_bounds = _even_bounds(n_cycles, cycle_splits)
-        corner_splits = min(max_corner_splits,
-                            max(1, target // cycle_splits))
+    # fixed-pitch cycle shards, corner splits only when the cycle axis
+    # alone cannot feed the pool
+    if cycle_shardable and n_cycles >= 2 * MIN_SHARD_CYCLES:
+        pitch = max(MIN_SHARD_CYCLES, -(-n_cycles // (2 * n_workers)))
+        cycle_bounds = [(t0, min(t0 + pitch, n_cycles))
+                        for t0 in range(0, n_cycles, pitch)]
     else:
-        # static heuristic (cold): fixed-pitch cycle shards, corner
-        # splits only when the cycle axis alone cannot feed the pool
-        if cycle_shardable and n_cycles >= 2 * MIN_SHARD_CYCLES:
-            pitch = max(MIN_SHARD_CYCLES, -(-n_cycles // (2 * n_workers)))
-            cycle_bounds = [(t0, min(t0 + pitch, n_cycles))
-                            for t0 in range(0, n_cycles, pitch)]
-        else:
-            cycle_bounds = [(0, n_cycles)]
-        need = -(-2 * n_workers // len(cycle_bounds))
-        corner_splits = (min(max_corner_splits, need)
-                         if len(cycle_bounds) < 2 * n_workers else 1)
+        cycle_bounds = [(0, n_cycles)]
+    corner_splits = 1
+    if corner_shardable and len(cycle_bounds) < 2 * n_workers:
+        corner_splits = min(n_corners,
+                            -(-2 * n_workers // len(cycle_bounds)))
     return [(c0, c1, t0, t1)
             for c0, c1 in _even_bounds(n_corners, corner_splits)
             for t0, t1 in cycle_bounds]
@@ -300,8 +251,7 @@ class CampaignRunner:
     store:
         A :class:`TraceStore`, a directory path for one, or None for
         the default cache directory.  Ignored when ``use_cache`` is
-        False.  Besides trace caching, the store's manifest carries the
-        throughput history that feeds the adaptive shard planner.
+        False.
     n_workers:
         Worker count for cache misses: 1 runs inline, more run on a
         persistent warm :class:`~repro.flow.pool.WorkerPool`.  The
@@ -309,30 +259,14 @@ class CampaignRunner:
         as a context manager, or a pool-owning
         :class:`~repro.api.Workspace`) to reap workers.
     use_cache:
-        Disable all persistence (and the adaptive history) when False.
+        Disable all persistence when False.
     shard_cycles / shard_corners:
         Explicit shard-grid pitch along the cycle / corner axis, on
         backends whose capability flags allow it (see
         :class:`~repro.sim.engine.SimBackend`).  None (default) sizes
-        the grid automatically — from throughput history when the
-        store has seen this (FU, backend, corner-count) before, else
-        statically from ``n_workers``.  Results are bit-identical for
-        every shard shape and worker count.
-    chunk_cycles:
-        Explicit cycle-axis working-set chunk forwarded to the
-        backend's ``run_delays`` (backends with
-        ``supports_chunking``).  None lets the backend pick a
-        cache-sized default; never affects results.
-    adaptive_history:
-        When False the shard auto-sizer ignores any persisted
-        throughput history (and records none), always planning with
-        the static heuristic — for reproducible shard grids across
-        machines.
-    threads:
-        In-worker thread count for the arrival kernel, forwarded to
-        the backend's ``run_delays`` (backends with
-        ``supports_threads``); 1 (default) runs single-threaded.
-        Never affects results.
+        the grid from the job and ``n_workers`` (:func:`plan_shards`).
+        Results are bit-identical for every shard shape and worker
+        count.
     pool:
         An externally owned :class:`~repro.flow.pool.WorkerPool` to
         run on (e.g. shared across runners by a Workspace).  The
@@ -351,9 +285,6 @@ class CampaignRunner:
                  n_workers: int = 1, use_cache: bool = True,
                  shard_cycles: Optional[int] = None,
                  shard_corners: Optional[int] = None,
-                 chunk_cycles: Optional[int] = None,
-                 adaptive_history: bool = True,
-                 threads: int = 1,
                  pool: Optional[WorkerPool] = None,
                  checkpoint: bool = True) -> None:
         if n_workers < 1:
@@ -362,20 +293,8 @@ class CampaignRunner:
             raise ValueError("shard_cycles must be >= 1")
         if shard_corners is not None and shard_corners < 1:
             raise ValueError("shard_corners must be >= 1")
-        if chunk_cycles is not None and chunk_cycles < 1:
-            raise ValueError("chunk_cycles must be >= 1")
-        if threads < 1:
-            raise ValueError("threads must be >= 1")
         self.backend_name = backend
         self.backend = get_backend(backend)
-        if chunk_cycles is not None and not self.backend.supports_chunking:
-            raise ValueError(
-                f"backend {backend!r} does not honor chunk_cycles "
-                f"(supports_chunking=False)")
-        if threads > 1 and not self.backend.supports_threads:
-            raise ValueError(
-                f"backend {backend!r} does not honor threads "
-                f"(supports_threads=False)")
         if not use_cache:
             self.store = None
         elif store is None or isinstance(store, (str, Path)):
@@ -385,9 +304,6 @@ class CampaignRunner:
         self.n_workers = n_workers
         self.shard_cycles = shard_cycles
         self.shard_corners = shard_corners
-        self.chunk_cycles = chunk_cycles
-        self.adaptive_history = adaptive_history
-        self.threads = threads
         self.checkpoint = checkpoint
         self._pool = pool
         self._owns_pool = False
@@ -418,27 +334,16 @@ class CampaignRunner:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    def _plan_job(self, n_cycles: int, n_corners: int,
-                  fu_name: str) -> List[Shard]:
-        """Shard plan for one job, honoring backend capabilities and
-        any persisted throughput history (static fallback when cold)."""
-        cycle_ok = self.backend.supports_cycle_sharding
-        corner_ok = (self.backend.supports_corner_sharding
-                     and n_corners > 1)
-        history = None
-        if self.store is not None and self.adaptive_history \
-                and self.shard_cycles is None \
-                and self.shard_corners is None:
-            history = self.store.get_throughput(
-                fu_name, self.backend_name, n_corners)
+    def _plan_job(self, n_cycles: int, n_corners: int) -> List[Shard]:
+        """Shard plan for one job, honoring backend capabilities."""
         return plan_shards(
             n_cycles, n_corners,
             shard_cycles=self.shard_cycles,
             shard_corners=self.shard_corners,
             n_workers=self.n_workers,
-            corner_cycles_per_s=history,
-            cycle_shardable=cycle_ok,
-            corner_shardable=corner_ok)
+            cycle_shardable=self.backend.supports_cycle_sharding,
+            corner_shardable=(self.backend.supports_corner_sharding
+                              and n_corners > 1))
 
     def run(self, jobs: Sequence[CampaignJob]) -> List[DelayTrace]:
         """Execute a batch of jobs, in order, returning their traces.
@@ -482,7 +387,7 @@ class CampaignRunner:
                 job.fu.netlist, list(job.conditions))
             delay_matrices.append(delay_matrix)
             grids.append((inputs.shape[0] - 1, delay_matrix.shape[0]))
-            plans.append(self._plan_job(*grids[-1], job.fu.name))
+            plans.append(self._plan_job(*grids[-1]))
 
         # checkpoint/resume: a killed campaign's rerun reuses the
         # journaled shard plan (a fresh plan need not tile the same
@@ -556,10 +461,6 @@ class CampaignRunner:
                 if checkpointing and (pos in journal_pos
                                       or done_parts[pos]):
                     self.store.clear_journal(key)
-                if seconds[pos] > 0 and self.adaptive_history:
-                    self.store.record_throughput(
-                        job.fu.name, self.backend_name, n_corners,
-                        n_cycles * n_corners / seconds[pos])
             results[i] = trace
             self.stats.misses += 1
             self.stats.job_seconds[i] = seconds[pos]
@@ -584,7 +485,7 @@ class CampaignRunner:
             _, job, _, inputs = pending[pos]
             delays, secs = simulate_shard(
                 job.fu.netlist, inputs, delay_matrices[pos],
-                self.backend_name, shard, self.chunk_cycles, self.threads)
+                self.backend_name, shard)
             c0, c1, t0, t1 = shard
             matrices[pos][c0:c1, t0:t1] = delays
             shard_done(pos, shard, delays, secs, None, None)
@@ -615,16 +516,13 @@ class CampaignRunner:
                 cached = (hashlib.sha1(blob).hexdigest(), blob)
                 nl_cache[id(netlist)] = cached
             nl_key, nl_bytes = cached
-            job_key = (f"{key}:{self.backend_name}:"
-                       f"{self.chunk_cycles}:{self.threads}")
+            job_key = f"{key}:{self.backend_name}"
             pos_key.append(job_key)
             if job_key not in progs:  # duplicate jobs share one program
                 progs[job_key] = JobProgram(
                     netlist=netlist, netlist_key=nl_key,
                     inputs=inputs, delay_matrix=delay_matrices[pos],
                     backend=self.backend_name,
-                    chunk_cycles=self.chunk_cycles,
-                    threads=self.threads,
                     netlist_bytes=nl_bytes)
 
         # longest-processing-time-first dispatch order

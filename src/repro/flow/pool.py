@@ -43,7 +43,8 @@ lowering of the program:
   (:func:`kill_worker`).
 
 The pool is deliberately backend-agnostic: a task runs
-``get_backend(name).run_delays`` on the registered payload slice, so
+``get_backend(name).run_delays`` single-threaded on the registered
+payload slice (parallelism comes from the workers alone), so
 every capability-gated backend (including the event engine's
 corner-only sharding) works unchanged.  Fork-started workers also
 inherit any programs already compiled in the parent, making the first
@@ -140,8 +141,6 @@ class JobProgram:
     inputs: np.ndarray        # (n_cycles + 1, n_inputs) uint8
     delay_matrix: np.ndarray  # (n_corners, n_gates) float
     backend: str
-    chunk_cycles: Optional[int] = None
-    threads: Optional[int] = None
     #: pre-pickled netlist (callers that fingerprinted the pickle pass
     #: it along so registration does not pickle a second time).
     netlist_bytes: Optional[bytes] = None
@@ -248,9 +247,7 @@ def _pool_worker_main(conn) -> None:
 
 
 def simulate_shard(netlist, inputs: np.ndarray, delay_matrix: np.ndarray,
-                   backend: str, shard: Shard,
-                   chunk_cycles: Optional[int] = None,
-                   threads: Optional[int] = None
+                   backend: str, shard: Shard
                    ) -> Tuple[np.ndarray, float]:
     """Simulate shard ``(c0, c1, t0, t1)`` of one job; returns
     ``(delays, seconds)``.
@@ -264,8 +261,7 @@ def simulate_shard(netlist, inputs: np.ndarray, delay_matrix: np.ndarray,
     c0, c1, t0, t1 = shard
     start = time.perf_counter()
     delays = get_backend(backend).run_delays(
-        netlist, inputs[t0:t1 + 1], delay_matrix[c0:c1],
-        chunk_cycles=chunk_cycles, threads=threads).delays
+        netlist, inputs[t0:t1 + 1], delay_matrix[c0:c1]).delays
     return delays, time.perf_counter() - start
 
 
@@ -277,7 +273,7 @@ def _run_shard(netlists: Dict[str, object], warm_keys: set,
     warm = nl_key in warm_keys
     delays, seconds = simulate_shard(
         netlists[nl_key], job["inputs"], job["delay_matrix"],
-        job["backend"], shard, job["chunk_cycles"], job["threads"])
+        job["backend"], shard)
     warm_keys.add(nl_key)
     if out is None:
         return seconds, warm, delays
@@ -546,9 +542,7 @@ class WorkerPool:
                 lambda: pickle.dumps(
                     {"inputs": prog.inputs,
                      "delay_matrix": prog.delay_matrix,
-                     "backend": prog.backend,
-                     "chunk_cycles": prog.chunk_cycles,
-                     "threads": prog.threads},
+                     "backend": prog.backend},
                     protocol=pickle.HIGHEST_PROTOCOL))
             worker.conn.send(("job", job_key, nl_key, blob.transport()))
             worker.jobs[job_key] = True

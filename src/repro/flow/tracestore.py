@@ -17,14 +17,16 @@ everything that determines a DTA trace:
 
 The manifest records per-entry metadata (shapes, library fingerprint,
 producing backend, creation time) and a store schema version so future
-layout changes can migrate or ignore old stores safely.
+layout changes can migrate or ignore old stores safely.  Other
+top-level manifest sections (such as one an older release wrote) are
+carried through every rewrite untouched and never read.
 
 Durability (see :mod:`repro.flow.durable`): the manifest is a
 checksummed envelope replaced atomically; ``.npz`` blobs are written
 tmp + fsync + rename with their metadata embedded, so a corrupt
 manifest is quarantined and **rebuilt by rescanning the blobs**;
-read-modify-write cycles (put, throughput history, gc, campaign
-journals) serialize under an advisory inter-process lock.
+read-modify-write cycles (put, gc, campaign journals) serialize under
+an advisory inter-process lock.
 """
 
 from __future__ import annotations
@@ -158,9 +160,7 @@ class TraceStore:
 
         Blob files are self-describing (embedded metadata since the
         durable layer landed; key-embedding filenames before that), so
-        the entry table is fully recoverable.  The throughput history
-        lives only in the manifest and degrades to empty — the adaptive
-        planner falls back to static heuristics, it never crashes.
+        the entry table is fully recoverable.
         """
         quarantined = quarantine(self.manifest_path)
         manifest: Dict = {"store_version": STORE_VERSION, "entries": {}}
@@ -172,8 +172,8 @@ class TraceStore:
         warnings.warn(
             f"trace-store manifest was corrupt ({exc}); quarantined to "
             f"{quarantined.name if quarantined else '<gone>'} and rebuilt "
-            f"{len(manifest['entries'])} entr(y/ies) from on-disk blobs "
-            f"(throughput history reset)", RuntimeWarning, stacklevel=4)
+            f"{len(manifest['entries'])} entr(y/ies) from on-disk blobs",
+            RuntimeWarning, stacklevel=4)
         try:  # persist so the next reader skips the rescan; best-effort
             with StoreLock(self.root / ".store.lock", timeout=0.5):
                 self._write_manifest(manifest)
@@ -229,96 +229,6 @@ class TraceStore:
 
     def __contains__(self, key: str) -> bool:
         return key in self._read_manifest()["entries"]
-
-    # -- throughput history ----------------------------------------------------
-    #
-    # A small side-table in the manifest feeding the campaign layer's
-    # adaptive shard planner: per (FU, backend, corner-count), an
-    # exponential moving average of corner-cycles simulated per
-    # worker-second.  Readers are deliberately paranoid — a corrupted
-    # or hand-edited section must degrade to "no history" (static
-    # planning), never crash a campaign.
-
-    @staticmethod
-    def _throughput_key(fu_name: str, backend: str, n_corners: int) -> str:
-        return f"{fu_name}|{backend}|{int(n_corners)}"
-
-    def _throughput_section(self, manifest: Dict) -> Dict:
-        section = manifest.get("throughput")
-        return section if isinstance(section, dict) else {}
-
-    @staticmethod
-    def _entry_cps(entry) -> Optional[float]:
-        """Validated corner-cycles/s of one history entry, else None."""
-        if not isinstance(entry, dict):
-            return None
-        try:
-            value = float(entry.get("corner_cycles_per_s"))
-        except (TypeError, ValueError):
-            return None
-        if not np.isfinite(value) or value <= 0:
-            return None
-        return value
-
-    def record_throughput(self, fu_name: str, backend: str,
-                          n_corners: int,
-                          corner_cycles_per_s: float,
-                          alpha: float = 0.4) -> None:
-        """Fold one observation into the per-(FU, backend, corners) EWMA."""
-        try:
-            observed = float(corner_cycles_per_s)
-        except (TypeError, ValueError):
-            return
-        if not np.isfinite(observed) or observed <= 0:
-            return
-        self.root.mkdir(parents=True, exist_ok=True)
-        with self.lock():
-            manifest = self._read_manifest()  # single read: prev + samples
-            section = self._throughput_section(manifest)
-            key = self._throughput_key(fu_name, backend, n_corners)
-            prev = self._entry_cps(section.get(key))
-            entry = (section.get(key)
-                     if isinstance(section.get(key), dict) else {})
-            samples = entry.get("samples")
-            samples = (samples
-                       if isinstance(samples, int) and samples >= 0 else 0)
-            value = (observed if prev is None
-                     else alpha * observed + (1 - alpha) * prev)
-            section[key] = {
-                "corner_cycles_per_s": float(value),
-                "samples": samples + 1,
-                "updated": time.strftime("%Y-%m-%dT%H:%M:%S"),
-            }
-            manifest["throughput"] = section
-            self._write_manifest(manifest)
-
-    def get_throughput(self, fu_name: str, backend: str,
-                       n_corners: int) -> Optional[float]:
-        """EWMA corner-cycles/s for this (FU, backend, corner-count),
-        or None when the history is absent or unusable."""
-        section = self._throughput_section(self._read_manifest())
-        return self._entry_cps(
-            section.get(self._throughput_key(fu_name, backend, n_corners)))
-
-    def throughput_history(self) -> Dict[str, Dict]:
-        """The raw persisted throughput section (copy)."""
-        return dict(self._throughput_section(self._read_manifest()))
-
-    def clear_throughput(self) -> int:
-        """Drop the whole throughput history; returns entries removed.
-
-        Use after hardware or backend changes that make old cycles/s
-        observations misleading for the adaptive planner.
-        """
-        with self.lock():
-            manifest = self._read_manifest()
-            section = self._throughput_section(manifest)
-            if not section:
-                return 0
-            n = len(section)
-            manifest["throughput"] = {}
-            self._write_manifest(manifest)
-        return n
 
     # -- traces ---------------------------------------------------------------
 

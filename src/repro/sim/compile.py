@@ -71,9 +71,7 @@ for validation, levelization, and lowering exactly once per process.
 
 from __future__ import annotations
 
-import os
 import weakref
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -208,13 +206,10 @@ class ArrivalStep:
     """One cache-sized slice of an :class:`ArrivalBlock`, with the
     delay tile for a concrete ``(delay matrix, chunk)`` pair baked in.
 
-    Steps of the same ``level`` are mutually independent: they write
-    disjoint output row ranges and read only strictly-lower-level rows,
-    so a run may execute them concurrently (see the ``threads`` knob of
-    :meth:`CompiledNetlist.run`) with bit-identical results.
+    Steps run in level order: each writes its own output row range and
+    reads only strictly-lower-level rows.
     """
 
-    level: int
     start: int
     stop: int
     #: ``(width * n,)`` fanin rows, pin-major flattened — one fancy
@@ -496,7 +491,6 @@ class CompiledNetlist:
                     delays_t[gi][:, :, None],
                     (hi - lo, n_corners, chunk_cycles)))
                 steps.append(ArrivalStep(
-                    level=b.level,
                     start=b.start + lo, stop=b.start + hi,
                     fanin_flat=np.ascontiguousarray(
                         b.fanin[:, lo:hi].reshape(-1)),
@@ -506,9 +500,7 @@ class CompiledNetlist:
 
     def _arrival_chunk(self, quiet: np.ndarray, plan: List[ArrivalStep],
                        arr: np.ndarray, n_cycles: int,
-                       active: Optional[np.ndarray],
-                       executor: Optional[ThreadPoolExecutor] = None
-                       ) -> None:
+                       active: Optional[np.ndarray]) -> None:
         """Float arrival pass for one chunk into ``arr``.
 
         ``arr`` is ``(n_live_rows, n_corners, chunk)`` with ``chunk >=
@@ -541,12 +533,6 @@ class CompiledNetlist:
         arrival), and fully-quiet sub-blocks are filled with the raw
         sentinel instead of computed (every skipped value is quiet by
         construction).
-
-        With an ``executor``, the independent steps of each level run
-        concurrently (numpy releases the GIL for the array ops); levels
-        stay strictly ordered, which keeps results bit-identical — each
-        step writes its own disjoint row range and reads only
-        strictly-lower-level rows.
         """
         full = arr.shape[2] == n_cycles
         arr = arr if full else arr[:, :, :n_cycles]
@@ -564,14 +550,13 @@ class CompiledNetlist:
         else:
             step_active = None
 
-        def run_step(si: int) -> None:
-            st = plan[si]
+        for si, st in enumerate(plan):
             if step_active is not None and not step_active[si]:
                 # nothing in this row range toggles anywhere in the
                 # chunk: every output is quiet, any huge negative value
                 # is as good as the computed one (see docstring)
                 arr[st.start:st.stop] = -_QUIET_SENTINEL
-                return
+                continue
             n = st.stop - st.start
             dtile = st.dtile if full else st.dtile[:, :, :n_cycles]
             seg = arr[st.start:st.stop]
@@ -594,23 +579,6 @@ class CompiledNetlist:
                     np.maximum(seg, g[k * n:(k + 1) * n], out=seg)
                 seg += dtile
                 seg += quiet[st.start:st.stop][:, None, :]
-
-        if executor is None:
-            for si in range(len(plan)):
-                run_step(si)
-            return
-        i = 0
-        n_steps = len(plan)
-        while i < n_steps:  # per-level barrier
-            j = i + 1
-            while j < n_steps and plan[j].level == plan[i].level:
-                j += 1
-            if j - i == 1:
-                run_step(i)
-            else:
-                for _ in executor.map(run_step, range(i, j)):
-                    pass  # drain so worker exceptions propagate
-            i = j
 
     def _settled_outputs(self, values: np.ndarray,
                          n_rows: int) -> np.ndarray:
@@ -638,22 +606,18 @@ class CompiledNetlist:
 
     def run(self, input_matrix: np.ndarray, gate_delays: np.ndarray,
             collect_outputs: bool = False,
-            chunk_cycles: Optional[int] = None,
-            threads: Optional[int] = None) -> DelayTraceResult:
+            chunk_cycles: Optional[int] = None) -> DelayTraceResult:
         """Simulate a stream of input vectors across corners.
 
         Same contract (and bit-identical delays/outputs) as
         :meth:`repro.sim.levelized.LevelizedSimulator.run`; chunk
         boundaries never affect results because cycle ``t`` only reads
-        input rows ``t`` and ``t+1``.  ``threads > 1`` executes the
-        independent arrival steps within each level concurrently —
-        also never affecting results (see :meth:`_arrival_chunk`).
+        input rows ``t`` and ``t+1``.  ``chunk_cycles`` defaults to
+        :meth:`default_chunk_cycles`; an explicit value exists for the
+        chunk-invariance parity tests.
         """
         if chunk_cycles is not None and chunk_cycles < 1:
             raise ValueError("chunk_cycles must be >= 1")
-        if threads is not None and threads < 1:
-            raise ValueError("threads must be >= 1")
-        executor = _thread_pool(threads) if threads and threads > 1 else None
         inputs = np.asarray(input_matrix, dtype=np.uint8)
         if inputs.ndim != 2 or inputs.shape[1] != self.n_inputs:
             raise ValueError(
@@ -715,7 +679,7 @@ class CompiledNetlist:
             quiet, row_active = self._quiet_and_active(
                 values, chunk_rows - 1)
             self._arrival_chunk(quiet, plan, arr_buf, chunk_rows - 1,
-                                row_active, executor=executor)
+                                row_active)
             if self.n_outputs:
                 arr = arr_buf[:, :, :chunk_rows - 1]
                 worst = arr[self.po_rows].max(axis=0)
@@ -738,27 +702,6 @@ class CompiledNetlist:
 #: id(netlist) -> (weakref to netlist, program); evicted when the
 #: netlist is garbage collected so id reuse can never alias programs.
 _PROGRAM_CACHE: Dict[int, Tuple[weakref.ref, CompiledNetlist]] = {}
-
-#: thread count -> shared executor for the per-level arrival steps.
-#: Keyed per process: forked children (the campaign worker pool) would
-#: otherwise inherit executors whose threads died with the fork —
-#: submitting to one deadlocks, so the cache resets on pid change.
-_THREAD_POOLS: Dict[int, ThreadPoolExecutor] = {}
-_THREAD_POOLS_PID = os.getpid()
-
-
-def _thread_pool(threads: int) -> ThreadPoolExecutor:
-    global _THREAD_POOLS_PID
-    if os.getpid() != _THREAD_POOLS_PID:
-        _THREAD_POOLS.clear()
-        _THREAD_POOLS_PID = os.getpid()
-    executor = _THREAD_POOLS.get(threads)
-    if executor is None:
-        executor = ThreadPoolExecutor(
-            max_workers=threads, thread_name_prefix="repro-arrival")
-        _THREAD_POOLS[threads] = executor
-    return executor
-
 
 def compile_netlist(netlist: Netlist) -> CompiledNetlist:
     """Lower ``netlist`` to a :class:`CompiledNetlist`, cached per identity.
@@ -793,21 +736,15 @@ class CompiledBackend(SimBackend):
     """
 
     name = "compiled"
-    supports_multi_corner = True
     supports_cycle_sharding = True
     supports_corner_sharding = True
     models_glitches = False
-    supports_chunking = True
-    supports_threads = True
 
     def run_delays(self, netlist: Netlist, input_matrix: np.ndarray,
                    gate_delays: np.ndarray,
-                   collect_outputs: bool = False,
-                   chunk_cycles: Optional[int] = None,
-                   threads: Optional[int] = None) -> DelayTraceResult:
+                   collect_outputs: bool = False) -> DelayTraceResult:
         return compile_netlist(netlist).run(
-            input_matrix, gate_delays, collect_outputs=collect_outputs,
-            chunk_cycles=chunk_cycles, threads=threads)
+            input_matrix, gate_delays, collect_outputs=collect_outputs)
 
     def run_values(self, netlist: Netlist,
                    input_matrix: np.ndarray) -> np.ndarray:

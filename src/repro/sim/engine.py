@@ -10,8 +10,11 @@ quantities the pipeline needs from a netlist and an input stream:
 * ``run_values`` — settled primary-output values per cycle (used for
   functional verification and toggle statistics).
 
-Backends are looked up by name through :func:`get_backend`; the three
-built-ins are
+Both run single-threaded and pick their own working-set sizes; a
+backend exposes only the capability flags in
+:attr:`SimBackend.CAPABILITY_FLAGS`, which tell the campaign layer how
+a job may be sharded and cached.  Backends are looked up by name
+through :func:`get_backend`; the three built-ins are
 
 ``compiled``
     The graph-based DTA engine every campaign runs
@@ -94,9 +97,6 @@ class SimBackend(abc.ABC):
 
     #: Registry key.
     name: str = ""
-    #: ``run_delays`` vectorizes over an ``(n_corners, n_gates)`` delay
-    #: matrix in one pass (as opposed to looping corner by corner).
-    supports_multi_corner: bool = False
     #: Cycle ``t`` of ``run_delays`` depends only on input rows ``t``
     #: and ``t+1``, so a stream may be split into cycle-range shards
     #: (each shard receiving rows ``[start, stop + 1]``) and the delay
@@ -117,27 +117,14 @@ class SimBackend(abc.ABC):
     #: from glitch backends must never share a cache entry with DTA
     #: traces (see :attr:`delay_model`).
     models_glitches: bool = False
-    #: ``run_delays`` honors an explicit ``chunk_cycles`` (cycle-axis
-    #: working-set chunk, never affecting results).  Backends that
-    #: process streams cycle by cycle (no chunked working set) must
-    #: leave this False; passing ``chunk_cycles`` to them is an error
-    #: rather than a silent no-op.
-    supports_chunking: bool = False
-    #: ``run_delays`` honors an explicit ``threads`` count (intra-call
-    #: thread parallelism over independent work units, never affecting
-    #: results).  Backends without a threadable kernel must leave this
-    #: False; passing ``threads`` to them is an error rather than a
-    #: silent no-op — mirroring ``supports_chunking``.
-    supports_threads: bool = False
 
     #: Capability attributes the registry validates on every instance.
     #: The campaign layer reads these as plain attributes (never via
     #: ``getattr`` with a default), so a backend that typos a flag name
     #: fails loudly at registration instead of silently losing e.g.
     #: sharding.
-    CAPABILITY_FLAGS = ("supports_multi_corner", "supports_cycle_sharding",
-                        "supports_corner_sharding", "models_glitches",
-                        "supports_chunking", "supports_threads")
+    CAPABILITY_FLAGS = ("supports_cycle_sharding",
+                        "supports_corner_sharding", "models_glitches")
 
     @property
     def delay_model(self) -> str:
@@ -152,9 +139,7 @@ class SimBackend(abc.ABC):
     @abc.abstractmethod
     def run_delays(self, netlist: Netlist, input_matrix: np.ndarray,
                    gate_delays: np.ndarray,
-                   collect_outputs: bool = False,
-                   chunk_cycles: Optional[int] = None,
-                   threads: Optional[int] = None) -> DelayTraceResult:
+                   collect_outputs: bool = False) -> DelayTraceResult:
         """Per-cycle dynamic delays for an input stream.
 
         Parameters
@@ -166,19 +151,14 @@ class SimBackend(abc.ABC):
             state.
         gate_delays:
             ``(n_gates,)`` for one corner or ``(n_corners, n_gates)``;
-            picoseconds per gate.  Backends that do not support
-            multi-corner vectorization loop over the corner axis.
+            picoseconds per gate.  Backends either vectorize over the
+            corner axis or loop over it.
         collect_outputs:
             Also return settled output values per cycle.
-        chunk_cycles:
-            Cycle-axis working-set chunk.  ``None`` lets the backend
-            pick a cache-sized default; an explicit value requires
-            :attr:`supports_chunking` and never affects results.
-        threads:
-            Intra-call thread parallelism over independent work units
-            (numpy releases the GIL during array ops).  ``None``/1 runs
-            single-threaded; an explicit value > 1 requires
-            :attr:`supports_threads` and never affects results.
+
+        Every call runs single-threaded; backends that work in
+        cycle-axis chunks size them themselves.  Parallelism is the
+        campaign layer's job (shards on a worker pool).
         """
 
     @abc.abstractmethod
@@ -188,7 +168,6 @@ class SimBackend(abc.ABC):
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"<{type(self).__name__} name={self.name!r} "
-                f"multi_corner={self.supports_multi_corner} "
                 f"glitches={self.models_glitches}>")
 
 

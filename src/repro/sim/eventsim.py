@@ -198,26 +198,13 @@ class EventBackend(SimBackend):
     # event queue couples adjacent cycles (glitch trains can straddle a
     # cut), so cycle sharding must stay off.
     name = "event"
-    supports_multi_corner = False
     supports_cycle_sharding = False
     supports_corner_sharding = True
     models_glitches = True
-    supports_chunking = False
-    supports_threads = False
 
     def run_delays(self, netlist: Netlist, input_matrix: np.ndarray,
                    gate_delays: np.ndarray,
-                   collect_outputs: bool = False,
-                   chunk_cycles: Optional[int] = None,
-                   threads: Optional[int] = None) -> DelayTraceResult:
-        if chunk_cycles is not None:
-            raise ValueError(
-                "the event backend processes streams cycle by cycle and "
-                "does not honor chunk_cycles (supports_chunking=False)")
-        if threads is not None and threads > 1:
-            raise ValueError(
-                "the event backend's event queue is inherently serial "
-                "and does not honor threads (supports_threads=False)")
+                   collect_outputs: bool = False) -> DelayTraceResult:
         delays = np.asarray(gate_delays, dtype=np.float64)
         if delays.ndim == 1:
             delays = delays[None, :]

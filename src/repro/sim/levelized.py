@@ -248,25 +248,15 @@ class ReferenceLevelizedBackend(SimBackend):
     """
 
     name = "levelized_ref"
-    supports_multi_corner = True
     supports_cycle_sharding = True
     supports_corner_sharding = True
     models_glitches = False
-    supports_chunking = True
-    supports_threads = False
 
     def run_delays(self, netlist: Netlist, input_matrix: np.ndarray,
                    gate_delays: np.ndarray,
-                   collect_outputs: bool = False,
-                   chunk_cycles: Optional[int] = None,
-                   threads: Optional[int] = None) -> DelayTraceResult:
-        if threads is not None and threads > 1:
-            raise ValueError(
-                "the per-gate reference path has no threadable kernel "
-                "and does not honor threads (supports_threads=False)")
+                   collect_outputs: bool = False) -> DelayTraceResult:
         return LevelizedSimulator(netlist).run(
-            input_matrix, gate_delays, collect_outputs=collect_outputs,
-            chunk_cycles=chunk_cycles)
+            input_matrix, gate_delays, collect_outputs=collect_outputs)
 
     def run_values(self, netlist: Netlist,
                    input_matrix: np.ndarray) -> np.ndarray:

@@ -9,7 +9,6 @@ from repro.api import (
     ExperimentSpec,
     PredictSpec,
     ServeSpec,
-    ShardSpec,
     SimSpec,
     SpecError,
     StreamSpec,
@@ -50,6 +49,18 @@ class TestWorkspaceLayout:
         ws = Workspace(tmp_path / "ws", store=tmp_path / "elsewhere")
         assert ws.store.root == tmp_path / "elsewhere"
         assert ws.registry.root == tmp_path / "ws" / "registry"
+
+    def test_runner_stores_honor_lock_timeout(self, tmp_path):
+        # the runner is the first thing to touch the store here, so the
+        # timeout must not depend on ``ws.store`` having been built
+        ws = Workspace(tmp_path / "ws", lock_timeout=0.5)
+        runner = ws.runner()
+        assert runner.store.lock_timeout == 0.5
+        assert runner.store is ws.store
+        other = ws.runner(store=str(tmp_path / "other")).store
+        assert other.root == tmp_path / "other"
+        assert other.lock_timeout == 0.5
+        assert ws.runner(cache=False).store is None
 
 
 class TestCharacterize:
@@ -108,23 +119,6 @@ class TestCharacterize:
         audit = ws.characterize(spec.replace(
             sim=SimSpec(backend="levelized_ref")))
         assert (audit.stats.hits, audit.stats.misses) == (0, 1)
-
-    def test_chunk_cycles_never_affects_results(self, tmp_path):
-        ws = Workspace(tmp_path)
-        base = ws.simulate(small_campaign())
-        chunked = ws.simulate(small_campaign(
-            sim=SimSpec(chunk_cycles=7)))
-        assert chunked.traces[0].delays.tobytes() == \
-            base.traces[0].delays.tobytes()
-
-    def test_adaptive_history_toggle(self, tmp_path):
-        ws = Workspace(tmp_path)
-        off = small_campaign(shards=ShardSpec(adaptive_history=False))
-        ws.characterize(off)
-        assert ws.store.throughput_history() == {}
-        ws.characterize(small_campaign(
-            stream=StreamSpec(cycles=40, seed=9)))
-        assert ws.store.throughput_history() != {}
 
 
 class TestTrainPredict:

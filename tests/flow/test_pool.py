@@ -51,14 +51,14 @@ def no_leaks():
     assert _shm_segments() == []
 
 
-def _prog(fu, stream, backend="compiled", conds=CONDS, threads=None):
+def _prog(fu, stream, backend="compiled", conds=CONDS):
     inputs = stream.bit_matrix(fu)
     delay_matrix = DEFAULT_LIBRARY.delay_matrix(fu.netlist, list(conds))
     blob = pickle.dumps(fu.netlist)
     return JobProgram(netlist=fu.netlist,
                       netlist_key=hashlib.sha1(blob).hexdigest(),
                       inputs=inputs, delay_matrix=delay_matrix,
-                      backend=backend, threads=threads,
+                      backend=backend,
                       netlist_bytes=blob)
 
 
@@ -316,17 +316,6 @@ class TestPersistentRunner:
         monkeypatch.setenv("REPRO_POOL_NO_SHM", "1")
         pooled = self._trace(n_workers=2, shard_cycles=64)
         np.testing.assert_array_equal(pooled.delays, ref.delays)
-
-    def test_threads_through_runner_bit_identical(self):
-        ref = self._trace(n_workers=1)
-        threaded = self._trace(n_workers=2, shard_cycles=64, threads=2)
-        inline_threaded = self._trace(n_workers=1, threads=2)
-        np.testing.assert_array_equal(threaded.delays, ref.delays)
-        np.testing.assert_array_equal(inline_threaded.delays, ref.delays)
-
-    def test_threads_rejected_without_capability(self):
-        with pytest.raises(ValueError, match="supports_threads"):
-            CampaignRunner(backend="event", threads=2)
 
     def test_event_backend_corner_shards_through_pool(self):
         fu = build_functional_unit("int_add", width=8)

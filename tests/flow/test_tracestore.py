@@ -1,7 +1,7 @@
 """The trace store's contract with its callers, on a local root.
 
-:class:`~repro.flow.campaign.CampaignRunner` reads and writes traces,
-throughput history and shard journals through these methods; this file
+:class:`~repro.flow.campaign.CampaignRunner` reads and writes traces
+and shard journals through these methods; this file
 pins each one down directly, without a campaign around it: round trips
 of traces of every shape, what a reopened store still sees, and which
 journals ``load_journal`` refuses to resume from.
@@ -92,37 +92,6 @@ class TestTraces:
         assert len(report.removed_blobs) == 1
         assert store.entries() == {}
         assert store.get("g0", CONDS[:2]) is None
-
-
-class TestThroughputHistory:
-    def test_record_get_clear(self, tmp_path):
-        store = TraceStore(tmp_path)
-        assert store.get_throughput("int_add", "compiled", 2) is None
-        store.record_throughput("int_add", "compiled", 2, 1000.0)
-        assert store.get_throughput("int_add", "compiled", 2) \
-            == pytest.approx(1000.0)
-        assert len(store.throughput_history()) == 1
-        assert store.clear_throughput() == 1
-        assert store.throughput_history() == {}
-        assert store.get_throughput("int_add", "compiled", 2) is None
-
-    @pytest.mark.parametrize("other", [
-        ("fp_mul", "compiled", 2),
-        ("int_add", "levelized", 2),
-        ("int_add", "compiled", 9),
-    ])
-    def test_history_is_kept_per_fu_backend_and_corner_count(self, tmp_path,
-                                                             other):
-        store = TraceStore(tmp_path)
-        store.record_throughput("int_add", "compiled", 2, 1000.0)
-        assert store.get_throughput(*other) is None
-
-    def test_history_survives_trace_puts(self, tmp_path):
-        store = TraceStore(tmp_path)
-        store.record_throughput("int_add", "compiled", 2, 500.0)
-        _put(store, "h0")
-        assert TraceStore(tmp_path).get_throughput(
-            "int_add", "compiled", 2) == pytest.approx(500.0)
 
 
 class TestJournal:

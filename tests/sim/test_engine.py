@@ -56,11 +56,12 @@ class TestRegistry:
             get_backend("modelsim")
 
     def test_capability_flags(self):
+        assert SimBackend.CAPABILITY_FLAGS == (
+            "supports_cycle_sharding", "supports_corner_sharding",
+            "models_glitches")
         ref = get_backend("levelized_ref")
         comp = get_backend("compiled")
         ev = get_backend("event")
-        assert ref.supports_multi_corner and comp.supports_multi_corner
-        assert not ev.supports_multi_corner
         assert ev.models_glitches
         assert not (ref.models_glitches or comp.models_glitches)
         assert ref.delay_model == comp.delay_model == "dta"
@@ -80,49 +81,15 @@ class TestRegistry:
         for name in available_backends():
             assert get_backend(name).supports_corner_sharding, name
 
-    def test_chunking_capability(self):
-        # the kernel-based engines honor an explicit chunk_cycles; the
-        # cycle-by-cycle event engine must refuse it loudly
-        for name in ("compiled", "levelized_ref"):
-            assert get_backend(name).supports_chunking, name
-        assert not get_backend("event").supports_chunking
-        fu, inputs = _fu_inputs("int_add", 4, width=8)
-        delays = DEFAULT_LIBRARY.delay_matrix(fu.netlist, CONDS[:1])
-        with pytest.raises(ValueError, match="chunk_cycles"):
-            get_backend("event").run_delays(fu.netlist, inputs, delays[0],
-                                            chunk_cycles=2)
-
     @pytest.mark.parametrize("name", ["compiled", "levelized_ref"])
     @pytest.mark.parametrize("chunk_cycles", [0, -5])
     def test_nonpositive_chunk_cycles_rejected(self, name, chunk_cycles):
         fu, inputs = _fu_inputs("int_add", 4, width=8)
         delays = DEFAULT_LIBRARY.delay_matrix(fu.netlist, CONDS[:1])
+        sim = (compile_netlist(fu.netlist) if name == "compiled"
+               else LevelizedSimulator(fu.netlist))
         with pytest.raises(ValueError, match="chunk_cycles must be >= 1"):
-            get_backend(name).run_delays(fu.netlist, inputs, delays,
-                                         chunk_cycles=chunk_cycles)
-
-    def test_threads_capability(self):
-        # the level-parallel kernels can fan independent L2 sub-blocks
-        # of a level across threads; the serial event queue and the
-        # per-gate reference loop must refuse threads > 1 loudly
-        assert get_backend("compiled").supports_threads
-        for name in ("event", "levelized_ref"):
-            assert not get_backend(name).supports_threads, name
-            fu, inputs = _fu_inputs("int_add", 4, width=8)
-            delays = DEFAULT_LIBRARY.delay_matrix(fu.netlist, CONDS[:1])
-            with pytest.raises(ValueError, match="supports_threads"):
-                get_backend(name).run_delays(fu.netlist, inputs,
-                                             delays, threads=2)
-
-    def test_threads_bit_identical(self):
-        fu, inputs = _fu_inputs("int_add", 40, width=8)
-        delays = DEFAULT_LIBRARY.delay_matrix(fu.netlist, CONDS)
-        ref = get_backend("compiled").run_delays(fu.netlist, inputs,
-                                                 delays).delays
-        for threads in (2, 4):
-            got = get_backend("compiled").run_delays(
-                fu.netlist, inputs, delays, threads=threads).delays
-            assert got.tobytes() == ref.tobytes(), threads
+            sim.run(inputs, delays, chunk_cycles=chunk_cycles)
 
     def test_reference_backends_bit_identical(self):
         # levelized_ref runs the per-gate loop and must agree with the
@@ -278,9 +245,8 @@ class TestBackendParity:
         reference = LevelizedSimulator(fu.netlist).run(
             inputs, dm, collect_outputs=True)
         for chunk in (None, 64, 45):
-            got = get_backend("compiled").run_delays(
-                fu.netlist, inputs, dm, collect_outputs=True,
-                chunk_cycles=chunk)
+            got = compile_netlist(fu.netlist).run(
+                inputs, dm, collect_outputs=True, chunk_cycles=chunk)
             assert got.delays.tobytes() == reference.delays.tobytes(), chunk
             np.testing.assert_array_equal(got.outputs, reference.outputs,
                                           err_msg=str(chunk))

@@ -130,25 +130,6 @@ class TestStoreCommands:
         assert "would have" in capsys.readouterr().out
         assert len(list(tmp_path.glob("dta_*.npz"))) == 1
 
-    def test_store_list_and_reset_throughput_history(self, capsys,
-                                                     tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        # a campaign miss records adaptive-planner history
-        main(["campaign", "--fu", "int_add", "--cycles", "40",
-              "--voltages", "0.9", "--temperatures", "25"])
-        capsys.readouterr()
-        assert main(["store", "list"]) == 0
-        out = capsys.readouterr().out
-        assert "throughput history" in out
-        assert "int_add|compiled|1" in out
-        # dry run previews, real run drops
-        assert main(["store", "gc", "--drop-history", "--dry-run"]) == 0
-        assert "would have dropped 1" in capsys.readouterr().out
-        assert main(["store", "gc", "--drop-history"]) == 0
-        assert "dropped 1 throughput-history" in capsys.readouterr().out
-        from repro.flow import TraceStore
-        assert TraceStore(tmp_path).throughput_history() == {}
-
 
 CONFIG_TOML = """
 [corners]
