@@ -114,6 +114,19 @@ class TestValidation:
         with pytest.raises(SpecError, match="unknown SimSpec"):
             CampaignSpec.from_file(path)
 
+    @pytest.mark.parametrize("cls,payload,key", [
+        (SimSpec, {"backend": "compiled", "chunk_cycles": 128},
+         "chunk_cycles"),
+        (ShardSpec, {"workers": 2, "threads": 2}, "threads"),
+        (CampaignSpec, {"sim": {"chunk_cycles": 128}}, "chunk_cycles"),
+        (CampaignSpec, {"shards": {"threads": 2}}, "threads"),
+    ])
+    def test_removed_knobs_rejected_in_payloads(self, cls, payload, key):
+        # wire payloads written by earlier releases fail loudly instead
+        # of silently dropping a knob that no longer does anything
+        with pytest.raises(SpecError, match=f"unknown .*Spec.*{key}"):
+            cls.from_dict(payload)
+
     def test_persistent_key_rejected_as_unknown(self, tmp_path):
         # the warm pool is the only multi-worker executor now
         with pytest.raises(SpecError, match="persistent"):

@@ -1,8 +1,15 @@
 """Tests for the Workspace facade."""
 
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro
 from repro.api import (
     CampaignSpec,
     CornerSpec,
@@ -17,12 +24,25 @@ from repro.api import (
 )
 from repro.circuits import build_functional_unit
 from repro.flow import CampaignJob, CampaignRunner, TraceStore
+from repro.flow.durable import StoreLockTimeout
 from repro.serve.registry import model_key
 from repro.timing import OperatingCondition
 from repro.workloads import stream_for_unit
 
 CORNERS = CornerSpec(voltages=(0.9,), temperatures=(25.0,))
 CONDS = CORNERS.conditions()
+SRC = str(Path(next(iter(repro.__path__))).resolve().parent)
+
+# holds a store lock in another process until killed
+HOLDER_SCRIPT = """
+import sys, time
+from pathlib import Path
+from repro.flow.durable import StoreLock
+lock_path, ready = sys.argv[1], sys.argv[2]
+with StoreLock(lock_path, timeout=10.0):
+    Path(ready).write_text("ok")
+    time.sleep(30)
+"""
 
 
 def small_campaign(**kw):
@@ -61,6 +81,36 @@ class TestWorkspaceLayout:
         assert other.root == tmp_path / "other"
         assert other.lock_timeout == 0.5
         assert ws.runner(cache=False).store is None
+
+    @pytest.mark.parametrize("where", ["root", "spec_store"])
+    def test_characterize_gives_up_at_workspace_lock_timeout(
+            self, tmp_path, where):
+        pytest.importorskip("fcntl")
+        ws = Workspace(tmp_path / "ws", lock_timeout=0.3)
+        if where == "root":
+            spec, root = small_campaign(), ws.store.root
+        else:
+            spec = small_campaign(store=str(tmp_path / "other"))
+            root = tmp_path / "other"
+        ready = tmp_path / "ready"
+        env = dict(os.environ, PYTHONPATH=SRC)
+        holder = subprocess.Popen(
+            [sys.executable, "-c", HOLDER_SCRIPT,
+             str(root / ".store.lock"), str(ready)], env=env)
+        try:
+            deadline = time.monotonic() + 10.0
+            while not ready.exists():
+                assert time.monotonic() < deadline, "holder never started"
+                assert holder.poll() is None, "holder died early"
+                time.sleep(0.01)
+            start = time.monotonic()
+            with pytest.raises(StoreLockTimeout,
+                               match=r"timed out after 0\.3s"):
+                ws.characterize(spec)
+            assert time.monotonic() - start < 5.0
+        finally:
+            holder.kill()
+            holder.wait()
 
 
 class TestCharacterize:

@@ -286,6 +286,35 @@ class TestShardGridPlanning:
                              corner_shardable=False)
         assert all(c0 == 0 and c1 == 9 for c0, c1, _, _ in shards)
 
+    @pytest.mark.parametrize(
+        "n_cycles,n_corners,n_workers,cycle_ok,corner_ok,n_shards", [
+            (64_000, 1, 4, True, True, 8),     # cycle splits only
+            (1_500, 9, 4, True, True, 9),      # 3 cycle x 3 corner
+            (100, 9, 2, True, True, 4),        # short: corners only
+            (2 * MIN_SHARD_CYCLES, 2, 3, True, True, 4),
+            (10_000, 3, 8, False, True, 3),    # cycle axis pinned
+            (10_000, 9, 4, True, False, 8),    # corner axis pinned
+        ])
+    def test_auto_grid_partitions(self, n_cycles, n_corners, n_workers,
+                                  cycle_ok, corner_ok, n_shards):
+        shards = plan_shards(n_cycles, n_corners, n_workers=n_workers,
+                             cycle_shardable=cycle_ok,
+                             corner_shardable=corner_ok)
+        self._assert_covers(shards, n_corners, n_cycles)
+        assert len(shards) == n_shards
+        assert shards == sorted(shards)  # corner-major, cycle-minor
+        cycle_spans = sorted({(t0, t1) for _, _, t0, t1 in shards})
+        corner_spans = sorted({(c0, c1) for c0, c1, _, _ in shards})
+        if len(cycle_spans) > 1:
+            assert all(t1 - t0 >= MIN_SHARD_CYCLES
+                       for t0, t1 in cycle_spans[:-1])
+        widths = {c1 - c0 for c0, c1 in corner_spans}
+        assert max(widths) - min(widths) <= 1  # balanced corner split
+        if not cycle_ok:
+            assert cycle_spans == [(0, n_cycles)]
+        if not corner_ok:
+            assert corner_spans == [(0, n_corners)]
+
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
             plan_shards(0, 1)
@@ -476,6 +505,27 @@ class TestCycleSharding:
         assert runner.stats.hits == 2
         assert runner.stats.job_shards == {}
         assert runner.stats.sim_seconds == 0.0
+
+    def test_store_contents_never_change_the_plan(self, tmp_path):
+        # the planner is static: a store that has seen this job before
+        # must hand the pool the same grid as a fresh one
+        fu = build_functional_unit("int_add", width=8)
+        stream = random_stream(3 * MIN_SHARD_CYCLES, operand_width=8,
+                               seed=84)
+        stream.name = "shard_static"
+        job = CampaignJob(fu, stream, CONDS)
+        expected = plan_shards(3 * MIN_SHARD_CYCLES, len(CONDS),
+                               n_workers=2)
+        assert len(expected) > 1
+        grids = []
+        with CampaignRunner(store=tmp_path, n_workers=2) as runner:
+            for _ in range(2):
+                runner.run([job])
+                assert runner.stats.misses == 1
+                grids.append(sorted(e.shard
+                                    for e in runner.stats.shard_log))
+                TraceStore(tmp_path).gc(max_bytes=0)  # force a re-run
+        assert grids == [expected, expected]
 
     def test_sharded_results_cache_and_reload(self, tmp_path):
         fu = build_functional_unit("int_add", width=8)

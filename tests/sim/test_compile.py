@@ -171,6 +171,28 @@ class TestKernelParity:
             else:
                 assert part.outputs is None
 
+    @pytest.mark.parametrize("fu_name", PAPER_UNITS)
+    def test_chunking_invariance_on_paper_units(self, fu_name):
+        # the chunk is sized by the program itself; any other size,
+        # ragged or word-aligned, must give the same bytes
+        fu, inputs = _fu_inputs(fu_name, 130, seed=11)
+        delays = DEFAULT_LIBRARY.delay_matrix(fu.netlist, CONDS)
+        prog = compile_netlist(fu.netlist)
+        whole = prog.run(inputs, delays, collect_outputs=True)
+        for chunk in (7, 64, 100, prog.default_chunk_cycles(len(CONDS))):
+            part = prog.run(inputs, delays, collect_outputs=True,
+                            chunk_cycles=chunk)
+            assert part.delays.tobytes() == whole.delays.tobytes(), chunk
+            np.testing.assert_array_equal(part.outputs, whole.outputs,
+                                          err_msg=str(chunk))
+
+    def test_default_chunk_cycles_shrinks_with_corners(self):
+        prog = compile_netlist(build_functional_unit("int_mul").netlist)
+        sizes = [prog.default_chunk_cycles(n) for n in (1, 3, 9, 27, 81)]
+        assert all(s >= 128 and s % 64 == 0 for s in sizes), sizes
+        assert sizes == sorted(sizes, reverse=True)
+        assert sizes[0] > sizes[-1]
+
     def test_run_values_matches_reference_model(self):
         fu, inputs = _fu_inputs("int_mul", 40, seed=9, width=4)
         prog = compile_netlist(fu.netlist)

@@ -81,6 +81,31 @@ class TestRegistry:
         for name in available_backends():
             assert get_backend(name).supports_corner_sharding, name
 
+    @pytest.mark.parametrize("name", ["compiled", "levelized_ref",
+                                      "event"])
+    def test_run_delays_signature_matches_protocol(self, name):
+        # the campaign layer calls every backend the same way, so no
+        # built-in may grow (or keep) a keyword the protocol lacks
+        import inspect
+
+        want = inspect.signature(SimBackend.run_delays).parameters
+        got = inspect.signature(
+            type(get_backend(name)).run_delays).parameters
+        assert [(p.name, p.kind, p.default) for p in got.values()] == \
+            [(p.name, p.kind, p.default) for p in want.values()]
+
+    @pytest.mark.parametrize("name", ["compiled", "levelized_ref",
+                                      "event"])
+    def test_every_capability_attribute_is_validated(self, name):
+        # a capability-looking attribute outside CAPABILITY_FLAGS would
+        # never be validated by the registry nor read by the campaign
+        backend = get_backend(name)
+        flags = {attr for attr in dir(backend)
+                 if attr.startswith(("supports_", "models_"))}
+        assert flags == set(SimBackend.CAPABILITY_FLAGS)
+        for flag in flags:
+            assert isinstance(getattr(backend, flag), bool), flag
+
     @pytest.mark.parametrize("name", ["compiled", "levelized_ref"])
     @pytest.mark.parametrize("chunk_cycles", [0, -5])
     def test_nonpositive_chunk_cycles_rejected(self, name, chunk_cycles):
