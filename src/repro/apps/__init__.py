@@ -5,7 +5,6 @@ from .images import image_corpus, split_corpus, synthetic_image
 from .inject import InjectingHooks, quality_for_ters, run_filter_with_errors
 from .profiling import (
     app_stream,
-    characterize_app_streams,
     profile_filter,
     profile_filter_float,
 )
@@ -21,7 +20,6 @@ __all__ = [
     "FUHooks",
     "InjectingHooks",
     "app_stream",
-    "characterize_app_streams",
     "estimation_accuracy",
     "gaussian_filter",
     "image_corpus",

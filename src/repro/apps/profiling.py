@@ -109,33 +109,3 @@ def app_stream(fu_name: str, filter_name: str,
         return profile_filter_float(filter_name, images, max_cycles)[fu_name]
     return profile_filter(filter_name, images, max_cycles)[fu_name]
 
-
-def characterize_app_streams(filter_name: str,
-                             images: Sequence[np.ndarray],
-                             conditions,
-                             fu_names: Sequence[str] = ("int_mul",
-                                                        "int_add"),
-                             max_cycles: int = 0,
-                             runner=None) -> Dict[str, "object"]:
-    """Profile a filter and characterize every FU stream in one batch.
-
-    The profiling hooks produce one operand stream per FU; those
-    streams become one :class:`~repro.flow.campaign.CampaignJob` each
-    and run through a shared
-    :class:`~repro.flow.campaign.CampaignRunner` (so a multi-worker
-    runner characterizes the FUs concurrently).  Returns ``{fu_name:
-    DelayTrace}``.
-    """
-    from ..circuits.functional_units import build_functional_unit
-    from ..flow.campaign import CampaignJob, CampaignRunner
-
-    if runner is None:
-        runner = CampaignRunner()
-    conditions = list(conditions)
-    jobs = []
-    for fu_name in fu_names:
-        fu = build_functional_unit(fu_name)
-        stream = app_stream(fu_name, filter_name, images, max_cycles)
-        jobs.append(CampaignJob(fu, stream, conditions))
-    traces = runner.run(jobs)
-    return dict(zip(fu_names, traces))

@@ -100,15 +100,6 @@ class FunctionalUnit:
         return self.netlist.stats()
 
 
-def _int_add_ref(a: int, b: int) -> int:
-    s, _ = refmodels.int_add_ref(a, b, 32)
-    return s
-
-
-def _int_mul_ref(a: int, b: int) -> int:
-    return refmodels.int_mul_ref(a, b, 32)
-
-
 _BUILDERS: Dict[str, Callable[[], FunctionalUnit]] = {}
 
 

@@ -6,10 +6,10 @@ layout: a directory of blob files described by one ``manifest.json``
 carrying a schema version.  Manifests are persisted through
 :mod:`repro.flow.durable` — checksummed, generation-counted envelopes
 written via tmp + fsync + rename — so a crash mid-write leaves the old
-manifest intact and a bit-flipped one is *detected* on read (and
-quarantined) instead of silently misread.  Concurrent read-modify-write
-cycles are the store's job to serialize (see
-:class:`~repro.flow.durable.StoreLock`).
+manifest intact and a bit-flipped one is *detected* on read (then
+quarantined and rebuilt from the store's files) instead of silently
+misread.  Concurrent read-modify-write cycles are the store's job to
+serialize (see :class:`~repro.flow.durable.StoreLock`).
 """
 
 from __future__ import annotations
@@ -18,9 +18,16 @@ import hashlib
 import json
 import warnings
 from pathlib import Path
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, Optional, Tuple
 
-from .durable import ManifestCorrupt, quarantine, read_envelope, write_envelope
+from .durable import (
+    ManifestCorrupt,
+    StoreLock,
+    StoreLockTimeout,
+    quarantine,
+    read_envelope,
+    write_envelope,
+)
 
 
 def stable_fingerprint(data, *, tag: str = "", length: int = 16) -> str:
@@ -76,17 +83,22 @@ def check_record(record: Dict, *, tag: str) -> Dict:
 
 
 def read_manifest(path: Path, *, version_key: str, version: int,
-                  entries_key: str,
-                  on_corrupt: Optional[Callable[[ManifestCorrupt], Dict]]
-                  = None) -> Dict:
+                  entries_key: str, pattern: str,
+                  entry_of: Callable[[Path], Optional[Tuple[str, Dict]]],
+                  lock_name: str, label: str,
+                  site: Optional[str] = None) -> Dict:
     """Load a versioned manifest, or a fresh empty one.
 
     A missing file or a schema-version mismatch yields
     ``{version_key: version, entries_key: {}}`` — incompatible layouts
     are ignored rather than misread.  A *corrupt* manifest (unparsable,
-    or failing its envelope checksum) is handed to ``on_corrupt`` for
-    store-specific recovery; without one it is quarantined with a
-    warning and read as fresh.
+    or failing its envelope checksum) is quarantined and rebuilt from
+    the store's own files: ``entry_of`` maps each file in the manifest's
+    directory matching ``pattern`` to ``(key, entry)``, or to None for
+    an unreadable one.  The rebuild warns once (naming the store by
+    ``label``) and is persisted best-effort under the store lock
+    ``lock_name`` with fault point ``site``, so the next reader skips
+    the rescan.
     """
     fresh = {version_key: version, entries_key: {}}
     try:
@@ -94,13 +106,22 @@ def read_manifest(path: Path, *, version_key: str, version: int,
     except FileNotFoundError:
         return fresh
     except ManifestCorrupt as exc:
-        if on_corrupt is not None:
-            return on_corrupt(exc)
         quarantined = quarantine(path)
+        entries = fresh[entries_key]
+        for file in sorted(path.parent.glob(pattern)):
+            rec = entry_of(file)
+            if rec is not None:
+                entries[rec[0]] = rec[1]
         warnings.warn(
-            f"corrupt manifest {path} quarantined to "
-            f"{quarantined.name if quarantined else '<gone>'}: {exc}",
-            RuntimeWarning, stacklevel=2)
+            f"{label} manifest was corrupt ({exc}); quarantined to "
+            f"{quarantined.name if quarantined else '<gone>'} and rebuilt "
+            f"{len(entries)} entr(y/ies) from its files",
+            RuntimeWarning, stacklevel=3)
+        try:
+            with StoreLock(path.parent / lock_name, timeout=0.5):
+                write_manifest(path, fresh, site=site)
+        except (StoreLockTimeout, OSError):
+            pass
         return fresh
     if (not isinstance(manifest, dict)
             or manifest.get(version_key) != version

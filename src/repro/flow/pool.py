@@ -107,14 +107,6 @@ MAX_REISSUES = 2
 _WORKER_JOB_CACHE = 8
 _PARENT_BLOB_CACHE = 8
 
-#: Env var naming a crash-token file: a worker that consumes a token at
-#: task receipt hard-kills itself mid-task.  The file holds a decimal
-#: token count (any other content means 1); consuming the last token
-#: removes the file (atomically — concurrent consumers race on the
-#: ``os.remove`` and exactly one wins).  Deterministic test hook for
-#: the respawn/reissue path — see tests/flow/test_pool.py.
-CRASH_FILE_ENV = "REPRO_POOL_CRASH_FILE"
-
 #: Fault point hit at task receipt in every worker (see
 #: :mod:`repro.testing.faults`; exercises the respawn/reissue path).
 SITE_TASK = faults.register_site("pool.worker.task")
@@ -229,10 +221,9 @@ def _pool_worker_main(conn) -> None:
                 jobs.pop(msg[1], None)
             elif kind == "run":
                 _, task_id, job_key, shard, out = msg
-                # deterministic crash hooks (fault plan rides the env,
-                # so forked workers honor it): see repro.testing.faults
+                # deterministic crash hook (the fault plan rides the
+                # env, so forked workers honor it): see repro.testing.faults
                 faults.fault_point(SITE_TASK)
-                faults.crash_token_hook(CRASH_FILE_ENV)
                 try:
                     result = _run_shard(netlists, warm_keys, jobs,
                                         job_key, shard, out)

@@ -148,38 +148,17 @@ class TraceStore:
     # -- manifest -------------------------------------------------------------
 
     def _read_manifest(self) -> Dict:
+        # blob files are self-describing (embedded metadata since the
+        # durable layer landed; key-embedding filenames before that), so
+        # a corrupt manifest's entry table is fully recoverable
         return read_manifest(self.manifest_path, version_key="store_version",
                              version=STORE_VERSION, entries_key="entries",
-                             on_corrupt=self._recover_manifest)
+                             pattern="dta_*.npz", entry_of=self._blob_entry,
+                             lock_name=".store.lock", label="trace-store",
+                             site=SITE_MANIFEST)
 
     def _write_manifest(self, manifest: Dict) -> None:
         write_manifest(self.manifest_path, manifest, site=SITE_MANIFEST)
-
-    def _recover_manifest(self, exc: ManifestCorrupt) -> Dict:
-        """Quarantine a corrupt manifest and rebuild it from the blobs.
-
-        Blob files are self-describing (embedded metadata since the
-        durable layer landed; key-embedding filenames before that), so
-        the entry table is fully recoverable.
-        """
-        quarantined = quarantine(self.manifest_path)
-        manifest: Dict = {"store_version": STORE_VERSION, "entries": {}}
-        for blob in sorted(self.root.glob("dta_*.npz")):
-            rec = self._blob_entry(blob)
-            if rec is not None:
-                key, entry = rec
-                manifest["entries"][key] = entry
-        warnings.warn(
-            f"trace-store manifest was corrupt ({exc}); quarantined to "
-            f"{quarantined.name if quarantined else '<gone>'} and rebuilt "
-            f"{len(manifest['entries'])} entr(y/ies) from on-disk blobs",
-            RuntimeWarning, stacklevel=4)
-        try:  # persist so the next reader skips the rescan; best-effort
-            with StoreLock(self.root / ".store.lock", timeout=0.5):
-                self._write_manifest(manifest)
-        except (StoreLockTimeout, OSError):
-            pass
-        return manifest
 
     def _blob_entry(self, blob: Path) -> Optional[Tuple[str, Dict]]:
         """(key, manifest entry) recovered from one blob, else None."""

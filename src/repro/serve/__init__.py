@@ -15,15 +15,16 @@ The offline pipeline trains delay regressors; this package serves them:
   (``repro serve --replay``) re-driving it bit-exact;
 * :mod:`repro.serve.server` / :mod:`repro.serve.client` — stdlib
   HTTP/JSON server (``repro serve``, one process, one in-process
-  engine) and retrying client.
+  engine) and :class:`ServeClient`, the one retrying client, which
+  raises :class:`ServeError`; both ends share the HTTP/1.1 codec in
+  :mod:`repro.serve.http`.
 
 The request path is bounded end to end: the queue sheds overload with
 ``429`` + ``Retry-After``, and per-request deadlines expire to ``504``
 instead of executing stale work.
 """
 
-from .client import ServeClient
-from .http import HttpTransport, ServeError, TransportError
+from .client import ServeClient, ServeError
 from .engine import (
     EngineStats,
     Prediction,
@@ -59,7 +60,6 @@ from .server import (
 __all__ = [
     "ConfigError",
     "EngineStats",
-    "HttpTransport",
     "MODEL_KINDS",
     "MicroBatcher",
     "ModelRecord",
@@ -75,7 +75,6 @@ __all__ = [
     "RequestLog",
     "ServeClient",
     "ServeError",
-    "TransportError",
     "corner_fingerprint",
     "expired_prediction",
     "fu_fingerprint",

@@ -1,8 +1,9 @@
 """Stdlib client for a running ``repro serve`` instance.
 
-:class:`ServeClient` speaks JSON over the raw-socket keep-alive
-transport in :mod:`repro.serve.http`, so scripts (and the CI smoke
-job) can query the server without any third-party HTTP dependency:
+:class:`ServeClient` speaks JSON over raw keep-alive sockets, using the
+small codec in :mod:`repro.serve.http` that the server parses requests
+with, so scripts (and the CI smoke job) can query the server without
+any third-party HTTP dependency:
 
 >>> client = ServeClient("127.0.0.1", 8000)
 >>> client.health()["status"]
@@ -10,34 +11,95 @@ job) can query the server without any third-party HTTP dependency:
 >>> client.predict(fu="int_add", a=3, b=4, voltage=0.9, temperature=25.0)
 {'ok': True, 'delay_ps': ..., ...}
 
-A client keeps one persistent (HTTP/1.1 keep-alive) socket per calling
-thread and process; each request is one ``sendall`` and its reply is
-read with the same small codec the server parses requests with.
-:meth:`ServeClient.close` or a ``with`` block closes the calling
-thread's socket.
+Each request is one ``sendall``; its reply is read back with the same
+codec.  The retry policy:
 
-Resilience behavior: every predict request carries a ``deadline_ms``
-budget derived from the client timeout (so the server can drop work
-this client has already given up on); a ``429``/``503`` that advertises
-``Retry-After`` is retried after the advertised delay (capped) instead
-of failing immediately; and transport-reset backoff is jittered so a
-fleet of shed clients does not re-converge on the same instant.
+* one persistent (HTTP/1.1 keep-alive) socket per calling thread and
+  process (a forked child never writes to its parent's socket); a
+  *reused* socket that fails before any response byte — the server
+  closed it while idle — is reopened once, not counted as a retry;
+* transport resets are retried up to ``retries`` times with jittered
+  exponential backoff, so a fleet of shed clients does not re-converge
+  on the same instant; timeouts, HTTP error statuses and failures after
+  a response has begun are **not** retried;
+* a ``429``/``503`` advertising ``Retry-After`` (header or JSON
+  ``retry_after_s``) is retried after that delay, capped at
+  :data:`MAX_HONORED_RETRY_AFTER_S`;
+* a ``422`` carrying per-request ``predictions`` is a result, not an
+  error; every other failure raises :class:`ServeError`.
 
-The retry/backoff plumbing itself lives in
-:class:`~repro.serve.http.HttpTransport`.
+Every predict request also carries a ``deadline_ms`` budget derived
+from the client timeout, so the server can drop work this client has
+already given up on.  :meth:`ServeClient.close` or a ``with`` block
+closes the calling thread's socket.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+import json
+import os
+import random
+import socket
+import threading
+import time
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from .http import HttpTransport, ServeError
+from .http import (
+    BadStatusLine,
+    ClientConnection,
+    ProtocolError,
+    RemoteDisconnected,
+    encode_request,
+)
+
+#: Never honor an advertised Retry-After longer than this — a confused
+#: (or hostile) server must not park the client for minutes.
+MAX_HONORED_RETRY_AFTER_S = 5.0
+
+#: Transport-level failures worth one more try: the connection died
+#: before the response began (server restarting, listen backlog
+#: momentarily full).  Timeouts and HTTP error statuses are NOT here —
+#: a slow or failing request must surface, not silently re-run.
+_RETRYABLE = (ConnectionResetError, ConnectionRefusedError,
+              BrokenPipeError, ConnectionAbortedError,
+              RemoteDisconnected, BadStatusLine)
+
+_GET_HEADERS = {"Accept": "application/json"}
+_POST_HEADERS = {"Accept": "application/json",
+                 "Content-Type": "application/json"}
 
 
-def _claim_predictions(status: int, body: Dict) -> Optional[Dict]:
-    # 422 carries per-request results; surface them to the caller
-    if status == 422 and "predictions" in body:
-        return body
+class ServeError(RuntimeError):
+    """A failed request: an HTTP error status, a per-request failure,
+    or an unreachable server.
+
+    ``payload`` is the server's JSON error object (``{}`` when it sent
+    none); ``retry_after`` carries the advertised backoff (seconds) of
+    a ``429``/``503`` that included one, else None.
+    """
+
+    def __init__(self, message: str, status: int = 0,
+                 payload: Optional[Dict] = None,
+                 retry_after: Optional[float] = None) -> None:
+        super().__init__(message)
+        self.status = status
+        self.payload = payload or {}
+        self.retry_after = retry_after
+
+
+def _parse_retry_after(header: Optional[str],
+                       body: Dict) -> Optional[float]:
+    """Advertised backoff from the ``Retry-After`` header (seconds
+    form) or the JSON body's ``retry_after_s``, else None."""
+    for candidate in (header, body.get("retry_after_s")):
+        if candidate is None:
+            continue
+        try:
+            value = float(candidate)
+        except (TypeError, ValueError):
+            continue
+        if value >= 0:
+            return value
     return None
 
 
@@ -46,12 +108,8 @@ class ServeClient:
 
     Every call carries a per-request ``timeout``; transport resets are
     retried up to ``retries`` times with exponential backoff starting
-    at ``backoff_s`` (jittered by up to ``jitter`` of itself, so a
-    thundering herd of retriers decorrelates).  ``429``/``503``
-    responses that advertise ``Retry-After`` are retried after the
-    advertised delay (capped at
-    :data:`~repro.serve.http.MAX_HONORED_RETRY_AFTER_S`);
-    other HTTP error statuses and timeouts are never retried.
+    at ``backoff_s`` (jittered by up to ``jitter`` of itself).  See the
+    module docstring for the full retry policy.
 
     ``deadline_ms`` is attached to every predict request that does not
     set its own: by default the client's ``timeout`` (there is no
@@ -63,40 +121,40 @@ class ServeClient:
                  timeout: float = 30.0, retries: int = 2,
                  backoff_s: float = 0.05, jitter: float = 0.25,
                  deadline_ms: Optional[float] = None) -> None:
+        if retries < 0:
+            raise ValueError("retries must be >= 0")
+        if backoff_s < 0:
+            raise ValueError("backoff_s must be >= 0")
+        if not 0 <= jitter <= 1:
+            raise ValueError("jitter must be in [0, 1]")
         if deadline_ms is not None and deadline_ms < 0:
             raise ValueError("deadline_ms must be >= 0 (0 disables)")
-        self._transport = HttpTransport(
-            f"http://{host}:{port}", timeout=timeout, retries=retries,
-            backoff_s=backoff_s, jitter=jitter)
+        self.host, self.port = host, port
+        self._netloc = f"{host}:{port}"
+        self.base_url = f"http://{self._netloc}"
+        self.timeout = timeout
+        self.retries = retries
+        self.backoff_s = backoff_s
+        self.jitter = jitter
         if deadline_ms is None:
             deadline_ms = timeout * 1e3 if timeout else 0.0
         self.deadline_ms = float(deadline_ms)
+        self._local = threading.local()
 
-    @property
-    def base_url(self) -> str:
-        return self._transport.base_url
+    # -- connection -----------------------------------------------------------
 
-    @property
-    def timeout(self) -> float:
-        return self._transport.timeout
-
-    @property
-    def retries(self) -> int:
-        return self._transport.retries
-
-    @property
-    def backoff_s(self) -> float:
-        return self._transport.backoff_s
-
-    @property
-    def jitter(self) -> float:
-        return self._transport.jitter
-
-    # -- transport ------------------------------------------------------------
+    def _connection(self) -> ClientConnection:
+        """The calling thread's connection in this process."""
+        local = self._local
+        if getattr(local, "pid", None) != os.getpid():
+            local.conn = ClientConnection(self.host, self.port, self.timeout)
+            local.pid = os.getpid()
+        return local.conn
 
     def close(self) -> None:
-        """Close the calling thread's pooled connection."""
-        self._transport.close()
+        """Close the calling thread's connection."""
+        if getattr(self._local, "pid", None) == os.getpid():
+            self._local.conn.close()
 
     def __enter__(self) -> "ServeClient":
         return self
@@ -104,13 +162,93 @@ class ServeClient:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
+    @staticmethod
+    def _exchange(conn: ClientConnection, request: bytes
+                  ) -> Tuple[int, str, str, Dict[str, str]]:
+        """Send one request and read the response head.  A reused
+        connection the server has since closed is reopened once."""
+        reopen = conn.sock is not None
+        while True:
+            try:
+                conn.send(request)
+                return conn.read_head()
+            except BaseException as exc:
+                conn.close()
+                if not (reopen and isinstance(exc, ConnectionError)):
+                    raise
+                reopen = False
+
+    # -- retry policy ---------------------------------------------------------
+
     def _retry_delay_s(self, attempt: int,
                        last: Optional[Exception]) -> float:
-        return self._transport.retry_delay_s(attempt, last)
+        """Delay before retry ``attempt`` (1-based): the advertised
+        ``Retry-After`` when the server gave one, else jittered
+        exponential backoff."""
+        if isinstance(last, ServeError) and last.retry_after is not None:
+            return min(last.retry_after, MAX_HONORED_RETRY_AFTER_S)
+        delay = self.backoff_s * (2 ** (attempt - 1))
+        return delay * (1.0 + self.jitter * random.random())
+
+    def _error(self, path: str, exc: Exception, what: str) -> ServeError:
+        url = self.base_url + path
+        if isinstance(exc, socket.timeout):
+            return ServeError(
+                f"request to {url} timed out after {self.timeout}s")
+        return ServeError(f"{what} {url}: {exc}")
 
     def _call(self, path: str, payload: Optional[Dict] = None) -> Dict:
-        return self._transport.call(path, payload,
-                                    on_http_error=_claim_predictions)
+        """One JSON request (GET, or POST of ``payload``) under the
+        retry policy; returns the decoded reply."""
+        if payload is None:
+            request = encode_request("GET", path, self._netloc, None,
+                                     _GET_HEADERS)
+        else:
+            request = encode_request("POST", path, self._netloc,
+                                     json.dumps(payload).encode(),
+                                     _POST_HEADERS)
+        last: Optional[Exception] = None
+        for attempt in range(self.retries + 1):
+            if attempt:
+                time.sleep(self._retry_delay_s(attempt, last))
+            conn = self._connection()
+            try:
+                status, reason, version, headers = self._exchange(
+                    conn, request)
+            except _RETRYABLE as exc:
+                last = exc
+                continue
+            except (OSError, ProtocolError) as exc:
+                raise self._error(path, exc, "cannot reach") from None
+            try:
+                raw = conn.read_body(version, headers)
+            except (OSError, ProtocolError) as exc:
+                conn.close()  # the response began: never re-send a request
+                raise self._error(path, exc, "lost the response from") \
+                    from None
+            if status < 400:
+                return json.loads(raw)
+            try:
+                body = json.loads(raw)
+            except ValueError:
+                body = None
+            if not isinstance(body, dict):  # e.g. a proxy's error page
+                body = {}
+            if status == 422 and "predictions" in body:
+                return body  # per-request results for the caller
+            retry_after = _parse_retry_after(headers.get("retry-after"), body)
+            err = ServeError(
+                body.get("error", f"HTTP Error {status}: {reason}"),
+                status=status, payload=body, retry_after=retry_after)
+            if status in (429, 503) and retry_after is not None:
+                last = err  # honor the advertised backoff and retry
+                continue
+            raise err
+        if isinstance(last, ServeError):
+            raise last  # shed on every attempt: surface the final 429/503
+        raise ServeError(
+            f"cannot reach {self.base_url + path} after "
+            f"{self.retries + 1} attempt(s): {last}") from None
 
     # -- endpoints ------------------------------------------------------------
 

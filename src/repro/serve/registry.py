@@ -32,12 +32,7 @@ import numpy as np
 
 from ..circuits.functional_units import FunctionalUnit
 from ..core.model import load_model, save_model
-from ..flow.durable import (
-    ManifestCorrupt,
-    StoreLock,
-    StoreLockTimeout,
-    quarantine,
-)
+from ..flow.durable import StoreLock, quarantine
 from ..flow.manifest import read_manifest, write_manifest
 from ..testing import faults
 from ..timing.corners import OperatingCondition
@@ -176,40 +171,19 @@ class ModelRegistry:
                          timeout=self.lock_timeout)
 
     def _read(self) -> Dict:
+        # published artifacts carry their model_id/key in the v2 pickle
+        # metadata, so a corrupt manifest's model table is recoverable;
+        # derived fingerprints (corners, train stream, feature spec) are
+        # lost and recorded as unknown
         return read_manifest(self.manifest_path,
                              version_key="registry_version",
                              version=REGISTRY_VERSION, entries_key="models",
-                             on_corrupt=self._recover_manifest)
+                             pattern="*.pkl", entry_of=self._artifact_entry,
+                             lock_name=".registry.lock",
+                             label="model-registry", site=SITE_MANIFEST)
 
     def _write(self, manifest: Dict) -> None:
         write_manifest(self.manifest_path, manifest, site=SITE_MANIFEST)
-
-    def _recover_manifest(self, exc: ManifestCorrupt) -> Dict:
-        """Quarantine a corrupt manifest and rebuild it from artifacts.
-
-        Published artifacts carry their ``model_id``/``key`` in the v2
-        pickle metadata, so the model table is recoverable; derived
-        fingerprints (corners, train stream, feature spec) are lost and
-        recorded as unknown.
-        """
-        quarantined = quarantine(self.manifest_path)
-        manifest: Dict = {"registry_version": REGISTRY_VERSION, "models": {}}
-        for path in sorted(self.root.glob("*.pkl")):
-            entry = self._artifact_entry(path)
-            if entry is not None:
-                model_id, record = entry
-                manifest["models"][model_id] = record
-        warnings.warn(
-            f"model-registry manifest was corrupt ({exc}); quarantined to "
-            f"{quarantined.name if quarantined else '<gone>'} and rebuilt "
-            f"{len(manifest['models'])} entr(y/ies) from artifacts",
-            RuntimeWarning, stacklevel=4)
-        try:  # persist best-effort so the next reader skips the rescan
-            with StoreLock(self.root / ".registry.lock", timeout=0.5):
-                self._write(manifest)
-        except (StoreLockTimeout, OSError):
-            pass
-        return manifest
 
     def _artifact_entry(self, path: Path) -> Optional[Tuple[str, Dict]]:
         """(model_id, manifest entry) recovered from one .pkl artifact."""

@@ -11,8 +11,6 @@ from .faults import (
     FaultInjected,
     FaultPlanError,
     FaultRule,
-    consume_crash_token,
-    crash_token_hook,
     fault_point,
     parse_plan,
     persistence_sites,
@@ -27,8 +25,6 @@ __all__ = [
     "FaultInjected",
     "FaultPlanError",
     "FaultRule",
-    "consume_crash_token",
-    "crash_token_hook",
     "fault_point",
     "faults",
     "parse_plan",

@@ -28,9 +28,10 @@ same command (crash run, then clean rerun), set ``REPRO_FAULT_STATE`` to
 a scratch directory: each rule then records its firing in a marker file
 created with ``O_CREAT | O_EXCL``, and never fires twice.
 
-The older ad-hoc crash hook (``REPRO_POOL_CRASH_FILE``) is
-reimplemented here on top of :func:`consume_crash_token`; pool workers
-call :func:`crash_token_hook` instead of carrying a private copy.
+The pool's respawn/reissue path is driven the same way: the fault point
+``pool.worker.task`` fires at task receipt in every worker, so
+``pool.worker.task:exit:1`` with ``REPRO_FAULT_STATE`` kills exactly one
+worker mid-task, and without it kills every freshly forked worker.
 """
 from __future__ import annotations
 
@@ -228,44 +229,3 @@ def fault_point(site: str) -> None:
     raise FaultPlanError(
         f"site {site!r} does not support the {action!r} action")
 
-
-def consume_crash_token(path: str) -> bool:
-    """Atomically consume one crash token from ``path``.
-
-    The file holds a token count; each call decrements it (a non-integer
-    body counts as 1).  The consumer that takes the last token unlinks
-    the file.  Returns True if a token was consumed.  Lock-free: rename
-    to a per-pid name, decrement, rename back — losers of the rename
-    race simply see no file.
-    """
-    if not path or not os.path.exists(path):
-        return False
-    claim = f"{path}.claim.{os.getpid()}"
-    try:
-        os.rename(path, claim)
-    except OSError:
-        return False
-    try:
-        with open(claim, "r", encoding="utf-8") as fh:
-            body = fh.read().strip()
-        tokens = int(body) if body.lstrip("-").isdigit() else 1
-    except OSError:
-        tokens = 1
-    if tokens <= 1:
-        try:
-            os.unlink(claim)
-        except OSError:
-            pass
-        return tokens == 1
-    with open(claim, "w", encoding="utf-8") as fh:
-        fh.write(str(tokens - 1))
-    os.rename(claim, path)
-    return True
-
-
-def crash_token_hook(env_var: str, exit_code: int = 17) -> None:
-    """Legacy crash hook: if ``env_var`` names a token file with tokens
-    remaining, consume one and hard-kill the process."""
-    path = os.environ.get(env_var, "")
-    if path and consume_crash_token(path):
-        os._exit(exit_code)

@@ -5,11 +5,14 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import repro
+from repro.flow import TraceStore
 from repro.flow.durable import (
     ManifestCorrupt,
     StoreLock,
@@ -20,6 +23,9 @@ from repro.flow.durable import (
     read_envelope,
     write_envelope,
 )
+from repro.serve import ModelRegistry
+from repro.sim.dta import DelayTrace
+from repro.timing import DEFAULT_LIBRARY, OperatingCondition
 
 SRC = str(Path(next(iter(repro.__path__))).resolve().parent)
 
@@ -189,3 +195,49 @@ class TestStoreLock:
         finally:
             child.kill()
             child.wait()
+
+
+def _fill_trace_store(root):
+    store = TraceStore(root)
+    conds = [OperatingCondition(0.9, 25.0)]
+    for k in range(2):
+        delays = np.full((1, 8), float(k), dtype=np.float32)
+        store.put(f"key{k}", DelayTrace(delays, conds), fu_name="int_add",
+                  stream_name=f"s{k}", library=DEFAULT_LIBRARY,
+                  backend="compiled")
+    return lambda: TraceStore(root).entries()
+
+
+def _fill_registry(root):
+    registry = ModelRegistry(root)
+    for k in range(2):
+        registry.publish({"stub": k}, fu="int_add")
+    return lambda: ModelRegistry(root)._read()["models"]
+
+
+class TestManifestRecovery:
+    """A garbled manifest is quarantined and rebuilt from the store's
+    files once; the rebuilt manifest is persisted for the next open."""
+
+    @pytest.mark.parametrize("fill", [_fill_trace_store, _fill_registry],
+                             ids=["tracestore", "registry"])
+    def test_rebuilds_every_entry_once(self, fill, tmp_path):
+        open_entries = fill(tmp_path)
+        keys = set(open_entries())
+        assert len(keys) == 2
+        (tmp_path / "manifest.json").write_text("{garbage")
+
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            entries = open_entries()
+        assert [w.category for w in caught] == [RuntimeWarning]
+        assert "rebuilt 2 entr" in str(caught[0].message)
+        assert set(entries) == keys
+        assert all(e["rebuilt"] is True for e in entries.values())
+        assert len(list(tmp_path.glob("manifest.json.corrupt-*"))) == 1
+
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            again = open_entries()
+        assert caught == []
+        assert again == entries

@@ -23,10 +23,10 @@ from repro.api import ShardSpec, Workspace
 from repro.circuits import build_functional_unit
 from repro.flow import CampaignJob, CampaignRunner, JobProgram, WorkerPool
 import repro.flow.pool as pool_module
-from repro.flow.pool import (CRASH_FILE_ENV, MAX_REISSUES,
-                             SHM_MIN_RESULT_BYTES, SHM_PREFIX,
+from repro.flow.pool import (MAX_REISSUES, SHM_MIN_RESULT_BYTES, SHM_PREFIX,
                              TASK_TIMEOUT_ENV)
 from repro.sim import get_backend
+from repro.testing import faults
 from repro.timing import DEFAULT_LIBRARY, OperatingCondition
 from repro.workloads import random_stream
 
@@ -190,9 +190,10 @@ class TestWorkerPool:
 
     def test_mid_task_crash_reissued_and_completes(self, monkeypatch,
                                                    tmp_path):
-        crash = tmp_path / "crash-once"
-        crash.write_text("boom")
-        monkeypatch.setenv(CRASH_FILE_ENV, str(crash))
+        # the marker directory makes the rule fire once across workers
+        state = tmp_path / "fault-state"
+        monkeypatch.setenv(faults.PLAN_ENV, "pool.worker.task:exit:1")
+        monkeypatch.setenv(faults.STATE_ENV, str(state))
         fu = build_functional_unit("int_add", width=8)
         prog = _prog(fu, random_stream(120, operand_width=8, seed=7))
         with WorkerPool(2) as pool:  # workers inherit the env at fork
@@ -201,7 +202,7 @@ class TestWorkerPool:
             np.testing.assert_array_equal(res.job_delays["j"],
                                           _reference(prog))
             assert pool.n_alive() == 2
-        assert not crash.exists()  # exactly one worker consumed it
+        assert len(list(state.iterdir())) == 1  # exactly one worker died
 
     def test_on_result_callback_sees_every_shard(self):
         # both return transports: "big" crosses the shm threshold (the
@@ -281,19 +282,19 @@ class TestWorkerPool:
         with pytest.raises(ValueError, match=TASK_TIMEOUT_ENV):
             WorkerPool(1)
 
-    def test_repeatedly_killed_task_raises(self, monkeypatch, tmp_path):
-        # enough crash tokens that every allowed dispatch of the task
-        # kills its worker — the pool must give up with a RuntimeError
-        # after MAX_REISSUES instead of looping forever
-        crash = tmp_path / "crash-always"
-        crash.write_text(str(MAX_REISSUES + 1))
-        monkeypatch.setenv(CRASH_FILE_ENV, str(crash))
+    def test_repeatedly_killed_task_raises(self, monkeypatch):
+        # without a marker directory the rule fires in every freshly
+        # forked worker, so every dispatch of the task kills its worker:
+        # the pool must give up with a RuntimeError after MAX_REISSUES
+        # instead of looping forever
+        monkeypatch.delenv(faults.STATE_ENV, raising=False)
+        monkeypatch.setenv(faults.PLAN_ENV, "pool.worker.task:exit:1")
         fu = build_functional_unit("int_add", width=8)
         prog = _prog(fu, random_stream(40, operand_width=8, seed=8))
         with WorkerPool(1) as pool:
-            with pytest.raises(RuntimeError, match="worker pool task"):
+            with pytest.raises(RuntimeError,
+                               match=f"killed its worker {MAX_REISSUES + 1}"):
                 pool.run_tasks({"j": prog}, [("j", _whole(prog))])
-        assert not crash.exists()  # all tokens consumed
 
 
 class TestPersistentRunner:

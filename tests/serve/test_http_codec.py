@@ -1,9 +1,10 @@
-"""Unit tests of the HTTP/1.1 codec and the client transport's policy.
+"""Unit tests of the HTTP/1.1 codec and the client's retry policy.
 
 Both ends of the wire parse with :mod:`repro.serve.http`, so its
 helpers are tested here on their own, without a server: request heads,
 ``Content-Length`` and keep-alive rules, response parsing over a socket
-pair, ``Retry-After`` parsing and the transport's argument checks.
+pair, ``Retry-After`` parsing and :class:`ServeClient`'s argument
+checks and backoff.
 """
 
 import socket
@@ -11,10 +12,10 @@ import threading
 
 import pytest
 
-from repro.serve import HttpTransport, ServeError, TransportError
+from repro.serve import ServeClient, ServeError
+from repro.serve.client import MAX_HONORED_RETRY_AFTER_S, _parse_retry_after
 from repro.serve.http import (
     MAX_HEAD_BYTES,
-    MAX_HONORED_RETRY_AFTER_S,
     BadStatusLine,
     ClientConnection,
     ProtocolError,
@@ -22,7 +23,6 @@ from repro.serve.http import (
     _content_length,
     _keep_alive,
     _parse_head,
-    _parse_retry_after,
     encode_request,
     encode_response,
     parse_request_head,
@@ -296,26 +296,17 @@ class TestRetryAfter:
         assert _parse_retry_after(header, body) == wanted
 
     def test_advertised_delay_is_capped(self):
-        transport = HttpTransport("http://localhost:1")
+        client = ServeClient("localhost", 1)
         err = ServeError("shed", status=429, retry_after=600.0)
-        assert transport.retry_delay_s(1, err) == MAX_HONORED_RETRY_AFTER_S
+        assert client._retry_delay_s(1, err) == MAX_HONORED_RETRY_AFTER_S
 
     def test_backoff_doubles_without_jitter(self):
-        transport = HttpTransport("http://localhost:1", backoff_s=0.1,
-                                  jitter=0.0)
-        delays = [transport.retry_delay_s(n, None) for n in (1, 2, 3)]
+        client = ServeClient("localhost", 1, backoff_s=0.1, jitter=0.0)
+        delays = [client._retry_delay_s(n, None) for n in (1, 2, 3)]
         assert delays == pytest.approx([0.1, 0.2, 0.4])
 
 
 class TestTransport:
-    def test_serve_error_is_a_transport_error(self):
-        err = ServeError("boom", status=503, payload={"error": "boom"},
-                         retry_after=1.0)
-        assert isinstance(err, TransportError)
-        assert (err.status, err.payload, err.retry_after) \
-            == (503, {"error": "boom"}, 1.0)
-        assert TransportError("x").payload == {}
-
     @pytest.mark.parametrize("kwargs,match", [
         ({"retries": -1}, "retries"),
         ({"backoff_s": -0.1}, "backoff_s"),
@@ -324,23 +315,14 @@ class TestTransport:
     ])
     def test_bad_policy_rejected(self, kwargs, match):
         with pytest.raises(ValueError, match=match):
-            HttpTransport("http://localhost:1", **kwargs)
-
-    @pytest.mark.parametrize("url,host,port,prefix", [
-        ("http://127.0.0.1:8123", "127.0.0.1", 8123, ""),
-        ("http://example.test/", "example.test", 80, ""),
-        ("http://localhost:9/api/", "localhost", 9, "/api"),
-    ])
-    def test_url_parts(self, url, host, port, prefix):
-        transport = HttpTransport(url)
-        assert (transport._host, transport._port, transport._prefix) \
-            == (host, port, prefix)
+            ServeClient("localhost", 1, **kwargs)
 
     def test_unreachable_server_raises_serve_error(self):
         with socket.socket() as probe:
             probe.bind(("127.0.0.1", 0))
             port = probe.getsockname()[1]
-        transport = HttpTransport(f"http://127.0.0.1:{port}", retries=1,
-                                  backoff_s=0.0, timeout=2.0)
-        with pytest.raises(ServeError, match="after 2 attempt"):
-            transport.call("/health")
+        client = ServeClient("127.0.0.1", port, retries=1, backoff_s=0.0,
+                             timeout=2.0)
+        with pytest.raises(ServeError, match="after 2 attempt") as err:
+            client.health()
+        assert (err.value.status, err.value.payload) == (0, {})

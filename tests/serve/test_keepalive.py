@@ -16,7 +16,6 @@ from repro.circuits import build_functional_unit
 from repro.core import TEVoT, build_training_set
 from repro.flow import CampaignJob, CampaignRunner
 from repro.serve import (
-    HttpTransport,
     MicroBatcher,
     ModelRegistry,
     Prediction,
@@ -25,7 +24,6 @@ from repro.serve import (
     PredictRequest,
     ServeClient,
     ServeError,
-    TransportError,
 )
 from repro.timing import OperatingCondition
 from repro.workloads import random_stream
@@ -127,10 +125,10 @@ class TestPooledTransport:
     def test_connection_is_reused_across_calls(self, stub_server):
         with ServeClient(*stub_server.address, retries=0) as client:
             client.health()
-            sock = client._transport._local.conn.sock
+            sock = client._local.conn.sock
             for _ in range(5):
                 client.predict(**_request())
-            assert client._transport._local.conn.sock is sock
+            assert client._local.conn.sock is sock
 
     def test_idle_close_reopens_once_and_history_advances_once(
             self, model_server):
@@ -143,7 +141,7 @@ class TestPooledTransport:
         served = []
         for t in range(len(stream.a)):
             if t in (3, 7):
-                sock = client._transport._local.conn.sock
+                sock = client._local.conn.sock
                 assert sock is not None
                 # the short idle timeout closes the idle connection
                 assert _wait_until(lambda: not server._conns)
@@ -152,7 +150,7 @@ class TestPooledTransport:
                          stream_id="idle")])
             served.append(pred["delay_ps"])
             if t in (3, 7):
-                assert client._transport._local.conn.sock is not sock
+                assert client._local.conn.sock is not sock
         client.close()
         ref = model.predict_stream_delays(stream, COND)
         np.testing.assert_array_equal(np.array(served[1:]), ref)
@@ -161,14 +159,14 @@ class TestPooledTransport:
     def test_forked_child_never_uses_parent_socket(self, stub_server):
         client = ServeClient(*stub_server.address, retries=0)
         client.health()
-        parent_conn = client._transport._local.conn
+        parent_conn = client._local.conn
         parent_sock = parent_conn.sock
         pid = os.fork()
         if pid == 0:  # child: a fresh connection, parent's untouched
             code = 1
             try:
                 ok = client.predict(**_request(3, 4))["delay_ps"] == 7.0
-                conn = client._transport._local.conn
+                conn = client._local.conn
                 if ok and conn is not parent_conn and \
                         conn.sock is not parent_sock:
                     code = 0
@@ -177,7 +175,7 @@ class TestPooledTransport:
         _, status = os.waitpid(pid, 0)
         assert os.WIFEXITED(status) and os.WEXITSTATUS(status) == 0
         assert client.predict(**_request(5, 6))["delay_ps"] == 11.0
-        assert client._transport._local.conn.sock is parent_sock
+        assert client._local.conn.sock is parent_sock
         client.close()
 
     def test_threads_get_separate_connections(self, stub_server):
@@ -188,7 +186,7 @@ class TestPooledTransport:
         def work(k):
             client.predict(**_request(k, 1))
             barrier.wait(timeout=10.0)  # all connections open at once
-            seen[k] = client._transport._local.conn.sock
+            seen[k] = client._local.conn.sock
             barrier.wait(timeout=10.0)
             client.close()
 
@@ -216,8 +214,8 @@ class TestPooledTransport:
             self, stub_server):
         with ServeClient(*stub_server.address, retries=0) as client:
             client.health()
-            assert client._transport._local.conn.sock is not None
-        assert client._transport._local.conn.sock is None
+            assert client._local.conn.sock is not None
+        assert client._local.conn.sock is None
         # the server sees the close and drops the connection
         assert _wait_until(lambda: not stub_server._conns)
         client.health()  # a closed client reconnects on the next call
@@ -253,22 +251,46 @@ def _one_shot_server(reply_parts, accepts=1):
     return listener.getsockname(), received
 
 
+def _mute_server():
+    """A raw socket server that reads each request and never answers;
+    returns its address, the request heads it received, and a stop
+    event and thread that end it."""
+    listener = socket.create_server(("127.0.0.1", 0))
+    listener.settimeout(0.05)
+    received, stop = [], threading.Event()
+
+    def serve():
+        held = []
+        with listener:
+            while not stop.is_set():
+                try:
+                    conn, _ = listener.accept()
+                except socket.timeout:
+                    continue
+                held.append(conn)
+                received.append(conn.recv(4096))
+        for conn in held:
+            conn.close()
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    return listener.getsockname(), received, stop, thread
+
+
 class TestRawTransport:
     def test_response_without_length_is_read_to_eof(self):
         """No Content-Length and ``Connection: close``: the body is
         everything up to the server's close, and the connection is not
         kept."""
-        body = json.dumps({"status": "healthy", "pad": "x" * 5000}).encode()
+        reply = {"status": "healthy", "pad": "x" * 5000}
+        body = json.dumps(reply).encode()
         (host, port), _ = _one_shot_server([
             b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n"
             b"Connection: close\r\n\r\n", body[:100], body[100:3000],
             body[3000:]])
-        transport = HttpTransport(f"http://{host}:{port}", retries=0,
-                                  timeout=5.0)
-        raw, headers = transport.request_bytes("/health")
-        assert raw == body
-        assert headers["connection"] == "close"
-        assert transport._local.conn.sock is None
+        client = ServeClient(host, port, retries=0, timeout=5.0)
+        assert client.health() == reply
+        assert client._local.conn.sock is None
 
     def test_close_inside_the_response_head_is_not_retried(self):
         """The server closes after part of a response head: it may have
@@ -276,11 +298,49 @@ class TestRawTransport:
         the request again, whatever its retry budget."""
         (host, port), received = _one_shot_server(
             [b"HTTP/1.1 200 OK\r\nContent-"], accepts=3)
-        transport = HttpTransport(f"http://{host}:{port}", retries=2,
-                                  backoff_s=0.0, timeout=5.0)
-        with pytest.raises(TransportError, match="truncated response head"):
-            transport.request_bytes("/predict", b"{}")
+        client = ServeClient(host, port, retries=2, backoff_s=0.0,
+                             timeout=5.0)
+        with pytest.raises(ServeError, match="truncated response head"):
+            client.predict_many([_request()])
         assert len(received) == 1
+
+    def test_reset_before_any_response_byte_is_retried(self):
+        """A connection closed before any response byte is a transport
+        reset: retried until the budget runs out."""
+        (host, port), received = _one_shot_server([], accepts=3)
+        client = ServeClient(host, port, retries=2, backoff_s=0.0,
+                             timeout=5.0)
+        with pytest.raises(ServeError, match="after 3 attempt"):
+            client.predict_many([_request()])
+        assert len(received) == 3
+
+    def test_timeout_is_not_retried(self):
+        """A slow request surfaces as a timeout; it is never sent
+        twice."""
+        (host, port), received, stop, thread = _mute_server()
+        client = ServeClient(host, port, retries=2, backoff_s=0.0,
+                             timeout=0.2)
+        try:
+            with pytest.raises(ServeError, match="timed out after 0.2s"):
+                client.predict_many([_request()])
+        finally:
+            stop.set()
+            thread.join(timeout=5.0)
+        assert len(received) == 1
+
+    @pytest.mark.parametrize("body", [b"[]", b"null", b'"bad gateway"'])
+    def test_non_object_error_body_raises_serve_error(self, body):
+        """An error reply whose JSON body is not an object (a proxy's
+        answer, say) is a ServeError with an empty payload."""
+        (host, port), _ = _one_shot_server([
+            b"HTTP/1.1 502 Bad Gateway\r\n"
+            b"Content-Type: application/json\r\n"
+            b"Content-Length: %d\r\n\r\n" % len(body) + body])
+        with ServeClient(host, port, retries=0, timeout=5.0) as client:
+            with pytest.raises(ServeError, match="HTTP Error 502") as err:
+                client.health()
+        assert (err.value.status, err.value.payload) == (502, {})
+        assert err.value.retry_after is None
 
 
 class TestBodyHygiene:

@@ -171,23 +171,3 @@ class TestHangAction:
         assert faults.trigger("test.hang.b") is None
         assert time.monotonic() - t0 < 0.1
 
-
-class TestCrashTokens:
-    def test_tokens_decrement_then_unlink(self, tmp_path):
-        token = tmp_path / "crash"
-        token.write_text("2")
-        assert faults.consume_crash_token(str(token)) is True
-        assert token.read_text() == "1"
-        assert faults.consume_crash_token(str(token)) is True
-        assert not token.exists()
-        assert faults.consume_crash_token(str(token)) is False
-
-    def test_non_numeric_body_is_one_token(self, tmp_path):
-        token = tmp_path / "crash"
-        token.write_text("boom")
-        assert faults.consume_crash_token(str(token)) is True
-        assert not token.exists()
-
-    def test_missing_or_empty_path(self, tmp_path):
-        assert faults.consume_crash_token("") is False
-        assert faults.consume_crash_token(str(tmp_path / "nope")) is False
