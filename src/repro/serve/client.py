@@ -199,7 +199,7 @@ class ServeClient:
 
     def _call(self, path: str, payload: Optional[Dict] = None) -> Dict:
         """One JSON request (GET, or POST of ``payload``) under the
-        retry policy; returns the decoded reply."""
+        retry policy; returns the decoded JSON object."""
         if payload is None:
             request = encode_request("GET", path, self._netloc, None,
                                      _GET_HEADERS)
@@ -226,12 +226,16 @@ class ServeClient:
                 conn.close()  # the response began: never re-send a request
                 raise self._error(path, exc, "lost the response from") \
                     from None
-            if status < 400:
-                return json.loads(raw)
             try:
                 body = json.loads(raw)
             except ValueError:
                 body = None
+            if status < 400:
+                if not isinstance(body, dict):  # e.g. a proxy's "ok"
+                    raise ServeError(
+                        f"HTTP {status} reply from {self.base_url + path} "
+                        "is not a JSON object", status=status)
+                return body
             if not isinstance(body, dict):  # e.g. a proxy's error page
                 body = {}
             if status == 422 and "predictions" in body:
@@ -298,6 +302,9 @@ class ServeClient:
             for r in reqs:
                 r.setdefault("deadline_ms", self.deadline_ms)
         body = self._call("/predict", {"requests": reqs})
+        if not isinstance(body.get("predictions"), list):
+            raise ServeError(f"reply from {self.base_url}/predict has no "
+                             "predictions list")
         return body["predictions"]
 
     def predict(self, **request) -> Dict:

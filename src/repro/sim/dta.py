@@ -111,14 +111,11 @@ def dynamic_delay_trace(netlist: Netlist,
     """
     single = isinstance(conditions, OperatingCondition)
     condition_list = [conditions] if single else list(conditions)
-    if not condition_list:
-        raise ValueError("need at least one operating condition")
-
+    delay_matrix = library.delay_matrix(netlist, condition_list)
     if engine == "event" and vcd_path is not None:
         rows = []
         for k, condition in enumerate(condition_list):
-            delays = library.gate_delays(netlist, condition)
-            sim = EventDrivenSimulator(netlist, delays)
+            sim = EventDrivenSimulator(netlist, delay_matrix[k])
             path = None
             clock = None
             if k == 0:
@@ -134,7 +131,6 @@ def dynamic_delay_trace(netlist: Netlist,
     if vcd_path is not None:
         raise ValueError(f"engine {engine!r} does not support vcd_path")
     backend = get_backend(engine)
-    delay_matrix = library.delay_matrix(netlist, condition_list)
     result = backend.run_delays(netlist, input_matrix, delay_matrix)
     return DelayTrace(result.delays, condition_list, input_matrix)
 

@@ -190,6 +190,17 @@ class TestCampaignRunner:
         runner.run(self._jobs())
         assert list(tmp_path.iterdir()) == []
 
+    def test_job_without_conditions_is_rejected(self, tmp_path):
+        """An empty corner list fails before any shard is planned or
+        simulated, and leaves the store empty."""
+        fu = build_functional_unit("int_add", width=8)
+        stream = random_stream(20, operand_width=8, seed=0)
+        runner = CampaignRunner(store=tmp_path)
+        with pytest.raises(ValueError,
+                           match="need at least one operating condition"):
+            runner.run([CampaignJob(fu, stream, [])])
+        assert TraceStore(tmp_path).entries() == {}
+
     def test_invalid_worker_count(self):
         with pytest.raises(ValueError):
             CampaignRunner(n_workers=0)

@@ -342,6 +342,34 @@ class TestRawTransport:
         assert (err.value.status, err.value.payload) == (502, {})
         assert err.value.retry_after is None
 
+    @pytest.mark.parametrize("body", [b"ok", b"null", b"[1]"])
+    def test_success_body_not_a_json_object_raises_serve_error(self, body):
+        """A 2xx reply that is not a JSON object (a proxy's plain ``ok``,
+        say) is a ServeError carrying the status, not a JSONDecodeError
+        or a non-dict result."""
+        (host, port), _ = _one_shot_server([
+            b"HTTP/1.1 200 OK\r\nContent-Type: text/plain\r\n"
+            b"Content-Length: %d\r\n\r\n" % len(body) + body])
+        with ServeClient(host, port, retries=0, timeout=5.0) as client:
+            with pytest.raises(ServeError,
+                               match="HTTP 200 reply .* not a JSON object"
+                               ) as err:
+                client.health()
+        assert (err.value.status, err.value.payload) == (200, {})
+
+    @pytest.mark.parametrize(
+        "body", [b"{}", b'{"predictions": null}', b'{"predictions": {}}'])
+    def test_predict_reply_without_predictions_raises_serve_error(
+            self, body):
+        """A 2xx ``/predict`` reply without a ``predictions`` list is a
+        ServeError, not a KeyError or TypeError."""
+        (host, port), _ = _one_shot_server([
+            b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n"
+            b"Content-Length: %d\r\n\r\n" % len(body) + body])
+        with ServeClient(host, port, retries=0, timeout=5.0) as client:
+            with pytest.raises(ServeError, match="no predictions list"):
+                client.predict_many([_request()])
+
 
 class TestBodyHygiene:
     """A reply sent before the request body was read must close the

@@ -5,9 +5,18 @@ import pytest
 
 from repro.circuits.adders import build_int_adder
 from repro.circuits.builder import CircuitBuilder
+from repro.circuits.functional_units import (
+    available_units,
+    build_functional_unit,
+)
 from repro.circuits.netlist import GateType
-from repro.timing.cells import DEFAULT_LIBRARY, CellLibrary, CellTiming
-from repro.timing.corners import OperatingCondition
+from repro.timing.cells import (
+    DEFAULT_CELL_TIMINGS,
+    DEFAULT_LIBRARY,
+    CellLibrary,
+    CellTiming,
+)
+from repro.timing.corners import OperatingCondition, paper_corner_grid
 from repro.timing.sdf import instance_name, read_sdf, write_sdf
 from repro.timing.sta import run_sta, static_delay
 
@@ -60,6 +69,77 @@ class TestCellLibrary:
         lib = CellLibrary(timings={GateType.CONST0: CellTiming(0, 0)})
         with pytest.raises(KeyError):
             lib.gate_delays(adder)
+
+
+def _per_gate_matrix(library, netlist, conditions):
+    """Reference: one ``cell_delay`` call per gate per condition."""
+    fanout = netlist.fanout_counts()
+    return np.array([[library.cell_delay(g.gtype, fanout[g.output], c)
+                      for g in netlist.gates] for c in conditions],
+                    dtype=np.float64)
+
+
+class TestDelayMatrixParity:
+    """The vectorized matrix equals the per-gate ``cell_delay`` values
+    bit for bit."""
+
+    @pytest.mark.parametrize("name", available_units())
+    def test_every_fu_on_the_table1_grid(self, name):
+        netlist = build_functional_unit(name).netlist
+        grid = paper_corner_grid()
+        matrix = DEFAULT_LIBRARY.delay_matrix(netlist, grid)
+        expected = _per_gate_matrix(DEFAULT_LIBRARY, netlist, grid)
+        assert matrix.shape == (len(grid), len(netlist.gates))
+        assert matrix.dtype == np.float64 and matrix.flags.c_contiguous
+        assert matrix.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("name", available_units())
+    def test_nominal_condition(self, name):
+        netlist = build_functional_unit(name).netlist
+        matrix = DEFAULT_LIBRARY.delay_matrix(netlist, [None])
+        expected = _per_gate_matrix(DEFAULT_LIBRARY, netlist, [None])
+        assert matrix.tobytes() == expected.tobytes()
+
+    def test_gate_delays_is_a_one_corner_matrix(self, adder):
+        for cond in (None, OperatingCondition(0.81, 0),
+                     OperatingCondition(1.0, 125)):
+            row = DEFAULT_LIBRARY.delay_matrix(adder, [cond])[0]
+            assert DEFAULT_LIBRARY.gate_delays(adder, cond).tobytes() \
+                == row.tobytes()
+
+    def test_key_order_and_unused_types_do_not_matter(self, adder):
+        """A library listing the adder's cells in another order, plus a
+        type the adder never uses, gives the same bits."""
+        used = {g.gtype for g in adder.gates}
+        unused = next(t for t in DEFAULT_CELL_TIMINGS if t not in used)
+        order = [unused] + sorted(used, key=lambda t: t.value,
+                                  reverse=True)
+        lib = CellLibrary(timings={t: DEFAULT_CELL_TIMINGS[t]
+                                   for t in order})
+        assert list(lib.timings) != list(DEFAULT_CELL_TIMINGS)
+        grid = paper_corner_grid()
+        matrix = lib.delay_matrix(adder, grid)
+        assert matrix.tobytes() == \
+            _per_gate_matrix(lib, adder, grid).tobytes()
+        assert matrix.tobytes() == \
+            DEFAULT_LIBRARY.delay_matrix(adder, grid).tobytes()
+
+    def test_missing_cell_type_raises_key_error(self, adder):
+        lib = CellLibrary(timings={GateType.CONST0: CellTiming(0, 0)})
+        with pytest.raises(KeyError, match="no timing for cell type"):
+            lib.delay_matrix(adder, [OperatingCondition(0.9, 25)])
+
+    def test_sub_threshold_corner_raises_value_error(self, adder):
+        with pytest.raises(ValueError, match="at or below threshold"):
+            DEFAULT_LIBRARY.delay_matrix(
+                adder, [OperatingCondition(0.9, 25),
+                        OperatingCondition(0.4, 25)])
+
+    def test_empty_condition_list_raises(self, adder):
+        with pytest.raises(ValueError,
+                           match="need at least one operating condition"):
+            DEFAULT_LIBRARY.delay_matrix(adder, [])
+
 
 
 class TestSTA:
