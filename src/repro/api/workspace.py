@@ -5,9 +5,9 @@ characterization :class:`~repro.flow.tracestore.TraceStore` and the
 serving :class:`~repro.serve.registry.ModelRegistry` — and executes
 declarative :mod:`repro.api.specs` against it:
 
-* :meth:`simulate` — run a campaign spec without touching the cache;
-* :meth:`characterize` — the cached campaign path (what ``repro
-  campaign`` / ``repro characterize`` run);
+* :meth:`characterize` — the campaign path (what ``repro campaign``
+  / ``repro characterize`` run; ``spec.cache=False`` bypasses the
+  trace store);
 * :meth:`train` — characterize a training stream, fit TEVoT, save and
   optionally publish the artifact;
 * :meth:`predict` — TER estimates for a saved artifact over a workload
@@ -262,17 +262,14 @@ class Workspace:
         return jobs
 
     def characterize(self, spec: CampaignSpec) -> CampaignResult:
-        """Run a campaign spec through the cached store."""
+        """Run a campaign spec, through the trace store unless
+        ``spec.cache`` is False."""
         runner = self.runner(spec.sim, spec.shards, cache=spec.cache,
                              store=spec.store)
         jobs = self.jobs(spec)
         traces = runner.run(jobs)
         return CampaignResult(spec=spec, jobs=jobs, traces=traces,
                               stats=runner.stats)
-
-    def simulate(self, spec: CampaignSpec) -> CampaignResult:
-        """Run a campaign spec with caching forced off (pure sim)."""
-        return self.characterize(spec.replace(cache=False))
 
     # -- training -------------------------------------------------------------
 

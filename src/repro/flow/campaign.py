@@ -362,6 +362,8 @@ class CampaignRunner:
         self.stats = CampaignStats()
 
         for i, job in enumerate(jobs):
+            if not job.conditions:
+                raise ValueError("need at least one operating condition")
             inputs = job.stream.bit_matrix(job.fu)
             key = job.key(delay_model)
             if self.store is not None:
@@ -379,15 +381,10 @@ class CampaignRunner:
             return results  # type: ignore[return-value]
 
         batch_start = time.perf_counter()
-        delay_matrices: List[np.ndarray] = []
-        grids: List[Tuple[int, int]] = []  # (n_cycles, n_corners)
-        plans: List[List[Shard]] = []
-        for i, job, key, inputs in pending:
-            delay_matrix = job.library.delay_matrix(
-                job.fu.netlist, list(job.conditions))
-            delay_matrices.append(delay_matrix)
-            grids.append((inputs.shape[0] - 1, delay_matrix.shape[0]))
-            plans.append(self._plan_job(*grids[-1]))
+        grids: List[Tuple[int, int]] = [  # (n_cycles, n_corners)
+            (inputs.shape[0] - 1, len(job.conditions))
+            for _, job, _, inputs in pending]
+        plans = [self._plan_job(*grid) for grid in grids]
 
         # checkpoint/resume: a killed campaign's rerun reuses the
         # journaled shard plan (a fresh plan need not tile the same
@@ -436,11 +433,9 @@ class CampaignRunner:
                 pass  # progress not saved; the run itself continues
 
         if self.n_workers > 1 and len(tasks) > 1:
-            matrices = self._run_on_pool(pending, delay_matrices, tasks,
-                                         shard_done)
+            matrices = self._run_on_pool(pending, tasks, shard_done)
         else:
-            matrices = self._run_inline(pending, delay_matrices, grids,
-                                        tasks, shard_done)
+            matrices = self._run_inline(pending, grids, tasks, shard_done)
 
         for pos, (i, job, key, inputs) in enumerate(pending):
             shards = plans[pos]
@@ -474,13 +469,16 @@ class CampaignRunner:
         self.stats.wall_seconds = time.perf_counter() - batch_start
         return results  # type: ignore[return-value]
 
-    def _run_inline(self, pending, delay_matrices, grids, tasks,
-                    shard_done) -> List[np.ndarray]:
+    def _run_inline(self, pending, grids, tasks, shard_done
+                    ) -> List[np.ndarray]:
         """Run every task in this process, in order; returns one delay
         matrix per pending job.  ``shard_done(pos, shard, delays,
         seconds, warm, worker)`` fires after each shard."""
         matrices = [np.empty((n_corners, n_cycles), dtype=np.float32)
                     for n_cycles, n_corners in grids]
+        delay_matrices = [job.library.delay_matrix(job.fu.netlist,
+                                                   list(job.conditions))
+                          for _, job, _, _ in pending]
         for pos, shard in tasks:
             _, job, _, inputs = pending[pos]
             delays, secs = simulate_shard(
@@ -491,17 +489,17 @@ class CampaignRunner:
             shard_done(pos, shard, delays, secs, None, None)
         return matrices
 
-    def _run_on_pool(self, pending, delay_matrices, tasks,
-                     shard_done) -> List[np.ndarray]:
+    def _run_on_pool(self, pending, tasks, shard_done) -> List[np.ndarray]:
         """Run the tasks on the persistent warm pool; returns one
         stitched delay matrix per pending job.
 
-        Registers each pending job once (content-fingerprinted so
-        reruns hit the workers' warm caches) and dispatches shard
-        descriptors longest-first (LPT keeps stragglers off the tail).
-        ``shard_done`` fires as each shard completes; on the
-        shared-memory return path its ``delays`` is a live view into
-        the job's segment.
+        Registers each pending job once as its description (stream,
+        library, corners, backend; content-fingerprinted so reruns hit
+        the workers' warm caches), and the workers build the delay
+        matrices.  Shard descriptors go out longest-first (LPT keeps
+        stragglers off the tail).  ``shard_done`` fires as each shard
+        completes, with a view of the shard's region in the job's
+        stitched matrix.
         """
         pool = self._ensure_pool()
         progs: Dict[str, JobProgram] = {}
@@ -520,10 +518,9 @@ class CampaignRunner:
             pos_key.append(job_key)
             if job_key not in progs:  # duplicate jobs share one program
                 progs[job_key] = JobProgram(
-                    netlist=netlist, netlist_key=nl_key,
-                    inputs=inputs, delay_matrix=delay_matrices[pos],
-                    backend=self.backend_name,
-                    netlist_bytes=nl_bytes)
+                    netlist=netlist, netlist_key=nl_key, inputs=inputs,
+                    library=job.library, conditions=list(job.conditions),
+                    backend=self.backend_name, netlist_bytes=nl_bytes)
 
         # longest-processing-time-first dispatch order
         order = sorted(tasks, key=lambda t: -((t[1][1] - t[1][0])

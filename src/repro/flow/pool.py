@@ -11,29 +11,26 @@ lowering of the program:
   the unpickled netlist (and therefore the lowered
   :class:`~repro.sim.compile.CompiledNetlist`, its delay tiles, and its
   corner-major arrival scratch — all single-slot-cached on the program)
-  per *netlist fingerprint*, and the shard payload (input stream +
-  delay matrix) per *job fingerprint*.  Registrations are delivered
-  lazily, once per (worker, fingerprint); after that a task is a tiny
+  per *netlist fingerprint*, and the job's input stream and delay
+  matrix per *job fingerprint*.  A job travels as its description
+  (input bits, cell library, corner list, backend); each worker
+  builds the job's delay matrix once, at its first shard of the job,
+  with the same :meth:`~repro.timing.cells.CellLibrary.delay_matrix`
+  the inline path calls.  Registrations are delivered lazily, once
+  per (worker, fingerprint); after that a task is a tiny
   ``(job_key, corner_range, cycle_range)`` descriptor.
 * **One stitched matrix per job.**  :meth:`WorkerPool.run_tasks`
   returns the full ``(n_corners, n_cycles)`` float32 delay matrix of
-  every job.  A job whose matrix crosses :data:`SHM_MIN_RESULT_BYTES`
-  gets a ``multiprocessing.shared_memory`` segment that workers write
-  their shards into at their corner × cycle offset.  Smaller jobs
-  return shards pickled through the worker pipe, and the parent writes
-  each into the job's matrix as it lands.  Registration payloads ride
-  the same transport (one write, N reads).
-* **Pickle fallback.**  When shared memory is unavailable (no
-  ``fork`` start method, ``/dev/shm`` unusable, ``REPRO_POOL_NO_SHM``)
-  every payload and result travels through the worker pipes —
-  bit-identical either way.
+  every job.  Every registration and every shard result travels
+  through the worker pipe; the parent writes each shard into its
+  job's matrix as it lands.
 * **Crash robustness.**  A worker that dies mid-task (OOM-killed,
   segfault) is respawned in place and its task reissued; a fresh
   worker starts with an empty registration set, so re-registration is
   automatic.  A task that repeatedly kills workers raises instead of
   looping.  ``close()`` (also via ``with`` or garbage collection —
-  a ``weakref.finalize`` backstop) reaps every worker and unlinks
-  every segment, so nothing survives the parent.
+  a ``weakref.finalize`` backstop) reaps every worker, so nothing
+  survives the parent.
 * **Hung-worker watchdog.**  A worker that neither answers nor dies
   would wedge ``connection.wait`` forever; with ``task_timeout_s``
   set (ctor arg or ``REPRO_POOL_TASK_TIMEOUT_S``; 0 = off, the
@@ -67,11 +64,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-try:  # pragma: no cover - stdlib since 3.8, but keep a soft gate
-    from multiprocessing import shared_memory
-except ImportError:  # pragma: no cover
-    shared_memory = None  # type: ignore[assignment]
-
 from ..sim.engine import get_backend
 from ..testing import faults
 
@@ -88,31 +80,18 @@ __all__ = [
 #: 0 disables — the shipped default).
 TASK_TIMEOUT_ENV = "REPRO_POOL_TASK_TIMEOUT_S"
 
-#: Result matrices smaller than this return via the pickle path even
-#: when shared memory is available — below the crossover the one-copy
-#: win cannot repay segment create/attach/unlink syscalls.
-SHM_MIN_RESULT_BYTES = 64 * 1024
-
-#: Registration blobs smaller than this travel through the worker pipe
-#: (same crossover reasoning as :data:`SHM_MIN_RESULT_BYTES`).
-SHM_MIN_BLOB_BYTES = 64 * 1024
-
 #: A task that sees its worker die this many times is abandoned with a
 #: RuntimeError — the task itself is almost certainly the killer.
 MAX_REISSUES = 2
 
-#: Per-worker registration caches (LRU, parent-coordinated): enough to
-#: keep a whole paper campaign warm without letting a long-lived pool
+#: Per-worker job cache (LRU, parent-coordinated): enough to keep a
+#: whole paper campaign warm without letting a long-lived pool
 #: accumulate every stream it ever saw.
 _WORKER_JOB_CACHE = 8
-_PARENT_BLOB_CACHE = 8
 
 #: Fault point hit at task receipt in every worker (see
 #: :mod:`repro.testing.faults`; exercises the respawn/reissue path).
 SITE_TASK = faults.register_site("pool.worker.task")
-
-#: ``/dev/shm`` segment name prefix; CI's leak check globs for it.
-SHM_PREFIX = "repro_pool_"
 
 Shard = Tuple[int, int, int, int]
 
@@ -125,13 +104,15 @@ class JobProgram:
     library-independent), so jobs sharing a netlist share the worker's
     compiled program; the job key used in :meth:`WorkerPool.run_tasks`
     fingerprints the full (netlist, stream, corners, library, backend)
-    tuple.
+    tuple.  Each worker builds the job's delay matrix from ``library``
+    and ``conditions`` once per registration.
     """
 
     netlist: object  # repro.circuits.netlist.Netlist
     netlist_key: str
-    inputs: np.ndarray        # (n_cycles + 1, n_inputs) uint8
-    delay_matrix: np.ndarray  # (n_corners, n_gates) float
+    inputs: np.ndarray  # (n_cycles + 1, n_inputs) uint8
+    library: object     # repro.timing.cells.CellLibrary
+    conditions: Sequence  # OperatingCondition per corner
     backend: str
     #: pre-pickled netlist (callers that fingerprinted the pickle pass
     #: it along so registration does not pickle a second time).
@@ -143,7 +124,7 @@ class JobProgram:
 
     @property
     def n_corners(self) -> int:
-        return self.delay_matrix.shape[0]
+        return len(self.conditions)
 
 
 @dataclass
@@ -166,8 +147,8 @@ class PoolRunResult:
     """One :meth:`WorkerPool.run_tasks` batch.
 
     ``job_delays`` maps every job key of the batch to its stitched
-    ``(n_corners, n_cycles)`` float32 delay matrix, whichever transport
-    its shards returned on.  Cells no task covered are uninitialised.
+    ``(n_corners, n_cycles)`` float32 delay matrix.  Cells no task
+    covered are uninitialised.
     """
 
     job_delays: Dict[str, np.ndarray]
@@ -177,23 +158,13 @@ class PoolRunResult:
 # -- worker side ---------------------------------------------------------------
 
 
-def _read_blob(transport) -> bytes:
-    if transport[0] == "raw":
-        return transport[1]
-    _, name, nbytes = transport
-    seg = shared_memory.SharedMemory(name=name)
-    try:
-        return bytes(seg.buf[:nbytes])
-    finally:
-        seg.close()
-
-
 def _pool_worker_main(conn) -> None:
     """Worker loop: registration + task messages until stop/EOF.
 
     State lives for the worker's lifetime: ``netlists`` pins the
     unpickled netlist objects (and thereby their cached compiled
-    programs, delay tiles, and scratch), ``jobs`` the per-job payloads.
+    programs, delay tiles, and scratch), ``jobs`` the per-job
+    description and, from its first shard on, its delay matrix.
     The parent coordinates eviction (``release``), so the two sides
     never disagree about what is registered.
     """
@@ -210,23 +181,25 @@ def _pool_worker_main(conn) -> None:
             if kind == "stop":
                 break
             if kind == "netlist":
-                _, nl_key, transport = msg
-                netlists[nl_key] = pickle.loads(_read_blob(transport))
+                _, nl_key, blob = msg
+                netlists[nl_key] = pickle.loads(blob)
             elif kind == "job":
-                _, job_key, nl_key, transport = msg
-                payload = pickle.loads(_read_blob(transport))
-                payload["nl_key"] = nl_key
-                jobs[job_key] = payload
+                _, job_key, nl_key, inputs, library, conditions, \
+                    backend = msg
+                jobs[job_key] = {"nl_key": nl_key, "inputs": inputs,
+                                 "library": library,
+                                 "conditions": conditions,
+                                 "backend": backend}
             elif kind == "release":
                 jobs.pop(msg[1], None)
             elif kind == "run":
-                _, task_id, job_key, shard, out = msg
+                _, task_id, job_key, shard = msg
                 # deterministic crash hook (the fault plan rides the
                 # env, so forked workers honor it): see repro.testing.faults
                 faults.fault_point(SITE_TASK)
                 try:
                     result = _run_shard(netlists, warm_keys, jobs,
-                                        job_key, shard, out)
+                                        job_key, shard)
                     conn.send(("done", task_id) + result)
                 except BaseException:
                     conn.send(("err", task_id, traceback.format_exc()))
@@ -257,54 +230,24 @@ def simulate_shard(netlist, inputs: np.ndarray, delay_matrix: np.ndarray,
 
 
 def _run_shard(netlists: Dict[str, object], warm_keys: set,
-               jobs: Dict[str, Dict], job_key: str, shard: Shard, out
-               ) -> Tuple[float, bool, Optional[np.ndarray]]:
+               jobs: Dict[str, Dict], job_key: str, shard: Shard
+               ) -> Tuple[float, bool, np.ndarray]:
     job = jobs[job_key]
     nl_key = job["nl_key"]
     warm = nl_key in warm_keys
+    if "delay_matrix" not in job:
+        # built once per registration, outside the shard's timing; a
+        # bad library fails here and reaches the parent as an "err"
+        job["delay_matrix"] = job["library"].delay_matrix(
+            netlists[nl_key], job["conditions"])
     delays, seconds = simulate_shard(
         netlists[nl_key], job["inputs"], job["delay_matrix"],
         job["backend"], shard)
     warm_keys.add(nl_key)
-    if out is None:
-        return seconds, warm, delays
-    name, n_corners, n_cycles = out
-    seg = shared_memory.SharedMemory(name=name)
-    try:
-        c0, c1, t0, t1 = shard
-        np.ndarray((n_corners, n_cycles), dtype=np.float32,
-                   buffer=seg.buf)[c0:c1, t0:t1] = delays
-    finally:
-        seg.close()  # parent owns the segment; never unlink here
-    return seconds, warm, None
+    return seconds, warm, delays
 
 
 # -- parent side ---------------------------------------------------------------
-
-
-class _Blob:
-    """A pickled registration payload, in shared memory or raw bytes."""
-
-    __slots__ = ("raw", "seg", "nbytes")
-
-    def __init__(self, raw: Optional[bytes], seg, nbytes: int) -> None:
-        self.raw = raw
-        self.seg = seg
-        self.nbytes = nbytes
-
-    def transport(self):
-        if self.seg is not None:
-            return ("shm", self.seg.name, self.nbytes)
-        return ("raw", self.raw)
-
-    def unlink(self) -> None:
-        if self.seg is not None:
-            try:
-                self.seg.close()
-                self.seg.unlink()
-            except (FileNotFoundError, OSError):
-                pass
-            self.seg = None
 
 
 class _Worker:
@@ -340,10 +283,9 @@ def kill_worker(process, join_timeout: float = 2.0) -> None:
     process.join(timeout=join_timeout)
 
 
-def _shutdown_workers(workers: List[_Worker],
-                      blob_maps: List[Dict[str, _Blob]]) -> None:
-    """Finalizer body: reap workers, unlink segments.  Idempotent and
-    free of references to the pool object (weakref.finalize contract).
+def _shutdown_workers(workers: List[_Worker]) -> None:
+    """Finalizer body: reap workers.  Idempotent and free of references
+    to the pool object (weakref.finalize contract).
     """
     for w in workers:
         try:
@@ -361,10 +303,6 @@ def _shutdown_workers(workers: List[_Worker],
         except OSError:
             pass
     workers.clear()
-    for blobs in blob_maps:
-        for blob in blobs.values():
-            blob.unlink()
-        blobs.clear()
 
 
 def _task_timeout(value: Optional[float]) -> float:
@@ -394,13 +332,7 @@ class WorkerPool:
     n_workers:
         Number of worker processes (spawned eagerly, ``fork`` start
         method when available so children inherit parent-warm program
-        caches and the shared resource tracker).
-    use_shm:
-        Force the shared-memory transport on/off; None (default)
-        auto-detects (requires ``fork`` + a working
-        ``multiprocessing.shared_memory``; the ``REPRO_POOL_NO_SHM``
-        env var vetoes).  Falls back to pickle per payload below the
-        crossover thresholds either way.
+        caches).
     task_timeout_s:
         Per-task watchdog bound in seconds: a worker holding one task
         longer is presumed hung, SIGKILLed, and the task reissued.
@@ -410,7 +342,6 @@ class WorkerPool:
     """
 
     def __init__(self, n_workers: int,
-                 use_shm: Optional[bool] = None,
                  task_timeout_s: Optional[float] = None) -> None:
         if n_workers < 1:
             raise ValueError("n_workers must be >= 1")
@@ -421,26 +352,10 @@ class WorkerPool:
             self._ctx = get_context("fork")
         except ValueError:  # pragma: no cover - non-POSIX hosts
             self._ctx = get_context()
-        fork = self._ctx.get_start_method() == "fork"
-        no_shm_env = os.environ.get("REPRO_POOL_NO_SHM", "") not in ("", "0")
-        auto = fork and shared_memory is not None and not no_shm_env
-        self.use_shm = auto if use_shm is None else (use_shm and auto)
-        if self.use_shm:
-            # start the parent's resource tracker *before* forking so
-            # every worker inherits it: a worker-local tracker would
-            # try to clean segments the parent still owns at worker
-            # exit (harmless but noisy); one shared tracker's
-            # registration set is idempotent across processes
-            from multiprocessing import resource_tracker
-            resource_tracker.ensure_running()
         self._uid = secrets.token_hex(4)
-        self._seq = 0
         self._workers: List[_Worker] = []
-        self._netlist_blobs: "OrderedDict[str, _Blob]" = OrderedDict()
-        self._job_blobs: "OrderedDict[str, _Blob]" = OrderedDict()
         self._finalizer = weakref.finalize(
-            self, _shutdown_workers, self._workers,
-            [self._netlist_blobs, self._job_blobs])
+            self, _shutdown_workers, self._workers)
         for slot in range(n_workers):
             self._workers.append(self._spawn(slot))
 
@@ -451,7 +366,7 @@ class WorkerPool:
         return not self._finalizer.alive
 
     def close(self) -> None:
-        """Reap every worker and unlink every segment (idempotent)."""
+        """Reap every worker (idempotent)."""
         self._finalizer()
 
     def __enter__(self) -> "WorkerPool":
@@ -485,57 +400,23 @@ class WorkerPool:
         self._workers[worker.slot] = fresh
         return fresh
 
-    # -- registration transport ---------------------------------------------
-
-    def _shm_name(self) -> str:
-        self._seq += 1
-        return f"{SHM_PREFIX}{os.getpid()}_{self._uid}_{self._seq}"
-
-    def _make_blob(self, data: bytes) -> _Blob:
-        if self.use_shm and len(data) >= SHM_MIN_BLOB_BYTES:
-            try:
-                seg = shared_memory.SharedMemory(
-                    create=True, name=self._shm_name(),
-                    size=max(1, len(data)))
-            except OSError:
-                self.use_shm = False  # /dev/shm unusable: pickle-only
-            else:
-                seg.buf[:len(data)] = data
-                return _Blob(None, seg, len(data))
-        return _Blob(data, None, len(data))
-
-    def _cached_blob(self, cache: "OrderedDict[str, _Blob]", key: str,
-                     build) -> _Blob:
-        blob = cache.get(key)
-        if blob is None:
-            blob = self._make_blob(build())
-            cache[key] = blob
-            while len(cache) > _PARENT_BLOB_CACHE:
-                cache.popitem(last=False)[1].unlink()
-        cache.move_to_end(key)
-        return blob
+    # -- registration ---------------------------------------------------------
 
     def _ensure_registered(self, worker: _Worker, job_key: str,
                            progs: Dict[str, JobProgram]) -> None:
         prog = progs[job_key]
         nl_key = prog.netlist_key
         if nl_key not in worker.netlists:
-            blob = self._cached_blob(
-                self._netlist_blobs, nl_key,
-                lambda: prog.netlist_bytes if prog.netlist_bytes is not None
-                else pickle.dumps(prog.netlist,
-                                  protocol=pickle.HIGHEST_PROTOCOL))
-            worker.conn.send(("netlist", nl_key, blob.transport()))
+            blob = prog.netlist_bytes
+            if blob is None:
+                blob = pickle.dumps(prog.netlist,
+                                    protocol=pickle.HIGHEST_PROTOCOL)
+            worker.conn.send(("netlist", nl_key, blob))
             worker.netlists.add(nl_key)
         if job_key not in worker.jobs:
-            blob = self._cached_blob(
-                self._job_blobs, job_key,
-                lambda: pickle.dumps(
-                    {"inputs": prog.inputs,
-                     "delay_matrix": prog.delay_matrix,
-                     "backend": prog.backend},
-                    protocol=pickle.HIGHEST_PROTOCOL))
-            worker.conn.send(("job", job_key, nl_key, blob.transport()))
+            worker.conn.send(("job", job_key, nl_key, prog.inputs,
+                              prog.library, list(prog.conditions),
+                              prog.backend))
             worker.jobs[job_key] = True
             while len(worker.jobs) > _WORKER_JOB_CACHE:
                 evicted, _ = worker.jobs.popitem(last=False)
@@ -558,9 +439,8 @@ class WorkerPool:
         ``on_result(idx, task_result, delays)`` fires as each task
         completes (``idx`` indexes ``tasks``): the campaign layer
         journals finished shards through it.  ``delays`` is a view of
-        the shard's region in the job's matrix — on the shared-memory
-        path a view into the live segment, valid only during the
-        callback.  Callback exceptions propagate and abort the batch.
+        the shard's region in the job's matrix.  Callback exceptions
+        propagate and abort the batch.
         """
         if self.closed:
             raise RuntimeError("WorkerPool is closed")
@@ -571,145 +451,109 @@ class WorkerPool:
             if key not in progs:
                 raise KeyError(f"task references unknown job {key!r}")
 
-        # every job's matrix: a view of its result segment, or a
-        # parent-side array its pickled shards are written into
-        out_segs: Dict[str, object] = {}
-        job_delays: Dict[str, np.ndarray] = {}
+        job_delays = {key: np.empty((prog.n_corners, prog.n_cycles),
+                                    dtype=np.float32)
+                      for key, prog in progs.items()}
         results: List[Optional[TaskResult]] = [None] * len(tasks)
-        try:
-            for key, prog in progs.items():
-                shape = (prog.n_corners, prog.n_cycles)
-                seg = None
-                nbytes = shape[0] * shape[1] * 4
-                if self.use_shm and nbytes >= SHM_MIN_RESULT_BYTES:
-                    try:
-                        seg = shared_memory.SharedMemory(
-                            create=True, name=self._shm_name(),
-                            size=nbytes)
-                    except OSError:
-                        pass  # per-job fallback to pickle return
-                if seg is None:
-                    job_delays[key] = np.empty(shape, dtype=np.float32)
-                else:
-                    out_segs[key] = seg
-                    job_delays[key] = np.ndarray(
-                        shape, dtype=np.float32, buffer=seg.buf)
+        pending = deque(range(len(tasks)))
+        reissues: Dict[int, int] = {}
+        error: Optional[str] = None
 
-            pending = deque(range(len(tasks)))
-            reissues: Dict[int, int] = {}
-            error: Optional[str] = None
+        def fail(idx: int, why: str) -> Optional[int]:
+            """Requeue a task whose worker died, or give up."""
+            reissues[idx] = reissues.get(idx, 0) + 1
+            if reissues[idx] > MAX_REISSUES:
+                return idx
+            pending.appendleft(idx)
+            return None
 
-            def fail(idx: int, why: str) -> Optional[int]:
-                """Requeue a task whose worker died, or give up."""
-                reissues[idx] = reissues.get(idx, 0) + 1
-                if reissues[idx] > MAX_REISSUES:
-                    return idx
-                pending.appendleft(idx)
-                return None
-
-            while True:
-                if error is None:
-                    for w in list(self._workers):
-                        if not pending:
-                            break
-                        if w.current is not None:
-                            continue
-                        idx = pending.popleft()
-                        key, shard = tasks[idx]
-                        try:
-                            self._ensure_registered(w, key, progs)
-                            out = None
-                            if key in out_segs:
-                                out = ((out_segs[key].name,)
-                                       + job_delays[key].shape)
-                            w.conn.send(("run", idx, key,
-                                         tuple(shard), out))
-                            w.current = idx
-                            w.overdue_at = (
-                                time.monotonic() + self.task_timeout_s
-                                if self.task_timeout_s else None)
-                        except (BrokenPipeError, OSError):
-                            # worker died between tasks: respawn (fresh
-                            # registration state) and retry elsewhere
-                            if fail(idx, "dispatch") is not None:
-                                error = (f"worker died {MAX_REISSUES + 1}x "
-                                         f"dispatching task {idx}")
-                            self._respawn(w)
-                busy = [w for w in self._workers if w.current is not None]
-                if not busy:
-                    if pending and error is None:
+        while True:
+            if error is None:
+                for w in list(self._workers):
+                    if not pending:
+                        break
+                    if w.current is not None:
                         continue
-                    break
-                wait_s = None
-                bounds = [w.overdue_at for w in busy
-                          if w.overdue_at is not None]
-                if bounds:
-                    wait_s = max(0.0, min(bounds) - time.monotonic())
-                ready = connection.wait([w.conn for w in busy],
-                                        timeout=wait_s)
-                if not ready:
-                    # watchdog: a worker blew its per-task bound — it
-                    # neither answered nor died, so kill it and reissue
-                    # its task through the same path a crash would take
-                    now = time.monotonic()
-                    for w in busy:
-                        if w.overdue_at is None or now < w.overdue_at:
-                            continue
-                        idx = w.current
-                        w.current = None
-                        self.watchdog_kills += 1
-                        kill_worker(w.process)
+                    idx = pending.popleft()
+                    key, shard = tasks[idx]
+                    try:
+                        self._ensure_registered(w, key, progs)
+                        w.conn.send(("run", idx, key, tuple(shard)))
+                        w.current = idx
+                        w.overdue_at = (
+                            time.monotonic() + self.task_timeout_s
+                            if self.task_timeout_s else None)
+                    except (BrokenPipeError, OSError):
+                        # worker died between tasks: respawn (fresh
+                        # registration state) and retry elsewhere
+                        if fail(idx, "dispatch") is not None:
+                            error = (f"worker died {MAX_REISSUES + 1}x "
+                                     f"dispatching task {idx}")
                         self._respawn(w)
-                        if idx is not None and error is None:
-                            if fail(idx, "hang") is not None:
-                                error = (
-                                    f"task {idx} ({tasks[idx][0]!r} shard "
-                                    f"{tasks[idx][1]}) hung its worker "
-                                    f"{MAX_REISSUES + 1} times")
+            busy = [w for w in self._workers if w.current is not None]
+            if not busy:
+                if pending and error is None:
                     continue
-                for conn_ in ready:
-                    w = next(x for x in busy if x.conn is conn_)
-                    try:
-                        msg = w.conn.recv()
-                    except (EOFError, OSError):
-                        idx = w.current
-                        w.current = None
-                        self._respawn(w)
-                        if idx is not None and error is None:
-                            if fail(idx, "crash") is not None:
-                                error = (
-                                    f"task {idx} ({tasks[idx][0]!r} shard "
-                                    f"{tasks[idx][1]}) killed its worker "
-                                    f"{MAX_REISSUES + 1} times")
+                break
+            wait_s = None
+            bounds = [w.overdue_at for w in busy
+                      if w.overdue_at is not None]
+            if bounds:
+                wait_s = max(0.0, min(bounds) - time.monotonic())
+            ready = connection.wait([w.conn for w in busy],
+                                    timeout=wait_s)
+            if not ready:
+                # watchdog: a worker blew its per-task bound — it
+                # neither answered nor died, so kill it and reissue
+                # its task through the same path a crash would take
+                now = time.monotonic()
+                for w in busy:
+                    if w.overdue_at is None or now < w.overdue_at:
                         continue
-                    if msg[0] == "done":
-                        _, idx, seconds, warm, delays = msg
-                        key, shard = tasks[idx]
-                        c0, c1, t0, t1 = shard
-                        region = job_delays[key][c0:c1, t0:t1]
-                        if delays is not None:  # pickle return path
-                            region[...] = delays
-                        results[idx] = TaskResult(
-                            job_key=key, shard=tuple(shard),
-                            seconds=seconds, warm=warm, worker=w.slot)
-                        w.current = None
-                        if on_result is not None:
-                            on_result(idx, results[idx], region)
-                    elif msg[0] == "err":
-                        _, idx, tb = msg
-                        w.current = None
-                        if error is None:
-                            error = tb
-            if error is not None:
-                raise RuntimeError(f"worker pool task failed: {error}")
-
-            for key in out_segs:  # detach from segments unlinked below
-                job_delays[key] = job_delays[key].copy()
-            return PoolRunResult(job_delays, results)  # type: ignore[arg-type]
-        finally:
-            for seg in out_segs.values():
+                    idx = w.current
+                    w.current = None
+                    self.watchdog_kills += 1
+                    kill_worker(w.process)
+                    self._respawn(w)
+                    if idx is not None and error is None:
+                        if fail(idx, "hang") is not None:
+                            error = (
+                                f"task {idx} ({tasks[idx][0]!r} shard "
+                                f"{tasks[idx][1]}) hung its worker "
+                                f"{MAX_REISSUES + 1} times")
+                continue
+            for conn_ in ready:
+                w = next(x for x in busy if x.conn is conn_)
                 try:
-                    seg.close()
-                    seg.unlink()
-                except (FileNotFoundError, OSError):  # pragma: no cover
-                    pass
+                    msg = w.conn.recv()
+                except (EOFError, OSError):
+                    idx = w.current
+                    w.current = None
+                    self._respawn(w)
+                    if idx is not None and error is None:
+                        if fail(idx, "crash") is not None:
+                            error = (
+                                f"task {idx} ({tasks[idx][0]!r} shard "
+                                f"{tasks[idx][1]}) killed its worker "
+                                f"{MAX_REISSUES + 1} times")
+                    continue
+                if msg[0] == "done":
+                    _, idx, seconds, warm, delays = msg
+                    key, shard = tasks[idx]
+                    c0, c1, t0, t1 = shard
+                    region = job_delays[key][c0:c1, t0:t1]
+                    region[...] = delays
+                    results[idx] = TaskResult(
+                        job_key=key, shard=tuple(shard),
+                        seconds=seconds, warm=warm, worker=w.slot)
+                    w.current = None
+                    if on_result is not None:
+                        on_result(idx, results[idx], region)
+                elif msg[0] == "err":
+                    _, idx, tb = msg
+                    w.current = None
+                    if error is None:
+                        error = tb
+        if error is not None:
+            raise RuntimeError(f"worker pool task failed: {error}")
+        return PoolRunResult(job_delays, results)  # type: ignore[arg-type]

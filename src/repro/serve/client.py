@@ -64,6 +64,10 @@ _RETRYABLE = (ConnectionResetError, ConnectionRefusedError,
               BrokenPipeError, ConnectionAbortedError,
               RemoteDisconnected, BadStatusLine)
 
+#: The list a successful reply of each route must carry; callers
+#: index it without a second check.
+_REPLY_LISTS = {"/models": "models", "/predict": "predictions"}
+
 _GET_HEADERS = {"Accept": "application/json"}
 _POST_HEADERS = {"Accept": "application/json",
                  "Content-Type": "application/json"}
@@ -199,7 +203,9 @@ class ServeClient:
 
     def _call(self, path: str, payload: Optional[Dict] = None) -> Dict:
         """One JSON request (GET, or POST of ``payload``) under the
-        retry policy; returns the decoded JSON object."""
+        retry policy; returns the decoded JSON object.  A reply to a
+        route in :data:`_REPLY_LISTS` without its list is a
+        :class:`ServeError` carrying the status."""
         if payload is None:
             request = encode_request("GET", path, self._netloc, None,
                                      _GET_HEADERS)
@@ -235,11 +241,12 @@ class ServeClient:
                     raise ServeError(
                         f"HTTP {status} reply from {self.base_url + path} "
                         "is not a JSON object", status=status)
-                return body
+                return self._checked(path, status, body)
             if not isinstance(body, dict):  # e.g. a proxy's error page
                 body = {}
             if status == 422 and "predictions" in body:
-                return body  # per-request results for the caller
+                # per-request results for the caller
+                return self._checked(path, status, body)
             retry_after = _parse_retry_after(headers.get("retry-after"), body)
             err = ServeError(
                 body.get("error", f"HTTP Error {status}: {reason}"),
@@ -253,6 +260,13 @@ class ServeClient:
         raise ServeError(
             f"cannot reach {self.base_url + path} after "
             f"{self.retries + 1} attempt(s): {last}") from None
+
+    def _checked(self, path: str, status: int, body: Dict) -> Dict:
+        field = _REPLY_LISTS.get(path)
+        if field is not None and not isinstance(body.get(field), list):
+            raise ServeError(f"reply from {self.base_url + path} has no "
+                             f"{field} list", status=status, payload=body)
+        return body
 
     # -- endpoints ------------------------------------------------------------
 
@@ -301,11 +315,7 @@ class ServeClient:
         if self.deadline_ms:
             for r in reqs:
                 r.setdefault("deadline_ms", self.deadline_ms)
-        body = self._call("/predict", {"requests": reqs})
-        if not isinstance(body.get("predictions"), list):
-            raise ServeError(f"reply from {self.base_url}/predict has no "
-                             "predictions list")
-        return body["predictions"]
+        return self._call("/predict", {"requests": reqs})["predictions"]
 
     def predict(self, **request) -> Dict:
         """Single predict; raises :class:`ServeError` on failure."""

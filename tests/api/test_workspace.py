@@ -146,17 +146,17 @@ class TestCharacterize:
 
     def test_simulate_never_touches_store(self, tmp_path):
         ws = Workspace(tmp_path)
-        sim = ws.simulate(small_campaign())
+        sim = ws.characterize(small_campaign().replace(cache=False))
         assert sim.stats.misses == 1
         assert TraceStore(tmp_path / "traces").entries() == {}
 
     def test_compiled_false_is_bit_identical(self, tmp_path):
         ws = Workspace(tmp_path)
-        fast = ws.simulate(small_campaign(
-            stream=StreamSpec(cycles=20, seed=2)))
-        ref = ws.simulate(small_campaign(
+        fast = ws.characterize(small_campaign(
+            stream=StreamSpec(cycles=20, seed=2)).replace(cache=False))
+        ref = ws.characterize(small_campaign(
             stream=StreamSpec(cycles=20, seed=2),
-            sim=SimSpec(backend="levelized_ref")))
+            sim=SimSpec(backend="levelized_ref")).replace(cache=False))
         assert fast.traces[0].delays.tobytes() == \
             ref.traces[0].delays.tobytes()
 

@@ -190,16 +190,34 @@ class TestCampaignRunner:
         runner.run(self._jobs())
         assert list(tmp_path.iterdir()) == []
 
-    def test_job_without_conditions_is_rejected(self, tmp_path):
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    def test_job_without_conditions_is_rejected(self, tmp_path, n_workers):
         """An empty corner list fails before any shard is planned or
-        simulated, and leaves the store empty."""
+        simulated, on the inline and the pool path alike, and leaves
+        the store empty."""
         fu = build_functional_unit("int_add", width=8)
         stream = random_stream(20, operand_width=8, seed=0)
-        runner = CampaignRunner(store=tmp_path)
-        with pytest.raises(ValueError,
-                           match="need at least one operating condition"):
-            runner.run([CampaignJob(fu, stream, [])])
+        with CampaignRunner(store=tmp_path, n_workers=n_workers) as runner:
+            with pytest.raises(ValueError,
+                               match="need at least one operating condition"):
+                runner.run([CampaignJob(fu, stream, [])])
         assert TraceStore(tmp_path).entries() == {}
+
+    def test_pool_workers_use_each_jobs_library(self):
+        """Two jobs on one netlist and stream differ only in library:
+        the workers build each job's delay matrix from its own library,
+        and the shared netlist fingerprint must not alias the jobs."""
+        fu = build_functional_unit("int_add", width=8)
+        stream = random_stream(300, operand_width=8, seed=3)
+        jobs = [CampaignJob(fu, stream, CONDS, library=DEFAULT_LIBRARY),
+                CampaignJob(fu, stream, CONDS, library=_slow_library())]
+        inline = [CampaignRunner(use_cache=False).run([job])[0]
+                  for job in jobs]
+        with CampaignRunner(n_workers=2, use_cache=False) as runner:
+            pooled = runner.run(jobs)
+        for ref, got in zip(inline, pooled):
+            assert got.delays.tobytes() == ref.delays.tobytes()
+        assert pooled[0].delays.tobytes() != pooled[1].delays.tobytes()
 
     def test_invalid_worker_count(self):
         with pytest.raises(ValueError):

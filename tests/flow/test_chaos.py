@@ -327,17 +327,10 @@ class TestCampaignResume:
         assert not list(tmp_path.glob("journal_*"))
         assert not list(tmp_path.glob("part_*"))
 
-    @pytest.mark.parametrize("no_shm", [None, "1"], ids=["shm", "pickle"])
     def test_pool_rerun_skips_journaled_shards(self, tmp_path,
-                                               monkeypatch, no_shm):
-        # big enough to cross the pool's shared-memory threshold, so on
-        # the shm transport the journal callback sees live segment
-        # views; on the pickle transport the pool stitches the job's
-        # matrix itself and the rerun overlays the journaled part on it
-        if no_shm is None:
-            monkeypatch.delenv("REPRO_POOL_NO_SHM", raising=False)
-        else:
-            monkeypatch.setenv("REPRO_POOL_NO_SHM", no_shm)
+                                               monkeypatch):
+        # the journal callback sees views of the pool's stitched
+        # matrix; the rerun overlays the journaled part on it
         job = self._job(n_cycles=9000, seed=6)
         reference = CampaignRunner(use_cache=False).run([job])[0]
 

@@ -1,10 +1,10 @@
 """Tests for the persistent warm worker pool and its campaign wiring.
 
-Covers byte-identical stitched results across the shared-memory and
-pickle return paths (including 1-cycle streams and 1-corner grids),
-pool-lifecycle robustness (mid-task worker death, respawn + reissue,
-orphan-free shutdown), watchdog validation, capability gating through
-the pool, and Workspace pool ownership.
+Covers byte-identical stitched results (including 1-cycle streams and
+1-corner grids), per-job cell libraries, pool-lifecycle robustness
+(mid-task worker death, respawn + reissue, orphan-free shutdown),
+watchdog validation, capability gating through the pool, and Workspace
+pool ownership.
 """
 
 import glob
@@ -14,7 +14,6 @@ import os
 import pickle
 import signal
 import time
-from multiprocessing import shared_memory
 
 import numpy as np
 import pytest
@@ -22,12 +21,11 @@ import pytest
 from repro.api import ShardSpec, Workspace
 from repro.circuits import build_functional_unit
 from repro.flow import CampaignJob, CampaignRunner, JobProgram, WorkerPool
-import repro.flow.pool as pool_module
-from repro.flow.pool import (MAX_REISSUES, SHM_MIN_RESULT_BYTES, SHM_PREFIX,
-                             TASK_TIMEOUT_ENV)
+from repro.flow.pool import MAX_REISSUES, TASK_TIMEOUT_ENV
 from repro.sim import get_backend
 from repro.testing import faults
 from repro.timing import DEFAULT_LIBRARY, OperatingCondition
+from repro.timing.cells import CellLibrary
 from repro.workloads import random_stream
 
 CONDS = [OperatingCondition(0.81, 0.0), OperatingCondition(1.00, 100.0)]
@@ -40,31 +38,31 @@ def _pool_children():
 
 
 def _shm_segments():
-    return glob.glob(f"/dev/shm/{SHM_PREFIX}*")
+    return glob.glob("/dev/shm/repro_pool_*")
 
 
 @pytest.fixture(autouse=True)
 def no_leaks():
-    """Every test must leave zero pool workers and zero segments."""
+    """Every test must leave zero pool workers, and the pool must never
+    leave a shared-memory segment behind."""
     yield
     assert _pool_children() == []
     assert _shm_segments() == []
 
 
 def _prog(fu, stream, backend="compiled", conds=CONDS):
-    inputs = stream.bit_matrix(fu)
-    delay_matrix = DEFAULT_LIBRARY.delay_matrix(fu.netlist, list(conds))
     blob = pickle.dumps(fu.netlist)
     return JobProgram(netlist=fu.netlist,
                       netlist_key=hashlib.sha1(blob).hexdigest(),
-                      inputs=inputs, delay_matrix=delay_matrix,
-                      backend=backend,
+                      inputs=stream.bit_matrix(fu), library=DEFAULT_LIBRARY,
+                      conditions=list(conds), backend=backend,
                       netlist_bytes=blob)
 
 
 def _reference(prog):
+    delay_matrix = prog.library.delay_matrix(prog.netlist, prog.conditions)
     return get_backend(prog.backend).run_delays(
-        prog.netlist, prog.inputs, prog.delay_matrix).delays
+        prog.netlist, prog.inputs, delay_matrix).delays
 
 
 def _whole(prog):
@@ -77,61 +75,21 @@ def _halves(prog):
             (0, prog.n_corners, mid, prog.n_cycles)]
 
 
-def _result_bytes(prog):
-    return prog.n_corners * prog.n_cycles * 4
-
-
-@pytest.fixture
-def created_segments(monkeypatch):
-    """Sizes of the shared-memory segments the pool creates (result
-    segments are exactly ``n_corners * n_cycles * 4`` bytes)."""
-    sizes = []
-
-    class Recording(shared_memory.SharedMemory):
-        def __init__(self, name=None, create=False, size=0):
-            super().__init__(name=name, create=create, size=size)
-            if create:
-                sizes.append(size)
-
-    monkeypatch.setattr(pool_module.shared_memory, "SharedMemory",
-                        Recording)
-    return sizes
-
-
 class TestWorkerPool:
-    def test_shm_and_pickle_paths_byte_identical(self, created_segments):
-        # big job crosses SHM_MIN_RESULT_BYTES (2 corners x 9000 cycles
-        # x 4 B = 72 KB) and returns through a result segment, small job
-        # stays on the pickle return path — both must match the inline
-        # reference exactly
+    def test_big_and_small_jobs_byte_identical(self):
+        # a 9000-cycle job split in halves and a 40-cycle job in one
+        # shard, in one batch: both must match the inline reference
         fu = build_functional_unit("int_add", width=8)
         big = _prog(fu, random_stream(9000, operand_width=8, seed=0))
         small = _prog(fu, random_stream(40, operand_width=8, seed=1))
-        assert _result_bytes(big) >= SHM_MIN_RESULT_BYTES
-        assert _result_bytes(small) < SHM_MIN_RESULT_BYTES
         with WorkerPool(2) as pool:
             tasks = ([("big", s) for s in _halves(big)]
                      + [("small", _whole(small))])
             res = pool.run_tasks({"big": big, "small": small}, tasks)
-        if pool.use_shm:  # a host without usable shm must still be correct
-            assert _result_bytes(big) in created_segments
-        assert _result_bytes(small) not in created_segments
         np.testing.assert_array_equal(res.job_delays["big"],
                                       _reference(big))
         np.testing.assert_array_equal(res.job_delays["small"],
                                       _reference(small))
-
-    def test_no_shm_env_forces_pickle(self, monkeypatch, created_segments):
-        monkeypatch.setenv("REPRO_POOL_NO_SHM", "1")
-        fu = build_functional_unit("int_add", width=8)
-        prog = _prog(fu, random_stream(9000, operand_width=8, seed=2))
-        with WorkerPool(2) as pool:
-            assert not pool.use_shm
-            res = pool.run_tasks({"j": prog},
-                                 [("j", s) for s in _halves(prog)])
-        assert created_segments == []
-        np.testing.assert_array_equal(res.job_delays["j"],
-                                      _reference(prog))
 
     def test_single_cycle_stream_and_single_corner(self):
         fu = build_functional_unit("int_add", width=8)
@@ -205,8 +163,6 @@ class TestWorkerPool:
         assert len(list(state.iterdir())) == 1  # exactly one worker died
 
     def test_on_result_callback_sees_every_shard(self):
-        # both return transports: "big" crosses the shm threshold (the
-        # callback gets a live segment view), "small" returns pickled
         fu = build_functional_unit("int_add", width=8)
         big = _prog(fu, random_stream(9000, operand_width=8, seed=14))
         small = _prog(fu, random_stream(40, operand_width=8, seed=15))
@@ -227,6 +183,19 @@ class TestWorkerPool:
             assert (key, shard) == (tasks[idx][0], tuple(tasks[idx][1]))
             c0, c1, t0, t1 = shard
             np.testing.assert_array_equal(delays, refs[key][c0:c1, t0:t1])
+
+    def test_library_error_fails_the_task_not_the_worker(self):
+        # a library without timing for the netlist's cells raises while
+        # the worker builds the delay matrix: the error comes back as a
+        # task failure, not as a crash-and-reissue loop
+        fu = build_functional_unit("int_add", width=8)
+        prog = _prog(fu, random_stream(40, operand_width=8, seed=18))
+        prog.library = CellLibrary(timings={})
+        with WorkerPool(1) as pool:
+            with pytest.raises(RuntimeError,
+                               match="no timing for cell type"):
+                pool.run_tasks({"j": prog}, [("j", _whole(prog))])
+            assert pool.n_alive() == 1
 
     def test_on_result_exception_aborts_batch(self):
         fu = build_functional_unit("int_add", width=8)
@@ -311,12 +280,6 @@ class TestPersistentRunner:
         inline = self._trace(n_workers=1, shard_cycles=64)
         np.testing.assert_array_equal(pooled.delays, ref.delays)
         np.testing.assert_array_equal(inline.delays, ref.delays)
-
-    def test_pool_no_shm_matches(self, monkeypatch):
-        ref = self._trace(n_workers=1)
-        monkeypatch.setenv("REPRO_POOL_NO_SHM", "1")
-        pooled = self._trace(n_workers=2, shard_cycles=64)
-        np.testing.assert_array_equal(pooled.delays, ref.delays)
 
     def test_event_backend_corner_shards_through_pool(self):
         fu = build_functional_unit("int_add", width=8)

@@ -370,6 +370,19 @@ class TestRawTransport:
             with pytest.raises(ServeError, match="no predictions list"):
                 client.predict_many([_request()])
 
+    @pytest.mark.parametrize(
+        "body", [b"{}", b'{"models": null}', b'{"models": {}}'])
+    def test_models_reply_without_models_raises_serve_error(self, body):
+        """A 2xx ``/models`` reply without a ``models`` list is a
+        ServeError carrying the status, not a KeyError."""
+        (host, port), _ = _one_shot_server([
+            b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n"
+            b"Content-Length: %d\r\n\r\n" % len(body) + body])
+        with ServeClient(host, port, retries=0, timeout=5.0) as client:
+            with pytest.raises(ServeError, match="no models list") as err:
+                client.models()
+        assert err.value.status == 200
+
 
 class TestBodyHygiene:
     """A reply sent before the request body was read must close the
