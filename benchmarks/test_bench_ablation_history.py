@@ -34,14 +34,13 @@ def _determinism_experiment(trained_models):
     fixed_prev = np.array(fu.encode_inputs(0x0F0F0F0F, 0x33CC33CC),
                           dtype=np.uint8)
     fixed_rows = np.stack([fixed_prev, curr] * 50)
-    fixed = sim.run(fixed_rows, delays).delays[0, ::2]
+    fixed = sim.run(fixed_rows, delays)[0, ::2]
 
     varied = []
     for _ in range(50):
         a, b = rng.integers(0, 2**32, 2, dtype=np.uint64)
         prev = np.array(fu.encode_inputs(int(a), int(b)), dtype=np.uint8)
-        varied.append(float(sim.run(np.stack([prev, curr]),
-                                    delays).delays[0, 0]))
+        varied.append(float(sim.run(np.stack([prev, curr]), delays)[0, 0]))
     return fixed, np.array(varied)
 
 

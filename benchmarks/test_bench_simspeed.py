@@ -6,8 +6,8 @@ the perf trajectory of the simulation substrate:
 
 * **kernel table** — cycles/sec of the per-gate reference engine
   (:class:`~repro.sim.levelized.LevelizedSimulator`, rebuilt per call
-  exactly as the ``levelized_ref`` backend does) against the compiled
-  level-parallel backend, per FU and corner count, with a bit-identity
+  exactly as the ``levelized_ref`` engine does) against the compiled
+  level-parallel engine, per FU and corner count, with a bit-identity
   check on every measured run.  Floor: the compiled engine must clear
   ``MIN_KERNEL_SPEEDUP`` over the per-gate engine on the ``FLOOR_FU``
   at one corner.
@@ -43,7 +43,7 @@ import pytest
 from conftest import format_table, record_report
 from repro.circuits import build_functional_unit
 from repro.flow import CampaignJob, CampaignRunner
-from repro.sim import get_backend
+from repro.sim import compile_netlist, run_delays
 from repro.sim.levelized import LevelizedSimulator
 from repro.timing import DEFAULT_LIBRARY, OperatingCondition
 from repro.workloads import stream_for_unit
@@ -170,10 +170,10 @@ def _measure_kernels():
             dm = DEFAULT_LIBRARY.delay_matrix(fu.netlist, conditions)
 
             ref_run = (lambda: _per_gate(fu.netlist, inputs, dm))
-            comp_run = (lambda: get_backend("compiled").run_delays(
-                fu.netlist, inputs, dm))
+            comp_run = (lambda: run_delays("compiled", fu.netlist,
+                                           inputs, dm))
             np.testing.assert_array_equal(
-                comp_run().delays, ref_run().delays,
+                comp_run(), ref_run(),
                 err_msg=f"{fu_name}/{n_corners}-corner delay parity")
             per_gate, compiled = _time_pair(ref_run, comp_run)
             measured = {"levelized (per-gate)": per_gate,
@@ -211,10 +211,9 @@ def _measure_corner_scaling():
         dm = DEFAULT_LIBRARY.delay_matrix(fu.netlist, conditions)
         ref_run = (lambda dm=dm: _per_gate(fu.netlist, inputs, dm))
         comp_run = (lambda dm=dm:
-                    get_backend("compiled").run_delays(fu.netlist,
-                                                       inputs, dm))
+                    run_delays("compiled", fu.netlist, inputs, dm))
         np.testing.assert_array_equal(
-            comp_run().delays, ref_run().delays,
+            comp_run(), ref_run(),
             err_msg=f"{FLOOR_FU}/{n_corners}-corner delay parity")
         t_ref, t_comp = _time_pair(ref_run, comp_run)
         ratio = t_ref / t_comp
@@ -242,8 +241,7 @@ def _measure_values():
             ("levelized (per-gate)",
              lambda: LevelizedSimulator(fu.netlist).run_values(inputs)),
             ("compiled",
-             lambda: get_backend("compiled").run_values(fu.netlist,
-                                                        inputs)),
+             lambda: compile_netlist(fu.netlist).run_values(inputs)),
         ):
             np.testing.assert_array_equal(run(), reference,
                                           err_msg=f"{fu_name}/{label}")

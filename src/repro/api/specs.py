@@ -47,7 +47,7 @@ from typing import (
 
 from ..circuits.functional_units import available_units
 from ..flow.manifest import stable_fingerprint
-from ..sim.engine import DEFAULT_BACKEND, available_backends
+from ..sim.engine import DEFAULT_BACKEND, check_engine
 from ..timing.corners import (
     CLOCK_SPEEDUPS,
     OperatingCondition,
@@ -393,10 +393,11 @@ class StreamSpec(Spec):
 class SimSpec(Spec):
     """Simulation-engine selection.
 
-    ``backend`` is a registry name: ``compiled`` (the default),
+    ``backend`` names one of the three engines in
+    :data:`repro.sim.engine.ENGINES`: ``compiled`` (the default),
     ``levelized_ref`` (the per-gate reference — delay-bit-identical but
     orders of magnitude slower, for end-to-end audits of the compiled
-    kernels) or ``event`` (glitch-aware).  Every backend sizes its own
+    kernels) or ``event`` (glitch-aware).  Every engine sizes its own
     working set and runs single-threaded.
     """
 
@@ -406,10 +407,10 @@ class SimSpec(Spec):
 
     def __post_init__(self) -> None:
         _require_str("backend", self.backend)
-        if self.backend not in available_backends():
-            raise SpecError(
-                f"unknown sim backend {self.backend!r}; available: "
-                f"{', '.join(available_backends())}")
+        try:
+            check_engine(self.backend)
+        except ValueError as exc:
+            raise SpecError(str(exc)) from None
 
 
 @dataclass(frozen=True)

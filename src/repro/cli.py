@@ -47,7 +47,7 @@ from .api import (
 from .circuits import PAPER_UNITS
 from .core import load_model
 from .flow import TraceStore, implement
-from .sim import available_backends
+from .sim import ENGINES
 
 _CONFIG_HELP = ("declarative spec file (.toml or .json); individual "
                 "flags override single fields of it")
@@ -93,9 +93,8 @@ def _add_stream_args(parser: argparse.ArgumentParser) -> None:
 
 def _add_sim_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--backend", default=None,
-                        choices=available_backends(),
-                        help="simulation backend (choices list the "
-                             "registered names)")
+                        help="simulation engine: "
+                             f"{', '.join(ENGINES)}")
 
 
 def _add_shard_args(parser: argparse.ArgumentParser) -> None:

@@ -119,23 +119,11 @@ def build_training_set(stream: OperandStream,
             f"delays has {delays.shape[1]} cycles, stream has "
             f"{stream.n_cycles}")
 
-    bits = stream_bits(stream, spec.operand_width)
-    current = bits[1:]
-    history = bits[:-1] if spec.include_history else None
-
-    blocks = []
-    targets = []
+    n = stream.n_cycles
+    X = np.empty((len(conditions) * n, spec.n_features), dtype=np.float32)
     for k, condition in enumerate(conditions):
-        parts = [current]
-        if history is not None:
-            parts.append(history)
-        n = current.shape[0]
-        parts.append(np.full((n, 1), condition.voltage, dtype=np.float32))
-        parts.append(np.full((n, 1), condition.temperature, dtype=np.float32))
-        blocks.append(np.concatenate(parts, axis=1))
-        targets.append(delays[k].astype(np.float32))
-    X = np.concatenate(blocks, axis=0)
-    y = np.concatenate(targets)
+        X[k * n:(k + 1) * n] = build_feature_matrix(stream, condition, spec)
+    y = delays.astype(np.float32).reshape(-1)
 
     if max_rows is not None and X.shape[0] > max_rows:
         rng = np.random.default_rng(seed)

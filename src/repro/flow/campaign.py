@@ -1,6 +1,6 @@
 """DTA campaigns: characterize FUs across workloads and corners.
 
-A campaign runs a simulation backend over operand streams at many
+A campaign runs a simulation engine over operand streams at many
 operating conditions, yielding the delay matrices that feed training,
 baselines, and every bench.  The unit of work is a
 :class:`CampaignJob` — one (FU, stream, corner-grid, library) tuple —
@@ -24,8 +24,8 @@ and a :class:`CampaignRunner` executes a batch of jobs:
   grid;
 * completed shards of multi-shard jobs are journaled through the
   store, so a killed campaign's rerun resumes where it stopped;
-* the simulation backend is pluggable
-  (:func:`repro.sim.engine.get_backend`); the default is the compiled
+* the engine is one of the three names in
+  :data:`repro.sim.engine.ENGINES`; the default is the compiled
   level-parallel engine, ``levelized_ref`` re-runs the same DTA on the
   per-gate reference loop (bit-identical delays, for audits), and
   ``event`` adds glitches.
@@ -48,7 +48,12 @@ import numpy as np
 
 from ..circuits.functional_units import FunctionalUnit
 from ..sim.dta import DelayTrace
-from ..sim.engine import DEFAULT_BACKEND, get_backend
+from ..sim.engine import (
+    CYCLE_SHARDABLE,
+    DEFAULT_BACKEND,
+    check_engine,
+    delay_model,
+)
 from ..timing.cells import CellLibrary, DEFAULT_LIBRARY
 from ..timing.corners import OperatingCondition
 from ..workloads.streams import OperandStream
@@ -94,8 +99,7 @@ def plan_shards(n_cycles: int, n_corners: int = 1, *,
                 shard_cycles: Optional[int] = None,
                 shard_corners: Optional[int] = None,
                 n_workers: int = 1,
-                cycle_shardable: bool = True,
-                corner_shardable: bool = True) -> List[Shard]:
+                cycle_shardable: bool = True) -> List[Shard]:
     """Plan a 2-D corner × cycle shard grid for one job.
 
     Each shard ``(c0, c1, t0, t1)`` covers corners ``c0 .. c1-1`` of
@@ -113,8 +117,8 @@ def plan_shards(n_cycles: int, n_corners: int = 1, *,
     preferred (corner shards repeat the corner-independent settled-value
     pass), never go below :data:`MIN_SHARD_CYCLES`, and short streams
     fall back to corner splits so wide grids still saturate the pool.
-    ``cycle_shardable``/``corner_shardable`` pin the respective axis
-    to a single span (backend capability gates).
+    ``cycle_shardable=False`` pins the cycle axis to a single span (for
+    engines outside :data:`~repro.sim.engine.CYCLE_SHARDABLE`).
     """
     if n_cycles < 1:
         raise ValueError("n_cycles must be >= 1")
@@ -126,8 +130,6 @@ def plan_shards(n_cycles: int, n_corners: int = 1, *,
         raise ValueError("shard_corners must be >= 1")
     if not cycle_shardable:
         shard_cycles = None
-    if not corner_shardable:
-        shard_corners = None
 
     if shard_cycles is not None or shard_corners is not None:
         pitch_t = shard_cycles if shard_cycles is not None else n_cycles
@@ -149,7 +151,7 @@ def plan_shards(n_cycles: int, n_corners: int = 1, *,
     else:
         cycle_bounds = [(0, n_cycles)]
     corner_splits = 1
-    if corner_shardable and len(cycle_bounds) < 2 * n_workers:
+    if len(cycle_bounds) < 2 * n_workers:
         corner_splits = min(n_corners,
                             -(-2 * n_workers // len(cycle_bounds)))
     return [(c0, c1, t0, t1)
@@ -246,8 +248,7 @@ class CampaignRunner:
     Parameters
     ----------
     backend:
-        Simulation-backend name (see
-        :func:`repro.sim.engine.available_backends`).
+        Engine name, one of :data:`repro.sim.engine.ENGINES`.
     store:
         A :class:`TraceStore`, a directory path for one, or None for
         the default cache directory.  Ignored when ``use_cache`` is
@@ -261,9 +262,9 @@ class CampaignRunner:
     use_cache:
         Disable all persistence when False.
     shard_cycles / shard_corners:
-        Explicit shard-grid pitch along the cycle / corner axis, on
-        backends whose capability flags allow it (see
-        :class:`~repro.sim.engine.SimBackend`).  None (default) sizes
+        Explicit shard-grid pitch along the cycle / corner axis (the
+        cycle pitch only on engines in
+        :data:`~repro.sim.engine.CYCLE_SHARDABLE`).  None (default) sizes
         the grid from the job and ``n_workers`` (:func:`plan_shards`).
         Results are bit-identical for every shard shape and worker
         count.
@@ -293,8 +294,8 @@ class CampaignRunner:
             raise ValueError("shard_cycles must be >= 1")
         if shard_corners is not None and shard_corners < 1:
             raise ValueError("shard_corners must be >= 1")
-        self.backend_name = backend
-        self.backend = get_backend(backend)
+        check_engine(backend)
+        self.backend = backend
         if not use_cache:
             self.store = None
         elif store is None or isinstance(store, (str, Path)):
@@ -335,15 +336,15 @@ class CampaignRunner:
         self.close()
 
     def _plan_job(self, n_cycles: int, n_corners: int) -> List[Shard]:
-        """Shard plan for one job, honoring backend capabilities."""
+        """Shard plan for one job on this runner's engine."""
         return plan_shards(
             n_cycles, n_corners,
             shard_cycles=self.shard_cycles,
-            shard_corners=self.shard_corners,
+            # a one-corner job has no corner axis to pin; an explicit
+            # corner pitch leaves it to the automatic cycle planner
+            shard_corners=self.shard_corners if n_corners > 1 else None,
             n_workers=self.n_workers,
-            cycle_shardable=self.backend.supports_cycle_sharding,
-            corner_shardable=(self.backend.supports_corner_sharding
-                              and n_corners > 1))
+            cycle_shardable=self.backend in CYCLE_SHARDABLE)
 
     def run(self, jobs: Sequence[CampaignJob]) -> List[DelayTrace]:
         """Execute a batch of jobs, in order, returning their traces.
@@ -356,7 +357,7 @@ class CampaignRunner:
         corner rows.
         """
         jobs = list(jobs)
-        delay_model = self.backend.delay_model
+        model = delay_model(self.backend)
         results: List[Optional[DelayTrace]] = [None] * len(jobs)
         pending: List[Tuple[int, CampaignJob, str, np.ndarray]] = []
         self.stats = CampaignStats()
@@ -365,7 +366,7 @@ class CampaignRunner:
             if not job.conditions:
                 raise ValueError("need at least one operating condition")
             inputs = job.stream.bit_matrix(job.fu)
-            key = job.key(delay_model)
+            key = job.key(model)
             if self.store is not None:
                 cached = self.store.get(key, list(job.conditions),
                                         inputs=inputs)
@@ -396,7 +397,7 @@ class CampaignRunner:
             for pos, (i, job, key, inputs) in enumerate(pending):
                 n_cycles, n_corners = grids[pos]
                 state = self.store.load_journal(
-                    key, backend=self.backend_name,
+                    key, backend=self.backend,
                     n_corners=n_corners, n_cycles=n_cycles)
                 if state is not None:
                     plans[pos], done_parts[pos] = state
@@ -427,7 +428,7 @@ class CampaignRunner:
             try:
                 self.store.record_journal_shard(
                     pending[pos][2], plan=plans[pos], shard=shard,
-                    delays=delays, backend=self.backend_name,
+                    delays=delays, backend=self.backend,
                     n_corners=n_corners_, n_cycles=n_cycles_)
             except StoreLockTimeout:
                 pass  # progress not saved; the run itself continues
@@ -451,8 +452,8 @@ class CampaignRunner:
                 self.store.put(key, trace, fu_name=job.fu.name,
                                stream_name=job.stream.name,
                                library=job.library,
-                               delay_model=delay_model,
-                               backend=self.backend_name)
+                               delay_model=model,
+                               backend=self.backend)
                 if checkpointing and (pos in journal_pos
                                       or done_parts[pos]):
                     self.store.clear_journal(key)
@@ -483,7 +484,7 @@ class CampaignRunner:
             _, job, _, inputs = pending[pos]
             delays, secs = simulate_shard(
                 job.fu.netlist, inputs, delay_matrices[pos],
-                self.backend_name, shard)
+                self.backend, shard)
             c0, c1, t0, t1 = shard
             matrices[pos][c0:c1, t0:t1] = delays
             shard_done(pos, shard, delays, secs, None, None)
@@ -514,13 +515,13 @@ class CampaignRunner:
                 cached = (hashlib.sha1(blob).hexdigest(), blob)
                 nl_cache[id(netlist)] = cached
             nl_key, nl_bytes = cached
-            job_key = f"{key}:{self.backend_name}"
+            job_key = f"{key}:{self.backend}"
             pos_key.append(job_key)
             if job_key not in progs:  # duplicate jobs share one program
                 progs[job_key] = JobProgram(
                     netlist=netlist, netlist_key=nl_key, inputs=inputs,
                     library=job.library, conditions=list(job.conditions),
-                    backend=self.backend_name, netlist_bytes=nl_bytes)
+                    backend=self.backend, netlist_bytes=nl_bytes)
 
         # longest-processing-time-first dispatch order
         order = sorted(tasks, key=lambda t: -((t[1][1] - t[1][0])

@@ -39,13 +39,18 @@ lowering of the program:
   through the same path a crashed worker's would be
   (:func:`kill_worker`).
 
-The pool is deliberately backend-agnostic: a task runs
-``get_backend(name).run_delays`` single-threaded on the registered
-payload slice (parallelism comes from the workers alone), so
-every capability-gated backend (including the event engine's
-corner-only sharding) works unchanged.  Fork-started workers also
-inherit any programs already compiled in the parent, making the first
-shard of a parent-warm netlist warm too.
+* **Worker errors keep their type.**  A shard that raises in a worker
+  re-raises the same exception in the parent, with the worker's
+  traceback attached as a note, so a bad input fails the same way on
+  the pool as inline.  Only an exception that does not survive
+  pickling arrives as a ``RuntimeError`` carrying the traceback.
+
+A task runs :func:`repro.sim.engine.run_delays` single-threaded on the
+registered job's slice (parallelism comes from the workers alone), so
+all three engines, including the event engine's corner-only
+sharding, run on it unchanged.  Fork-started workers also inherit any
+programs already compiled in the parent, making the first shard of a
+parent-warm netlist warm too.
 """
 
 from __future__ import annotations
@@ -60,11 +65,11 @@ import weakref
 from collections import OrderedDict, deque
 from dataclasses import dataclass
 from multiprocessing import connection, get_context
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..sim.engine import get_backend
+from ..sim.engine import run_delays
 from ..testing import faults
 
 __all__ = [
@@ -200,14 +205,28 @@ def _pool_worker_main(conn) -> None:
                 try:
                     result = _run_shard(netlists, warm_keys, jobs,
                                         job_key, shard)
+                except BaseException as exc:
+                    conn.send(("err", task_id, _portable_error(exc)))
+                else:
                     conn.send(("done", task_id) + result)
-                except BaseException:
-                    conn.send(("err", task_id, traceback.format_exc()))
     finally:
         try:
             conn.close()
         except OSError:
             pass
+
+
+def _portable_error(exc: BaseException) -> Union[BaseException, str]:
+    """``exc`` with the worker's traceback attached as a note, or the
+    traceback text alone when ``exc`` does not survive a pickle round
+    trip (the parent then raises a ``RuntimeError`` carrying it)."""
+    tb = traceback.format_exc()
+    exc.add_note("raised in a campaign pool worker:\n" + tb)
+    try:
+        pickle.loads(pickle.dumps(exc, protocol=pickle.HIGHEST_PROTOCOL))
+    except Exception:
+        return tb
+    return exc
 
 
 def simulate_shard(netlist, inputs: np.ndarray, delay_matrix: np.ndarray,
@@ -224,8 +243,8 @@ def simulate_shard(netlist, inputs: np.ndarray, delay_matrix: np.ndarray,
     """
     c0, c1, t0, t1 = shard
     start = time.perf_counter()
-    delays = get_backend(backend).run_delays(
-        netlist, inputs[t0:t1 + 1], delay_matrix[c0:c1]).delays
+    delays = run_delays(backend, netlist, inputs[t0:t1 + 1],
+                        delay_matrix[c0:c1])
     return delays, time.perf_counter() - start
 
 
@@ -441,6 +460,11 @@ class WorkerPool:
         journals finished shards through it.  ``delays`` is a view of
         the shard's region in the job's matrix.  Callback exceptions
         propagate and abort the batch.
+
+        A task that raises in its worker re-raises the worker's
+        exception here (a ``RuntimeError`` carrying the traceback when
+        it does not pickle); a task that keeps killing or hanging its
+        worker raises ``RuntimeError``.
         """
         if self.closed:
             raise RuntimeError("WorkerPool is closed")
@@ -457,7 +481,8 @@ class WorkerPool:
         results: List[Optional[TaskResult]] = [None] * len(tasks)
         pending = deque(range(len(tasks)))
         reissues: Dict[int, int] = {}
-        error: Optional[str] = None
+        # a worker's own exception, or the text of a RuntimeError
+        error: Union[BaseException, str, None] = None
 
         def fail(idx: int, why: str) -> Optional[int]:
             """Requeue a task whose worker died, or give up."""
@@ -550,10 +575,12 @@ class WorkerPool:
                     if on_result is not None:
                         on_result(idx, results[idx], region)
                 elif msg[0] == "err":
-                    _, idx, tb = msg
+                    _, idx, failure = msg
                     w.current = None
                     if error is None:
-                        error = tb
+                        error = failure
+        if isinstance(error, BaseException):
+            raise error
         if error is not None:
             raise RuntimeError(f"worker pool task failed: {error}")
         return PoolRunResult(job_delays, results)  # type: ignore[arg-type]

@@ -1,53 +1,45 @@
-"""Simulation substrate: the engine registry over one compiled DTA
-engine, its per-gate reference, and the glitch-aware event-driven
-simulator, plus VCD and DTA."""
+"""Simulation substrate: three fixed engines behind one dispatch
+(:func:`run_delays`) — the compiled DTA engine, its per-gate
+reference, and the glitch-aware event-driven simulator — plus VCD and
+DTA."""
 
-from .compile import (
-    CompiledBackend,
-    CompiledNetlist,
-    compile_netlist,
-)
+from .compile import CompiledNetlist, compile_netlist
 from .dta import (
     DelayTrace,
     delays_via_vcd,
-    dynamic_delay_trace,
     timing_error_labels,
     timing_error_rate,
 )
 from .engine import (
+    CYCLE_SHARDABLE,
     DEFAULT_BACKEND,
-    DelayTraceResult,
-    SimBackend,
-    available_backends,
-    get_backend,
-    register_backend,
+    ENGINES,
+    check_engine,
+    delay_model,
+    run_delays,
 )
-from .eventsim import EventBackend, EventDrivenSimulator, EventTraceResult
-from .levelized import LevelizedSimulator, ReferenceLevelizedBackend
+from .eventsim import EventDrivenSimulator, EventTraceResult
+from .levelized import LevelizedSimulator
 from .vcd import VCDData, VCDWriter, delays_from_vcd, read_vcd
 
 __all__ = [
-    "CompiledBackend",
+    "CYCLE_SHARDABLE",
     "CompiledNetlist",
     "DEFAULT_BACKEND",
     "DelayTrace",
-    "DelayTraceResult",
-    "EventBackend",
+    "ENGINES",
     "EventDrivenSimulator",
     "EventTraceResult",
     "LevelizedSimulator",
-    "ReferenceLevelizedBackend",
-    "SimBackend",
     "VCDData",
     "VCDWriter",
-    "available_backends",
+    "check_engine",
     "compile_netlist",
+    "delay_model",
     "delays_from_vcd",
     "delays_via_vcd",
-    "dynamic_delay_trace",
-    "get_backend",
     "read_vcd",
-    "register_backend",
+    "run_delays",
     "timing_error_labels",
     "timing_error_rate",
 ]

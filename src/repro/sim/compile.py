@@ -61,7 +61,7 @@ the same order (``max`` over fanins in pin order, add the gate delay,
 add the ``+0.0`` toggle mask), and quiet-cycle values — which the
 per-gate engine pins to ``-inf`` and these kernels hold at huge
 negative sentinels — never reach a toggling cycle's delay (see
-:meth:`CompiledNetlist._arrival_chunk`).  The backend parity tests
+:meth:`CompiledNetlist._arrival_chunk`).  The engine parity tests
 assert this against the ``levelized_ref`` reference path.
 
 Programs are cached per netlist identity (a ``weakref``-evicted map),
@@ -78,7 +78,6 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from ..circuits.netlist import GATE_ARITY, GateType, Netlist
-from .engine import DelayTraceResult, SimBackend
 
 NEG_INF = np.float32(-np.inf)
 _ZERO = np.float32(0.0)
@@ -580,14 +579,6 @@ class CompiledNetlist:
                 seg += dtile
                 seg += quiet[st.start:st.stop][:, None, :]
 
-    def _settled_outputs(self, values: np.ndarray,
-                         n_rows: int) -> np.ndarray:
-        """Primary-output values, ``(n_rows, n_outputs)`` uint8."""
-        po_vals = np.unpackbits(
-            np.ascontiguousarray(values[self.po_rows]).view(np.uint8),
-            axis=1, count=n_rows, bitorder="little")
-        return np.ascontiguousarray(po_vals.T)
-
     # -- public API --------------------------------------------------------
 
     def default_chunk_cycles(self, n_corners: int) -> int:
@@ -605,11 +596,10 @@ class CompiledNetlist:
         return int(min(1024, max(128, (chunk // 64) * 64)))
 
     def run(self, input_matrix: np.ndarray, gate_delays: np.ndarray,
-            collect_outputs: bool = False,
-            chunk_cycles: Optional[int] = None) -> DelayTraceResult:
+            chunk_cycles: Optional[int] = None) -> np.ndarray:
         """Simulate a stream of input vectors across corners.
 
-        Same contract (and bit-identical delays/outputs) as
+        Same contract (and bit-identical delays) as
         :meth:`repro.sim.levelized.LevelizedSimulator.run`; chunk
         boundaries never affect results because cycle ``t`` only reads
         input rows ``t`` and ``t+1``.  ``chunk_cycles`` defaults to
@@ -640,8 +630,6 @@ class CompiledNetlist:
             chunk_cycles = self.default_chunk_cycles(n_corners)
         chunk_cycles = min(chunk_cycles, n_cycles)
         out_delays = np.zeros((n_corners, n_cycles), dtype=np.float32)
-        out_values = (np.zeros((n_cycles, self.n_outputs), dtype=np.uint8)
-                      if collect_outputs else None)
 
         # per-run hoists: the arrival plan (delay tiles + fanin slices)
         # is chunk-invariant, and the primary inputs are packed once
@@ -684,11 +672,8 @@ class CompiledNetlist:
                 arr = arr_buf[:, :, :chunk_rows - 1]
                 worst = arr[self.po_rows].max(axis=0)
                 out_delays[:, start:stop] = np.maximum(worst, _ZERO)
-            if collect_outputs:
-                out_values[start:stop] = self._settled_outputs(
-                    values, chunk_rows)[1:]
             start = stop
-        return DelayTraceResult(out_delays, out_values)
+        return out_delays
 
     def run_values(self, input_matrix: np.ndarray) -> np.ndarray:
         """Settled output values only: ``(n_rows, n_outputs)`` uint8."""
@@ -696,7 +681,10 @@ class CompiledNetlist:
         if inputs.ndim != 2 or inputs.shape[1] != self.n_inputs:
             raise ValueError("bad input matrix shape")
         values = self.settled_net_values(inputs, live_only=True)
-        return self._settled_outputs(values, inputs.shape[0])
+        po_vals = np.unpackbits(
+            np.ascontiguousarray(values[self.po_rows]).view(np.uint8),
+            axis=1, count=inputs.shape[0], bitorder="little")
+        return np.ascontiguousarray(po_vals.T)
 
 
 #: id(netlist) -> (weakref to netlist, program); evicted when the
@@ -725,27 +713,3 @@ def compile_netlist(netlist: Netlist) -> CompiledNetlist:
     _PROGRAM_CACHE[key] = (ref, program)
     return program
 
-
-class CompiledBackend(SimBackend):
-    """Level-parallel compiled engine behind the engine protocol.
-
-    The one fast DTA engine: packed uint64 value substrate plus the
-    level-parallel arrival kernel, with the compiled program cached per
-    netlist.  Delays are bit-identical to the per-gate
-    ``levelized_ref`` reference.
-    """
-
-    name = "compiled"
-    supports_cycle_sharding = True
-    supports_corner_sharding = True
-    models_glitches = False
-
-    def run_delays(self, netlist: Netlist, input_matrix: np.ndarray,
-                   gate_delays: np.ndarray,
-                   collect_outputs: bool = False) -> DelayTraceResult:
-        return compile_netlist(netlist).run(
-            input_matrix, gate_delays, collect_outputs=collect_outputs)
-
-    def run_values(self, netlist: Netlist,
-                   input_matrix: np.ndarray) -> np.ndarray:
-        return compile_netlist(netlist).run_values(input_matrix)

@@ -2,28 +2,25 @@
 
 Ties the simulators to the paper's quantities: a :class:`DelayTrace`
 holds the per-cycle dynamic delay ``D[t]`` of an FU at one or more
-operating conditions; :func:`timing_error_labels` turns delays into the
-paper's two classes (``D[t] > tclk`` = timing erroneous), and
-:func:`dynamic_delay_trace` is the one-call front end used by the
-campaigns and benches.
+operating conditions, and :func:`timing_error_labels` turns delays into
+the paper's two classes (``D[t] > tclk`` = timing erroneous).
 
-The delays come from the graph-based DTA the paper cites as [3], run
-on the ``compiled`` engine by default; ``levelized_ref`` (the per-gate
-reference, bit-identical) and ``event`` (glitch-aware, VCD dumps)
-serve audits and the file-based pipeline.
+Campaigns (:mod:`repro.flow.campaign`) produce the traces with the
+graph-based DTA the paper cites as [3], on the ``compiled`` engine by
+default; :func:`delays_via_vcd` is the paper's file-based pipeline
+(event-driven simulation, VCD dump, VCD parse).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Union
+from typing import List, Optional
 
 import numpy as np
 
 from ..circuits.netlist import Netlist
 from ..timing.cells import CellLibrary, DEFAULT_LIBRARY
 from ..timing.corners import OperatingCondition
-from .engine import DEFAULT_BACKEND, get_backend
 from .eventsim import EventDrivenSimulator
 from .vcd import delays_from_vcd, read_vcd
 
@@ -51,11 +48,6 @@ class DelayTrace:
     def n_cycles(self) -> int:
         return self.delays.shape[1]
 
-    def for_condition(self, condition: OperatingCondition) -> np.ndarray:
-        """Delay vector for one condition."""
-        idx = self.conditions.index(condition)
-        return self.delays[idx]
-
     def average_delay(self) -> np.ndarray:
         """Mean dynamic delay per condition — the Fig. 3 quantity."""
         return self.delays.mean(axis=1)
@@ -81,58 +73,6 @@ def timing_error_rate(delays: np.ndarray, clock_period: float) -> float:
     """Fraction of erroneous cycles (the TER of the TER-based model)."""
     labels = timing_error_labels(delays, clock_period)
     return float(labels.mean())
-
-
-def dynamic_delay_trace(netlist: Netlist,
-                        input_matrix: np.ndarray,
-                        conditions: Union[OperatingCondition,
-                                          Sequence[OperatingCondition]],
-                        library: CellLibrary = DEFAULT_LIBRARY,
-                        engine: str = DEFAULT_BACKEND,
-                        vcd_path=None) -> DelayTrace:
-    """Run DTA for an input stream at one or more conditions.
-
-    Parameters
-    ----------
-    netlist:
-        FU combinational core.
-    input_matrix:
-        ``(n_cycles + 1, n_inputs)`` uint8; row 0 = initial state.
-    conditions:
-        One condition or a sequence (the DTA engines vectorize over
-        them; the event engine loops).
-    engine:
-        Any name registered with the simulation-engine layer
-        (``"compiled"``, ``"levelized_ref"``, ``"event"``, ...);
-        defaults to the campaign layer's
-        :data:`~repro.sim.engine.DEFAULT_BACKEND` so one-off traces and
-        campaign traces come from the same engine.  Only the event
-        engine supports ``vcd_path``.
-    """
-    single = isinstance(conditions, OperatingCondition)
-    condition_list = [conditions] if single else list(conditions)
-    delay_matrix = library.delay_matrix(netlist, condition_list)
-    if engine == "event" and vcd_path is not None:
-        rows = []
-        for k, condition in enumerate(condition_list):
-            sim = EventDrivenSimulator(netlist, delay_matrix[k])
-            path = None
-            clock = None
-            if k == 0:
-                path = vcd_path
-                # generous clock so windows never overlap in the dump
-                from ..timing.sta import static_delay
-
-                clock = 2.0 * static_delay(netlist, condition, library)
-            res = sim.run_trace(input_matrix, vcd_path=path,
-                                clock_period=clock)
-            rows.append(res.delays.astype(np.float32))
-        return DelayTrace(np.stack(rows), condition_list, input_matrix)
-    if vcd_path is not None:
-        raise ValueError(f"engine {engine!r} does not support vcd_path")
-    backend = get_backend(engine)
-    result = backend.run_delays(netlist, input_matrix, delay_matrix)
-    return DelayTrace(result.delays, condition_list, input_matrix)
 
 
 def delays_via_vcd(netlist: Netlist, input_matrix: np.ndarray,

@@ -30,7 +30,6 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from ..circuits.netlist import Netlist, evaluate_gate
-from .engine import DelayTraceResult, SimBackend
 from .vcd import VCDWriter
 
 
@@ -182,51 +181,3 @@ class EventDrivenSimulator:
         return EventTraceResult(delays, outputs, event_counts,
                                 Path(vcd_path) if vcd_path else None)
 
-
-class EventBackend(SimBackend):
-    """:class:`EventDrivenSimulator` behind the engine protocol.
-
-    Delays include glitch pulses, so this backend's traces live in the
-    ``"glitch"`` delay-model class and are never cache-shared with the
-    DTA engines.  Multi-corner delay matrices are handled by looping
-    corner by corner (one event-driven pass each).
-    """
-
-    # every capability is declared explicitly (not inherited) so the
-    # registry's bool validation covers this backend's real contract:
-    # corner-by-corner looping makes corner sharding exact, but the
-    # event queue couples adjacent cycles (glitch trains can straddle a
-    # cut), so cycle sharding must stay off.
-    name = "event"
-    supports_cycle_sharding = False
-    supports_corner_sharding = True
-    models_glitches = True
-
-    def run_delays(self, netlist: Netlist, input_matrix: np.ndarray,
-                   gate_delays: np.ndarray,
-                   collect_outputs: bool = False) -> DelayTraceResult:
-        delays = np.asarray(gate_delays, dtype=np.float64)
-        if delays.ndim == 1:
-            delays = delays[None, :]
-        rows: List[np.ndarray] = []
-        outputs: Optional[np.ndarray] = None
-        for k in range(delays.shape[0]):
-            sim = EventDrivenSimulator(netlist, delays[k])
-            res = sim.run_trace(input_matrix)
-            rows.append(res.delays.astype(np.float32))
-            if collect_outputs and outputs is None:
-                outputs = res.outputs
-        return DelayTraceResult(np.stack(rows), outputs)
-
-    def run_values(self, netlist: Netlist,
-                   input_matrix: np.ndarray) -> np.ndarray:
-        inputs = np.asarray(input_matrix, dtype=np.uint8)
-        if inputs.ndim != 2 or inputs.shape[1] != len(netlist.primary_inputs):
-            raise ValueError("bad input matrix shape")
-        sim = EventDrivenSimulator(netlist, [0.0] * len(netlist.gates))
-        out = np.zeros((inputs.shape[0], len(netlist.primary_outputs)),
-                       dtype=np.uint8)
-        for t in range(inputs.shape[0]):
-            state = sim.settle(list(inputs[t]))
-            out[t] = [state[po] for po in netlist.primary_outputs]
-        return out

@@ -28,9 +28,9 @@ n_cycles)``.  Memory is bounded by chunking the cycle axis.
 This module is the reference semantics: one python-level pass per
 gate on per-cycle ``uint8`` values, with no lowering and no program
 cache.  Campaigns run the level-parallel kernels of
-:mod:`repro.sim.compile` (the ``compiled`` backend) instead; the parity
+:mod:`repro.sim.compile` (the ``compiled`` engine) instead; the parity
 tests assert they are bit-identical to this loop, and the
-``levelized_ref`` backend exposes it to campaigns for end-to-end
+``levelized_ref`` engine exposes it to campaigns for end-to-end
 audits.
 """
 
@@ -41,7 +41,6 @@ from typing import List, Optional
 import numpy as np
 
 from ..circuits.netlist import Netlist
-from .engine import DelayTraceResult, SimBackend
 from .logic import eval_gate_array
 
 NEG_INF = np.float32(-np.inf)
@@ -75,8 +74,7 @@ class LevelizedSimulator:
     # -- public API -----------------------------------------------------------
 
     def run(self, input_matrix: np.ndarray, gate_delays: np.ndarray,
-            collect_outputs: bool = False,
-            chunk_cycles: Optional[int] = None) -> DelayTraceResult:
+            chunk_cycles: Optional[int] = None) -> np.ndarray:
         """Simulate a stream of input vectors across corners.
 
         Parameters
@@ -87,12 +85,10 @@ class LevelizedSimulator:
             ``n_cycles = n_rows - 1``.
         gate_delays:
             ``(n_gates,)`` for a single corner or ``(n_corners,
-            n_gates)``; picoseconds per gate.  The result's ``delays``
-            are always ``(n_corners, n_cycles)`` — a 1-D input is
+            n_gates)``; picoseconds per gate.  The returned float32
+            delays are always ``(n_corners, n_cycles)`` — a 1-D input is
             treated as one corner and yields a ``(1, n_cycles)`` array
-            (callers index ``result.delays[0]``; nothing is squeezed).
-        collect_outputs:
-            Also return settled output values per cycle.
+            (callers index ``delays[0]``; nothing is squeezed).
         chunk_cycles:
             Cycle-axis chunk size (>= 1).  Defaults to a ~100 MB memory
             budget; never affects results.
@@ -124,21 +120,15 @@ class LevelizedSimulator:
             width = max(64, self._live_width_estimate())
             chunk_cycles = max(64, budget_elems // max(1, n_corners * width))
         out_delays = np.zeros((n_corners, n_cycles), dtype=np.float32)
-        out_values = (np.zeros((n_cycles, len(self.netlist.primary_outputs)),
-                               dtype=np.uint8) if collect_outputs else None)
 
         start = 0
         while start < n_cycles:
             stop = min(start + chunk_cycles, n_cycles)
             # rows start..stop inclusive of the leading state row
             chunk = inputs[start:stop + 1]
-            d, vals = self._run_chunk(chunk, delays, collect_outputs)
-            out_delays[:, start:stop] = d
-            if collect_outputs:
-                out_values[start:stop] = vals
+            out_delays[:, start:stop] = self._run_chunk(chunk, delays)
             start = stop
-
-        return DelayTraceResult(out_delays, out_values)
+        return out_delays
 
     def run_values(self, input_matrix: np.ndarray) -> np.ndarray:
         """Settled output values only: ``(n_rows, n_outputs)`` uint8."""
@@ -170,8 +160,8 @@ class LevelizedSimulator:
             alive -= len(deaths_at.get(idx, ()))
         return max(peak, 1)
 
-    def _run_chunk(self, inputs: np.ndarray, delays: np.ndarray,
-                   collect_outputs: bool):
+    def _run_chunk(self, inputs: np.ndarray,
+                   delays: np.ndarray) -> np.ndarray:
         """Per-gate reference chunk: ``inputs`` has n_cycles+1 rows."""
         nl = self.netlist
         n_rows = inputs.shape[0]
@@ -228,36 +218,5 @@ class LevelizedSimulator:
             if arr.ndim == 1:
                 arr = np.broadcast_to(arr, (n_corners, n_cycles))
             worst = arr if worst is None else np.maximum(worst, arr)
-        worst = np.maximum(worst, 0.0)  # no toggle -> delay 0
+        return np.maximum(worst, 0.0)  # no toggle -> delay 0
 
-        out_vals = None
-        if collect_outputs:
-            out_vals = np.stack(
-                [values[o][1:] for o in nl.primary_outputs], axis=1)
-        return worst, out_vals
-
-
-class ReferenceLevelizedBackend(SimBackend):
-    """:class:`LevelizedSimulator` behind the engine protocol.
-
-    No lowering, no program cache, one python-level pass per gate.
-    Orders of magnitude slower than ``compiled`` but delay-bit-identical
-    to it, so campaigns can audit the compiled kernels through the same
-    sharding machinery (``SimSpec(backend="levelized_ref")``; audits
-    never read the trace-store cache).
-    """
-
-    name = "levelized_ref"
-    supports_cycle_sharding = True
-    supports_corner_sharding = True
-    models_glitches = False
-
-    def run_delays(self, netlist: Netlist, input_matrix: np.ndarray,
-                   gate_delays: np.ndarray,
-                   collect_outputs: bool = False) -> DelayTraceResult:
-        return LevelizedSimulator(netlist).run(
-            input_matrix, gate_delays, collect_outputs=collect_outputs)
-
-    def run_values(self, netlist: Netlist,
-                   input_matrix: np.ndarray) -> np.ndarray:
-        return LevelizedSimulator(netlist).run_values(input_matrix)

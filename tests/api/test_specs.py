@@ -97,13 +97,6 @@ class TestValidation:
         with pytest.raises(SpecError, match="available"):
             SimSpec(backend="quantum")
 
-    @pytest.mark.parametrize("name", ["levelized", "bitpacked",
-                                      "bitpacked_ref"])
-    def test_removed_backends_rejected(self, name):
-        with pytest.raises(SpecError, match="available: compiled, "
-                                            "event, levelized_ref"):
-            SimSpec(backend=name)
-
     def test_compiled_key_rejected_as_unknown(self, tmp_path):
         # the reference path is a backend name now, not a flag
         with pytest.raises(SpecError, match="compiled"):

@@ -16,7 +16,7 @@ from repro.flow import (
     read_envelope,
     trace_key,
 )
-from repro.sim import get_backend
+from repro.sim import run_delays
 from repro.timing import DEFAULT_LIBRARY, OperatingCondition
 from repro.timing.cells import CellLibrary, CellTiming
 from repro.workloads import random_stream
@@ -203,6 +203,19 @@ class TestCampaignRunner:
                 runner.run([CampaignJob(fu, stream, [])])
         assert TraceStore(tmp_path).entries() == {}
 
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    def test_library_error_raises_the_same_type(self, n_workers):
+        """A library without timing for the netlist's cells raises the
+        library's KeyError whether the job runs inline or on the pool."""
+        fu = build_functional_unit("int_add", width=8)
+        stream = random_stream(20, operand_width=8, seed=4)
+        job = CampaignJob(fu, stream, CONDS, library=CellLibrary(timings={}))
+        # two corner shards: the pool path really runs
+        assert len(plan_shards(20, len(CONDS), n_workers=2)) == 2
+        with CampaignRunner(n_workers=n_workers, use_cache=False) as runner:
+            with pytest.raises(KeyError, match="no timing for cell type"):
+                runner.run([job])
+
     def test_pool_workers_use_each_jobs_library(self):
         """Two jobs on one netlist and stream differ only in library:
         the workers build each job's delay matrix from its own library,
@@ -306,29 +319,24 @@ class TestShardGridPlanning:
                            shard_corners=50) == [(0, 2, 0, 100)]
 
     def test_capability_gates_pin_axes(self):
-        # a backend without cycle sharding must never see cycle cuts,
+        # an engine without cycle sharding must never see cycle cuts,
         # even when the caller asks for them explicitly
         shards = plan_shards(10_000, 9, shard_cycles=100, n_workers=4,
                              cycle_shardable=False)
         assert all(t0 == 0 and t1 == 10_000 for _, _, t0, t1 in shards)
-        shards = plan_shards(10_000, 9, shard_corners=2, n_workers=4,
-                             corner_shardable=False)
-        assert all(c0 == 0 and c1 == 9 for c0, c1, _, _ in shards)
 
     @pytest.mark.parametrize(
-        "n_cycles,n_corners,n_workers,cycle_ok,corner_ok,n_shards", [
-            (64_000, 1, 4, True, True, 8),     # cycle splits only
-            (1_500, 9, 4, True, True, 9),      # 3 cycle x 3 corner
-            (100, 9, 2, True, True, 4),        # short: corners only
-            (2 * MIN_SHARD_CYCLES, 2, 3, True, True, 4),
-            (10_000, 3, 8, False, True, 3),    # cycle axis pinned
-            (10_000, 9, 4, True, False, 8),    # corner axis pinned
+        "n_cycles,n_corners,n_workers,cycle_ok,n_shards", [
+            (64_000, 1, 4, True, 8),     # cycle splits only
+            (1_500, 9, 4, True, 9),      # 3 cycle x 3 corner
+            (100, 9, 2, True, 4),        # short: corners only
+            (2 * MIN_SHARD_CYCLES, 2, 3, True, 4),
+            (10_000, 3, 8, False, 3),    # cycle axis pinned
         ])
     def test_auto_grid_partitions(self, n_cycles, n_corners, n_workers,
-                                  cycle_ok, corner_ok, n_shards):
+                                  cycle_ok, n_shards):
         shards = plan_shards(n_cycles, n_corners, n_workers=n_workers,
-                             cycle_shardable=cycle_ok,
-                             corner_shardable=corner_ok)
+                             cycle_shardable=cycle_ok)
         self._assert_covers(shards, n_corners, n_cycles)
         assert len(shards) == n_shards
         assert shards == sorted(shards)  # corner-major, cycle-minor
@@ -341,8 +349,6 @@ class TestShardGridPlanning:
         assert max(widths) - min(widths) <= 1  # balanced corner split
         if not cycle_ok:
             assert cycle_spans == [(0, n_cycles)]
-        if not corner_ok:
-            assert corner_spans == [(0, n_corners)]
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
@@ -474,19 +480,13 @@ class TestCycleSharding:
         stream = random_stream(self.N_CYCLES, operand_width=8, seed=78)
         inputs = stream.bit_matrix(fu)
         dm = DEFAULT_LIBRARY.delay_matrix(fu.netlist, CONDS)
-        backend = get_backend("compiled")
-        whole = backend.run_delays(fu.netlist, inputs, dm,
-                                   collect_outputs=True)
+        whole = run_delays("compiled", fu.netlist, inputs, dm)
         for shard in (1, 37, 64, self.N_CYCLES):
-            parts = [backend.run_delays(fu.netlist,
-                                        inputs[start:stop + 1], dm,
-                                        collect_outputs=True)
+            parts = [run_delays("compiled", fu.netlist,
+                                inputs[start:stop + 1], dm)
                      for start, stop in _cycle_plan(self.N_CYCLES, shard)]
-            delays = np.concatenate([p.delays for p in parts], axis=1)
-            outputs = np.concatenate([p.outputs for p in parts], axis=0)
-            assert delays.tobytes() == whole.delays.tobytes(), shard
-            np.testing.assert_array_equal(outputs, whole.outputs,
-                                          err_msg=str(shard))
+            delays = np.concatenate(parts, axis=1)
+            assert delays.tobytes() == whole.tobytes(), shard
 
     def test_event_backend_never_cycle_sharded(self):
         fu = build_functional_unit("int_add", width=4)

@@ -22,7 +22,7 @@ from repro.api import ShardSpec, Workspace
 from repro.circuits import build_functional_unit
 from repro.flow import CampaignJob, CampaignRunner, JobProgram, WorkerPool
 from repro.flow.pool import MAX_REISSUES, TASK_TIMEOUT_ENV
-from repro.sim import get_backend
+from repro.sim import run_delays
 from repro.testing import faults
 from repro.timing import DEFAULT_LIBRARY, OperatingCondition
 from repro.timing.cells import CellLibrary
@@ -61,8 +61,7 @@ def _prog(fu, stream, backend="compiled", conds=CONDS):
 
 def _reference(prog):
     delay_matrix = prog.library.delay_matrix(prog.netlist, prog.conditions)
-    return get_backend(prog.backend).run_delays(
-        prog.netlist, prog.inputs, delay_matrix).delays
+    return run_delays(prog.backend, prog.netlist, prog.inputs, delay_matrix)
 
 
 def _whole(prog):
@@ -186,14 +185,32 @@ class TestWorkerPool:
 
     def test_library_error_fails_the_task_not_the_worker(self):
         # a library without timing for the netlist's cells raises while
-        # the worker builds the delay matrix: the error comes back as a
-        # task failure, not as a crash-and-reissue loop
+        # the worker builds the delay matrix: the worker's own KeyError
+        # comes back as a task failure, not as a crash-and-reissue loop
         fu = build_functional_unit("int_add", width=8)
         prog = _prog(fu, random_stream(40, operand_width=8, seed=18))
         prog.library = CellLibrary(timings={})
         with WorkerPool(1) as pool:
-            with pytest.raises(RuntimeError,
-                               match="no timing for cell type"):
+            with pytest.raises(KeyError,
+                               match="no timing for cell type") as info:
+                pool.run_tasks({"j": prog}, [("j", _whole(prog))])
+            assert "pool worker" in "".join(info.value.__notes__)
+            assert pool.n_alive() == 1
+
+    def test_unpicklable_worker_error_becomes_runtime_error(self,
+                                                            monkeypatch):
+        class Local(Exception):  # a local class cannot be pickled
+            pass
+
+        def boom(*args):
+            raise Local("unpicklable boom")
+
+        # forked workers inherit the patched dispatch
+        monkeypatch.setattr("repro.flow.pool.run_delays", boom)
+        fu = build_functional_unit("int_add", width=8)
+        prog = _prog(fu, random_stream(40, operand_width=8, seed=18))
+        with WorkerPool(1) as pool:
+            with pytest.raises(RuntimeError, match="unpicklable boom"):
                 pool.run_tasks({"j": prog}, [("j", _whole(prog))])
             assert pool.n_alive() == 1
 

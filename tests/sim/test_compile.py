@@ -1,8 +1,8 @@
 """Tests for the compiled netlist programs (repro.sim.compile).
 
 The lowering pass and the level-parallel kernels carry the
-load-bearing guarantee: whatever the chunking, delays and collected
-outputs are bit-identical to the per-gate reference engine.
+load-bearing guarantee: whatever the chunking, delays are
+bit-identical to the per-gate reference engine.
 """
 
 import gc
@@ -12,7 +12,7 @@ import pytest
 
 from repro.circuits import PAPER_UNITS, build_functional_unit
 from repro.circuits.netlist import GATE_ARITY, GateType, Netlist
-from repro.sim import compile_netlist, get_backend
+from repro.sim import compile_netlist, run_delays
 from repro.sim.compile import CompiledNetlist, _PROGRAM_CACHE
 from repro.sim.levelized import LevelizedSimulator
 from repro.timing import DEFAULT_LIBRARY, OperatingCondition
@@ -126,14 +126,13 @@ class TestProgramCache:
         assert key not in _PROGRAM_CACHE
 
     def test_backends_share_one_lowering(self):
-        # satellite regression: run_delays used to re-validate and
-        # re-lower the netlist on every invocation
+        # regression: run_delays used to re-validate and re-lower the
+        # netlist on every invocation
         fu, inputs = _fu_inputs("int_add", 10, seed=1, width=8)
         delays = DEFAULT_LIBRARY.delay_matrix(fu.netlist, CONDS)
-        get_backend("compiled").run_delays(fu.netlist, inputs, delays)
+        run_delays("compiled", fu.netlist, inputs, delays)
         prog = compile_netlist(fu.netlist)
-        get_backend("compiled").run_delays(fu.netlist, inputs, delays)
-        get_backend("compiled").run_values(fu.netlist, inputs)
+        run_delays("compiled", fu.netlist, inputs, delays)
         assert compile_netlist(fu.netlist) is prog
 
 
@@ -143,33 +142,24 @@ class TestKernelParity:
         # 130 cycles: three packed words with a ragged tail
         fu, inputs = _fu_inputs(fu_name, 130, seed=6)
         delays = DEFAULT_LIBRARY.delay_matrix(fu.netlist, CONDS)
-        ref = LevelizedSimulator(fu.netlist).run(
-            inputs, delays, collect_outputs=True)
+        ref = LevelizedSimulator(fu.netlist).run(inputs, delays)
         for name in DTA_BACKENDS:
-            got = get_backend(name).run_delays(
-                fu.netlist, inputs, delays, collect_outputs=True)
-            assert got.delays.tobytes() == ref.delays.tobytes(), name
-            np.testing.assert_array_equal(got.outputs, ref.outputs,
-                                          err_msg=name)
+            got = run_delays(name, fu.netlist, inputs, delays)
+            assert got.tobytes() == ref.tobytes(), name
+        np.testing.assert_array_equal(
+            compile_netlist(fu.netlist).run_values(inputs),
+            LevelizedSimulator(fu.netlist).run_values(inputs))
 
-    @pytest.mark.parametrize("collect_outputs", [False, True])
-    def test_chunking_invariance(self, collect_outputs):
+    def test_chunking_invariance(self):
         fu, inputs = _fu_inputs("int_add", 200, seed=8, width=8)
         delays = DEFAULT_LIBRARY.delay_matrix(fu.netlist, CONDS)
         prog = compile_netlist(fu.netlist)
-        whole = prog.run(inputs, delays, collect_outputs=collect_outputs)
-        ref = LevelizedSimulator(fu.netlist).run(
-            inputs, delays, collect_outputs=collect_outputs)
-        assert whole.delays.tobytes() == ref.delays.tobytes()
+        whole = prog.run(inputs, delays)
+        ref = LevelizedSimulator(fu.netlist).run(inputs, delays)
+        assert whole.tobytes() == ref.tobytes()
         for chunk in (1, 37, 64, 100, 1000):
-            part = prog.run(inputs, delays,
-                            collect_outputs=collect_outputs,
-                            chunk_cycles=chunk)
-            assert part.delays.tobytes() == whole.delays.tobytes(), chunk
-            if collect_outputs:
-                np.testing.assert_array_equal(part.outputs, ref.outputs)
-            else:
-                assert part.outputs is None
+            part = prog.run(inputs, delays, chunk_cycles=chunk)
+            assert part.tobytes() == whole.tobytes(), chunk
 
     @pytest.mark.parametrize("fu_name", PAPER_UNITS)
     def test_chunking_invariance_on_paper_units(self, fu_name):
@@ -178,13 +168,10 @@ class TestKernelParity:
         fu, inputs = _fu_inputs(fu_name, 130, seed=11)
         delays = DEFAULT_LIBRARY.delay_matrix(fu.netlist, CONDS)
         prog = compile_netlist(fu.netlist)
-        whole = prog.run(inputs, delays, collect_outputs=True)
+        whole = prog.run(inputs, delays)
         for chunk in (7, 64, 100, prog.default_chunk_cycles(len(CONDS))):
-            part = prog.run(inputs, delays, collect_outputs=True,
-                            chunk_cycles=chunk)
-            assert part.delays.tobytes() == whole.delays.tobytes(), chunk
-            np.testing.assert_array_equal(part.outputs, whole.outputs,
-                                          err_msg=str(chunk))
+            part = prog.run(inputs, delays, chunk_cycles=chunk)
+            assert part.tobytes() == whole.tobytes(), chunk
 
     def test_default_chunk_cycles_shrinks_with_corners(self):
         prog = compile_netlist(build_functional_unit("int_mul").netlist)
@@ -202,9 +189,8 @@ class TestKernelParity:
     def test_single_corner_one_dim_delays(self):
         fu, inputs = _fu_inputs("int_add", 20, seed=10, width=8)
         delays = DEFAULT_LIBRARY.gate_delays(fu.netlist, CONDS[0])
-        res = get_backend("compiled").run_delays(fu.netlist, inputs,
-                                                 delays)
-        assert res.delays.shape == (1, 20)
+        res = run_delays("compiled", fu.netlist, inputs, delays)
+        assert res.shape == (1, 20)
 
     def test_input_validation(self):
         fu = build_functional_unit("int_add", width=8)
@@ -238,12 +224,12 @@ class TestArrivalFastPaths:
 
     def _parity(self, netlist, inputs, conds):
         delays = DEFAULT_LIBRARY.delay_matrix(netlist, conds)
-        ref = LevelizedSimulator(netlist).run(
-            inputs, delays, collect_outputs=True)
-        got = compile_netlist(netlist).run(inputs, delays,
-                                           collect_outputs=True)
-        assert got.delays.tobytes() == ref.delays.tobytes()
-        np.testing.assert_array_equal(got.outputs, ref.outputs)
+        ref = LevelizedSimulator(netlist).run(inputs, delays)
+        got = compile_netlist(netlist).run(inputs, delays)
+        assert got.tobytes() == ref.tobytes()
+        np.testing.assert_array_equal(
+            compile_netlist(netlist).run_values(inputs),
+            LevelizedSimulator(netlist).run_values(inputs))
 
     def test_dangling_gate_netlist_parity(self):
         # a gate driving nothing (classic dead cone) plus a dead chain
@@ -293,7 +279,7 @@ class TestArrivalFastPaths:
             inputs, dm_b)
         prog.run(inputs, dm_a)  # warm the cache with matrix A
         got_b = prog.run(inputs, dm_b)
-        assert got_b.delays.tobytes() == ref_b.delays.tobytes()
+        assert got_b.tobytes() == ref_b.tobytes()
 
     def test_multi_corner_equals_corner_by_corner(self):
         # corner rows are computed independently: slicing the delay
@@ -302,9 +288,9 @@ class TestArrivalFastPaths:
         fu, inputs = _fu_inputs("int_add", 90, seed=14, width=8)
         delays = DEFAULT_LIBRARY.delay_matrix(fu.netlist, self.CONDS9)
         prog = compile_netlist(fu.netlist)
-        whole = prog.run(inputs, delays).delays
+        whole = prog.run(inputs, delays)
         for lo, hi in ((0, 1), (1, 4), (4, 9)):
-            part = prog.run(inputs, delays[lo:hi]).delays
+            part = prog.run(inputs, delays[lo:hi])
             assert part.tobytes() == whole[lo:hi].tobytes(), (lo, hi)
 
 
@@ -314,7 +300,7 @@ class TestSimulatorFrontEnds:
         delays = DEFAULT_LIBRARY.delay_matrix(fu.netlist, CONDS)
         fast = compile_netlist(fu.netlist).run(inputs, delays)
         slow = LevelizedSimulator(fu.netlist).run(inputs, delays)
-        assert fast.delays.tobytes() == slow.delays.tobytes()
+        assert fast.tobytes() == slow.tobytes()
         np.testing.assert_array_equal(
             compile_netlist(fu.netlist).run_values(inputs),
             LevelizedSimulator(fu.netlist).run_values(inputs))
@@ -326,8 +312,8 @@ class TestCompiledNetlistStandalone:
         delays = DEFAULT_LIBRARY.delay_matrix(fu.netlist, CONDS)
         direct = CompiledNetlist(fu.netlist)
         cached = compile_netlist(fu.netlist)
-        assert (direct.run(inputs, delays).delays.tobytes()
-                == cached.run(inputs, delays).delays.tobytes())
+        assert (direct.run(inputs, delays).tobytes()
+                == cached.run(inputs, delays).tobytes())
 
     def test_stats_preserved(self):
         fu = build_functional_unit("fp_add")

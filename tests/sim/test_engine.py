@@ -1,25 +1,26 @@
-"""Tests for the pluggable simulation-engine layer.
+"""Tests for the simulation-engine dispatch.
 
-Covers the registry/capability surface, the bit-packing primitives,
-and — the load-bearing guarantee — backend parity: all engines agree
-on settled output values, and the two DTA engines (``compiled`` and
-the per-gate ``levelized_ref``) produce bit-identical delays for every
-paper FU.
+Covers the engine table, the bit-packing primitives, and — the
+load-bearing guarantee — engine parity: all engines agree on settled
+output values, and the two DTA engines (``compiled`` and the per-gate
+``levelized_ref``) produce bit-identical delays for every paper FU.
 """
 
 import numpy as np
 import pytest
 
+from repro.api import SimSpec
 from repro.circuits import PAPER_UNITS, build_functional_unit
+from repro.cli import main
+from repro.flow import CampaignRunner
 from repro.sim import (
-    CompiledBackend,
-    DelayTraceResult,
+    CYCLE_SHARDABLE,
+    ENGINES,
+    EventDrivenSimulator,
     LevelizedSimulator,
-    SimBackend,
-    available_backends,
     compile_netlist,
-    get_backend,
-    register_backend,
+    delay_model,
+    run_delays,
 )
 from repro.sim.compile import pack_columns, toggle_word_rows
 from repro.timing import DEFAULT_LIBRARY, OperatingCondition
@@ -34,77 +35,58 @@ def _fu_inputs(fu_name, n_cycles, seed=0, **fu_kwargs):
     return fu, stream.bit_matrix(fu)
 
 
+def _event_values(netlist, inputs):
+    """Settled outputs per input row from the event engine's
+    zero-delay settle (the event engine's run_values)."""
+    sim = EventDrivenSimulator(netlist, [0.0] * len(netlist.gates))
+    return np.array([[sim.settle(list(row))[po]
+                      for po in netlist.primary_outputs]
+                     for row in inputs], dtype=np.uint8)
+
+
+#: every way a caller can name an engine: each must reject an unknown
+#: name with the same listing.
+ENTRY_POINTS = {
+    "run_delays": lambda name: run_delays(name, None, None, None),
+    "SimSpec": lambda name: SimSpec(backend=name),
+    "CampaignRunner": lambda name: CampaignRunner(backend=name,
+                                                  use_cache=False),
+    "cli": lambda name: main(["characterize", "--fu", "int_add",
+                              "--backend", name]),
+}
+
+
 class TestRegistry:
     def test_builtins_registered(self):
         # one compiled DTA engine, its per-gate reference, and the
         # glitch-aware event simulator — nothing else
-        assert available_backends() == ("compiled", "event",
-                                        "levelized_ref")
+        assert ENGINES == ("compiled", "event", "levelized_ref")
 
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
     @pytest.mark.parametrize("name", ["levelized", "bitpacked",
-                                      "bitpacked_ref"])
-    def test_removed_backends_rejected(self, name):
-        with pytest.raises(ValueError, match="available: compiled, "
-                                             "event, levelized_ref"):
-            get_backend(name)
+                                      "bitpacked_ref", "modelsim"])
+    def test_removed_backends_rejected(self, entry, name, capsys):
+        listing = (f"unknown sim backend {name!r}; "
+                   "available: compiled, event, levelized_ref")
+        if entry == "cli":
+            assert ENTRY_POINTS[entry](name) == 2
+            assert listing in capsys.readouterr().err
+        else:
+            with pytest.raises(ValueError) as info:
+                ENTRY_POINTS[entry](name)
+            assert str(info.value) == listing
 
-    def test_get_backend_returns_singleton(self):
-        assert get_backend("compiled") is get_backend("compiled")
-
-    def test_unknown_backend_raises_with_listing(self):
-        with pytest.raises(ValueError, match="levelized_ref"):
-            get_backend("modelsim")
-
-    def test_capability_flags(self):
-        assert SimBackend.CAPABILITY_FLAGS == (
-            "supports_cycle_sharding", "supports_corner_sharding",
-            "models_glitches")
-        ref = get_backend("levelized_ref")
-        comp = get_backend("compiled")
-        ev = get_backend("event")
-        assert ev.models_glitches
-        assert not (ref.models_glitches or comp.models_glitches)
-        assert ref.delay_model == comp.delay_model == "dta"
-        assert ev.delay_model == "glitch"
+    @pytest.mark.parametrize("engine,model", [
+        ("compiled", "dta"), ("levelized_ref", "dta"), ("event", "glitch")])
+    def test_delay_models(self, engine, model):
+        # the glitch-aware engine never shares a cache class with DTA
+        assert delay_model(engine) == model
 
     def test_cycle_sharding_capability(self):
         # the DTA engines compute cycle t from input rows t and t+1
         # only, so campaigns may shard their cycle axis; the event
-        # engine never advertises it
-        for name in ("compiled", "levelized_ref"):
-            assert get_backend(name).supports_cycle_sharding, name
-        assert not get_backend("event").supports_cycle_sharding
-
-    def test_corner_sharding_capability(self):
-        # every built-in computes corner rows independently — including
-        # the event engine, which loops corner by corner
-        for name in available_backends():
-            assert get_backend(name).supports_corner_sharding, name
-
-    @pytest.mark.parametrize("name", ["compiled", "levelized_ref",
-                                      "event"])
-    def test_run_delays_signature_matches_protocol(self, name):
-        # the campaign layer calls every backend the same way, so no
-        # built-in may grow (or keep) a keyword the protocol lacks
-        import inspect
-
-        want = inspect.signature(SimBackend.run_delays).parameters
-        got = inspect.signature(
-            type(get_backend(name)).run_delays).parameters
-        assert [(p.name, p.kind, p.default) for p in got.values()] == \
-            [(p.name, p.kind, p.default) for p in want.values()]
-
-    @pytest.mark.parametrize("name", ["compiled", "levelized_ref",
-                                      "event"])
-    def test_every_capability_attribute_is_validated(self, name):
-        # a capability-looking attribute outside CAPABILITY_FLAGS would
-        # never be validated by the registry nor read by the campaign
-        backend = get_backend(name)
-        flags = {attr for attr in dir(backend)
-                 if attr.startswith(("supports_", "models_"))}
-        assert flags == set(SimBackend.CAPABILITY_FLAGS)
-        for flag in flags:
-            assert isinstance(getattr(backend, flag), bool), flag
+        # engine may not
+        assert CYCLE_SHARDABLE == {"compiled", "levelized_ref"}
 
     @pytest.mark.parametrize("name", ["compiled", "levelized_ref"])
     @pytest.mark.parametrize("chunk_cycles", [0, -5])
@@ -121,91 +103,28 @@ class TestRegistry:
         # compiled kernels delay for delay
         fu, inputs = _fu_inputs("int_add", 30, width=8)
         delays = DEFAULT_LIBRARY.delay_matrix(fu.netlist, CONDS)
-        ref = get_backend("compiled").run_delays(fu.netlist, inputs,
-                                                 delays).delays
-        got = get_backend("levelized_ref").run_delays(fu.netlist, inputs,
-                                                      delays).delays
+        ref = run_delays("compiled", fu.netlist, inputs, delays)
+        got = run_delays("levelized_ref", fu.netlist, inputs, delays)
+        assert got.dtype == np.float32
         assert got.tobytes() == ref.tobytes()
 
-    def test_event_backend_declares_all_flags_explicitly(self):
-        # satellite regression: absent attrs used to be probed with
-        # getattr defaults, so a typo'd flag silently disabled sharding
-        from repro.sim.eventsim import EventBackend
-
-        for flag in SimBackend.CAPABILITY_FLAGS:
-            assert flag in vars(EventBackend), flag
-
-    def test_registry_rejects_non_bool_capabilities(self):
-        class BrokenFlags(SimBackend):
-            name = "brokenflags"
-            supports_cycle_sharding = None  # type: ignore[assignment]
-
-            def run_delays(self, *a, **k):  # pragma: no cover
-                raise NotImplementedError
-
-            def run_values(self, *a, **k):  # pragma: no cover
-                raise NotImplementedError
-
-        register_backend("brokenflags", BrokenFlags)
-        try:
-            with pytest.raises(ValueError, match="capability"):
-                get_backend("brokenflags")
-        finally:
-            import repro.sim.engine as engine
-            engine._REGISTRY.pop("brokenflags", None)
-            engine._INSTANCES.pop("brokenflags", None)
+    def test_event_engine_runs_corner_by_corner(self):
+        fu, inputs = _fu_inputs("int_add", 12, width=8)
+        delays = DEFAULT_LIBRARY.delay_matrix(fu.netlist, CONDS)
+        got = run_delays("event", fu.netlist, inputs, delays)
+        assert got.shape == (2, 12) and got.dtype == np.float32
+        for k in range(len(CONDS)):
+            one = EventDrivenSimulator(fu.netlist, delays[k]).run_trace(
+                inputs).delays.astype(np.float32)
+            assert got[k].tobytes() == one.tobytes(), k
 
     def test_default_backend_consistent(self):
-        import inspect
-
         from repro.flow.campaign import DEFAULT_BACKEND as flow_default
-        from repro.sim.dta import dynamic_delay_trace
         from repro.sim.engine import DEFAULT_BACKEND as sim_default
 
-        # satellite regression: dynamic_delay_trace defaulted to
-        # "levelized" while campaigns defaulted to "bitpacked"
+        # the campaign layer re-exports the engine table's default
         assert flow_default is sim_default
-        sig = inspect.signature(dynamic_delay_trace)
-        assert sig.parameters["engine"].default == sim_default
-        assert sim_default in available_backends()
-
-    def test_register_custom_backend(self):
-        class DummyBackend(SimBackend):
-            name = "dummy"
-
-            def run_delays(self, netlist, input_matrix, gate_delays,
-                           collect_outputs=False):
-                return DelayTraceResult(np.zeros((1, 1), np.float32))
-
-            def run_values(self, netlist, input_matrix):
-                return np.zeros((1, 1), np.uint8)
-
-        register_backend("dummy", DummyBackend)
-        try:
-            assert isinstance(get_backend("dummy"), DummyBackend)
-            assert "dummy" in available_backends()
-        finally:
-            import repro.sim.engine as engine
-            engine._REGISTRY.pop("dummy", None)
-            engine._INSTANCES.pop("dummy", None)
-
-    def test_registered_name_must_match_class(self):
-        class Misnamed(SimBackend):
-            name = "other"
-
-            def run_delays(self, *a, **k):  # pragma: no cover
-                raise NotImplementedError
-
-            def run_values(self, *a, **k):  # pragma: no cover
-                raise NotImplementedError
-
-        register_backend("wrong", Misnamed)
-        try:
-            with pytest.raises(ValueError, match="declares name"):
-                get_backend("wrong")
-        finally:
-            import repro.sim.engine as engine
-            engine._REGISTRY.pop("wrong", None)
+        assert sim_default in ENGINES
 
 
 def _unpack_rows(words, n):
@@ -243,23 +162,21 @@ class TestBackendParity:
     @pytest.mark.parametrize("fu_name", PAPER_UNITS)
     def test_settled_values_agree_across_all_backends(self, fu_name):
         fu, inputs = _fu_inputs(fu_name, 10, seed=5)
-        reference = get_backend("levelized_ref").run_values(fu.netlist,
-                                                            inputs)
-        for name in ("compiled", "event"):
-            got = get_backend(name).run_values(fu.netlist, inputs)
-            np.testing.assert_array_equal(got, reference, err_msg=name)
+        reference = LevelizedSimulator(fu.netlist).run_values(inputs)
+        np.testing.assert_array_equal(
+            compile_netlist(fu.netlist).run_values(inputs), reference,
+            err_msg="compiled")
+        np.testing.assert_array_equal(
+            _event_values(fu.netlist, inputs), reference, err_msg="event")
 
     @pytest.mark.parametrize("fu_name", PAPER_UNITS)
     def test_dta_backends_delay_bit_identical(self, fu_name):
         # 130 cycles: spans three 64-cycle words with a ragged tail
         fu, inputs = _fu_inputs(fu_name, 130, seed=6)
         dm = DEFAULT_LIBRARY.delay_matrix(fu.netlist, CONDS)
-        ref = get_backend("levelized_ref").run_delays(
-            fu.netlist, inputs, dm, collect_outputs=True)
-        got = get_backend("compiled").run_delays(
-            fu.netlist, inputs, dm, collect_outputs=True)
-        assert got.delays.tobytes() == ref.delays.tobytes()
-        np.testing.assert_array_equal(got.outputs, ref.outputs)
+        ref = run_delays("levelized_ref", fu.netlist, inputs, dm)
+        got = run_delays("compiled", fu.netlist, inputs, dm)
+        assert got.tobytes() == ref.tobytes()
 
     @pytest.mark.parametrize("fu_name", PAPER_UNITS)
     def test_compiled_backends_match_per_gate_reference(self, fu_name):
@@ -267,20 +184,17 @@ class TestBackendParity:
         # reproduce the per-gate engine bit for bit, chunked or not
         fu, inputs = _fu_inputs(fu_name, 130, seed=6)
         dm = DEFAULT_LIBRARY.delay_matrix(fu.netlist, CONDS)
-        reference = LevelizedSimulator(fu.netlist).run(
-            inputs, dm, collect_outputs=True)
+        reference = LevelizedSimulator(fu.netlist).run(inputs, dm)
         for chunk in (None, 64, 45):
             got = compile_netlist(fu.netlist).run(
-                inputs, dm, collect_outputs=True, chunk_cycles=chunk)
-            assert got.delays.tobytes() == reference.delays.tobytes(), chunk
-            np.testing.assert_array_equal(got.outputs, reference.outputs,
-                                          err_msg=str(chunk))
+                inputs, dm, chunk_cycles=chunk)
+            assert got.tobytes() == reference.tobytes(), chunk
 
     def test_event_values_on_wide_unit(self):
         fu, inputs = _fu_inputs("int_add", 15, seed=7, width=8)
-        ref = get_backend("levelized_ref").run_values(fu.netlist, inputs)
-        got = get_backend("event").run_values(fu.netlist, inputs)
-        np.testing.assert_array_equal(got, ref)
+        ref = LevelizedSimulator(fu.netlist).run_values(inputs)
+        np.testing.assert_array_equal(_event_values(fu.netlist, inputs),
+                                      ref)
 
 
 class TestBitPackedSimulator:
@@ -293,13 +207,14 @@ class TestBitPackedSimulator:
         sim = compile_netlist(fu.netlist)
         whole = sim.run(inputs, dm)
         chunked = sim.run(inputs, dm, chunk_cycles=64)
-        np.testing.assert_array_equal(whole.delays, chunked.delays)
+        np.testing.assert_array_equal(whole, chunked)
 
-    def test_one_dim_delays_yield_single_corner(self):
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_one_dim_delays_yield_single_corner(self, engine):
         fu, inputs = _fu_inputs("int_add", 20, seed=9, width=8)
         delays = DEFAULT_LIBRARY.gate_delays(fu.netlist, CONDS[0])
-        res = CompiledBackend().run_delays(fu.netlist, inputs, delays)
-        assert res.delays.shape == (1, 20)
+        res = run_delays(engine, fu.netlist, inputs, delays)
+        assert res.shape == (1, 20) and res.dtype == np.float32
 
     def test_run_values_matches_reference_model(self):
         fu, inputs = _fu_inputs("int_add", 40, seed=10, width=8)
@@ -322,5 +237,4 @@ class TestLevelizedResultShape:
         fu, inputs = _fu_inputs("int_add", 12, seed=11, width=8)
         delays = DEFAULT_LIBRARY.gate_delays(fu.netlist, CONDS[0])
         res = LevelizedSimulator(fu.netlist).run(inputs, delays)
-        assert res.delays.shape == (1, 12)
-        assert res.n_corners == 1
+        assert res.shape == (1, 12)

@@ -53,12 +53,12 @@ def test_levelized_matches_paper_delays(fig1):
     nl, delays = fig1
     sim = LevelizedSimulator(nl)
     result = sim.run(STIMULUS, np.asarray(delays))
-    assert result.delays[0, 0] == pytest.approx(2000.0)
-    assert result.delays[0, 1] == pytest.approx(1500.0)
+    assert result[0, 0] == pytest.approx(2000.0)
+    assert result[0, 1] == pytest.approx(1500.0)
 
 
 def test_engines_agree_on_glitch_free_example(fig1):
     nl, delays = fig1
     ev = EventDrivenSimulator(nl, delays).run_trace(STIMULUS)
     lv = LevelizedSimulator(nl).run(STIMULUS, np.asarray(delays))
-    np.testing.assert_allclose(lv.delays[0], ev.delays, rtol=1e-6)
+    np.testing.assert_allclose(lv[0], ev.delays, rtol=1e-6)

@@ -32,14 +32,6 @@ class TestValues:
             want = nl.evaluate_outputs(list(rows[r]))
             assert list(got[r]) == want
 
-    def test_outputs_collected_match_values(self, adder8):
-        nl, sim, delays = adder8
-        rng = np.random.default_rng(1)
-        rows = rng.integers(0, 2, size=(10, 16)).astype(np.uint8)
-        res = sim.run(rows, delays, collect_outputs=True)
-        vals = sim.run_values(rows)
-        np.testing.assert_array_equal(res.outputs, vals[1:])
-
 
 class TestDelays:
     def test_identical_consecutive_inputs_give_zero_delay(self, adder8):
@@ -47,7 +39,7 @@ class TestDelays:
         row = np.array(encode(123, 45), dtype=np.uint8)
         rows = np.stack([row, row, row])
         res = sim.run(rows, delays)
-        assert np.all(res.delays == 0.0)
+        assert np.all(res == 0.0)
 
     def test_delays_nonnegative_and_bounded_by_sta(self, adder8):
         nl, sim, delays = adder8
@@ -55,8 +47,8 @@ class TestDelays:
         rows = rng.integers(0, 2, size=(100, 16)).astype(np.uint8)
         res = sim.run(rows, delays)
         static = run_sta(nl, gate_delays=delays).critical_delay
-        assert np.all(res.delays >= 0.0)
-        assert np.all(res.delays <= static + 1e-3)
+        assert np.all(res >= 0.0)
+        assert np.all(res <= static + 1e-3)
 
     def test_some_cycle_sensitizes_long_path(self, adder8):
         """The full carry chain: 0xFF + 0x01 after 0xFF + 0x00."""
@@ -65,7 +57,7 @@ class TestDelays:
         res = sim.run(rows, delays)
         static = run_sta(nl, gate_delays=delays).critical_delay
         # carry ripples the entire width: delay close to the static path
-        assert res.delays[0, 0] > 0.6 * static
+        assert res[0, 0] > 0.6 * static
 
     def test_multi_corner_rows_match_single_corner_runs(self, adder8):
         nl, sim, _ = adder8
@@ -76,7 +68,7 @@ class TestDelays:
         multi = sim.run(rows, matrix)
         for k, cond in enumerate(conds):
             single = sim.run(rows, DEFAULT_LIBRARY.gate_delays(nl, cond))
-            np.testing.assert_allclose(multi.delays[k], single.delays[0],
+            np.testing.assert_allclose(multi[k], single[0],
                                        rtol=1e-5)
 
     def test_chunking_invariant(self, adder8):
@@ -85,7 +77,7 @@ class TestDelays:
         rows = rng.integers(0, 2, size=(50, 16)).astype(np.uint8)
         full = sim.run(rows, delays, chunk_cycles=1000)
         small = sim.run(rows, delays, chunk_cycles=7)
-        np.testing.assert_allclose(full.delays, small.delays, rtol=1e-6)
+        np.testing.assert_allclose(full, small, rtol=1e-6)
 
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=20, deadline=None)
@@ -97,7 +89,7 @@ class TestDelays:
         fast = OperatingCondition(1.00, 25)
         matrix = DEFAULT_LIBRARY.delay_matrix(nl, [slow, fast])
         res = sim.run(rows, matrix)
-        assert np.all(res.delays[0] >= res.delays[1] - 1e-4)
+        assert np.all(res[0] >= res[1] - 1e-4)
 
 
 class TestValidation:
@@ -131,7 +123,7 @@ class TestHistorySensitivity:
         # repeat the same (prev, curr) pair many times
         rows = np.stack([prev, curr] * 5)
         res = sim.run(rows, delays)
-        d = res.delays[0, ::2]  # every prev->curr transition
+        d = res[0, ::2]  # every prev->curr transition
         assert np.allclose(d, d[0])
 
     def test_varying_history_changes_delay(self):
@@ -145,6 +137,6 @@ class TestHistorySensitivity:
             a, b = rng.integers(0, 2**16, 2)
             prev = np.array(fu.encode_inputs(int(a), int(b)), dtype=np.uint8)
             res = sim.run(np.stack([prev, curr]), delays)
-            observed.add(round(float(res.delays[0, 0]), 3))
+            observed.add(round(float(res[0, 0]), 3))
         # same current input, different histories -> different delays
         assert len(observed) > 3

@@ -4,14 +4,15 @@ import numpy as np
 import pytest
 
 from repro.circuits.adders import build_int_adder
-from repro.sim.dta import delays_via_vcd, dynamic_delay_trace
+from repro.sim import run_delays
+from repro.sim.dta import delays_via_vcd
 from repro.sim.vcd import (
     VCDWriter,
     delays_from_vcd,
     identifier_code,
     read_vcd,
 )
-from repro.timing import OperatingCondition
+from repro.timing import DEFAULT_LIBRARY, OperatingCondition
 
 
 class TestIdentifierCodes:
@@ -85,5 +86,6 @@ class TestVcdPipelineMatchesInMemory:
         rows = rng.integers(0, 2, size=(25, 16)).astype(np.uint8)
         cond = OperatingCondition(0.85, 50)
         via_vcd = delays_via_vcd(nl, rows, cond, tmp_path / "dta.vcd")
-        in_memory = dynamic_delay_trace(nl, rows, cond, engine="event")
-        np.testing.assert_allclose(via_vcd, in_memory.delays[0], atol=0.51)
+        in_memory = run_delays("event", nl, rows,
+                               DEFAULT_LIBRARY.delay_matrix(nl, [cond]))
+        np.testing.assert_allclose(via_vcd, in_memory[0], atol=0.51)

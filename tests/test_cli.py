@@ -100,14 +100,6 @@ class TestValidation:
         with pytest.raises(SystemExit):
             build_parser().parse_args(argv)
 
-    def test_backend_error_lists_available_names(self, capsys):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["characterize", "--fu", "int_add",
-                                       "--backend", "quantum"])
-        err = capsys.readouterr().err
-        for name in ("compiled", "levelized_ref", "event"):
-            assert name in err
-
 
 class TestStoreCommands:
     def test_store_gc_and_list(self, capsys, tmp_path, monkeypatch):
