@@ -15,7 +15,8 @@ default scale (documented in EXPERIMENTS.md).  Scale knobs:
   cycle- / corner-axis shard pitch for single jobs (default:
   auto-sized from the worker count by the static shard planner).
 * ``REPRO_BENCH_SMOKE=1`` — shrink the simspeed bench to an
-  import/parity smoke test (skips throughput-floor assertions).
+  import/parity smoke test (skips the throughput floors against the
+  per-gate engine; the compact-vs-dense floor at 100 corners stays).
 
 Rendered tables are printed in the pytest terminal summary and written
 to ``benchmarks/results/latest/``, which git ignores, so running the

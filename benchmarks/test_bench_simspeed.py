@@ -13,10 +13,15 @@ the perf trajectory of the simulation substrate:
   at one corner.
 * **corner-scaling table** — the multi-corner trajectory this repo's
   characterization actually runs (every paper table simulates the
-  full corner grid): compiled vs per-gate throughput at 1/3/9 corners
-  on the ``FLOOR_FU``, with a second floor
-  (``MIN_KERNEL_SPEEDUP_9C``) at the 9-corner point the corner-aware
-  arrival kernels target.
+  full corner grid): on the ``FLOOR_FU`` at 1/3/9/16/25/50/100
+  corners, the dense and the toggle-compacted arrival kernels (each
+  forced, whichever one ``run`` would pick) against each other, and
+  against the per-gate engine up to 9 corners (rows above 9 corners
+  run a campaign job's ``WIDE_CYCLES``).  Every timed run is
+  checked bit for bit.  Two floors: ``MIN_KERNEL_SPEEDUP_9C``, dense
+  vs per-gate at 9 corners (the training grid), and
+  ``MIN_COMPACT_SPEEDUP_100C``, compact vs dense at the 100-corner
+  Table-I grid — asserted in smoke mode too.
 * **settled-value table** — ``run_values`` throughput (the functional-
   verification pass), where the compiled engine's bit-packed
   level-parallel evaluation wins by an order of magnitude.
@@ -30,10 +35,11 @@ the perf trajectory of the simulation substrate:
   close the warm pool gets to the inline baseline.
 
 ``REPRO_BENCH_SMOKE=1`` shrinks every stream and skips the throughput
-floors (keeps the kernels imported, exercised, and parity-checked on
-cheap CI runs).
+floors except ``MIN_COMPACT_SPEEDUP_100C`` (keeps the kernels imported,
+exercised, and parity-checked on cheap CI runs).
 """
 
+import contextlib
 import os
 import time
 
@@ -43,9 +49,11 @@ import pytest
 from conftest import format_table, record_report
 from repro.circuits import build_functional_unit
 from repro.flow import CampaignJob, CampaignRunner
+import repro.sim.compile as sim_compile
 from repro.sim import compile_netlist, run_delays
 from repro.sim.levelized import LevelizedSimulator
 from repro.timing import DEFAULT_LIBRARY, OperatingCondition
+from repro.timing.corners import paper_corner_grid
 from repro.workloads import stream_for_unit
 
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE") == "1"
@@ -79,6 +87,11 @@ MIN_KERNEL_SPEEDUP = 5.0 * 0.942
 #: cache-sized sub-blocks) lands the ratio well below this and trips
 #: it reliably.
 MIN_KERNEL_SPEEDUP_9C = 3.3 * 0.940
+#: floor for the toggle-compacted arrival pass vs the dense one on
+#: FLOOR_FU at the 100-corner Table-I grid.  Measured ~3.4x at 130
+#: cycles (smoke) and ~2.9x at 400 (best of 5, 2-vCPU VM, numpy 2.4);
+#: the floor leaves room for shared-box noise.
+MIN_COMPACT_SPEEDUP_100C = 1.8
 FLOOR_FU = "int_mul"
 LARGE_FUS = ("int_mul", "fp_mul")  # 3540 / 4182 gates
 
@@ -87,14 +100,29 @@ CORNER_SETS = {
     2: [OperatingCondition(0.81, 0.0), OperatingCondition(1.00, 100.0)],
 }
 
-#: 1/3/9-corner grids for the corner-scaling table (3x3 V/T grid at 9).
+def _table1_corners(n):
+    """``n`` distinct Table-I corners spread over the 100-corner grid."""
+    grid = paper_corner_grid()
+    return [grid[i] for i in
+            np.linspace(0, len(grid) - 1, n).round().astype(int)]
+
+
+#: corner grids for the corner-scaling table: a 3x3 V/T grid at 9, then
+#: Table-I subsets up to the full grid.
 SCALING_CORNER_SETS = {
     1: [OperatingCondition(0.90, 25.0)],
     3: [OperatingCondition(0.81, 0.0), OperatingCondition(0.90, 50.0),
         OperatingCondition(1.00, 100.0)],
     9: [OperatingCondition(v, t) for v in (0.81, 0.90, 1.00)
         for t in (0.0, 50.0, 100.0)],
+    **{n: _table1_corners(n) for n in (16, 25, 50, 100)},
 }
+#: the per-gate engine is timed up to this corner count (beyond it a
+#: full-length run takes tens of seconds)
+PER_GATE_MAX_CORNERS = 9
+#: stream length of the wider rows: a campaign job's 1000 cycles (a
+#: 6000-cycle dense run at 100 corners takes ~5 s a rep)
+WIDE_CYCLES = 130 if SMOKE else 1000
 
 
 def _per_gate(netlist, inputs, delay_matrix):
@@ -187,41 +215,91 @@ def _measure_kernels():
     return rows, floors
 
 
+@contextlib.contextmanager
+def _forced_kernel(compact):
+    """Make ``CompiledNetlist.run`` take one arrival kernel whatever the
+    corner count, by moving the crossover it reads."""
+    saved = sim_compile.COMPACT_MIN_CORNERS
+    sim_compile.COMPACT_MIN_CORNERS = 1 if compact else 1 << 30
+    try:
+        yield
+    finally:
+        sim_compile.COMPACT_MIN_CORNERS = saved
+
+
+def _checked(fn, expected, what):
+    """Wrap a timed run so every call is checked bit for bit."""
+    def run():
+        got = fn()
+        assert got.tobytes() == expected, what
+    return run
+
+
 @pytest.mark.benchmark(group="simspeed")
 def test_corner_scaling(benchmark):
-    rows, ratio_9c = benchmark.pedantic(_measure_corner_scaling,
-                                        rounds=1, iterations=1)
+    rows, ratio_9c, compact_100c = benchmark.pedantic(
+        _measure_corner_scaling, rounds=1, iterations=1)
     _record(
         "Simspeed - corner scaling on int_mul",
-        format_table(["corners", "per-gate cyc/s", "compiled cyc/s",
-                      "speedup"], rows))
+        format_table(["corners", "cycles", "per-gate cyc/s",
+                      "dense cyc/s", "compact cyc/s", "dense vs per-gate",
+                      "compact vs dense", "run picks"], rows))
     if not SMOKE:
         assert ratio_9c >= MIN_KERNEL_SPEEDUP_9C, (
             f"compiled engine is {ratio_9c:.2f}x the per-gate engine on "
             f"{FLOOR_FU} at 9 corners "
             f"(floor {MIN_KERNEL_SPEEDUP_9C:.3f}x)")
+    assert compact_100c >= MIN_COMPACT_SPEEDUP_100C, (
+        f"compact arrival pass is {compact_100c:.2f}x the dense one on "
+        f"{FLOOR_FU} at 100 corners "
+        f"(floor {MIN_COMPACT_SPEEDUP_100C:.1f}x)")
 
 
 def _measure_corner_scaling():
     fu = build_functional_unit(FLOOR_FU)
     inputs = stream_for_unit(FLOOR_FU, CYCLES, seed=45).bit_matrix(fu)
+    prog = compile_netlist(fu.netlist)
     rows = []
-    ratio_9c = None
+    ratio_9c = compact_100c = None
     for n_corners, conditions in SCALING_CORNER_SETS.items():
         dm = DEFAULT_LIBRARY.delay_matrix(fu.netlist, conditions)
-        ref_run = (lambda dm=dm: _per_gate(fu.netlist, inputs, dm))
-        comp_run = (lambda dm=dm:
-                    run_delays("compiled", fu.netlist, inputs, dm))
-        np.testing.assert_array_equal(
-            comp_run(), ref_run(),
-            err_msg=f"{FLOOR_FU}/{n_corners}-corner delay parity")
-        t_ref, t_comp = _time_pair(ref_run, comp_run)
-        ratio = t_ref / t_comp
-        rows.append([f"{n_corners}", f"{CYCLES / t_ref:,.0f}",
-                     f"{CYCLES / t_comp:,.0f}", f"{ratio:.1f}x"])
-        if n_corners == 9:
-            ratio_9c = ratio
-    return rows, ratio_9c
+        n_cycles = (CYCLES if n_corners <= PER_GATE_MAX_CORNERS
+                    else min(CYCLES, WIDE_CYCLES))
+        rows_in = inputs[:n_cycles + 1]
+        with _forced_kernel(False):
+            expected = prog.run(rows_in, dm).tobytes()
+        what = f"{FLOOR_FU}/{n_corners}-corner delay parity"
+
+        def dense(dm=dm, rows_in=rows_in):
+            with _forced_kernel(False):
+                return prog.run(rows_in, dm)
+
+        def compact(dm=dm, rows_in=rows_in):
+            with _forced_kernel(True):
+                return prog.run(rows_in, dm)
+
+        dense_run = _checked(dense, expected, what)
+        compact_run = _checked(compact, expected, what)
+        per_gate_cell = ratio_cell = "-"
+        if n_corners <= PER_GATE_MAX_CORNERS:
+            ref_run = _checked(
+                lambda dm=dm: _per_gate(fu.netlist, inputs, dm),
+                expected, what)
+            t_ref, t_dense = _time_pair(ref_run, dense_run)
+            per_gate_cell = f"{n_cycles / t_ref:,.0f}"
+            ratio_cell = f"{t_ref / t_dense:.1f}x"
+            if n_corners == 9:
+                ratio_9c = t_ref / t_dense
+        t_dense, t_compact = _time_pair(dense_run, compact_run)
+        if n_corners == 100:
+            compact_100c = t_dense / t_compact
+        picks = ("compact" if n_corners >= sim_compile.COMPACT_MIN_CORNERS
+                 else "dense")
+        rows.append([f"{n_corners}", f"{n_cycles}", per_gate_cell,
+                     f"{n_cycles / t_dense:,.0f}",
+                     f"{n_cycles / t_compact:,.0f}", ratio_cell,
+                     f"{t_dense / t_compact:.2f}x", picks])
+    return rows, ratio_9c, compact_100c
 
 
 @pytest.mark.benchmark(group="simspeed")

@@ -21,7 +21,7 @@ from ..circuits.functional_units import FunctionalUnit, build_functional_unit
 from ..timing.cells import CellLibrary, DEFAULT_LIBRARY
 from ..timing.corners import OperatingCondition
 from ..timing.sdf import write_sdf
-from ..timing.sta import STAResult, run_sta
+from ..timing.sta import STAResult, run_sta_corners
 
 
 @dataclass
@@ -74,6 +74,6 @@ def implement(fu_name: str,
     """Run the simulated flow: elaborate the FU and sign off each corner."""
     fu = build_functional_unit(fu_name, **fu_kwargs)
     design = ImplementedDesign(fu=fu, library=library)
-    for condition in conditions:
-        design.sta[condition] = run_sta(fu.netlist, condition, library)
+    for result in run_sta_corners(fu.netlist, conditions, library):
+        design.sta[result.condition] = result
     return design

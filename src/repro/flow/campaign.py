@@ -73,10 +73,17 @@ __all__ = [
 ]
 
 #: Smallest cycle-axis shard the auto planner will produce; jobs below
-#: twice this never split along the cycle axis (the per-shard overhead
-#: of pickling the netlist and re-lowering it in the worker would
-#: outweigh the parallelism).
-MIN_SHARD_CYCLES = 512
+#: twice this never split along the cycle axis.  Every run of a compiled
+#: program pays a fixed cost for its per-level dispatch loop whatever
+#: its cycle count (~3.5 ms on ``int_mul`` at one corner, one chunk), so
+#: few-corner shards shorter than this are mostly overhead: on
+#: ``int_mul`` at one corner a 256-cycle shard costs ~1.4x its share of
+#: a 1024-cycle run, a 128-cycle one ~2.3x.  Wide grids amortize it
+#: better (~1.2x for 256 cycles at 100 corners), so a 1000-cycle,
+#: 100-corner campaign job splits into four ~250-cycle shards that keep
+#: all corners together, which the toggle-compacted arrival pass
+#: needs.
+MIN_SHARD_CYCLES = 256
 
 #: Shard bounds: (corner_start, corner_stop, cycle_start, cycle_stop).
 Shard = Tuple[int, int, int, int]
@@ -111,12 +118,14 @@ def plan_shards(n_cycles: int, n_corners: int = 1, *,
     unsharded run.  Shards are returned corner-major, cycle-minor.
 
     Explicit ``shard_cycles``/``shard_corners`` (each ``>= 1``) fix
-    the grid pitch along their axis (ragged tails allowed).  With both
-    ``None`` the size is picked automatically: a single worker never
-    splits, more workers get roughly two shards each.  Cycle splits are
-    preferred (corner shards repeat the corner-independent settled-value
-    pass), never go below :data:`MIN_SHARD_CYCLES`, and short streams
-    fall back to corner splits so wide grids still saturate the pool.
+    the grid pitch along their own axis (ragged tails allowed); an
+    axis left ``None`` is planned automatically.  A single worker
+    never splits; with more, the cycle axis is cut at a fixed pitch of
+    at least :data:`MIN_SHARD_CYCLES` aiming at two shards per worker
+    (cycle splits are preferred: corner shards repeat the
+    corner-independent settled-value pass), and the corner axis is
+    split evenly only when the cycle axis alone cannot feed the pool,
+    so short streams over wide grids still saturate it.
     ``cycle_shardable=False`` pins the cycle axis to a single span (for
     engines outside :data:`~repro.sim.engine.CYCLE_SHARDABLE`).
     """
@@ -128,34 +137,29 @@ def plan_shards(n_cycles: int, n_corners: int = 1, *,
         raise ValueError("shard_cycles must be >= 1")
     if shard_corners is not None and shard_corners < 1:
         raise ValueError("shard_corners must be >= 1")
+
     if not cycle_shardable:
-        shard_cycles = None
-
-    if shard_cycles is not None or shard_corners is not None:
-        pitch_t = shard_cycles if shard_cycles is not None else n_cycles
-        pitch_c = shard_corners if shard_corners is not None else n_corners
-        return [(c0, min(c0 + pitch_c, n_corners),
-                 t0, min(t0 + pitch_t, n_cycles))
-                for c0 in range(0, n_corners, pitch_c)
-                for t0 in range(0, n_cycles, pitch_t)]
-
-    if n_workers <= 1:
-        return [(0, n_corners, 0, n_cycles)]
-
-    # fixed-pitch cycle shards, corner splits only when the cycle axis
-    # alone cannot feed the pool
-    if cycle_shardable and n_cycles >= 2 * MIN_SHARD_CYCLES:
+        pitch = n_cycles
+    elif shard_cycles is not None:
+        pitch = shard_cycles
+    elif n_workers > 1 and n_cycles >= 2 * MIN_SHARD_CYCLES:
         pitch = max(MIN_SHARD_CYCLES, -(-n_cycles // (2 * n_workers)))
-        cycle_bounds = [(t0, min(t0 + pitch, n_cycles))
-                        for t0 in range(0, n_cycles, pitch)]
     else:
-        cycle_bounds = [(0, n_cycles)]
-    corner_splits = 1
-    if len(cycle_bounds) < 2 * n_workers:
-        corner_splits = min(n_corners,
-                            -(-2 * n_workers // len(cycle_bounds)))
+        pitch = n_cycles
+    cycle_bounds = [(t0, min(t0 + pitch, n_cycles))
+                    for t0 in range(0, n_cycles, pitch)]
+
+    if shard_corners is not None:
+        corner_bounds = [(c0, min(c0 + shard_corners, n_corners))
+                         for c0 in range(0, n_corners, shard_corners)]
+    else:
+        corner_splits = 1
+        if n_workers > 1 and len(cycle_bounds) < 2 * n_workers:
+            corner_splits = min(n_corners,
+                                -(-2 * n_workers // len(cycle_bounds)))
+        corner_bounds = _even_bounds(n_corners, corner_splits)
     return [(c0, c1, t0, t1)
-            for c0, c1 in _even_bounds(n_corners, corner_splits)
+            for c0, c1 in corner_bounds
             for t0, t1 in cycle_bounds]
 
 
@@ -264,8 +268,9 @@ class CampaignRunner:
     shard_cycles / shard_corners:
         Explicit shard-grid pitch along the cycle / corner axis (the
         cycle pitch only on engines in
-        :data:`~repro.sim.engine.CYCLE_SHARDABLE`).  None (default) sizes
-        the grid from the job and ``n_workers`` (:func:`plan_shards`).
+        :data:`~repro.sim.engine.CYCLE_SHARDABLE`).  Each fixes only its
+        own axis; an axis left None (default) is sized from the job and
+        ``n_workers`` (:func:`plan_shards`).
         Results are bit-identical for every shard shape and worker
         count.
     pool:
@@ -340,9 +345,7 @@ class CampaignRunner:
         return plan_shards(
             n_cycles, n_corners,
             shard_cycles=self.shard_cycles,
-            # a one-corner job has no corner axis to pin; an explicit
-            # corner pitch leaves it to the automatic cycle planner
-            shard_corners=self.shard_corners if n_corners > 1 else None,
+            shard_corners=self.shard_corners,
             n_workers=self.n_workers,
             cycle_shardable=self.backend in CYCLE_SHARDABLE)
 

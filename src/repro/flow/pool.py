@@ -9,11 +9,11 @@ lowering of the program:
 
 * **Warm program state.**  Workers are forked once per pool and cache
   the unpickled netlist (and therefore the lowered
-  :class:`~repro.sim.compile.CompiledNetlist`, its delay tiles, and its
-  corner-major arrival scratch — all single-slot-cached on the program)
-  per *netlist fingerprint*, and the job's input stream and delay
-  matrix per *job fingerprint*.  A job travels as its description
-  (input bits, cell library, corner list, backend); each worker
+  :class:`~repro.sim.compile.CompiledNetlist` and its arrival scratch,
+  single-slot-cached on the program) per *netlist fingerprint*, and
+  the job's input stream and delay matrix per *job fingerprint*.  A
+  job travels as its description (input bits, cell library, corner
+  list, backend); each worker
   builds the job's delay matrix once, at its first shard of the job,
   with the same :meth:`~repro.timing.cells.CellLibrary.delay_matrix`
   the inline path calls.  Registrations are delivered lazily, once
@@ -168,7 +168,7 @@ def _pool_worker_main(conn) -> None:
 
     State lives for the worker's lifetime: ``netlists`` pins the
     unpickled netlist objects (and thereby their cached compiled
-    programs, delay tiles, and scratch), ``jobs`` the per-job
+    programs and their scratch), ``jobs`` the per-job
     description and, from its first shard on, its delay matrix.
     The parent coordinates eviction (``release``), so the two sides
     never disagree about what is registered.

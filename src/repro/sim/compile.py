@@ -21,11 +21,34 @@ so one bitwise op evaluates 64 cycles of a whole gate group.  Tail
 bits past the last row are unspecified (inverting gates flip them);
 toggle words are masked to the first ``n_cycles`` bits before any
 ``any()`` test or unpack.  Arrival times are floats and cannot be
-packed; they run on the float32 arrival kernel below.
+packed; they run on the float32 arrival kernels below.
 
-The multi-corner regime — every paper table simulates the full
-operating-condition grid — is where the arrival pass spends its time,
-so the kernels are organized around it:
+Every paper table simulates a grid of operating corners, so the
+arrival pass works in one of two regimes, picked by
+:meth:`CompiledNetlist.run` from the corner count alone:
+
+* **Dense** (fewer than :data:`COMPACT_MIN_CORNERS` corners: the
+  9-corner training grid, single-corner runs).  The scratch is
+  ``(n_live_rows, n_corners, chunk)`` float32 and every (row, corner,
+  cycle) cell is computed; quiet cells carry a huge negative sentinel.
+  Each net owns one contiguous ``(n_corners, chunk)`` tile, so block
+  gathers move whole tiles.
+* **Toggle-compacted** (:data:`COMPACT_MIN_CORNERS` corners and up:
+  campaign shards over the 100-corner Table-I grid).  Only the
+  toggling (row, cycle) pairs of a chunk are computed, one float32
+  corner vector each.  On random operand streams only 32-46% of the
+  live (row, cycle) pairs toggle, so the dense pass spends about two
+  thirds of its work on cells no delay can read; the compact pass
+  pays an index gather per pair instead.
+
+:data:`COMPACT_MIN_CORNERS` is where the two cross.  It was measured
+with both kernels forced, on 250- and 1000-cycle random streams (the
+shard sizes a 2-worker campaign plans) on 2 vCPUs: on ``int_mul`` and
+``fp_mul`` the compact pass loses at 9 corners (0.6-0.8x), is about
+even at 10-12, and wins at 16 (1.1-1.4x), 25 (1.7-1.9x) and 100
+(3.5x).
+
+Shared by both regimes:
 
 * **Dead-cone segregation.**  Gates from whose output no primary
   output is reachable cannot influence any delay; lowering orders
@@ -33,40 +56,32 @@ so the kernels are organized around it:
   ``n_live_rows`` — a 32-bit array multiplier carries ~17% dead logic
   (unused carry/sign cells) that the per-gate engines dutifully
   simulate.
-* **Corner-major scratch tiles.**  The arrival scratch is
-  ``(n_live_rows, n_corners, chunk)`` float32: each net owns one
-  contiguous ``(n_corners, chunk)`` tile, so per-block gathers move
-  whole tiles and every elementwise op runs contiguous inner loops
-  whatever the corner count.
-* **Level-1 corner collapse.**  Primary inputs launch at the clock
-  edge for *every* corner, so the fanin ``max`` of a level-1 gate is
-  corner-independent: it is computed once on 2-D ``(n, chunk)`` rows
-  and only the delay add touches the corner axis.  On an array
-  multiplier the whole partial-product plane sits at level 1.
-* **Cache-sized sub-blocks.**  Arrival blocks are split into row
-  ranges whose gather/output tiles fit L2 (:data:`_SUB_BLOCK_ELEMS`),
-  so the 3-4 elementwise ops of a sub-block re-read cache-hot data
-  instead of round-tripping a multi-megabyte block through DRAM.
-* **Quiet-block skipping.**  A sub-block none of whose outputs toggle
-  anywhere in a chunk is filled with the quiet sentinel in one write —
-  the sparsity-aware level loop that makes low-activity (application
-  stream) chunks cheap.
-* **Hoisted delay tiles.**  Per-sub-block ``(n, n_corners, chunk)``
-  delay tiles are corner×gate constants, built once per ``run`` and
-  only sliced per chunk.
+* **Cache-sized sub-blocks.**  Arrival blocks are processed in pieces
+  of at most :data:`_SUB_BLOCK_ELEMS` cells, so the gathered fanins
+  stay L2-resident across the max and the delay add.  Without them the
+  dense pass is 1.3-2x slower at 1 and 9 corners.
+
+The dense pass also keeps the **level-1 corner collapse**: primary
+inputs launch at the clock edge for *every* corner, so the fanin
+``max`` of a level-1 gate is computed once on 2-D ``(n, chunk)`` rows
+and only the delay add touches the corner axis.  On an array
+multiplier the whole partial-product plane sits at level 1.
 
 Delays are **bit-identical** to the per-gate reference engine: every
 float32 operation on a *toggling* cycle is reproduced elementwise in
-the same order (``max`` over fanins in pin order, add the gate delay,
-add the ``+0.0`` toggle mask), and quiet-cycle values — which the
-per-gate engine pins to ``-inf`` and these kernels hold at huge
-negative sentinels — never reach a toggling cycle's delay (see
+the same order (``max`` over fanins in pin order, then add the gate
+delay), and quiet-cycle values — which the per-gate engine pins to
+``-inf`` and these kernels hold at huge negative sentinels — never
+reach a toggling cycle's delay (see
 :meth:`CompiledNetlist._arrival_chunk`).  The engine parity tests
-assert this against the ``levelized_ref`` reference path.
+assert this against the ``levelized_ref`` reference path for both
+kernels.
 
 Programs are cached per netlist identity (a ``weakref``-evicted map),
 so repeated ``run_delays`` calls — e.g. one per campaign shard — pay
-for validation, levelization, and lowering exactly once per process.
+for validation, levelization, and lowering exactly once per process,
+and reuse one arrival scratch buffer while the corner count and chunk
+stay the same.
 """
 
 from __future__ import annotations
@@ -92,20 +107,22 @@ _U64_ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
 #: pathological overflow saturates to -inf, which also satisfies both.
 _QUIET_SENTINEL = np.float32(2.0 ** 100)
 
-#: float32 elements of the per-corner-cycle arrival state (scratch row
-#: + delay tile) allowed per chunk, i.e. chunks are sized so
-#: ``n_corners * (n_live_rows + n_arrival_gates) * chunk`` stays under
-#: this.  With the sub-blocked level loop the sweet spot is set by
-#: dispatch amortization against total scratch traffic, not LLC size —
-#: empirically flat from ~40 MB up on the paper FUs, rising sharply
-#: below ~128 cycles per chunk.
-_CHUNK_BUDGET_ELEMS = 14 * 1024 * 1024
+#: float32 elements of the dense arrival scratch allowed per chunk, i.e.
+#: chunks are sized so ``n_corners * n_live_rows * chunk`` stays under
+#: this (28 MB).  The sweet spot is set by dispatch amortization against
+#: scratch traffic: on ``int_mul`` at 9 corners, 256-cycle chunks beat
+#: 128, 512 and 1024 by 10-40%.
+_CHUNK_BUDGET_ELEMS = 7 * 1024 * 1024
 
-#: float32 elements per arrival sub-block: row ranges are split so the
-#: gathered fanin tile and the output segment (~2x this in bytes) stay
-#: L2-resident across the 3-4 elementwise ops applied to them.  96k
-#: elems = 384 KB per tile, sized for ~1-2 MB L2 slices; measured ~30%
-#: faster than monolithic blocks on the 9-corner multiplier pass.
+#: Corner count from which :meth:`CompiledNetlist.run` uses the
+#: toggle-compacted arrival pass instead of the dense one (see the
+#: module docs for how it was measured).
+COMPACT_MIN_CORNERS = 16
+
+#: float32 arrival cells per sub-block, in either pass: the gathered
+#: fanins and the output segment (~384 KB each) stay L2-resident across
+#: the elementwise ops applied to them.  The dense pass splits row
+#: ranges, the compact pass lists of toggling pairs.
 _SUB_BLOCK_ELEMS = 96 * 1024
 
 
@@ -202,8 +219,8 @@ class ArrivalBlock:
 
 @dataclass(frozen=True)
 class ArrivalStep:
-    """One cache-sized slice of an :class:`ArrivalBlock`, with the
-    delay tile for a concrete ``(delay matrix, chunk)`` pair baked in.
+    """One cache-sized slice of an :class:`ArrivalBlock`, with the gate
+    delays of one run's delay matrix.
 
     Steps run in level order: each writes its own output row range and
     reads only strictly-lower-level rows.
@@ -215,8 +232,9 @@ class ArrivalStep:
     #: gather materializes every pin, then pin ``k`` is the view
     #: ``g[k*n:(k+1)*n]``.
     fanin_flat: np.ndarray
-    #: ``(n, n_corners, chunk)`` float32 gate-delay tile.
-    dtile: np.ndarray
+    #: ``(n, n_corners, 1)`` float32 gate delays, broadcast over the
+    #: chunk's cycles.
+    delay: np.ndarray
     #: all fanins are level-0 rows (PI / constant arrivals), which are
     #: corner-independent — the fanin ``max`` collapses to 2-D.
     pi_cone: bool
@@ -388,12 +406,22 @@ class CompiledNetlist:
         #: gates the arrival pass actually computes (live, non-const).
         self.n_arrival_gates = sum(
             b.stop - b.start for b in self.arrival_blocks)
-        # Single-slot caches for the per-run arrays (see arrival_plan /
-        # run): repeated runs at the same corner count reuse the delay
-        # tiles and the arrival scratch instead of faulting in tens of
-        # MB of fresh pages per call.  Not thread-safe, like the rest
-        # of the program state.
-        self._plan_cache: Optional[Tuple[tuple, List[ArrivalStep]]] = None
+        # Per-row view of the arrival blocks for the toggle-compacted
+        # pass, which indexes every toggling (row, cycle) pair of a
+        # chunk at once: gate column and fanin rows of each arrival row
+        # (pin 2 only for 3-pin rows), and the blocks' row edges.
+        self._row_gate = np.zeros(self.n_live_rows, dtype=np.int64)
+        self._row_fanin = np.zeros((3, self.n_live_rows), dtype=np.int64)
+        for b in self.arrival_blocks:
+            self._row_gate[b.start:b.stop] = b.gate_idx
+            self._row_fanin[:b.width, b.start:b.stop] = b.fanin
+        self._block_edges = np.asarray(
+            [b.start for b in self.arrival_blocks]
+            + [b.stop for b in self.arrival_blocks[-1:]], dtype=np.int64)
+        # Single-slot cache for the arrival scratch (see run): repeated
+        # runs at the same corner count and chunk reuse it instead of
+        # faulting in tens of MB of fresh pages per call.  Not
+        # thread-safe, like the rest of the program state.
         self._scratch_cache: Optional[Tuple[tuple, np.ndarray]] = None
 
     # -- kernels -----------------------------------------------------------
@@ -428,89 +456,61 @@ class CompiledNetlist:
                 g.gtype, values[g.fanin], (g.stop - g.start, width))
         return values
 
-    def _quiet_and_active(self, values: np.ndarray, n_cycles: int
-                          ) -> Tuple[np.ndarray, np.ndarray]:
-        """Quiet float mask plus per-row chunk activity.
+    @staticmethod
+    def _quiet_mask(bits: np.ndarray) -> np.ndarray:
+        """Quiet float mask of a ``(n_rows, n_cycles)`` toggle matrix.
 
-        The mask is ``0.0`` where a row toggles and a huge negative
-        sentinel where it is quiet, ``(n_rows, n_cycles)`` float32.  It
-        is both the primary-input arrival initialization and the output
-        mask of the arrival pass, built with two vectorized arithmetic
-        ops — ``np.where``/table gathers over the same data are several
-        times slower.  ``active[i]`` is True iff row ``i`` toggles at
-        least once in the chunk; rows that never toggle let the arrival
-        pass skip whole sub-blocks.
+        ``0.0`` where a row toggles and a huge negative sentinel where
+        it is quiet, float32.  It is both the primary-input arrival
+        initialization and the output mask of the dense arrival pass,
+        built with two vectorized arithmetic ops — ``np.where``/table
+        gathers over the same data are several times slower.
         """
-        tog = toggle_word_rows(values, n_cycles)
-        active = tog.any(axis=1)
-        bits = np.unpackbits(tog.view(np.uint8), axis=1,
-                             count=n_cycles, bitorder="little")
         # cast-and-subtract in one ufunc pass: toggling -> 0.0, quiet -> -1.0
         mask = np.subtract(bits, np.uint8(1), dtype=np.float32)
         mask *= _QUIET_SENTINEL
-        return mask, active
+        return mask
 
     def arrival_plan(self, delays: np.ndarray,
                      chunk_cycles: int) -> List[ArrivalStep]:
         """Split the arrival blocks into cache-sized steps for one run.
 
-        Each step carries its ``(n, n_corners, chunk)`` gate-delay
-        tile: the delay column is materialized across the cycle axis
-        so the arrival add runs contiguous-over-contiguous (a
-        zero-stride broadcast operand defeats SIMD and is ~2x slower).
-        Tiles are corner×gate constants — built once per :meth:`run`,
-        outside the chunk loop, and only sliced for the ragged final
-        chunk.  Row ranges are capped at :data:`_SUB_BLOCK_ELEMS`
-        elements so each step's tiles stay L2-resident across its ops.
-
-        Plans (the tiles are the better part of the run's allocations)
-        are cached single-slot per program: repeated runs with the same
-        delay matrix and chunk — bench reps, campaign shards in a warm
-        worker, the serving fallback — reuse the previous plan instead
-        of re-materializing tens of MB of tiles.
+        Row ranges are capped so a step holds at most
+        :data:`_SUB_BLOCK_ELEMS` arrival cells, which keeps its gathered
+        fanins L2-resident across the max and the delay add.  Each step
+        carries its gates' delay column for every corner.
         """
-        delays = np.ascontiguousarray(delays, dtype=np.float32)
-        # exact key: the raw delay bytes (~150 KB for the largest FU) —
-        # a digest could collide and silently serve another matrix's
-        # tiles, voiding the bit-identical contract
-        cache_key = (delays.tobytes(), delays.shape, int(chunk_cycles))
-        cached = self._plan_cache
-        if cached is not None and cached[0] == cache_key:
-            return cached[1]
-        n_corners = delays.shape[0]
-        n_sub = max(8, _SUB_BLOCK_ELEMS // max(1, n_corners * chunk_cycles))
-        delays_t = np.ascontiguousarray(delays.T)  # (n_gates, n_corners)
+        # (n_live_rows, n_corners, 1): each row's gate delays, so every
+        # step's delay column is a view
+        row_delay = np.asarray(delays, dtype=np.float32).T[
+            self._row_gate][:, :, None]
+        n_sub = max(8, _SUB_BLOCK_ELEMS
+                    // max(1, row_delay.shape[1] * chunk_cycles))
         steps: List[ArrivalStep] = []
         for b in self.arrival_blocks:
             n = b.stop - b.start
             for lo in range(0, n, n_sub):
                 hi = min(lo + n_sub, n)
-                gi = b.gate_idx[lo:hi]
-                dtile = np.ascontiguousarray(np.broadcast_to(
-                    delays_t[gi][:, :, None],
-                    (hi - lo, n_corners, chunk_cycles)))
                 steps.append(ArrivalStep(
                     start=b.start + lo, stop=b.start + hi,
                     fanin_flat=np.ascontiguousarray(
                         b.fanin[:, lo:hi].reshape(-1)),
-                    dtile=dtile, pi_cone=(b.level == 1), width=b.width))
-        self._plan_cache = (cache_key, steps)
+                    delay=row_delay[b.start + lo:b.start + hi],
+                    pi_cone=(b.level == 1), width=b.width))
         return steps
 
     def _arrival_chunk(self, quiet: np.ndarray, plan: List[ArrivalStep],
-                       arr: np.ndarray, n_cycles: int,
-                       active: Optional[np.ndarray]) -> None:
+                       arr: np.ndarray, n_cycles: int) -> None:
         """Float arrival pass for one chunk into ``arr``.
 
         ``arr`` is ``(n_live_rows, n_corners, chunk)`` with ``chunk >=
         n_cycles`` (the ragged final chunk slices); ``quiet`` is the
-        :meth:`_quiet_and_active` mask with ``n_cycles`` columns and
-        ``active`` its per-row chunk activity.  The worst toggling PO
-        arrival per cycle, clamped at 0, is elementwise identical to
-        the per-gate arrival pass, which masks quiet arrivals to
-        ``-inf`` at every fanin read.  Here quiet arrivals are huge
-        negative sentinels maintained at gate outputs instead, which is
-        exact because:
+        :meth:`_quiet_mask` of the chunk's ``n_cycles`` columns.  The
+        worst toggling PO arrival per cycle, clamped at 0, is
+        elementwise identical to the per-gate arrival pass, which masks
+        quiet arrivals to ``-inf`` at every fanin read.  Here quiet
+        arrivals are huge negative sentinels maintained at gate outputs
+        instead, which is exact because:
 
         * a settled value cannot change unless an input changed, so
           every *toggling* gate has at least one toggling fanin whose
@@ -529,35 +529,15 @@ class CompiledNetlist:
         ``(max + mask) + delay`` (identical on toggling cycles where
         the mask is ``+0.0``), constants enter the 2-D level-1 max as
         the sentinel rather than ``-inf`` (both lose to any real
-        arrival), and fully-quiet sub-blocks are filled with the raw
-        sentinel instead of computed (every skipped value is quiet by
-        construction).
+        arrival), and the toggle-compacted pass
+        (:meth:`_compact_chunk`) never computes a quiet cell at all.
         """
-        full = arr.shape[2] == n_cycles
-        arr = arr if full else arr[:, :, :n_cycles]
+        arr = arr[:, :, :n_cycles]
         arr[:self.n_inputs] = quiet[:self.n_inputs][:, None, :]
         for start, stop in self.const_rows:
             arr[start:stop] = NEG_INF  # constants never toggle
-        if active is not None and plan:
-            # one reduceat gives per-step chunk activity (step row
-            # ranges tile the arrival rows back-to-back) — replaces a
-            # per-step .any() dispatch
-            starts = np.fromiter((st.start for st in plan),
-                                 dtype=np.int64, count=len(plan))
-            step_active = np.maximum.reduceat(
-                active.view(np.uint8), starts)
-        else:
-            step_active = None
-
-        for si, st in enumerate(plan):
-            if step_active is not None and not step_active[si]:
-                # nothing in this row range toggles anywhere in the
-                # chunk: every output is quiet, any huge negative value
-                # is as good as the computed one (see docstring)
-                arr[st.start:st.stop] = -_QUIET_SENTINEL
-                continue
+        for st in plan:
             n = st.stop - st.start
-            dtile = st.dtile if full else st.dtile[:, :, :n_cycles]
             seg = arr[st.start:st.stop]
             if st.pi_cone:
                 # level-1 fanins (PI / constant arrivals) are corner-
@@ -568,7 +548,7 @@ class CompiledNetlist:
                 for k in range(2, st.width):
                     np.maximum(cand, g[k * n:(k + 1) * n], out=cand)
                 cand += quiet[st.start:st.stop]
-                np.add(cand[:, None, :], dtile, out=seg)
+                np.add(cand[:, None, :], st.delay, out=seg)
             else:
                 # one stacked gather materializes every pin; the max
                 # lands straight in the output segment
@@ -576,22 +556,88 @@ class CompiledNetlist:
                 np.maximum(g[:n], g[n:2 * n], out=seg)
                 for k in range(2, st.width):
                     np.maximum(seg, g[k * n:(k + 1) * n], out=seg)
-                seg += dtile
+                seg += st.delay
                 seg += quiet[st.start:st.stop][:, None, :]
+
+    def _compact_chunk(self, bits: np.ndarray, delays_t: np.ndarray,
+                       scratch: np.ndarray) -> np.ndarray:
+        """Toggle-compacted arrival pass for one chunk.
+
+        ``bits`` is the ``(n_live_rows, n_cycles)`` 0/1 toggle matrix,
+        ``delays_t`` the ``(n_gates, n_corners)`` float32 delays and
+        ``scratch`` a flat float32 buffer of at least ``(n_live_rows *
+        n_cycles + 1) * n_corners`` elements.  Returns the worst PO
+        arrival per (cycle, corner), ``(n_cycles, n_corners)``, before
+        the clamp at 0.
+
+        Only toggling (row, cycle) pairs are computed.  Each owns one
+        corner vector of a compact ``(pairs + 1, n_corners)`` store,
+        listed row-major, so every arrival block's pairs are one
+        contiguous slice of it.  Row 0 holds the quiet sentinel and an
+        int32 map points every quiet (row, cycle) cell at it.  This is
+        exact for the reasons :meth:`_arrival_chunk` gives: a toggling
+        gate has a toggling fanin with a real arrival, quiet fanins
+        read a value that loses every ``max``, and constants (which
+        never toggle) read the sentinel like any quiet row.  The dense
+        path's ``+0.0`` output mask is dropped, which keeps the bits of
+        every non-negative arrival.
+        """
+        n_rows, n_cycles = bits.shape
+        n_corners = delays_t.shape[1]
+        flat = np.flatnonzero(bits)
+        n_pairs = flat.size
+        store = scratch[:(n_pairs + 1) * n_corners].reshape(
+            n_pairs + 1, n_corners)
+        store[0] = -_QUIET_SENTINEL
+        pair_of = np.zeros(n_rows * n_cycles, dtype=np.int32)
+        pair_of[flat] = np.arange(1, n_pairs + 1, dtype=np.int32)
+        # pairs below the first arrival row are primary-input toggles
+        # (constants never toggle): they launch at the clock edge
+        edges = np.searchsorted(flat, self._block_edges * n_cycles)
+        first = int(edges[0]) if edges.size else n_pairs
+        store[1:1 + first] = _ZERO
+
+        # per-pair indices, once per chunk: gate column and the pair
+        # each of the first two pins reads (3-pin blocks add pin 2)
+        cell = flat[first:]
+        rows = cell // n_cycles
+        cyc = cell - rows * n_cycles
+        gate = self._row_gate[rows]
+        pins = [pair_of[self._row_fanin[k][rows] * n_cycles + cyc]
+                for k in range(2)]
+        step = max(1, _SUB_BLOCK_ELEMS // n_corners)
+        for b, lo, hi in zip(self.arrival_blocks, edges[:-1] - first,
+                             edges[1:] - first):
+            if b.width == 3:
+                pin2 = pair_of[self._row_fanin[2][rows[lo:hi]] * n_cycles
+                               + cyc[lo:hi]]
+            # cache-sized sub-blocks, like the dense pass: the gathered
+            # pins stay L2-resident across the max and the delay add
+            for s in range(lo, hi, step):
+                e = min(s + step, hi)
+                seg = store[1 + first + s:1 + first + e]
+                np.take(store, pins[0][s:e], axis=0, out=seg)
+                np.maximum(seg, store[pins[1][s:e]], out=seg)
+                if b.width == 3:
+                    np.maximum(seg, store[pin2[s - lo:e - lo]], out=seg)
+                seg += delays_t[gate[s:e]]
+        po = pair_of.reshape(n_rows, n_cycles)[self.po_rows]
+        return store[po].max(axis=0)
 
     # -- public API --------------------------------------------------------
 
     def default_chunk_cycles(self, n_corners: int) -> int:
-        """Cycle-axis chunk derived from the corner-major footprint.
+        """Cycle-axis chunk derived from the dense scratch footprint.
 
-        The arrival pass holds ``n_corners * chunk`` float32 per live
-        row (scratch) plus the same per arrival gate (delay tiles), so
-        the chunk shrinks as the corner grid grows; a floor keeps
-        per-level dispatch overhead amortized when the per-cycle
-        footprint is large, a cap bounds single-corner scratch.
+        The dense pass holds ``n_corners * chunk`` float32 per live
+        row, so the chunk shrinks as the corner grid grows; a floor
+        keeps per-level dispatch overhead amortized when the per-cycle
+        footprint is large, a cap bounds single-corner scratch.  The
+        compact pass uses the same chunk: at 100 corners its time is
+        flat from 64 to 512 cycles, and its pair store grows with the
+        chunk.
         """
-        per_cycle = n_corners * max(1, self.n_live_rows
-                                    + self.n_arrival_gates)
+        per_cycle = n_corners * max(1, self.n_live_rows)
         chunk = _CHUNK_BUDGET_ELEMS // per_cycle
         return int(min(1024, max(128, (chunk // 64) * 64)))
 
@@ -604,7 +650,9 @@ class CompiledNetlist:
         boundaries never affect results because cycle ``t`` only reads
         input rows ``t`` and ``t+1``.  ``chunk_cycles`` defaults to
         :meth:`default_chunk_cycles`; an explicit value exists for the
-        chunk-invariance parity tests.
+        chunk-invariance parity tests.  Runs with at least
+        :data:`COMPACT_MIN_CORNERS` corners take the toggle-compacted
+        arrival pass, the rest the dense one.
         """
         if chunk_cycles is not None and chunk_cycles < 1:
             raise ValueError("chunk_cycles must be >= 1")
@@ -630,26 +678,37 @@ class CompiledNetlist:
             chunk_cycles = self.default_chunk_cycles(n_corners)
         chunk_cycles = min(chunk_cycles, n_cycles)
         out_delays = np.zeros((n_corners, n_cycles), dtype=np.float32)
+        compact = n_corners >= COMPACT_MIN_CORNERS
 
-        # per-run hoists: the arrival plan (delay tiles + fanin slices)
-        # is chunk-invariant, and the primary inputs are packed once
-        # (chunks start at 64-cycle boundaries, so packed chunks are
-        # word slices of the stream)
-        plan = self.arrival_plan(delays, chunk_cycles)
+        # the primary inputs are packed once (chunks start at 64-cycle
+        # boundaries, so packed chunks are word slices of the stream)
         all_pi = pack_columns(inputs)
 
         # scratch reused across chunks (the ragged final chunk slices)
         # and across runs at the same corner count / chunk (single-slot
-        # cache — repeated runs skip faulting in a fresh multi-MB array)
+        # cache — repeated runs skip faulting in a fresh multi-MB array).
+        # One flat buffer serves either kernel: the dense pass views it
+        # as (n_live_rows, n_corners, chunk), the compact pass as its
+        # pair store (at most one pair per live row and cycle, plus
+        # the sentinel row; only the touched pages become resident).
         val_buf: Optional[np.ndarray] = None
         scratch_key = (n_corners, chunk_cycles)
         if self._scratch_cache is not None \
                 and self._scratch_cache[0] == scratch_key:
-            arr_buf = self._scratch_cache[1]
+            scratch = self._scratch_cache[1]
         else:
-            arr_buf = np.empty((self.n_live_rows, n_corners,
-                                chunk_cycles), dtype=np.float32)
-            self._scratch_cache = (scratch_key, arr_buf)
+            scratch = np.empty((self.n_live_rows * chunk_cycles + 1)
+                               * n_corners, dtype=np.float32)
+            self._scratch_cache = (scratch_key, scratch)
+        # the delays in the layout each kernel reads: gate-major rows
+        # for the compact pass, per-step delay columns for the dense one
+        if compact:
+            delays_t = np.ascontiguousarray(delays.T)
+        else:
+            plan = self.arrival_plan(delays, chunk_cycles)
+            arr_buf = scratch[:self.n_live_rows * n_corners
+                              * chunk_cycles].reshape(
+                self.n_live_rows, n_corners, chunk_cycles)
         start = 0
         while start < n_cycles:
             stop = min(start + chunk_cycles, n_cycles)
@@ -664,14 +723,20 @@ class CompiledNetlist:
                                              pi_values=pi_vals,
                                              live_only=True)
             val_buf = values
-            quiet, row_active = self._quiet_and_active(
-                values, chunk_rows - 1)
-            self._arrival_chunk(quiet, plan, arr_buf, chunk_rows - 1,
-                                row_active)
-            if self.n_outputs:
-                arr = arr_buf[:, :, :chunk_rows - 1]
-                worst = arr[self.po_rows].max(axis=0)
-                out_delays[:, start:stop] = np.maximum(worst, _ZERO)
+            tog = toggle_word_rows(values, chunk_rows - 1)
+            bits = np.unpackbits(tog.view(np.uint8), axis=1,
+                                 count=chunk_rows - 1, bitorder="little")
+            if compact:
+                if self.n_outputs:
+                    worst = self._compact_chunk(bits, delays_t, scratch)
+                    out_delays[:, start:stop] = np.maximum(worst.T, _ZERO)
+            else:
+                self._arrival_chunk(self._quiet_mask(bits), plan, arr_buf,
+                                    chunk_rows - 1)
+                if self.n_outputs:
+                    arr = arr_buf[:, :, :chunk_rows - 1]
+                    worst = arr[self.po_rows].max(axis=0)
+                    out_delays[:, start:stop] = np.maximum(worst, _ZERO)
             start = stop
         return out_delays
 

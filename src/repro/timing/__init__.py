@@ -13,7 +13,7 @@ from .corners import (
 )
 from .scaling import DEFAULT_SCALING, ScalingParameters, delay_scale
 from .sdf import SDFFile, read_sdf, write_sdf
-from .sta import STAResult, run_sta, static_delay
+from .sta import STAResult, run_sta, run_sta_corners, static_delay
 
 __all__ = [
     "CLOCK_SPEEDUPS",
@@ -32,6 +32,7 @@ __all__ = [
     "paper_corner_grid",
     "read_sdf",
     "run_sta",
+    "run_sta_corners",
     "sped_up_clock",
     "static_delay",
     "temperature_points",

@@ -318,6 +318,39 @@ class TestShardGridPlanning:
         assert plan_shards(100, 2, shard_cycles=1000,
                            shard_corners=50) == [(0, 2, 0, 100)]
 
+    def test_wide_grid_job_keeps_corners_together(self):
+        # the campaign's 1000-cycle jobs over the 100-corner Table-I
+        # grid: cycle shards only, so every shard runs all corners
+        shards = plan_shards(1000, 100, n_workers=2)
+        self._assert_covers(shards, 100, 1000)
+        assert len(shards) == 4
+        assert all((c0, c1) == (0, 100) for c0, c1, _, _ in shards)
+        assert all(t1 - t0 >= 200 for _, _, t0, t1 in shards)
+
+    def test_explicit_corner_pitch_leaves_cycles_to_the_planner(self):
+        # an explicit corner pitch fixes only the corner axis: every
+        # corner gets the same automatic cycle split, however many
+        # corners the job has
+        runner = CampaignRunner(use_cache=False, n_workers=2,
+                                shard_corners=1)
+        one = runner._plan_job(4000, 1)
+        two = runner._plan_job(4000, 2)
+        spans = sorted((t0, t1) for _, _, t0, t1 in one)
+        assert len(spans) > 1
+        for corner in range(2):
+            assert sorted((t0, t1) for c0, _, t0, t1 in two
+                          if c0 == corner) == spans
+        assert len(two) == 2 * len(one)
+
+    def test_explicit_cycle_pitch_leaves_corners_to_the_planner(self):
+        # symmetric: two explicit cycle shards cannot feed two workers
+        # twice over, so the automatic corner split still applies
+        shards = plan_shards(200, 4, shard_cycles=100, n_workers=2)
+        self._assert_covers(shards, 4, 200)
+        assert len({(c0, c1) for c0, c1, _, _ in shards}) == 2
+        assert {(t0, t1) for _, _, t0, t1 in shards} == {(0, 100),
+                                                          (100, 200)}
+
     def test_capability_gates_pin_axes(self):
         # an engine without cycle sharding must never see cycle cuts,
         # even when the caller asks for them explicitly
@@ -328,7 +361,7 @@ class TestShardGridPlanning:
     @pytest.mark.parametrize(
         "n_cycles,n_corners,n_workers,cycle_ok,n_shards", [
             (64_000, 1, 4, True, 8),     # cycle splits only
-            (1_500, 9, 4, True, 9),      # 3 cycle x 3 corner
+            (750, 9, 4, True, 9),        # 3 cycle x 3 corner
             (100, 9, 2, True, 4),        # short: corners only
             (2 * MIN_SHARD_CYCLES, 2, 3, True, 4),
             (10_000, 3, 8, False, 3),    # cycle axis pinned

@@ -2,7 +2,10 @@
 
 The lowering pass and the level-parallel kernels carry the
 load-bearing guarantee: whatever the chunking, delays are
-bit-identical to the per-gate reference engine.
+bit-identical to the per-gate reference engine.  ``run`` picks the
+dense or the toggle-compacted arrival pass from the corner count, so
+the parity tests run at the crossover, one corner either side of it,
+and the full 100-corner grid (``KERNEL_CORNERS``).
 """
 
 import gc
@@ -13,13 +16,34 @@ import pytest
 from repro.circuits import PAPER_UNITS, build_functional_unit
 from repro.circuits.netlist import GATE_ARITY, GateType, Netlist
 from repro.sim import compile_netlist, run_delays
-from repro.sim.compile import CompiledNetlist, _PROGRAM_CACHE
+from repro.sim.compile import (
+    COMPACT_MIN_CORNERS,
+    CompiledNetlist,
+    _PROGRAM_CACHE,
+)
 from repro.sim.levelized import LevelizedSimulator
 from repro.timing import DEFAULT_LIBRARY, OperatingCondition
+from repro.timing.corners import paper_corner_grid
 from repro.workloads import stream_for_unit
 
 CONDS = [OperatingCondition(0.81, 0.0), OperatingCondition(1.00, 100.0)]
 DTA_BACKENDS = ("compiled", "levelized_ref")
+GRID = paper_corner_grid()
+#: corner counts that exercise both arrival kernels: the dense pass
+#: just below the crossover, the compact pass at and above it, and the
+#: full Table-I grid
+KERNEL_CORNERS = (COMPACT_MIN_CORNERS - 1, COMPACT_MIN_CORNERS,
+                  COMPACT_MIN_CORNERS + 1, len(GRID))
+
+
+def _grid(n_corners):
+    """``n_corners`` distinct Table-I corners spread over the grid."""
+    picks = np.linspace(0, len(GRID) - 1, n_corners).round().astype(int)
+    return [GRID[i] for i in picks]
+
+
+def _ref_delays(netlist, inputs, delays):
+    return LevelizedSimulator(netlist).run(inputs, delays)
 
 
 def _fu_inputs(fu_name, n_cycles, seed=0, **fu_kwargs):
@@ -137,11 +161,14 @@ class TestProgramCache:
 
 
 class TestKernelParity:
+    @pytest.mark.parametrize("n_corners", (len(CONDS),) + KERNEL_CORNERS)
     @pytest.mark.parametrize("fu_name", PAPER_UNITS)
-    def test_delays_and_outputs_bit_identical_to_per_gate(self, fu_name):
+    def test_delays_and_outputs_bit_identical_to_per_gate(self, fu_name,
+                                                          n_corners):
         # 130 cycles: three packed words with a ragged tail
         fu, inputs = _fu_inputs(fu_name, 130, seed=6)
-        delays = DEFAULT_LIBRARY.delay_matrix(fu.netlist, CONDS)
+        conds = CONDS if n_corners == len(CONDS) else _grid(n_corners)
+        delays = DEFAULT_LIBRARY.delay_matrix(fu.netlist, conds)
         ref = LevelizedSimulator(fu.netlist).run(inputs, delays)
         for name in DTA_BACKENDS:
             got = run_delays(name, fu.netlist, inputs, delays)
@@ -150,28 +177,65 @@ class TestKernelParity:
             compile_netlist(fu.netlist).run_values(inputs),
             LevelizedSimulator(fu.netlist).run_values(inputs))
 
-    def test_chunking_invariance(self):
-        fu, inputs = _fu_inputs("int_add", 200, seed=8, width=8)
-        delays = DEFAULT_LIBRARY.delay_matrix(fu.netlist, CONDS)
+    @pytest.mark.parametrize("n_corners", (len(CONDS),) + KERNEL_CORNERS)
+    def test_chunking_invariance(self, n_corners):
+        # chunks of 37, 100 and 200 cycles start off the 64-cycle word
+        # grid, so every chunk after the first repacks its inputs
+        fu, inputs = _fu_inputs("int_add", 300, seed=8, width=8)
+        delays = DEFAULT_LIBRARY.delay_matrix(fu.netlist,
+                                              _grid(n_corners))
         prog = compile_netlist(fu.netlist)
         whole = prog.run(inputs, delays)
         ref = LevelizedSimulator(fu.netlist).run(inputs, delays)
         assert whole.tobytes() == ref.tobytes()
-        for chunk in (1, 37, 64, 100, 1000):
+        for chunk in (1, 37, 64, 100, 200, 1000):
             part = prog.run(inputs, delays, chunk_cycles=chunk)
             assert part.tobytes() == whole.tobytes(), chunk
 
+    @pytest.mark.parametrize("n_corners", (len(CONDS),) + KERNEL_CORNERS)
     @pytest.mark.parametrize("fu_name", PAPER_UNITS)
-    def test_chunking_invariance_on_paper_units(self, fu_name):
+    def test_chunking_invariance_on_paper_units(self, fu_name, n_corners):
         # the chunk is sized by the program itself; any other size,
         # ragged or word-aligned, must give the same bytes
         fu, inputs = _fu_inputs(fu_name, 130, seed=11)
-        delays = DEFAULT_LIBRARY.delay_matrix(fu.netlist, CONDS)
+        conds = CONDS if n_corners == len(CONDS) else _grid(n_corners)
+        delays = DEFAULT_LIBRARY.delay_matrix(fu.netlist, conds)
         prog = compile_netlist(fu.netlist)
         whole = prog.run(inputs, delays)
-        for chunk in (7, 64, 100, prog.default_chunk_cycles(len(CONDS))):
+        for chunk in (7, 64, 100, prog.default_chunk_cycles(n_corners)):
             part = prog.run(inputs, delays, chunk_cycles=chunk)
             assert part.tobytes() == whole.tobytes(), chunk
+
+    @pytest.mark.parametrize("n_corners,compact", [
+        (1, False), (COMPACT_MIN_CORNERS - 1, False),
+        (COMPACT_MIN_CORNERS, True), (len(GRID), True)])
+    def test_corner_count_picks_the_kernel(self, monkeypatch, n_corners,
+                                           compact):
+        fu, inputs = _fu_inputs("int_add", 40, seed=17, width=8)
+        calls = []
+        real = CompiledNetlist._compact_chunk
+
+        def spy(self, *args):
+            calls.append(1)
+            return real(self, *args)
+
+        monkeypatch.setattr(CompiledNetlist, "_compact_chunk", spy)
+        delays = DEFAULT_LIBRARY.delay_matrix(fu.netlist,
+                                              _grid(n_corners))
+        got = compile_netlist(fu.netlist).run(inputs, delays)
+        assert bool(calls) == compact
+        assert got.tobytes() == _ref_delays(
+            fu.netlist, inputs, delays).tobytes()
+
+    @pytest.mark.parametrize("n_corners", KERNEL_CORNERS)
+    def test_one_cycle_stream(self, n_corners):
+        fu, inputs = _fu_inputs("int_mul", 1, seed=18, width=8)
+        delays = DEFAULT_LIBRARY.delay_matrix(fu.netlist,
+                                              _grid(n_corners))
+        got = compile_netlist(fu.netlist).run(inputs, delays)
+        assert got.shape == (n_corners, 1)
+        assert got.tobytes() == _ref_delays(
+            fu.netlist, inputs, delays).tobytes()
 
     def test_default_chunk_cycles_shrinks_with_corners(self):
         prog = compile_netlist(build_functional_unit("int_mul").netlist)
@@ -214,24 +278,27 @@ class TestKernelParity:
 
 
 class TestArrivalFastPaths:
-    """The multi-corner fast paths — dead-cone exclusion, the level-1
-    corner-independent max, quiet-sub-block skipping — must all be
+    """The arrival fast paths — dead-cone exclusion, the level-1
+    corner-independent max, the toggle-compacted pass — must all be
     invisible in the delays: bit-identical to the per-gate reference.
     """
 
     CONDS9 = [OperatingCondition(v, t)
               for v in (0.81, 0.90, 1.00) for t in (0.0, 50.0, 100.0)]
 
-    def _parity(self, netlist, inputs, conds):
+    def _parity(self, netlist, inputs, conds, chunk_cycles=None):
         delays = DEFAULT_LIBRARY.delay_matrix(netlist, conds)
         ref = LevelizedSimulator(netlist).run(inputs, delays)
-        got = compile_netlist(netlist).run(inputs, delays)
+        got = compile_netlist(netlist).run(inputs, delays,
+                                           chunk_cycles=chunk_cycles)
         assert got.tobytes() == ref.tobytes()
         np.testing.assert_array_equal(
             compile_netlist(netlist).run_values(inputs),
             LevelizedSimulator(netlist).run_values(inputs))
+        return got
 
-    def test_dangling_gate_netlist_parity(self):
+    @pytest.mark.parametrize("n_corners", (3,) + KERNEL_CORNERS)
+    def test_dangling_gate_netlist_parity(self, n_corners):
         # a gate driving nothing (classic dead cone) plus a dead chain
         nl = Netlist(name="dangling")
         a, b = nl.add_input("a"), nl.add_input("b")
@@ -243,9 +310,10 @@ class TestArrivalFastPaths:
         assert prog.n_arrival_gates == 1  # only the XOR is simulated
         rng = np.random.default_rng(3)
         inputs = rng.integers(0, 2, size=(130, 2)).astype(np.uint8)
-        self._parity(nl, inputs, self.CONDS9[:3])
+        self._parity(nl, inputs, _grid(n_corners))
 
-    def test_const_feeding_level1_gate_parity(self):
+    @pytest.mark.parametrize("n_corners", (9,) + KERNEL_CORNERS)
+    def test_const_feeding_level1_gate_parity(self, n_corners):
         # the fused level-1 path reads constant arrivals as the quiet
         # sentinel where the main path holds -inf; both must lose every
         # max and leave delays bit-identical
@@ -257,39 +325,59 @@ class TestArrivalFastPaths:
         nl.primary_outputs.extend([x, y])
         rng = np.random.default_rng(4)
         inputs = rng.integers(0, 2, size=(70, 1)).astype(np.uint8)
-        self._parity(nl, inputs, self.CONDS9)
+        self._parity(nl, inputs, _grid(n_corners))
 
-    def test_quiet_chunks_skip_but_stay_exact(self):
-        # long constant stretches make whole chunks (and sub-blocks)
-        # quiet — the sparsity skip must not change a single bit
+    @pytest.mark.parametrize("n_corners", (9,) + KERNEL_CORNERS)
+    def test_quiet_chunks_stay_exact(self, n_corners):
+        # 210 frozen cycles: with 64-cycle chunks, chunks 2 and 3 have
+        # no toggling (row, cycle) pair at all
         fu = build_functional_unit("int_mul", width=8)
         stream = stream_for_unit("int_mul", 400, seed=15)
         inputs = stream.bit_matrix(fu)
-        inputs[50:260] = inputs[50]  # 210 frozen cycles
-        self._parity(fu.netlist, inputs, self.CONDS9)
+        inputs[50:260] = inputs[50]
+        conds = self.CONDS9 if n_corners == 9 else _grid(n_corners)
+        for chunk in (None, 64):
+            got = self._parity(fu.netlist, inputs, conds, chunk)
+            assert not got[:, 64:192].any()
 
-    def test_plan_cache_distinguishes_delay_matrices(self):
-        # the single-slot plan cache must never serve another delay
-        # matrix's tiles: same netlist, same shape, different values
+    @pytest.mark.parametrize("n_corners", KERNEL_CORNERS)
+    def test_constant_stream_is_all_quiet(self, n_corners):
+        fu = build_functional_unit("int_mul", width=8)
+        inputs = np.repeat(stream_for_unit("int_mul", 1, seed=19)
+                           .bit_matrix(fu)[:1], 100, axis=0)
+        got = self._parity(fu.netlist, inputs, _grid(n_corners))
+        assert not got.any()
+
+    @pytest.mark.parametrize("n_corners", (9,) + KERNEL_CORNERS)
+    def test_rerun_with_another_delay_matrix(self, n_corners):
+        # the program reuses one scratch buffer across runs of the same
+        # shape: a second delay matrix must not see the first's values
         fu, inputs = _fu_inputs("int_add", 80, seed=16, width=8)
         prog = compile_netlist(fu.netlist)
-        dm_a = DEFAULT_LIBRARY.delay_matrix(fu.netlist, self.CONDS9)
+        conds = self.CONDS9 if n_corners == 9 else _grid(n_corners)
+        dm_a = DEFAULT_LIBRARY.delay_matrix(fu.netlist, conds)
         dm_b = np.asarray(dm_a, np.float32) * np.float32(2.0)
         ref_b = LevelizedSimulator(fu.netlist).run(
             inputs, dm_b)
-        prog.run(inputs, dm_a)  # warm the cache with matrix A
+        prog.run(inputs, dm_a)  # warm the scratch with matrix A
         got_b = prog.run(inputs, dm_b)
         assert got_b.tobytes() == ref_b.tobytes()
 
-    def test_multi_corner_equals_corner_by_corner(self):
+    @pytest.mark.parametrize("n_corners", (9,) + KERNEL_CORNERS)
+    def test_multi_corner_equals_corner_by_corner(self, n_corners):
         # corner rows are computed independently: slicing the delay
         # matrix row-wise reproduces the same bits (the property the
-        # campaign layer's corner sharding relies on)
+        # campaign layer's corner sharding relies on), whichever kernel
+        # each slice's corner count picks
         fu, inputs = _fu_inputs("int_add", 90, seed=14, width=8)
-        delays = DEFAULT_LIBRARY.delay_matrix(fu.netlist, self.CONDS9)
+        conds = self.CONDS9 if n_corners == 9 else _grid(n_corners)
+        delays = DEFAULT_LIBRARY.delay_matrix(fu.netlist, conds)
         prog = compile_netlist(fu.netlist)
         whole = prog.run(inputs, delays)
-        for lo, hi in ((0, 1), (1, 4), (4, 9)):
+        assert whole.tobytes() == _ref_delays(
+            fu.netlist, inputs, delays).tobytes()
+        half = n_corners // 2
+        for lo, hi in ((0, 1), (1, half), (half, n_corners)):
             part = prog.run(inputs, delays[lo:hi])
             assert part.tobytes() == whole[lo:hi].tobytes(), (lo, hi)
 

@@ -9,7 +9,8 @@ from repro.circuits.functional_units import (
     available_units,
     build_functional_unit,
 )
-from repro.circuits.netlist import GateType
+from repro.circuits import PAPER_UNITS
+from repro.circuits.netlist import GateType, Netlist
 from repro.timing.cells import (
     DEFAULT_CELL_TIMINGS,
     DEFAULT_LIBRARY,
@@ -18,7 +19,7 @@ from repro.timing.cells import (
 )
 from repro.timing.corners import OperatingCondition, paper_corner_grid
 from repro.timing.sdf import instance_name, read_sdf, write_sdf
-from repro.timing.sta import run_sta, static_delay
+from repro.timing.sta import run_sta, run_sta_corners, static_delay
 
 
 @pytest.fixture(scope="module")
@@ -189,6 +190,81 @@ class TestSTA:
 
         result = run_sta(Netlist())
         assert result.critical_delay == 0.0
+
+
+def _per_gate_sta(netlist, gate_delays):
+    """The per-gate STA walk, one corner: the reference the level-wise
+    multi-corner pass must reproduce exactly."""
+    arrival = np.zeros(netlist.n_nets, dtype=np.float64)
+    worst_pred = np.full(netlist.n_nets, -1, dtype=np.int64)
+    for idx, gate in enumerate(netlist.gates):
+        if gate.inputs:
+            in_arrivals = [arrival[i] for i in gate.inputs]
+            worst = int(np.argmax(in_arrivals))
+            arrival[gate.output] = in_arrivals[worst] + gate_delays[idx]
+            worst_pred[gate.output] = gate.inputs[worst]
+        else:
+            arrival[gate.output] = 0.0  # constants are always stable
+    po_arrivals = [arrival[o] for o in netlist.primary_outputs]
+    net = netlist.primary_outputs[int(np.argmax(po_arrivals))]
+    critical_delay = float(arrival[net])
+    path = []
+    while net != -1:
+        path.append(net)
+        net = int(worst_pred[net])
+    return arrival, path[::-1], critical_delay
+
+
+class TestMultiCornerSTA:
+    @pytest.mark.parametrize("fu_name", PAPER_UNITS)
+    def test_matches_per_gate_walk_on_table1_grid(self, fu_name):
+        netlist = build_functional_unit(fu_name).netlist
+        grid = paper_corner_grid()
+        results = run_sta_corners(netlist, grid)
+        assert [r.condition for r in results] == grid
+        for cond, result in zip(grid, results):
+            arrival, path, delay = _per_gate_sta(
+                netlist, DEFAULT_LIBRARY.gate_delays(netlist, cond))
+            assert result.arrival.tobytes() == arrival.tobytes(), cond
+            assert result.critical_path == path, cond
+            assert result.critical_delay == delay, cond
+
+    def test_ties_take_the_first_pin(self):
+        # equal-delay reconvergence: both fanins of the XOR arrive at
+        # the same time, and the path must follow pin 0 as the walk does
+        netlist = Netlist(name="tie")
+        a, c = netlist.add_input("a"), netlist.add_input("c")
+        x = netlist.add_gate(GateType.XOR2, [
+            netlist.add_gate(GateType.NOT, [a]),
+            netlist.add_gate(GateType.NOT, [c])])
+        netlist.primary_outputs.append(x)
+        ones = np.ones((2, len(netlist.gates)))
+        for result in run_sta_corners(netlist, [None, None],
+                                      gate_delays=ones):
+            _, path, delay = _per_gate_sta(netlist, ones[0])
+            assert result.critical_path == path
+            assert result.critical_delay == delay == 2.0
+
+    def test_constants_arrive_at_zero(self):
+        netlist = Netlist(name="const")
+        a = netlist.add_input("a")
+        one = netlist.add_gate(GateType.CONST1, [])
+        netlist.primary_outputs.append(
+            netlist.add_gate(GateType.AND2, [a, one]))
+        result = run_sta_corners(netlist, [OperatingCondition(0.9, 25)])[0]
+        arrival, path, delay = _per_gate_sta(
+            netlist, DEFAULT_LIBRARY.gate_delays(
+                netlist, OperatingCondition(0.9, 25)))
+        assert result.arrival.tobytes() == arrival.tobytes()
+        assert result.critical_path == path
+
+    def test_no_conditions_no_results(self, adder):
+        assert run_sta_corners(adder, []) == []
+
+    def test_delay_matrix_shape_checked(self, adder):
+        with pytest.raises(ValueError):
+            run_sta_corners(adder, [None, None],
+                            gate_delays=np.ones((1, len(adder.gates))))
 
 
 class TestSDFRoundtrip:
