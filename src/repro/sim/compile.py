@@ -35,18 +35,28 @@ arrival pass works in one of two regimes, picked by
   gathers move whole tiles.
 * **Toggle-compacted** (:data:`COMPACT_MIN_CORNERS` corners and up:
   campaign shards over the 100-corner Table-I grid).  Only the
-  toggling (row, cycle) pairs of a chunk are computed, one float32
-  corner vector each.  On random operand streams only 32-46% of the
-  live (row, cycle) pairs toggle, so the dense pass spends about two
-  thirds of its work on cells no delay can read; the compact pass
-  pays an index gather per pair instead.
+  *observable* toggles of a chunk are computed, one float32 corner
+  vector per (row, cycle) pair: the toggling pairs from which a chain
+  of toggling gates reaches a toggling primary output
+  (:meth:`CompiledNetlist.observable_toggles`).  On random operand
+  streams 32-46% of the live (row, cycle) pairs toggle, and logic masks
+  most of those on the way to the outputs: 22-23% of the toggling
+  pairs are observable on the multipliers (7-8% of all live pairs),
+  56-58% on the adders (19-27%).  The dense pass spends the rest of its
+  work on cells no delay can read; the compact pass pays a backward
+  bit-mask walk per chunk and an index gather per kept pair instead.
 
 :data:`COMPACT_MIN_CORNERS` is where the two cross.  It was measured
 with both kernels forced, on 250- and 1000-cycle random streams (the
-shard sizes a 2-worker campaign plans) on 2 vCPUs: on ``int_mul`` and
-``fp_mul`` the compact pass loses at 9 corners (0.6-0.8x), is about
-even at 10-12, and wins at 16 (1.1-1.4x), 25 (1.7-1.9x) and 100
-(3.5x).
+shard sizes a 2-worker campaign plans), median of 5, on 2 vCPUs.  The
+compact pass loses on every unit at 1 and 3 corners (0.35-0.99x).  At
+9 corners it wins on ``int_mul`` (1.7-1.9x) and ``fp_mul``
+(1.6-1.8x) but loses on ``fp_add`` (0.8-0.9x) and ``int_add``
+(0.55-0.6x).  At 16 the multipliers win 2.0-3.1x, ``fp_add`` is
+about even (1.0-1.3x) and ``int_add``, whose 161 gates leave the
+per-level dispatch cost dominant, still loses (0.7-0.8x; about even
+at 25, 1.6-1.8x at 100).  No count below 16 wins on every unit, so
+the crossover stays at 16.
 
 Shared by both regimes:
 
@@ -215,6 +225,24 @@ class ArrivalBlock:
     stop: int
     #: ``(width, n)`` fanin rows, pin-major.
     fanin: np.ndarray
+
+
+@dataclass(frozen=True)
+class ObserveLevel:
+    """One logic level of the backward walk that finds the observable
+    toggles (see :meth:`CompiledNetlist.observable_toggles`)."""
+
+    #: the level's arrival rows ``start .. stop-1`` (its blocks are
+    #: adjacent: constants, the only other gates, sit at level 0).
+    start: int
+    stop: int
+    #: ``(n_edges,)`` consumer rows of the level's (fanin -> gate)
+    #: edges, sorted by fanin row (duplicate pins dropped).
+    gate_rows: np.ndarray
+    #: start of each fanin row's run of edges in ``gate_rows``.
+    seg_starts: np.ndarray
+    #: ``(len(seg_starts),)`` the distinct fanin rows, ascending.
+    fanin_rows: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -418,6 +446,38 @@ class CompiledNetlist:
         self._block_edges = np.asarray(
             [b.start for b in self.arrival_blocks]
             + [b.stop for b in self.arrival_blocks[-1:]], dtype=np.int64)
+        # Reverse plan of the observability walk, highest level first:
+        # each level's (fanin -> gate) edges sorted by fanin row, so one
+        # bitwise_or.reduceat folds every consumer into its fanin.  All
+        # edges are sorted at once as int64 keys ordered by level (top
+        # first), fanin row, gate row, and deduplicated, which drops the
+        # repeated pin of single-input gates.  (np.unique would do both
+        # but imports numpy.ma, ~1.7 MB of resident memory.)
+        by_level: Dict[int, List[ArrivalBlock]] = {}
+        for b in self.arrival_blocks:
+            by_level.setdefault(b.level, []).append(b)
+        n, top = max(1, self.n_live_rows), self.n_levels
+        keys = np.sort(np.concatenate(
+            [(((top - b.level) * n + b.fanin) * n
+              + np.arange(b.start, b.stop)).ravel()
+             for b in self.arrival_blocks] or [np.empty(0, np.int64)]))
+        keys = keys[np.diff(keys, prepend=-1) != 0]  # keys are >= 0
+        fan_key, gate = np.divmod(keys, n)
+        starts = np.flatnonzero(np.diff(fan_key, prepend=-1))
+        # edge and segment bounds of every level rank at once
+        key_at = np.searchsorted(keys, np.arange(top + 1) * n * n)
+        seg_at = np.searchsorted(starts, key_at)
+        self._observe_plan: List[ObserveLevel] = []
+        for lvl in sorted(by_level, reverse=True):
+            lo, hi = key_at[top - lvl], key_at[top - lvl + 1]
+            seg = starts[seg_at[top - lvl]:seg_at[top - lvl + 1]]
+            self._observe_plan.append(ObserveLevel(
+                start=by_level[lvl][0].start, stop=by_level[lvl][-1].stop,
+                gate_rows=gate[lo:hi], seg_starts=seg - lo,
+                fanin_rows=fan_key[seg] % n))
+        #: rows below the first arrival row: primary inputs and constants
+        self._n_source_rows = (int(self._block_edges[0])
+                               if self.arrival_blocks else self.n_live_rows)
         # Single-slot cache for the arrival scratch (see run): repeated
         # runs at the same corner count and chunk reuse it instead of
         # faulting in tens of MB of fresh pages per call.  Not
@@ -559,28 +619,57 @@ class CompiledNetlist:
                 seg += st.delay
                 seg += quiet[st.start:st.stop][:, None, :]
 
+    def observable_toggles(self, tog: np.ndarray) -> np.ndarray:
+        """Packed mask of the toggling pairs a delay can read.
+
+        ``tog`` holds the ``(n_live_rows, n_words)`` packed toggle
+        words of one chunk (:func:`toggle_word_rows`).  A (row, cycle)
+        pair is *kept* when it toggles and either is a primary output
+        or feeds a kept pair; the dynamic delay is the latest arrival
+        at a toggling output, so only kept pairs can reach it.  One
+        walk down the levels finds them: seed the toggling outputs,
+        then at each level, highest first, AND the level's rows with
+        their toggles (every consumer has been folded in by then) and
+        OR them into their fanins.  Rows below the first arrival row
+        (primary inputs, constants) are ANDed last.
+        """
+        keep = np.zeros_like(tog)
+        keep[self.po_rows] = tog[self.po_rows]
+        for lv in self._observe_plan:
+            keep[lv.start:lv.stop] &= tog[lv.start:lv.stop]
+            keep[lv.fanin_rows] |= np.bitwise_or.reduceat(
+                keep[lv.gate_rows], lv.seg_starts, axis=0)
+        n_src = self._n_source_rows
+        keep[:n_src] &= tog[:n_src]
+        return keep
+
     def _compact_chunk(self, bits: np.ndarray, delays_t: np.ndarray,
                        scratch: np.ndarray) -> np.ndarray:
         """Toggle-compacted arrival pass for one chunk.
 
-        ``bits`` is the ``(n_live_rows, n_cycles)`` 0/1 toggle matrix,
-        ``delays_t`` the ``(n_gates, n_corners)`` float32 delays and
-        ``scratch`` a flat float32 buffer of at least ``(n_live_rows *
-        n_cycles + 1) * n_corners`` elements.  Returns the worst PO
-        arrival per (cycle, corner), ``(n_cycles, n_corners)``, before
-        the clamp at 0.
+        ``bits`` is the ``(n_live_rows, n_cycles)`` 0/1 matrix of the
+        observable toggles (:meth:`observable_toggles`), ``delays_t``
+        the ``(n_gates, n_corners)`` float32 delays and ``scratch`` a
+        flat float32 buffer of at least ``(n_live_rows * n_cycles + 1)
+        * n_corners`` elements.  Returns the worst PO arrival per
+        (cycle, corner), ``(n_cycles, n_corners)``, before the clamp at
+        0.
 
-        Only toggling (row, cycle) pairs are computed.  Each owns one
+        Only the kept (row, cycle) pairs are computed.  Each owns one
         corner vector of a compact ``(pairs + 1, n_corners)`` store,
         listed row-major, so every arrival block's pairs are one
         contiguous slice of it.  Row 0 holds the quiet sentinel and an
-        int32 map points every quiet (row, cycle) cell at it.  This is
+        int32 map points every other (row, cycle) cell at it.  This is
         exact for the reasons :meth:`_arrival_chunk` gives: a toggling
         gate has a toggling fanin with a real arrival, quiet fanins
         read a value that loses every ``max``, and constants (which
-        never toggle) read the sentinel like any quiet row.  The dense
-        path's ``+0.0`` output mask is dropped, which keeps the bits of
-        every non-negative arrival.
+        never toggle) read the sentinel like any quiet row.  Dropping
+        the toggles no output can observe changes nothing: every
+        toggling fanin of a kept pair is itself kept, so each kept
+        ``max`` sees the same real arrivals, and the dropped pairs'
+        sentinel is read by no kept pair and no toggling output.  The
+        dense path's ``+0.0`` output mask is dropped, which keeps the
+        bits of every non-negative arrival.
         """
         n_rows, n_cycles = bits.shape
         n_corners = delays_t.shape[1]
@@ -724,13 +813,16 @@ class CompiledNetlist:
                                              live_only=True)
             val_buf = values
             tog = toggle_word_rows(values, chunk_rows - 1)
-            bits = np.unpackbits(tog.view(np.uint8), axis=1,
-                                 count=chunk_rows - 1, bitorder="little")
             if compact:
                 if self.n_outputs:
+                    bits = np.unpackbits(
+                        self.observable_toggles(tog).view(np.uint8),
+                        axis=1, count=chunk_rows - 1, bitorder="little")
                     worst = self._compact_chunk(bits, delays_t, scratch)
                     out_delays[:, start:stop] = np.maximum(worst.T, _ZERO)
             else:
+                bits = np.unpackbits(tog.view(np.uint8), axis=1,
+                                     count=chunk_rows - 1, bitorder="little")
                 self._arrival_chunk(self._quiet_mask(bits), plan, arr_buf,
                                     chunk_rows - 1)
                 if self.n_outputs:

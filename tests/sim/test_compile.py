@@ -20,6 +20,7 @@ from repro.sim.compile import (
     COMPACT_MIN_CORNERS,
     CompiledNetlist,
     _PROGRAM_CACHE,
+    toggle_word_rows,
 )
 from repro.sim.levelized import LevelizedSimulator
 from repro.timing import DEFAULT_LIBRARY, OperatingCondition
@@ -380,6 +381,112 @@ class TestArrivalFastPaths:
         for lo, hi in ((0, 1), (1, half), (half, n_corners)):
             part = prog.run(inputs, delays[lo:hi])
             assert part.tobytes() == whole[lo:hi].tobytes(), (lo, hi)
+
+
+def _chunk_toggles(prog, chunk, live_only=True):
+    """Packed settled values and toggle words of one chunk's input rows."""
+    values = prog.settled_net_values(chunk, live_only=live_only)
+    return values, toggle_word_rows(values, chunk.shape[0] - 1)
+
+
+def _unpack(words, n_cycles):
+    return np.unpackbits(np.ascontiguousarray(words).view(np.uint8),
+                         axis=1, count=n_cycles,
+                         bitorder="little").astype(bool)
+
+
+def _brute_force_kept(netlist, prog, tog_bits):
+    """Per-gate backward walk over every net (dead cone included): a
+    (net, cycle) pair is kept when it toggles and is a primary output
+    or feeds a kept pair.  Returns ``(n_nets, n_cycles)`` bool in
+    program row order."""
+    level = netlist.levelize()
+    rows = prog.net_row
+    consumers = {}
+    for gate in netlist.gates:
+        for net in set(gate.inputs):
+            consumers.setdefault(net, []).append(gate.output)
+    is_po = set(netlist.primary_outputs)
+    kept = np.zeros_like(tog_bits)
+    for net in sorted(range(netlist.n_nets), key=lambda n: -level[n]):
+        seen = tog_bits[rows[net]] if net in is_po else np.zeros_like(
+            tog_bits[0])
+        for out in consumers.get(net, ()):
+            seen = seen | kept[rows[out]]
+        kept[rows[net]] = tog_bits[rows[net]] & seen
+    return kept
+
+
+class TestObservableToggles:
+    """The compact pass computes only the toggles some toggling primary
+    output can observe; the mask must be exactly that set and leave
+    every delay bit-identical."""
+
+    @pytest.mark.parametrize("fu_name", ("int_add", "int_mul", "fp_add"))
+    def test_mask_equals_brute_force_walk(self, fu_name):
+        fu, inputs = _fu_inputs(fu_name, 300, seed=21)
+        prog = compile_netlist(fu.netlist)
+        po = prog.po_rows
+        # the whole stream, then a chunk off the 64-cycle word grid
+        for lo, hi in ((0, 300), (37, 237)):
+            chunk = inputs[lo:hi + 1]
+            n = hi - lo
+            _, tog = _chunk_toggles(prog, chunk)
+            keep = _unpack(prog.observable_toggles(tog), n)
+            tog_bits = _unpack(tog, n)
+            _, tog_all = _chunk_toggles(prog, chunk, live_only=False)
+            ref = _brute_force_kept(fu.netlist, prog, _unpack(tog_all, n))
+            # dead-cone rows reach no output, so nothing there is kept
+            assert not ref[prog.n_live_rows:].any()
+            np.testing.assert_array_equal(keep, ref[:prog.n_live_rows])
+            assert not (keep & ~tog_bits).any()
+            np.testing.assert_array_equal(keep[po], tog_bits[po])
+            assert keep.sum() < tog_bits.sum()
+
+    @staticmethod
+    def _masked_chain_netlist(chain_len=12):
+        """A long BUF chain from ``a`` gated by ``b`` (held at 0) and a
+        short path through a mux's pin 2 (``sel`` held at 1) into the
+        same output, so every chain toggle is masked."""
+        nl = Netlist(name="masked_chain")
+        a, b, c, sel = (nl.add_input(n) for n in ("a", "b", "c", "sel"))
+        chain = [a]
+        for _ in range(chain_len):
+            chain.append(nl.add_gate(GateType.BUF, [chain[-1]]))
+        gated = nl.add_gate(GateType.AND2, [chain[-1], b])
+        short = nl.add_gate(GateType.NOT, [
+            nl.add_gate(GateType.MUX2, [sel, b, c])])
+        nl.primary_outputs.append(nl.add_gate(GateType.OR2, [gated, short]))
+        return nl, chain[1:]
+
+    @pytest.mark.parametrize("n_corners", KERNEL_CORNERS)
+    def test_masked_chain_is_dropped_and_delays_exact(self, monkeypatch,
+                                                      n_corners):
+        nl, chain = self._masked_chain_netlist()
+        rng = np.random.default_rng(22)
+        inputs = rng.integers(0, 2, size=(150, 4)).astype(np.uint8)
+        inputs[:, 1] = 0  # b
+        inputs[:, 3] = 1  # sel
+        prog = compile_netlist(nl)
+        chain_rows = prog.net_row[chain]
+        _, tog = _chunk_toggles(prog, inputs)
+        assert _unpack(tog, 149)[chain_rows].any()
+        assert not prog.observable_toggles(tog)[chain_rows].any()
+
+        seen = []
+        real = CompiledNetlist._compact_chunk
+
+        def spy(self, bits, *args):
+            seen.append(bits[chain_rows].any())
+            return real(self, bits, *args)
+
+        monkeypatch.setattr(CompiledNetlist, "_compact_chunk", spy)
+        delays = DEFAULT_LIBRARY.delay_matrix(nl, _grid(n_corners))
+        got = prog.run(inputs, delays)
+        assert got.tobytes() == _ref_delays(nl, inputs, delays).tobytes()
+        assert got.any()
+        assert seen == ([False] if n_corners >= COMPACT_MIN_CORNERS
+                        else [])
 
 
 class TestSimulatorFrontEnds:
