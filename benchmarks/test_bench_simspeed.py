@@ -50,7 +50,6 @@ import pytest
 from conftest import format_table, record_report
 from repro.circuits import build_functional_unit
 from repro.flow import CampaignJob, CampaignRunner
-import repro.sim.compile as sim_compile
 from repro.sim import compile_netlist, run_delays
 from repro.sim.compile import toggle_word_rows
 from repro.sim.levelized import LevelizedSimulator
@@ -220,15 +219,15 @@ def _measure_kernels():
 
 
 @contextlib.contextmanager
-def _forced_kernel(compact):
-    """Make ``CompiledNetlist.run`` take one arrival kernel whatever the
-    corner count, by moving the crossover it reads."""
-    saved = sim_compile.COMPACT_MIN_CORNERS
-    sim_compile.COMPACT_MIN_CORNERS = 1 if compact else 1 << 30
+def _forced_kernel(prog, compact):
+    """Make ``prog.run`` take one arrival kernel whatever the corner
+    count, by moving the crossover it reads."""
+    saved = prog.compact_min_corners
+    prog.compact_min_corners = 1 if compact else 1 << 30
     try:
         yield
     finally:
-        sim_compile.COMPACT_MIN_CORNERS = saved
+        prog.compact_min_corners = saved
 
 
 def _checked(fn, expected, what):
@@ -282,16 +281,16 @@ def _measure_corner_scaling():
         n_cycles = (CYCLES if n_corners <= PER_GATE_MAX_CORNERS
                     else min(CYCLES, WIDE_CYCLES))
         rows_in = inputs[:n_cycles + 1]
-        with _forced_kernel(False):
+        with _forced_kernel(prog, False):
             expected = prog.run(rows_in, dm).tobytes()
         what = f"{FLOOR_FU}/{n_corners}-corner delay parity"
 
         def dense(dm=dm, rows_in=rows_in):
-            with _forced_kernel(False):
+            with _forced_kernel(prog, False):
                 return prog.run(rows_in, dm)
 
         def compact(dm=dm, rows_in=rows_in):
-            with _forced_kernel(True):
+            with _forced_kernel(prog, True):
                 return prog.run(rows_in, dm)
 
         dense_run = _checked(dense, expected, what)
@@ -309,7 +308,7 @@ def _measure_corner_scaling():
         t_dense, t_compact = _time_pair(dense_run, compact_run)
         if n_corners == 100:
             compact_100c = t_dense / t_compact
-        picks = ("compact" if n_corners >= sim_compile.COMPACT_MIN_CORNERS
+        picks = ("compact" if n_corners >= prog.compact_min_corners
                  else "dense")
         rows.append([f"{n_corners}", f"{n_cycles}", per_gate_cell,
                      f"{n_cycles / t_dense:,.0f}",

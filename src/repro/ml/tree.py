@@ -7,9 +7,15 @@ sums (exact CART).  Split gain is variance reduction (regression) or
 Gini impurity decrease (classification).  All open nodes of one depth
 are scored together:
 
-* bit columns from one level-sorted matrix of the nodes' bit rows; the
-  per-node column sums (``matmul`` and ``sum``) stay one call per node,
-  because their rounding depends on how BLAS and numpy order them;
+* bit columns from one level-sorted ``uint8`` matrix of the nodes' bit
+  rows, so building it and partitioning it into the next level move one
+  byte per cell.  Only nodes of at least ``2 * min_samples_leaf`` rows
+  are scored (a smaller one has no bit split with both children at
+  ``min_samples_leaf``).  Each scored node's rows are cast to float64
+  just before its column sums, which stay one ``matmul``/``sum`` call
+  per node on the same contiguous float64 block as a slice of a float64
+  matrix, because their rounding depends on how BLAS and numpy order
+  them;
 * every other column (V, T) by one prefix scan per level: each node's
   sorted slice fills one zero-padded row of a matrix (nodes grouped by
   power-of-two row width, so padding at most doubles the cells) and
@@ -143,9 +149,9 @@ class _BaseDecisionTree(_Stacked):
 
     def _binary_gains(self, xs, ys, starts, counts, totals):
         """``(gains, n_right)`` of every 0/1 column (threshold 0.5) for
-        the nodes whose rows are ``xs[s:s + n]`` for ``s, n`` in
-        ``starts, counts`` and whose ``_level_values`` totals are
-        ``totals``; ``n_right`` counts each node's ones."""
+        the nodes whose ``uint8`` bit rows are ``xs[s:s + n]`` for
+        ``s, n`` in ``starts, counts`` and whose ``_level_values``
+        totals are ``totals``; ``n_right`` counts each node's ones."""
         raise NotImplementedError
 
     def _scan_values(self, ys: np.ndarray) -> np.ndarray:
@@ -187,7 +193,7 @@ class _BaseDecisionTree(_Stacked):
         msl = self.min_samples_leaf
         # level state: X rows, targets and bit rows grouped by open node
         idx, ys = rows, y
-        xs = X[np.ix_(rows, bits)]
+        xs = X[np.ix_(rows, bits)].astype(np.uint8)
         spare = np.empty_like(xs)
         starts, counts = np.zeros(1, np.int64), np.array([len(y)])
         levels, n_seen, depth = [], 0, 0
@@ -204,7 +210,9 @@ class _BaseDecisionTree(_Stacked):
                     allowed[k, rng.choice(n_feat, n_draw, replace=False)] = 1
             gain, thr = np.full(n_open, 1e-12), np.zeros(n_open)
             feat = np.full(n_open, _LEAF)
-            cand = np.flatnonzero(live)
+            # a node below 2 * min_samples_leaf rows has no bit split
+            # with both children at min_samples_leaf
+            cand = np.flatnonzero(live & (counts >= 2 * msl))
             if len(bits) and len(cand):
                 g, n_right = self._binary_gains(xs, ys, starts[cand],
                                                 counts[cand], totals[cand])
@@ -403,8 +411,12 @@ class DecisionTreeRegressor(_BaseDecisionTree):
         yy = ys * ys
         s1_right, s2_right, n_right = np.empty((3, len(starts), xs.shape[1]))
         total2 = np.empty((len(starts), 1))
+        # each node's bit rows cast into one float64 block: BLAS sees
+        # the values, shape and row stride of a float64 matrix's slice
+        buf = np.empty((int(counts.max()), xs.shape[1]))
         for k, (s, n) in enumerate(zip(starts.tolist(), counts.tolist())):
-            xk, yk = xs[s:s + n], ys[s:s + n]
+            xk, yk = buf[:n], ys[s:s + n]
+            xk[...] = xs[s:s + n]
             np.matmul(xk.T, yk, out=s1_right[k])
             np.matmul(xk.T, yy[s:s + n], out=s2_right[k])
             xk.sum(axis=0, out=n_right[k])

@@ -25,16 +25,18 @@ packed; they run on the float32 arrival kernels below.
 
 Every paper table simulates a grid of operating corners, so the
 arrival pass works in one of two regimes, picked by
-:meth:`CompiledNetlist.run` from the corner count alone:
+:meth:`CompiledNetlist.run` from the corner count and the program's
+own crossover, :attr:`CompiledNetlist.compact_min_corners`:
 
-* **Dense** (fewer than :data:`COMPACT_MIN_CORNERS` corners: the
-  9-corner training grid, single-corner runs).  The scratch is
+* **Dense** (below the crossover: single-corner runs, and the 9-corner
+  training grid on the adders).  The scratch is
   ``(n_live_rows, n_corners, chunk)`` float32 and every (row, corner,
   cycle) cell is computed; quiet cells carry a huge negative sentinel.
   Each net owns one contiguous ``(n_corners, chunk)`` tile, so block
   gathers move whole tiles.
-* **Toggle-compacted** (:data:`COMPACT_MIN_CORNERS` corners and up:
-  campaign shards over the 100-corner Table-I grid).  Only the
+* **Toggle-compacted** (from the crossover up: the training grid on
+  the multipliers, campaign shards over the 100-corner Table-I grid
+  on every unit).  Only the
   *observable* toggles of a chunk are computed, one float32 corner
   vector per (row, cycle) pair: the toggling pairs from which a chain
   of toggling gates reaches a toggling primary output
@@ -46,17 +48,29 @@ arrival pass works in one of two regimes, picked by
   work on cells no delay can read; the compact pass pays a backward
   bit-mask walk per chunk and an index gather per kept pair instead.
 
-:data:`COMPACT_MIN_CORNERS` is where the two cross.  It was measured
-with both kernels forced, on 250- and 1000-cycle random streams (the
-shard sizes a 2-worker campaign plans), median of 5, on 2 vCPUs.  The
-compact pass loses on every unit at 1 and 3 corners (0.35-0.99x).  At
-9 corners it wins on ``int_mul`` (1.7-1.9x) and ``fp_mul``
-(1.6-1.8x) but loses on ``fp_add`` (0.8-0.9x) and ``int_add``
-(0.55-0.6x).  At 16 the multipliers win 2.0-3.1x, ``fp_add`` is
-about even (1.0-1.3x) and ``int_add``, whose 161 gates leave the
-per-level dispatch cost dominant, still loses (0.7-0.8x; about even
-at 25, 1.6-1.8x at 100).  No count below 16 wins on every unit, so
-the crossover stays at 16.
+The crossover is ``ceil(3 + 72 / rows)``, with ``rows`` the program's
+mean rows per arrival block (one block per logic level and fanin
+width).  The compact pass does per-cell work that no corner count
+amortizes (unpacking, indexing and the mask walk), worth about 3
+corners of dense work, and its per-block dispatch costs more than the
+dense pass's, which wide levels spread over more rows.  The constants
+were fitted to both kernels forced, on 250- and 1000-cycle random
+streams (the shard sizes a 2-worker campaign plans), median of 5, on 2
+vCPUs; each cell is compact speed over dense:
+
+========  ====  =========  =========  =========  =========  =========
+unit      rows  3          5          9          16         25
+========  ====  =========  =========  =========  =========  =========
+int_add    2.5  0.37-0.54  0.43-0.54  0.58-0.60  0.71-0.79  0.84-1.18
+fp_add     7.5  0.43-0.56  0.63-0.67  0.81-0.88  1.02-1.18  1.22-1.54
+int_mul   45.4  0.73-0.90  1.04-1.24  1.78-1.79  2.50-2.93  3.97-4.18
+fp_mul    25.0  0.85-0.93  1.04-1.19  1.71-1.83  2.12-2.58  3.23-4.03
+========  ====  =========  =========  =========  =========  =========
+
+So ``int_mul`` goes compact from 5 corners, ``fp_mul`` from 6,
+``fp_add`` from 13 (0.97-1.01x there, 1.03-1.11x at 14) and
+``int_add`` from 33 (1.0-1.3x at 30-34).  Every program is compact at
+100 corners: ``rows`` is at least 1, so no crossover exceeds 75.
 
 Shared by both regimes:
 
@@ -124,10 +138,12 @@ _QUIET_SENTINEL = np.float32(2.0 ** 100)
 #: 128, 512 and 1024 by 10-40%.
 _CHUNK_BUDGET_ELEMS = 7 * 1024 * 1024
 
-#: Corner count from which :meth:`CompiledNetlist.run` uses the
-#: toggle-compacted arrival pass instead of the dense one (see the
-#: module docs for how it was measured).
-COMPACT_MIN_CORNERS = 16
+#: A program's crossover to the toggle-compacted arrival pass is
+#: ``ceil(_COMPACT_BASE_CORNERS + _COMPACT_DISPATCH_ROWS / rows)``
+#: corners, ``rows`` its mean rows per arrival block (see the module
+#: docs for how both were measured).
+_COMPACT_BASE_CORNERS = 3
+_COMPACT_DISPATCH_ROWS = 72
 
 #: float32 arrival cells per sub-block, in either pass: the gathered
 #: fanins and the output segment (~384 KB each) stay L2-resident across
@@ -478,6 +494,11 @@ class CompiledNetlist:
         #: rows below the first arrival row: primary inputs and constants
         self._n_source_rows = (int(self._block_edges[0])
                                if self.arrival_blocks else self.n_live_rows)
+        #: runs with at least this many corners take the toggle-compacted
+        #: arrival pass, the rest the dense one
+        self.compact_min_corners = int(np.ceil(
+            _COMPACT_BASE_CORNERS + _COMPACT_DISPATCH_ROWS
+            * len(self.arrival_blocks) / max(1, self.n_arrival_gates)))
         # Single-slot cache for the arrival scratch (see run): repeated
         # runs at the same corner count and chunk reuse it instead of
         # faulting in tens of MB of fresh pages per call.  Not
@@ -740,7 +761,7 @@ class CompiledNetlist:
         input rows ``t`` and ``t+1``.  ``chunk_cycles`` defaults to
         :meth:`default_chunk_cycles`; an explicit value exists for the
         chunk-invariance parity tests.  Runs with at least
-        :data:`COMPACT_MIN_CORNERS` corners take the toggle-compacted
+        :attr:`compact_min_corners` corners take the toggle-compacted
         arrival pass, the rest the dense one.
         """
         if chunk_cycles is not None and chunk_cycles < 1:
@@ -767,7 +788,7 @@ class CompiledNetlist:
             chunk_cycles = self.default_chunk_cycles(n_corners)
         chunk_cycles = min(chunk_cycles, n_cycles)
         out_delays = np.zeros((n_corners, n_cycles), dtype=np.float32)
-        compact = n_corners >= COMPACT_MIN_CORNERS
+        compact = n_corners >= self.compact_min_corners
 
         # the primary inputs are packed once (chunks start at 64-cycle
         # boundaries, so packed chunks are word slices of the stream)

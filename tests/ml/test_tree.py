@@ -233,3 +233,58 @@ class TestLevelScan:
             tracemalloc.stop()
         assert (4096, 5002) in scans
         assert peak <= 1.1 * per_node_peak
+
+
+def tree_arrays(tree):
+    return [tree.feature_, tree.threshold_, tree.left_, tree.right_,
+            tree.value_, tree.feature_importances_]
+
+
+def bits_and_levels(n=500, seed=4):
+    """TEVoT-shaped rows: 0/1 operand bits plus a V-like column."""
+    rng = np.random.default_rng(seed)
+    bits = rng.integers(0, 2, (n, 12)).astype(float)
+    v = rng.choice([0.81, 0.9, 1.0], n)
+    y = (bits[:, :4].sum(axis=1) * 40 + bits[:, 5] * bits[:, 6] * 25) \
+        * (1.8 - v) + rng.normal(0, 2, n)
+    return np.column_stack([v, bits]), np.round(y, 1)
+
+
+class TestBitMatrix:
+    @pytest.mark.parametrize("clf", [False, True])
+    @pytest.mark.parametrize("msl,mss", [(1, 2), (4, 2), (3, 10)])
+    def test_scores_only_splittable_nodes_on_uint8_rows(self, monkeypatch,
+                                                         clf, msl, mss):
+        X, y = bits_and_levels()
+        cls = DecisionTreeClassifier if clf else DecisionTreeRegressor
+        if clf:
+            y = (y > np.median(y)).astype(int)
+        seen = []
+        binary_gains = cls._binary_gains
+
+        def spy(self, xs, ys, starts, counts, totals):
+            seen.append((xs.dtype, int(counts.min())))
+            return binary_gains(self, xs, ys, starts, counts, totals)
+
+        monkeypatch.setattr(cls, "_binary_gains", spy)
+        tree = cls(min_samples_leaf=msl, min_samples_split=mss).fit(X, y)
+        assert tree.depth() > 3 and seen
+        assert all(dtype == np.uint8 for dtype, _ in seen)
+        assert min(n for _, n in seen) >= max(mss, 2 * msl)
+
+    @pytest.mark.parametrize("clf", [False, True])
+    @pytest.mark.parametrize("msl", [1, 4])
+    def test_negative_zero_bits_fit_identical_trees(self, clf, msl):
+        # -0.0 is a 0/1 value to the fitter, and the uint8 bit matrix
+        # folds its sign; the trees must not see the difference
+        X, y = bits_and_levels(seed=5)
+        if clf:
+            y = (y > np.median(y)).astype(int)
+        signed = X.copy()
+        signed[:, 1:][X[:, 1:] == 0.0] = -0.0
+        assert np.signbit(signed).any()
+        cls = DecisionTreeClassifier if clf else DecisionTreeRegressor
+        plain = cls(min_samples_leaf=msl).fit(X, y)
+        neg = cls(min_samples_leaf=msl).fit(signed, y)
+        for a, b in zip(tree_arrays(plain), tree_arrays(neg)):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()

@@ -3,9 +3,11 @@
 The lowering pass and the level-parallel kernels carry the
 load-bearing guarantee: whatever the chunking, delays are
 bit-identical to the per-gate reference engine.  ``run`` picks the
-dense or the toggle-compacted arrival pass from the corner count, so
-the parity tests run at the crossover, one corner either side of it,
-and the full 100-corner grid (``KERNEL_CORNERS``).
+dense or the toggle-compacted arrival pass from the corner count and
+the program's own crossover (``compact_min_corners``), so the parity
+tests run at corner counts that fall on either side of the paper
+units' crossovers (``KERNEL_CORNERS``), and the 9-corner training grid
+also with each pass forced.
 """
 
 import gc
@@ -17,7 +19,6 @@ from repro.circuits import PAPER_UNITS, build_functional_unit
 from repro.circuits.netlist import GATE_ARITY, GateType, Netlist
 from repro.sim import compile_netlist, run_delays
 from repro.sim.compile import (
-    COMPACT_MIN_CORNERS,
     CompiledNetlist,
     _PROGRAM_CACHE,
     toggle_word_rows,
@@ -30,11 +31,29 @@ from repro.workloads import stream_for_unit
 CONDS = [OperatingCondition(0.81, 0.0), OperatingCondition(1.00, 100.0)]
 DTA_BACKENDS = ("compiled", "levelized_ref")
 GRID = paper_corner_grid()
-#: corner counts that exercise both arrival kernels: the dense pass
-#: just below the crossover, the compact pass at and above it, and the
-#: full Table-I grid
-KERNEL_CORNERS = (COMPACT_MIN_CORNERS - 1, COMPACT_MIN_CORNERS,
-                  COMPACT_MIN_CORNERS + 1, len(GRID))
+#: corner counts that exercise both arrival kernels: 5 (``int_mul``'s
+#: crossover: compact there, dense on the other units), the training
+#: grid's 9 (dense on the adders, compact on the multipliers), 16
+#: (compact on ``fp_add`` too) and the full Table-I grid (compact on
+#: every unit; the small test netlists take the dense pass below it)
+KERNEL_CORNERS = (5, 9, 16, len(GRID))
+#: the 9 Fig.-3 corners models are trained on
+FIG3 = [OperatingCondition(v, t)
+        for v in (0.81, 0.90, 1.00) for t in (0.0, 50.0, 100.0)]
+
+
+@pytest.fixture
+def compact_calls(monkeypatch):
+    """One entry per chunk the toggle-compacted pass runs."""
+    calls = []
+    real = CompiledNetlist._compact_chunk
+
+    def spy(self, *args):
+        calls.append(1)
+        return real(self, *args)
+
+    monkeypatch.setattr(CompiledNetlist, "_compact_chunk", spy)
+    return calls
 
 
 def _grid(n_corners):
@@ -207,25 +226,50 @@ class TestKernelParity:
             part = prog.run(inputs, delays, chunk_cycles=chunk)
             assert part.tobytes() == whole.tobytes(), chunk
 
-    @pytest.mark.parametrize("n_corners,compact", [
-        (1, False), (COMPACT_MIN_CORNERS - 1, False),
-        (COMPACT_MIN_CORNERS, True), (len(GRID), True)])
-    def test_corner_count_picks_the_kernel(self, monkeypatch, n_corners,
-                                           compact):
-        fu, inputs = _fu_inputs("int_add", 40, seed=17, width=8)
-        calls = []
-        real = CompiledNetlist._compact_chunk
-
-        def spy(self, *args):
-            calls.append(1)
-            return real(self, *args)
-
-        monkeypatch.setattr(CompiledNetlist, "_compact_chunk", spy)
+    @pytest.mark.parametrize("shift,compact", [
+        (None, False), (-1, False), (0, True), (len(GRID), True)])
+    @pytest.mark.parametrize("fu_name", ("int_add", "int_mul"))
+    def test_corner_count_picks_the_kernel(self, compact_calls, fu_name,
+                                           shift, compact):
+        # one corner, one below the program's crossover, at it, and
+        # the full grid (every crossover lies below 100 corners)
+        fu, inputs = _fu_inputs(fu_name, 40, seed=17, width=8)
+        prog = compile_netlist(fu.netlist)
+        n_corners = (1 if shift is None else
+                     min(len(GRID), prog.compact_min_corners + shift))
         delays = DEFAULT_LIBRARY.delay_matrix(fu.netlist,
                                               _grid(n_corners))
-        got = compile_netlist(fu.netlist).run(inputs, delays)
-        assert bool(calls) == compact
+        got = prog.run(inputs, delays)
+        assert bool(compact_calls) == compact
         assert got.tobytes() == _ref_delays(
+            fu.netlist, inputs, delays).tobytes()
+
+    def test_crossover_follows_the_program(self):
+        # the multipliers' wide levels amortize the compact pass's
+        # dispatch from the 9-corner training grid up; the adders'
+        # narrow levels keep the dense pass there, and every unit is
+        # compact on the 100-corner Table-I grid
+        cross = {name: compile_netlist(
+                     build_functional_unit(name).netlist).compact_min_corners
+                 for name in PAPER_UNITS}
+        assert cross["int_mul"] <= 9 and cross["fp_mul"] <= 9
+        assert cross["int_add"] > 16 and 9 < cross["fp_add"] <= 16
+        assert max(cross.values()) <= len(GRID)
+
+    @pytest.mark.parametrize("fu_name", PAPER_UNITS)
+    def test_forced_passes_agree_on_training_grid(self, monkeypatch,
+                                                  compact_calls, fu_name):
+        # whichever pass the crossover picks at 9 corners, the other
+        # one must give the same bytes
+        fu, inputs = _fu_inputs(fu_name, 130, seed=23)
+        prog = compile_netlist(fu.netlist)
+        delays = DEFAULT_LIBRARY.delay_matrix(fu.netlist, FIG3)
+        got = {}
+        for name, crossover in (("dense", len(FIG3) + 1), ("compact", 1)):
+            monkeypatch.setattr(prog, "compact_min_corners", crossover)
+            got[name] = prog.run(inputs, delays).tobytes()
+            assert bool(compact_calls) == (name == "compact")
+        assert got["dense"] == got["compact"] == _ref_delays(
             fu.netlist, inputs, delays).tobytes()
 
     @pytest.mark.parametrize("n_corners", KERNEL_CORNERS)
@@ -284,9 +328,6 @@ class TestArrivalFastPaths:
     invisible in the delays: bit-identical to the per-gate reference.
     """
 
-    CONDS9 = [OperatingCondition(v, t)
-              for v in (0.81, 0.90, 1.00) for t in (0.0, 50.0, 100.0)]
-
     def _parity(self, netlist, inputs, conds, chunk_cycles=None):
         delays = DEFAULT_LIBRARY.delay_matrix(netlist, conds)
         ref = LevelizedSimulator(netlist).run(inputs, delays)
@@ -313,7 +354,7 @@ class TestArrivalFastPaths:
         inputs = rng.integers(0, 2, size=(130, 2)).astype(np.uint8)
         self._parity(nl, inputs, _grid(n_corners))
 
-    @pytest.mark.parametrize("n_corners", (9,) + KERNEL_CORNERS)
+    @pytest.mark.parametrize("n_corners", KERNEL_CORNERS)
     def test_const_feeding_level1_gate_parity(self, n_corners):
         # the fused level-1 path reads constant arrivals as the quiet
         # sentinel where the main path holds -inf; both must lose every
@@ -328,7 +369,7 @@ class TestArrivalFastPaths:
         inputs = rng.integers(0, 2, size=(70, 1)).astype(np.uint8)
         self._parity(nl, inputs, _grid(n_corners))
 
-    @pytest.mark.parametrize("n_corners", (9,) + KERNEL_CORNERS)
+    @pytest.mark.parametrize("n_corners", KERNEL_CORNERS)
     def test_quiet_chunks_stay_exact(self, n_corners):
         # 210 frozen cycles: with 64-cycle chunks, chunks 2 and 3 have
         # no toggling (row, cycle) pair at all
@@ -336,7 +377,7 @@ class TestArrivalFastPaths:
         stream = stream_for_unit("int_mul", 400, seed=15)
         inputs = stream.bit_matrix(fu)
         inputs[50:260] = inputs[50]
-        conds = self.CONDS9 if n_corners == 9 else _grid(n_corners)
+        conds = FIG3 if n_corners == 9 else _grid(n_corners)
         for chunk in (None, 64):
             got = self._parity(fu.netlist, inputs, conds, chunk)
             assert not got[:, 64:192].any()
@@ -349,13 +390,13 @@ class TestArrivalFastPaths:
         got = self._parity(fu.netlist, inputs, _grid(n_corners))
         assert not got.any()
 
-    @pytest.mark.parametrize("n_corners", (9,) + KERNEL_CORNERS)
+    @pytest.mark.parametrize("n_corners", KERNEL_CORNERS)
     def test_rerun_with_another_delay_matrix(self, n_corners):
         # the program reuses one scratch buffer across runs of the same
         # shape: a second delay matrix must not see the first's values
         fu, inputs = _fu_inputs("int_add", 80, seed=16, width=8)
         prog = compile_netlist(fu.netlist)
-        conds = self.CONDS9 if n_corners == 9 else _grid(n_corners)
+        conds = FIG3 if n_corners == 9 else _grid(n_corners)
         dm_a = DEFAULT_LIBRARY.delay_matrix(fu.netlist, conds)
         dm_b = np.asarray(dm_a, np.float32) * np.float32(2.0)
         ref_b = LevelizedSimulator(fu.netlist).run(
@@ -364,14 +405,14 @@ class TestArrivalFastPaths:
         got_b = prog.run(inputs, dm_b)
         assert got_b.tobytes() == ref_b.tobytes()
 
-    @pytest.mark.parametrize("n_corners", (9,) + KERNEL_CORNERS)
+    @pytest.mark.parametrize("n_corners", KERNEL_CORNERS)
     def test_multi_corner_equals_corner_by_corner(self, n_corners):
         # corner rows are computed independently: slicing the delay
         # matrix row-wise reproduces the same bits (the property the
         # campaign layer's corner sharding relies on), whichever kernel
         # each slice's corner count picks
         fu, inputs = _fu_inputs("int_add", 90, seed=14, width=8)
-        conds = self.CONDS9 if n_corners == 9 else _grid(n_corners)
+        conds = FIG3 if n_corners == 9 else _grid(n_corners)
         delays = DEFAULT_LIBRARY.delay_matrix(fu.netlist, conds)
         prog = compile_netlist(fu.netlist)
         whole = prog.run(inputs, delays)
@@ -485,7 +526,7 @@ class TestObservableToggles:
         got = prog.run(inputs, delays)
         assert got.tobytes() == _ref_delays(nl, inputs, delays).tobytes()
         assert got.any()
-        assert seen == ([False] if n_corners >= COMPACT_MIN_CORNERS
+        assert seen == ([False] if n_corners >= prog.compact_min_corners
                         else [])
 
 
