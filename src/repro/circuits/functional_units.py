@@ -11,8 +11,10 @@ arrival at the output-register D-pins — the paper's DTA definition.
 
 from __future__ import annotations
 
+import hashlib
+import pickle
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -41,6 +43,14 @@ class FunctionalUnit:
         Bits of the architectural result word.
     reference:
         ``f(a_bits_int, b_bits_int) -> result_bits_int`` software model.
+
+    The netlist is frozen once the unit is first used: :meth:`stats`
+    and :meth:`netlist_fingerprint` are computed on first call and kept
+    for the unit's lifetime (trace-store keys, model keys and pool
+    registration all read them), so mutating ``netlist`` afterwards
+    leaves them stale — build a new unit instead.  This is the
+    contract :func:`~repro.sim.compile.compile_netlist` already states
+    for a netlist's first simulation.
     """
 
     name: str
@@ -49,6 +59,10 @@ class FunctionalUnit:
     result_width: int
     reference: Callable[[int, int], int]
     description: str = ""
+    _stats: Optional[Dict[str, int]] = field(
+        default=None, init=False, repr=False, compare=False)
+    _fingerprint: Optional[Tuple[str, bytes]] = field(
+        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         expected = 2 * self.operand_width
@@ -97,7 +111,20 @@ class FunctionalUnit:
         return self.decode_result(out_bits)
 
     def stats(self) -> Dict[str, int]:
-        return self.netlist.stats()
+        """The netlist's :meth:`~repro.circuits.netlist.Netlist.stats`,
+        levelized once per unit."""
+        if self._stats is None:
+            self._stats = self.netlist.stats()
+        return dict(self._stats)
+
+    def netlist_fingerprint(self) -> Tuple[str, bytes]:
+        """``(sha1 hex, pickle bytes)`` of the netlist, pickled once per
+        unit: the content key and payload of pool registration."""
+        if self._fingerprint is None:
+            blob = pickle.dumps(self.netlist,
+                                protocol=pickle.HIGHEST_PROTOCOL)
+            self._fingerprint = (hashlib.sha1(blob).hexdigest(), blob)
+        return self._fingerprint
 
 
 _BUILDERS: Dict[str, Callable[[], FunctionalUnit]] = {}

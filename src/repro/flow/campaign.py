@@ -37,8 +37,6 @@ Describe runs with :mod:`repro.api` specs and go through
 
 from __future__ import annotations
 
-import hashlib
-import pickle
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -498,37 +496,35 @@ class CampaignRunner:
         stitched delay matrix per pending job.
 
         Registers each pending job once as its description (stream,
-        library, corners, backend; content-fingerprinted so reruns hit
-        the workers' warm caches), and the workers build the delay
-        matrices.  Shard descriptors go out longest-first (LPT keeps
-        stragglers off the tail).  ``shard_done`` fires as each shard
-        completes, with a view of the shard's region in the job's
-        stitched matrix.
+        library, corners, backend; the netlist goes by the FU's
+        once-per-unit content fingerprint, so reruns hit the workers'
+        warm caches and pickle nothing), and the workers build the
+        delay matrices.  Shard descriptors go out longest-first by
+        estimated cost, corners x cycles x the netlist's gate count
+        (a stable sort, so equal-cost shards keep plan order), which
+        keeps a dearer FU's shards off the tail.  ``shard_done`` fires
+        as each shard completes, with a view of the shard's region in
+        the job's stitched matrix.
         """
         pool = self._ensure_pool()
         progs: Dict[str, JobProgram] = {}
         pos_key: List[str] = []
-        nl_cache: Dict[int, Tuple[str, bytes]] = {}
         for pos, (i, job, key, inputs) in enumerate(pending):
-            netlist = job.fu.netlist
-            cached = nl_cache.get(id(netlist))
-            if cached is None:
-                blob = pickle.dumps(netlist,
-                                    protocol=pickle.HIGHEST_PROTOCOL)
-                cached = (hashlib.sha1(blob).hexdigest(), blob)
-                nl_cache[id(netlist)] = cached
-            nl_key, nl_bytes = cached
+            nl_key, nl_bytes = job.fu.netlist_fingerprint()
             job_key = f"{key}:{self.backend}"
             pos_key.append(job_key)
             if job_key not in progs:  # duplicate jobs share one program
                 progs[job_key] = JobProgram(
-                    netlist=netlist, netlist_key=nl_key, inputs=inputs,
-                    library=job.library, conditions=list(job.conditions),
+                    netlist=job.fu.netlist, netlist_key=nl_key,
+                    inputs=inputs, library=job.library,
+                    conditions=list(job.conditions),
                     backend=self.backend, netlist_bytes=nl_bytes)
 
-        # longest-processing-time-first dispatch order
+        # cost-weighted longest-processing-time-first dispatch order
+        gates = [job.fu.netlist.n_gates for _, job, _, _ in pending]
         order = sorted(tasks, key=lambda t: -((t[1][1] - t[1][0])
-                                              * (t[1][3] - t[1][2])))
+                                              * (t[1][3] - t[1][2])
+                                              * gates[t[0]]))
 
         def on_result(j, tres, delays):
             shard_done(order[j][0], tres.shard, delays, tres.seconds,

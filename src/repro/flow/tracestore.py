@@ -102,7 +102,7 @@ def trace_key(fu: FunctionalUnit, stream: OperandStream,
     h = hashlib.sha256()
     h.update(f"v{STORE_VERSION};".encode())
     h.update(fu.name.encode())
-    h.update(str(fu.netlist.stats()).encode())
+    h.update(str(fu.stats()).encode())
     h.update(np.ascontiguousarray(stream.a).tobytes())
     h.update(np.ascontiguousarray(stream.b).tobytes())
     for c in conditions:

@@ -56,7 +56,7 @@ def fu_fingerprint(fu: Union[FunctionalUnit, str]) -> str:
     """FU identity: name plus netlist structure when we have the unit."""
     if isinstance(fu, str):
         return fu
-    return f"{fu.name}:{fu.netlist.stats()}"
+    return f"{fu.name}:{fu.stats()}"
 
 
 def corner_fingerprint(

@@ -668,7 +668,7 @@ class CompiledNetlist:
                        scratch: np.ndarray) -> np.ndarray:
         """Toggle-compacted arrival pass for one chunk.
 
-        ``bits`` is the ``(n_live_rows, n_cycles)`` 0/1 matrix of the
+        ``bits`` is the ``(n_live_rows, n_cycles)`` uint8 0/1 matrix of the
         observable toggles (:meth:`observable_toggles`), ``delays_t``
         the ``(n_gates, n_corners)`` float32 delays and ``scratch`` a
         flat float32 buffer of at least ``(n_live_rows * n_cycles + 1)
@@ -694,7 +694,7 @@ class CompiledNetlist:
         """
         n_rows, n_cycles = bits.shape
         n_corners = delays_t.shape[1]
-        flat = np.flatnonzero(bits)
+        flat = np.flatnonzero(bits.view(bool))
         n_pairs = flat.size
         store = scratch[:(n_pairs + 1) * n_corners].reshape(
             n_pairs + 1, n_corners)

@@ -80,3 +80,35 @@ class TestSoftwareEvaluation:
                 result_width=16,
                 reference=lambda a, b: 0,
             )
+
+
+class TestNetlistMemo:
+    def test_stats_match_the_netlist(self):
+        fu = build_functional_unit("int_add", width=8)
+        assert fu.stats() == fu.netlist.stats()
+        assert fu.stats() == fu.netlist.stats()  # the memoized read
+
+    def test_stats_copy_cannot_corrupt_the_memo(self):
+        fu = build_functional_unit("int_add", width=8)
+        fu.stats()["gates"] = -1
+        assert fu.stats() == fu.netlist.stats()
+
+    def test_fingerprint_is_the_netlist_pickle(self):
+        import hashlib
+        import pickle
+
+        fu = build_functional_unit("int_add", width=8)
+        key, blob = fu.netlist_fingerprint()
+        assert blob == pickle.dumps(fu.netlist,
+                                    protocol=pickle.HIGHEST_PROTOCOL)
+        assert key == hashlib.sha1(blob).hexdigest()
+        assert fu.netlist_fingerprint() is fu.netlist_fingerprint()
+
+    def test_memo_ignored_by_equality_and_repr(self):
+        a = build_functional_unit("int_add", width=8)
+        b = build_functional_unit("int_add", width=8)
+        b.reference = a.reference
+        a.stats()
+        a.netlist_fingerprint()
+        assert "_fingerprint" not in repr(a)
+        assert a == b

@@ -1,11 +1,15 @@
 """Tests for the campaign runner and the versioned trace store."""
 
+import gc
 import json
+import pickle
+import weakref
 
 import numpy as np
 import pytest
 
 from repro.circuits import build_functional_unit
+from repro.circuits.netlist import Netlist
 from repro.flow import (
     MIN_SHARD_CYCLES,
     CampaignJob,
@@ -16,12 +20,20 @@ from repro.flow import (
     read_envelope,
     trace_key,
 )
+from repro.flow.pool import WorkerPool
 from repro.sim import run_delays
 from repro.timing import DEFAULT_LIBRARY, OperatingCondition
 from repro.timing.cells import CellLibrary, CellTiming
-from repro.workloads import random_stream
+from repro.workloads import OperandStream, random_stream
 
 CONDS = [OperatingCondition(0.81, 0.0), OperatingCondition(1.00, 100.0)]
+
+
+def pinned_stream() -> OperandStream:
+    """A fixed 8-cycle stream that depends on no random generator."""
+    rows = np.arange(9, dtype=np.uint64)
+    return OperandStream("pinned", rows * 0x01234567,
+                         rows[::-1] * 0x89ABCDEF)
 
 
 def _slow_library() -> CellLibrary:
@@ -48,6 +60,18 @@ class TestTraceKey:
         stream = random_stream(20, operand_width=8, seed=0)
         assert (trace_key(fu, stream, CONDS, DEFAULT_LIBRARY, "dta")
                 != trace_key(fu, stream, CONDS, DEFAULT_LIBRARY, "glitch"))
+
+    @pytest.mark.parametrize("name, dta, glitch", [
+        ("int_add", "cddefefa3b15efb63f5fefc3", "8c4f177ea374acebeb3fc1ba"),
+        ("fp_mul", "e75484eed9ef5c7415e212a3", "ca88078ce491ff52e6e95db9"),
+    ])
+    def test_key_strings_are_pinned(self, name, dta, glitch):
+        # existing stores keep hitting only while these strings hold
+        fu = build_functional_unit(name)
+        stream = pinned_stream()
+        assert trace_key(fu, stream, CONDS, DEFAULT_LIBRARY) == dta
+        assert trace_key(fu, stream, CONDS, DEFAULT_LIBRARY,
+                         "glitch") == glitch
 
     def test_fingerprint_stable_and_sensitive(self):
         assert (library_fingerprint(DEFAULT_LIBRARY)
@@ -247,6 +271,73 @@ def _cycle_plan(n_cycles, shard_cycles=None, n_workers=1):
                          n_workers=n_workers)
     assert all((c0, c1) == (0, 1) for c0, c1, _, _ in shards)
     return [(t0, t1) for _, _, t0, t1 in shards]
+
+
+class TestPoolDispatch:
+    """What ``run`` does around the pool: each FU's netlist is pickled
+    once for its lifetime and released with it, and shards go out by
+    estimated cost (corners x cycles x gates)."""
+
+    def _job(self, name, width, seed, n_cycles=600):
+        fu = build_functional_unit(name, width=width)
+        stream = random_stream(n_cycles, operand_width=width, seed=seed)
+        stream.name = f"dispatch_{name}_{seed}"
+        return CampaignJob(fu, stream, CONDS)
+
+    def test_rerun_pickles_no_netlist(self, monkeypatch):
+        job = self._job("int_add", 8, 90)
+        real_dumps = pickle.dumps
+        pickled = []
+
+        def spy(obj, *args, **kwargs):
+            if isinstance(obj, Netlist):
+                pickled.append(obj)
+            return real_dumps(obj, *args, **kwargs)
+
+        monkeypatch.setattr(pickle, "dumps", spy)
+        with CampaignRunner(use_cache=False, n_workers=2,
+                            shard_cycles=150) as runner:
+            first = runner.run([job])[0]
+            assert pickled == [job.fu.netlist]
+            second = runner.run([job])[0]
+        assert pickled == [job.fu.netlist]  # the rerun pickled nothing
+        assert second.delays.tobytes() == first.delays.tobytes()
+
+    def test_dropped_fu_releases_its_netlist(self):
+        job = self._job("int_add", 8, 91)
+        with CampaignRunner(use_cache=False, n_workers=2,
+                            shard_cycles=150) as runner:
+            runner.run([job])
+            ref = weakref.ref(job.fu.netlist)
+            del job
+            gc.collect()
+            assert ref() is None
+
+    def test_costlier_jobs_shards_go_first(self, monkeypatch):
+        # equal grids, so only the gate count tells the jobs apart; the
+        # cheap job comes first in the batch
+        cheap = self._job("int_add", 8, 92)
+        dear = self._job("int_mul", 8, 93)
+        assert dear.fu.netlist.n_gates > cheap.fu.netlist.n_gates
+        seen = []
+        real_run_tasks = WorkerPool.run_tasks
+
+        def spy(pool, progs, tasks, on_result=None):
+            seen.extend(job_key for job_key, _ in tasks)
+            return real_run_tasks(pool, progs, tasks, on_result=on_result)
+
+        monkeypatch.setattr(WorkerPool, "run_tasks", spy)
+        with CampaignRunner(use_cache=False, n_workers=2,
+                            shard_cycles=150) as runner:
+            pooled = runner.run([cheap, dear])
+        dear_key = f"{dear.key()}:{runner.backend}"
+        n_dear = runner.stats.job_shards[1]
+        assert n_dear > 1
+        assert seen[:n_dear] == [dear_key] * n_dear
+        assert dear_key not in seen[n_dear:]
+        inline = CampaignRunner(use_cache=False).run([cheap, dear])
+        for p, i in zip(pooled, inline):
+            assert p.delays.tobytes() == i.delays.tobytes()
 
 
 class TestShardPlanning:

@@ -15,7 +15,7 @@ from repro.serve import (
     stream_fingerprint,
 )
 from repro.timing import OperatingCondition
-from repro.workloads import random_stream
+from repro.workloads import OperandStream, random_stream
 
 CONDS = [OperatingCondition(0.81, 0.0), OperatingCondition(1.00, 100.0)]
 
@@ -87,6 +87,18 @@ class TestPublishResolve:
         assert base != model_key(fu, "tevot", CONDS, other_stream, tag)
         assert base != model_key(fu, "tevot", CONDS[:1], stream, tag)
         assert base != model_key(fu, "tevot", CONDS, stream, "fs2:w8:h1")
+
+    @pytest.mark.parametrize("name, key", [
+        ("int_add", "423f8b74c68047fbf1a77879"),
+        ("fp_mul", "4e69d6c834a6fca0c952ab97"),
+    ])
+    def test_key_strings_are_pinned(self, name, key):
+        # published registries keep resolving only while these hold
+        fu = build_functional_unit(name)
+        rows = np.arange(9, dtype=np.uint64)
+        stream = OperandStream("pinned", rows * 0x01234567,
+                               rows[::-1] * 0x89ABCDEF)
+        assert model_key(fu, "tevot", CONDS, stream, "fs1:w32:h1") == key
 
     def test_list_models_filters(self, tmp_path, trained):
         fu, _, model = trained
