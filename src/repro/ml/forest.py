@@ -176,9 +176,25 @@ class _BaseForest(_Stacked):
         Sequential accumulation makes predictions independent of batch
         composition — the serving layer relies on that for bit-exact
         parity.
+
+        A batch the table walks (:meth:`_NodeTable.leaves`) with one
+        value per node (the regressor) is summed in Python floats: tree
+        0's value, plus trees 1..T-1 in order, divided by T.  Those are
+        the float64 additions and division, in the same order, that the
+        numpy path makes on whole columns, so both give the same bits.
         """
         table = self._table()
-        per_tree = table.value[table.leaves(check_X(X, self.n_features_))]
+        X = check_X(X, self.n_features_)
+        value = table.value_view
+        if value is not None and X.shape[0] <= table.walk_max_rows:
+            means = []
+            for leaves in table.walk(X):
+                total = value[leaves[0]]
+                for leaf in leaves[1:]:
+                    total += value[leaf]
+                means.append(total / len(leaves))
+            return np.array(means)
+        per_tree = table.value[table.leaves(X)]
         total = per_tree[:, 0].copy()
         for t in range(1, per_tree.shape[1]):
             total += per_tree[:, t]

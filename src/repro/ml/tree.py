@@ -23,7 +23,8 @@ are scored together:
   ``cumsum`` does.
 
 So the trees are bit-identical to ones built a node at a time.
-Prediction descends a stacked node table.
+Prediction descends a stacked node table: small batches one (row, tree)
+pair at a time in Python, larger ones in rounds of numpy indexing.
 """
 
 from __future__ import annotations
@@ -42,6 +43,16 @@ from .base import (
 )
 
 _LEAF = -1
+
+#: A table walks batches of at most ``rounds * _WALK_STEPS_PER_ROUND /
+#: (n_trees * (mean_leaf_depth + 1) + _WALK_STEPS_PER_ROW)`` rows in
+#: Python (see :meth:`_NodeTable.leaves`): one numpy round costs about
+#: as much as 32 walk steps, and a row's own set-up about 6.  Fitted to
+#: both descents timed on 1-32 rows of six tables (single trees, 3- and
+#: 10-tree forests, depths 8-15) on 2 vCPUs; the rule lands at or below
+#: each table's measured crossover (4 rows on the ``serve_seq`` forest).
+_WALK_STEPS_PER_ROUND = 32
+_WALK_STEPS_PER_ROW = 6
 
 
 def __getattr__(name):
@@ -68,6 +79,12 @@ class _NodeTable:
     children point back to the leaf, so a row that reached its leaf in a
     shallow tree stays there while deeper trees finish.  ``value`` holds
     one row per stacked node.
+
+    ``views`` are ``memoryview``s of ``feature``, ``threshold`` and
+    ``children`` (and ``value_view`` of a 1-D ``value``, else ``None``):
+    they share the arrays' memory, so the Python walk reads Python ints
+    and floats without a copy of the table.  Batches of at most
+    ``walk_max_rows`` rows take the walk.
     """
 
     def __init__(self, trees, value: np.ndarray) -> None:
@@ -87,15 +104,64 @@ class _NodeTable:
         self.threshold = np.concatenate([t.threshold_ for t in trees])
         self.value = value
         self.rounds = max(t.depth() for t in trees)
+        self.roots = self.offsets[:-1].tolist()
+        self.views = (memoryview(self.feature), memoryview(self.threshold),
+                      memoryview(self.children))
+        self.value_view = memoryview(value) if value.ndim == 1 else None
+        # mean leaf depth over all leaves: the steps a (row, tree) walk
+        # takes, plus one to see it has reached its leaf
+        level, depth_sum = self.offsets[:-1], 0
+        pairs = self.children.reshape(-1, 2)
+        for depth in range(1, self.rounds + 1):
+            level = pairs[level[~leaf[level]]].ravel()
+            depth_sum += depth * np.count_nonzero(leaf[level])
+        steps = len(trees) * (depth_sum / np.count_nonzero(leaf) + 1)
+        self.walk_max_rows = int(self.rounds * _WALK_STEPS_PER_ROUND
+                                 / (steps + _WALK_STEPS_PER_ROW))
 
     def leaves(self, X: np.ndarray) -> np.ndarray:
-        """Stacked leaf id of every (row, tree)."""
+        """Stacked leaf id of every (row, tree), as an int64
+        ``(rows, trees)`` array.
+
+        A batch of at most :attr:`walk_max_rows` rows takes
+        :meth:`walk`; a larger one descends all its (row, tree) pairs
+        together, one round of numpy indexing per tree level.  A round's
+        cost barely grows with the batch, a walk's grows with its
+        steps, so the crossover is the batch whose steps (``n_trees``
+        times the mean leaf depth plus one, per row) cost as much as
+        ``rounds`` numpy rounds.  Both paths take the same branch at
+        every node: ``x <= threshold`` on the same float64 values, where
+        NaN is never ``<=`` (so goes right) and signed zeros are equal
+        (so go left); they return the same leaves.
+        """
+        if X.shape[0] <= self.walk_max_rows:
+            return np.array(self.walk(X), np.int64).reshape(
+                X.shape[0], len(self.roots))
         node = np.tile(self.offsets[:-1], (X.shape[0], 1))
         rows = np.arange(X.shape[0])[:, None]
         for _ in range(self.rounds):
             go_left = X[rows, self.feature[node]] <= self.threshold[node]
             node = self.children[2 * node + go_left]
         return node
+
+    def walk(self, X: np.ndarray) -> list:
+        """Leaf ids of each row's trees, one list per row: each
+        (row, tree) pair descends in Python until it reaches a leaf,
+        whose children point back to it."""
+        feature, threshold, children = self.views
+        out = []
+        for row in X.tolist():
+            leaves = []
+            for node in self.roots:
+                while True:
+                    child = children[2 * node
+                                     + (row[feature[node]] <= threshold[node])]
+                    if child == node:
+                        break
+                    node = child
+                leaves.append(node)
+            out.append(leaves)
+        return out
 
 
 class _Stacked(BaseEstimator):

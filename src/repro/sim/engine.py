@@ -62,10 +62,14 @@ def delay_model(engine: str) -> str:
     """Equivalence class of the delays ``engine`` produces.
 
     Engines with the same delay model are interchangeable for
-    characterization caching: the ``"dta"`` engines agree bit for bit,
-    the ``"glitch"`` engine sees extra transitions, so its delays are
-    systematically >= DTA delays and never share a cache entry with
-    them.
+    characterization caching: the ``"dta"`` engines agree bit for bit.
+    The ``"glitch"`` engine times each output's last transition, glitch
+    pulses included, where DTA times the latest toggling input path into
+    each output that changes value.  Neither bounds the other: a glitch
+    may end after that path, and a late toggling input that a
+    controlling side input masks leaves the DTA delay above the last
+    transition (on seeded random ``int_add`` streams, on 3-16% of
+    cycles, by up to ~650 ps).  So the two never share a cache entry.
     """
     check_engine(engine)
     return "glitch" if engine == "event" else "dta"

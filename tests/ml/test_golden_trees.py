@@ -212,14 +212,23 @@ def test_fit_paths_match_golden_digests(monkeypatch, path, key):
         assert digest(model) == GOLDEN_SQRT[key]
 
 
-@pytest.mark.parametrize("kind", ["forest_reg", "forest_clf"])
-def test_predictions_do_not_depend_on_batch(kind):
-    model, X = fit("tevot", kind, 4)
+@pytest.mark.parametrize("key", sorted(GOLDEN_PREDICT))
+def test_predictions_do_not_depend_on_batch(key):
+    """Every batch size up to one past the node table's crossover (the
+    per-row walk below it, the numpy rounds from it), and 64, gives the
+    bytes of one whole-set prediction, so ``-0.0`` may not stand in for
+    ``0.0``; row by row, the predictions hash to the golden digest."""
+    data, kind, msl = key.split("/")
+    model, X = fit(data, kind, int(msl))
     whole = predictions(model, X)
-    for size in (1, 64):
-        parts = [predictions(model, X[i:i + size])
-                 for i in range(0, len(X), size)]
-        np.testing.assert_array_equal(np.concatenate(parts), whole)
+    crossover = model._table().walk_max_rows
+    assert 1 <= crossover < len(X)
+    for size in [*range(1, crossover + 2), 64]:
+        out = np.concatenate([predictions(model, X[i:i + size])
+                              for i in range(0, len(X), size)])
+        assert out.tobytes() == whole.tobytes(), size
+        if size == 1:
+            assert output_digest(out) == GOLDEN_PREDICT[key]
 
 
 @pytest.mark.parametrize("key", ["continuous/forest_clf/1",

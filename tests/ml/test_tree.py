@@ -7,7 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.ml import DecisionTreeClassifier, DecisionTreeRegressor, NotFittedError
+from repro.ml import (
+    DecisionTreeClassifier,
+    DecisionTreeRegressor,
+    NotFittedError,
+    RandomForestRegressor,
+)
 from repro.ml.metrics import accuracy_score, r2_score
 from repro.ml.tree import _gini_gains, _sse_gains
 
@@ -288,3 +293,62 @@ class TestBitMatrix:
         neg = cls(min_samples_leaf=msl).fit(signed, y)
         for a, b in zip(tree_arrays(plain), tree_arrays(neg)):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def signed_and_bits(n=400, seed=6):
+    """A +-1 column (its splits have threshold 0.0), a continuous one
+    and 0/1 bits."""
+    rng = np.random.default_rng(seed)
+    sign = rng.choice([-1.0, 1.0], n)
+    cont = rng.normal(size=n)
+    bits = rng.integers(0, 2, (n, 4)).astype(float)
+    y = 3 * sign + np.sin(2 * cont) + bits[:, 0] * bits[:, 1] \
+        + rng.normal(0, 0.1, n)
+    return np.column_stack([sign, cont, bits]), y
+
+
+def edge_rows(table, X, n=200, seed=7):
+    """Training rows with about half their cells replaced by NaN, 0.0,
+    -0.0 or a threshold that some split on the cell's column uses."""
+    rng = np.random.default_rng(seed)
+    internal = table.children[0::2] != np.arange(len(table.feature))
+    rows = X[rng.integers(0, len(X), n)]
+    for f in range(X.shape[1]):
+        pool = np.concatenate(([np.nan, 0.0, -0.0], table.threshold[
+            internal & (table.feature == f)]))
+        pick = rng.random(n) < 0.5
+        rows[pick, f] = rng.choice(pool, int(pick.sum()))
+    return rows
+
+
+class TestNodeTable:
+    def test_walk_takes_the_branches_of_the_numpy_rounds(self):
+        X, y = signed_and_bits()
+        model = RandomForestRegressor(n_estimators=3, random_state=0)
+        table = model.fit(X, y)._table()
+        rows = edge_rows(table, X)
+        assert 1 <= table.walk_max_rows < len(rows)
+        rounds = table.leaves(rows)
+        assert rounds.dtype == np.int64
+        np.testing.assert_array_equal(np.array(table.walk(rows)), rounds)
+        for i in range(len(rows)):         # leaves() walks one row
+            np.testing.assert_array_equal(table.leaves(rows[i:i + 1]),
+                                          rounds[i:i + 1])
+        # the rows meet their splits with NaN, signed zeros and ties
+        node = np.tile(table.offsets[:-1], (len(rows), 1))
+        seen = np.zeros(3, int)
+        for _ in range(table.rounds):
+            x, thr = rows[np.arange(len(rows))[:, None],
+                          table.feature[node]], table.threshold[node]
+            split = table.children[2 * node] != node
+            seen += [np.count_nonzero(split & np.isnan(x)),
+                     np.count_nonzero(split & (x == 0.0) & np.signbit(x)
+                                      & (thr == 0.0)),
+                     np.count_nonzero(split & (x == thr))]
+            node = table.children[2 * node + (x <= thr)]
+        assert (seen > 0).all(), seen
+        # the walk reads the table's own arrays, not copies
+        for view, array in zip(table.views + (table.value_view,),
+                               (table.feature, table.threshold,
+                                table.children, table.value)):
+            assert np.shares_memory(np.asarray(view), array)

@@ -23,7 +23,7 @@ from repro.sim import (
     run_delays,
 )
 from repro.sim.compile import pack_columns, toggle_word_rows
-from repro.timing import DEFAULT_LIBRARY, OperatingCondition
+from repro.timing import DEFAULT_LIBRARY, OperatingCondition, run_sta
 from repro.workloads import stream_for_unit
 
 CONDS = [OperatingCondition(0.81, 0.0), OperatingCondition(1.00, 100.0)]
@@ -81,6 +81,27 @@ class TestRegistry:
     def test_delay_models(self, engine, model):
         # the glitch-aware engine never shares a cache class with DTA
         assert delay_model(engine) == model
+
+    def test_glitch_and_dta_delays_bound_neither_other(self):
+        # the event engine times each output's last transition, glitch
+        # pulses included; the DTA engines time the latest toggling
+        # input path into each output that changes value.  A glitch may
+        # end after that path, and a late toggling input that a
+        # controlling side input masks keeps the DTA delay above the
+        # last transition, so neither engine's delays bound the other's
+        fu = build_functional_unit("int_add")
+        inputs = stream_for_unit("int_add", 200, seed=0).bit_matrix(fu)
+        delays = DEFAULT_LIBRARY.delay_matrix(fu.netlist, CONDS)
+        glitch = run_delays("event", fu.netlist, inputs, delays)
+        dta = run_delays("compiled", fu.netlist, inputs, delays)
+        for k in range(len(CONDS)):
+            assert (glitch[k] < dta[k]).any() and (glitch[k] > dta[k]).any()
+            # what does hold: both stay under the static bound ...
+            static = run_sta(fu.netlist,
+                             gate_delays=delays[k]).critical_delay
+            assert max(glitch[k].max(), dta[k].max()) <= static + 1e-3
+        # ... and an output that changes value makes a transition
+        assert np.all((dta == 0) | (glitch > 0))
 
     def test_cycle_sharding_capability(self):
         # the DTA engines compute cycle t from input rows t and t+1
