@@ -45,6 +45,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from ..circuits.functional_units import FunctionalUnit
+from ..sim.compile import KernelBuffers
 from ..sim.dta import DelayTrace
 from ..sim.engine import (
     CYCLE_SHARDABLE,
@@ -475,17 +476,20 @@ class CampaignRunner:
                     ) -> List[np.ndarray]:
         """Run every task in this process, in order; returns one delay
         matrix per pending job.  ``shard_done(pos, shard, delays,
-        seconds, warm, worker)`` fires after each shard."""
+        seconds, warm, worker)`` fires after each shard.  Every shard
+        of the batch runs in one kernel scratch set, dropped with the
+        batch."""
         matrices = [np.empty((n_corners, n_cycles), dtype=np.float32)
                     for n_cycles, n_corners in grids]
         delay_matrices = [job.library.delay_matrix(job.fu.netlist,
                                                    list(job.conditions))
                           for _, job, _, _ in pending]
+        buffers = KernelBuffers()
         for pos, shard in tasks:
             _, job, _, inputs = pending[pos]
             delays, secs = simulate_shard(
                 job.fu.netlist, inputs, delay_matrices[pos],
-                self.backend, shard)
+                self.backend, shard, buffers)
             c0, c1, t0, t1 = shard
             matrices[pos][c0:c1, t0:t1] = delays
             shard_done(pos, shard, delays, secs, None, None)

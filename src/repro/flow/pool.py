@@ -9,9 +9,12 @@ lowering of the program:
 
 * **Warm program state.**  Workers are forked once per pool and cache
   the unpickled netlist (and therefore the lowered
-  :class:`~repro.sim.compile.CompiledNetlist` and its arrival scratch,
-  single-slot-cached on the program) per *netlist fingerprint*, and
-  the job's input stream and delay matrix per *job fingerprint*.  A
+  :class:`~repro.sim.compile.CompiledNetlist`) per *netlist
+  fingerprint*, and the job's input stream and delay matrix per *job
+  fingerprint*.  Each worker keeps one
+  :class:`~repro.sim.compile.KernelBuffers` set for its whole life,
+  shared by every program it runs, so its kernels stop faulting in
+  fresh scratch pages once the first shard of each shape has run.  A
   job travels as its description (input bits, cell library, corner
   list, backend); each worker
   builds the job's delay matrix once, at its first shard of the job,
@@ -69,6 +72,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from ..sim.compile import KernelBuffers
 from ..sim.engine import run_delays
 from ..testing import faults
 
@@ -168,14 +172,17 @@ def _pool_worker_main(conn) -> None:
 
     State lives for the worker's lifetime: ``netlists`` pins the
     unpickled netlist objects (and thereby their cached compiled
-    programs and their scratch), ``jobs`` the per-job
-    description and, from its first shard on, its delay matrix.
+    programs), ``jobs`` the per-job description and, from its first
+    shard on, its delay matrix, and ``buffers`` the one kernel scratch
+    set every shard of every program runs in (tasks run one at a time,
+    so they never share it concurrently).
     The parent coordinates eviction (``release``), so the two sides
     never disagree about what is registered.
     """
     netlists: Dict[str, object] = {}
     warm_keys = set()  # netlist keys this worker has simulated before
     jobs: Dict[str, Dict] = {}
+    buffers = KernelBuffers()
     try:
         while True:
             try:
@@ -204,7 +211,7 @@ def _pool_worker_main(conn) -> None:
                 faults.fault_point(SITE_TASK)
                 try:
                     result = _run_shard(netlists, warm_keys, jobs,
-                                        job_key, shard)
+                                        job_key, shard, buffers)
                 except BaseException as exc:
                     conn.send(("err", task_id, _portable_error(exc)))
                 else:
@@ -230,7 +237,8 @@ def _portable_error(exc: BaseException) -> Union[BaseException, str]:
 
 
 def simulate_shard(netlist, inputs: np.ndarray, delay_matrix: np.ndarray,
-                   backend: str, shard: Shard
+                   backend: str, shard: Shard,
+                   buffers: Optional[KernelBuffers] = None
                    ) -> Tuple[np.ndarray, float]:
     """Simulate shard ``(c0, c1, t0, t1)`` of one job; returns
     ``(delays, seconds)``.
@@ -239,18 +247,19 @@ def simulate_shard(netlist, inputs: np.ndarray, delay_matrix: np.ndarray,
     against delay rows ``c0:c1``.  Cycle ``t`` depends only on input
     rows ``t`` and ``t + 1``, and corner rows are independent, so
     writing ``delays`` at ``[c0:c1, t0:t1]`` of the job's matrix is
-    bit-identical to the unsharded run.
+    bit-identical to the unsharded run.  ``buffers`` is the caller's
+    kernel scratch set (see :func:`~repro.sim.engine.run_delays`).
     """
     c0, c1, t0, t1 = shard
     start = time.perf_counter()
     delays = run_delays(backend, netlist, inputs[t0:t1 + 1],
-                        delay_matrix[c0:c1])
+                        delay_matrix[c0:c1], buffers)
     return delays, time.perf_counter() - start
 
 
 def _run_shard(netlists: Dict[str, object], warm_keys: set,
-               jobs: Dict[str, Dict], job_key: str, shard: Shard
-               ) -> Tuple[float, bool, np.ndarray]:
+               jobs: Dict[str, Dict], job_key: str, shard: Shard,
+               buffers: KernelBuffers) -> Tuple[float, bool, np.ndarray]:
     job = jobs[job_key]
     nl_key = job["nl_key"]
     warm = nl_key in warm_keys
@@ -261,7 +270,7 @@ def _run_shard(netlists: Dict[str, object], warm_keys: set,
             netlists[nl_key], job["conditions"])
     delays, seconds = simulate_shard(
         netlists[nl_key], job["inputs"], job["delay_matrix"],
-        job["backend"], shard)
+        job["backend"], shard, buffers)
     warm_keys.add(nl_key)
     return seconds, warm, delays
 

@@ -3,7 +3,7 @@
 reference, and the glitch-aware event-driven simulator — plus VCD and
 DTA."""
 
-from .compile import CompiledNetlist, compile_netlist
+from .compile import CompiledNetlist, KernelBuffers, compile_netlist
 from .dta import (
     DelayTrace,
     delays_via_vcd,
@@ -30,6 +30,7 @@ __all__ = [
     "ENGINES",
     "EventDrivenSimulator",
     "EventTraceResult",
+    "KernelBuffers",
     "LevelizedSimulator",
     "VCDData",
     "VCDWriter",

@@ -103,9 +103,10 @@ kernels.
 
 Programs are cached per netlist identity (a ``weakref``-evicted map),
 so repeated ``run_delays`` calls — e.g. one per campaign shard — pay
-for validation, levelization, and lowering exactly once per process,
-and reuse one arrival scratch buffer while the corner count and chunk
-stay the same.
+for validation, levelization, and lowering exactly once per process.
+A program holds no mutable state: the scratch of a run lives in a
+:class:`KernelBuffers` set its caller owns, so one set can serve every
+program a process runs, and concurrent runs never share scratch.
 """
 
 from __future__ import annotations
@@ -317,6 +318,50 @@ def _eval_group(gtype: GateType, ins: np.ndarray, shape) -> np.ndarray:
     raise ValueError(f"unknown gate type {gtype!r}")
 
 
+class KernelBuffers:
+    """Scratch arrays for :meth:`CompiledNetlist.run`, owned by the caller.
+
+    A set holds flat named arrays that only grow: a request larger than
+    the array replaces it with one a quarter larger than the request,
+    and the array is kept, so a warm set serves every later chunk and
+    run without allocating, and its pages stay resident instead of
+    being faulted in afresh.  Requests are sized by what a chunk uses
+    (the compact pass's store by its observable pairs, not by the one
+    pair per live row and cycle it could hold), so little of a set is
+    never touched: an array sized by the upper bound would, once freed,
+    let the C allocator serve later allocations of up to its size from
+    a heap that it never returns.
+
+    One set serves any program, corner count and chunk, but one run at
+    a time: like a numpy ``out=`` array, two concurrent runs must not
+    share it.  The owner decides how long it lives: a campaign pool
+    worker keeps one for its whole life, an inline campaign batch one
+    per batch, and ``run(..., buffers=None)`` makes one for that call.
+    """
+
+    __slots__ = ("arrays",)
+
+    def __init__(self) -> None:
+        #: buffer name -> flat array
+        self.arrays: Dict[str, np.ndarray] = {}
+
+    def get(self, name: str, size: int, dtype,
+            zeroed: bool = False) -> np.ndarray:
+        """The first ``size`` elements of buffer ``name``.
+
+        A buffer too small is replaced, contents dropped, by one with
+        room for a quarter more (the compact pass's needs vary from
+        chunk to chunk); ``zeroed`` ones start out all zeros, and their
+        users restore that after each use.
+        """
+        buf = self.arrays.get(name)
+        if buf is None or buf.size < size:
+            buf = (np.zeros if zeroed else np.empty)(size + size // 4,
+                                                      dtype)
+            self.arrays[name] = buf
+        return buf[:size]
+
+
 class CompiledNetlist:
     """One netlist lowered to level-parallel structure-of-arrays form.
 
@@ -499,11 +544,6 @@ class CompiledNetlist:
         self.compact_min_corners = int(np.ceil(
             _COMPACT_BASE_CORNERS + _COMPACT_DISPATCH_ROWS
             * len(self.arrival_blocks) / max(1, self.n_arrival_gates)))
-        # Single-slot cache for the arrival scratch (see run): repeated
-        # runs at the same corner count and chunk reuse it instead of
-        # faulting in tens of MB of fresh pages per call.  Not
-        # thread-safe, like the rest of the program state.
-        self._scratch_cache: Optional[Tuple[tuple, np.ndarray]] = None
 
     # -- kernels -----------------------------------------------------------
 
@@ -552,19 +592,19 @@ class CompiledNetlist:
         mask *= _QUIET_SENTINEL
         return mask
 
-    def arrival_plan(self, delays: np.ndarray,
+    def arrival_plan(self, delays_t: np.ndarray,
                      chunk_cycles: int) -> List[ArrivalStep]:
         """Split the arrival blocks into cache-sized steps for one run.
 
-        Row ranges are capped so a step holds at most
+        ``delays_t`` is the ``(n_gates, n_corners)`` float32 delay
+        matrix.  Row ranges are capped so a step holds at most
         :data:`_SUB_BLOCK_ELEMS` arrival cells, which keeps its gathered
         fanins L2-resident across the max and the delay add.  Each step
         carries its gates' delay column for every corner.
         """
         # (n_live_rows, n_corners, 1): each row's gate delays, so every
         # step's delay column is a view
-        row_delay = np.asarray(delays, dtype=np.float32).T[
-            self._row_gate][:, :, None]
+        row_delay = delays_t[self._row_gate][:, :, None]
         n_sub = max(8, _SUB_BLOCK_ELEMS
                     // max(1, row_delay.shape[1] * chunk_cycles))
         steps: List[ArrivalStep] = []
@@ -665,16 +705,15 @@ class CompiledNetlist:
         return keep
 
     def _compact_chunk(self, bits: np.ndarray, delays_t: np.ndarray,
-                       scratch: np.ndarray) -> np.ndarray:
+                       buffers: KernelBuffers) -> np.ndarray:
         """Toggle-compacted arrival pass for one chunk.
 
         ``bits`` is the ``(n_live_rows, n_cycles)`` uint8 0/1 matrix of the
-        observable toggles (:meth:`observable_toggles`), ``delays_t``
-        the ``(n_gates, n_corners)`` float32 delays and ``scratch`` a
-        flat float32 buffer of at least ``(n_live_rows * n_cycles + 1)
-        * n_corners`` elements.  Returns the worst PO arrival per
-        (cycle, corner), ``(n_cycles, n_corners)``, before the clamp at
-        0.
+        observable toggles (:meth:`observable_toggles`) and ``delays_t``
+        the ``(n_gates, n_corners)`` float32 delays.  Returns the worst
+        PO arrival per (cycle, corner), ``(n_cycles, n_corners)``, before
+        the clamp at 0, as a view into ``buffers`` that the next chunk
+        overwrites.
 
         Only the kept (row, cycle) pairs are computed.  Each owns one
         corner vector of a compact ``(pairs + 1, n_corners)`` store,
@@ -691,48 +730,108 @@ class CompiledNetlist:
         sentinel is read by no kept pair and no toggling output.  The
         dense path's ``+0.0`` output mask is dropped, which keeps the
         bits of every non-negative arrival.
+
+        Every array the pass writes comes from the caller's ``buffers``
+        (see :class:`KernelBuffers`): the store, the pair map, the
+        per-pair indices, two sub-block gather buffers and the worst
+        arrivals.  The pair map is all zeros between chunks: only the
+        kept cells are set, and they are reset on the way out.  Fanin
+        vectors are gathered into the gather buffers, never straight
+        into the store: ``np.take`` copies its whole output when that
+        overlaps the source (and in its default ``mode="raise"``), so
+        only a separate ``out`` with ``mode="clip"`` writes in place.
+        Every index is a valid pair or gate by construction, so the
+        clip never acts.
         """
         n_rows, n_cycles = bits.shape
+        n_cells = n_rows * n_cycles
         n_corners = delays_t.shape[1]
         flat = np.flatnonzero(bits.view(bool))
         n_pairs = flat.size
-        store = scratch[:(n_pairs + 1) * n_corners].reshape(
-            n_pairs + 1, n_corners)
-        store[0] = -_QUIET_SENTINEL
-        pair_of = np.zeros(n_rows * n_cycles, dtype=np.int32)
-        pair_of[flat] = np.arange(1, n_pairs + 1, dtype=np.int32)
-        # pairs below the first arrival row are primary-input toggles
-        # (constants never toggle): they launch at the clock edge
-        edges = np.searchsorted(flat, self._block_edges * n_cycles)
-        first = int(edges[0]) if edges.size else n_pairs
-        store[1:1 + first] = _ZERO
-
-        # per-pair indices, once per chunk: gate column and the pair
-        # each of the first two pins reads (3-pin blocks add pin 2)
-        cell = flat[first:]
-        rows = cell // n_cycles
-        cyc = cell - rows * n_cycles
-        gate = self._row_gate[rows]
-        pins = [pair_of[self._row_fanin[k][rows] * n_cycles + cyc]
-                for k in range(2)]
+        store = buffers.get("store", (n_pairs + 1) * n_corners,
+                            np.float32).reshape(n_pairs + 1, n_corners)
+        pair_of = buffers.get("pair_of", n_cells, np.int32, zeroed=True)
         step = max(1, _SUB_BLOCK_ELEMS // n_corners)
-        for b, lo, hi in zip(self.arrival_blocks, edges[:-1] - first,
-                             edges[1:] - first):
-            if b.width == 3:
-                pin2 = pair_of[self._row_fanin[2][rows[lo:hi]] * n_cycles
-                               + cyc[lo:hi]]
-            # cache-sized sub-blocks, like the dense pass: the gathered
-            # pins stay L2-resident across the max and the delay add
-            for s in range(lo, hi, step):
-                e = min(s + step, hi)
-                seg = store[1 + first + s:1 + first + e]
-                np.take(store, pins[0][s:e], axis=0, out=seg)
-                np.maximum(seg, store[pins[1][s:e]], out=seg)
+        n_gather = max(step, n_cycles) * n_corners
+        gather = [buffers.get(f"gather{k}", n_gather, np.float32)
+                  for k in range(2)]
+        try:
+            pair_of[flat] = np.arange(1, n_pairs + 1, dtype=np.int32)
+            store[0] = -_QUIET_SENTINEL
+            # pairs below the first arrival row are primary-input
+            # toggles (constants never toggle): they launch at the
+            # clock edge
+            edges = np.searchsorted(flat, self._block_edges * n_cycles)
+            first = int(edges[0]) if edges.size else n_pairs
+            store[1:1 + first] = _ZERO
+
+            # per-pair indices, once per chunk: gate column and the
+            # pair each of the first two pins reads (3-pin blocks add
+            # pin 2).  Row, cycle and fanin cell stay intp, which
+            # np.take reads without an index copy.
+            cell = flat[first:]
+            n_kept = cell.size
+            rows, cyc, fan = (buffers.get(name, n_kept, np.intp)
+                              for name in ("rows", "cyc", "fan"))
+            np.floor_divide(cell, n_cycles, out=rows)
+            np.multiply(rows, n_cycles, out=cyc)
+            np.subtract(cell, cyc, out=cyc)
+            gate = buffers.get("gate", n_kept, np.intp)
+            np.take(self._row_gate, rows, out=gate, mode="clip")
+            pins = [buffers.get(f"pin{k}", n_kept, np.int32)
+                    for k in range(3)]
+
+            def pair_reads(k: int, lo: int, hi: int) -> None:
+                # pins[k][lo:hi] = pair of (fanin k's row, same cycle)
+                np.take(self._row_fanin[k], rows[lo:hi], out=fan[lo:hi],
+                        mode="clip")
+                fan[lo:hi] *= n_cycles
+                fan[lo:hi] += cyc[lo:hi]
+                np.take(pair_of, fan[lo:hi], out=pins[k][lo:hi],
+                        mode="clip")
+
+            pair_reads(0, 0, n_kept)
+            pair_reads(1, 0, n_kept)
+            for b, lo, hi in zip(self.arrival_blocks, edges[:-1] - first,
+                                 edges[1:] - first):
                 if b.width == 3:
-                    np.maximum(seg, store[pin2[s - lo:e - lo]], out=seg)
-                seg += delays_t[gate[s:e]]
-        po = pair_of.reshape(n_rows, n_cycles)[self.po_rows]
-        return store[po].max(axis=0)
+                    pair_reads(2, lo, hi)
+                # cache-sized sub-blocks, like the dense pass: the
+                # gathered pins stay L2-resident across the max and the
+                # delay add
+                for s in range(lo, hi, step):
+                    e = min(s + step, hi)
+                    seg = store[1 + first + s:1 + first + e]
+                    g0, g1 = (g[:(e - s) * n_corners].reshape(e - s,
+                                                              n_corners)
+                              for g in gather)
+                    np.take(store, pins[0][s:e], axis=0, out=g0,
+                            mode="clip")
+                    np.take(store, pins[1][s:e], axis=0, out=g1,
+                            mode="clip")
+                    np.maximum(g0, g1, out=seg)
+                    if b.width == 3:
+                        np.take(store, pins[2][s:e], axis=0, out=g1,
+                                mode="clip")
+                        np.maximum(seg, g1, out=seg)
+                    np.take(delays_t, gate[s:e], axis=0, out=g1,
+                            mode="clip")
+                    seg += g1
+
+            # the worst PO arrival, one output row at a time
+            worst = buffers.get("worst", n_cycles * n_corners,
+                                np.float32).reshape(n_cycles, n_corners)
+            g = gather[0][:n_cycles * n_corners].reshape(n_cycles,
+                                                         n_corners)
+            po = pair_of.reshape(n_rows, n_cycles)[self.po_rows]
+            for k, po_pairs in enumerate(po):
+                np.take(store, po_pairs, axis=0, out=g if k else worst,
+                        mode="clip")
+                if k:
+                    np.maximum(worst, g, out=worst)
+            return worst
+        finally:
+            pair_of[flat] = 0
 
     # -- public API --------------------------------------------------------
 
@@ -752,7 +851,8 @@ class CompiledNetlist:
         return int(min(1024, max(128, (chunk // 64) * 64)))
 
     def run(self, input_matrix: np.ndarray, gate_delays: np.ndarray,
-            chunk_cycles: Optional[int] = None) -> np.ndarray:
+            chunk_cycles: Optional[int] = None,
+            buffers: Optional[KernelBuffers] = None) -> np.ndarray:
         """Simulate a stream of input vectors across corners.
 
         Same contract (and bit-identical delays) as
@@ -763,6 +863,13 @@ class CompiledNetlist:
         chunk-invariance parity tests.  Runs with at least
         :attr:`compact_min_corners` corners take the toggle-compacted
         arrival pass, the rest the dense one.
+
+        ``buffers`` is the scratch the run works in, owned by the
+        caller (see :class:`KernelBuffers`); ``None`` makes a set that
+        lives for this call, reused across its chunks.  A caller that
+        runs many shards passes one set to all of them, so each run
+        starts warm instead of faulting in fresh pages; results do not
+        depend on what the set served before.
         """
         if chunk_cycles is not None and chunk_cycles < 1:
             raise ValueError("chunk_cycles must be >= 1")
@@ -774,13 +881,15 @@ class CompiledNetlist:
         if inputs.shape[0] < 2:
             raise ValueError(
                 "need at least 2 input rows (initial state + 1 cycle)")
-        delays = np.asarray(gate_delays, dtype=np.float32)
+        delays = np.asarray(gate_delays)
         if delays.ndim == 1:
             delays = delays[None, :]
-        if delays.shape[1] != self.n_gates:
+        if delays.ndim != 2 or delays.shape[1] != self.n_gates:
             raise ValueError(
                 f"gate_delays must have {self.n_gates} per-gate "
                 f"entries, got {delays.shape}")
+        if buffers is None:
+            buffers = KernelBuffers()
 
         n_cycles = inputs.shape[0] - 1
         n_corners = delays.shape[0]
@@ -794,31 +903,22 @@ class CompiledNetlist:
         # boundaries, so packed chunks are word slices of the stream)
         all_pi = pack_columns(inputs)
 
-        # scratch reused across chunks (the ragged final chunk slices)
-        # and across runs at the same corner count / chunk (single-slot
-        # cache — repeated runs skip faulting in a fresh multi-MB array).
-        # One flat buffer serves either kernel: the dense pass views it
-        # as (n_live_rows, n_corners, chunk), the compact pass as its
-        # pair store (at most one pair per live row and cycle, plus
-        # the sentinel row; only the touched pages become resident).
+        # the delays gate-major in float32, cast straight into the
+        # buffer through its transposed view: gate rows for the compact
+        # pass, per-step delay columns (arrival_plan) for the dense one
+        delays_t = buffers.get("delays_t", self.n_gates * n_corners,
+                               np.float32).reshape(self.n_gates, n_corners)
+        np.copyto(delays_t.T, delays, casting="unsafe")
         val_buf: Optional[np.ndarray] = None
-        scratch_key = (n_corners, chunk_cycles)
-        if self._scratch_cache is not None \
-                and self._scratch_cache[0] == scratch_key:
-            scratch = self._scratch_cache[1]
-        else:
-            scratch = np.empty((self.n_live_rows * chunk_cycles + 1)
-                               * n_corners, dtype=np.float32)
-            self._scratch_cache = (scratch_key, scratch)
-        # the delays in the layout each kernel reads: gate-major rows
-        # for the compact pass, per-step delay columns for the dense one
-        if compact:
-            delays_t = np.ascontiguousarray(delays.T)
-        else:
-            plan = self.arrival_plan(delays, chunk_cycles)
-            arr_buf = scratch[:self.n_live_rows * n_corners
-                              * chunk_cycles].reshape(
-                self.n_live_rows, n_corners, chunk_cycles)
+        if not compact:
+            plan = self.arrival_plan(delays_t, chunk_cycles)
+            # the same flat store the compact pass uses, viewed as
+            # (n_live_rows, n_corners, chunk); the ragged final chunk
+            # slices it
+            arr_buf = buffers.get(
+                "store", self.n_live_rows * n_corners * chunk_cycles,
+                np.float32).reshape(self.n_live_rows, n_corners,
+                                    chunk_cycles)
         start = 0
         while start < n_cycles:
             stop = min(start + chunk_cycles, n_cycles)
@@ -839,8 +939,9 @@ class CompiledNetlist:
                     bits = np.unpackbits(
                         self.observable_toggles(tog).view(np.uint8),
                         axis=1, count=chunk_rows - 1, bitorder="little")
-                    worst = self._compact_chunk(bits, delays_t, scratch)
-                    out_delays[:, start:stop] = np.maximum(worst.T, _ZERO)
+                    worst = self._compact_chunk(bits, delays_t, buffers)
+                    np.maximum(worst.T, _ZERO,
+                               out=out_delays[:, start:stop])
             else:
                 bits = np.unpackbits(tog.view(np.uint8), axis=1,
                                      count=chunk_rows - 1, bitorder="little")

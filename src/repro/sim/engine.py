@@ -28,10 +28,12 @@ every engine, so the corner axis may always be sharded.
 
 from __future__ import annotations
 
+from typing import Optional
+
 import numpy as np
 
 from ..circuits.netlist import Netlist
-from .compile import compile_netlist
+from .compile import KernelBuffers, compile_netlist
 from .eventsim import EventDrivenSimulator
 from .levelized import LevelizedSimulator
 
@@ -76,7 +78,8 @@ def delay_model(engine: str) -> str:
 
 
 def run_delays(engine: str, netlist: Netlist, input_matrix: np.ndarray,
-               delay_matrix: np.ndarray) -> np.ndarray:
+               delay_matrix: np.ndarray,
+               buffers: Optional[KernelBuffers] = None) -> np.ndarray:
     """Per-cycle dynamic delays of an input stream on one engine.
 
     ``input_matrix`` is ``(n_cycles + 1, n_inputs)`` uint8 with row 0
@@ -84,11 +87,15 @@ def run_delays(engine: str, netlist: Netlist, input_matrix: np.ndarray,
     per gate, or ``(n_gates,)`` for one corner.  Returns the
     ``(n_corners, n_cycles)`` float32 delay matrix (0 where no primary
     output toggled).  Every call runs single-threaded; parallelism is
-    the campaign layer's job (shards on a worker pool).
+    the campaign layer's job (shards on a worker pool).  ``buffers`` is
+    the caller's scratch set for the ``compiled`` engine (see
+    :class:`~repro.sim.compile.KernelBuffers`); the other engines
+    ignore it.
     """
     check_engine(engine)
     if engine == "compiled":
-        return compile_netlist(netlist).run(input_matrix, delay_matrix)
+        return compile_netlist(netlist).run(input_matrix, delay_matrix,
+                                            buffers=buffers)
     if engine == "levelized_ref":
         return LevelizedSimulator(netlist).run(input_matrix, delay_matrix)
     # event: one event-driven pass per corner

@@ -11,6 +11,8 @@ also with each pass forced.
 """
 
 import gc
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from repro.circuits.netlist import GATE_ARITY, GateType, Netlist
 from repro.sim import compile_netlist, run_delays
 from repro.sim.compile import (
     CompiledNetlist,
+    KernelBuffers,
     _PROGRAM_CACHE,
     toggle_word_rows,
 )
@@ -48,9 +51,9 @@ def compact_calls(monkeypatch):
     calls = []
     real = CompiledNetlist._compact_chunk
 
-    def spy(self, *args):
+    def spy(self, bits, delays_t, buffers):
         calls.append(1)
-        return real(self, *args)
+        return real(self, bits, delays_t, buffers)
 
     monkeypatch.setattr(CompiledNetlist, "_compact_chunk", spy)
     return calls
@@ -392,8 +395,8 @@ class TestArrivalFastPaths:
 
     @pytest.mark.parametrize("n_corners", KERNEL_CORNERS)
     def test_rerun_with_another_delay_matrix(self, n_corners):
-        # the program reuses one scratch buffer across runs of the same
-        # shape: a second delay matrix must not see the first's values
+        # one buffer set serves both runs of the same shape: a second
+        # delay matrix must not see the first's values
         fu, inputs = _fu_inputs("int_add", 80, seed=16, width=8)
         prog = compile_netlist(fu.netlist)
         conds = FIG3 if n_corners == 9 else _grid(n_corners)
@@ -401,8 +404,9 @@ class TestArrivalFastPaths:
         dm_b = np.asarray(dm_a, np.float32) * np.float32(2.0)
         ref_b = LevelizedSimulator(fu.netlist).run(
             inputs, dm_b)
-        prog.run(inputs, dm_a)  # warm the scratch with matrix A
-        got_b = prog.run(inputs, dm_b)
+        buffers = KernelBuffers()
+        prog.run(inputs, dm_a, buffers=buffers)  # warm with matrix A
+        got_b = prog.run(inputs, dm_b, buffers=buffers)
         assert got_b.tobytes() == ref_b.tobytes()
 
     @pytest.mark.parametrize("n_corners", KERNEL_CORNERS)
@@ -422,6 +426,124 @@ class TestArrivalFastPaths:
         for lo, hi in ((0, 1), (1, half), (half, n_corners)):
             part = prog.run(inputs, delays[lo:hi])
             assert part.tobytes() == whole[lo:hi].tobytes(), (lo, hi)
+
+
+class TestKernelBuffers:
+    """One caller-owned buffer set serves any program, corner count and
+    chunk, and leaves no trace in the results."""
+
+    #: stream length and explicit chunk per pass.  The compact stream
+    #: runs past the 128-cycle default chunk at 100 corners, so the
+    #: default ends ragged there; the explicit chunks end ragged and
+    #: start chunks off the 64-cycle word grid.  The dense stream is
+    #: short: its scratch holds every live row, corner and cycle.
+    STREAMS = {"compact": (150, 40), "dense": (40, 24)}
+    #: the Table-I grid, the training grid and ``int_mul``'s crossover
+    CORNERS = (len(GRID), 9, 5)
+
+    @staticmethod
+    def _force(monkeypatch, prog, kernel):
+        monkeypatch.setattr(prog, "compact_min_corners",
+                            1 if kernel == "compact" else len(GRID) + 1)
+
+    @pytest.mark.parametrize("kernel", ("compact", "dense"))
+    def test_one_set_across_programs_matches_fresh_runs(
+            self, monkeypatch, compact_calls, kernel):
+        n_cycles, chunk = self.STREAMS[kernel]
+        units = {}
+        for name in ("int_mul", "fp_mul"):
+            fu, inputs = _fu_inputs(name, n_cycles, seed=31)
+            prog = compile_netlist(fu.netlist)
+            self._force(monkeypatch, prog, kernel)
+            units[name] = (fu, prog, inputs)
+        buffers = KernelBuffers()
+        fresh = {}
+        for name in ("int_mul", "fp_mul", "int_mul"):
+            fu, prog, inputs = units[name]
+            for n_corners in self.CORNERS:
+                delays = DEFAULT_LIBRARY.delay_matrix(fu.netlist,
+                                                      _grid(n_corners))
+                for chunk_cycles in (None, chunk):
+                    key = (name, n_corners, chunk_cycles)
+                    if key not in fresh:
+                        fresh[key] = prog.run(
+                            inputs, delays,
+                            chunk_cycles=chunk_cycles).tobytes()
+                    got = prog.run(inputs, delays,
+                                   chunk_cycles=chunk_cycles,
+                                   buffers=buffers)
+                    assert got.tobytes() == fresh[key], key
+                    pair_of = buffers.arrays.get("pair_of")
+                    assert pair_of is None or not pair_of.any(), key
+        assert bool(compact_calls) == (kernel == "compact")
+        assert ("pair_of" in buffers.arrays) == (kernel == "compact")
+
+    @pytest.mark.parametrize("kernel", ("compact", "dense"))
+    def test_same_shape_rerun_reallocates_nothing(self, monkeypatch,
+                                                  kernel):
+        # buffers are sized by what a chunk uses, which the stream's
+        # toggles and the corner count set: a rerun with another delay
+        # matrix, after a run on fewer cycles and corners, fits in the
+        # warm set
+        n_cycles, chunk = self.STREAMS[kernel]
+        fu, inputs = _fu_inputs("int_mul", n_cycles, seed=32)
+        prog = compile_netlist(fu.netlist)
+        self._force(monkeypatch, prog, kernel)
+        delays = DEFAULT_LIBRARY.delay_matrix(fu.netlist, _grid(9))
+        other = np.asarray(delays, np.float32) * np.float32(1.5)
+        buffers = KernelBuffers()
+        prog.run(inputs, delays, chunk_cycles=chunk, buffers=buffers)
+        warm = dict(buffers.arrays)
+        prog.run(inputs[:n_cycles // 2 + 1], delays[:5],
+                 chunk_cycles=chunk, buffers=buffers)
+        got = prog.run(inputs, other, chunk_cycles=chunk, buffers=buffers)
+        assert buffers.arrays.keys() == warm.keys()
+        assert all(buffers.arrays[name] is arr
+                   for name, arr in warm.items())
+        assert got.tobytes() == prog.run(inputs, other,
+                                         chunk_cycles=chunk).tobytes()
+
+    def test_concurrent_runs_of_one_program_stay_exact(self):
+        # two threads run one program at once, one in its own buffer
+        # set and one in a set made per call: neither may see the
+        # other's scratch
+        fu = build_functional_unit("int_mul")
+        prog = compile_netlist(fu.netlist)
+        work = []
+        for seed, buffers in ((34, KernelBuffers()), (35, None)):
+            inputs = stream_for_unit("int_mul", 256,
+                                     seed=seed).bit_matrix(fu)
+            delays = DEFAULT_LIBRARY.delay_matrix(
+                fu.netlist, GRID[seed - 34::5])  # 20 corners each
+            work.append((inputs, delays, buffers,
+                         prog.run(inputs, delays).tobytes()))
+        assert work[0][3] != work[1][3]
+        start = threading.Barrier(len(work), timeout=60)
+        runs = [0] * len(work)
+        mismatches = [0] * len(work)
+
+        def worker(k):
+            inputs, delays, buffers, serial = work[k]
+            start.wait()
+            for _ in range(15):
+                got = prog.run(inputs, delays, buffers=buffers)
+                runs[k] += 1
+                mismatches[k] += got.tobytes() != serial
+
+        threads = [threading.Thread(target=worker, args=(k,))
+                   for k in range(len(work))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert runs == [15, 15]
+        assert mismatches == [0, 0]
 
 
 def _chunk_toggles(prog, chunk, live_only=True):
@@ -517,9 +639,9 @@ class TestObservableToggles:
         seen = []
         real = CompiledNetlist._compact_chunk
 
-        def spy(self, bits, *args):
+        def spy(self, bits, delays_t, buffers):
             seen.append(bits[chain_rows].any())
-            return real(self, bits, *args)
+            return real(self, bits, delays_t, buffers)
 
         monkeypatch.setattr(CompiledNetlist, "_compact_chunk", spy)
         delays = DEFAULT_LIBRARY.delay_matrix(nl, _grid(n_corners))
