@@ -6,20 +6,22 @@ which these classes mirror.  Feature importances (mean decrease in
 impurity across trees) support the paper's interpretability claim.
 
 ``fit`` draws every tree's seed and bootstrap rows in the parent, in
-tree order, before any tree is fitted.  It then fits the trees in
-``k = min(n_estimators, usable CPUs)`` processes: ``k - 1`` children
-forked from the parent fit trees ``i, i + k, ...`` and send them back
-over a pipe, while the parent fits stride 0; ``X`` and ``y`` reach the
-children copy-on-write.  A tree depends only on its own draw and the
-data, and each process runs the same ``_fit_rows`` as the sequential
-loop, so the fitted forest is bit-identical to a sequential fit.  The
-fit stays in one process on one CPU, where ``fork`` or
-``os.sched_getaffinity`` is unavailable, in a daemonic process (which
-may not have children), and when ``n_samples * n_estimators`` is below
-:data:`FORK_MIN_WORK`, where the fork costs more than it saves.  A
-child that raises re-raises its exception in the parent; one that dies
-raises ``RuntimeError``; every child is reaped before ``fit`` returns
-or raises.
+tree order, before any tree is fitted, and prepares ``X`` once for all
+trees (``tree._Features``: the 0/1 column test, a ``uint8`` matrix of
+the bit columns, the value ranks of the other columns).  It then fits
+the trees in ``k = min(n_estimators, usable CPUs)`` processes: ``k - 1``
+children forked from the parent fit trees ``i, i + k, ...`` and send
+them back over a pipe, while the parent fits stride 0; ``X``, ``y`` and
+the prepared arrays reach the children copy-on-write.  A tree depends
+only on its own draw and the data, and each process runs the same
+``_fit_rows`` as the sequential loop, so the fitted forest is
+bit-identical to a sequential fit.  The fit stays in one process on one
+CPU, where ``fork`` or ``os.sched_getaffinity`` is unavailable, in a
+daemonic process (which may not have children), and when
+``n_samples * n_estimators`` is below :data:`FORK_MIN_WORK`, where the
+fork costs more than it saves.  A child that raises re-raises its
+exception in the parent; one that dies raises ``RuntimeError``; every
+child is reaped before ``fit`` returns or raises.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from .base import check_int, check_X, check_X_y
 from .tree import (
     DecisionTreeClassifier,
     DecisionTreeRegressor,
+    _Features,
     _Stacked,
     check_tree_params,
 )
@@ -145,9 +148,10 @@ class _BaseForest(_Stacked):
             idx = rng.integers(0, n, n) if self.bootstrap else np.arange(n)
             draws.append((seed, idx))
         k = _n_procs(self.n_estimators, n)
+        features = _Features(X)
 
         def fit_stride(i):
-            return [self._make_tree(seed)._fit_rows(X, y[idx], idx)
+            return [self._make_tree(seed)._fit_rows(features, y[idx], idx)
                     for seed, idx in draws[i::k]]
 
         self.estimators_ = [None] * self.n_estimators
@@ -221,7 +225,6 @@ class RandomForestClassifier(_BaseForest):
 
     def fit(self, X, y):
         super().fit(X, y)
-        self.classes_ = self.estimators_[0].classes_
         # trees may have seen different class subsets under bootstrap;
         # align on the union
         all_classes = np.unique(np.concatenate(

@@ -9,15 +9,21 @@ are scored together:
 
 * bit columns from one level-sorted ``uint8`` matrix of the nodes' bit
   rows, so building it and partitioning it into the next level move one
-  byte per cell.  Only nodes of at least ``2 * min_samples_leaf`` rows
-  are scored (a smaller one has no bit split with both children at
-  ``min_samples_leaf``).  Each scored node's rows are cast to float64
-  just before its column sums, which stay one ``matmul``/``sum`` call
-  per node on the same contiguous float64 block as a slice of a float64
-  matrix, because their rounding depends on how BLAS and numpy order
-  them;
-* every other column (V, T) by one prefix scan per level: each node's
-  sorted slice fills one zero-padded row of a matrix (nodes grouped by
+  byte per cell.  ``_Features`` tests the columns for 0/1 values and
+  casts the bit columns to ``uint8`` once per forest; each tree takes
+  its bootstrap rows of that matrix.  Only nodes of at least
+  ``2 * min_samples_leaf`` rows are scored (a smaller one has no bit
+  split with both children at ``min_samples_leaf``).  The sums whose
+  rounding depends on how BLAS and numpy order them (``xs.T @ y``,
+  ``xs.T @ (y * y)``, ``y @ y`` and the node's ``y.sum()``) run once
+  per group of nodes with the same row count: the group's rows are
+  cast into one reused float64 ``(nodes, rows, bits)`` block, and one
+  stacked ``matmul`` (or a row ``sum``) makes, for each node, the call
+  a per-node reduction makes, with the same shape and strides;
+* every other column (V, T) by one prefix scan per level: one stable
+  sort of each row's (node, value rank) key, a radix sort when the key
+  fits 16 bits, orders every node's rows by value; each node's sorted
+  slice fills one zero-padded row of a matrix (nodes grouped by
   power-of-two row width, so padding at most doubles the cells) and
   ``cumsum`` along the rows adds in exactly the order a per-node 1-D
   ``cumsum`` does.
@@ -70,6 +76,45 @@ def check_tree_params(est) -> None:
     check_int("min_samples_split", est.min_samples_split, 2)
     if est.max_depth is not None:
         check_int("max_depth", est.max_depth, 0)
+
+
+class _Features:
+    """A training matrix ``X`` prepared once for every tree fitted on
+    rows of it: ``bits`` are the columns that are 0/1 on every row and
+    ``bit_matrix`` holds their values as ``uint8``; ``others`` are the
+    rest, and ``rank[f]`` is each row's rank among the distinct values
+    of column ``f`` in ``others``.  A forest prepares ``X`` before it
+    forks, so its children share these arrays copy-on-write.
+    """
+
+    def __init__(self, X: np.ndarray) -> None:
+        self.X = X
+        one = X == 1.0
+        binary = (one | (X == 0.0)).all(axis=0)
+        self.bits = np.flatnonzero(binary)
+        self.others = np.flatnonzero(~binary)
+        # a bit column's True is its 1 (and -0.0 is 0)
+        self.bit_matrix = one[:, self.bits].view(np.uint8)
+        self.rank = {f: np.unique(X[:, f], return_inverse=True)[1]
+                     for f in self.others.tolist()}
+
+    def bit_rows(self, rows: np.ndarray):
+        """``(bits, others, xs)`` of a tree fitted on ``X[rows]``: the
+        columns that are 0/1 on those rows, the other columns, and the
+        rows' bit columns as a ``uint8`` matrix.  A column of ``others``
+        that is 0/1 on ``rows`` joins the tree's bits; only then is the
+        matrix gathered from ``X``."""
+        X = self.X
+        sub = X[np.ix_(rows, self.others)]
+        now = self.others[((sub == 0.0) | (sub == 1.0)).all(axis=0)]
+        if not len(now):
+            return self.bits, self.others, np.take(self.bit_matrix, rows,
+                                                   axis=0)
+        binary = np.zeros(X.shape[1], bool)
+        binary[self.bits] = binary[now] = True
+        bits = np.flatnonzero(binary)
+        return (bits, np.flatnonzero(~binary),
+                X[np.ix_(rows, bits)].astype(np.uint8))
 
 
 class _NodeTable:
@@ -236,13 +281,15 @@ class _BaseDecisionTree(_Stacked):
     def fit(self, X, y):
         X, y = check_X_y(X, y)
         check_tree_params(self)
-        return self._fit_rows(X, y, np.arange(len(y)))
+        return self._fit_rows(_Features(X), y, np.arange(len(y)))
 
     def _prepare_targets(self, y: np.ndarray) -> np.ndarray:
         return y.astype(np.float64)
 
-    def _fit_rows(self, X: np.ndarray, y: np.ndarray, rows: np.ndarray):
-        """Fit on ``X[rows], y`` without copying those rows of ``X``.
+    def _fit_rows(self, features: "_Features", y: np.ndarray,
+                  rows: np.ndarray):
+        """Fit on ``X[rows], y`` (``X = features.X``) without copying
+        those rows of ``X``.
 
         With ``max_features`` below the feature count, each splittable
         node draws its candidate features from the tree's generator in
@@ -250,17 +297,16 @@ class _BaseDecisionTree(_Stacked):
         between candidates go to the lowest feature index.
         """
         y = self._prepare_targets(y)
+        X = features.X
         n_feat = self.n_features_ = X.shape[1]
         self.__dict__.pop("_node_table", None)
         rng = np.random.default_rng(self.random_state)
         n_draw = resolve_max_features(self.max_features, n_feat)
-        binary = ~((X != 0.0) & (X != 1.0))[rows].any(axis=0)
-        bits, others = np.flatnonzero(binary), np.flatnonzero(~binary)
+        bits, others, xs = features.bit_rows(rows)
         msl = self.min_samples_leaf
         # level state: X rows, targets and bit rows grouped by open node
         idx, ys = rows, y
-        xs = X[np.ix_(rows, bits)].astype(np.uint8)
-        spare = np.empty_like(xs)
+        spare = None
         starts, counts = np.zeros(1, np.int64), np.array([len(y)])
         levels, n_seen, depth = [], 0, 0
         while True:
@@ -301,8 +347,9 @@ class _BaseDecisionTree(_Stacked):
                     continue
                 if vals is None:
                     vals = self._scan_values(ys)
-                k, g, t = self._split_column(col, vals, row_node, starts,
-                                             counts, varies)
+                k, g, t = self._split_column(col, features.rank[f][idx],
+                                             vals, row_node, starts, counts,
+                                             varies)
                 win = g > gain[k]
                 k = k[win]
                 gain[k], feat[k], thr[k] = g[win], f, t[win]
@@ -321,6 +368,10 @@ class _BaseDecisionTree(_Stacked):
             child = 2 * (np.cumsum(split) - 1)[node] + ~(
                 X[idx[keep], feat[node]] <= thr[node])
             perm = keep[np.argsort(child, kind="stable")]
+            if spare is None:
+                # made after the root's bit gains, whose float64 block
+                # is the fit's largest allocation
+                spare = np.empty_like(xs)
             np.take(xs[:m], perm, axis=0, out=spare[:len(perm)], mode="clip")
             xs, spare = spare, xs
             idx, ys = idx[perm], ys[perm]
@@ -357,12 +408,14 @@ class _BaseDecisionTree(_Stacked):
         if total > 0:
             self.feature_importances_ /= total
 
-    def _split_column(self, col, vals, row_node, starts, counts, varies):
+    def _split_column(self, col, rank, vals, row_node, starts, counts,
+                      varies):
         """Best split of one non-binary column for every node in
         ``varies``: ``(nodes, gains, thresholds)`` for the nodes that
         have a valid split position.
 
-        ``col`` and ``vals`` (``_scan_values`` of the level's targets)
+        ``col``, ``rank`` (each value's rank among the column's distinct
+        values) and ``vals`` (``_scan_values`` of the level's targets)
         hold the level's rows grouped by node, ``row_node`` names each
         row's node.  Each node's rows are sorted stably by ``col``;
         position ``i`` means the left child takes the sorted rows
@@ -372,7 +425,13 @@ class _BaseDecisionTree(_Stacked):
         of the two values it separates.
         """
         msl = self.min_samples_leaf
-        order = np.lexsort((col, row_node))
+        # the stable order of (node, value): one radix sort when the
+        # key fits 16 bits
+        span = int(rank.max()) + 1
+        key = row_node * span + rank
+        if len(counts) * span <= 1 << 15:
+            key = key.astype(np.int16)
+        order = np.argsort(key, kind="stable")
         col_s = col[order]
         within = np.arange(len(col)) - starts[row_node]
         cut = (varies[row_node] & (within + 1 >= msl)
@@ -440,6 +499,53 @@ class _BaseDecisionTree(_Stacked):
             depth += 1
 
 
+def _size_groups(starts, counts):
+    """``(order, rows, groups)``: ``order`` sorts the nodes stably by
+    row count, ``rows`` lists their level rows node after node in that
+    order, and each run of ``n``-row nodes in it is one ``(group, span,
+    n)`` of ``groups``: nodes ``order[group]``, rows ``rows[span]``.
+
+    Reducing a run's rows reshaped to ``(nodes, n)`` along the last
+    axis makes, for every node, the numpy or BLAS call that a 1-D
+    reduction of the node's own rows makes (same length, same stride),
+    so it rounds the same way.  ``np.add.reduceat`` would not: it adds
+    each segment sequentially, where ``sum`` adds pairwise.
+    """
+    order = np.argsort(counts, kind="stable")
+    sizes = counts[order]
+    ends = np.cumsum(sizes)
+    rows = np.arange(ends[-1]) + np.repeat(starts[order] - ends + sizes,
+                                           sizes)
+    cut = [0, *(np.flatnonzero(sizes[1:] != sizes[:-1]) + 1).tolist(),
+           len(order)]
+    lo, hi, n = (ends - sizes).tolist(), ends.tolist(), sizes.tolist()
+    return order, rows, [(slice(a, b), slice(lo[a], hi[b - 1]), n[a])
+                         for a, b in zip(cut[:-1], cut[1:])]
+
+
+def _bit_blocks(xs, rows, groups):
+    """Yield ``(group, span, block)`` for each of ``groups`` (see
+    :func:`_size_groups`): ``block`` holds the nodes' ``uint8`` bit rows
+    cast to a float64 ``(nodes, n, bits)`` array.  All blocks share one
+    buffer sized for the largest group: a buffer per group faulted in
+    fresh pages each time.  Each node's slice has the values, shape and
+    row stride a float64 bit matrix's slice would have."""
+    n_bits = xs.shape[1]
+    buf = np.empty(max(span.stop - span.start for _, span, _ in groups)
+                   * n_bits)
+    for group, span, n in groups:
+        block = buf[:(span.stop - span.start) * n_bits].reshape(-1, n,
+                                                                n_bits)
+        if len(block) == 1:
+            # a lone node's rows are a slice of xs: no uint8 copy of
+            # the root, the level with the largest block
+            block[0] = xs[rows[span.start]:rows[span.start] + n]
+        else:
+            block[...] = np.take(xs, rows[span], axis=0).reshape(
+                block.shape)
+        yield group, span, block
+
+
 def _sse_gains(n, total1, total2, left, right) -> np.ndarray:
     """Variance reduction of splitting ``n`` targets (sum ``total1``,
     sum of squares ``total2``) into ``left`` and ``right``, each given
@@ -467,30 +573,44 @@ class DecisionTreeRegressor(_BaseDecisionTree):
     these."""
 
     def _level_values(self, ys, starts, counts):
-        sums = np.array([ys[s:s + n].sum()
-                         for s, n in zip(starts.tolist(), counts.tolist())])
+        sums = np.empty(len(counts))
+        order, rows, groups = _size_groups(starts, counts)
+        ys_by_size = ys[rows]
+        for group, span, n in groups:
+            sums[order[group]] = ys_by_size[span].reshape(-1, n).sum(axis=1)
         pure = (np.minimum.reduceat(ys, starts)
                 == np.maximum.reduceat(ys, starts))
         return (sums / counts)[:, None], pure, sums
 
     def _binary_gains(self, xs, ys, starts, counts, totals):
-        yy = ys * ys
-        s1_right, s2_right, n_right = np.empty((3, len(starts), xs.shape[1]))
-        total2 = np.empty((len(starts), 1))
-        # each node's bit rows cast into one float64 block: BLAS sees
-        # the values, shape and row stride of a float64 matrix's slice
-        buf = np.empty((int(counts.max()), xs.shape[1]))
-        for k, (s, n) in enumerate(zip(starts.tolist(), counts.tolist())):
-            xk, yk = buf[:n], ys[s:s + n]
-            xk[...] = xs[s:s + n]
-            np.matmul(xk.T, yk, out=s1_right[k])
-            np.matmul(xk.T, yy[s:s + n], out=s2_right[k])
-            xk.sum(axis=0, out=n_right[k])
-            total2[k] = yk @ yk
-        n, total1 = counts[:, None], totals[:, None]
+        order, rows, groups = _size_groups(starts, counts)
+        # per node in ``order``: sum x * y, x * y * y and x of every bit
+        # column over the node's rows, and y @ y
+        right = np.empty((3, len(starts), xs.shape[1], 1))
+        total2 = np.empty((len(starts), 1, 1))
+        ys_by_size = ys[rows]
+        yy_by_size = ys_by_size * ys_by_size
+        ones = np.ones((int(counts.max()), 1))
+        # one stacked matmul per group: a gemv (or dot) per node, on the
+        # strides of the per-node call; the counts of ones are exact in
+        # any order
+        for group, span, block in _bit_blocks(xs, rows, groups):
+            g, n = block.shape[:2]
+            yk = ys_by_size[span].reshape(g, n, 1)
+            xk_t = block.transpose(0, 2, 1)
+            np.matmul(xk_t, yk, out=right[0, group])
+            np.matmul(xk_t, yy_by_size[span].reshape(g, n, 1),
+                      out=right[1, group])
+            np.matmul(xk_t, ones[:n], out=right[2, group])
+            np.matmul(yk.reshape(g, 1, n), yk, out=total2[group])
+        s1_right, s2_right, n_right = right[..., 0]
+        n, total1 = counts[order, None], totals[order, None]
+        total2 = total2[:, 0]
         left = (n - n_right, total1 - s1_right, total2 - s2_right)
-        return _sse_gains(n, total1, total2, left,
-                          (n_right, s1_right, s2_right)), n_right
+        gains = _sse_gains(n, total1, total2, left,
+                           (n_right, s1_right, s2_right))
+        back = np.argsort(order)
+        return gains[back], n_right[back]
 
     def _scan_values(self, ys):
         return np.column_stack((ys, ys * ys))
@@ -529,9 +649,12 @@ class DecisionTreeClassifier(_BaseDecisionTree):
 
     def _binary_gains(self, xs, ys, starts, counts, totals):
         # class counts are integers, exact in any summation order
-        onehot = self._onehot(ys)
-        right = np.stack([xs[s:s + n].T @ onehot[s:s + n]
-                          for s, n in zip(starts.tolist(), counts.tolist())])
+        order, rows, groups = _size_groups(starts, counts)
+        onehot = self._onehot(ys[rows])
+        right = np.empty((len(starts), xs.shape[1], len(self.classes_)))
+        for group, span, block in _bit_blocks(xs, rows, groups):
+            right[order[group]] = block.transpose(0, 2, 1) @ onehot[
+                span].reshape(*block.shape[:2], -1)
         return (_gini_gains(totals[:, None] - right, right, counts[:, None]),
                 right.sum(axis=2))
 

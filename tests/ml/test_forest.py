@@ -205,12 +205,12 @@ def test_failing_child_raises_in_parent(always_fork, monkeypatch, failure):
     parent = os.getpid()
     fit_rows = DecisionTreeRegressor._fit_rows
 
-    def fail_in_child(self, X, y, rows):
+    def fail_in_child(self, features, y, rows):
         if os.getpid() != parent:
             if failure == "exit":
                 os._exit(7)
             raise ArithmeticError("tree fit failed")
-        return fit_rows(self, X, y, rows)
+        return fit_rows(self, features, y, rows)
 
     monkeypatch.setattr(DecisionTreeRegressor, "_fit_rows", fail_in_child)
     X, y = make_interaction_data()
@@ -219,6 +219,49 @@ def test_failing_child_raises_in_parent(always_fork, monkeypatch, failure):
     with deadline(60), pytest.raises(expected[0], match=expected[1]):
         RandomForestRegressor(4, random_state=0).fit(X, y)
     assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("forest_cls,tree_cls", [
+    (RandomForestRegressor, DecisionTreeRegressor),
+    (RandomForestClassifier, DecisionTreeClassifier)])
+def test_trees_equal_lone_fits_on_their_draws(monkeypatch, forest_cls,
+                                              tree_cls):
+    """A forest prepares ``X`` once for all its trees.  Column 1 is 0/1
+    except in row 5, so it is a bit column on the draws that miss row 5
+    (their bit matrix is gathered from ``X``) and a 3-value column on
+    the others (theirs is taken from the shared one).  Each tree equals
+    a tree fitted alone on its draw's rows."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    rng = np.random.default_rng(8)
+    n = 300
+    bits = rng.integers(0, 2, (n, 8)).astype(float)
+    bits[5, 0] = 2.0
+    v = rng.choice([0.81, 0.9, 1.0], n)
+    X = np.column_stack([v, bits])
+    y = np.round((bits[:, 0] * 30 + bits[:, 1] * bits[:, 2] * 20)
+                 * (1.8 - v) + rng.normal(0, 2, n), 1)
+    if tree_cls is DecisionTreeClassifier:
+        y = (y > np.median(y)).astype(int)
+    draws = []
+    fit_rows = tree_cls._fit_rows
+
+    def record(self, features, y, rows):
+        draws.append((self.random_state, y, rows))
+        return fit_rows(self, features, y, rows)
+
+    monkeypatch.setattr(tree_cls, "_fit_rows", record)
+    model = forest_cls(8, random_state=0).fit(X, y)
+    monkeypatch.setattr(tree_cls, "_fit_rows", fit_rows)
+    assert {bool((rows == 5).any()) for _, _, rows in draws} == {True, False}
+    for tree, (seed, y_draw, rows) in zip(model.estimators_, draws):
+        lone = tree_cls(random_state=seed).fit(X[rows], y_draw)
+        for a, b in zip(tree_arrays(tree), tree_arrays(lone)):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def tree_arrays(tree):
+    return [tree.feature_, tree.threshold_, tree.left_, tree.right_,
+            tree.value_, tree.feature_importances_]
 
 
 def _fit_predictions(X, y):

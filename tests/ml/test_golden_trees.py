@@ -15,9 +15,11 @@ fits of the regressor and the classifier, single trees and forests, at
 The digests in ``GOLDEN`` were recorded with the depth-first fitter that
 built one node per call.  Any change to the fitter must reproduce them
 exactly.  ``GOLDEN_SQRT`` pins the ``max_features < n_features`` draw,
-which is made in breadth-first node order.  Forests reproduce every
-digest both when their trees are fitted in forked processes and when
-they are fitted in one process.
+which is made in breadth-first node order.  ``GOLDEN_DRAW_BITS`` pins
+forests with a column that is not 0/1 on ``X`` but is 0/1 on some
+trees' bootstrap draws.  Forests reproduce every digest both when
+their trees are fitted in forked processes and when they are fitted in
+one process.
 """
 
 import hashlib
@@ -66,7 +68,20 @@ def continuous(n=300, seed=1):
                             bits[:, 1]]), y
 
 
-DATASETS = {"tevot": tevot_like, "continuous": continuous}
+def draw_bits(n=600, seed=0):
+    """``tevot_like`` with row 0's cell of a bit column y depends on set
+    to 2.0 and its delay raised by 300: the column is not 0/1 on ``X``,
+    but it is on the bootstrap draw of a forest tree that misses row 0
+    (tree 1 of the ``random_state=0`` three-tree forests; trees 0 and 2
+    draw the row and may split it off at 1.5)."""
+    X, y = tevot_like(n, seed)
+    X[0, 17] = 2.0
+    y[0] += 300.0
+    return X, y
+
+
+DATASETS = {"tevot": tevot_like, "continuous": continuous,
+            "draw_bits": draw_bits}
 
 
 def classes_of(y):
@@ -157,6 +172,15 @@ GOLDEN_SQRT = {
     "tevot/forest_reg/4": "a47db0266258451521e6bcad",
 }
 
+#: forests with a column that is 0/1 on some trees' draws but not on
+#: ``X``, recorded with the fitter that tested every column on each
+#: tree's rows
+GOLDEN_DRAW_BITS = {
+    "draw_bits/forest_clf/1": "55c0313433253232fbc687e1",
+    "draw_bits/forest_reg/1": "be39fd1d9a7b1a400192eac6",
+    "draw_bits/forest_reg/4": "98bbfe75786b8a16d2c1aa9e",
+}
+
 
 @pytest.mark.parametrize("key", sorted(GOLDEN))
 def test_fitted_arrays_match_golden_digest(key):
@@ -210,6 +234,19 @@ def test_fit_paths_match_golden_digests(monkeypatch, path, key):
         model, _ = fit(data, kind, int(msl), max_features="sqrt")
         assert multiprocessing.active_children() == []
         assert digest(model) == GOLDEN_SQRT[key]
+
+
+@pytest.mark.parametrize("path", sorted(FIT_PATHS))
+@pytest.mark.parametrize("key", sorted(GOLDEN_DRAW_BITS))
+def test_column_binary_on_some_draws_matches_golden_digest(monkeypatch,
+                                                         path, key):
+    monkeypatch.setattr(forest, "FORK_MIN_WORK", 0)
+    monkeypatch.setattr(os, "sched_getaffinity",
+                        lambda pid: FIT_PATHS[path])
+    data, kind, msl = key.split("/")
+    model, _ = fit(data, kind, int(msl))
+    assert multiprocessing.active_children() == []
+    assert digest(model) == GOLDEN_DRAW_BITS[key]
 
 
 @pytest.mark.parametrize("key", sorted(GOLDEN_PREDICT))

@@ -195,7 +195,8 @@ class TestLevelScan:
         else:
             tree = DecisionTreeRegressor(min_samples_leaf=msl)
         nodes, gains, thr = tree._split_column(
-            col, tree._scan_values(y), row_node, starts, counts, varies)
+            col, np.unique(col, return_inverse=True)[1], tree._scan_values(y),
+            row_node, starts, counts, varies)
         order = np.lexsort((col, row_node))
         col_s, y_s = col[order], y[order]
         want = {}
@@ -224,10 +225,10 @@ class TestLevelScan:
         scans = []
         split_column = DecisionTreeRegressor._split_column
 
-        def spy(self, col, vals, row_node, starts, counts, varies):
+        def spy(self, col, rank, vals, row_node, starts, counts, varies):
             scans.append((int(varies.sum()), int(counts[varies].max())))
-            return split_column(self, col, vals, row_node, starts, counts,
-                                varies)
+            return split_column(self, col, rank, vals, row_node, starts,
+                                counts, varies)
 
         monkeypatch.setattr(DecisionTreeRegressor, "_split_column", spy)
         tracemalloc.start()
@@ -238,6 +239,104 @@ class TestLevelScan:
             tracemalloc.stop()
         assert (4096, 5002) in scans
         assert peak <= 1.1 * per_node_peak
+
+
+def per_node_sums(ys, starts, counts):
+    """Each node's target sum, one ``sum`` call per node: the reference
+    for the sums the level reduces by node size."""
+    return np.array([ys[s:s + n].sum()
+                     for s, n in zip(starts.tolist(), counts.tolist())])
+
+
+def per_node_binary_gains(xs, ys, starts, counts, totals):
+    """The regressor's bit-column gains and counts of ones, one node at
+    a time: each node's rows cast into a float64 block, two ``matmul``
+    calls, a ``sum`` and a ``dot`` per node."""
+    yy = ys * ys
+    s1_right, s2_right, n_right = np.empty((3, len(starts), xs.shape[1]))
+    total2 = np.empty((len(starts), 1))
+    buf = np.empty((int(counts.max()), xs.shape[1]))
+    for k, (s, n) in enumerate(zip(starts.tolist(), counts.tolist())):
+        xk, yk = buf[:n], ys[s:s + n]
+        xk[...] = xs[s:s + n]
+        np.matmul(xk.T, yk, out=s1_right[k])
+        np.matmul(xk.T, yy[s:s + n], out=s2_right[k])
+        xk.sum(axis=0, out=n_right[k])
+        total2[k] = yk @ yk
+    n, total1 = counts[:, None], totals[:, None]
+    left = (n - n_right, total1 - s1_right, total2 - s2_right)
+    return _sse_gains(n, total1, total2, left,
+                      (n_right, s1_right, s2_right)), n_right
+
+
+def same_bits(a, b):
+    return (a.dtype == b.dtype and np.array_equal(a, b, equal_nan=True)
+            and np.array_equal(np.signbit(a), np.signbit(b)))
+
+
+class TestGroupedReductions:
+    """The level's sums and bit-column reductions run once per group of
+    equal-size nodes; every node must get the bits of its own call."""
+
+    @staticmethod
+    def level(seed):
+        # sizes on both sides of numpy's pairwise-sum edges (8 unrolled
+        # accumulators, 128-row blocks), repeated so that groups stack
+        # several nodes, beside a few large nodes
+        rng = np.random.default_rng(seed)
+        edges = [1, 2, 7, 8, 9, 15, 16, 17, 127, 128, 129, 130, 255, 256,
+                 257, 1000, 3000]
+        counts = np.concatenate([np.repeat(edges, 3),
+                                 rng.integers(1, 300, 40),
+                                 rng.integers(1000, 3000, 2)])
+        rng.shuffle(counts)
+        starts = np.cumsum(counts) - counts
+        m = int(counts.sum())
+        ys = rng.integers(400, 1300, m) * 1.1
+        # all--0.0 nodes: a ``sum`` starts from +0.0, where
+        # ``np.add.reduceat`` starts from the first row's -0.0
+        zeros = [int(np.flatnonzero(counts == n)[0]) for n in (7, 129)]
+        for k in zeros:
+            ys[starts[k]:starts[k] + counts[k]] = -0.0
+        xs = rng.integers(0, 2, (m, 20)).astype(np.uint8)
+        xs[:, 3] = 1                              # a column without zeros
+        return xs, ys, starts, counts, zeros
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_level_sums_match_per_node_sums(self, seed):
+        _, ys, starts, counts, zeros = self.level(seed)
+        tree = DecisionTreeRegressor()
+        value, pure, sums = tree._level_values(ys, starts, counts)
+        want = per_node_sums(ys, starts, counts)
+        assert same_bits(sums, want)
+        assert (sums[zeros] == 0).all() and pure[zeros].all()
+        assert same_bits(value[:, 0], want / counts)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_binary_gains_match_per_node_gains(self, seed):
+        xs, ys, starts, counts, _ = self.level(seed)
+        tree = DecisionTreeRegressor()
+        totals = per_node_sums(ys, starts, counts)
+        gains, n_right = tree._binary_gains(xs, ys, starts, counts, totals)
+        want_gains, want_n = per_node_binary_gains(xs, ys, starts, counts,
+                                                   totals)
+        assert np.isnan(gains).any() and np.isfinite(gains).any()
+        assert same_bits(gains, want_gains)
+        assert same_bits(n_right, want_n)
+
+    def test_classifier_counts_match_per_node_counts(self):
+        xs, ys, starts, counts, _ = self.level(3)
+        tree = DecisionTreeClassifier()
+        tree.classes_ = np.arange(3)
+        ys = ys.astype(np.int64) % 3
+        totals = tree._level_values(ys, starts, counts)[2]
+        gains, n_right = tree._binary_gains(xs, ys, starts, counts, totals)
+        onehot = tree._onehot(ys)
+        right = np.stack([xs[s:s + n].T @ onehot[s:s + n]
+                          for s, n in zip(starts.tolist(), counts.tolist())])
+        assert same_bits(n_right, right.sum(axis=2))
+        assert same_bits(gains, _gini_gains(totals[:, None] - right, right,
+                                            counts[:, None]))
 
 
 def tree_arrays(tree):
