@@ -1,6 +1,6 @@
 """The "TEVoT is 100X faster than gate-level simulation" claim.
 
-Compares per-cycle wall-clock cost of (a) SDF-annotated event-driven
+Compares per-cycle wall-clock cost of (a) delay-annotated event-driven
 gate-level simulation — the ModelSim stand-in — against (b) TEVoT
 inference (feature build + forest prediction) on the same stream.
 Also verifies the paper's scaling argument: simulation slows down with

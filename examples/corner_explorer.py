@@ -1,22 +1,20 @@
 #!/usr/bin/env python
-"""Corner explorer: V/T delay scaling, ITD, and SDF emission.
+"""Corner explorer: V/T delay scaling and ITD.
 
 Sweeps the Table-I operating-condition grid for an FU, printing how the
 static (STA) and average dynamic delays move with voltage and
 temperature — including the inverse-temperature-dependence flip the
-paper highlights in Fig. 3 — and emits per-corner SDF files like a
-signoff flow would.
+paper highlights in Fig. 3.
 
 Run:  python examples/corner_explorer.py
 """
 
-import tempfile
-from pathlib import Path
-
-from repro.flow import CampaignJob, CampaignRunner, implement
+from repro.circuits import build_functional_unit
+from repro.flow import CampaignJob, CampaignRunner
 from repro.timing import (
     DEFAULT_SCALING,
     OperatingCondition,
+    run_sta_corners,
     temperature_points,
 )
 from repro.workloads import random_stream
@@ -27,11 +25,12 @@ def main() -> None:
     temps = temperature_points()
     conditions = [OperatingCondition(v, t) for v in voltages for t in temps]
 
-    print("== implement INT_ADD and sign off all corners ==")
-    design = implement("int_add", conditions)
+    print("== elaborate INT_ADD and run STA at all corners ==")
+    fu = build_functional_unit("int_add")
+    static = {r.condition: r.critical_delay
+              for r in run_sta_corners(fu.netlist, conditions)}
     stream = random_stream(600, seed=1)
-    trace = CampaignRunner().run(
-        [CampaignJob(design.fu, stream, conditions)])[0]
+    trace = CampaignRunner().run([CampaignJob(fu, stream, conditions)])[0]
 
     print(f"\nITD crossover voltage at 50C: "
           f"{DEFAULT_SCALING.itd_crossover_voltage(50.0):.3f} V\n")
@@ -42,7 +41,7 @@ def main() -> None:
     for v in voltages:
         row = f"{v:.2f}   "
         for t in temps:
-            row += f"{design.static_delay(OperatingCondition(v, t)):>11.0f}"
+            row += f"{static[OperatingCondition(v, t)]:>11.0f}"
         print(row)
 
     print("\naverage dynamic delay (ps) for a random workload:")
@@ -58,11 +57,6 @@ def main() -> None:
     print("\nNote the flip: at 0.81 V the 100C column is FASTER than the "
           "0C column\n(inverse temperature dependence); at 1.00 V it is "
           "slower.")
-
-    with tempfile.TemporaryDirectory() as tmp:
-        paths = design.emit_sdf(tmp, conditions[:3])
-        print(f"\nemitted {len(paths)} SDF files, e.g.:")
-        print(Path(paths[0]).read_text().splitlines()[0:8])
 
 
 if __name__ == "__main__":

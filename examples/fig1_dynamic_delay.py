@@ -4,20 +4,15 @@
 Builds the paper's motivating circuit (two input buffers of different
 delay feeding an AND gate and an output buffer), drives the two input
 transitions from the figure, and shows the event-driven simulator
-reporting 2 ns for the first transition and 1.5 ns for the second —
-then dumps and re-parses a VCD to show the paper's extraction path.
+reporting 2 ns for the first transition and 1.5 ns for the second.
 
 Run:  python examples/fig1_dynamic_delay.py
 """
-
-import tempfile
-from pathlib import Path
 
 import numpy as np
 
 from repro.circuits.builder import CircuitBuilder
 from repro.sim.eventsim import EventDrivenSimulator
-from repro.sim.vcd import delays_from_vcd, read_vcd
 
 
 def build_fig1_circuit():
@@ -44,22 +39,10 @@ def main() -> None:
         [1, 0],   # (c) y falls: path through the 0.5 ns buffer -> 1.5 ns
     ], dtype=np.uint8)
 
-    clock = 4000  # ps, slow enough to be error-free
-    with tempfile.TemporaryDirectory() as tmp:
-        vcd_path = Path(tmp) / "fig1.vcd"
-        result = sim.run_trace(stimulus, vcd_path=vcd_path,
-                               clock_period=clock)
-        print("event-driven dynamic delays:")
-        print(f"  cycle 1 (x: 0->1): {result.delays[0]:.0f} ps "
-              f"(paper: 2 ns)")
-        print(f"  cycle 2 (y: 1->0): {result.delays[1]:.0f} ps "
-              f"(paper: 1.5 ns)")
-
-        vcd = read_vcd(vcd_path)
-        extracted = delays_from_vcd(vcd, clock, n_cycles=2)
-        print("\nre-extracted from the VCD dump (the paper's flow):")
-        for t, d in enumerate(extracted):
-            print(f"  cycle {t + 1}: {d:.0f} ps")
+    result = sim.run_trace(stimulus)
+    print("event-driven dynamic delays:")
+    print(f"  cycle 1 (x: 0->1): {result.delays[0]:.0f} ps (paper: 2 ns)")
+    print(f"  cycle 2 (y: 1->0): {result.delays[1]:.0f} ps (paper: 1.5 ns)")
 
     print("\nSame circuit, same operating condition — the sensitized "
           "path (and hence the delay)\nis decided entirely by which "

@@ -1,6 +1,5 @@
-"""Flow orchestration: simulated ASIC flow + DTA campaigns."""
+"""Flow orchestration: DTA campaigns, the trace store and the worker pool."""
 
-from .asicflow import ImplementedDesign, implement
 from .campaign import (
     DEFAULT_BACKEND,
     MIN_SHARD_CYCLES,
@@ -37,7 +36,6 @@ __all__ = [
     "CampaignStats",
     "DEFAULT_BACKEND",
     "GCReport",
-    "ImplementedDesign",
     "JobProgram",
     "MIN_SHARD_CYCLES",
     "ManifestCorrupt",
@@ -54,7 +52,6 @@ __all__ = [
     "WorkerPool",
     "default_cache_dir",
     "error_free_clocks",
-    "implement",
     "library_fingerprint",
     "plan_shards",
     "simulate_shard",

@@ -315,8 +315,10 @@ class _BaseDecisionTree(_Stacked):
             live = ~pure & (counts >= self.min_samples_split)
             if self.max_depth is not None and depth >= self.max_depth:
                 live[:] = False
-            allowed = np.ones((n_open, n_feat), bool)
+            # per-node drawn features; None when every feature is drawn
+            allowed = None
             if n_draw < n_feat:
+                allowed = np.ones((n_open, n_feat), bool)
                 allowed[live] = False
                 for k in np.flatnonzero(live):
                     allowed[k, rng.choice(n_feat, n_draw, replace=False)] = 1
@@ -328,8 +330,11 @@ class _BaseDecisionTree(_Stacked):
             if len(bits) and len(cand):
                 g, n_right = self._binary_gains(xs, ys, starts[cand],
                                                 counts[cand], totals[cand])
-                g[(n_right < msl) | (counts[cand, None] - n_right < msl)
-                  | ~allowed[cand][:, bits] | np.isnan(g)] = -np.inf
+                bad = ((n_right < msl) | (counts[cand, None] - n_right < msl)
+                       | np.isnan(g))
+                if allowed is not None:
+                    bad |= ~allowed[cand][:, bits]
+                g[bad] = -np.inf
                 best = g.argmax(axis=1)
                 g = g[np.arange(len(cand)), best]
                 win = g > gain[cand]
@@ -340,9 +345,10 @@ class _BaseDecisionTree(_Stacked):
             vals = None
             for f in others:
                 col = X[idx, f]
-                varies = live & allowed[:, f] & ~(
-                    np.minimum.reduceat(col, starts)
-                    == np.maximum.reduceat(col, starts))
+                varies = live & ~(np.minimum.reduceat(col, starts)
+                                  == np.maximum.reduceat(col, starts))
+                if allowed is not None:
+                    varies &= allowed[:, f]
                 if not varies.any():
                     continue
                 if vals is None:

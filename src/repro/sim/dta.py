@@ -7,8 +7,9 @@ the paper's two classes (``D[t] > tclk`` = timing erroneous).
 
 Campaigns (:mod:`repro.flow.campaign`) produce the traces with the
 graph-based DTA the paper cites as [3], on the ``compiled`` engine by
-default; :func:`delays_via_vcd` is the paper's file-based pipeline
-(event-driven simulation, VCD dump, VCD parse).
+default.  Where the paper's flow dumps a VCD from an SDF-annotated
+simulation and parses it, every engine here takes the per-gate delay
+vector in memory and returns the per-cycle delays directly.
 """
 
 from __future__ import annotations
@@ -18,11 +19,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from ..circuits.netlist import Netlist
-from ..timing.cells import CellLibrary, DEFAULT_LIBRARY
 from ..timing.corners import OperatingCondition
-from .eventsim import EventDrivenSimulator
-from .vcd import delays_from_vcd, read_vcd
 
 
 @dataclass
@@ -74,23 +71,3 @@ def timing_error_rate(delays: np.ndarray, clock_period: float) -> float:
     labels = timing_error_labels(delays, clock_period)
     return float(labels.mean())
 
-
-def delays_via_vcd(netlist: Netlist, input_matrix: np.ndarray,
-                   condition: OperatingCondition,
-                   vcd_path, library: CellLibrary = DEFAULT_LIBRARY
-                   ) -> List[float]:
-    """The paper's exact pipeline: simulate -> dump VCD -> parse VCD.
-
-    Runs the event simulator with a safely slow clock, dumps the VCD,
-    then recovers per-cycle dynamic delays purely from the file.  Used
-    in tests to show the file-based path agrees with the in-memory path.
-    """
-    from ..timing.sta import static_delay
-
-    clock = float(np.ceil(2.0 * static_delay(netlist, condition, library)))
-    delays = library.gate_delays(netlist, condition)
-    sim = EventDrivenSimulator(netlist, delays)
-    n_cycles = np.asarray(input_matrix).shape[0] - 1
-    sim.run_trace(input_matrix, vcd_path=vcd_path, clock_period=clock)
-    vcd = read_vcd(vcd_path)
-    return delays_from_vcd(vcd, int(clock), n_cycles)

@@ -1,12 +1,12 @@
 """Event-driven gate-level timing simulator.
 
-The reference engine standing in for ModelSim's SDF-annotated
-simulation: a transport-delay event queue that models glitch trains and
-produces VCD dumps.  It is orders of magnitude slower than the
-compiled DTA engine (that gap *is* the paper's "TEVoT is 100X faster than
-gate-level simulation" claim, reproduced in
-``benchmarks/test_bench_speedup.py``), so campaigns use it only for
-cross-validation and VCD generation.
+The reference engine standing in for ModelSim's back-annotated
+simulation: a transport-delay event queue over the same per-gate delay
+vector the other engines take, which models glitch trains.  It is
+orders of magnitude slower than the compiled DTA engine (that gap *is*
+the paper's "TEVoT is 100X faster than gate-level simulation" claim,
+reproduced in ``benchmarks/test_bench_speedup.py``), so campaigns run
+it only as the glitch-aware ``event`` engine, for cross-validation.
 
 Semantics
 ---------
@@ -16,7 +16,7 @@ transient) output value ``gate_delay`` later.  A scheduled value equal
 to the net's value at fire time is dropped (no propagation).  The
 dynamic delay of a cycle is the time of the last value change on any
 primary output, relative to the clock edge — including changes caused
-by glitch pulses, exactly as a VCD-based extraction would see them.
+by glitch pulses, exactly as a waveform-dump extraction would see them.
 """
 
 from __future__ import annotations
@@ -24,13 +24,11 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from ..circuits.netlist import Netlist, evaluate_gate
-from .vcd import VCDWriter
 
 
 @dataclass
@@ -40,7 +38,6 @@ class EventTraceResult:
     delays: np.ndarray            # (n_cycles,) float64, ps
     outputs: np.ndarray           # (n_cycles, n_outputs) uint8 settled values
     event_counts: np.ndarray      # (n_cycles,) int64, fired value changes
-    vcd_path: Optional[Path] = None
 
 
 class EventDrivenSimulator:
@@ -60,8 +57,6 @@ class EventDrivenSimulator:
         for idx, gate in enumerate(netlist.gates):
             for i in gate.inputs:
                 self._fanout[i].append(idx)
-        self._driver_index: Dict[int, int] = {
-            g.output: idx for idx, g in enumerate(netlist.gates)}
 
     # -- single-cycle engine ---------------------------------------------------
 
@@ -71,8 +66,7 @@ class EventDrivenSimulator:
             dict(zip(self.netlist.primary_inputs, input_bits)))
         return [values[n] for n in range(self.netlist.n_nets)]
 
-    def run_cycle(self, state: List[int], next_bits: Sequence[int],
-                  record_changes: Optional[List[Tuple[float, int, int]]] = None
+    def run_cycle(self, state: List[int], next_bits: Sequence[int]
                   ) -> Tuple[List[int], float, int]:
         """Apply one input transition and simulate to quiescence.
 
@@ -82,8 +76,6 @@ class EventDrivenSimulator:
             Current settled net values (mutated in place).
         next_bits:
             New primary-input vector applied at t = 0.
-        record_changes:
-            Optional sink for ``(time, net, value)`` change events.
 
         Returns
         -------
@@ -112,8 +104,6 @@ class EventDrivenSimulator:
                 continue  # transient cancelled or redundant
             state[net] = value
             n_events += 1
-            if record_changes is not None:
-                record_changes.append((time, net, value))
             if net in po_set and time > last_po_change:
                 last_po_change = time
             for gate_idx in self._fanout[net]:
@@ -126,16 +116,8 @@ class EventDrivenSimulator:
 
     # -- trace API -----------------------------------------------------------------
 
-    def run_trace(self, input_matrix: np.ndarray,
-                  vcd_path: Optional[Union[str, Path]] = None,
-                  clock_period: Optional[float] = None) -> EventTraceResult:
-        """Simulate a stream of input vectors (row 0 = initial state).
-
-        When ``vcd_path`` is given, primary-output changes are dumped as
-        a VCD with cycle ``t``'s edge at absolute time ``t *
-        clock_period`` (the period defaults to 2x the worst observed
-        delay would be unknown upfront, so it must be supplied).
-        """
+    def run_trace(self, input_matrix: np.ndarray) -> EventTraceResult:
+        """Simulate a stream of input vectors (row 0 = initial state)."""
         inputs = np.asarray(input_matrix, dtype=np.uint8)
         if inputs.ndim != 2 or inputs.shape[1] != len(self.netlist.primary_inputs):
             raise ValueError("bad input matrix shape")
@@ -143,41 +125,15 @@ class EventDrivenSimulator:
         if n_cycles < 1:
             raise ValueError("need at least 2 input rows")
 
-        writer = None
-        po_positions: Dict[int, int] = {}
-        if vcd_path is not None:
-            if clock_period is None or clock_period <= 0:
-                raise ValueError("clock_period required when dumping VCD")
-            names = [self.netlist.net_names.get(po, f"po{k}")
-                     for k, po in enumerate(self.netlist.primary_outputs)]
-            writer = VCDWriter(vcd_path, names)
-            po_positions = {po: k
-                            for k, po in enumerate(self.netlist.primary_outputs)}
-
         state = self.settle(list(inputs[0]))
-        if writer is not None:
-            writer.write_header(
-                [state[po] for po in self.netlist.primary_outputs])
-
         delays = np.zeros(n_cycles, dtype=np.float64)
         outputs = np.zeros((n_cycles, len(self.netlist.primary_outputs)),
                            dtype=np.uint8)
         event_counts = np.zeros(n_cycles, dtype=np.int64)
         for t in range(n_cycles):
-            sink: Optional[List[Tuple[float, int, int]]] = (
-                [] if writer is not None else None)
-            state, delay, n_events = self.run_cycle(state, inputs[t + 1], sink)
+            state, delay, n_events = self.run_cycle(state, inputs[t + 1])
             delays[t] = delay
             event_counts[t] = n_events
             outputs[t] = [state[po] for po in self.netlist.primary_outputs]
-            if writer is not None:
-                edge = int(round(t * clock_period))
-                for time, net, value in sink:
-                    pos = po_positions.get(net)
-                    if pos is not None:
-                        writer.change(edge + int(round(time)), pos, value)
-        if writer is not None:
-            writer.close()
-        return EventTraceResult(delays, outputs, event_counts,
-                                Path(vcd_path) if vcd_path else None)
+        return EventTraceResult(delays, outputs, event_counts)
 

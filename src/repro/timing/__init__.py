@@ -1,4 +1,4 @@
-"""Timing substrate: cell library, V/T scaling, corners, STA, SDF."""
+"""Timing substrate: cell library, V/T scaling, corners, STA."""
 
 from .cells import DEFAULT_CELL_TIMINGS, DEFAULT_LIBRARY, CellLibrary, CellTiming
 from .corners import (
@@ -12,7 +12,6 @@ from .corners import (
     voltage_points,
 )
 from .scaling import DEFAULT_SCALING, ScalingParameters, delay_scale
-from .sdf import SDFFile, read_sdf, write_sdf
 from .sta import STAResult, run_sta, run_sta_corners, static_delay
 
 __all__ = [
@@ -25,17 +24,14 @@ __all__ = [
     "OperatingCondition",
     "STAResult",
     "ScalingParameters",
-    "SDFFile",
     "delay_scale",
     "fig3_corner_subset",
     "nominal_condition",
     "paper_corner_grid",
-    "read_sdf",
     "run_sta",
     "run_sta_corners",
     "sped_up_clock",
     "static_delay",
     "temperature_points",
     "voltage_points",
-    "write_sdf",
 ]

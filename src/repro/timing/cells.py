@@ -10,8 +10,8 @@ A :class:`CellLibrary` turns a netlist plus a list of operating
 conditions into the ``(n_conditions, n_gates)`` delay matrix the DTA
 engines consume: one per-gate nominal vector and one per-corner,
 per-cell-type derating table, multiplied in numpy.  The single-corner
-per-gate vector used by STA, SDF emission and the event simulator is
-row 0 of a one-corner matrix.
+per-gate vector used by STA and the event simulator is row 0 of a
+one-corner matrix.
 """
 
 from __future__ import annotations

@@ -65,8 +65,9 @@ def run_sta(netlist: Netlist,
     library:
         Cell library supplying per-gate delays.
     gate_delays:
-        Optional precomputed per-gate delay vector (e.g. parsed from an
-        SDF file); overrides ``library``/``condition``.
+        Optional precomputed per-gate delay vector (e.g. one row of
+        ``CellLibrary.delay_matrix``, or unit delays); overrides
+        ``library``/``condition``.
     """
     if gate_delays is None:
         gate_delays = library.gate_delays(netlist, condition)

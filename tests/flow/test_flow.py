@@ -1,47 +1,14 @@
-"""Tests for the simulated ASIC flow and DTA campaigns."""
+"""Tests for DTA campaigns."""
 
 import numpy as np
-import pytest
 
 from repro.circuits import build_functional_unit
 from repro.core import experiment_impl
-from repro.flow import (CampaignJob, CampaignRunner, error_free_clocks,
-                        implement)
-from repro.timing import OperatingCondition, read_sdf
+from repro.flow import CampaignJob, CampaignRunner, error_free_clocks
+from repro.timing import OperatingCondition
 from repro.workloads import random_stream, stream_for_unit
 
 CONDS = [OperatingCondition(0.81, 0.0), OperatingCondition(1.00, 100.0)]
-
-
-class TestImplement:
-    def test_signoff_covers_all_corners(self):
-        design = implement("int_add", CONDS, width=8)
-        assert set(design.corners()) == set(CONDS)
-        for cond in CONDS:
-            assert design.static_delay(cond) > 0
-
-    def test_low_voltage_corner_is_slower(self):
-        design = implement("int_add", CONDS, width=8)
-        assert design.static_delay(CONDS[0]) > design.static_delay(CONDS[1])
-
-    def test_unsigned_corner_raises(self):
-        design = implement("int_add", CONDS[:1], width=8)
-        with pytest.raises(KeyError):
-            design.static_delay(CONDS[1])
-
-    def test_emit_sdf_per_corner(self, tmp_path):
-        design = implement("int_add", CONDS, width=8)
-        paths = design.emit_sdf(tmp_path)
-        assert len(paths) == 2
-        sdf = read_sdf(paths[0])
-        assert sdf.condition == CONDS[0]
-        np.testing.assert_allclose(sdf.delay_vector(design.netlist),
-                                   design.gate_delays(CONDS[0]), atol=1e-3)
-
-    def test_fu_kwargs_forwarded(self):
-        design = implement("int_add", CONDS[:1], width=8,
-                           architecture="cla")
-        assert "cla" in design.netlist.name
 
 
 def characterize(fu, stream, conditions, store):

@@ -142,9 +142,3 @@ class TestValidation:
         nl = build_int_adder(4)
         with pytest.raises(ValueError):
             EventDrivenSimulator(nl, [1.0, 2.0])
-
-    def test_vcd_requires_clock(self, adder8, tmp_path):
-        _, sim, __ = adder8
-        rows = np.zeros((3, 16), dtype=np.uint8)
-        with pytest.raises(ValueError):
-            sim.run_trace(rows, vcd_path=tmp_path / "x.vcd")

@@ -35,6 +35,18 @@ class TestCommands:
         assert rc == 0
         assert "(1.00,25)" in capsys.readouterr().out
 
+    def test_sta_output_is_pinned(self, capsys):
+        rc = main(["sta", "--fu", "int_add", "--voltages", "0.81", "1.0",
+                   "--temperatures", "0", "100"])
+        assert rc == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "static critical-path delay of int_add (ps):",
+            "  (0.81,0): 2291.2",
+            "  (0.81,100): 2153.3",
+            "  (1.00,0): 1528.9",
+            "  (1.00,100): 1658.1",
+        ]
+
     def test_characterize(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         rc = main(["characterize", "--fu", "int_add", "--cycles", "50",

@@ -1,10 +1,9 @@
-"""Tests for the cell library, STA, and SDF round-trip."""
+"""Tests for the cell library and STA."""
 
 import numpy as np
 import pytest
 
 from repro.circuits.adders import build_int_adder
-from repro.circuits.builder import CircuitBuilder
 from repro.circuits.functional_units import (
     available_units,
     build_functional_unit,
@@ -18,7 +17,6 @@ from repro.timing.cells import (
     CellTiming,
 )
 from repro.timing.corners import OperatingCondition, paper_corner_grid
-from repro.timing.sdf import instance_name, read_sdf, write_sdf
 from repro.timing.sta import run_sta, run_sta_corners, static_delay
 
 
@@ -266,49 +264,3 @@ class TestMultiCornerSTA:
             run_sta_corners(adder, [None, None],
                             gate_delays=np.ones((1, len(adder.gates))))
 
-
-class TestSDFRoundtrip:
-    def test_write_and_read_back(self, adder, tmp_path):
-        cond = OperatingCondition(0.85, 75)
-        delays = DEFAULT_LIBRARY.gate_delays(adder, cond)
-        path = write_sdf(adder, delays, tmp_path / "a.sdf", cond)
-        sdf = read_sdf(path)
-        assert sdf.design == adder.name
-        assert sdf.voltage == pytest.approx(0.85)
-        assert sdf.temperature == pytest.approx(75)
-        np.testing.assert_allclose(sdf.delay_vector(adder), delays, atol=1e-3)
-
-    def test_condition_property(self, adder, tmp_path):
-        cond = OperatingCondition(0.9, 25)
-        delays = DEFAULT_LIBRARY.gate_delays(adder, cond)
-        sdf = read_sdf(write_sdf(adder, delays, tmp_path / "b.sdf", cond))
-        assert sdf.condition == cond
-
-    def test_sta_from_sdf_matches_direct(self, adder, tmp_path):
-        cond = OperatingCondition(0.81, 100)
-        delays = DEFAULT_LIBRARY.gate_delays(adder, cond)
-        sdf = read_sdf(write_sdf(adder, delays, tmp_path / "c.sdf", cond))
-        via_sdf = run_sta(adder, gate_delays=sdf.delay_vector(adder))
-        direct = run_sta(adder, cond)
-        assert via_sdf.critical_delay == pytest.approx(
-            direct.critical_delay, rel=1e-5)
-
-    def test_wrong_vector_length_raises(self, adder, tmp_path):
-        with pytest.raises(ValueError):
-            write_sdf(adder, np.ones(2), tmp_path / "d.sdf")
-
-    def test_missing_instance_raises(self, adder, tmp_path):
-        delays = DEFAULT_LIBRARY.gate_delays(adder)
-        path = write_sdf(adder, delays, tmp_path / "e.sdf")
-        text = path.read_text().replace(f"(INSTANCE {instance_name(0)})",
-                                        "(INSTANCE zz)")
-        path.write_text(text)
-        sdf = read_sdf(path)
-        with pytest.raises(KeyError):
-            sdf.delay_vector(adder)
-
-    def test_non_sdf_file_raises(self, tmp_path):
-        bad = tmp_path / "bad.sdf"
-        bad.write_text("hello world")
-        with pytest.raises(ValueError):
-            read_sdf(bad)
