@@ -6,9 +6,10 @@ import pytest
 
 from repro.circuits.adders import build_int_adder
 from repro.circuits.builder import CircuitBuilder
+from repro.circuits.netlist import GateType, Netlist
 from repro.sim.eventsim import EventDrivenSimulator
 from repro.sim.levelized import LevelizedSimulator
-from repro.timing import DEFAULT_LIBRARY, run_sta
+from repro.timing import DEFAULT_LIBRARY, OperatingCondition, run_sta
 
 
 @pytest.fixture(scope="module")
@@ -74,6 +75,65 @@ class TestTrace:
         rows = np.array([encode(0, 0), encode(255, 255)], dtype=np.uint8)
         res = sim.run_trace(rows)
         assert res.event_counts[0] > 0
+
+
+class TestExactTiming:
+    """Hand-built netlists whose per-cycle delays and event counts
+    follow from the transport-delay semantics alone."""
+
+    @pytest.mark.parametrize("length", [1, 3, 8])
+    def test_inverter_chain_delay_is_path_sum(self, length):
+        nl = Netlist(name="chain")
+        net = nl.add_input("a")
+        for _ in range(length):
+            net = nl.add_gate(GateType.NOT, [net])
+        nl.mark_output(net, "y")
+        delays = [10.0 * (k + 1) for k in range(length)]
+        rows = np.array([[0], [1], [1], [0]], dtype=np.uint8)
+        res = EventDrivenSimulator(nl, delays).run_trace(rows)
+        path = sum(delays)
+        assert res.delays.tolist() == [path, 0.0, path]
+        assert res.event_counts.tolist() == [length + 1, 0, length + 1]
+        assert res.outputs[:, 0].tolist() == [
+            bit ^ (length % 2) for bit in (1, 1, 0)]
+
+    def test_glitch_pulse_sets_the_delay(self):
+        # y = a XOR buf(a) is constant 0, but a toggle on a reaches the
+        # XOR 30 ps before the buffered copy: a 10..40 ps pulse on y
+        nl = Netlist(name="pulse")
+        a = nl.add_input("a")
+        nl.mark_output(nl.add_gate(GateType.XOR2,
+                                   [a, nl.add_gate(GateType.BUF, [a])]), "y")
+        res = EventDrivenSimulator(nl, [30.0, 10.0]).run_trace(
+            np.array([[0], [1]], dtype=np.uint8))
+        assert res.delays.tolist() == [40.0]
+        assert res.event_counts.tolist() == [4]  # a, y rise, buf, y fall
+        assert res.outputs.tolist() == [[0]]
+
+    def test_masked_transition_fires_no_output_event(self):
+        # a rises while b falls: OR2 re-evaluates to its current 1 twice,
+        # and both redundant schedules are dropped
+        nl = Netlist(name="masked")
+        a, b = nl.add_input("a"), nl.add_input("b")
+        nl.mark_output(nl.add_gate(GateType.OR2, [a, b]), "y")
+        res = EventDrivenSimulator(nl, [10.0]).run_trace(
+            np.array([[0, 1], [1, 0]], dtype=np.uint8))
+        assert res.delays.tolist() == [0.0]
+        assert res.event_counts.tolist() == [2]
+
+    @pytest.mark.parametrize("cond", [OperatingCondition(0.81, 0),
+                                      OperatingCondition(0.85, 50),
+                                      OperatingCondition(1.00, 100)],
+                             ids=lambda c: c.label)
+    def test_corner_delays_bounded_by_corner_sta(self, cond):
+        nl = build_int_adder(8)
+        delays = DEFAULT_LIBRARY.gate_delays(nl, cond)
+        rng = np.random.default_rng(5)
+        rows = rng.integers(0, 2, size=(25, 16)).astype(np.uint8)
+        got = EventDrivenSimulator(nl, delays).run_trace(rows).delays
+        static = run_sta(nl, cond).critical_delay
+        assert np.all(got <= static + 1e-6)
+        assert got.max() > 0.0
 
 
 class TestCrossValidation:
@@ -142,3 +202,18 @@ class TestValidation:
         nl = build_int_adder(4)
         with pytest.raises(ValueError):
             EventDrivenSimulator(nl, [1.0, 2.0])
+
+    def test_wrong_input_width_raises(self, adder8):
+        _, sim, __ = adder8
+        with pytest.raises(ValueError):
+            sim.run_trace(np.zeros((3, 15), dtype=np.uint8))
+
+    def test_single_row_raises(self, adder8):
+        _, sim, __ = adder8
+        with pytest.raises(ValueError):
+            sim.run_trace(np.zeros((1, 16), dtype=np.uint8))
+
+    def test_one_dimensional_input_raises(self, adder8):
+        _, sim, __ = adder8
+        with pytest.raises(ValueError):
+            sim.run_trace(np.zeros(16, dtype=np.uint8))

@@ -47,6 +47,34 @@ class TestCommands:
             "  (1.00,100): 1658.1",
         ]
 
+    @pytest.mark.parametrize("fu,lines", [
+        ("fp_add", ["  (0.81,0): 7989.4", "  (0.81,100): 7507.3",
+                    "  (1.00,0): 5330.2", "  (1.00,100): 5780.2"]),
+        ("int_mul", ["  (0.81,0): 2459.8", "  (0.81,100): 2304.4",
+                     "  (1.00,0): 1634.4", "  (1.00,100): 1770.1"]),
+        ("fp_mul", ["  (0.81,0): 6336.0", "  (0.81,100): 5949.1",
+                    "  (1.00,0): 4222.7", "  (1.00,100): 4577.8"]),
+    ])
+    def test_sta_output_is_pinned_per_unit(self, capsys, fu, lines):
+        rc = main(["sta", "--fu", fu, "--voltages", "0.81", "1.0",
+                   "--temperatures", "0", "100"])
+        assert rc == 0
+        assert capsys.readouterr().out.splitlines() == [
+            f"static critical-path delay of {fu} (ps):", *lines]
+
+    def test_sta_lists_every_corner_voltage_major(self, capsys):
+        rc = main(["sta", "--fu", "int_add", "--voltages", "0.81", "0.9",
+                   "1.0", "--temperatures", "25", "75"])
+        assert rc == 0
+        assert capsys.readouterr().out.splitlines()[1:] == [
+            "  (0.81,25): 2250.4",
+            "  (0.81,75): 2182.3",
+            "  (0.90,25): 1848.4",
+            "  (0.90,75): 1866.9",
+            "  (1.00,25): 1568.5",
+            "  (1.00,75): 1632.3",
+        ]
+
     def test_characterize(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         rc = main(["characterize", "--fu", "int_add", "--cycles", "50",

@@ -179,6 +179,19 @@ class TestSTA:
         result = run_sta(adder, gate_delays=ones)
         assert result.critical_delay == pytest.approx(adder.depth(), abs=1e-9)
 
+    @pytest.mark.parametrize("cond", [OperatingCondition(0.81, 100),
+                                      OperatingCondition(0.85, 75),
+                                      OperatingCondition(1.00, 0)],
+                             ids=lambda c: c.label)
+    def test_delay_vector_matches_condition(self, adder, cond):
+        # the in-memory per-gate vector stands in for a per-corner SDF
+        via_vector = run_sta(
+            adder, gate_delays=DEFAULT_LIBRARY.gate_delays(adder, cond))
+        direct = run_sta(adder, cond)
+        assert via_vector.arrival.tobytes() == direct.arrival.tobytes()
+        assert via_vector.critical_path == direct.critical_path
+        assert via_vector.critical_delay == direct.critical_delay
+
     def test_wrong_delay_count_raises(self, adder):
         with pytest.raises(ValueError):
             run_sta(adder, gate_delays=np.ones(3))
@@ -255,6 +268,30 @@ class TestMultiCornerSTA:
                 netlist, OperatingCondition(0.9, 25)))
         assert result.arrival.tobytes() == arrival.tobytes()
         assert result.critical_path == path
+
+    @pytest.mark.parametrize("fu_name", PAPER_UNITS)
+    def test_low_voltage_corner_is_slower(self, fu_name):
+        netlist = build_functional_unit(fu_name).netlist
+        slow, fast = run_sta_corners(netlist, [OperatingCondition(0.81, 25),
+                                               OperatingCondition(1.00, 25)])
+        assert slow.critical_delay > fast.critical_delay > 0
+
+    def test_static_delay_matches_corner_pass(self, adder):
+        conds = [OperatingCondition(0.81, 0), OperatingCondition(0.9, 50),
+                 OperatingCondition(1.0, 100)]
+        results = run_sta_corners(adder, conds)
+        for cond, result in zip(conds, results):
+            assert static_delay(adder, cond) == result.critical_delay, cond
+
+    def test_explicit_delay_matrix_matches_library(self, adder):
+        conds = [OperatingCondition(0.81, 100), OperatingCondition(1.0, 0)]
+        given = run_sta_corners(
+            adder, conds,
+            gate_delays=DEFAULT_LIBRARY.delay_matrix(adder, conds))
+        for got, want in zip(given, run_sta_corners(adder, conds)):
+            assert got.condition == want.condition
+            assert got.arrival.tobytes() == want.arrival.tobytes()
+            assert got.critical_path == want.critical_path
 
     def test_no_conditions_no_results(self, adder):
         assert run_sta_corners(adder, []) == []
