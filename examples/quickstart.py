@@ -11,15 +11,19 @@ runs from TOML files:
    ``CampaignSpec`` executed by a ``Workspace``,
 3. train the TEVoT random-forest delay model from a ``TrainSpec``,
 4. classify unseen cycles as timing correct / erroneous at an
-   overclocked period and compare against simulation ground truth.
+   overclocked period and compare against simulation ground truth,
+5. save the model to a per-run temporary directory and reload it.
 
 Run:  python examples/quickstart.py
 """
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 
 from repro.api import CampaignSpec, CornerSpec, StreamSpec, TrainSpec, Workspace
-from repro.core import prediction_accuracy
+from repro.core import TEVoT, prediction_accuracy
 from repro.core.features import build_feature_matrix
 from repro.circuits import build_functional_unit
 from repro.flow import error_free_clocks
@@ -75,9 +79,17 @@ def main() -> None:
         print(f"  +{speedup:.0%} clock speedup: "
               f"prediction accuracy {np.mean(accs)*100:.1f}%")
 
-    path = "/tmp/tevot_int_add.pkl"
-    model.save(path)
-    print(f"\nmodel saved to {path}; reload with TEVoT.load(...)")
+    # a fresh directory per run: parallel runs never share the file,
+    # and it is removed on exit
+    with tempfile.TemporaryDirectory(prefix="tevot_quickstart_") as tmp:
+        path = Path(tmp) / "tevot_int_add.pkl"
+        model.save(path)
+        reloaded = TEVoT.load(path)
+        if not np.array_equal(reloaded.predict_delay(features),
+                              model.predict_delay(features)):
+            raise SystemExit("the reloaded model predicts differently")
+        print(f"\nmodel saved to {path} and reloaded with TEVoT.load: "
+              f"identical predictions (the directory is removed on exit)")
     print("the same flow runs from a config file: "
           "python -m repro train --config examples/run.toml")
 

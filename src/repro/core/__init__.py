@@ -12,6 +12,7 @@ from .features import (
     FeatureSpec,
     build_feature_matrix,
     build_training_set,
+    feature_row,
     operand_bits,
     stream_bits,
 )
@@ -37,6 +38,7 @@ __all__ = [
     "default_regressor",
     "evaluate_models",
     "experiment_impl",
+    "feature_row",
     "load_model",
     "make_tevot_nh",
     "operand_bits",

@@ -59,13 +59,47 @@ class FeatureSpec:
 def operand_bits(words: np.ndarray, operand_width: int = 32) -> np.ndarray:
     """LSB-first bit expansion of operand words: ``(n, width)`` float32.
 
-    The single bit-layout definition shared by offline training
-    (:func:`stream_bits`) and the serving engine — both sides must
-    build identical feature columns for bit-exact parity.
+    The bit layout shared by offline training (:func:`stream_bits`)
+    and the serving engine's feature matrices; :func:`feature_row`
+    lays out its Python rows the same way.  Both sides must build
+    identical feature columns for bit-exact parity.
     """
-    shifts = np.arange(operand_width, dtype=np.uint64)
-    words = np.asarray(words, dtype=np.uint64)
-    return ((words[:, None] >> shifts) & 1).astype(np.float32)
+    # each word's little-endian bytes, unpacked LSB first
+    raw = np.ascontiguousarray(words, dtype="<u8").view(np.uint8)
+    raw = raw.reshape(-1, 8)[:, :(operand_width + 7) // 8]
+    return np.unpackbits(raw, axis=1, count=operand_width,
+                         bitorder="little").astype(np.float32)
+
+
+#: the bits of each byte value, LSB first, as Python floats
+_BYTE_BITS = [tuple(float(byte >> i & 1) for i in range(8))
+              for byte in range(256)]
+
+
+def feature_row(words: Sequence[int], voltage: float, temperature: float,
+                operand_width: int = 32) -> List[float]:
+    """One feature row as Python floats, without numpy arrays.
+
+    ``words`` is ``(a, b)``, or ``(a, b, prev_a, prev_b)`` for a history
+    spec; each must lie in ``[0, 2**operand_width)``.  The row holds
+    each word's bits LSB first, as :func:`operand_bits` lays them out,
+    then ``V`` and ``T`` rounded to float32 — the float64 values of the
+    matching :func:`build_feature_matrix` row.  The serving engine
+    builds walk-sized batches this way.
+    """
+    packed = shift = 0
+    for word in words:
+        if word >> operand_width:  # also true for a negative word
+            raise ValueError(f"operand {word!r} does not fit in "
+                             f"{operand_width} bits")
+        packed |= word << shift
+        shift += operand_width
+    row: List[float] = []
+    for byte in packed.to_bytes((shift + 7) // 8, "little"):
+        row += _BYTE_BITS[byte]
+    del row[shift:]  # the last byte's bits above the last word
+    row += np.array((voltage, temperature), np.float32).tolist()
+    return row
 
 
 def stream_bits(stream: OperandStream, operand_width: int = 32) -> np.ndarray:

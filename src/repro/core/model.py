@@ -13,7 +13,7 @@ from __future__ import annotations
 import os
 import pickle
 from pathlib import Path
-from typing import Any, Dict, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -130,10 +130,28 @@ class TEVoT:
 
     # -- inference -----------------------------------------------------------
 
-    def predict_delay(self, X: np.ndarray) -> np.ndarray:
-        """Predicted dynamic delay (ps) per cycle."""
+    def predict_delay(self, X: Union[np.ndarray, List[List[float]]]
+                      ) -> np.ndarray:
+        """Predicted dynamic delay (ps) per cycle.
+
+        ``X`` is a feature matrix, or a list of feature rows of Python
+        floats (:func:`~repro.core.features.feature_row`).  A regressor
+        with ``predict_rows`` (the random forest) takes such a list as
+        it is and walks a batch of at most :attr:`walk_max_rows` rows
+        without building an array; the values are the same either way.
+        """
         self._check_fitted()
+        if isinstance(X, list) and hasattr(self.regressor, "predict_rows"):
+            return self.regressor.predict_rows(X)
         return np.asarray(self.regressor.predict(np.asarray(X)))
+
+    @property
+    def walk_max_rows(self) -> int:
+        """Largest batch the regressor descends row by row in Python,
+        where Python feature rows cost less than a feature matrix; 0
+        for a regressor without that path."""
+        self._check_fitted()
+        return getattr(self.regressor, "walk_max_rows", 0)
 
     def predict_errors(self, X: np.ndarray, clock_period: float) -> np.ndarray:
         """Per-cycle class: 1 = timing erroneous, 0 = timing correct.

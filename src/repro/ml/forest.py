@@ -26,6 +26,7 @@ child is reaped before ``fit`` returns or raises.
 
 from __future__ import annotations
 
+import math
 import multiprocessing
 import os
 import traceback
@@ -182,27 +183,34 @@ class _BaseForest(_Stacked):
         parity.
 
         A batch the table walks (:meth:`_NodeTable.leaves`) with one
-        value per node (the regressor) is summed in Python floats: tree
-        0's value, plus trees 1..T-1 in order, divided by T.  Those are
-        the float64 additions and division, in the same order, that the
-        numpy path makes on whole columns, so both give the same bits.
+        value per node (the regressor) takes :meth:`_walk_means`.
         """
         table = self._table()
         X = check_X(X, self.n_features_)
-        value = table.value_view
-        if value is not None and X.shape[0] <= table.walk_max_rows:
-            means = []
-            for leaves in table.walk(X):
-                total = value[leaves[0]]
-                for leaf in leaves[1:]:
-                    total += value[leaf]
-                means.append(total / len(leaves))
-            return np.array(means)
+        if (table.value_view is not None
+                and X.shape[0] <= table.walk_max_rows):
+            return np.array(self._walk_means(table, X.tolist()))
         per_tree = table.value[table.leaves(X)]
         total = per_tree[:, 0].copy()
         for t in range(1, per_tree.shape[1]):
             total += per_tree[:, t]
         return total / per_tree.shape[1]
+
+    @staticmethod
+    def _walk_means(table, rows: list) -> list:
+        """Mean leaf value of each row, walked and summed in Python
+        floats: tree 0's value, plus trees 1..T-1 in order, divided by
+        T.  Those are the float64 additions and division, in the same
+        order, that :meth:`_mean_over_trees` makes on whole columns, so
+        both give the same bits."""
+        value = table.value_view
+        means = []
+        for leaves in table.walk(rows):
+            total = value[leaves[0]]
+            for leaf in leaves[1:]:
+                total += value[leaf]
+            means.append(total / len(leaves))
+        return means
 
 
 class RandomForestRegressor(_BaseForest):
@@ -216,6 +224,29 @@ class RandomForestRegressor(_BaseForest):
 
     def predict(self, X) -> np.ndarray:
         return self._mean_over_trees(X)
+
+    @property
+    def walk_max_rows(self) -> int:
+        """Largest batch :meth:`predict` walks row by row in Python
+        instead of descending it in numpy rounds."""
+        return self._table().walk_max_rows
+
+    def predict_rows(self, rows: list) -> np.ndarray:
+        """:meth:`predict` for a list of feature rows of Python floats.
+
+        A batch of at most :attr:`walk_max_rows` rows, each of
+        ``n_features_`` finite values, is walked as given, without
+        building an array; any other batch goes through :meth:`predict`,
+        which also reports a malformed row.
+        """
+        table = self._table()
+        n = self.n_features_
+        if (0 < len(rows) <= table.walk_max_rows
+                and all(len(row) == n for row in rows)
+                # a NaN or an infinity anywhere makes the sum non-finite
+                and math.isfinite(sum(map(sum, rows)))):
+            return np.array(self._walk_means(table, rows))
+        return self.predict(rows)
 
 
 class RandomForestClassifier(_BaseForest):

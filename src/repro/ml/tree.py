@@ -125,11 +125,11 @@ class _NodeTable:
     shallow tree stays there while deeper trees finish.  ``value`` holds
     one row per stacked node.
 
-    ``views`` are ``memoryview``s of ``feature``, ``threshold`` and
-    ``children`` (and ``value_view`` of a 1-D ``value``, else ``None``):
-    they share the arrays' memory, so the Python walk reads Python ints
-    and floats without a copy of the table.  Batches of at most
-    ``walk_max_rows`` rows take the walk.
+    ``views`` are ``memoryview``s of ``feature``, ``threshold`` and the
+    left and right halves of ``children`` (and ``value_view`` of a 1-D
+    ``value``, else ``None``): they share the arrays' memory, so the
+    Python walk reads Python ints and floats without a copy of the
+    table.  Batches of at most ``walk_max_rows`` rows take the walk.
     """
 
     def __init__(self, trees, value: np.ndarray) -> None:
@@ -151,7 +151,8 @@ class _NodeTable:
         self.rounds = max(t.depth() for t in trees)
         self.roots = self.offsets[:-1].tolist()
         self.views = (memoryview(self.feature), memoryview(self.threshold),
-                      memoryview(self.children))
+                      memoryview(self.children[1::2]),
+                      memoryview(self.children[0::2]))
         self.value_view = memoryview(value) if value.ndim == 1 else None
         # mean leaf depth over all leaves: the steps a (row, tree) walk
         # takes, plus one to see it has reached its leaf
@@ -180,27 +181,34 @@ class _NodeTable:
         (so go left); they return the same leaves.
         """
         if X.shape[0] <= self.walk_max_rows:
-            return np.array(self.walk(X), np.int64).reshape(
+            return np.array(self.walk(X.tolist()), np.int64).reshape(
                 X.shape[0], len(self.roots))
-        node = np.tile(self.offsets[:-1], (X.shape[0], 1))
-        rows = np.arange(X.shape[0])[:, None]
+        n, n_features = X.shape
+        node = np.tile(self.offsets[:-1], (n, 1))
+        # flat indices into X: ``take`` skips fancy indexing's broadcast
+        row_start = np.arange(0, n * n_features, n_features)[:, None]
+        flat = np.ascontiguousarray(X).ravel()
         for _ in range(self.rounds):
-            go_left = X[rows, self.feature[node]] <= self.threshold[node]
-            node = self.children[2 * node + go_left]
+            go_left = (flat.take(row_start + self.feature.take(node))
+                       <= self.threshold.take(node))
+            node = self.children.take(2 * node + go_left)
         return node
 
-    def walk(self, X: np.ndarray) -> list:
+    def walk(self, rows: list) -> list:
         """Leaf ids of each row's trees, one list per row: each
         (row, tree) pair descends in Python until it reaches a leaf,
-        whose children point back to it."""
-        feature, threshold, children = self.views
+        whose children point back to it.  ``rows`` are lists of Python
+        floats (``X.tolist()``), so every test compares two floats."""
+        feature, threshold, left, right = self.views
         out = []
-        for row in X.tolist():
+        for row in rows:
             leaves = []
             for node in self.roots:
                 while True:
-                    child = children[2 * node
-                                     + (row[feature[node]] <= threshold[node])]
+                    if row[feature[node]] <= threshold[node]:
+                        child = left[node]
+                    else:
+                        child = right[node]
                     if child == node:
                         break
                     node = child

@@ -14,9 +14,13 @@ replaces gate-level simulation for any workload, corner, and clock.
   :func:`~repro.core.features.build_feature_matrix` would build.
   Served predictions are therefore bit-identical to offline ones;
 * incoming requests are **micro-batched**: any mix of corners, clocks,
-  and streams for one model collapses into a single vectorized
-  ``RandomForestRegressor`` pass, because voltage and temperature are
-  feature columns, not separate models;
+  and streams for one model collapses into a single regressor pass,
+  because voltage and temperature are feature columns, not separate
+  models.  A batch small enough for the forest to walk row by row
+  (at most its ``walk_max_rows``, a few requests) is built as Python
+  float rows by :func:`~repro.core.features.feature_row` and never
+  becomes a numpy array; a larger one is one float32 feature matrix
+  descended in numpy rounds;
 * when no published model matches an FU the engine **falls back to
   gate-level simulation** through
   :class:`~repro.flow.campaign.CampaignRunner`, chaining each stream's
@@ -29,6 +33,7 @@ import math
 import numbers
 import threading
 from collections import OrderedDict
+from itertools import chain
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -36,9 +41,9 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from ..circuits.functional_units import FunctionalUnit, build_functional_unit
-from ..core.features import operand_bits
+from ..core.features import feature_row, operand_bits
 from ..flow.campaign import DEFAULT_BACKEND, CampaignJob, CampaignRunner
-from ..timing.corners import OperatingCondition
+from ..timing.corners import OperatingCondition, check_condition
 from ..workloads.streams import OperandStream
 from .registry import ModelRegistry
 
@@ -182,7 +187,7 @@ def validate_request(request: PredictRequest, fu_lookup,
     state.
     """
     try:
-        request.condition()  # validates the (V, T) ranges
+        check_condition(request.voltage, request.temperature)
         fu = fu_lookup(request.fu)
         width = operand_width or fu.operand_width
         for name in ("a", "b", "prev_a", "prev_b"):
@@ -362,17 +367,17 @@ class PredictionEngine:
                 self.stats.failed += 1
                 continue
             groups.setdefault(req.fu, []).append(i)
-            self.stats.per_fu[req.fu] = self.stats.per_fu.get(req.fu, 0) + 1
 
         for fu_name, idxs in groups.items():
+            per_fu = self.stats.per_fu
+            per_fu[fu_name] = per_fu.get(fu_name, 0) + len(idxs)
             resolved = models[fu_name]
             try:
                 if resolved is not None:
                     model, record = resolved
                     batch = self._predict_with_model(
-                        fu_name, model, [requests[i] for i in idxs])
-                    for pred in batch:
-                        pred.model_id = record.model_id
+                        fu_name, model, record.model_id,
+                        [requests[i] for i in idxs])
                     self.stats.served_by_model += len(idxs)
                 elif self.sim_fallback:
                     batch = self._predict_with_sim(
@@ -406,8 +411,10 @@ class PredictionEngine:
             return resolved[0].spec.operand_width
         return self._functional_unit(fu_name).operand_width
 
-    def _chain_history(self, fu_name: str, requests: List[PredictRequest]):
-        """Current/previous operand arrays, advancing stored state.
+    def _chain_history(self, fu_name: str, requests: List[PredictRequest]
+                       ) -> List[Tuple[int, int, int, int]]:
+        """``(a, b, prev_a, prev_b)`` of each request as Python ints,
+        advancing stored state.
 
         Request i's history is (in priority order) its explicit
         ``prev_*``, the previous request on the same stream within this
@@ -416,47 +423,55 @@ class PredictionEngine:
         transition, matching a two-row stream ``[x, x]``).  Operands
         were range-checked by :func:`validate_request`.
         """
-        cur_a = np.empty(len(requests), dtype=np.uint64)
-        cur_b = np.empty(len(requests), dtype=np.uint64)
-        prev_a = np.empty(len(requests), dtype=np.uint64)
-        prev_b = np.empty(len(requests), dtype=np.uint64)
-        for i, req in enumerate(requests):
-            a, b = req.a, req.b
+        history = self._history
+        words = []
+        for req in requests:
+            a, b = int(req.a), int(req.b)
             state_key = (fu_name, req.stream_id)
             if req.prev_a is not None or req.prev_b is not None:
-                pa = req.prev_a if req.prev_a is not None else a
-                pb = req.prev_b if req.prev_b is not None else b
+                pa = int(req.prev_a) if req.prev_a is not None else a
+                pb = int(req.prev_b) if req.prev_b is not None else b
             else:
-                pa, pb = self._history.get(state_key, (a, b))
-            cur_a[i], cur_b[i] = a, b
-            prev_a[i], prev_b[i] = pa, pb
-            self._history[state_key] = (a, b)
-            self._history.move_to_end(state_key)
-        while len(self._history) > self.max_streams:
-            self._history.popitem(last=False)
-        return cur_a, cur_b, prev_a, prev_b
+                pa, pb = history.get(state_key, (a, b))
+            words.append((a, b, pa, pb))
+            history[state_key] = (a, b)
+            history.move_to_end(state_key)
+        while len(history) > self.max_streams:
+            history.popitem(last=False)
+        return words
 
-    def _predict_with_model(self, fu_name: str, model,
+    def _predict_with_model(self, fu_name: str, model, model_id: str,
                             requests: List[PredictRequest]
                             ) -> List[Prediction]:
-        """One vectorized regressor pass over the whole group."""
+        """One regressor pass over the whole group.
+
+        A group the model walks row by row (at most its
+        ``walk_max_rows`` requests) is built as Python float rows by
+        :func:`~repro.core.features.feature_row`; a larger one as one
+        float32 matrix by :func:`~repro.core.features.operand_bits`.
+        Both hold the values of the offline feature rows.
+        """
         spec = model.spec
         width = spec.operand_width
-        cur_a, cur_b, prev_a, prev_b = self._chain_history(
-            fu_name, requests)
+        n_words = 4 if spec.include_history else 2
+        words = self._chain_history(fu_name, requests)
+        n = len(requests)
+        if n <= getattr(model, "walk_max_rows", 0):
+            X = [feature_row(w[:n_words], req.voltage, req.temperature,
+                             width)
+                 for w, req in zip(words, requests)]
+        else:
+            flat = np.fromiter(chain.from_iterable(words), np.uint64, 4 * n)
+            bits = operand_bits(flat.reshape(n, 4)[:, :n_words].ravel(),
+                                width)
+            volts = np.array([req.voltage for req in requests], np.float32)
+            temps = np.array([req.temperature for req in requests],
+                             np.float32)
+            X = np.concatenate((bits.reshape(n, -1), volts[:, None],
+                                temps[:, None]), axis=1)
 
-        parts = [operand_bits(cur_a, width), operand_bits(cur_b, width)]
-        if spec.include_history:
-            parts += [operand_bits(prev_a, width),
-                      operand_bits(prev_b, width)]
-        volts = np.array([r.voltage for r in requests],
-                         dtype=np.float32)[:, None]
-        temps = np.array([r.temperature for r in requests],
-                         dtype=np.float32)[:, None]
-        X = np.concatenate(parts + [volts, temps], axis=1)
-
-        delays = model.predict_delay(X)
-        return [self._finish(req, float(d), "model")
+        delays = np.asarray(model.predict_delay(X)).tolist()
+        return [self._finish(req, float(d), "model", model_id)
                 for req, d in zip(requests, delays)]
 
     def _predict_with_sim(self, fu_name: str,
@@ -470,8 +485,7 @@ class PredictionEngine:
         ``(corner row, cycle)`` cell of the resulting delay matrix.
         """
         fu = self._functional_unit(fu_name)
-        cur_a, cur_b, prev_a, prev_b = self._chain_history(
-            fu_name, requests)
+        words = self._chain_history(fu_name, requests)
 
         # split into chained segments: a segment breaks where a
         # request's history is not the previous request's operands
@@ -480,8 +494,7 @@ class PredictionEngine:
         for i, req in enumerate(requests):
             seg_idx = seg_stream.get(req.stream_id)
             if (seg_idx is not None
-                    and prev_a[i] == cur_a[segments[seg_idx][-1]]
-                    and prev_b[i] == cur_b[segments[seg_idx][-1]]):
+                    and words[i][2:] == words[segments[seg_idx][-1]][:2]):
                 segments[seg_idx].append(i)
             else:
                 seg_stream[req.stream_id] = len(segments)
@@ -497,8 +510,10 @@ class PredictionEngine:
 
         jobs = []
         for seg in segments:
-            a = np.concatenate(([prev_a[seg[0]]], cur_a[seg]))
-            b = np.concatenate(([prev_b[seg[0]]], cur_b[seg]))
+            # the first request's history, then each request's operands
+            first = words[seg[0]]
+            a = np.array([first[2]] + [words[i][0] for i in seg], np.uint64)
+            b = np.array([first[3]] + [words[i][1] for i in seg], np.uint64)
             stream = OperandStream(
                 f"serve_{fu_name}_{requests[seg[0]].stream_id}", a, b)
             jobs.append(CampaignJob(fu, stream, conditions))
@@ -513,13 +528,13 @@ class PredictionEngine:
         return [r for r in results if r is not None]
 
     @staticmethod
-    def _finish(req: PredictRequest, delay: float,
-                source: str) -> Prediction:
+    def _finish(req: PredictRequest, delay: float, source: str,
+                model_id: Optional[str] = None) -> Prediction:
         # clock_period was validated up front, before history advanced
         timing_error = (None if req.clock_period is None
                         else bool(delay > req.clock_period))
-        return Prediction(ok=True, delay_ps=delay,
-                          timing_error=timing_error, source=source)
+        # positional: a keyword call costs about as much as the rest
+        return Prediction(True, delay, timing_error, source, model_id)
 
     # -- introspection --------------------------------------------------------
 

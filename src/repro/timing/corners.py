@@ -13,6 +13,17 @@ from dataclasses import dataclass
 from typing import Iterator, List, Sequence, Tuple
 
 
+def check_condition(voltage: float, temperature: float) -> None:
+    """Raise ValueError unless ``(voltage, temperature)`` may form an
+    :class:`OperatingCondition`; checks a pair without building one."""
+    if not 0 < voltage < math.inf:  # False for NaN too
+        raise ValueError(
+            f"voltage must be finite and positive, got {voltage}")
+    if not (-55.0 <= temperature <= 150.0):
+        raise ValueError(
+            f"temperature {temperature} C outside sane silicon range")
+
+
 @dataclass(frozen=True, order=True)
 class OperatingCondition:
     """One ``(V, T)`` pair.  Voltage in volts, temperature in Celsius."""
@@ -21,13 +32,7 @@ class OperatingCondition:
     temperature: float
 
     def __post_init__(self) -> None:
-        if not 0 < self.voltage < math.inf:  # False for NaN too
-            raise ValueError(
-                f"voltage must be finite and positive, got {self.voltage}")
-        if not (-55.0 <= self.temperature <= 150.0):
-            raise ValueError(
-                f"temperature {self.temperature} C outside sane silicon range"
-            )
+        check_condition(self.voltage, self.temperature)
 
     @property
     def label(self) -> str:

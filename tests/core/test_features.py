@@ -7,9 +7,11 @@ from repro.core.features import (
     FeatureSpec,
     build_feature_matrix,
     build_training_set,
+    feature_row,
+    operand_bits,
     stream_bits,
 )
-from repro.timing import OperatingCondition
+from repro.timing import OperatingCondition, paper_corner_grid
 from repro.workloads import OperandStream, random_stream
 
 
@@ -49,6 +51,23 @@ class TestStreamBits:
         word = int(stream.b[5])
         got = sum(int(bits[5, 32 + i]) << i for i in range(32))
         assert got == word
+
+
+    @pytest.mark.parametrize("width", [1, 3, 8, 13, 32, 64])
+    def test_operand_bits_match_shift_and_mask(self, width):
+        top = (1 << width) - 1
+        rng = np.random.default_rng(width)
+        words = np.concatenate((np.array([0, top, top >> 1], np.uint64),
+                                rng.integers(0, top, 40, endpoint=True,
+                                             dtype=np.uint64)))
+        ref = (words[:, None] >> np.arange(width, dtype=np.uint64)) & 1
+        bits = operand_bits(words, width)
+        assert bits.dtype == np.float32 and bits.shape == (43, width)
+        np.testing.assert_array_equal(bits, ref)
+        # a strided column of a 2-D array gives the same rows
+        pairs = np.stack((words, words[::-1]), axis=1)
+        np.testing.assert_array_equal(operand_bits(pairs[:, 1], width),
+                                      ref[::-1])
 
 
 class TestBuildFeatureMatrix:
@@ -95,3 +114,40 @@ class TestBuildTrainingSet:
             build_training_set(stream, [COND], np.zeros((2, 10)))
         with pytest.raises(ValueError):
             build_training_set(stream, [COND], np.zeros((1, 7)))
+
+
+class TestFeatureRow:
+    @pytest.mark.parametrize("history", [True, False])
+    @pytest.mark.parametrize("width", [8, 32])
+    def test_rows_equal_the_feature_matrix_on_every_corner(self, width,
+                                                           history):
+        """Row for row, as float64 bytes: the bits of random operands
+        and of ``0`` and ``2**w - 1``, and V/T rounded to float32 (0.81
+        and 0.83 are not float32 values), on all 100 Table-I corners."""
+        top = (1 << width) - 1
+        rng = np.random.default_rng(width)
+        a = np.concatenate((rng.integers(0, top, 8, endpoint=True),
+                            [0, top, 0, top, top]))
+        b = np.concatenate((rng.integers(0, top, 8, endpoint=True),
+                            [top, 0, 0, top, top]))
+        stream = OperandStream("row", a, b)
+        spec = FeatureSpec(operand_width=width, include_history=history)
+        words = [(int(a[t]), int(b[t]), int(a[t - 1]), int(b[t - 1]))
+                 [:4 if history else 2] for t in range(1, len(a))]
+        for cond in paper_corner_grid():
+            X = build_feature_matrix(stream, cond, spec).astype(np.float64)
+            rows = [feature_row(w, cond.voltage, cond.temperature, width)
+                    for w in words]
+            assert all(type(x) is float for row in rows for x in row)
+            assert np.array(rows).tobytes() == X.tobytes(), cond
+
+    @pytest.mark.parametrize("word", [256, -1, 2**40])
+    def test_operand_outside_width_raises(self, word):
+        with pytest.raises(ValueError, match="does not fit in 8 bits"):
+            feature_row((1, word), 0.9, 25.0, operand_width=8)
+        with pytest.raises(ValueError, match="does not fit in 8 bits"):
+            feature_row((word, 1, 0, 0), 0.9, 25.0, operand_width=8)
+
+    def test_odd_width_drops_the_padding_bits(self):
+        row = feature_row((0b101, 0b11), 1.0, 0.0, operand_width=3)
+        assert row == [1.0, 0.0, 1.0, 1.0, 1.0, 0.0, 1.0, 0.0]

@@ -13,6 +13,8 @@ from repro.ml import (
     NotFittedError,
     RandomForestRegressor,
 )
+from repro.ml import forest
+from repro.ml.base import check_X
 from repro.ml.metrics import accuracy_score, r2_score
 from repro.ml.tree import _gini_gains, _sse_gains
 
@@ -421,6 +423,44 @@ def edge_rows(table, X, n=200, seed=7):
 
 
 class TestNodeTable:
+    def test_predict_rows_walks_python_rows_to_the_predict_bits(
+            self, monkeypatch):
+        """Up to ``walk_max_rows`` rows are walked as given, without an
+        array; larger batches go through ``predict``.  Either way the
+        bytes equal ``predict`` on the same rows, ties and signed zeros
+        included."""
+        X, y = signed_and_bits()
+        model = RandomForestRegressor(n_estimators=3, random_state=0)
+        table = model.fit(X, y)._table()
+        rows = np.nan_to_num(edge_rows(table, X))
+        crossover = model.walk_max_rows
+        assert crossover == table.walk_max_rows
+        want = {size: model.predict(rows[:size])
+                for size in [*range(1, crossover + 2), 64]}
+        checks = []
+        monkeypatch.setattr(forest, "check_X", lambda X, n: checks.append(
+            len(X)) or check_X(X, n))
+        for size, expected in want.items():
+            got = model.predict_rows(rows[:size].tolist())
+            assert got.tobytes() == expected.tobytes(), size
+        assert checks == [crossover + 1, 64]
+
+    @pytest.mark.parametrize("row, message", [
+        ([np.nan, 0.5, 0, 1, 0, 1], "X contains NaN or infinity"),
+        ([1.0, -np.inf, 0, 1, 0, 1], "X contains NaN or infinity"),
+        ([1.0, 0.5, 0, 1, 0], "X has 5 features, model was fit with 6"),
+    ])
+    def test_predict_rows_rejects_what_predict_rejects(self, row, message):
+        X, y = signed_and_bits()
+        model = RandomForestRegressor(n_estimators=3, random_state=0)
+        model.fit(X, y)
+        with pytest.raises(ValueError, match=message):
+            model.predict_rows([row])
+        with pytest.raises(ValueError):  # after a good row
+            model.predict_rows([X[0].tolist(), row])
+        with pytest.raises(ValueError, match="X must be 2-D"):
+            model.predict_rows([])
+
     def test_walk_takes_the_branches_of_the_numpy_rounds(self):
         X, y = signed_and_bits()
         model = RandomForestRegressor(n_estimators=3, random_state=0)
@@ -429,7 +469,9 @@ class TestNodeTable:
         assert 1 <= table.walk_max_rows < len(rows)
         rounds = table.leaves(rows)
         assert rounds.dtype == np.int64
-        np.testing.assert_array_equal(np.array(table.walk(rows)), rounds)
+        # the walk takes Python rows: NaN and -0.0 survive tolist()
+        np.testing.assert_array_equal(np.array(table.walk(rows.tolist())),
+                                      rounds)
         for i in range(len(rows)):         # leaves() walks one row
             np.testing.assert_array_equal(table.leaves(rows[i:i + 1]),
                                           rounds[i:i + 1])
@@ -449,5 +491,6 @@ class TestNodeTable:
         # the walk reads the table's own arrays, not copies
         for view, array in zip(table.views + (table.value_view,),
                                (table.feature, table.threshold,
-                                table.children, table.value)):
+                                table.children, table.children,
+                                table.value)):
             assert np.shares_memory(np.asarray(view), array)

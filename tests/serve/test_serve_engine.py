@@ -10,14 +10,16 @@ import pytest
 
 from repro.circuits import build_functional_unit
 from repro.core import TEVoT, build_training_set, make_tevot_nh
+from repro.core.features import build_feature_matrix
 from repro.flow import CampaignJob, CampaignRunner
+from repro.ml import LinearRegression
 from repro.serve import (
     ModelRegistry,
     PredictionEngine,
     PredictRequest,
 )
 from repro.timing import OperatingCondition
-from repro.workloads import random_stream
+from repro.workloads import OperandStream, random_stream
 
 CONDS = [OperatingCondition(0.81, 0.0), OperatingCondition(1.00, 100.0)]
 FU_KW = dict(width=8)
@@ -131,6 +133,124 @@ class TestModelParity:
                                                       tevot.spec))[0]
         assert p1.delay_ps == r1
         assert p2.delay_ps == r2
+
+
+def _offline(model, requests, history):
+    """Offline ``predict_delay`` of each request, one batch, from the
+    feature rows ``build_feature_matrix`` makes of the two-row stream
+    ``[history, operands]``."""
+    X = np.concatenate([build_feature_matrix(
+        OperandStream("offline", [pa, req.a], [pb, req.b]),
+        req.condition(), model.spec)
+        for req, (pa, pb) in zip(requests, history)])
+    return model.predict_delay(X)
+
+
+@pytest.fixture
+def feature_kinds(monkeypatch):
+    """Records, per ``TEVoT.predict_delay`` call, whether the engine
+    passed Python rows (``list``) or a matrix, and how many."""
+    calls = []
+    predict_delay = TEVoT.predict_delay
+
+    def spy(self, X):
+        calls.append((type(X).__name__, len(X)))
+        return predict_delay(self, X)
+
+    monkeypatch.setattr(TEVoT, "predict_delay", spy)
+    return calls
+
+
+class TestWalkCrossover:
+    """Batches up to the forest's ``walk_max_rows`` are served from
+    Python feature rows, larger ones from a feature matrix; both give
+    the offline delays bit for bit."""
+
+    @pytest.mark.parametrize("kind", ["tevot", "tevot_nh"])
+    def test_batches_across_the_crossover_match_offline(
+            self, published, feature_kinds, kind):
+        registry, tevot, nh = published
+        model = tevot if kind == "tevot" else nh
+        crossover = model.walk_max_rows
+        assert 1 <= crossover < 63
+        sizes = [1, crossover, crossover + 1, 64]
+        stream = random_stream(sum(sizes), operand_width=8, seed=11)
+        # one chained stream over both corners, cut into those batches
+        reqs = [PredictRequest(
+            fu="int_add", a=int(stream.a[t]), b=int(stream.b[t]),
+            voltage=CONDS[t % 2].voltage,
+            temperature=CONDS[t % 2].temperature, stream_id="cross")
+            for t in range(len(stream.a))]
+        history = [(req.a, req.b) for req in reqs[:1]] \
+            + [(req.a, req.b) for req in reqs[:-1]]
+        engine = PredictionEngine(registry=registry, kind=kind)
+        feature_kinds.clear()
+        served, start = [], 0
+        for size in sizes + [len(reqs) - sum(sizes)]:
+            out = engine.predict_batch(reqs[start:start + size])
+            assert all(p.ok and p.source == "model" for p in out)
+            served += [p.delay_ps for p in out]
+            start += size
+        assert feature_kinds[:4] == [("list", 1), ("list", crossover),
+                                     ("ndarray", crossover + 1),
+                                     ("ndarray", 64)]
+        expected = _offline(model, reqs, history)
+        assert np.array(served).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("size", ["walk", "matrix"])
+    def test_explicit_prev_and_rejected_request(self, published, size):
+        """Explicit ``prev_*`` override the stream's history, and a
+        rejected request neither gets a row nor advances history."""
+        registry, tevot, _ = published
+        n = tevot.walk_max_rows if size == "walk" else 12
+        cond = CONDS[1]
+        base = dict(fu="int_add", voltage=cond.voltage,
+                    temperature=cond.temperature, stream_id="explicit")
+        reqs = [PredictRequest(a=10 + i, b=200 - i, **base)
+                for i in range(n - 1)]
+        reqs[0].prev_a, reqs[0].prev_b = 7, 9        # both explicit
+        if n > 2:
+            reqs[1].prev_b = 255                     # b only; a is own
+        reqs.insert(n // 2, PredictRequest(a=256, b=1, **base))
+        engine = PredictionEngine(registry=registry)
+        out = engine.predict_batch(reqs)
+        bad = reqs.pop(n // 2)
+        assert not out.pop(n // 2).ok and bad.a == 256
+        history = [(7, 9)] + [(prev.a, prev.b) for prev in reqs[:-1]]
+        if n > 2:
+            history[1] = (reqs[1].a, 255)
+        expected = _offline(tevot, reqs, history)
+        assert np.array([p.delay_ps for p in out]).tobytes() \
+            == expected.tobytes()
+        assert engine._history[("int_add", "explicit")] == (reqs[-1].a,
+                                                           reqs[-1].b)
+
+    def test_non_forest_regressor_is_served_from_a_matrix(
+            self, tmp_path, feature_kinds):
+        fu = build_functional_unit("int_add", **FU_KW)
+        stream = random_stream(40, operand_width=8, seed=12)
+        stream.name = "lr_train"
+        trace = CampaignRunner(use_cache=False).run(
+            [CampaignJob(fu, stream, CONDS)])[0]
+        model = TEVoT(regressor=LinearRegression(), operand_width=8)
+        model.fit(*build_training_set(stream, CONDS, trace.delays,
+                                      spec=model.spec))
+        assert model.walk_max_rows == 0
+        registry = ModelRegistry(tmp_path)
+        registry.publish(model, fu=fu, conditions=CONDS,
+                         train_stream=stream)
+        engine = PredictionEngine(registry=registry)
+        query = random_stream(6, operand_width=8, seed=13)
+        reqs = _requests(query, CONDS[0], stream_id="lr")
+        feature_kinds.clear()
+        served = [engine.predict_one(req).delay_ps for req in reqs[:1]]
+        served += [p.delay_ps for p in engine.predict_batch(reqs[1:])]
+        assert feature_kinds == [("ndarray", 1), ("ndarray", 6)]
+        history = [(reqs[0].a, reqs[0].b)] + [(r.a, r.b) for r in reqs[:-1]]
+        # a matmul's last bits depend on the batch: compare batch by batch
+        expected = np.concatenate((_offline(model, reqs[:1], history[:1]),
+                                   _offline(model, reqs[1:], history[1:])))
+        assert np.array(served).tobytes() == expected.tobytes()
 
 
 class TestClockClassification:
