@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import (
@@ -593,20 +592,16 @@ class ServeSpec(Spec):
                 or not 0 <= self.port <= 65535:
             raise SpecError(f"port must be 0..65535, got {self.port!r}")
         _require_str("kind", self.kind)
-        object.__setattr__(self, "batch_window_ms",
-                           float(self.batch_window_ms))
-        if not (math.isfinite(self.batch_window_ms)
-                and self.batch_window_ms >= 0):
-            raise SpecError(f"batch_window_ms must be finite and >= 0, "
-                            f"got {self.batch_window_ms!r}")
-        _require_positive_int("max_batch", self.max_batch)
-        _require_positive_int("max_queue", self.max_queue)
-        object.__setattr__(self, "default_deadline_ms",
-                           float(self.default_deadline_ms))
-        if not (math.isfinite(self.default_deadline_ms)
-                and self.default_deadline_ms >= 0):
-            raise SpecError(f"default_deadline_ms must be finite and >= 0 "
-                            f"(0 disables), got {self.default_deadline_ms!r}")
+        # the batcher's own rules, imported here so that only serving
+        # pulls in the serve package
+        from ..serve.server import BATCHING_RULES, check_batching
+
+        for name in BATCHING_RULES:
+            try:
+                value = check_batching(name, getattr(self, name))
+            except ValueError as exc:
+                raise SpecError(str(exc)) from None
+            object.__setattr__(self, name, value)
         if self.request_log is not None:
             _require_str("request_log", self.request_log)
         _require_bool("fallback", self.fallback)

@@ -102,16 +102,6 @@ def subtractor(b: CircuitBuilder, a: Bus, x: Bus) -> Tuple[Bus, int]:
     return ripple_carry_adder(b, a, inv, b.const_bit(1))
 
 
-def incrementer(b: CircuitBuilder, a: Bus) -> Tuple[Bus, int]:
-    """``a + 1`` via a half-adder chain (cheaper than a full adder)."""
-    carry = b.const_bit(1)
-    sums: List[int] = []
-    for ai in a:
-        s, carry = b.half_adder(ai, carry)
-        sums.append(s)
-    return Bus(sums), carry
-
-
 ADDER_ARCHITECTURES = {
     "ripple": ripple_carry_adder,
     "cla": carry_lookahead_adder,

@@ -94,12 +94,6 @@ class CircuitBuilder:
     def or_(self, a: int, b: int) -> int:
         return self.netlist.add_gate(GateType.OR2, (a, b))
 
-    def nand_(self, a: int, b: int) -> int:
-        return self.netlist.add_gate(GateType.NAND2, (a, b))
-
-    def nor_(self, a: int, b: int) -> int:
-        return self.netlist.add_gate(GateType.NOR2, (a, b))
-
     def xor_(self, a: int, b: int) -> int:
         return self.netlist.add_gate(GateType.XOR2, (a, b))
 

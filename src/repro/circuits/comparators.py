@@ -31,14 +31,6 @@ def unsigned_compare(b: CircuitBuilder, a: Bus, x: Bus) -> Tuple[int, int, int]:
     return lt, eq, gt
 
 
-def unsigned_less_than(b: CircuitBuilder, a: Bus, x: Bus) -> int:
-    """1 iff ``a < x`` (unsigned), via the borrow of a subtractor."""
-    from .adders import subtractor
-
-    _, no_borrow = subtractor(b, a, x)
-    return b.not_(no_borrow)
-
-
 def build_comparator(width: int = 32):
     """Standalone comparator netlist with lt/eq/gt outputs."""
     b = CircuitBuilder(name=f"cmp{width}")

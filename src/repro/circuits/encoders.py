@@ -1,4 +1,4 @@
-"""Priority encoders and leading-zero counters.
+"""Leading-zero counters.
 
 The FP adder's normalization stage needs a leading-zero count (LZC) of
 the mantissa sum; it is built recursively from half-width LZCs, the
@@ -62,19 +62,6 @@ def leading_zero_counter(b: CircuitBuilder, data: Bus) -> Tuple[Bus, int]:
     zero = b.const_bit(0)
     count = (count + [zero] * need)[:need]
     return Bus(count), all_zero
-
-
-def priority_encoder(b: CircuitBuilder, data: Bus) -> Tuple[Bus, int]:
-    """Index of the most-significant set bit; returns ``(index, valid)``."""
-    width = len(data)
-    count, all_zero = leading_zero_counter(b, data)
-    # index = width - 1 - clz, computed with a small subtractor on constants.
-    from .adders import subtractor
-
-    const = b.const_bus(width - 1, len(count))
-    diff, _ = subtractor(b, const, count)
-    need = max(1, math.ceil(math.log2(max(width, 2))))
-    return Bus(diff[:need]), b.not_(all_zero)
 
 
 def build_lzc(width: int = 32):

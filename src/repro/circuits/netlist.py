@@ -224,13 +224,6 @@ class Netlist:
             return max(level[o] for o in self.primary_outputs)
         return max(level[g.output] for g in self.gates)
 
-    def gate_histogram(self) -> Dict[GateType, int]:
-        """Count of gates per type, for area/reporting."""
-        hist: Dict[GateType, int] = {}
-        for g in self.gates:
-            hist[g.gtype] = hist.get(g.gtype, 0) + 1
-        return hist
-
     # -- validation ---------------------------------------------------------
 
     def validate(self) -> None:

@@ -51,17 +51,6 @@ def barrel_shift_left(b: CircuitBuilder, data: Bus, amount: Bus) -> Bus:
     return Bus(cur)
 
 
-def rotate_left(b: CircuitBuilder, data: Bus, amount: Bus) -> Bus:
-    """Rotate left by the unsigned value of ``amount`` (mod width)."""
-    cur = list(data)
-    n = len(cur)
-    for stage, sel in enumerate(amount):
-        shift = (1 << stage) % n
-        rotated = cur[-shift:] + cur[:-shift] if shift else list(cur)
-        cur = [b.mux(sel, keep, rot) for keep, rot in zip(cur, rotated)]
-    return Bus(cur)
-
-
 def build_barrel_shifter(width: int = 32, direction: str = "right"):
     """Standalone barrel shifter netlist (for tests and ablations)."""
     import math

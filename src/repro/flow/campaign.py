@@ -277,12 +277,12 @@ class CampaignRunner:
         run on (e.g. shared across runners by a Workspace).  The
         runner never closes a pool it was given; without one it
         lazily creates and owns a pool sized ``n_workers``.
-    checkpoint:
-        Journal completed shards of multi-shard jobs through the
-        store (see :meth:`TraceStore.record_journal_shard`) so a
-        killed campaign's rerun resumes instead of re-simulating
-        (``CampaignStats.resumed_shards``).  Requires a store; never
-        affects results.
+
+    With a store, completed shards of multi-shard jobs are journaled
+    through it (see :meth:`TraceStore.record_journal_shard`) so a
+    killed campaign's rerun resumes instead of re-simulating
+    (``CampaignStats.resumed_shards``); the journal never affects
+    results.
     """
 
     def __init__(self, backend: str = DEFAULT_BACKEND,
@@ -290,8 +290,7 @@ class CampaignRunner:
                  n_workers: int = 1, use_cache: bool = True,
                  shard_cycles: Optional[int] = None,
                  shard_corners: Optional[int] = None,
-                 pool: Optional[WorkerPool] = None,
-                 checkpoint: bool = True) -> None:
+                 pool: Optional[WorkerPool] = None) -> None:
         if n_workers < 1:
             raise ValueError("n_workers must be >= 1")
         if shard_cycles is not None and shard_cycles < 1:
@@ -309,7 +308,6 @@ class CampaignRunner:
         self.n_workers = n_workers
         self.shard_cycles = shard_cycles
         self.shard_corners = shard_corners
-        self.checkpoint = checkpoint
         self._pool = pool
         self._owns_pool = False
         self.stats = CampaignStats()
@@ -392,10 +390,9 @@ class CampaignRunner:
         # checkpoint/resume: a killed campaign's rerun reuses the
         # journaled shard plan (a fresh plan need not tile the same
         # way) and skips the shards whose parts survived
-        checkpointing = self.store is not None and self.checkpoint
         done_parts: List[List[Tuple[Shard, np.ndarray]]] = [
             [] for _ in pending]
-        if checkpointing:
+        if self.store is not None:
             for pos, (i, job, key, inputs) in enumerate(pending):
                 n_cycles, n_corners = grids[pos]
                 state = self.store.load_journal(
@@ -414,7 +411,7 @@ class CampaignRunner:
         # journal only multi-shard jobs: a single-shard job's
         # checkpoint could never save work over plain re-simulation
         journal_pos = {pos for pos in range(len(pending))
-                       if checkpointing and len(plans[pos]) > 1}
+                       if self.store is not None and len(plans[pos]) > 1}
         seconds = [0.0] * len(pending)
 
         def shard_done(pos: int, shard: Shard, delays: np.ndarray,
@@ -456,8 +453,7 @@ class CampaignRunner:
                                library=job.library,
                                delay_model=model,
                                backend=self.backend)
-                if checkpointing and (pos in journal_pos
-                                      or done_parts[pos]):
+                if pos in journal_pos or done_parts[pos]:
                     self.store.clear_journal(key)
             results[i] = trace
             self.stats.misses += 1

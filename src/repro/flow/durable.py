@@ -132,10 +132,10 @@ def write_envelope(path: Union[str, Path], payload: Dict, *,
 def read_envelope(path: Union[str, Path]) -> Tuple[Dict, int]:
     """Read an envelope, verifying its checksum.
 
-    Returns ``(payload, generation)``.  A pre-envelope plain-dict
-    manifest is returned as generation 0 (upgraded on next write).
-    Raises :class:`ManifestCorrupt` on any parse/shape/checksum failure
-    and FileNotFoundError when the file does not exist.
+    Returns ``(payload, generation)``.  Raises :class:`ManifestCorrupt`
+    on any parse/shape/checksum failure, an object without an
+    ``envelope_version`` included, and FileNotFoundError when the file
+    does not exist.
     """
     path = Path(path)
     with open(path, encoding="utf-8") as fh:
@@ -146,11 +146,10 @@ def read_envelope(path: Union[str, Path]) -> Tuple[Dict, int]:
         raise ManifestCorrupt(f"{path}: unparsable JSON: {exc}") from None
     if not isinstance(obj, dict):
         raise ManifestCorrupt(f"{path}: manifest is not an object")
-    if "envelope_version" not in obj:
-        return obj, 0  # legacy plain manifest
-    if obj["envelope_version"] != ENVELOPE_VERSION:
+    if obj.get("envelope_version") != ENVELOPE_VERSION:
         raise ManifestCorrupt(
-            f"{path}: unknown envelope_version {obj['envelope_version']!r}")
+            f"{path}: unknown envelope_version "
+            f"{obj.get('envelope_version')!r}")
     payload = obj.get("payload")
     if not isinstance(payload, dict):
         raise ManifestCorrupt(f"{path}: envelope payload is not an object")

@@ -92,13 +92,13 @@ def read_manifest(path: Path, *, version_key: str, version: int,
     A missing file or a schema-version mismatch yields
     ``{version_key: version, entries_key: {}}`` — incompatible layouts
     are ignored rather than misread.  A *corrupt* manifest (unparsable,
-    or failing its envelope checksum) is quarantined and rebuilt from
-    the store's own files: ``entry_of`` maps each file in the manifest's
-    directory matching ``pattern`` to ``(key, entry)``, or to None for
-    an unreadable one.  The rebuild warns once (naming the store by
-    ``label``) and is persisted best-effort under the store lock
-    ``lock_name`` with fault point ``site``, so the next reader skips
-    the rescan.
+    not an envelope, or failing its envelope checksum) is quarantined
+    and rebuilt from the store's own files: ``entry_of`` maps each file
+    in the manifest's directory matching ``pattern`` to
+    ``(key, entry)``, or to None for one it cannot describe.  The
+    rebuild warns once (naming the store by ``label``) and is persisted
+    best-effort under the store lock ``lock_name`` with fault point
+    ``site``, so the next reader skips the rescan.
     """
     fresh = {version_key: version, entries_key: {}}
     try:

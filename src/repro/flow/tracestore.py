@@ -42,7 +42,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..circuits.functional_units import FunctionalUnit, available_units
+from ..circuits.functional_units import FunctionalUnit
 from ..sim.dta import DelayTrace
 from ..testing import faults
 from ..timing.cells import CellLibrary
@@ -148,9 +148,8 @@ class TraceStore:
     # -- manifest -------------------------------------------------------------
 
     def _read_manifest(self) -> Dict:
-        # blob files are self-describing (embedded metadata since the
-        # durable layer landed; key-embedding filenames before that), so
-        # a corrupt manifest's entry table is fully recoverable
+        # blob files embed their metadata, so a corrupt manifest's
+        # entry table is fully recoverable
         return read_manifest(self.manifest_path, version_key="store_version",
                              version=STORE_VERSION, entries_key="entries",
                              pattern="dta_*.npz", entry_of=self._blob_entry,
@@ -161,32 +160,16 @@ class TraceStore:
         write_manifest(self.manifest_path, manifest, site=SITE_MANIFEST)
 
     def _blob_entry(self, blob: Path) -> Optional[Tuple[str, Dict]]:
-        """(key, manifest entry) recovered from one blob, else None."""
+        """(key, manifest entry) recovered from one blob's embedded
+        metadata; None for an unreadable blob or one without metadata
+        (skipping it costs at most a re-simulation)."""
         try:
             with np.load(blob) as data:
                 shape = data["delays"].shape
-                meta = (json.loads(data["meta"].item())
-                        if "meta" in data.files else {})
+                meta = json.loads(data["meta"].item())
+            key, fu, stream = meta["key"], meta["fu"], meta["stream"]
         except Exception:
-            return None  # unreadable blob: not worth an entry
-        if not isinstance(meta, dict):
-            meta = {}
-        stem = blob.name[len("dta_"):-len(".npz")]
-        tokens = stem.split("_")
-        key = meta.get("key") or tokens[-1]
-        fu, stream = meta.get("fu"), meta.get("stream")
-        if fu is None:
-            # filename fallback for pre-durable blobs: match the longest
-            # known unit name, the rest of the middle is the stream name
-            middle = "_".join(tokens[:-1])
-            for name in sorted(available_units(), key=len, reverse=True):
-                if middle == name or middle.startswith(name + "_"):
-                    fu = name
-                    stream = middle[len(name) + 1:] or "unknown"
-                    break
-            else:
-                fu = tokens[0]
-                stream = "_".join(tokens[1:-1]) or "unknown"
+            return None
         entry = {
             "file": blob.name,
             "fu": fu,
@@ -230,8 +213,8 @@ class TraceStore:
         except FileNotFoundError:
             return None
         except Exception as exc:
-            # truncated/garbled blob (e.g. a pre-durable writer died
-            # mid-write): quarantine it and treat as a cache miss
+            # truncated/garbled blob: quarantine it and treat as a
+            # cache miss
             quarantined = quarantine(blob)
             warnings.warn(
                 f"unreadable trace blob {blob.name} ({exc}); quarantined "

@@ -51,14 +51,12 @@ from .requestlog import (
     replay_log,
 )
 from .server import (
-    ConfigError,
     MicroBatcher,
     PredictionServer,
     QueueFullError,
 )
 
 __all__ = [
-    "ConfigError",
     "EngineStats",
     "MODEL_KINDS",
     "MicroBatcher",

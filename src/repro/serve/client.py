@@ -287,24 +287,6 @@ class ServeClient:
     def models(self) -> List[Dict]:
         return self._call("/models")["models"]
 
-    def configure(self, batch_window_ms: Optional[float] = None,
-                  max_batch: Optional[int] = None,
-                  max_queue: Optional[int] = None,
-                  default_deadline_ms: Optional[float] = None,
-                  refresh_models: bool = False) -> Dict:
-        payload: Dict = {}
-        if batch_window_ms is not None:
-            payload["batch_window_ms"] = batch_window_ms
-        if max_batch is not None:
-            payload["max_batch"] = max_batch
-        if max_queue is not None:
-            payload["max_queue"] = max_queue
-        if default_deadline_ms is not None:
-            payload["default_deadline_ms"] = default_deadline_ms
-        if refresh_models:
-            payload["refresh_models"] = True
-        return self._call("/config", payload)
-
     def predict_many(self, requests: Sequence[Dict]) -> List[Dict]:
         """Batch predict; returns per-request dicts aligned with input.
 

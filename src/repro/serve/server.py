@@ -8,11 +8,11 @@ loop thread and one batcher thread.
   HTTP/1.1 codec in :mod:`repro.serve.http`, routes them, and writes
   every response.  It never calls into the engine or the registry: a
   ``/predict`` body is parsed there and its rows handed to the batcher
-  with a non-blocking :meth:`MicroBatcher.submit`, ``POST /config``
-  is answered there, and the routes that read the engine or the
-  registry (``/health``, ``/models``, ``/stats``, refreshes) run on a
-  few **admin threads**, which may wait on a running batch or on the
-  registry's store lock while the loop goes on.
+  with a non-blocking :meth:`MicroBatcher.submit`, and the routes
+  that read the engine or the registry (``/health``, ``/models``,
+  ``/stats``, ``/models/refresh``) run on a few **admin threads**,
+  which may wait on a running batch or on the registry's store lock
+  while the loop goes on.
 * The **batcher thread** (:class:`MicroBatcher`) pushes each batch
   through one vectorized
   :meth:`~repro.serve.engine.PredictionEngine.predict_batch`.  A
@@ -47,9 +47,7 @@ Endpoints (all JSON):
 * ``GET  /health``  — ``healthy`` / ``draining``; only ``healthy`` is
   a 200, so load balancers stop routing to a node that is leaving.
 * ``GET  /stats``   — engine + batching counters (shed / expired) and
-  current config.
-* ``POST /config``  — adjust ``batch_window_ms`` / ``max_batch`` /
-  ``max_queue`` / ``default_deadline_ms`` at runtime.
+  the batching settings, which are fixed when the server is built.
 * ``POST /models/refresh`` — re-resolve published models.
 
 The server runs one in-process engine: the forest answers tens of
@@ -131,14 +129,6 @@ class Deadline:
         return f"Deadline(in {self.remaining_s():+.3f}s)"
 
 
-class ConfigError(ValueError):
-    """A rejected runtime-config value; ``field`` names the culprit."""
-
-    def __init__(self, field: str, message: str) -> None:
-        super().__init__(message)
-        self.field = field
-
-
 class QueueFullError(RuntimeError):
     """Raised by :meth:`MicroBatcher.submit` when accepting the
     requests would overflow ``max_queue`` — the HTTP layer turns it
@@ -152,23 +142,25 @@ class QueueFullError(RuntimeError):
         self.retry_after_s = retry_after_s
 
 
-#: runtime knob -> (integer?, minimum, note on the minimum)
-_KNOBS = {"batch_window_ms": (False, 0, ""), "max_batch": (True, 1, ""),
-          "max_queue": (True, 1, ""),
-          "default_deadline_ms": (False, 0, " (0 disables)")}
+#: batching setting -> (integer?, minimum, note on the minimum)
+BATCHING_RULES = {"batch_window_ms": (False, 0, ""),
+                  "max_batch": (True, 1, ""), "max_queue": (True, 1, ""),
+                  "default_deadline_ms": (False, 0, " (0 disables)")}
 
 
-def _check_knob(field: str, value):
-    integer, minimum, note = _KNOBS[field]
+def check_batching(field: str, value):
+    """Validate one :data:`BATCHING_RULES` setting and return it (the
+    two millisecond settings as float).  Raises ValueError naming the
+    field; :class:`MicroBatcher` and the serve spec both apply it."""
+    integer, minimum, note = BATCHING_RULES[field]
     kinds = int if integer else (int, float)
     if isinstance(value, bool) or not isinstance(value, kinds):
         kind = "an integer" if integer else "a number"
-        raise ConfigError(field, f"{field} must be {kind}, got {value!r}")
+        raise ValueError(f"{field} must be {kind}, got {value!r}")
     if not math.isfinite(value):
-        raise ConfigError(field, f"{field} must be finite, got {value!r}")
+        raise ValueError(f"{field} must be finite, got {value!r}")
     if value < minimum:
-        raise ConfigError(field, f"{field} must be >= {minimum}{note}, "
-                                 f"got {value!r}")
+        raise ValueError(f"{field} must be >= {minimum}{note}, got {value!r}")
     return value if integer else float(value)
 
 
@@ -220,17 +212,23 @@ class MicroBatcher:
     ``batch_window_ms`` is an upper bound: the window stays open only
     while a caller is between :meth:`arrive` and the enqueueing
     ``submit(..., arrived=True)`` (or :meth:`depart`).
+
+    The four batching settings are fixed at construction, each checked
+    by :func:`check_batching`.
     """
 
     def __init__(self, engine: PredictionEngine,
                  batch_window_ms: float = 2.0, max_batch: int = 64,
                  request_log=None, max_queue: int = 256,
                  default_deadline_ms: float = 0.0) -> None:
+        self.batch_window_ms = check_batching("batch_window_ms",
+                                              batch_window_ms)
+        self.max_batch = check_batching("max_batch", max_batch)
+        self.max_queue = check_batching("max_queue", max_queue)
+        self.default_deadline_ms = check_batching("default_deadline_ms",
+                                                  default_deadline_ms)
         self.engine = engine
         self.request_log = request_log
-        self.configure(batch_window_ms=batch_window_ms, max_batch=max_batch,
-                       max_queue=max_queue,
-                       default_deadline_ms=default_deadline_ms)
         self._cond = threading.Condition()
         self._log_lock = threading.Lock()
         self._queue: List[_Pending] = []
@@ -244,24 +242,6 @@ class MicroBatcher:
         self._thread = threading.Thread(target=self._loop, daemon=True,
                                         name="repro-serve-batcher")
         self._thread.start()
-
-    def configure(self, batch_window_ms: Optional[float] = None,
-                  max_batch: Optional[int] = None,
-                  max_queue: Optional[int] = None,
-                  default_deadline_ms: Optional[float] = None) -> None:
-        """Runtime-adjustable batching + overload knobs.
-
-        Validates everything before applying anything (raising
-        :class:`ConfigError` naming the offending field), so a
-        rejected call never half-applies.
-        """
-        given = {"batch_window_ms": batch_window_ms, "max_batch": max_batch,
-                 "max_queue": max_queue,
-                 "default_deadline_ms": default_deadline_ms}
-        checked = {field: _check_knob(field, value)
-                   for field, value in given.items() if value is not None}
-        for field, value in checked.items():
-            setattr(self, field, value)
 
     def _deadline_for(self, request: PredictRequest) -> Optional[Deadline]:
         budget = (request.deadline_ms if request.deadline_ms is not None
@@ -934,9 +914,9 @@ class PredictionServer:
     # -- routes ---------------------------------------------------------------
 
     def _route(self, conn: _Conn, head: RequestHead, body: bytes) -> None:
-        """Answer one request.  Only ``/predict`` and ``/config`` run on
-        the loop; every route that calls into the engine or the
-        registry runs on an admin thread."""
+        """Answer one request.  Only ``/predict`` runs on the loop;
+        every route that calls into the engine or the registry runs on
+        an admin thread."""
         path = head.path
         if head.method == "GET":
             if path == "/health":
@@ -956,18 +936,9 @@ class PredictionServer:
             return
         if path == "/predict":
             self._predict(conn, head, body)
-            return
-        try:
-            data = _json_object(body)
-        except ValueError as exc:
-            self._reply(conn, head, 400, {"error": str(exc)})
-            return
-        if path == "/config":
-            self._config(conn, head, data)
-        elif path == "/models/refresh":
+        elif path == "/models/refresh":  # takes no parameters
             self.refresh_calls += 1
-            self._offload(conn, head, partial(self._refresh_reply,
-                                              {"ok": True}))
+            self._offload(conn, head, self._refresh_reply)
         else:
             self._reply(conn, head, 404, {"error": f"unknown path {path!r}"})
 
@@ -1002,23 +973,6 @@ class PredictionServer:
             # its answer is written by _deliver, on this thread, later
             conn.busy = True
 
-    def _config(self, conn: _Conn, head: RequestHead, data: Dict) -> None:
-        try:
-            self.batcher.configure(
-                batch_window_ms=data.get("batch_window_ms"),
-                max_batch=data.get("max_batch"),
-                max_queue=data.get("max_queue"),
-                default_deadline_ms=data.get("default_deadline_ms"))
-        except ConfigError as exc:
-            self._reply(conn, head, 400,
-                        {"error": str(exc), "field": exc.field})
-            return
-        payload = {"ok": True, "config": self.batcher.stats_dict()}
-        if data.get("refresh_models"):
-            self._offload(conn, head, partial(self._refresh_reply, payload))
-        else:
-            self._reply(conn, head, 200, payload)
-
     # -- endpoint payloads ----------------------------------------------------
 
     def _health_reply(self) -> Tuple[int, Dict]:
@@ -1026,9 +980,9 @@ class PredictionServer:
         # only "healthy" is a 200 so load balancers eject the node
         return (200 if payload["status"] == "healthy" else 503), payload
 
-    def _refresh_reply(self, payload: Dict) -> Tuple[int, Dict]:
+    def _refresh_reply(self) -> Tuple[int, Dict]:
         self.engine.refresh()
-        return 200, payload
+        return 200, {"ok": True}
 
     def health(self) -> Dict:
         registry = self.engine.registry

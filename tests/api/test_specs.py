@@ -197,6 +197,15 @@ class TestValidation:
         with pytest.raises(SpecError, match=field):
             ServeSpec(**{field: value})
 
+    @pytest.mark.parametrize("field", ["batch_window_ms",
+                                       "default_deadline_ms"])
+    @pytest.mark.parametrize("value", [True, False, "fast", "2.5"])
+    def test_serve_ms_settings_take_only_numbers(self, field, value):
+        # the batcher's own rule: a bool is not 1 ms, a string not a number
+        with pytest.raises(SpecError, match=field):
+            ServeSpec(**{field: value})
+        assert ServeSpec(**{field: 5}).to_dict()[field] == 5.0
+
     def test_serve_max_queue_positive(self):
         with pytest.raises(SpecError, match="max_queue"):
             ServeSpec(max_queue=0)

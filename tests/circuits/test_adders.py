@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from repro.circuits.adders import (
     ADDER_ARCHITECTURES,
     build_int_adder,
-    incrementer,
     subtractor,
 )
 from repro.circuits.builder import CircuitBuilder
@@ -85,21 +84,6 @@ class TestSubtractor:
         got = sum(out[i] << i for i in range(8))
         assert got == (a - b) & 0xFF
         assert out[8] == (1 if a >= b else 0)
-
-
-class TestIncrementer:
-    @pytest.mark.parametrize("value", [0, 1, 6, 7])
-    def test_increment(self, value):
-        bld = CircuitBuilder()
-        bus = bld.input_bus(3)
-        inc, carry = incrementer(bld, bus)
-        bld.mark_output_bus(inc)
-        bld.netlist.mark_output(carry)
-        nl = bld.build()
-        out = nl.evaluate_outputs([(value >> i) & 1 for i in range(3)])
-        got = sum(out[i] << i for i in range(3))
-        assert got == (value + 1) & 7
-        assert out[3] == (1 if value == 7 else 0)
 
 
 def test_width_mismatch_raises():

@@ -4,11 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.circuits.builder import CircuitBuilder
-from repro.circuits.comparators import (
-    build_comparator,
-    unsigned_compare,
-    unsigned_less_than,
-)
+from repro.circuits.comparators import build_comparator, unsigned_compare
 
 _CMP8 = build_comparator(8)
 
@@ -39,21 +35,6 @@ class TestUnsignedCompare:
                 bits += [(b >> i) & 1 for i in range(3)]
                 nl = build_comparator(3)
                 assert sum(nl.evaluate_outputs(bits)) == 1
-
-
-class TestUnsignedLessThan:
-    @given(a=st.integers(0, 63), b=st.integers(0, 63))
-    @settings(max_examples=100, deadline=None)
-    def test_matches_python(self, a, b):
-        bld = CircuitBuilder()
-        ba = bld.input_bus(6)
-        bb = bld.input_bus(6)
-        lt = unsigned_less_than(bld, ba, bb)
-        bld.netlist.mark_output(lt)
-        nl = bld.build()
-        bits = [(a >> i) & 1 for i in range(6)]
-        bits += [(b >> i) & 1 for i in range(6)]
-        assert nl.evaluate_outputs(bits)[0] == int(a < b)
 
 
 def test_width_mismatch_raises():

@@ -1,11 +1,11 @@
-"""Tests for leading-zero counter and priority encoder."""
+"""Tests for the leading-zero counter."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.circuits.builder import CircuitBuilder
-from repro.circuits.encoders import build_lzc, leading_zero_counter, priority_encoder
+from repro.circuits.encoders import build_lzc, leading_zero_counter
 
 
 def clz(value, width):
@@ -50,23 +50,3 @@ class TestLeadingZeroCounter:
         with pytest.raises(ValueError):
             leading_zero_counter(b, b.input_bus(0))
 
-
-class TestPriorityEncoder:
-    @pytest.mark.parametrize("width", [2, 4, 8])
-    def test_exhaustive(self, width):
-        b = CircuitBuilder()
-        data = b.input_bus(width)
-        index, valid = priority_encoder(b, data)
-        b.mark_output_bus(index)
-        b.netlist.mark_output(valid)
-        nl = b.build()
-        idx_bits = len(index)
-        for value in range(1 << width):
-            out = nl.evaluate_outputs([(value >> i) & 1 for i in range(width)])
-            got_valid = out[idx_bits]
-            if value == 0:
-                assert got_valid == 0
-            else:
-                got = sum(out[i] << i for i in range(idx_bits))
-                assert got_valid == 1
-                assert got == value.bit_length() - 1, (width, value)

@@ -162,16 +162,6 @@ class TestNetlistStructure:
         assert fo[n1] == 2  # drives BUF input + is a primary output
         assert fo[n2] == 1  # primary output load only
 
-    def test_gate_histogram(self):
-        nl = Netlist()
-        a = nl.add_input()
-        nl.add_gate(GateType.NOT, (a,))
-        nl.add_gate(GateType.NOT, (a,))
-        nl.add_gate(GateType.BUF, (a,))
-        hist = nl.gate_histogram()
-        assert hist[GateType.NOT] == 2
-        assert hist[GateType.BUF] == 1
-
     def test_stats_keys(self):
         nl = Netlist()
         a = nl.add_input()

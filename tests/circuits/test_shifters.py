@@ -9,7 +9,6 @@ from repro.circuits.shifters import (
     barrel_shift_left,
     barrel_shift_right,
     build_barrel_shifter,
-    rotate_left,
 )
 
 
@@ -57,18 +56,6 @@ class TestBarrelShiftLeft:
         assert got == (value << amount) & 0xFFFF
 
 
-class TestRotate:
-    @given(value=st.integers(0, 255), amount=st.integers(0, 7))
-    @settings(max_examples=80, deadline=None)
-    def test_rotate_left(self, value, amount):
-        nl = _cached("rot8")
-        out = _run(nl, value, amount, 8, 3)
-        got = sum(out[i] << i for i in range(8))
-        expect = ((value << amount) | (value >> (8 - amount))) & 0xFF \
-            if amount else value
-        assert got == expect
-
-
 class TestBuildHelpers:
     def test_build_right(self):
         nl = build_barrel_shifter(32, "right")
@@ -97,12 +84,6 @@ def _cached(kind):
         data = b.input_bus(16)
         amount = b.input_bus(5)
         b.mark_output_bus(barrel_shift_left(b, data, amount))
-        nl = b.build()
-    elif kind == "rot8":
-        b = CircuitBuilder()
-        data = b.input_bus(8)
-        amount = b.input_bus(3)
-        b.mark_output_bus(rotate_left(b, data, amount))
         nl = b.build()
     _CACHE[kind] = nl
     return nl

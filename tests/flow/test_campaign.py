@@ -19,6 +19,7 @@ from repro.flow import (
     plan_shards,
     read_envelope,
     trace_key,
+    write_envelope,
 )
 from repro.flow.pool import WorkerPool
 from repro.sim import run_delays
@@ -127,8 +128,8 @@ class TestTraceStore:
         assert entry["library"] == library_fingerprint(DEFAULT_LIBRARY)
 
     def test_incompatible_store_version_ignored(self, tmp_path):
-        (tmp_path / "manifest.json").write_text(
-            json.dumps({"store_version": 999, "entries": {"k": {}}}))
+        write_envelope(tmp_path / "manifest.json",
+                       {"store_version": 999, "entries": {"k": {}}})
         assert TraceStore(tmp_path).entries() == {}
 
     def test_lost_manifest_entry_recovers_via_blob(self, tmp_path):

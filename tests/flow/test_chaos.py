@@ -368,21 +368,6 @@ class TestCampaignResume:
             assert runner.stats.hits == 1
             assert runner.stats.resumed_shards == 0
 
-    def test_checkpoint_env_kill_switch(self, tmp_path):
-        assert CampaignRunner(store=tmp_path).checkpoint is True
-        assert CampaignRunner(store=tmp_path,
-                              checkpoint=False).checkpoint is False
-
-    def test_disabled_checkpoint_writes_no_journal(self, tmp_path):
-        job = self._job(seed=8)
-        with CampaignRunner(store=tmp_path, shard_cycles=10,
-                            checkpoint=False) as runner:
-            runner.run([job])
-            assert runner.stats.resumed_shards == 0
-        # nothing journal-shaped ever touched the store directory
-        assert not list(tmp_path.glob("journal_*"))
-        assert not list(tmp_path.glob("part_*"))
-
     def test_stale_journal_for_other_backend_is_ignored(self, tmp_path,
                                                         monkeypatch):
         job = self._job(seed=9)

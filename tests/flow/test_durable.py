@@ -60,14 +60,12 @@ class TestEnvelopes:
         _, generation = read_envelope(path)
         assert generation == 2
 
-    def test_legacy_plain_manifest_reads_as_generation_zero(self, tmp_path):
+    def test_plain_dict_is_corrupt(self, tmp_path):
+        # an object without an envelope carries no checksum to trust
         path = tmp_path / "m.json"
         path.write_text(json.dumps({"store_version": 1, "entries": {}}))
-        payload, generation = read_envelope(path)
-        assert generation == 0
-        assert payload["store_version"] == 1
-        # next write upgrades to an envelope at generation 1
-        assert write_envelope(path, payload) == 1
+        with pytest.raises(ManifestCorrupt, match="envelope_version"):
+            read_envelope(path)
 
     def test_missing_file_raises_file_not_found(self, tmp_path):
         with pytest.raises(FileNotFoundError):
@@ -241,3 +239,92 @@ class TestManifestRecovery:
             again = open_entries()
         assert caught == []
         assert again == entries
+
+    def test_rebuild_skips_a_blob_without_metadata(self, tmp_path):
+        # nothing but a filename to go on: it is left out (and at worst
+        # simulated again), never guessed from the name
+        open_entries = _fill_trace_store(tmp_path)
+        keys = set(open_entries())
+        np.savez_compressed(tmp_path / "dta_int_add_s9_key9.npz",
+                            delays=np.zeros((1, 8), dtype=np.float32))
+        (tmp_path / "manifest.json").write_text("{garbage")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            entries = open_entries()
+        assert "rebuilt 2 entr" in str(caught[0].message)
+        assert set(entries) == keys
+
+
+def _flip_envelope_key(root):
+    """Flip one bit of the ``envelope_version`` key in a manifest."""
+    path = root / "manifest.json"
+    data = bytearray(path.read_bytes())
+    at = data.index(b'"envelope_version"') + 1
+    data[at] ^= 0x20  # 'e' -> 'E'
+    path.write_bytes(bytes(data))
+
+
+def _unwrap_envelope(root):
+    """Replace a manifest by its bare payload, as a writer without the
+    envelope would have left it."""
+    path = root / "manifest.json"
+    path.write_text(json.dumps(read_envelope(path)[0]))
+
+
+DAMAGE = pytest.mark.parametrize("damage", [_flip_envelope_key,
+                                            _unwrap_envelope],
+                                 ids=["flipped-key", "plain"])
+
+
+class TestFlippedEnvelopeKey:
+    """A manifest whose envelope key is damaged or missing is corrupt,
+    so the store is rebuilt from its files; it must never read as an
+    empty store whose files the next gc would delete."""
+
+    @staticmethod
+    def _reopen(open_entries, tmp_path):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            entries = open_entries()
+        assert [w.category for w in caught] == [RuntimeWarning]
+        assert "rebuilt 2 entr" in str(caught[0].message)
+        assert len(list(tmp_path.glob("manifest.json.corrupt-*"))) == 1
+        assert all(e["rebuilt"] is True for e in entries.values())
+        return entries
+
+    @DAMAGE
+    def test_trace_store_is_rebuilt_and_gc_keeps_every_blob(self, damage,
+                                                             tmp_path):
+        open_entries = _fill_trace_store(tmp_path)
+        before = open_entries()
+        blobs = sorted(tmp_path.glob("dta_*.npz"))
+        assert len(blobs) == 2
+        damage(tmp_path)
+
+        entries = self._reopen(open_entries, tmp_path)
+        assert set(entries) == set(before)
+        for key, entry in entries.items():
+            assert entry["file"] == before[key]["file"]
+            assert entry["stream"] == before[key]["stream"]
+        report = TraceStore(tmp_path).gc()
+        assert report.removed_blobs == []
+        assert report.dropped_entries == []
+        assert sorted(tmp_path.glob("dta_*.npz")) == blobs
+
+    @DAMAGE
+    def test_registry_is_rebuilt_and_gc_keeps_the_newest(self, damage,
+                                                         tmp_path):
+        open_entries = _fill_registry(tmp_path)
+        before = open_entries()
+        assert sorted(e["version"] for e in before.values()) == [1, 2]
+        damage(tmp_path)
+
+        entries = self._reopen(open_entries, tmp_path)
+        assert set(entries) == set(before)
+        newest = max(before, key=lambda m: before[m]["version"])
+        report = ModelRegistry(tmp_path).gc(keep=1)
+        assert newest not in report.dropped_entries
+        assert before[newest]["file"] not in report.removed_files
+        assert (tmp_path / before[newest]["file"]).is_file()
+        assert [r.model_id for r in ModelRegistry(tmp_path).list_models()] \
+            == [newest]

@@ -4,7 +4,7 @@ The acceptance story of the resilience work: flood a bounded-queue
 server past ``max_queue`` from many threads and every request gets
 exactly one of {result, 429-shed, 504-expired} — none hang, none are
 lost, and the server-side counters reconcile with the client-side
-tally.  Plus unit coverage for the new knobs (``max_queue``,
+tally.  Plus unit coverage for the batching settings (``max_queue``,
 ``default_deadline_ms``), the client's Retry-After/jitter hardening,
 and the batcher's :class:`~repro.serve.server.Deadline`.
 """
@@ -240,23 +240,30 @@ class TestDeadlines:
         assert failure is not None and "deadline_ms" in failure
 
 
-class TestConfigKnobs:
-    def test_runtime_tuning_of_max_queue_and_default_deadline(self):
+class TestBatchingSettings:
+    def test_max_queue_and_default_deadline_show_in_stats(self):
         engine = _GatedEngine()
         engine.release.set()
-        server = PredictionServer(engine, port=0)
+        server = PredictionServer(engine, port=0, max_queue=7,
+                                  default_deadline_ms=123.0)
         server.start_background()
         host, port = server.address
-        client = ServeClient(host, port)
-        out = client.configure(max_queue=7, default_deadline_ms=123.0)
-        assert out["config"]["max_queue"] == 7
-        assert out["config"]["default_deadline_ms"] == 123.0
-        stats = client.stats()["batching"]
+        stats = ServeClient(host, port).stats()["batching"]
         assert stats["max_queue"] == 7
         assert stats["default_deadline_ms"] == 123.0
         server.close()
 
-    @pytest.mark.parametrize("payload, field", [
+    @pytest.mark.parametrize("kwargs, field", [
+        ({"max_batch": 0}, "max_batch"),
+        ({"max_batch": -3}, "max_batch"),
+        ({"max_batch": "many"}, "max_batch"),
+        ({"max_batch": True}, "max_batch"),
+        ({"max_batch": 2.5}, "max_batch"),
+        ({"batch_window_ms": -1}, "batch_window_ms"),
+        ({"batch_window_ms": "fast"}, "batch_window_ms"),
+        ({"batch_window_ms": False}, "batch_window_ms"),
+        ({"batch_window_ms": float("nan")}, "batch_window_ms"),
+        ({"batch_window_ms": float("inf")}, "batch_window_ms"),
         ({"max_queue": 0}, "max_queue"),
         ({"max_queue": -1}, "max_queue"),
         ({"max_queue": 2.5}, "max_queue"),
@@ -266,18 +273,9 @@ class TestConfigKnobs:
         ({"default_deadline_ms": float("nan")}, "default_deadline_ms"),
         ({"default_deadline_ms": float("inf")}, "default_deadline_ms"),
     ])
-    def test_bad_knob_is_400_naming_field(self, payload, field):
-        engine = _GatedEngine()
-        engine.release.set()
-        server = PredictionServer(engine, port=0)
-        server.start_background()
-        host, port = server.address
-        client = ServeClient(host, port)
-        with pytest.raises(ServeError) as err:
-            client._call("/config", payload)
-        assert err.value.status == 400
-        assert err.value.payload["field"] == field
-        server.close()
+    def test_bad_setting_is_rejected_naming_field(self, kwargs, field):
+        with pytest.raises(ValueError, match=field):
+            MicroBatcher(_GatedEngine(), **kwargs)
 
 
 class _SheddingHandler(BaseHTTPRequestHandler):

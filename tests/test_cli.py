@@ -276,6 +276,14 @@ class TestConfigParity:
         assert main(["campaign", "--config", str(path)]) == 2
         assert "unknown config section" in capsys.readouterr().err
 
+    def test_bad_serve_setting_is_a_clean_error(self, tmp_path, capsys):
+        path = tmp_path / "run.toml"
+        path.write_text('[serve]\nport = 0\nbatch_window_ms = "fast"\n')
+        assert main(["serve", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "batch_window_ms" in err
+
     def test_train_and_predict_require_explicit_fu(self, tmp_path, capsys):
         # a forgotten --fu must never silently fall back to a default FU
         assert main(["train", "-o", str(tmp_path / "m.pkl")]) == 2
