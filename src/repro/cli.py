@@ -46,7 +46,7 @@ from .api import (
 )
 from .circuits import PAPER_UNITS, build_functional_unit
 from .core import load_model
-from .flow import TraceStore
+from .flow import StoreVersionError, TraceStore
 from .sim import ENGINES
 from .timing import run_sta_corners
 
@@ -596,7 +596,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except SpecError as exc:
+    except (SpecError, StoreVersionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

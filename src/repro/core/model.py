@@ -10,13 +10,13 @@ speed.
 
 from __future__ import annotations
 
-import os
 import pickle
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
+from ..flow.durable import atomic_replace
 from ..ml.forest import RandomForestRegressor
 from ..timing.corners import OperatingCondition
 from ..workloads.streams import OperandStream
@@ -50,19 +50,9 @@ def save_model(model: Any, path: Union[str, Path],
         "metadata": dict(metadata or {}),
         "model": model,
     }
-    # tmp + fsync + rename: a crash mid-save leaves the previous
-    # artifact (or nothing), never a torn pickle
-    path = Path(path)
-    tmp = path.parent / f".{path.name}.{os.getpid()}.tmp"
-    try:
-        with tmp.open("wb") as fh:
-            pickle.dump(payload, fh)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    # a crash mid-save leaves the previous artifact (or nothing), never
+    # a torn pickle
+    atomic_replace(path, pickle.dumps(payload))
 
 
 def load_model(path: Union[str, Path]) -> Tuple[Any, Dict]:

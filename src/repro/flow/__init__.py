@@ -19,11 +19,10 @@ from .durable import (
     read_envelope,
     write_envelope,
 )
-from .manifest import read_manifest, stable_fingerprint, write_manifest
+from .manifest import GCReport, StoreVersionError, stable_fingerprint
 from .pool import (JobProgram, PoolRunResult, TaskResult, WorkerPool,
                    simulate_shard)
 from .tracestore import (
-    GCReport,
     TraceStore,
     default_cache_dir,
     library_fingerprint,
@@ -41,6 +40,7 @@ __all__ = [
     "ManifestCorrupt",
     "StoreLock",
     "StoreLockTimeout",
+    "StoreVersionError",
     "atomic_replace",
     "quarantine",
     "read_envelope",
@@ -55,8 +55,6 @@ __all__ = [
     "library_fingerprint",
     "plan_shards",
     "simulate_shard",
-    "read_manifest",
     "stable_fingerprint",
     "trace_key",
-    "write_manifest",
 ]

@@ -16,27 +16,21 @@ everything that determines a DTA trace:
   event engine must not.
 
 The manifest records per-entry metadata (shapes, library fingerprint,
-producing backend, creation time) and a store schema version so future
-layout changes can migrate or ignore old stores safely.  Other
-top-level manifest sections (such as one an older release wrote) are
-carried through every rewrite untouched and never read.
-
-Durability (see :mod:`repro.flow.durable`): the manifest is a
-checksummed envelope replaced atomically; ``.npz`` blobs are written
-tmp + fsync + rename with their metadata embedded, so a corrupt
-manifest is quarantined and **rebuilt by rescanning the blobs**;
-read-modify-write cycles (put, gc, campaign journals) serialize under
-an advisory inter-process lock.
+producing backend, creation time).  Manifest, lock, gc and the
+schema-version rule come from
+:class:`~repro.flow.manifest.ManifestStore`; this module adds the keys,
+the entry fields, the oldest-first byte-budget eviction and the
+campaign shard journal.  Blobs embed their metadata, so a corrupt
+manifest is **rebuilt by rescanning them**.
 """
 
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import os
 import time
-import warnings
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -52,12 +46,11 @@ from .durable import (
     ManifestCorrupt,
     StoreLock,
     StoreLockTimeout,
-    fsync_dir,
-    quarantine,
+    atomic_replace,
     read_envelope,
     write_envelope,
 )
-from .manifest import read_manifest, write_manifest
+from .manifest import GCReport, ManifestStore, StoreVersionError
 
 #: Bump when the on-disk layout or key derivation changes.
 STORE_VERSION = 1
@@ -112,52 +105,30 @@ def trace_key(fu: FunctionalUnit, stream: OperandStream,
     return h.hexdigest()[:24]
 
 
-@dataclass
-class GCReport:
-    """What a :meth:`TraceStore.gc` pass did (or would do)."""
-
-    removed_blobs: List[str] = field(default_factory=list)
-    dropped_entries: List[str] = field(default_factory=list)
-    freed_bytes: int = 0
-    kept_bytes: int = 0
-
-    def summary(self) -> str:
-        return (f"removed {len(self.removed_blobs)} blob(s) "
-                f"({self.freed_bytes / 1e6:.2f} MB), dropped "
-                f"{len(self.dropped_entries)} entr(y/ies), "
-                f"{self.kept_bytes / 1e6:.2f} MB kept")
+def _npz_bytes(delays: np.ndarray, meta_json: str) -> bytes:
+    """One compressed ``.npz`` blob: the delays plus embedded metadata."""
+    buf = io.BytesIO()
+    np.savez_compressed(buf, delays=delays, meta=np.array(meta_json))
+    return buf.getvalue()
 
 
-class TraceStore:
+class TraceStore(ManifestStore):
     """Manifest-backed store of delay traces under one root directory."""
+
+    VERSION_KEY = "store_version"
+    VERSION = STORE_VERSION
+    ENTRIES_KEY = "entries"
+    BLOB_PATTERN = "dta_*.npz"
+    LOCK_NAME = ".store.lock"
+    LABEL = "trace-store"
+    MANIFEST_SITE = SITE_MANIFEST
+    GC_SUMMARY = ("removed {removed} blob(s) ({freed_mb:.2f} MB), dropped "
+                  "{dropped} entr(y/ies), {kept_mb:.2f} MB kept")
 
     def __init__(self, root: Union[str, Path, None] = None, *,
                  lock_timeout: float = 10.0) -> None:
-        self.root = Path(root) if root is not None else default_cache_dir()
-        self.lock_timeout = lock_timeout
-
-    @property
-    def manifest_path(self) -> Path:
-        return self.root / "manifest.json"
-
-    def lock(self) -> StoreLock:
-        """Advisory inter-process lock serializing store writers."""
-        return StoreLock(self.root / ".store.lock",
-                         timeout=self.lock_timeout)
-
-    # -- manifest -------------------------------------------------------------
-
-    def _read_manifest(self) -> Dict:
-        # blob files embed their metadata, so a corrupt manifest's
-        # entry table is fully recoverable
-        return read_manifest(self.manifest_path, version_key="store_version",
-                             version=STORE_VERSION, entries_key="entries",
-                             pattern="dta_*.npz", entry_of=self._blob_entry,
-                             lock_name=".store.lock", label="trace-store",
-                             site=SITE_MANIFEST)
-
-    def _write_manifest(self, manifest: Dict) -> None:
-        write_manifest(self.manifest_path, manifest, site=SITE_MANIFEST)
+        super().__init__(root if root is not None else default_cache_dir(),
+                         lock_timeout=lock_timeout)
 
     def _blob_entry(self, blob: Path) -> Optional[Tuple[str, Dict]]:
         """(key, manifest entry) recovered from one blob's embedded
@@ -206,20 +177,18 @@ class TraceStore:
             blob = next(iter(self.root.glob(f"dta_*_{key}.npz")), None)
             if blob is None:
                 return None
-            self._readopt_blob(blob)
+            try:
+                self._readopt_blob(blob)
+            except StoreVersionError:
+                return None  # another schema's store reads as empty
         try:
             data = np.load(blob)
             delays = data["delays"]
         except FileNotFoundError:
             return None
         except Exception as exc:
-            # truncated/garbled blob: quarantine it and treat as a
-            # cache miss
-            quarantined = quarantine(blob)
-            warnings.warn(
-                f"unreadable trace blob {blob.name} ({exc}); quarantined "
-                f"to {quarantined.name if quarantined else '<gone>'} and "
-                f"treating as a cache miss", RuntimeWarning, stacklevel=2)
+            self._quarantine(blob, f"unreadable trace blob {blob.name} "
+                             f"({exc})", " and treating as a cache miss")
             return None
         return DelayTrace(delays, list(conditions), inputs=inputs)
 
@@ -229,15 +198,16 @@ class TraceStore:
         A writer that died between the blob rename and the manifest
         replace leaves a resolvable blob with no entry — and ``gc``
         would collect it as an orphan.  Repair failures (lock
-        contention, read-only store) never block the read.
+        contention, read-only store) never block the read; a store of
+        another schema version raises :class:`StoreVersionError`.
         """
         rec = self._blob_entry(blob)
         if rec is None:
             return
         key, entry = rec
         try:
-            with StoreLock(self.root / ".store.lock", timeout=0.5):
-                manifest = self._read_manifest()
+            with StoreLock(self.root / self.LOCK_NAME, timeout=0.5):
+                manifest = self._read_manifest(for_write=True)
                 if key not in manifest["entries"]:
                     manifest["entries"][key] = entry
                     self._write_manifest(manifest)
@@ -252,7 +222,8 @@ class TraceStore:
         The blob is written atomically with its metadata embedded (for
         manifest rebuilds); blob + manifest update happen under the
         store lock so concurrent writers cannot drop each other's
-        entries.
+        entries.  Raises :class:`StoreVersionError` on a store of
+        another schema version.
         """
         self.root.mkdir(parents=True, exist_ok=True)
         fname = f"dta_{fu_name}_{stream_name}_{key}.npz"
@@ -267,127 +238,45 @@ class TraceStore:
             "backend": backend,
             "created": time.strftime("%Y-%m-%dT%H:%M:%S"),
         }
-        meta = json.dumps({"key": key, **entry}, sort_keys=True)
+        blob = _npz_bytes(trace.delays,
+                          json.dumps({"key": key, **entry}, sort_keys=True))
         with self.lock():
-            self._write_blob(self.root / fname, trace.delays, meta,
-                             site=SITE_BLOB)
-            manifest = self._read_manifest()
+            manifest = self._read_manifest(for_write=True)
+            atomic_replace(self.root / fname, blob, site=SITE_BLOB)
             manifest["entries"][key] = entry
             self._write_manifest(manifest)
         return self.root / fname
-
-    @staticmethod
-    def _write_blob(path: Path, delays: np.ndarray, meta_json: str, *,
-                    site: Optional[str] = None) -> None:
-        """Atomically write one npz blob (tmp + fsync + rename).
-
-        ``site`` arms a fault point mirroring
-        :func:`~repro.flow.durable.atomic_replace`: raise/exit fire
-        before the rename; torn-write leaves half a blob at the final
-        path and hard-exits.
-        """
-        action = faults.trigger(site)
-        tmp = path.parent / f".{path.name}.{os.getpid()}.tmp"
-        try:
-            with open(tmp, "wb") as fh:
-                np.savez_compressed(fh, delays=delays,
-                                    meta=np.array(meta_json))
-                fh.flush()
-                os.fsync(fh.fileno())
-            if action == "raise":
-                raise faults.FaultInjected(f"fault injected at {site}")
-            if action == "exit":
-                os._exit(faults.EXIT_CODE)
-            if action == "torn-write":
-                data = tmp.read_bytes()
-                with open(path, "wb") as fh:
-                    fh.write(data[: max(1, len(data) // 2)])
-                    fh.flush()
-                    os.fsync(fh.fileno())
-                os._exit(faults.TORN_EXIT_CODE)
-            os.replace(tmp, path)
-        except BaseException:
-            tmp.unlink(missing_ok=True)
-            raise
-        fsync_dir(path.parent)
 
     # -- eviction / garbage collection ----------------------------------------
 
     def size_bytes(self) -> int:
         """Total size of the trace blobs currently on disk."""
-        return sum(p.stat().st_size for p in self.root.glob("dta_*.npz"))
+        return sum(p.stat().st_size
+                   for p in self.root.glob(self.BLOB_PATTERN))
 
     def gc(self, max_bytes: Optional[int] = None,
            dry_run: bool = False) -> GCReport:
-        """Collect garbage and optionally enforce a size budget.
-
-        Three passes, mirroring the long-lived-cache needs from the
-        ROADMAP:
-
-        1. blobs on disk that no manifest entry references are removed
-           (orphans from crashed writers or manifest races);
-        2. manifest entries whose blob has vanished are dropped;
-        3. with ``max_bytes``, the oldest entries (by creation stamp)
-           are evicted until the remaining blobs fit the budget.
-
-        ``dry_run`` reports what would happen without touching disk.
-        """
+        """Collect garbage (see :meth:`ManifestStore._gc`); with
+        ``max_bytes``, then evict the oldest entries (by creation
+        stamp) until the remaining blobs fit that budget."""
         if max_bytes is not None and max_bytes < 0:
             raise ValueError("max_bytes must be >= 0")
-        report = GCReport()
-        if not self.root.is_dir():
-            return report
-        with self.lock():
-            return self._gc_locked(max_bytes, dry_run, report)
 
-    def _gc_locked(self, max_bytes: Optional[int], dry_run: bool,
-                   report: GCReport) -> GCReport:
-        # stray temp files from crashed writers (the lock is held, so
-        # no live writer owns any of them)
-        if not dry_run:
-            for tmp in self.root.glob(".*.tmp*"):
-                tmp.unlink(missing_ok=True)
-        manifest = self._read_manifest()
-        entries = manifest["entries"]
-        referenced = {entry["file"] for entry in entries.values()}
-
-        for blob in sorted(self.root.glob("dta_*.npz")):
-            if blob.name not in referenced:
-                report.removed_blobs.append(blob.name)
-                report.freed_bytes += blob.stat().st_size
-                if not dry_run:
-                    blob.unlink()
-
-        live: Dict[str, int] = {}  # key -> blob size
-        for key, entry in list(entries.items()):
-            blob = self.root / entry["file"]
-            if not blob.is_file():
-                report.dropped_entries.append(key)
-                if not dry_run:
-                    del entries[key]
-                continue
-            live[key] = blob.stat().st_size
-
-        if max_bytes is not None:
+        def oldest_over_budget(entries: Dict[str, Dict],
+                               live: Dict[str, int]) -> List[str]:
+            if max_bytes is None:
+                return []
             total = sum(live.values())
-            oldest_first = sorted(
-                live, key=lambda k: (entries[k].get("created", ""), k))
-            for key in oldest_first:
+            evicted = []
+            for key in sorted(live, key=lambda k: (
+                    entries[k].get("created", ""), k)):
                 if total <= max_bytes:
                     break
-                blob = self.root / entries[key]["file"]
-                report.removed_blobs.append(blob.name)
-                report.dropped_entries.append(key)
-                report.freed_bytes += live[key]
-                total -= live.pop(key)
-                if not dry_run:
-                    blob.unlink()
-                    del entries[key]
+                evicted.append(key)
+                total -= live[key]
+            return evicted
 
-        report.kept_bytes = sum(live.values())
-        if not dry_run and (report.removed_blobs or report.dropped_entries):
-            self._write_manifest(manifest)
-        return report
+        return self._gc(dry_run, oldest_over_budget)
 
     # -- campaign shard journal ------------------------------------------------
     #
@@ -413,11 +302,18 @@ class TraceStore:
                              shard: ShardRange, delays: np.ndarray,
                              backend: str, n_corners: int,
                              n_cycles: int) -> None:
-        """Persist one finished shard and mark it done in the journal."""
+        """Persist one finished shard and mark it done in the journal.
+
+        The part is written under the store lock, so a concurrent
+        :meth:`gc` never sweeps its temp file.  Raises
+        :class:`StoreVersionError` on a store of another schema version.
+        """
         self.root.mkdir(parents=True, exist_ok=True)
         part = self._part_path(key, shard)
-        self._write_blob(part, np.ascontiguousarray(delays), "{}")
         with self.lock():
+            self._read_manifest(for_write=True)
+            atomic_replace(part, _npz_bytes(np.ascontiguousarray(delays),
+                                            "{}"))
             journal = self._load_journal_payload(key)
             if journal is None:
                 journal = {
@@ -439,11 +335,8 @@ class TraceStore:
         except FileNotFoundError:
             return None
         except ManifestCorrupt as exc:
-            quarantined = quarantine(path)
-            warnings.warn(
-                f"corrupt campaign journal {path.name} quarantined to "
-                f"{quarantined.name if quarantined else '<gone>'}: {exc}",
-                RuntimeWarning, stacklevel=3)
+            self._quarantine(path, f"corrupt campaign journal {path.name} "
+                             f"({exc})")
             return None
         return payload if isinstance(payload, dict) else None
 

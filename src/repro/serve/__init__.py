@@ -37,7 +37,6 @@ from .registry import (
     MODEL_KINDS,
     ModelRecord,
     ModelRegistry,
-    RegistryGCReport,
     corner_fingerprint,
     fu_fingerprint,
     model_key,
@@ -67,7 +66,6 @@ __all__ = [
     "PredictionServer",
     "PredictRequest",
     "QueueFullError",
-    "RegistryGCReport",
     "ReplayMismatch",
     "ReplayReport",
     "RequestLog",

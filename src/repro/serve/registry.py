@@ -15,7 +15,10 @@ predict:
 so ``resolve`` can never hand the prediction engine a model whose
 feature layout does not match the features it builds.  Publishing the
 same (FU, kind) repeatedly assigns monotonically increasing versions;
-``resolve`` returns the newest unless pinned.
+``resolve`` returns the newest unless pinned.  Manifest, lock, gc and
+the schema-version rule come from
+:class:`~repro.flow.manifest.ManifestStore`; gc's eviction keeps the
+newest versions per (FU, kind).
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ from __future__ import annotations
 import hashlib
 import re
 import time
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
@@ -32,8 +34,7 @@ import numpy as np
 
 from ..circuits.functional_units import FunctionalUnit
 from ..core.model import load_model, save_model
-from ..flow.durable import StoreLock, quarantine
-from ..flow.manifest import read_manifest, write_manifest
+from ..flow.manifest import GCReport, ManifestStore
 from ..testing import faults
 from ..timing.corners import OperatingCondition
 from ..workloads.streams import OperandStream
@@ -139,54 +140,27 @@ class ModelRecord:
                 "size_bytes": self.size_bytes, "metadata": self.metadata}
 
 
-@dataclass
-class RegistryGCReport:
-    """What a :meth:`ModelRegistry.gc` pass did (or would do)."""
-
-    removed_files: List[str]
-    dropped_entries: List[str]
-    freed_bytes: int
-
-    def summary(self) -> str:
-        return (f"removed {len(self.removed_files)} artifact(s) "
-                f"({self.freed_bytes / 1e6:.2f} MB), dropped "
-                f"{len(self.dropped_entries)} entr(y/ies)")
-
-
-class ModelRegistry:
+class ModelRegistry(ManifestStore):
     """Manifest-backed store of published models under one directory."""
 
-    def __init__(self, root: Union[str, Path], *,
-                 lock_timeout: float = 10.0) -> None:
-        self.root = Path(root)
-        self.lock_timeout = lock_timeout
+    VERSION_KEY = "registry_version"
+    VERSION = REGISTRY_VERSION
+    ENTRIES_KEY = "models"
+    BLOB_PATTERN = "*.pkl"
+    LOCK_NAME = ".registry.lock"
+    LABEL = "model-registry"
+    MANIFEST_SITE = SITE_MANIFEST
+    GC_SUMMARY = ("removed {removed} artifact(s) ({freed_mb:.2f} MB), "
+                  "dropped {dropped} entr(y/ies)")
 
-    @property
-    def manifest_path(self) -> Path:
-        return self.root / "manifest.json"
+    def _blob_entry(self, path: Path) -> Optional[Tuple[str, Dict]]:
+        """(model_id, manifest entry) recovered from one .pkl artifact.
 
-    def lock(self) -> StoreLock:
-        """Advisory inter-process lock serializing registry writers."""
-        return StoreLock(self.root / ".registry.lock",
-                         timeout=self.lock_timeout)
-
-    def _read(self) -> Dict:
-        # published artifacts carry their model_id/key in the v2 pickle
-        # metadata, so a corrupt manifest's model table is recoverable;
-        # derived fingerprints (corners, train stream, feature spec) are
-        # lost and recorded as unknown
-        return read_manifest(self.manifest_path,
-                             version_key="registry_version",
-                             version=REGISTRY_VERSION, entries_key="models",
-                             pattern="*.pkl", entry_of=self._artifact_entry,
-                             lock_name=".registry.lock",
-                             label="model-registry", site=SITE_MANIFEST)
-
-    def _write(self, manifest: Dict) -> None:
-        write_manifest(self.manifest_path, manifest, site=SITE_MANIFEST)
-
-    def _artifact_entry(self, path: Path) -> Optional[Tuple[str, Dict]]:
-        """(model_id, manifest entry) recovered from one .pkl artifact."""
+        Published artifacts carry their model_id/key in the v2 pickle
+        metadata, so a corrupt manifest's model table is recoverable;
+        derived fingerprints (corners, train stream, feature spec) are
+        lost and recorded as unknown.
+        """
         try:
             _, meta = load_model(path)
         except Exception:
@@ -218,8 +192,9 @@ class ModelRegistry:
     def list_models(self, fu: Optional[str] = None,
                     kind: Optional[str] = None) -> List[ModelRecord]:
         """All published records, newest version first within (fu, kind)."""
+        models = self._read_manifest()["models"]
         records = [ModelRecord.from_entry(model_id, entry)
-                   for model_id, entry in self._read()["models"].items()]
+                   for model_id, entry in models.items()]
         if fu is not None:
             records = [r for r in records if r.fu == fu]
         if kind is not None:
@@ -227,7 +202,7 @@ class ModelRegistry:
         return sorted(records, key=lambda r: (r.fu, r.kind, -r.version))
 
     def __len__(self) -> int:
-        return len(self._read()["models"])
+        return len(self._read_manifest()["models"])
 
     # -- publish / resolve ----------------------------------------------------
 
@@ -239,7 +214,9 @@ class ModelRegistry:
         """Persist a trained model and record it in the manifest.
 
         Returns the new :class:`ModelRecord`; its ``version`` is one
-        past the latest published for this (FU, kind).
+        past the latest published for this (FU, kind).  Raises
+        :class:`~repro.flow.manifest.StoreVersionError` on a registry of
+        another schema version.
         """
         if kind not in MODEL_KINDS:
             raise ValueError(
@@ -259,7 +236,7 @@ class ModelRegistry:
         # concurrent publishes serialize: no dropped entries, no
         # colliding version numbers
         with self.lock():
-            manifest = self._read()
+            manifest = self._read_manifest(for_write=True)
             models = manifest["models"]
             latest = max((int(e["version"]) for e in models.values()
                           if e["fu"] == fu_name and e["kind"] == kind),
@@ -286,7 +263,7 @@ class ModelRegistry:
                 size_bytes=path.stat().st_size,
                 metadata=dict(metadata or {}))
             models[model_id] = record.as_entry()
-            self._write(manifest)
+            self._write_manifest(manifest)
         return record
 
     def resolve(self, fu: str, kind: str = "tevot",
@@ -311,12 +288,8 @@ class ModelRegistry:
             except Exception as exc:
                 # torn/garbled artifact: quarantine and fall through to
                 # the next-newest candidate instead of failing the serve
-                quarantined = quarantine(path)
-                warnings.warn(
-                    f"unreadable model artifact {path.name} ({exc}); "
-                    f"quarantined to "
-                    f"{quarantined.name if quarantined else '<gone>'}",
-                    RuntimeWarning, stacklevel=2)
+                self._quarantine(path, f"unreadable model artifact "
+                                 f"{path.name} ({exc})")
                 continue
             return model, record
         raise LookupError(
@@ -326,59 +299,21 @@ class ModelRegistry:
 
     # -- garbage collection ---------------------------------------------------
 
-    def gc(self, keep: int = 1, dry_run: bool = False) -> RegistryGCReport:
-        """Drop orphan artifacts, stale entries, and old versions.
-
-        ``keep`` retains that many newest versions per (FU, kind); older
-        ones are evicted along with any ``.pkl`` the manifest does not
-        reference.
-        """
+    def gc(self, keep: int = 1, dry_run: bool = False) -> GCReport:
+        """Collect garbage (see :meth:`ManifestStore._gc`), then evict
+        all but the ``keep`` newest versions per (FU, kind)."""
         if keep < 1:
             raise ValueError("keep must be >= 1")
-        removed: List[str] = []
-        dropped: List[str] = []
-        freed = 0
-        if not self.root.is_dir():
-            return RegistryGCReport(removed, dropped, freed)
-        with self.lock():
-            return self._gc_locked(keep, dry_run, removed, dropped, freed)
 
-    def _gc_locked(self, keep: int, dry_run: bool, removed: List[str],
-                   dropped: List[str], freed: int) -> RegistryGCReport:
-        manifest = self._read()
-        models = manifest["models"]
+        def older_versions(models: Dict[str, Dict],
+                           live: Dict[str, int]) -> List[str]:
+            groups: Dict[Tuple[str, str], List[str]] = {}
+            for model_id in sorted(live, key=lambda m: -int(
+                    models[m]["version"])):
+                entry = models[model_id]
+                groups.setdefault((entry["fu"], entry["kind"]),
+                                  []).append(model_id)
+            return [model_id for newest_first in groups.values()
+                    for model_id in newest_first[keep:]]
 
-        by_group: Dict[Tuple[str, str], List[str]] = {}
-        for model_id, entry in models.items():
-            by_group.setdefault((entry["fu"], entry["kind"]),
-                                []).append(model_id)
-        for group in by_group.values():
-            group.sort(key=lambda m: -int(models[m]["version"]))
-            for model_id in group[keep:]:
-                path = self.root / models[model_id]["file"]
-                dropped.append(model_id)
-                if path.is_file():
-                    removed.append(path.name)
-                    freed += path.stat().st_size
-                    if not dry_run:
-                        path.unlink()
-                if not dry_run:
-                    del models[model_id]
-
-        for model_id, entry in list(models.items()):
-            if not (self.root / entry["file"]).is_file():
-                dropped.append(model_id)
-                if not dry_run:
-                    del models[model_id]
-
-        referenced = {entry["file"] for entry in models.values()}
-        for path in sorted(self.root.glob("*.pkl")):
-            if path.name not in referenced:
-                removed.append(path.name)
-                freed += path.stat().st_size
-                if not dry_run:
-                    path.unlink()
-
-        if not dry_run and (removed or dropped):
-            self._write(manifest)
-        return RegistryGCReport(removed, dropped, freed)
+        return self._gc(dry_run, older_versions)

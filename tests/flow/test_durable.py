@@ -210,7 +210,7 @@ def _fill_registry(root):
     registry = ModelRegistry(root)
     for k in range(2):
         registry.publish({"stub": k}, fu="int_add")
-    return lambda: ModelRegistry(root)._read()["models"]
+    return lambda: ModelRegistry(root)._read_manifest()["models"]
 
 
 class TestManifestRecovery:
@@ -324,7 +324,7 @@ class TestFlippedEnvelopeKey:
         newest = max(before, key=lambda m: before[m]["version"])
         report = ModelRegistry(tmp_path).gc(keep=1)
         assert newest not in report.dropped_entries
-        assert before[newest]["file"] not in report.removed_files
+        assert before[newest]["file"] not in report.removed_blobs
         assert (tmp_path / before[newest]["file"]).is_file()
         assert [r.model_id for r in ModelRegistry(tmp_path).list_models()] \
             == [newest]

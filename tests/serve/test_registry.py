@@ -191,7 +191,7 @@ class TestGC:
         with orphan.open("wb") as fh:
             pickle.dump({"junk": 1}, fh)
         report = registry.gc()
-        assert "stray_artifact.pkl" in report.removed_files
+        assert "stray_artifact.pkl" in report.removed_blobs
         assert not orphan.exists()
 
     def test_gc_drops_entries_with_missing_files(self, tmp_path, trained):
